@@ -30,7 +30,6 @@ from .state import (
     polarization_state,
     polarization_vector,
     random_polarization_state,
-    relabel_paths,
     relabel_photon,
     remove_photon,
     state_from_dict,

@@ -20,7 +20,7 @@ import numpy as np
 from .detection import poisson_overlap, probe_peak_mean
 from .numerics import default_fock_cutoff, poisson_pmf
 from .state import random_polarization_state
-from .gates import parity_gate
+from .gates import DEFAULTS, parity_gate
 
 
 class AnalysisError(ValueError):
@@ -150,17 +150,7 @@ def pmf_to_csv(ns: Sequence[int], probs: Sequence[float]) -> str:
 
 QUANTITIES = ("P_E_formula", "P_E_direct", "peak_overlap", "gate_fidelity", "pmf")
 
-_DEFAULTS = {
-    "alpha": math.sqrt(4000.0),
-    "theta": 0.05,
-    "gamma": 100.0,
-    "eta": 0.95,
-    "theta_probe": 0.05,
-    "k1": 1,
-    "k2": 2,
-    "beta2": None,
-    "state_seed": 0,
-}
+_DEFAULTS = {**DEFAULTS, "k1": 1, "k2": 2, "beta2": None, "state_seed": 0}
 
 
 @dataclass(frozen=True)

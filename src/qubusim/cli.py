@@ -16,51 +16,26 @@ import io
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import analysis as an
+from . import elements as el
+from . import gates
 from . import pipelines as pl
 from . import synthesis as syn
-from .gates import (
-    GateError,
-    c_path,
-    c_path2,
-    c_path3,
-    disentangler,
-    entangler1,
-    entangler2,
-    entangler3,
-    entangler4,
-    inject_plus,
-    merging,
-    merging_n,
-    parity_gate,
-)
+from .gates import DEFAULTS, GateError, GateReport
 from .state import (
     HybridState,
     StateError,
     fidelity,
     polarization_state,
+    random_polarization_state,
     state_from_dict,
     state_to_dict,
-)
-
-DEFAULTS = {
-    "alpha": math.sqrt(4000.0),
-    "theta": 0.05,
-    "gamma": 100.0,
-    "eta": 0.95,
-    "theta_probe": 0.05,
-    "seed": 0,
-}
-
-GATE_NAMES = (
-    "parity", "cpath", "cpath2", "cpath3", "disentangler",
-    "entangler1", "entangler2", "entangler3", "entangler4",
-    "merging", "merging-n", "two-qubit", "multi-qubit",
-    "toffoli", "cn-u1", "cn-uk", "to-qudit", "from-qudit", "teleport",
 )
 
 
@@ -85,10 +60,7 @@ def parse_state_spec(spec: str, n_photons: int, seed: int) -> HybridState:
     photons = list(zip(ids, paths))
     if spec.startswith("haar"):
         parts = spec.split(":")
-        use_seed = int(parts[1]) if len(parts) > 1 else seed
-        rng = np.random.default_rng(use_seed)
-        z = rng.standard_normal(2**n_photons) + 1j * rng.standard_normal(2**n_photons)
-        return polarization_state(z / np.linalg.norm(z), photons)
+        return random_polarization_state(n_photons, int(parts[1]) if len(parts) > 1 else seed)
     if all(ch in "HV" for ch in spec) and spec:
         if len(spec) != n_photons:
             raise StateError(f"basis string {spec!r} needs {n_photons} letters")
@@ -103,8 +75,11 @@ def parse_state_spec(spec: str, n_photons: int, seed: int) -> HybridState:
     return polarization_state(vals, photons)
 
 
-def parse_unitary_spec(spec: str, dim: int | None = None) -> np.ndarray:
-    """"cnot" | "qft:N" | "hadamard4" | "haar:seed[:N]" | JSON matrix | file path."""
+def parse_unitary_spec(spec, dim: int | None = None) -> np.ndarray:
+    """"cnot" | "qft:N" | "hadamard4" | "haar:seed[:N]" | JSON matrix | file path,
+    or an already parsed JSON matrix; dim sizes the specs that leave it open."""
+    if not isinstance(spec, str):
+        return _matrix_from_json(spec)
     if spec == "cnot":
         return np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -141,10 +116,6 @@ def _matrix_from_json(data) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _matrix_to_json(u: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in u]
-
-
 def _emit(payload, fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -164,110 +135,246 @@ def _emit(payload, fmt: str, out: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# gate demos
+# program steps and the gate registry
 # ---------------------------------------------------------------------------
+# A step function runs one JSON program step st on state s:
+#   (s, st, alpha, theta, rails) -> (state, report or None),
+# where rails maps a photon id to the rails it was last routed onto by a
+# C-path-family gate or a qudit transform.
 
 
-def _demo_input_size(name: str) -> int:
-    return {
-        "parity": 2, "cpath": 2, "disentangler": 2, "entangler1": 2,
-        "entangler2": 2, "merging": 2, "two-qubit": 2, "cn-u1": 3,
-        "cpath2": 3, "cpath3": 3, "entangler3": 3, "entangler4": 3,
-        "merging-n": 3, "multi-qubit": 3, "toffoli": 3, "cn-uk": 3,
-        "to-qudit": 3, "from-qudit": 3, "teleport": 2,
-    }[name]
+def _rails(st: dict, pid: str, rails: dict[str, list[str]]) -> list[str]:
+    """The step's "rails", else the rails photon pid was last routed onto."""
+    if "rails" in st:
+        return list(st["rails"])
+    if pid not in rails:
+        raise GateError(f"{st['gate']!r} step: no rails known for photon {pid!r}")
+    return rails[pid]
 
 
-def run_gate_demo(name: str, state: HybridState, args) -> tuple[HybridState, object]:
-    """Each gate demo wires the minimal canonical pipeline around the gate."""
-    alpha, theta = args.alpha, args.theta
-    ids = list(state.registry.photons)
+def _disentangler(s, st, a, t, rails):
+    routed = _rails(st, st["target"], rails)
+    # the V rails are the half that the last C-path-family gate added
+    return gates.disentangler(s, st["control"], st["target"], routed[len(routed) // 2 :])
 
-    if name == "parity":
-        return parity_gate(state, ids[0], ids[1], alpha, theta)
-    if name == "cpath":
-        return c_path(state, ids[0], ids[1], alpha, theta)
-    if name == "disentangler":
-        out, rep0 = c_path(state, ids[0], ids[1], alpha, theta)
-        out, rep = disentangler(out, ids[0], ids[1], v_rails=rep0.extras["rails"][1:])
-        return out, rep
-    if name == "cpath2":
-        out, rep = c_path(state, ids[1], ids[2], alpha, theta)
-        rails = list(rep.extras["rails"])
-        out, rep = disentangler(out, ids[1], ids[2], v_rails=rails[1:])
-        return c_path2(out, ids[0], ids[2], rails, alpha, theta)
-    if name == "cpath3":
-        out, rep = c_path(state, ids[0], ids[1], alpha, theta)
-        return c_path3(out, ids[1], rep.extras["rails"], ids[2], alpha, theta)
-    if name == "entangler1":
-        out, rep = c_path(state, ids[0], ids[1], alpha, theta)
-        out, anc, _ = inject_plus(out)
-        return entangler1(out, ids[1], rep.extras["rails"], anc, alpha, theta)
-    if name == "entangler2":
-        out, rep = pl.to_qudit_circuit(state, ids, alpha, theta)
-        rails = rep.extras["rails"]
-        return entangler2(out, ids[0], ids[1], (rails[0], rails[1]), alpha, theta)
-    if name in ("entangler3", "entangler4"):
-        out, rep = pl.to_qudit_circuit(state, ids, alpha, theta)
-        rails = list(rep.extras["rails"])
-        if name == "entangler3":
-            return entangler3(out, ids[0], ids[2], rails[:2], rails[2:], alpha, theta)
-        out, anc, _ = inject_plus(out)
-        return entangler4(out, anc, ids[2], rails, alpha, theta)
-    if name == "merging":
-        out, rep = c_path(state, ids[0], ids[1], alpha, theta)
-        out, anc, _ = inject_plus(out)
-        return merging(
-            out, ids[1], rep.extras["rails"], anc, [(ids[0], None)], alpha, theta,
-            keep_recycled=False,
+
+def _entangler3(s, st, a, t, rails):
+    rails_a, rails_b = pl.split_rails(_rails(st, st["qudit"], rails), st.get("bit", 0))
+    return gates.entangler3(s, st["companion"], st["qudit"], rails_a, rails_b, a, t)
+
+
+def _merging(s, st, a, t, rails):
+    return gates.merging(
+        s, st["photon"], _rails(st, st["photon"], rails), st["ancilla"],
+        [(c, None) for c in st["companions"]], a, t,
+        keep_recycled=st.get("keep_recycled", True),
+    )
+
+
+def _merging_n(s, st, a, t, rails):
+    return gates.merging_n(
+        s, st["photon"], _rails(st, st["photon"], rails), st["ancilla"],
+        [(c, None) for c in st["companions"]], a, t,
+        interference=st.get("interference", "qft"), keep_recycled=st.get("keep_recycled", True),
+    )
+
+
+def _element(s, st, a, t, rails):
+    """Program-only step: one raw optical element."""
+    op = el.op(st["kind"], st.get("parameter", 0.0), **st.get("targets", {}))
+    return el.apply_element(s, op), None
+
+
+def _plus(s, st, a, t, rails):
+    """Program-only step: a fresh |+⟩ ancilla photon."""
+    return gates.inject_plus(s, st["photon"], st.get("path"))[0], None
+
+
+@dataclass(frozen=True)
+class Gate:
+    """A program step; those with a demo are the gates `qubusim gate` runs."""
+
+    #: photon count of the demo input (0 for program-only steps)
+    photons: int
+    #: the step function
+    step: Callable
+    #: (photon ids, parsed args) -> the demo's program steps, the gate itself last
+    demo: Callable | None = None
+
+
+def _pair(gate: str, control: str, target: str) -> dict:
+    return {"gate": gate, "control": control, "target": target}
+
+
+_PLUS = {"gate": "plus", "photon": "anc"}
+
+
+# Library functions are looked up on their module at call time, never stored
+# here, so that rebinding a module attribute reaches every caller.
+GATES: dict[str, Gate] = {
+    "parity": Gate(
+        2, lambda s, st, a, t, r: gates.parity_gate(s, *st["photons"], a, t),
+        lambda p, o: [{"gate": "parity", "photons": p[:2]}],
+    ),
+    "cpath": Gate(
+        2, lambda s, st, a, t, r: gates.c_path(s, st["control"], st["target"], a, t),
+        lambda p, o: [_pair("cpath", p[0], p[1])],
+    ),
+    "cpath2": Gate(
+        3, lambda s, st, a, t, r: gates.c_path2(
+            s, st["control"], st["target"], _rails(st, st["target"], r), a, t
+        ),
+        lambda p, o: [_pair("cpath", p[1], p[2]), _pair("disentangler", p[1], p[2]),
+                      _pair("cpath2", p[0], p[2])],
+    ),
+    "cpath3": Gate(
+        3, lambda s, st, a, t, r: gates.c_path3(
+            s, st["control"], _rails(st, st["control"], r), st["target"], a, t
+        ),
+        lambda p, o: [_pair("cpath", p[0], p[1]), _pair("cpath3", p[1], p[2])],
+    ),
+    "disentangler": Gate(
+        2, _disentangler,
+        lambda p, o: [_pair("cpath", p[0], p[1]), _pair("disentangler", p[0], p[1])],
+    ),
+    "entangler1": Gate(
+        2, lambda s, st, a, t, r: gates.entangler1(
+            s, st["photon"], _rails(st, st["photon"], r), st["ancilla"], a, t
+        ),
+        lambda p, o: [_pair("cpath", p[0], p[1]), _PLUS,
+                      {"gate": "entangler1", "photon": p[1], "ancilla": "anc"}],
+    ),
+    "entangler2": Gate(
+        2, lambda s, st, a, t, r: gates.entangler2(
+            s, st["companion"], st["qudit"], _rails(st, st["qudit"], r), a, t
+        ),
+        lambda p, o: [{"gate": "to-qudit", "photons": p},
+                      {"gate": "entangler2", "companion": p[0], "qudit": p[1]}],
+    ),
+    "entangler3": Gate(
+        3, _entangler3,
+        lambda p, o: [{"gate": "to-qudit", "photons": p},
+                      {"gate": "entangler3", "companion": p[0], "qudit": p[2]}],
+    ),
+    "entangler4": Gate(
+        3, lambda s, st, a, t, r: gates.entangler4(
+            s, st["ancilla"], st["qudit"], _rails(st, st["qudit"], r), a, t
+        ),
+        lambda p, o: [{"gate": "to-qudit", "photons": p}, _PLUS,
+                      {"gate": "entangler4", "ancilla": "anc", "qudit": p[2]}],
+    ),
+    "merging": Gate(
+        2, _merging,
+        lambda p, o: [_pair("cpath", p[0], p[1]), _PLUS,
+                      {"gate": "merging", "photon": p[1], "ancilla": "anc",
+                       "companions": [p[0]], "keep_recycled": False}],
+    ),
+    "merging-n": Gate(
+        3, _merging_n,
+        lambda p, o: [{"gate": "to-qudit", "photons": p},
+                      {"gate": "entangler3", "companion": p[0], "qudit": p[2]},
+                      {"gate": "entangler3", "companion": p[1], "qudit": p[2], "bit": 1},
+                      _PLUS,
+                      {"gate": "merging-n", "photon": p[2], "ancilla": "anc",
+                       "companions": p[:2], "interference": o.interference,
+                       "keep_recycled": False}],
+    ),
+    "two-qubit": Gate(
+        2, lambda s, st, a, t, r: pl.two_qubit_gate(
+            s, *st["photons"], parse_unitary_spec(st["unitary"], 4), a, t
+        ),
+        lambda p, o: [{"gate": "two-qubit", "photons": p[:2], "unitary": o.unitary or "cnot"}],
+    ),
+    "multi-qubit": Gate(
+        3, lambda s, st, a, t, r: pl.multi_qubit_gate(
+            s, st["photons"], parse_unitary_spec(st["unitary"], 2 ** len(st["photons"])),
+            a, t, st.get("interference", "qft"),
+        ),
+        lambda p, o: [{"gate": "multi-qubit", "photons": p,
+                       "unitary": o.unitary or f"haar:{o.seed}:8",
+                       "interference": o.interference}],
+    ),
+    "toffoli": Gate(
+        3, lambda s, st, a, t, r: pl.toffoli(
+            s, st["controls"], st["target"], a, t, layout=st.get("layout", "split")
+        ),
+        lambda p, o: [{"gate": "toffoli", "controls": p[:-1], "target": p[-1],
+                       "layout": o.layout}],
+    ),
+    "cn-u1": Gate(
+        3, lambda s, st, a, t, r: pl.cn_u1(
+            s, st["controls"], st["target"], parse_unitary_spec(st["unitary"], 2), a, t,
+            layout=st.get("layout", "split"),
+        ),
+        lambda p, o: [{"gate": "cn-u1", "controls": p[:-1], "target": p[-1],
+                       "unitary": o.unitary or "haar:0:2", "layout": o.layout}],
+    ),
+    "cn-uk": Gate(
+        3, lambda s, st, a, t, r: pl.cn_uk(
+            s, st["controls"], st["targets"],
+            parse_unitary_spec(st["unitary"], 2 ** len(st["targets"])), a, t,
+        ),
+        lambda p, o: [{"gate": "cn-uk", "controls": p[: -o.targets],
+                       "targets": p[-o.targets :],
+                       "unitary": o.unitary or f"haar:{o.seed}:{2**o.targets}"}],
+    ),
+    "to-qudit": Gate(
+        3, lambda s, st, a, t, r: pl.to_qudit_circuit(s, st["photons"], a, t),
+        lambda p, o: [{"gate": "to-qudit", "photons": p}],
+    ),
+    "from-qudit": Gate(
+        3, lambda s, st, a, t, r: pl.from_qudit(
+            s, st["qudit"], st["companions"], _rails(st, st["qudit"], r), a, t,
+            interference=st.get("interference", "qft"),
+        ),
+        lambda p, o: [{"gate": "to-qudit", "photons": p},
+                      {"gate": "from-qudit", "qudit": p[-1], "companions": p[:-1],
+                       "interference": o.interference}],
+    ),
+    "teleport": Gate(
+        2, lambda s, st, a, t, r: pl.to_qudit_teleport(s, st["photons"], a, t),
+        lambda p, o: [{"gate": "teleport", "photons": p}],
+    ),
+    "element": Gate(0, _element),
+    "plus": Gate(0, _plus),
+}
+
+#: the gates `qubusim gate` can demo
+DEMO_GATES = tuple(name for name, gate in GATES.items() if gate.demo)
+
+
+def _run_steps(
+    state: HybridState, steps: list[dict], alpha: float, theta: float
+) -> tuple[HybridState, list[GateReport]]:
+    """Run program steps in order; each step may override alpha and theta."""
+    rails: dict[str, list[str]] = {}
+    reports = []
+    for step in steps:
+        name = step["gate"].replace("_", "-")
+        if name not in GATES:
+            raise UsageError(f"unknown program gate {step['gate']!r}")
+        state, rep = GATES[name].step(
+            state, step, step.get("alpha", alpha), step.get("theta", theta), rails
         )
-    if name == "merging-n":
-        out, rep = pl.to_qudit_circuit(state, ids, alpha, theta)
-        rails = list(rep.extras["rails"])
-        out, rep2 = entangler3(out, ids[0], ids[2], rails[:2], rails[2:], alpha, theta)
-        out, rep3 = entangler3(out, ids[1], ids[2], rails[::2], rails[1::2], alpha, theta)
-        out, anc, _ = inject_plus(out)
-        return merging_n(
-            out, ids[2], rails, anc, [(ids[0], None), (ids[1], None)], alpha, theta,
-            interference=args.interference, keep_recycled=False,
-        )
-    if name == "to-qudit":
-        return pl.to_qudit_circuit(state, ids, alpha, theta)
-    if name == "teleport":
-        return pl.to_qudit_teleport(state, ids, alpha, theta)
-    if name == "from-qudit":
-        out, rep = pl.to_qudit_circuit(state, ids, alpha, theta)
-        return pl.from_qudit(
-            out, ids[-1], ids[:-1], list(rep.extras["rails"]), alpha, theta,
-            interference=args.interference,
-        )
-    if name == "two-qubit":
-        u = parse_unitary_spec(args.unitary or "cnot", 4)
-        return pl.two_qubit_gate(state, ids[0], ids[1], u, alpha, theta)
-    if name == "multi-qubit":
-        u = parse_unitary_spec(args.unitary or f"haar:{args.seed}:8", 2 ** len(ids))
-        return pl.multi_qubit_gate(state, ids, u, alpha, theta, args.interference)
-    if name == "toffoli":
-        return pl.toffoli(state, ids[:-1], ids[-1], alpha, theta, layout=args.layout)
-    if name == "cn-u1":
-        u = parse_unitary_spec(args.unitary or "haar:0:2", 2)
-        return pl.cn_u1(state, ids[:-1], ids[-1], u, alpha, theta, layout=args.layout)
-    if name == "cn-uk":
-        k = args.targets
-        u = parse_unitary_spec(args.unitary or f"haar:{args.seed}:{2**k}", 2**k)
-        return pl.cn_uk(state, ids[:-k], ids[-k:], u, alpha, theta)
-    raise UsageError(f"unknown gate {name!r}")
+        if rep is not None:
+            reports.append(rep)
+            if "rails" in rep.extras:
+                # C-path-family gates route the step's target, transforms their carrier
+                rails[rep.extras.get("carrier", step.get("target"))] = list(rep.extras["rails"])
+    return state, reports
 
 
 def cmd_gate(args) -> int:
-    n = args.photons or _demo_input_size(args.name)
-    state = parse_state_spec(args.input, n, args.seed)
-    out, report = run_gate_demo(args.name, state, args)
+    gate = GATES[args.name]
+    state = parse_state_spec(args.input, args.photons or gate.photons, args.seed)
+    alpha = args.alpha if args.beta2 is None else an.alpha_for_beta2(args.beta2, args.theta)
+    steps = gate.demo(list(state.registry.photons), args)
+    out, reports = _run_steps(state, steps, alpha, args.theta)
     payload = {
         "gate": args.name,
         "input": args.input,
         "seed": args.seed,
-        "report": report.to_dict(),
+        "report": reports[-1].to_dict(),
         "state": state_to_dict(out),
     }
     _emit(payload, "json", args.out)
@@ -314,55 +421,8 @@ def run_program(program: dict) -> dict:
 
     alpha = program.get("alpha", DEFAULTS["alpha"])
     theta = program.get("theta", DEFAULTS["theta"])
-    reports = []
-    rails_memo: dict[str, list[str]] = {}
-    for step in program.get("gates", []):
-        gate = step["gate"].replace("-", "_")
-        a = step.get("alpha", alpha)
-        t = step.get("theta", theta)
-        if gate == "parity":
-            state, rep = parity_gate(state, *step["photons"], a, t)
-        elif gate == "cpath" or gate == "c_path":
-            state, rep = c_path(state, step["control"], step["target"], a, t)
-        elif gate == "to_qudit":
-            state, rep = pl.to_qudit_circuit(state, step["photons"], a, t)
-            rails_memo[rep.extras["carrier"]] = list(rep.extras["rails"])
-        elif gate == "teleport":
-            state, rep = pl.to_qudit_teleport(state, step["photons"], a, t)
-            rails_memo[rep.extras["carrier"]] = list(rep.extras["rails"])
-        elif gate == "from_qudit":
-            qudit = step["qudit"]
-            rails = step.get("rails") or rails_memo[qudit]
-            state, rep = pl.from_qudit(state, qudit, step["companions"], rails, a, t)
-        elif gate == "two_qubit":
-            u = _matrix_from_json(step["unitary"]) if not isinstance(step["unitary"], str) else parse_unitary_spec(step["unitary"], 4)
-            state, rep = pl.two_qubit_gate(state, *step["photons"], u, a, t)
-        elif gate == "multi_qubit":
-            u = _matrix_from_json(step["unitary"]) if not isinstance(step["unitary"], str) else parse_unitary_spec(step["unitary"])
-            state, rep = pl.multi_qubit_gate(state, step["photons"], u, a, t)
-        elif gate == "toffoli":
-            state, rep = pl.toffoli(state, step["controls"], step["target"], a, t)
-        elif gate == "cn_u1":
-            u = parse_unitary_spec(step["unitary"], 2) if isinstance(step["unitary"], str) else _matrix_from_json(step["unitary"])
-            state, rep = pl.cn_u1(state, step["controls"], step["target"], u, a, t)
-        elif gate == "cn_uk":
-            u = parse_unitary_spec(step["unitary"]) if isinstance(step["unitary"], str) else _matrix_from_json(step["unitary"])
-            state, rep = pl.cn_uk(state, step["controls"], step["targets"], u, a, t)
-        elif gate == "element":
-            from . import elements as el
-
-            op = el.ElementOp(
-                step["kind"],
-                tuple(sorted(step.get("targets", {}).items())),
-                step.get("parameter", 0.0),
-            )
-            state = el.apply_element(state, op)
-            rep = None
-        else:
-            raise UsageError(f"unknown program gate {step['gate']!r}")
-        if rep is not None:
-            reports.append(rep.to_dict())
-    return {"reports": reports, "final_state": state_to_dict(state)}
+    state, reports = _run_steps(state, program.get("gates", []), alpha, theta)
+    return {"reports": [rep.to_dict() for rep in reports], "final_state": state_to_dict(state)}
 
 
 def cmd_run(args) -> int:
@@ -451,20 +511,8 @@ def build_parser() -> _Parser:
     p = _Parser(prog="qubusim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--alpha", type=float, default=DEFAULTS["alpha"])
-        sp.add_argument("--theta", type=float, default=DEFAULTS["theta"])
-        sp.add_argument("--beta2", type=float, default=None,
-                        help="set alpha from |beta|^2 = 2 alpha^2 sin^2(theta)")
-        sp.add_argument("--gamma", type=float, default=DEFAULTS["gamma"])
-        sp.add_argument("--eta", type=float, default=DEFAULTS["eta"])
-        sp.add_argument("--theta-probe", type=float, default=DEFAULTS["theta_probe"])
-        sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--out", default=None)
-
     g = sub.add_parser("gate", help="run a named gate demo")
-    g.add_argument("name", choices=GATE_NAMES)
+    g.add_argument("name", choices=DEMO_GATES)
     g.add_argument("--input", default="haar:0",
                    help='basis string "HVH", JSON coefficients, or haar[:seed]')
     g.add_argument("--photons", type=int, default=None)
@@ -472,22 +520,28 @@ def build_parser() -> _Parser:
     g.add_argument("--targets", type=int, default=1, help="target count for cn-uk")
     g.add_argument("--layout", choices=("split", "compact"), default="split")
     g.add_argument("--interference", choices=("qft", "hadamard4"), default="qft")
-    common(g)
+    g.add_argument("--alpha", type=float, default=DEFAULTS["alpha"])
+    g.add_argument("--theta", type=float, default=DEFAULTS["theta"])
+    g.add_argument("--beta2", type=float, default=None,
+                   help="set alpha from |beta|^2 = 2 alpha^2 sin^2(theta)")
+    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--out", default=None)
     g.set_defaults(fn=cmd_gate)
 
     r = sub.add_parser("run", help="execute a JSON circuit program")
     r.add_argument("program")
-    common(r)
+    r.add_argument("--out", default=None)
     r.set_defaults(fn=cmd_run)
 
     s = sub.add_parser("sweep", help="evaluate a sweep spec file")
     s.add_argument("spec")
-    common(s)
+    s.add_argument("--format", choices=("json", "csv"), default="json")
+    s.add_argument("--out", default=None)
     s.set_defaults(fn=cmd_sweep)
 
     d = sub.add_parser("decompose", help="Reck-decompose a unitary")
     d.add_argument("matrix", help="JSON matrix/file, haar:seed:N, or qft:N")
-    common(d)
+    d.add_argument("--out", default=None)
     d.set_defaults(fn=cmd_decompose)
 
     f = sub.add_parser("fig2", help="emit detector-model data files")
@@ -511,8 +565,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "beta2", None) is not None and args.command != "fig2":
-        args.alpha = an.alpha_for_beta2(args.beta2, args.theta)
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -7,8 +7,7 @@ that keeps the photon, and the (idealized, projective) Bell measurement.
 
 Measurements come in two flavors: `*_outcomes` enumerates every outcome with
 its exact probability and collapsed state (what every composite gate and all
-tests use), and the single-record forms sample one outcome from a seeded
-generator for demo runs.
+tests use), and `qnd_measure` samples one outcome from a seeded generator.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .numerics import default_fock_cutoff, fock_amplitude, poisson_pmf
 from .state import (
     Branch,
     HybridState,
-    StateError,
     coherent_overlap,
     norm,
 )
@@ -128,10 +126,6 @@ def fock_outcomes(
                 MeasurementRecord("fock", int(n), float(p), _fock_collapsed(s, idx, int(n)).normalized())
             )
     return out
-
-
-def fock_measure(s: HybridState, mode: str, rng=None, cutoff: int | None = None) -> MeasurementRecord:
-    return sample_record(fock_outcomes(s, mode, cutoff), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +307,6 @@ def povm_outcomes(
     return records
 
 
-def povm_non_resolving(s: HybridState, mode: str, eta: float, rng=None) -> MeasurementRecord:
-    return sample_record(povm_outcomes(s, mode, eta), rng)
-
-
 # ---------------------------------------------------------------------------
 # QND presence detection (keeps the photon)
 # ---------------------------------------------------------------------------
@@ -335,22 +325,6 @@ def presence_outcomes(
         if p >= min_prob:
             out.append(MeasurementRecord("presence", path, p, part.normalized()))
     return out
-
-
-def qnd_presence(s: HybridState, pid: str, path: str, rng=None) -> MeasurementRecord:
-    """Project onto photon-present vs photon-absent at one path."""
-    if path not in s.registry.paths_of(pid):
-        raise StateError(f"path {path!r} not registered for photon {pid!r}")
-    present = [br for br in s.branches if br.slot(pid)[0] == path]
-    absent = [br for br in s.branches if br.slot(pid)[0] != path]
-    records = []
-    for value, kept in (("present", present), ("absent", absent)):
-        part = HybridState(s.registry, kept)
-        p = norm(part) ** 2
-        records.append(
-            MeasurementRecord("presence", (value, path), p, part.normalized() if p > 1e-300 else None)
-        )
-    return sample_record(records, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +365,6 @@ def bell_outcomes(s: HybridState, pid_a: str, pid_b: str, min_prob: float = 0.0)
         if p >= min_prob:
             out.append(MeasurementRecord("bell", name, p, part.normalized() if p > 1e-300 else None))
     return out
-
-
-def bell_measure(s: HybridState, pid_a: str, pid_b: str, rng=None) -> MeasurementRecord:
-    return sample_record(bell_outcomes(s, pid_a, pid_b), rng)
 
 
 # ---------------------------------------------------------------------------

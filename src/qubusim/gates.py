@@ -41,8 +41,16 @@ from .state import (
     tensor,
 )
 
-DEFAULT_ALPHA = math.sqrt(4000.0)
-DEFAULT_THETA = 0.05
+#: default physical parameters shared by the gates, the sweeps and the CLI:
+#: qubus amplitude α and XPM phase θ, probe amplitude γ and phase θ_probe,
+#: detector efficiency η
+DEFAULTS = {
+    "alpha": math.sqrt(4000.0),
+    "theta": 0.05,
+    "gamma": 100.0,
+    "eta": 0.95,
+    "theta_probe": 0.05,
+}
 
 #: outcomes below this probability are not enumerated
 MIN_PROB = 1e-13
@@ -218,13 +226,42 @@ def fock_plan(zero_ops, even_ops, odd_ops) -> FeedForwardPlan:
 
 
 @dataclass
-class BlockResult:
-    state: HybridState
+class Scored:
+    """Every outcome of one measurement stage scored against the representative."""
+
+    value: object  # the representative (most probable) outcome
+    state: HybridState  # the representative's corrected output
     outcomes: list[OutcomeEntry]
     min_fidelity: float
     success_probability: float
-    representative: object
-    states: list[tuple[object, float, HybridState]] = field(default_factory=list)
+    states: list[tuple[object, float, HybridState]]  # (value, prob, corrected state)
+
+    def report(self, name: str, resources: Resources, **fields) -> GateReport:
+        """The stage's GateReport; fields fill the remaining report fields."""
+        return GateReport(
+            name, self.success_probability, self.min_fidelity, self.outcomes, resources,
+            **fields,
+        )
+
+
+def score_outcomes(kind: str, corrected: list[tuple[object, float, HybridState]]) -> Scored:
+    """Pick the most probable outcome as representative and score all against it.
+
+    corrected holds (value, probability, corrected state) per outcome.  An
+    outcome counts towards the success mass when its fidelity with the
+    representative is within AGREEMENT_TOL of 1.
+    """
+    ref_value, _, ref_state = max(corrected, key=lambda t: t[1])
+    outcomes = []
+    min_fid = 1.0
+    success = 0.0
+    for value, p, st in corrected:
+        f = fidelity(st, ref_state)
+        outcomes.append(OutcomeEntry(kind, value, p, f))
+        min_fid = min(min_fid, f)
+        if f >= 1.0 - AGREEMENT_TOL:
+            success += p
+    return Scored(ref_value, ref_state, outcomes, min_fid, success, corrected)
 
 
 def couple_qubus_pair(
@@ -259,17 +296,14 @@ def run_qubus_block(
     theta: float,
     plan: FeedForwardPlan,
     post: Callable[[HybridState], HybridState] | None = None,
-    min_prob: float = MIN_PROB,
-    agreement_tol: float = AGREEMENT_TOL,
-) -> BlockResult:
+) -> Scored:
     """Couple, measure the difference port, feed forward, dispose of the sum port.
 
-    Every Fock outcome above min_prob is enumerated and corrected; the
-    highest-probability outcome becomes the representative output and all
-    others are scored against it by fidelity.
+    Every Fock outcome above MIN_PROB is enumerated, corrected and scored
+    against the highest-probability outcome.
     """
     coupled, (b0, b1) = couple_qubus_pair(s, couplings, alpha, theta)
-    records = fock_outcomes(coupled, b0, min_prob=min_prob)
+    records = fock_outcomes(coupled, b0, min_prob=MIN_PROB)
     corrected: list[tuple[object, float, HybridState]] = []
     for rec in records:
         st, _, _ = plan.correct(rec.collapsed, rec)
@@ -277,17 +311,20 @@ def run_qubus_block(
         if post is not None:
             st = post(st)
         corrected.append((rec.value, rec.probability, st))
-    ref_value, _, ref_state = max(corrected, key=lambda t: t[1])
-    outcomes = []
-    min_fid = 1.0
-    success = 0.0
-    for value, p, st in corrected:
-        f = fidelity(st, ref_state)
-        outcomes.append(OutcomeEntry("fock", value, p, f))
-        min_fid = min(min_fid, f)
-        if f >= 1.0 - agreement_tol:
-            success += p
-    return BlockResult(ref_state, outcomes, min_fid, success, ref_value, corrected)
+    return score_outcomes("fock", corrected)
+
+
+def _block_report(
+    name: str, block: Scored, couplings: Sequence[Coupling], plan: FeedForwardPlan, **extras
+) -> GateReport:
+    """The report of a gate made of one qubus block."""
+    return block.report(
+        name,
+        Resources(xpm_couplings=coupling_mode_count(couplings), qubus_modes=2, detections=1),
+        gates=Counter({name: 1}),
+        feedforward=plan.describe(_sample_fock_records()),
+        extras=extras,
+    )
 
 
 def _require_single_path(s: HybridState, pid: str) -> str:
@@ -304,13 +341,6 @@ def _require_plus(s: HybridState, pid: str, tol: float = 1e-9) -> str:
     if abs(abs(inner_product(flipped, s)) - 1.0) > tol:
         raise GateError(f"ancilla {pid!r} is not in |+⟩")
     return path
-
-
-def _companion_sigma_z(companion: tuple[str, str | None]) -> el.ElementOp:
-    pid, path = companion
-    if path is None:
-        return el.op("WavePlateZ", photon=pid, path=None)
-    return el.op("PolPhase", math.pi, photon=pid, path=path, pol=V)
 
 
 def _sample_fock_records():
@@ -433,8 +463,8 @@ def parity_gate(
     s: HybridState,
     photon1: str,
     photon2: str,
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
     split_path: str | None = None,
 ) -> tuple[HybridState, GateReport]:
     """Send even/odd parity components of a two-photon state to distinct paths.
@@ -455,21 +485,11 @@ def parity_gate(
     plan = fock_plan([], [switch], [pi_v1, switch])
 
     block = run_qubus_block(s, couplings, alpha, theta, plan)
-    report = GateReport(
-        "parity",
-        success_probability=block.success_probability,
-        min_fidelity=block.min_fidelity,
-        outcomes=block.outcomes,
-        resources=Resources(
-            xpm_couplings=coupling_mode_count(couplings), qubus_modes=2, detections=1
-        ),
-        gates=Counter({"parity": 1}),
-        feedforward=plan.describe(_sample_fock_records()),
-        extras={
-            "even_paths": (p1_path, rail_b),
-            "odd_paths": (p1_path, rail_a),
-            "outcome_states": block.states,  # (n, prob, state); not serialized
-        },
+    report = _block_report(
+        "parity", block, couplings, plan,
+        even_paths=(p1_path, rail_b),
+        odd_paths=(p1_path, rail_a),
+        outcome_states=block.states,  # (n, prob, state); not serialized
     )
     return block.state, report
 
@@ -483,8 +503,8 @@ def c_path(
     s: HybridState,
     control: str,
     target: str,
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
     split_path: str | None = None,
 ) -> tuple[HybridState, GateReport]:
     """Route the target photon to rail 1 (control H) or rail 2 (control V).
@@ -505,19 +525,7 @@ def c_path(
     plan = fock_plan([], [switch], [switch, pi_rail1])
 
     block = run_qubus_block(s, couplings, alpha, theta, plan)
-    report = GateReport(
-        "c_path",
-        success_probability=block.success_probability,
-        min_fidelity=block.min_fidelity,
-        outcomes=block.outcomes,
-        resources=Resources(
-            xpm_couplings=coupling_mode_count(couplings), qubus_modes=2, detections=1
-        ),
-        gates=Counter({"c_path": 1}),
-        feedforward=plan.describe(_sample_fock_records()),
-        extras={"rails": (rail1, rail2)},
-    )
-    return block.state, report
+    return block.state, _block_report("c_path", block, couplings, plan, rails=(rail1, rail2))
 
 
 def c_path2(
@@ -525,9 +533,8 @@ def c_path2(
     control: str,
     target: str,
     rails: Sequence[str],
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
-    new_rails: Sequence[str] | None = None,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
 ) -> tuple[HybridState, GateReport]:
     """Simultaneously control every rail of a multi-rail target.
 
@@ -542,16 +549,11 @@ def c_path2(
     if not occupied.issubset(set(rails)):
         raise GateError(f"target occupies {occupied}, outside the given rails")
     reg = s.registry
-    if new_rails is None:
-        new_rails = []
-        for r in rails:
-            fresh = reg.fresh_path(r + "n")
-            new_rails.append(fresh)
-            reg = reg.with_path(target, fresh)
-    else:
-        new_rails = list(new_rails)
-        for r in new_rails:
-            reg = reg.with_path(target, r)
+    new_rails = []
+    for r in rails:
+        fresh = reg.fresh_path(r + "n")
+        new_rails.append(fresh)
+        reg = reg.with_path(target, fresh)
     s = HybridState(reg, s.branches)
     for r, rn in zip(rails, new_rails):
         s = el.photon_bs(s, target, r, rn)
@@ -567,17 +569,8 @@ def c_path2(
     plan = fock_plan([], switches, switches + pis)
 
     block = run_qubus_block(s, couplings, alpha, theta, plan)
-    report = GateReport(
-        "c_path2",
-        success_probability=block.success_probability,
-        min_fidelity=block.min_fidelity,
-        outcomes=block.outcomes,
-        resources=Resources(
-            xpm_couplings=coupling_mode_count(couplings), qubus_modes=2, detections=1
-        ),
-        gates=Counter({"c_path2": 1}),
-        feedforward=plan.describe(_sample_fock_records()),
-        extras={"rails": tuple(rails) + tuple(new_rails)},
+    report = _block_report(
+        "c_path2", block, couplings, plan, rails=tuple(rails) + tuple(new_rails)
     )
     return block.state, report
 
@@ -587,8 +580,8 @@ def c_path3(
     control: str,
     control_rails: tuple[str, str],
     target: str,
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
     split_path: str | None = None,
     layout: str = "split",
     witness: tuple[str, str, str] | None = None,
@@ -629,17 +622,8 @@ def c_path3(
         return HybridState(st.registry.without_path(control, first_aux), st.branches)
 
     block = run_qubus_block(s, couplings, alpha, theta, plan, post=unsplit)
-    report = GateReport(
-        "c_path3",
-        success_probability=block.success_probability,
-        min_fidelity=block.min_fidelity,
-        outcomes=block.outcomes,
-        resources=Resources(
-            xpm_couplings=coupling_mode_count(couplings), qubus_modes=2, detections=1
-        ),
-        gates=Counter({"c_path3": 1}),
-        feedforward=plan.describe(_sample_fock_records()),
-        extras={"rails": (rail1, rail2), "layout": layout},
+    report = _block_report(
+        "c_path3", block, couplings, plan, rails=(rail1, rail2), layout=layout
     )
     return block.state, report
 
@@ -654,7 +638,6 @@ def disentangler(
     control: str,
     target: str,
     v_rails: Sequence[str] | None = None,
-    agreement_tol: float = AGREEMENT_TOL,
 ) -> tuple[HybridState, GateReport]:
     """Project the control onto |±⟩ without destroying it.
 
@@ -707,24 +690,14 @@ def disentangler(
         feedforward.append(
             ("+" if rec.value == arm_p else "-", [o.to_dict() for o in ops])
         )
-    _, _, ref = max(corrected, key=lambda t: t[1])
-    outcomes, min_fid, success = [], 1.0, 0.0
-    for value, p, st in corrected:
-        f = fidelity(st, ref)
-        outcomes.append(OutcomeEntry("presence", value, p, f))
-        min_fid = min(min_fid, f)
-        if f >= 1.0 - agreement_tol:
-            success += p
-    report = GateReport(
+    scored = score_outcomes("presence", corrected)
+    report = scored.report(
         "disentangler",
-        success_probability=success,
-        min_fidelity=min_fid,
-        outcomes=outcomes,
-        resources=Resources(detections=1),
+        Resources(detections=1),
         gates=Counter({"disentangler": 1}),
         feedforward=feedforward,
     )
-    return ref, report
+    return scored.state, report
 
 
 # ---------------------------------------------------------------------------
@@ -744,18 +717,7 @@ def _entangler_block(
     sz = el.op("WavePlateZ", photon=flip_photon, path=None)
     plan = fock_plan([], [sx], [sx, sz])
     block = run_qubus_block(s, couplings, alpha, theta, plan)
-    report = GateReport(
-        name,
-        success_probability=block.success_probability,
-        min_fidelity=block.min_fidelity,
-        outcomes=block.outcomes,
-        resources=Resources(
-            xpm_couplings=coupling_mode_count(couplings), qubus_modes=2, detections=1
-        ),
-        gates=Counter({name: 1}),
-        feedforward=plan.describe(_sample_fock_records()),
-    )
-    return block.state, report
+    return block.state, _block_report(name, block, couplings, plan)
 
 
 def entangler1(
@@ -763,8 +725,8 @@ def entangler1(
     photon: str,
     rails: tuple[str, str],
     ancilla: str,
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
 ) -> tuple[HybridState, GateReport]:
     """Correlate a |+⟩ ancilla with a two-rail photon's polarization."""
     anc_path = _require_plus(s, ancilla)
@@ -777,8 +739,8 @@ def entangler2(
     companion: str,
     qudit: str,
     rails: tuple[str, str],
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
 ) -> tuple[HybridState, GateReport]:
     """Re-entangle a |+⟩ companion with which-rail of a two-rail qudit."""
     comp_path = _require_single_path(s, companion)
@@ -792,8 +754,8 @@ def entangler3(
     qudit: str,
     rails_a: Sequence[str],
     rails_b: Sequence[str],
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
 ) -> tuple[HybridState, GateReport]:
     """Entangler-2 generalized: each rail half behaves as one spatial mode."""
     comp_path = _require_single_path(s, companion)
@@ -807,20 +769,13 @@ def entangler4(
     ancilla: str,
     qudit: str,
     rails: Sequence[str],
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
 ) -> tuple[HybridState, GateReport]:
     """Couple the ancilla to every rail of a multi-rail qudit photon."""
     anc_path = _require_plus(s, ancilla)
     couplings = entangler4_couplings(ancilla, anc_path, qudit, rails)
     return _entangler_block(s, couplings, ancilla, alpha, theta, "entangler4")
-
-
-def entangler(s: HybridState, variant: int, *args, **kwargs):
-    fns = {1: entangler1, 2: entangler2, 3: entangler3, 4: entangler4}
-    if variant not in fns:
-        raise GateError(f"unknown entangler variant {variant}")
-    return fns[variant](s, *args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -834,10 +789,9 @@ def merging(
     rails: tuple[str, str],
     ancilla: str,
     companions: Sequence[tuple[str, str | None]],
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
     keep_recycled: bool = True,
-    arm_paths: Sequence[str] | None = None,
 ) -> tuple[HybridState, GateReport]:
     """Merge a photon's two rails onto a fresh |+⟩ ancilla (inverse of C-path).
 
@@ -860,7 +814,6 @@ def merging(
         theta=theta,
         interference="bs",
         keep_recycled=keep_recycled,
-        arm_paths=arm_paths,
         name="merging",
     )
 
@@ -871,13 +824,11 @@ def merging_n(
     rails: Sequence[str],
     ancilla: str,
     companions: Sequence[tuple[str, str | None]],
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
     interference: str | object = "qft",
     keep_recycled: bool = True,
-    arm_paths: Sequence[str] | None = None,
     name: str = "merging_n",
-    agreement_tol: float = AGREEMENT_TOL,
 ) -> tuple[HybridState, GateReport]:
     """Merge 2^{n−1} rails into the ancilla via an interference mesh.
 
@@ -935,17 +886,10 @@ def merging_n(
     phases = _factorize_corrections(u, qbits)
 
     # PBS± fan-out and presence detection
-    reg = out.registry
     arms = []
-    if arm_paths is not None and len(arm_paths) != 2 * n_rails:
-        raise GateError("need 2N arm paths")
-    for i, r in enumerate(rails):
-        if arm_paths is not None:
-            ap, am = arm_paths[2 * i], arm_paths[2 * i + 1]
-        else:
-            ap, am = reg.fresh_path(r + "p"), reg.fresh_path(r + "m")
+    for r in rails:
+        ap, am = out.registry.fresh_path(r + "p"), out.registry.fresh_path(r + "m")
         out = el.pbs_pm(out, photon, r, ap, am)
-        reg = out.registry
         arms.append((ap, am))
 
     flat_arms = [a for pair in arms for a in pair]
@@ -971,31 +915,18 @@ def merging_n(
         corrected.append((f"{k}{'-' if minus else '+'}", rec.probability, st))
         feedforward.append((f"arm {k}{'-' if minus else '+'}", [o.to_dict() for o in ops]))
 
-    cleaned = [(v, p, remove_photon(st, photon)) for v, p, st in corrected]
-    ref_v, _, ref = max(cleaned, key=lambda t: t[1])
-    outcomes, min_fid, success = [], 1.0, 0.0
-    for value, p, st in cleaned:
-        f = fidelity(st, ref)
-        outcomes.append(OutcomeEntry("presence", value, p, f))
-        min_fid = min(min_fid, f)
-        if f >= 1.0 - agreement_tol:
-            success += p
-    stage = GateReport(
-        name + "_readout",
-        success_probability=success,
-        min_fidelity=min_fid,
-        outcomes=outcomes,
-        resources=Resources(detections=1),
-        feedforward=feedforward,
+    scored = score_outcomes(
+        "presence", [(v, p, remove_photon(st, photon)) for v, p, st in corrected]
     )
+    stage = scored.report(name + "_readout", Resources(detections=1), feedforward=feedforward)
     report.absorb(stage)
     report.feedforward = feedforward
-    report.outcomes = outcomes
+    report.outcomes = stage.outcomes
     report.extras.update(
         {"carrier": (ancilla, anc_path), "recycled": photon, "arms": tuple(flat_arms)}
     )
 
-    rep_state = next(st for v, p, st in corrected if v == ref_v)
+    rep_state = next(st for v, p, st in corrected if v == scored.value)
     if not keep_recycled:
         rep_state = remove_photon(rep_state, photon)
     else:

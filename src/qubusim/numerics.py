@@ -9,8 +9,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 
 def fock_amplitude(n: int, alpha: complex) -> complex:
     """⟨n|α⟩ = e^{−|α|²/2} αⁿ/√(n!), exact for α = 0."""
@@ -31,10 +29,6 @@ def poisson_pmf(mu: float, n: int) -> float:
     if mu == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
-
-
-def poisson_pmf_array(mu: float, n_max: int) -> np.ndarray:
-    return np.array([poisson_pmf(mu, n) for n in range(n_max + 1)])
 
 
 def default_fock_cutoff(mean: float) -> int:

@@ -23,12 +23,9 @@ from . import elements as el
 from . import synthesis as syn
 from .detection import BELL_CORRECTIONS, bell_outcomes
 from .gates import (
-    DEFAULT_ALPHA,
-    DEFAULT_THETA,
-    AGREEMENT_TOL,
+    DEFAULTS,
     GateError,
     GateReport,
-    OutcomeEntry,
     Resources,
     c_path,
     c_path2,
@@ -39,6 +36,7 @@ from .gates import (
     inject_plus,
     merging,
     merging_n,
+    score_outcomes,
 )
 from .state import (
     H,
@@ -46,8 +44,6 @@ from .state import (
     Branch,
     HybridState,
     bell_state,
-    fidelity,
-    plus_photon,
     remove_photon,
     tensor,
 )
@@ -75,8 +71,8 @@ def _require_product_qubits(s: HybridState, photons: Sequence[str]) -> None:
 def to_qudit_circuit(
     s: HybridState,
     photons: Sequence[str],
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
 ) -> tuple[HybridState, GateReport]:
     """Map an n-photon polarization state onto the n-th photon's 2^{n−1} rails.
 
@@ -144,17 +140,14 @@ def _bell_feedforward_sbit(
 def to_qudit_teleport(
     s: HybridState,
     photons: Sequence[str],
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
-    ancillas: dict | None = None,
-    agreement_tol: float = AGREEMENT_TOL,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
 ) -> tuple[HybridState, GateReport]:
     """Teleport n polarization qubits onto one Bell-pair photon's rails.
 
-    Ancillas: one Bell pair |Φ⁺⟩ plus n−1 photons in |+⟩ (auto-built when not
-    given as {"bell": ((id, path), (id, path)), "plus": [(id, path), ...]}).
-    Each |+⟩ ancilla controls the Bell photon's paths through a C-path /
-    C-path-2 gate, then Bell measurements on (input_i, ancilla_i) pairs are
+    Ancillas: n−1 fresh photons in |+⟩ plus one Bell pair |Φ⁺⟩.  Each |+⟩
+    ancilla controls the Bell photon's paths through a C-path / C-path-2
+    gate, then Bell measurements on (input_i, ancilla_i) pairs are
     enumerated and the I/σx/−iσy/σz corrections are fed forward; all 4ⁿ
     outcome combinations land on the same state.
     """
@@ -167,33 +160,16 @@ def to_qudit_teleport(
     _require_product_qubits(s, photons)
     report = GateReport("to_qudit_teleport", gates=Counter({"to_qudit_teleport": 1}))
 
-    reg = s.registry
-    if ancillas is None:
-        plus_ids = []
-        work = s
-        for i in range(n - 1):
-            work, pid, _ = inject_plus(work)
-            plus_ids.append(pid)
-        m1 = work.registry.fresh_photon("bellA")
-        p1 = work.registry.fresh_path("bA")
-        m2 = work.registry.fresh_photon("bellB")
-        p2_ = work.registry.fresh_path("bB")
-        work = tensor(work, bell_state("phi+", (m1, p1), (m2, p2_)))
-    else:
-        try:
-            (m1, p1), (m2, p2_) = ancillas["bell"]
-            plus_spec = list(ancillas["plus"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PipelineError(f"wrong ancilla inventory: {exc}") from exc
-        if len(plus_spec) != n - 1:
-            raise PipelineError(
-                f"wrong ancilla inventory: need {n - 1} |+⟩ photons, got {len(plus_spec)}"
-            )
-        work = tensor(s, bell_state("phi+", (m1, p1), (m2, p2_)))
-        plus_ids = []
-        for pid, path in plus_spec:
-            work = tensor(work, plus_photon(pid, path))
-            plus_ids.append(pid)
+    plus_ids = []
+    work = s
+    for i in range(n - 1):
+        work, pid, _ = inject_plus(work)
+        plus_ids.append(pid)
+    m1 = work.registry.fresh_photon("bellA")
+    p1 = work.registry.fresh_path("bA")
+    m2 = work.registry.fresh_photon("bellB")
+    p2_ = work.registry.fresh_path("bB")
+    work = tensor(work, bell_state("phi+", (m1, p1), (m2, p2_)))
     report.resources.add(Resources(ancilla_photons=n + 1))
 
     # ancilla q_1 controls first (its bit is most significant); later splits
@@ -224,23 +200,9 @@ def to_qudit_teleport(
                 else:
                     ops.extend(_bell_feedforward_sbit(rails, bit, n_bits, m1, gate_kind))
             corrected.append((rec.value, rec.probability, el.apply_elements(rec.collapsed, ops)))
-        _, _, ref = max(corrected, key=lambda t: t[1])
-        outcomes, min_fid, success = [], 1.0, 0.0
-        for value, p, st in corrected:
-            f = fidelity(st, ref)
-            outcomes.append(OutcomeEntry("bell", value, p, f))
-            min_fid = min(min_fid, f)
-            if f >= 1.0 - agreement_tol:
-                success += p
-        stage = GateReport(
-            f"bell({pid_in},{pid_anc})",
-            success_probability=success,
-            min_fidelity=min_fid,
-            outcomes=outcomes,
-            resources=Resources(detections=1),
-        )
-        report.absorb(stage)
-        out = ref
+        scored = score_outcomes("bell", corrected)
+        report.absorb(scored.report(f"bell({pid_in},{pid_anc})", Resources(detections=1)))
+        out = scored.state
 
     report.extras.update({"rails": tuple(rails), "carrier": m1})
     return out, report
@@ -251,15 +213,24 @@ def to_qudit_teleport(
 # ---------------------------------------------------------------------------
 
 
+def split_rails(rails: Sequence[str], bit: int) -> tuple[list[str], list[str]]:
+    """Split bit-ordered qudit rails by one index bit (bit 0 is the most
+    significant): the rails with that bit clear, then those with it set."""
+    mask = 1 << (len(rails).bit_length() - 2 - bit)
+    return (
+        [r for j, r in enumerate(rails) if not j & mask],
+        [r for j, r in enumerate(rails) if j & mask],
+    )
+
+
 def from_qudit(
     s: HybridState,
     qudit: str,
     companions: Sequence[str],
     rails: Sequence[str],
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
     interference: str = "qft",
-    ancilla: str | None = None,
 ) -> tuple[HybridState, GateReport]:
     """Inverse of to_qudit_circuit: re-entangle companions, then merge rails.
 
@@ -273,18 +244,34 @@ def from_qudit(
     if len(rails) != 2 ** (n - 1):
         raise PipelineError(f"need {2 ** (n - 1)} rails for {n - 1} companions")
     report = GateReport("from_qudit", gates=Counter({"from_qudit": 1}))
-    out = s
-    q = n - 1
+    out, anc_id = _fold_back(s, qudit, companions, rails, report, alpha, theta, interference)
+    report.extras.update({"carrier": anc_id})
+    return out, report
+
+
+def _fold_back(
+    out: HybridState,
+    qudit: str,
+    companions: list[str],
+    rails: list[str],
+    report: GateReport,
+    alpha: float,
+    theta: float,
+    interference: str,
+) -> tuple[HybridState, str]:
+    """Re-entangle each companion with its rail-index bit, then merge the
+    rails onto a fresh |+⟩ ancilla; the gates' reports go into report.
+    Returns the state and the ancilla id."""
+    n = len(companions) + 1
     for m, comp in enumerate(companions):
-        rails_a = [r for j, r in enumerate(rails) if not (j >> (q - 1 - m)) & 1]
-        rails_b = [r for j, r in enumerate(rails) if (j >> (q - 1 - m)) & 1]
+        rails_a, rails_b = split_rails(rails, m)
         if n == 2:
             out, rep = entangler2(out, comp, qudit, (rails_a[0], rails_b[0]), alpha, theta)
         else:
             out, rep = entangler3(out, comp, qudit, rails_a, rails_b, alpha, theta)
         report.absorb(rep)
 
-    out, anc_id, _ = inject_plus(out, ancilla)
+    out, anc_id, _ = inject_plus(out)
     report.resources.add(Resources(ancilla_photons=1))
     merge_companions = [(c, None) for c in companions]
     if n == 2:
@@ -298,8 +285,7 @@ def from_qudit(
             interference=interference, keep_recycled=False,
         )
     report.absorb(rep)
-    report.extras.update({"carrier": anc_id})
-    return out, report
+    return out, anc_id
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +326,8 @@ def two_qubit_gate(
     photon1: str,
     photon2: str,
     u: np.ndarray,
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
 ) -> tuple[HybridState, GateReport]:
     """Any U(4) on two polarization qubits, via the single-photon qudit detour.
 
@@ -352,37 +338,15 @@ def two_qubit_gate(
     u = syn.check_unitary(np.asarray(u, dtype=complex))
     if u.shape != (4, 4):
         raise PipelineError("two_qubit_gate needs a 4x4 unitary")
-    report = GateReport("two_qubit_gate", gates=Counter({"two_qubit_gate": 1}))
-
-    out, rep = to_qudit_circuit(s, [photon1, photon2], alpha, theta)
-    report.absorb(rep)
-    rails = list(rep.extras["rails"])
-
-    out, wide, fresh = _fan_out_all_h(out, photon2, rails)
-    mesh = syn.reck_decompose(u)
-    out = syn.mesh_apply(out, photon2, wide, mesh)
-    report.gates.update({"lomi": 1})
-    out = _fan_in(out, photon2, rails, fresh)
-
-    out, rep = entangler2(out, photon1, photon2, (rails[0], rails[1]), alpha, theta)
-    report.absorb(rep)
-    out, anc_id, _ = inject_plus(out)
-    report.resources.add(Resources(ancilla_photons=1))
-    out, rep = merging(
-        out, photon2, (rails[0], rails[1]), anc_id, [(photon1, None)], alpha, theta,
-        keep_recycled=False,
-    )
-    report.absorb(rep)
-    report.extras.update({"photon_order": (photon1, anc_id)})
-    return out, report
+    return _qudit_unitary("two_qubit_gate", s, [photon1, photon2], u, alpha, theta, "qft")
 
 
 def multi_qubit_gate(
     s: HybridState,
     photons: Sequence[str],
     u: np.ndarray,
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
     interference: str = "qft",
 ) -> tuple[HybridState, GateReport]:
     """Any U(2ⁿ) on n polarization qubits (n ≤ 4), lexicographic H/V basis.
@@ -401,7 +365,22 @@ def multi_qubit_gate(
         return two_qubit_gate(s, photons[0], photons[1], u, alpha, theta)
     if n > MAX_PHOTONS:
         raise PipelineError(f"desk-scale cap is {MAX_PHOTONS} photons")
-    report = GateReport("multi_qubit_gate", gates=Counter({"multi_qubit_gate": 1}))
+    return _qudit_unitary("multi_qubit_gate", s, photons, u, alpha, theta, interference)
+
+
+def _qudit_unitary(
+    name: str,
+    s: HybridState,
+    photons: list[str],
+    u: np.ndarray,
+    alpha: float,
+    theta: float,
+    interference: str,
+) -> tuple[HybridState, GateReport]:
+    """Map the photons onto the last one's rails, run the Reck mesh of u on
+    the all-H rails, and fold back; the last logical qubit exits on the
+    Merging ancilla, named in the report's photon order."""
+    report = GateReport(name, gates=Counter({name: 1}))
     qudit = photons[-1]
 
     out, rep = to_qudit_circuit(s, photons, alpha, theta)
@@ -414,22 +393,8 @@ def multi_qubit_gate(
     report.gates.update({"lomi": 1})
     out = _fan_in(out, qudit, rails, fresh)
 
-    companions = photons[:-1]
-    q = n - 1
-    for m, comp in enumerate(companions):
-        rails_a = [r for j, r in enumerate(rails) if not (j >> (q - 1 - m)) & 1]
-        rails_b = [r for j, r in enumerate(rails) if (j >> (q - 1 - m)) & 1]
-        out, rep = entangler3(out, comp, qudit, rails_a, rails_b, alpha, theta)
-        report.absorb(rep)
-
-    out, anc_id, _ = inject_plus(out)
-    report.resources.add(Resources(ancilla_photons=1))
-    out, rep = merging_n(
-        out, qudit, rails, anc_id, [(c, None) for c in companions], alpha, theta,
-        interference=interference, keep_recycled=False,
-    )
-    report.absorb(rep)
-    report.extras.update({"photon_order": tuple(companions) + (anc_id,)})
+    out, anc_id = _fold_back(out, qudit, photons[:-1], rails, report, alpha, theta, interference)
+    report.extras.update({"photon_order": tuple(photons[:-1]) + (anc_id,)})
     return out, report
 
 
@@ -446,8 +411,9 @@ def _control_chain(
     theta: float,
     layout: str,
 ) -> tuple[HybridState, list[tuple[str, str]]]:
-    """Split controls C2..Cn pairwise: each photon's second rail carries the
-    all-V-so-far component.  Returns the (first, second) rails per split photon.
+    """Split photons 2..n of the chain pairwise: each photon's second rail
+    carries the all-V-so-far component.  Returns the (first, second) rails per
+    split photon.
     """
     out = s
     rails: list[tuple[str, str]] = []
@@ -479,7 +445,8 @@ def _merge_chain(
     alpha: float,
     theta: float,
 ) -> tuple[HybridState, dict]:
-    """Merge split controls back, last to first, recycling the detected photon."""
+    """Merge split controls back, last to first, recycling the detected photon;
+    the photon recycled last is dropped."""
     carriers = {}
     anc = recycled
     sign = recycled_sign
@@ -494,6 +461,9 @@ def _merge_chain(
         report.absorb(rep)
         carriers[controls[k]] = anc
         anc, sign = controls[k], rep.extras["recycled_sign"]
+    if len(controls) == 1 and sign == "-":
+        # a single control was never split: undo the recycled photon's sign
+        out = el.wave_plate(out, anc, None, "z")
     out = remove_photon(out, anc)
     return out, carriers
 
@@ -503,8 +473,8 @@ def cn_u1(
     controls: Sequence[str],
     target: str,
     u1: np.ndarray,
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
     layout: str = "split",
 ) -> tuple[HybridState, GateReport]:
     """C^n(U1): U1 hits the target only when every control is |V⟩.
@@ -526,24 +496,10 @@ def cn_u1(
     _require_product_qubits(s, controls + [target])
     report = GateReport("cn_u1", gates=Counter({"cn_u1": 1}))
 
-    if n == 1:
-        out, rep = c_path(s, controls[0], target, alpha, theta)
-        report.absorb(rep)
-        t_rails = rep.extras["rails"]
-        control_rails = []
-        witness_companion = (controls[0], None)
-    else:
-        out, control_rails = _control_chain(s, controls, report, alpha, theta, layout)
-        out, rep = c_path3(
-            out, controls[-1], control_rails[-1], target, alpha, theta,
-            layout=layout if n == 2 else "split",
-            witness=(controls[0], s.photon_paths_in_use(controls[0])[0], H)
-            if layout == "compact" and n == 2
-            else None,
-        )
-        report.absorb(rep)
-        t_rails = rep.extras["rails"]
-        witness_companion = (controls[-1], control_rails[-1][1])
+    # the target is routed like one more link of the control chain
+    out, rails = _control_chain(s, controls + [target], report, alpha, theta, layout)
+    control_rails, t_rails = rails[:-1], rails[-1]
+    witness_companion = (controls[0], None) if n == 1 else (controls[-1], control_rails[-1][1])
 
     if np.allclose(u1, SIGMA_X):
         out = el.wave_plate(out, target, t_rails[1], "x")
@@ -556,19 +512,10 @@ def cn_u1(
         out, target, t_rails, anc_id, [witness_companion], alpha, theta, keep_recycled=True
     )
     report.absorb(rep)
-    carriers = {target: anc_id}
-    if n == 1:
-        if rep.extras["recycled_sign"] == "-":
-            out = el.wave_plate(out, target, None, "z")
-        out = remove_photon(out, target)
-        carriers[controls[0]] = controls[0]
-    else:
-        out, chain_carriers = _merge_chain(
-            out, controls, control_rails, target, rep.extras["recycled_sign"],
-            report, alpha, theta,
-        )
-        carriers.update(chain_carriers)
-        carriers[controls[0]] = controls[0]
+    out, carriers = _merge_chain(
+        out, controls, control_rails, target, rep.extras["recycled_sign"], report, alpha, theta
+    )
+    carriers.update({target: anc_id, controls[0]: controls[0]})
     order = tuple(carriers[c] for c in controls) + (carriers[target],)
     report.extras.update({"photon_order": order, "carriers": carriers})
     return out, report
@@ -578,8 +525,8 @@ def toffoli(
     s: HybridState,
     controls: Sequence[str],
     target: str,
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
     layout: str = "split",
 ) -> tuple[HybridState, GateReport]:
     """C^n(σx): flips the target iff every control is |V⟩."""
@@ -632,8 +579,8 @@ def cn_uk(
     controls: Sequence[str],
     targets: Sequence[str],
     uk: np.ndarray,
-    alpha: float = DEFAULT_ALPHA,
-    theta: float = DEFAULT_THETA,
+    alpha: float = DEFAULTS["alpha"],
+    theta: float = DEFAULTS["theta"],
 ) -> tuple[HybridState, GateReport]:
     """C^n(U_k): a k-qubit unitary on the targets when every control is |V⟩.
 
@@ -656,28 +603,25 @@ def cn_uk(
 
     # every target is routed off the same control: its all-V rail (or, for a
     # single control, its polarization directly)
-    target_rails = []
     if n == 1:
-        out = s
-        control_rails: list[tuple[str, str]] = []
-        flag = (controls[0], None)
-        for t in targets:
-            out, rep = c_path(out, controls[0], t, alpha, theta)
-            report.absorb(rep)
-            target_rails.append(rep.extras["rails"])
+        out, control_rails, flag = s, [], (controls[0], None)
     else:
         out, control_rails = _control_chain(s, controls, report, alpha, theta, "split")
         flag = (controls[-1], control_rails[-1][1])
-        for t in targets:
+    target_rails = []
+    for t in targets:
+        if n == 1:
+            out, rep = c_path(out, controls[0], t, alpha, theta)
+        else:
             out, rep = c_path3(out, controls[-1], control_rails[-1], t, alpha, theta)
-            report.absorb(rep)
-            target_rails.append(rep.extras["rails"])
+        report.absorb(rep)
+        target_rails.append(rep.extras["rails"])
 
     active = [rails[1] for rails in target_rails]
     out = _conditional_pol_unitary(out, targets, active, uk)
     report.extras["idealized_uk"] = True
 
-    carriers = {}
+    carriers = {controls[0]: controls[0]}
     out, anc_id, _ = inject_plus(out)
     report.resources.add(Resources(ancilla_photons=1))
     anc, sign = anc_id, "+"
@@ -692,17 +636,8 @@ def cn_uk(
         carriers[targets[i]] = anc
         anc, sign = targets[i], rep.extras["recycled_sign"]
 
-    if n == 1:
-        if sign == "-":
-            out = el.wave_plate(out, anc, None, "z")
-        out = remove_photon(out, anc)
-        carriers[controls[0]] = controls[0]
-    else:
-        out, chain_carriers = _merge_chain(
-            out, controls, control_rails, anc, sign, report, alpha, theta
-        )
-        carriers.update(chain_carriers)
-        carriers[controls[0]] = controls[0]
+    out, chain_carriers = _merge_chain(out, controls, control_rails, anc, sign, report, alpha, theta)
+    carriers.update(chain_carriers)
     order = tuple(carriers[c] for c in controls) + tuple(carriers[t] for t in targets)
     report.extras.update({"photon_order": order, "carriers": carriers})
     return out, report

@@ -86,12 +86,6 @@ class ModeRegistry:
     def has_photon(self, pid: str) -> bool:
         return any(q == pid for q, _ in self.photon_paths)
 
-    def owner_of(self, path: str) -> str:
-        for pid, paths in self.photon_paths:
-            if path in paths:
-                return pid
-        raise RegistryError(f"unknown path {path!r}")
-
     def qubus_index(self, mode: str) -> int:
         try:
             return self.qubus_modes.index(mode)
@@ -474,29 +468,6 @@ def relabel_photon(s: HybridState, old: str, new: str) -> HybridState:
             br.amplitude,
             _sorted_slots(
                 tuple((new if q == old else q, p, pol) for q, p, pol in br.photons)
-            ),
-            br.qubus,
-        )
-        for br in s.branches
-    ]
-    return HybridState(reg, branches)
-
-
-def relabel_paths(s: HybridState, pid: str, mapping: Mapping[str, str]) -> HybridState:
-    """Rename paths of one photon; target names must be free."""
-    reg = s.registry
-    for old, new in mapping.items():
-        reg = reg.without_path(pid, old)
-    for old, new in mapping.items():
-        reg = reg.with_path(pid, new)
-    branches = [
-        Branch(
-            br.amplitude,
-            _sorted_slots(
-                tuple(
-                    (q, mapping.get(p, p) if q == pid else p, pol)
-                    for q, p, pol in br.photons
-                )
             ),
             br.qubus,
         )

@@ -9,9 +9,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qubusim.cli import GATE_NAMES, main, parse_state_spec, parse_unitary_spec
+from qubusim import pipelines as pl
+from qubusim import polarization_state, state_to_dict
+from qubusim.analysis import alpha_for_beta2
+from qubusim.cli import (
+    DEMO_GATES,
+    GATES,
+    build_parser,
+    main,
+    parse_state_spec,
+    parse_unitary_spec,
+)
+from qubusim.synthesis import random_haar_unitary
+
+from conftest import THETA, haar_vec
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(args, cwd=None):
@@ -25,7 +39,7 @@ def run_cli(args, cwd=None):
     return proc
 
 
-@pytest.mark.parametrize("name", GATE_NAMES)
+@pytest.mark.parametrize("name", DEMO_GATES)
 def test_every_gate_name_invocable(name, tmp_path):
     out = tmp_path / "r.json"
     args = ["gate", name, "--beta2", "20", "--out", str(out)]
@@ -63,6 +77,82 @@ def test_byte_identical_output(tmp_path):
 def test_usage_error_exit_1():
     assert main(["gate", "not-a-gate"]) == 1
     assert main(["bogus-command"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gate", "parity", "--eta", "7"],
+    ["gate", "parity", "--format", "csv"],
+    ["run", "p.json", "--alpha", "3"],
+    ["run", "p.json", "--format", "csv"],
+    ["decompose", "qft:2", "--theta", "0.9"],
+    ["sweep", "spec.json", "--gamma", "5"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
+    assert main(argv) == 1
+
+
+def _write_program(tmp_path, photons, coeffs, steps, alpha):
+    program = {
+        "photons": [{"id": pid, "path": f"t{pid}"} for pid in photons],
+        "coeffs": [[float(c.real), float(c.imag)] for c in coeffs],
+        "alpha": alpha,
+        "theta": THETA,
+        "gates": steps,
+    }
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps(program))
+    return path
+
+
+@pytest.mark.parametrize("name", DEMO_GATES)
+def test_gate_demo_as_program_matches_gate_command(name, tmp_path):
+    """`run` on a gate's demo wiring reproduces what `gate NAME` reports."""
+    extra = ["--targets", "2"] if name == "cn-uk" else []
+    n = GATES[name].photons
+    coeffs = haar_vec(2**n, 11)
+    spec = json.dumps([[float(c.real), float(c.imag)] for c in coeffs])
+    gate_out = tmp_path / "gate.json"
+    assert main(["gate", name, "--input", spec, "--beta2", "20", "--out", str(gate_out), *extra]) == 0
+    gate_doc = json.loads(gate_out.read_text())
+
+    ids = [str(i + 1) for i in range(n)]
+    args = build_parser().parse_args(["gate", name, *extra])
+    prog = _write_program(tmp_path, ids, coeffs, GATES[name].demo(ids, args),
+                          alpha_for_beta2(20.0, THETA))
+    run_out = tmp_path / "run.json"
+    assert main(["run", str(prog), "--out", str(run_out)]) == 0
+    run_doc = json.loads(run_out.read_text())
+    assert run_doc["reports"][-1] == gate_doc["report"]
+    assert run_doc["final_state"] == gate_doc["state"]
+
+
+@pytest.mark.parametrize("gate, keys, call", [
+    ("multi-qubit", {"photons": ["1", "2", "3"]},
+     lambda s, u, a: pl.multi_qubit_gate(s, ["1", "2", "3"], u, a, THETA)),
+    ("cn-uk", {"controls": ["1"], "targets": ["2", "3", "4"]},
+     lambda s, u, a: pl.cn_uk(s, ["1"], ["2", "3", "4"], u, a, THETA)),
+])
+def test_program_unitary_spec_is_sized_from_photon_count(gate, keys, call, tmp_path):
+    """"haar:5" without a size gets 2^k for the k photons the unitary acts on."""
+    ids = sorted({*keys.get("photons", []), *keys.get("controls", []), *keys.get("targets", [])})
+    coeffs = haar_vec(2 ** len(ids), 4)
+    alpha = alpha_for_beta2(20.0, THETA)
+    dim = 2 ** len(keys.get("targets", keys.get("photons")))
+    prog = _write_program(tmp_path, ids, coeffs, [{"gate": gate, "unitary": "haar:5", **keys}], alpha)
+    out = tmp_path / "out.json"
+    assert main(["run", str(prog), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    state = polarization_state(coeffs, [(pid, f"t{pid}") for pid in ids])
+    want, report = call(state, random_haar_unitary(dim, 5), alpha)
+    assert doc["final_state"] == state_to_dict(want)
+    assert doc["reports"][-1]["success_probability"] == report.success_probability
+
+
+def test_readme_lists_every_registry_step():
+    text = README.read_text()
+    section = text[text.index("## Command line"):text.index("## Scope notes")]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    assert [row.split("`")[1] for row in rows] == list(GATES)
 
 
 def test_validation_error_exit_2(tmp_path):

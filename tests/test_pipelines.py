@@ -131,15 +131,6 @@ def test_teleport_circuit_cross_method():
     assert abs(abs(np.vdot(vec_c, vec_t)) - 1.0) < 1e-8
 
 
-def test_teleport_wrong_ancilla_inventory():
-    s, _, ids = product_state(3, seed=1)
-    with pytest.raises(pl.PipelineError, match="ancilla inventory"):
-        pl.to_qudit_teleport(
-            s, ids, ALPHA_40, THETA,
-            ancillas={"bell": (("m1", "b1"), ("m2", "b2")), "plus": [("q1", "c1")]},
-        )
-
-
 # -- from_qudit -------------------------------------------------------------------
 
 
