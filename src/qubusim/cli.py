@@ -166,8 +166,7 @@ def _entangler3(s, st, a, t, rails):
 def _merging(s, st, a, t, rails):
     return gates.merging(
         s, st["photon"], _rails(st, st["photon"], rails), st["ancilla"],
-        [(c, None) for c in st["companions"]], a, t,
-        keep_recycled=st.get("keep_recycled", True),
+        [(c, None) for c in st["companions"]], a, t, keep_recycled=False,
     )
 
 
@@ -175,7 +174,7 @@ def _merging_n(s, st, a, t, rails):
     return gates.merging_n(
         s, st["photon"], _rails(st, st["photon"], rails), st["ancilla"],
         [(c, None) for c in st["companions"]], a, t,
-        interference=st.get("interference", "qft"), keep_recycled=st.get("keep_recycled", True),
+        interference=st.get("interference", "qft"), keep_recycled=False,
     )
 
 
@@ -267,7 +266,7 @@ GATES: dict[str, Gate] = {
         2, _merging,
         lambda p, o: [_pair("cpath", p[0], p[1]), _PLUS,
                       {"gate": "merging", "photon": p[1], "ancilla": "anc",
-                       "companions": [p[0]], "keep_recycled": False}],
+                       "companions": [p[0]]}],
     ),
     "merging-n": Gate(
         3, _merging_n,
@@ -276,8 +275,7 @@ GATES: dict[str, Gate] = {
                       {"gate": "entangler3", "companion": p[1], "qudit": p[2], "bit": 1},
                       _PLUS,
                       {"gate": "merging-n", "photon": p[2], "ancilla": "anc",
-                       "companions": p[:2], "interference": o.interference,
-                       "keep_recycled": False}],
+                       "companions": p[:2], "interference": o.interference}],
     ),
     "two-qubit": Gate(
         2, lambda s, st, a, t, r: pl.two_qubit_gate(
@@ -343,6 +341,14 @@ GATES: dict[str, Gate] = {
 DEMO_GATES = tuple(name for name, gate in GATES.items() if gate.demo)
 
 
+def _step_key(name: str) -> str:
+    """Program step names match with '-' and '_' ignored: c_path, c-path, cpath."""
+    return name.replace("-", "").replace("_", "")
+
+
+_STEP_NAMES = {_step_key(name): name for name in GATES}
+
+
 def _run_steps(
     state: HybridState, steps: list[dict], alpha: float, theta: float
 ) -> tuple[HybridState, list[GateReport]]:
@@ -350,8 +356,8 @@ def _run_steps(
     rails: dict[str, list[str]] = {}
     reports = []
     for step in steps:
-        name = step["gate"].replace("_", "-")
-        if name not in GATES:
+        name = _STEP_NAMES.get(_step_key(step["gate"]))
+        if name is None:
             raise UsageError(f"unknown program gate {step['gate']!r}")
         state, rep = GATES[name].step(
             state, step, step.get("alpha", alpha), step.get("theta", theta), rails

@@ -226,6 +226,24 @@ def test_verify_fails_on_wrong_expectation(tmp_path):
     assert main(["verify", str(baddir)]) == 2
 
 
+@pytest.mark.parametrize("spelling", ["c_path", "c-path", "c_Path"])
+def test_run_program_step_name_spellings(spelling, tmp_path):
+    """Step names match with '-' and '_' ignored; case still matters."""
+    case = json.loads((GOLDEN / "cpath_superposition.json").read_text())
+    program = case["program"]
+    assert program["gates"][0]["gate"] == "cpath"
+    prog, ref, out = tmp_path / "prog.json", tmp_path / "ref.json", tmp_path / "out.json"
+    prog.write_text(json.dumps(program))
+    assert main(["run", str(prog), "--out", str(ref)]) == 0
+    program["gates"][0]["gate"] = spelling
+    prog.write_text(json.dumps(program))
+    if spelling == "c_Path":
+        assert main(["run", str(prog), "--out", str(out)]) == 1
+    else:
+        assert main(["run", str(prog), "--out", str(out)]) == 0
+        assert out.read_bytes() == ref.read_bytes()
+
+
 def test_run_program_raw_element_step(tmp_path):
     program = {
         "photons": [{"id": "1", "path": "t1", "state": "H"}],
