@@ -89,7 +89,7 @@ class Fig2Data:
     """Photon-number data for the two detector-model panels.
 
     signal: Poisson pmf of the measured beam at |β|²; the dominant range is
-    every n whose pmf clears `dominance` × the peak value; dominance has no
+    every n whose pmf clears 1e-4 × the peak value; dominance has no
     canonical definition, so the count is reported, never asserted.  peaks: the probe
     difference-port pmfs for k = 1..4.
     """
@@ -106,13 +106,11 @@ class Fig2Data:
     peak_pmfs: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
 
-def fig2_data(
-    gamma: float, theta_probe: float, beta2: float, dominance: float = 1e-4
-) -> Fig2Data:
+def fig2_data(gamma: float, theta_probe: float, beta2: float) -> Fig2Data:
     cutoff = default_fock_cutoff(beta2)
     ns = np.arange(cutoff + 1)
     pmf = np.array([poisson_pmf(beta2, int(n)) for n in ns])
-    thr = dominance * pmf.max()
+    thr = 1e-4 * pmf.max()
     dominant = np.nonzero(pmf >= thr)[0]
     means = [probe_peak_mean(gamma, theta_probe, k) for k in range(1, 5)]
     peaks = []

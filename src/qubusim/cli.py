@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Callable
 
@@ -103,17 +104,37 @@ def parse_unitary_spec(spec, dim: int | None = None) -> np.ndarray:
 
 
 def _matrix_from_json(data) -> np.ndarray:
-    if isinstance(data, dict):
-        if "haar" in data:
-            n, seed = data["haar"]
-            return syn.random_haar_unitary(int(n), int(seed))
-        if "qft" in data:
-            return syn.qft_matrix(int(data["qft"]))
-        data = data["matrix"]
+    """Rows of entries, each a number or an [re, im] pair."""
     rows = []
     for row in data:
         rows.append([complex(c[0], c[1]) if isinstance(c, list) else complex(c) for c in row])
     return np.array(rows, dtype=complex)
+
+
+#: the named single-photon states of a program's "state" key
+_PHOTON_STATES = {
+    "H": [1, 0],
+    "V": [0, 1],
+    "+": [1 / math.sqrt(2), 1 / math.sqrt(2)],
+    "-": [1 / math.sqrt(2), -1 / math.sqrt(2)],
+}
+
+
+def _photon_vector(photon: dict) -> np.ndarray:
+    """A program photon's "state": H, V, +, - or two [re, im] pairs (default H)."""
+    spec = photon.get("state", "H")
+    if isinstance(spec, str) and spec in _PHOTON_STATES:
+        return np.array(_PHOTON_STATES[spec], dtype=complex)
+    if isinstance(spec, list) and len(spec) == 2 and all(
+        isinstance(c, list) and len(c) == 2 for c in spec
+    ):
+        try:
+            return np.array([complex(*c) for c in spec], dtype=complex)
+        except TypeError:
+            pass
+    raise StateError(
+        f"photon {photon['id']!r}: state {spec!r} is not H, V, +, - or two [re, im] pairs"
+    )
 
 
 def _emit(payload, fmt: str, out: str | None) -> None:
@@ -394,7 +415,6 @@ def cmd_gate(args) -> int:
 
 def run_program(program: dict) -> dict:
     photons = program["photons"]
-    ids = [p["id"] for p in photons]
     pairs = [(p["id"], p["path"]) for p in photons]
     if "coeffs" in program:
         coeffs = [
@@ -403,27 +423,7 @@ def run_program(program: dict) -> dict:
         ]
         state = polarization_state(coeffs, pairs)
     else:
-        n = len(photons)
-        coeffs = np.zeros(2**n, dtype=complex)
-        single = []
-        for p in photons:
-            spec = p.get("state", "H")
-            if spec == "H":
-                single.append(np.array([1, 0], dtype=complex))
-            elif spec == "V":
-                single.append(np.array([0, 1], dtype=complex))
-            elif spec == "+":
-                single.append(np.array([1, 1], dtype=complex) / math.sqrt(2))
-            elif spec == "-":
-                single.append(np.array([1, -1], dtype=complex) / math.sqrt(2))
-            else:
-                single.append(
-                    np.array([complex(c[0], c[1]) for c in spec], dtype=complex)
-                )
-        vec = single[0]
-        for v in single[1:]:
-            vec = np.kron(vec, v)
-        state = polarization_state(vec, pairs)
+        state = polarization_state(reduce(np.kron, map(_photon_vector, photons)), pairs)
 
     alpha = program.get("alpha", DEFAULTS["alpha"])
     theta = program.get("theta", DEFAULTS["theta"])

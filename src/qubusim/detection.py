@@ -5,9 +5,8 @@ XPM + 50:50 BS + non-resolving detector), the non-resolving POVM
 Π₀ = Σ (1−η)ⁿ |n⟩⟨n|, Π₁ = I − Π₀, binned readout, QND presence detection
 that keeps the photon, and the (idealized, projective) Bell measurement.
 
-Measurements come in two flavors: `*_outcomes` enumerates every outcome with
-its exact probability and collapsed state (what every composite gate and all
-tests use), and `qnd_measure` samples one outcome from a seeded generator.
+Every measurement is enumerated: `*_outcomes` lists each outcome above
+MIN_PROB with its exact probability and collapsed state.
 """
 
 from __future__ import annotations
@@ -27,6 +26,10 @@ from .state import (
 )
 
 
+#: outcomes below this probability are not enumerated
+MIN_PROB = 1e-13
+
+
 class MeasurementError(ValueError):
     """Raised for impossible outcomes, ambiguous readout, bad configs."""
 
@@ -43,20 +46,6 @@ class MeasurementRecord:
     def __post_init__(self):
         if not -1e-12 <= self.probability <= 1 + 1e-9:
             raise MeasurementError(f"probability {self.probability} outside [0, 1]")
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(0 if rng is None else rng)
-
-
-def sample_record(records: Sequence[MeasurementRecord], rng=None) -> MeasurementRecord:
-    rng = _as_rng(rng)
-    probs = np.array([r.probability for r in records], dtype=float)
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    return records[int(rng.choice(len(records), p=probs))]
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +102,13 @@ def fock_project(s: HybridState, mode: str, n: int) -> MeasurementRecord:
     return MeasurementRecord("fock", n, p, collapsed.normalized())
 
 
-def fock_outcomes(
-    s: HybridState, mode: str, cutoff: int | None = None, min_prob: float = 1e-13
-) -> list[MeasurementRecord]:
-    """All Fock outcomes with probability above min_prob."""
-    ns, probs = fock_distribution(s, mode, cutoff)
+def fock_outcomes(s: HybridState, mode: str) -> list[MeasurementRecord]:
+    """All Fock outcomes with probability above MIN_PROB."""
+    ns, probs = fock_distribution(s, mode)
     idx = s.registry.qubus_index(mode)
     out = []
     for n, p in zip(ns, probs):
-        if p >= min_prob:
+        if p >= MIN_PROB:
             out.append(
                 MeasurementRecord("fock", int(n), float(p), _fock_collapsed(s, idx, int(n)).normalized())
             )
@@ -189,12 +176,7 @@ class QndConfig:
 
 
 def qnd_outcomes(
-    s: HybridState,
-    mode: str,
-    cfg: QndConfig,
-    readout: str = "ideal",
-    cutoff: int | None = None,
-    min_prob: float = 1e-13,
+    s: HybridState, mode: str, cfg: QndConfig, readout: str = "ideal"
 ) -> list[MeasurementRecord]:
     """Enumerate the QND module's outcomes on one qubus beam.
 
@@ -207,7 +189,7 @@ def qnd_outcomes(
     bin cannot be collapsed within coherent branches and raise "ambiguous
     readout", as does a value outside every bin.
     """
-    base = fock_outcomes(s, mode, cutoff, min_prob)
+    base = fock_outcomes(s, mode)
     if readout == "ideal":
         return base
     if readout != "binned":
@@ -246,12 +228,6 @@ def qnd_outcomes(
             # no Fock value sits in bin 0: the no-click channel alone feeds it
             out.insert(0, MeasurementRecord("bin", 0, extra, None))
     return out
-
-
-def qnd_measure(
-    s: HybridState, mode: str, cfg: QndConfig, readout: str = "ideal", rng=None
-) -> MeasurementRecord:
-    return sample_record(qnd_outcomes(s, mode, cfg, readout), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +288,14 @@ def povm_outcomes(
 # ---------------------------------------------------------------------------
 
 
-def presence_outcomes(
-    s: HybridState, pid: str, paths: Sequence[str] | None = None, min_prob: float = 1e-13
-) -> list[MeasurementRecord]:
+def presence_outcomes(s: HybridState, pid: str, paths: Sequence[str]) -> list[MeasurementRecord]:
     """Where the photon is found among the given paths, photon preserved."""
-    paths = tuple(paths) if paths is not None else s.photon_paths_in_use(pid)
     out = []
     for path in paths:
         kept = [br for br in s.branches if br.slot(pid)[0] == path]
         part = HybridState(s.registry, kept)
         p = norm(part) ** 2
-        if p >= min_prob:
+        if p >= MIN_PROB:
             out.append(MeasurementRecord("presence", path, p, part.normalized()))
     return out
 
@@ -342,8 +315,11 @@ _BELL = {
 BELL_CORRECTIONS = {"phi+": (), "phi-": ("z",), "psi+": ("x",), "psi-": ("x", "z")}
 
 
-def bell_outcomes(s: HybridState, pid_a: str, pid_b: str, min_prob: float = 0.0) -> list[MeasurementRecord]:
-    """Project two single-path photons onto the Bell basis; removes both."""
+def bell_outcomes(s: HybridState, pid_a: str, pid_b: str) -> list[MeasurementRecord]:
+    """Project two single-path photons onto the Bell basis; removes both.
+
+    All four outcomes are listed, impossible ones with probability 0.
+    """
     for pid in (pid_a, pid_b):
         if len(s.photon_paths_in_use(pid)) != 1:
             raise MeasurementError(f"Bell measurement needs single-path photons; {pid!r} is split")
@@ -362,8 +338,7 @@ def bell_outcomes(s: HybridState, pid_a: str, pid_b: str, min_prob: float = 0.0)
             collapsed.append(Branch(br.amplitude * w * r, rest, br.qubus))
         part = HybridState(reg, collapsed).canonical(0.0)
         p = norm(part) ** 2
-        if p >= min_prob:
-            out.append(MeasurementRecord("bell", name, p, part.normalized() if p > 1e-300 else None))
+        out.append(MeasurementRecord("bell", name, p, part.normalized() if p > 1e-300 else None))
     return out
 
 
@@ -372,18 +347,16 @@ def bell_outcomes(s: HybridState, pid_a: str, pid_b: str, min_prob: float = 0.0)
 # ---------------------------------------------------------------------------
 
 
-def project_qubus_coherent(
-    s: HybridState, mode: str, value: complex | None = None
-) -> tuple[HybridState, float]:
-    """Project one qubus mode onto |value⟩ and drop it; returns (state, prob).
+def project_qubus_coherent(s: HybridState, mode: str) -> tuple[HybridState, float]:
+    """Project one qubus mode onto its dominant coherent value and drop it.
 
-    With value=None the dominant branch's amplitude is used.  Composite gates
-    dispose of their unmeasured beam this way; the tiny residual which-path
-    weight (~e^{−|β|²}) becomes the gates' deterministic-fidelity leak.
+    The dominant branch's amplitude is the value; returns (state, prob).
+    Composite gates dispose of their unmeasured beam this way; the tiny
+    residual which-path weight (~e^{−|β|²}) becomes the gates'
+    deterministic-fidelity leak.
     """
     idx = s.registry.qubus_index(mode)
-    if value is None:
-        value = max(s.branches, key=lambda br: abs(br.amplitude)).qubus[idx]
+    value = max(s.branches, key=lambda br: abs(br.amplitude)).qubus[idx]
     reg = s.registry.without_qubus(mode)
     out = []
     for br in s.branches:
@@ -399,8 +372,7 @@ def project_qubus_coherent(
 # ---------------------------------------------------------------------------
 
 
-def poisson_overlap(mu1: float, mu2: float, cutoff: int | None = None) -> float:
+def poisson_overlap(mu1: float, mu2: float) -> float:
     """Σ_n min(Poisson(μ₁, n), Poisson(μ₂, n)): total-variation style overlap."""
-    if cutoff is None:
-        cutoff = default_fock_cutoff(max(mu1, mu2))
+    cutoff = default_fock_cutoff(max(mu1, mu2))
     return math.fsum(min(poisson_pmf(mu1, n), poisson_pmf(mu2, n)) for n in range(cutoff + 1))

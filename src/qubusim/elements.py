@@ -182,7 +182,7 @@ def pbs_pm(s: HybridState, pid: str, in_path: str, out_plus: str, out_minus: str
 
 
 def pbs_pm_merge(
-    s: HybridState, pid: str, plus_path: str, minus_path: str, out: str, tol: float = 1e-9
+    s: HybridState, pid: str, plus_path: str, minus_path: str, out: str
 ) -> HybridState:
     """Second PBS± of a Mach-Zehnder: |+⟩ from the plus arm and |−⟩ from the
     minus arm exit on one path.  Amplitude that would leave through the dark
@@ -217,7 +217,7 @@ def pbs_pm_merge(
     leak = math.fsum(
         abs(br.amplitude) ** 2 for br in mapped.branches if br.slot(pid)[0] == dark
     )
-    if leak > tol:
+    if leak > 1e-9:
         raise StateError(f"PBS± merge dark port carries weight {leak:.3e}")
     kept = [br for br in mapped.branches if br.slot(pid)[0] != dark]
     return HybridState(mapped.registry.without_path(pid, dark), kept)

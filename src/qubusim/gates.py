@@ -4,11 +4,17 @@ Every gate here follows the same recipe.  Two fresh qubus beams |α⟩|α⟩ are
 coupled to the photonic modes listed in the gate's coupling table (θ per
 coupling), both beams get a −θ compensation, a 50:50 qubus BS forms the
 difference/sum ports, and the difference port is read out by the QND module
-(enumerated exactly as Fock outcomes).  A feed-forward plan then turns every
-outcome into the same output state; the unmeasured sum port is disposed of by
-heralded projection onto its dominant coherent value, whose tiny residual
-which-path weight is the only nondeterminism left (≤ ~e^{−|β|²} in fidelity,
-with |β|² = 2α²sin²θ).
+(enumerated exactly as Fock outcomes).  A feed-forward plan, a fixed
+n=0 / n even / n odd table, then turns every outcome into the same output
+state; the unmeasured sum port is disposed of by heralded projection onto its
+dominant coherent value, whose tiny residual which-path weight is the only
+nondeterminism left (≤ ~e^{−|β|²} in fidelity, with |β|² = 2α²sin²θ).
+
+The parity gate and the C-path family share one rail-routing block: a fresh
+rail opens beside each target rail with a 50:50 split, and even n switches
+the rails while odd n adds a π phase.  C-path is C-path-2 on a one-rail
+target.  pbs_fan_out / pbs_fan_in move a rail's V component to a fresh rail
+as H and back; C-path-3 and the qudit unitaries use them.
 
 Each gate returns (output state, GateReport); the report logs every outcome
 with its probability and fidelity against the representative output, the
@@ -52,8 +58,6 @@ DEFAULTS = {
     "theta_probe": 0.05,
 }
 
-#: outcomes below this probability are not enumerated
-MIN_PROB = 1e-13
 #: an outcome "agrees" with the representative above this fidelity
 AGREEMENT_TOL = 1e-6
 
@@ -175,49 +179,24 @@ def _jsonable(v) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rule:
-    label: str
-    matches: Callable
-    ops: Callable  # record -> list[ElementOp]
-
-
 class FeedForwardPlan:
-    """Outcome → corrective-element map; every outcome must match one rule."""
+    """The correction table of a qubus block: n=0, n even, n odd.
 
-    def __init__(self, rules: Sequence[Rule]):
-        self.rules = list(rules)
+    Only the parity of the detected photon number n matters: n=0 needs no
+    correction, even n the even_ops and odd n the odd_ops.
+    """
 
-    def correct(self, state: HybridState, record) -> tuple[HybridState, str, list]:
-        hits = [r for r in self.rules if r.matches(record)]
-        if len(hits) != 1:
-            raise GateError(
-                f"feed-forward plan matched {len(hits)} rules for outcome "
-                f"{record.kind}={record.value!r}"
-            )
-        ops = hits[0].ops(record)
-        return el.apply_elements(state, ops), hits[0].label, ops
+    LABELS = ("n=0", "n even", "n odd")
 
-    def describe(self, sample_records) -> list[tuple[str, list[dict]]]:
-        out = []
-        for rec in sample_records:
-            hits = [r for r in self.rules if r.matches(rec)]
-            if hits:
-                out.append(
-                    (f"{hits[0].label}", [o.to_dict() for o in hits[0].ops(rec)])
-                )
-        return out
+    def __init__(self, even_ops: Sequence[el.ElementOp], odd_ops: Sequence[el.ElementOp]):
+        self.rows = ([], list(even_ops), list(odd_ops))
 
+    def correct(self, state: HybridState, record) -> HybridState:
+        n = record.value
+        return el.apply_elements(state, self.rows[0 if n == 0 else 1 + n % 2])
 
-def fock_plan(zero_ops, even_ops, odd_ops) -> FeedForwardPlan:
-    """The universal n=0 / even / odd structure of the qubus-gate corrections."""
-    return FeedForwardPlan(
-        [
-            Rule("n=0", lambda r: r.value == 0, lambda r: list(zero_ops)),
-            Rule("n even", lambda r: r.value > 0 and r.value % 2 == 0, lambda r: list(even_ops)),
-            Rule("n odd", lambda r: r.value % 2 == 1, lambda r: list(odd_ops)),
-        ]
-    )
+    def describe(self) -> list[tuple[str, list[dict]]]:
+        return [(label, [o.to_dict() for o in ops]) for label, ops in zip(self.LABELS, self.rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +278,14 @@ def run_qubus_block(
 ) -> Scored:
     """Couple, measure the difference port, feed forward, dispose of the sum port.
 
-    Every Fock outcome above MIN_PROB is enumerated, corrected and scored
+    Every Fock outcome above detection.MIN_PROB is enumerated, corrected and scored
     against the highest-probability outcome.
     """
     coupled, (b0, b1) = couple_qubus_pair(s, couplings, alpha, theta)
-    records = fock_outcomes(coupled, b0, min_prob=MIN_PROB)
+    records = fock_outcomes(coupled, b0)
     corrected: list[tuple[object, float, HybridState]] = []
     for rec in records:
-        st, _, _ = plan.correct(rec.collapsed, rec)
+        st = plan.correct(rec.collapsed, rec)
         st, _ = project_qubus_coherent(st, b1)
         if post is not None:
             st = post(st)
@@ -322,7 +301,7 @@ def _block_report(
         name,
         Resources(xpm_couplings=coupling_mode_count(couplings), qubus_modes=2, detections=1),
         gates=Counter({name: 1}),
-        feedforward=plan.describe(_sample_fock_records()),
+        feedforward=plan.describe(),
         extras=extras,
     )
 
@@ -334,24 +313,13 @@ def _require_single_path(s: HybridState, pid: str) -> str:
     return used[0]
 
 
-def _require_plus(s: HybridState, pid: str, tol: float = 1e-9) -> str:
+def _require_plus(s: HybridState, pid: str) -> str:
     """The photon must factor out as |+⟩ on a single path; returns the path."""
     path = _require_single_path(s, pid)
     flipped = el.wave_plate(s, pid, None, "x")
-    if abs(abs(inner_product(flipped, s)) - 1.0) > tol:
+    if abs(abs(inner_product(flipped, s)) - 1.0) > 1e-9:
         raise GateError(f"ancilla {pid!r} is not in |+⟩")
     return path
-
-
-def _sample_fock_records():
-    """Representative records used only to render feed-forward tables."""
-
-    class _R:
-        def __init__(self, value):
-            self.kind = "fock"
-            self.value = value
-
-    return [_R(0), _R(2), _R(1)]
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +335,6 @@ def parity_couplings(p1: str, p1_path: str, p2: str, rail_a: str, rail_b: str):
         Coupling(1, p1, p1_path, V),
         Coupling(1, p2, rail_a, V),
         Coupling(1, p2, rail_b, H),
-    )
-
-
-def c_path_couplings(ctrl: str, c_path_: str, tgt: str, rail1: str, rail2: str):
-    return (
-        Coupling(0, ctrl, c_path_, V),
-        Coupling(0, tgt, rail1, None),
-        Coupling(1, ctrl, c_path_, H),
-        Coupling(1, tgt, rail2, None),
     )
 
 
@@ -404,7 +363,6 @@ def c_path3_couplings(
     flipped V on `first_aux`), and the second beam couples H on both plus H
     on the second rail.  layout="compact" replaces the two first-rail
     couplings by a single upstream witness slot, saving one mode.
-    layout="direct" couples both polarizations of the first rail outright.
     """
     beam0 = [Coupling(0, ctrl, second, V), Coupling(0, tgt, rail1, None)]
     if layout == "split":
@@ -422,12 +380,6 @@ def c_path3_couplings(
         wp, wpath, wpol = witness
         beam1 = [
             Coupling(1, wp, wpath, wpol),
-            Coupling(1, ctrl, second, H),
-            Coupling(1, tgt, rail2, None),
-        ]
-    elif layout == "direct":
-        beam1 = [
-            Coupling(1, ctrl, first, None),
             Coupling(1, ctrl, second, H),
             Coupling(1, tgt, rail2, None),
         ]
@@ -455,6 +407,73 @@ def entangler4_couplings(anc: str, anc_path: str, qudit: str, rails: Sequence[st
 
 
 # ---------------------------------------------------------------------------
+# rail routing shared by the parity gate and the C-path family
+# ---------------------------------------------------------------------------
+
+
+def _open_rails(
+    s: HybridState, photon: str, rails: Sequence[str], suffix: str, split_path: str | None = None
+) -> tuple[HybridState, list[str]]:
+    """Open a fresh rail beside each of the photon's rails and 50:50-split onto it.
+
+    The fresh rail of r is named r+suffix (made unique), or split_path when
+    the photon has one rail.  Returns the state and the fresh rails in order.
+    """
+    reg = s.registry
+    fresh = []
+    for r in rails:
+        f = split_path or reg.fresh_path(r + suffix)
+        fresh.append(f)
+        reg = reg.with_path(photon, f)
+    s = HybridState(reg, s.branches)
+    for r, f in zip(rails, fresh):
+        s = el.photon_bs(s, photon, r, f)
+    return s, fresh
+
+
+def _switch_plan(
+    photon: str, rails: Sequence[str], fresh: Sequence[str], odd_phase: list | None = None
+) -> FeedForwardPlan:
+    """Even n switches every rail with its fresh partner; odd n also needs a π.
+
+    The π goes on the original rails after the switches, unless odd_phase
+    gives it (the parity gate's π on photon 1's V), which then goes first.
+    """
+    switches = [el.op("PathSwitch", photon=photon, path_a=r, path_b=f) for r, f in zip(rails, fresh)]
+    if odd_phase is not None:
+        return FeedForwardPlan(switches, odd_phase + switches)
+    pis = [el.op("PolPhase", math.pi, photon=photon, path=r, pol=None) for r in rails]
+    return FeedForwardPlan(switches, switches + pis)
+
+
+def pbs_fan_out(
+    s: HybridState, photon: str, rails: Sequence[str]
+) -> tuple[HybridState, list[str]]:
+    """PBS each rail: H stays, V goes to a fresh rail r+"v" and is flipped to H.
+
+    Returns the state and the fresh rails; pbs_fan_in undoes it.
+    """
+    fresh = []
+    for r in rails:
+        f = s.registry.fresh_path(r + "v")
+        s = el.pbs(s, photon, r, r, f)
+        s = el.wave_plate(s, photon, f, "x")
+        fresh.append(f)
+    return s, fresh
+
+
+def pbs_fan_in(
+    s: HybridState, photon: str, rails: Sequence[str], fresh: Sequence[str]
+) -> HybridState:
+    """Inverse of pbs_fan_out: flip each fresh rail back and PBS-merge it home."""
+    for r, f in zip(rails, fresh):
+        s = el.wave_plate(s, photon, f, "x")
+        s = el.pbs_merge(s, photon, r, f, r)
+        s = HybridState(s.registry.without_path(photon, f), s.branches)
+    return s
+
+
+# ---------------------------------------------------------------------------
 # parity gate
 # ---------------------------------------------------------------------------
 
@@ -475,14 +494,11 @@ def parity_gate(
     """
     p1_path = _require_single_path(s, photon1)
     rail_a = _require_single_path(s, photon2)
-    rail_b = split_path or s.registry.fresh_path(rail_a + "s")
-    s = HybridState(s.registry.with_path(photon2, rail_b), s.branches)
-    s = el.photon_bs(s, photon2, rail_a, rail_b)
+    s, (rail_b,) = _open_rails(s, photon2, [rail_a], "s", split_path)
 
     couplings = parity_couplings(photon1, p1_path, photon2, rail_a, rail_b)
-    switch = el.op("PathSwitch", photon=photon2, path_a=rail_a, path_b=rail_b)
     pi_v1 = el.op("PolPhase", math.pi, photon=photon1, path=p1_path, pol=V)
-    plan = fock_plan([], [switch], [pi_v1, switch])
+    plan = _switch_plan(photon2, [rail_a], [rail_b], odd_phase=[pi_v1])
 
     block = run_qubus_block(s, couplings, alpha, theta, plan)
     report = _block_report(
@@ -499,6 +515,28 @@ def parity_gate(
 # ---------------------------------------------------------------------------
 
 
+def _route_rails(
+    s: HybridState,
+    control: str,
+    target: str,
+    rails: Sequence[str],
+    alpha: float,
+    theta: float,
+    name: str,
+    suffix: str,
+    split_path: str | None = None,
+) -> tuple[HybridState, GateReport]:
+    """C-path on every rail of the target: control H keeps the rails, control
+    V moves the photon to the fresh rail beside each."""
+    c_path_ = _require_single_path(s, control)
+    rails = list(rails)
+    s, fresh = _open_rails(s, target, rails, suffix, split_path)
+    couplings = c_path2_couplings(control, c_path_, target, rails, fresh)
+    plan = _switch_plan(target, rails, fresh)
+    block = run_qubus_block(s, couplings, alpha, theta, plan)
+    return block.state, _block_report(name, block, couplings, plan, rails=tuple(rails + fresh))
+
+
 def c_path(
     s: HybridState,
     control: str,
@@ -511,21 +549,10 @@ def c_path(
 
     Rail 1 is the target's input path; rail 2 is split_path (fresh when not
     given).  Deterministic through a conditional rail switch plus a π phase
-    on rail 1 for odd outcomes.
+    on rail 1 for odd outcomes.  This is c_path2 on a one-rail target.
     """
-    c_path_ = _require_single_path(s, control)
     rail1 = _require_single_path(s, target)
-    rail2 = split_path or s.registry.fresh_path(rail1 + "s")
-    s = HybridState(s.registry.with_path(target, rail2), s.branches)
-    s = el.photon_bs(s, target, rail1, rail2)
-
-    couplings = c_path_couplings(control, c_path_, target, rail1, rail2)
-    switch = el.op("PathSwitch", photon=target, path_a=rail1, path_b=rail2)
-    pi_rail1 = el.op("PolPhase", math.pi, photon=target, path=rail1, pol=None)
-    plan = fock_plan([], [switch], [switch, pi_rail1])
-
-    block = run_qubus_block(s, couplings, alpha, theta, plan)
-    return block.state, _block_report("c_path", block, couplings, plan, rails=(rail1, rail2))
+    return _route_rails(s, control, target, [rail1], alpha, theta, "c_path", "s", split_path)
 
 
 def c_path2(
@@ -543,36 +570,10 @@ def c_path2(
     the output order is originals followed by fresh rails (the new control
     bit is the most significant).
     """
-    c_path_ = _require_single_path(s, control)
-    rails = list(rails)
     occupied = set(s.photon_paths_in_use(target))
     if not occupied.issubset(set(rails)):
         raise GateError(f"target occupies {occupied}, outside the given rails")
-    reg = s.registry
-    new_rails = []
-    for r in rails:
-        fresh = reg.fresh_path(r + "n")
-        new_rails.append(fresh)
-        reg = reg.with_path(target, fresh)
-    s = HybridState(reg, s.branches)
-    for r, rn in zip(rails, new_rails):
-        s = el.photon_bs(s, target, r, rn)
-
-    couplings = c_path2_couplings(control, c_path_, target, rails, new_rails)
-    switches = [
-        el.op("PathSwitch", photon=target, path_a=r, path_b=rn)
-        for r, rn in zip(rails, new_rails)
-    ]
-    pis = [
-        el.op("PolPhase", math.pi, photon=target, path=r, pol=None) for r in rails
-    ]
-    plan = fock_plan([], switches, switches + pis)
-
-    block = run_qubus_block(s, couplings, alpha, theta, plan)
-    report = _block_report(
-        "c_path2", block, couplings, plan, rails=tuple(rails) + tuple(new_rails)
-    )
-    return block.state, report
+    return _route_rails(s, control, target, rails, alpha, theta, "c_path2", "n")
 
 
 def c_path3(
@@ -590,36 +591,24 @@ def c_path3(
 
     The target goes to rail 2 only when the control photon sits on its second
     rail with polarization V (the all-controls-V component of a multi-control
-    chain).  layout picks the Table-5 coupling arrangement ("split"), the
-    coupling-saving variant with an upstream witness slot ("compact"), or the
-    unsplit generalization ("direct"); all three act identically.
+    chain).  layout picks the Table-5 coupling arrangement ("split") or the
+    coupling-saving variant with an upstream witness slot ("compact"); both
+    act identically.
     """
     first, second = control_rails
     rail1 = _require_single_path(s, target)
-    rail2 = split_path or s.registry.fresh_path(rail1 + "s")
-    reg = s.registry.with_path(target, rail2)
-    s = HybridState(reg, s.branches)
-    s = el.photon_bs(s, target, rail1, rail2)
+    s, (rail2,) = _open_rails(s, target, [rail1], "s", split_path)
 
     first_aux = None
     if layout == "split":
-        first_aux = s.registry.fresh_path(first + "v")
-        s = el.pbs(s, control, first, first, first_aux)
-        s = el.wave_plate(s, control, first_aux, "x")
+        s, (first_aux,) = pbs_fan_out(s, control, [first])
     couplings = c_path3_couplings(
         control, first, first_aux, second, target, rail1, rail2, layout, witness
     )
-
-    switch = el.op("PathSwitch", photon=target, path_a=rail1, path_b=rail2)
-    pi_rail1 = el.op("PolPhase", math.pi, photon=target, path=rail1, pol=None)
-    plan = fock_plan([], [switch], [switch, pi_rail1])
+    plan = _switch_plan(target, [rail1], [rail2])
 
     def unsplit(st: HybridState) -> HybridState:
-        if layout != "split":
-            return st
-        st = el.wave_plate(st, control, first_aux, "x")
-        st = el.pbs_merge(st, control, first, first_aux, first)
-        return HybridState(st.registry.without_path(control, first_aux), st.branches)
+        return pbs_fan_in(st, control, [first], [first_aux]) if layout == "split" else st
 
     block = run_qubus_block(s, couplings, alpha, theta, plan, post=unsplit)
     report = _block_report(
@@ -637,31 +626,17 @@ def disentangler(
     s: HybridState,
     control: str,
     target: str,
-    v_rails: Sequence[str] | None = None,
+    v_rails: Sequence[str],
 ) -> tuple[HybridState, GateReport]:
     """Project the control onto |±⟩ without destroying it.
 
     A PBS± Mach-Zehnder splits the control, QND modules detect the arm, and
     the |−⟩ outcome is fixed up by σ_z on the control plus a π phase on the
-    target rails that the control's V component selected (v_rails; derived
-    from the dominant branch weights when not given).  The control leaves in
-    |+⟩ exactly; the target keeps all four coefficients.
+    target rails that the control's V component selected (v_rails).  The
+    control leaves in |+⟩ exactly; the target keeps all four coefficients.
     """
     path = _require_single_path(s, control)
-    if v_rails is None:
-        # classify rails by where the weight sits; upstream gates leave
-        # ~e^{−|β|²} dust on the wrong side, hence the relative threshold
-        wh: dict[str, float] = {}
-        wv: dict[str, float] = {}
-        for br in s.branches:
-            acc = wv if br.slot(control)[1] == V else wh
-            r = br.slot(target)[0]
-            acc[r] = acc.get(r, 0.0) + abs(br.amplitude) ** 2
-        pi_rails = sorted(
-            r for r, w in wv.items() if w > 0 and wh.get(r, 0.0) < 1e-6 * w
-        )
-    else:
-        pi_rails = sorted(v_rails)
+    pi_rails = sorted(v_rails)
 
     reg = s.registry
     arm_p = reg.fresh_path(path + "p")
@@ -715,7 +690,7 @@ def _entangler_block(
 ) -> tuple[HybridState, GateReport]:
     sx = el.op("WavePlateX", photon=flip_photon, path=None)
     sz = el.op("WavePlateZ", photon=flip_photon, path=None)
-    plan = fock_plan([], [sx], [sx, sz])
+    plan = FeedForwardPlan([sx], [sx, sz])
     block = run_qubus_block(s, couplings, alpha, theta, plan)
     return block.state, _block_report(name, block, couplings, plan)
 
@@ -856,30 +831,12 @@ def merging_n(
     report.absorb(ent_report)
 
     # interference across the rails
-    if isinstance(interference, str):
-        if interference == "bs":
-            u = syn.qft_matrix(2)
-            if n_rails != 2:
-                raise GateError("'bs' interference is the two-rail case")
-        elif interference == "qft":
-            u = syn.qft_matrix(n_rails)
-        elif interference == "hadamard4":
-            if n_rails != 4:
-                raise GateError("'hadamard4' interference needs four rails")
-            u = syn.HADAMARD4
-        else:
-            raise GateError(f"unknown interference {interference!r}")
-    else:
-        u = syn.check_unitary(interference)
-        if u.shape[0] != n_rails:
-            raise GateError("interference matrix size does not match rails")
-    if interference == "bs":
+    u, label = _interference_matrix(interference, n_rails)
+    report.extras["interference"] = label
+    if label == "bs":
         out = el.photon_bs(out, photon, rails[0], rails[1])
-        report.extras["interference"] = "bs"
     else:
-        mesh = syn.reck_decompose(u)
-        out = syn.apply_mesh_ops(out, photon, rails, mesh)
-        report.extras["interference"] = interference if isinstance(interference, str) else "custom"
+        out = syn.apply_mesh_ops(out, photon, rails, syn.reck_decompose(u))
         report.gates.update({"lomi": 1})
 
     # feed-forward phases per rail bit: conj(U[k,j]) must factorize over bits
@@ -938,6 +895,26 @@ def merging_n(
         report.extras["recycled_arm"] = rep_arm
         report.extras["recycled_sign"] = "+" if sign > 0 else "-"
     return rep_state, report
+
+
+def _interference_matrix(interference, n_rails: int):
+    """Resolve merging_n's interference argument into (matrix, report label)."""
+    if not isinstance(interference, str):
+        u = syn.check_unitary(interference)
+        if u.shape[0] != n_rails:
+            raise GateError("interference matrix size does not match rails")
+        return u, "custom"
+    if interference == "bs":
+        if n_rails != 2:
+            raise GateError("'bs' interference is the two-rail case")
+        return syn.qft_matrix(2), "bs"
+    if interference == "qft":
+        return syn.qft_matrix(n_rails), "qft"
+    if interference == "hadamard4":
+        if n_rails != 4:
+            raise GateError("'hadamard4' interference needs four rails")
+        return syn.HADAMARD4, "hadamard4"
+    raise GateError(f"unknown interference {interference!r}")
 
 
 def _factorize_corrections(u, qbits: int) -> list[list[float]]:

@@ -36,6 +36,8 @@ from .gates import (
     inject_plus,
     merging,
     merging_n,
+    pbs_fan_in,
+    pbs_fan_out,
     score_outcomes,
 )
 from .state import (
@@ -293,34 +295,6 @@ def _fold_back(
 # ---------------------------------------------------------------------------
 
 
-def _fan_out_all_h(
-    s: HybridState, qudit: str, rails: Sequence[str]
-) -> tuple[HybridState, list[str], list[str]]:
-    """PBS each rail into (H stays, V to fresh rail) and flip the V rails.
-
-    Returns (state, 2N all-H rails in lexicographic order, the fresh rails).
-    """
-    out = s
-    wide = []
-    fresh_rails = []
-    for r in rails:
-        fresh = out.registry.fresh_path(r + "v")
-        out = el.pbs(out, qudit, r, r, fresh)
-        out = el.wave_plate(out, qudit, fresh, "x")
-        wide.extend([r, fresh])
-        fresh_rails.append(fresh)
-    return out, wide, fresh_rails
-
-
-def _fan_in(s: HybridState, qudit: str, rails: Sequence[str], fresh: Sequence[str]) -> HybridState:
-    out = s
-    for r, f in zip(rails, fresh):
-        out = el.wave_plate(out, qudit, f, "x")
-        out = el.pbs_merge(out, qudit, r, f, r)
-        out = HybridState(out.registry.without_path(qudit, f), out.branches)
-    return out
-
-
 def two_qubit_gate(
     s: HybridState,
     photon1: str,
@@ -387,11 +361,12 @@ def _qudit_unitary(
     report.absorb(rep)
     rails = list(rep.extras["rails"])
 
-    out, wide, fresh = _fan_out_all_h(out, qudit, rails)
-    mesh = syn.reck_decompose(u)
-    out = syn.mesh_apply(out, qudit, wide, mesh)
+    # the mesh acts on 2N all-H rails in lexicographic order: r, then its V rail
+    out, fresh = pbs_fan_out(out, qudit, rails)
+    wide = [r for pair in zip(rails, fresh) for r in pair]
+    out = syn.mesh_apply(out, qudit, wide, syn.reck_decompose(u))
     report.gates.update({"lomi": 1})
-    out = _fan_in(out, qudit, rails, fresh)
+    out = pbs_fan_in(out, qudit, rails, fresh)
 
     out, anc_id = _fold_back(out, qudit, photons[:-1], rails, report, alpha, theta, interference)
     report.extras.update({"photon_order": tuple(photons[:-1]) + (anc_id,)})
@@ -435,37 +410,42 @@ def _control_chain(
     return out, rails
 
 
-def _merge_chain(
+def _merge_back(
     out: HybridState,
+    routed: list[tuple[str, Sequence[str]]],
     controls: Sequence[str],
     control_rails: list[tuple[str, str]],
-    recycled: str,
-    recycled_sign: str,
     report: GateReport,
     alpha: float,
     theta: float,
 ) -> tuple[HybridState, dict]:
-    """Merge split controls back, last to first, recycling the detected photon;
-    the photon recycled last is dropped."""
-    carriers = {}
-    anc = recycled
-    sign = recycled_sign
-    for k in range(len(controls) - 1, 0, -1):
+    """Fold the routed (photon, rails) targets, then the split controls last
+    to first, back with one Merging gate each.
+
+    Each step's companion is the V slot that marks "every control before it
+    is V": the first control's polarization, then each split control's V on
+    its second rail.  The first gate merges onto a fresh |+⟩ ancilla, each
+    later one onto the photon the previous gate recycled, and the photon
+    recycled last is dropped.  Returns the state and each photon's carrier.
+    """
+    flags = [(controls[0], None)] + [(c, r[1]) for c, r in zip(controls[1:], control_rails)]
+    steps = [(photon, rails, flags[-1]) for photon, rails in routed]
+    steps += [(controls[k], control_rails[k - 1], flags[k - 1]) for k in range(len(controls) - 1, 0, -1)]
+
+    out, anc, _ = inject_plus(out)
+    report.resources.add(Resources(ancilla_photons=1))
+    sign = "+"
+    carriers = {controls[0]: controls[0]}
+    for photon, rails, companion in steps:
         if sign == "-":
             out = el.wave_plate(out, anc, None, "z")
-        companion = (controls[k - 1], None) if k == 1 else (controls[k - 1], control_rails[k - 2][1])
-        out, rep = merging(
-            out, controls[k], control_rails[k - 1], anc, [companion], alpha, theta,
-            keep_recycled=True,
-        )
+        out, rep = merging(out, photon, rails, anc, [companion], alpha, theta, keep_recycled=True)
         report.absorb(rep)
-        carriers[controls[k]] = anc
-        anc, sign = controls[k], rep.extras["recycled_sign"]
-    if len(controls) == 1 and sign == "-":
-        # a single control was never split: undo the recycled photon's sign
+        carriers[photon] = anc
+        anc, sign = photon, rep.extras["recycled_sign"]
+    if sign == "-":
         out = el.wave_plate(out, anc, None, "z")
-    out = remove_photon(out, anc)
-    return out, carriers
+    return remove_photon(out, anc), carriers
 
 
 def cn_u1(
@@ -499,23 +479,15 @@ def cn_u1(
     # the target is routed like one more link of the control chain
     out, rails = _control_chain(s, controls + [target], report, alpha, theta, layout)
     control_rails, t_rails = rails[:-1], rails[-1]
-    witness_companion = (controls[0], None) if n == 1 else (controls[-1], control_rails[-1][1])
 
     if np.allclose(u1, SIGMA_X):
         out = el.wave_plate(out, target, t_rails[1], "x")
     else:
         out = el.pol_unitary(out, target, t_rails[1], u1)
 
-    out, anc_id, _ = inject_plus(out)
-    report.resources.add(Resources(ancilla_photons=1))
-    out, rep = merging(
-        out, target, t_rails, anc_id, [witness_companion], alpha, theta, keep_recycled=True
+    out, carriers = _merge_back(
+        out, [(target, t_rails)], controls, control_rails, report, alpha, theta
     )
-    report.absorb(rep)
-    out, carriers = _merge_chain(
-        out, controls, control_rails, target, rep.extras["recycled_sign"], report, alpha, theta
-    )
-    carriers.update({target: anc_id, controls[0]: controls[0]})
     order = tuple(carriers[c] for c in controls) + (carriers[target],)
     report.extras.update({"photon_order": order, "carriers": carriers})
     return out, report
@@ -604,10 +576,9 @@ def cn_uk(
     # every target is routed off the same control: its all-V rail (or, for a
     # single control, its polarization directly)
     if n == 1:
-        out, control_rails, flag = s, [], (controls[0], None)
+        out, control_rails = s, []
     else:
         out, control_rails = _control_chain(s, controls, report, alpha, theta, "split")
-        flag = (controls[-1], control_rails[-1][1])
     target_rails = []
     for t in targets:
         if n == 1:
@@ -621,23 +592,8 @@ def cn_uk(
     out = _conditional_pol_unitary(out, targets, active, uk)
     report.extras["idealized_uk"] = True
 
-    carriers = {controls[0]: controls[0]}
-    out, anc_id, _ = inject_plus(out)
-    report.resources.add(Resources(ancilla_photons=1))
-    anc, sign = anc_id, "+"
-    for i in range(k - 1, -1, -1):
-        if sign == "-":
-            out = el.wave_plate(out, anc, None, "z")
-        out, rep = merging(
-            out, targets[i], target_rails[i], anc, [flag], alpha, theta,
-            keep_recycled=True,
-        )
-        report.absorb(rep)
-        carriers[targets[i]] = anc
-        anc, sign = targets[i], rep.extras["recycled_sign"]
-
-    out, chain_carriers = _merge_chain(out, controls, control_rails, anc, sign, report, alpha, theta)
-    carriers.update(chain_carriers)
+    routed = list(zip(targets, target_rails))[::-1]
+    out, carriers = _merge_back(out, routed, controls, control_rails, report, alpha, theta)
     order = tuple(carriers[c] for c in controls) + tuple(carriers[t] for t in targets)
     report.extras.update({"photon_order": order, "carriers": carriers})
     return out, report

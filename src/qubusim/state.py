@@ -368,8 +368,8 @@ def tensor(a: HybridState, b: HybridState) -> HybridState:
 # ---------------------------------------------------------------------------
 
 
-def basis_photon(pid: str, path: str, pol: str, extra_paths: Sequence[str] = ()) -> HybridState:
-    reg = ModeRegistry().with_photon(pid, (path, *extra_paths))
+def basis_photon(pid: str, path: str, pol: str) -> HybridState:
+    reg = ModeRegistry().with_photon(pid, (path,))
     return HybridState(reg, [Branch(1.0 + 0.0j, ((pid, path, pol),), ())])
 
 
@@ -442,14 +442,11 @@ def haar_coeffs(dim: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def random_polarization_state(
-    n: int, seed: int, ids: Sequence[str] | None = None, paths: Sequence[str] | None = None
-) -> HybridState:
-    """Haar-random n-photon polarization state (deterministic per seed)."""
+def random_polarization_state(n: int, seed: int) -> HybridState:
+    """Haar-random state of photons "1".."n" on paths t1..tn (deterministic per seed)."""
     rng = np.random.default_rng(seed)
-    ids = ids or [str(i + 1) for i in range(n)]
-    paths = paths or [f"t{i + 1}" for i in range(n)]
-    return polarization_state(haar_coeffs(2**n, rng), list(zip(ids, paths)))
+    photons = [(str(i + 1), f"t{i + 1}") for i in range(n)]
+    return polarization_state(haar_coeffs(2**n, rng), photons)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +473,12 @@ def relabel_photon(s: HybridState, old: str, new: str) -> HybridState:
     return HybridState(reg, branches)
 
 
-def remove_photon(s: HybridState, pid: str, tol: float = 1e-9) -> HybridState:
-    """Drop a photon that is in a product state with the rest; else error."""
+def remove_photon(s: HybridState, pid: str) -> HybridState:
+    """Drop a photon that is in a product state with the rest; else error.
+
+    Slots with norm below 1e-9 are ignored; the others must agree to 1e-9.
+    """
+    tol = 1e-9
     groups: dict[tuple[str, str], list[Branch]] = {}
     for br in s.branches:
         slot = br.slot(pid)

@@ -99,12 +99,12 @@ class Mesh:
         return ops
 
 
-def check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise SynthesisError("matrix is not square")
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if dev > tol:
+    if dev > 1e-10:
         raise SynthesisError(f"matrix is not unitary (max deviation {dev:.3e})")
     return u
 

@@ -159,6 +159,10 @@ def test_validation_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", str(bad)]) == 2
+    for state in ("h", "HV", [[1, 0]], [[1, 0], [0, "x"]], [1, 0]):
+        program = {"photons": [{"id": "1", "path": "t1", "state": state}], "gates": []}
+        bad.write_text(json.dumps(program))
+        assert main(["run", str(bad)]) == 2, state
     matrix = tmp_path / "m.json"
     matrix.write_text(json.dumps([[1, 0], [1, 0]]))
     assert main(["decompose", str(matrix)]) == 2

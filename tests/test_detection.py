@@ -26,7 +26,6 @@ from qubusim.detection import (
     presence_outcomes,
     probe_peak_mean,
     project_qubus_coherent,
-    qnd_measure,
     qnd_outcomes,
 )
 from qubusim.gates import couple_qubus_pair, parity_couplings
@@ -164,14 +163,6 @@ def test_qnd_binned_ambiguous_readout():
     s = coherent_state(1.5)
     with pytest.raises(MeasurementError, match="ambiguous"):
         qnd_outcomes(s, "q", cfg, "binned")
-
-
-def test_qnd_measure_sampling_deterministic_per_seed():
-    coupled, (b0, _) = parity_premeasure()
-    cfg = QndConfig.with_default_bins(100.0, 0.05, 0.95)
-    a = qnd_measure(coupled, b0, cfg, "ideal", rng=3)
-    b = qnd_measure(coupled, b0, cfg, "ideal", rng=3)
-    assert a.value == b.value
 
 
 # -- POVM ---------------------------------------------------------------------

@@ -19,7 +19,7 @@ from qubusim import (
 )
 from qubusim import elements as el
 from qubusim.gates import (
-    c_path_couplings,
+    c_path2_couplings,
     couple_qubus_pair,
     entangler4_couplings,
     parity_couplings,
@@ -266,7 +266,7 @@ def test_c_path_coupling_block_displayed_amplitudes():
     s = HybridState(s.registry.with_path("T", "p2"), s.branches)
     s = el.photon_bs(s, "T", "p1", "p2")
     coupled, _ = couple_qubus_pair(
-        s, c_path_couplings("C", "pc", "T", "p1", "p2"), alpha, theta
+        s, c_path2_couplings("C", "pc", "T", ["p1"], ["p2"]), alpha, theta
     )
     beta = 1j * math.sqrt(2) * alpha * math.sin(theta)
     sa, sc = math.sqrt(2) * alpha, math.sqrt(2) * alpha * math.cos(theta)
