@@ -30,12 +30,9 @@ from .state import (
     polarization_state,
     polarization_vector,
     random_polarization_state,
-    relabel_photon,
     remove_photon,
     state_from_dict,
-    state_from_json,
     state_to_dict,
-    state_to_json,
     tensor,
 )
 

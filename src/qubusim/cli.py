@@ -69,8 +69,7 @@ def parse_state_spec(spec: str, n_photons: int, seed: int) -> HybridState:
         coeffs = [0.0] * 2**n_photons
         coeffs[idx] = 1.0
         return polarization_state(coeffs, photons)
-    coeffs = json.loads(spec)
-    vals = [complex(c[0], c[1]) if isinstance(c, list) else complex(c) for c in coeffs]
+    vals = [_entry(c) for c in json.loads(spec)]
     if len(vals) != 2**n_photons:
         raise StateError(f"need {2**n_photons} coefficients, got {len(vals)}")
     return polarization_state(vals, photons)
@@ -103,12 +102,17 @@ def parse_unitary_spec(spec, dim: int | None = None) -> np.ndarray:
     return _matrix_from_json(data)
 
 
+def _entry(c) -> complex:
+    """A JSON amplitude or matrix entry: a number or an [re, im] pair."""
+    parts = c if isinstance(c, list) and len(c) == 2 else [c]
+    if not all(isinstance(x, (int, float)) for x in parts):
+        raise StateError(f"entry {c!r} is not a number or an [re, im] pair")
+    return complex(*parts)
+
+
 def _matrix_from_json(data) -> np.ndarray:
     """Rows of entries, each a number or an [re, im] pair."""
-    rows = []
-    for row in data:
-        rows.append([complex(c[0], c[1]) if isinstance(c, list) else complex(c) for c in row])
-    return np.array(rows, dtype=complex)
+    return np.array([[_entry(c) for c in row] for row in data], dtype=complex)
 
 
 #: the named single-photon states of a program's "state" key
@@ -125,12 +129,10 @@ def _photon_vector(photon: dict) -> np.ndarray:
     spec = photon.get("state", "H")
     if isinstance(spec, str) and spec in _PHOTON_STATES:
         return np.array(_PHOTON_STATES[spec], dtype=complex)
-    if isinstance(spec, list) and len(spec) == 2 and all(
-        isinstance(c, list) and len(c) == 2 for c in spec
-    ):
+    if isinstance(spec, list) and len(spec) == 2 and all(isinstance(c, list) for c in spec):
         try:
-            return np.array([complex(*c) for c in spec], dtype=complex)
-        except TypeError:
+            return np.array([_entry(c) for c in spec], dtype=complex)
+        except StateError:
             pass
     raise StateError(
         f"photon {photon['id']!r}: state {spec!r} is not H, V, +, - or two [re, im] pairs"
@@ -417,11 +419,7 @@ def run_program(program: dict) -> dict:
     photons = program["photons"]
     pairs = [(p["id"], p["path"]) for p in photons]
     if "coeffs" in program:
-        coeffs = [
-            complex(c[0], c[1]) if isinstance(c, list) else complex(c)
-            for c in program["coeffs"]
-        ]
-        state = polarization_state(coeffs, pairs)
+        state = polarization_state([_entry(c) for c in program["coeffs"]], pairs)
     else:
         state = polarization_state(reduce(np.kron, map(_photon_vector, photons)), pairs)
 

@@ -5,6 +5,15 @@ qubus linear optics (phase shifters, the 50:50 qubus beam splitter) and the
 cross-phase-modulation coupling that writes a conditional e^{iθ} onto a
 coherent beam.
 
+Every photonic element is a slot table: a dict from one photon's
+(path, pol) slot to its images [(coefficient, path, pol), ...].  Slots
+missing from the table pass through unchanged, and `_remap_slot` is the one
+routine that applies a table to every branch.  Path maps (beam splitter,
+switch) act alike on H and V; polarization maps (wave plates, rotations,
+2×2 unitaries) act on (H, V) of one path, or of every registered path when
+the path is None; `phase` and the PBS routings are tables of their own.
+`ELEMENTS` maps each serializable kind to its function.
+
 Conventions fixed here and used by every composite gate:
   * photon_bs:  |x⟩_A → (|x⟩_A + |x⟩_B)/√2,  |x⟩_B → (|x⟩_A − |x⟩_B)/√2,
     the same in any polarization basis.  The variable-angle form B(θ) has
@@ -21,33 +30,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .state import (
-    H,
-    V,
-    Branch,
-    HybridState,
-    RegistryError,
-    StateError,
-    _sorted_slots,
-)
-
-ELEMENT_KINDS = (
-    "PhotonBS",
-    "PBS",
-    "PBSpm",
-    "WavePlateX",
-    "WavePlateZ",
-    "PolPhase",
-    "PolRot",
-    "PathSwitch",
-    "XPM",
-    "QubusPhase",
-    "QubusBS",
-)
+from .state import POLS, H, V, Branch, HybridState, RegistryError, StateError
 
 
 @dataclass(frozen=True)
@@ -59,7 +46,7 @@ class ElementOp:
     parameter: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ELEMENT_KINDS:
+        if self.kind not in ELEMENTS:
             raise ValueError(f"unknown element kind {self.kind!r}")
         if not math.isfinite(self.parameter):
             raise ValueError("element parameter must be finite")
@@ -83,102 +70,102 @@ def op(kind: str, parameter: float = 0.0, **targets) -> ElementOp:
 # ---------------------------------------------------------------------------
 
 
-def _remap_slot(s: HybridState, pid: str, fn) -> HybridState:
-    """Expand each branch through fn(path, pol) -> [(coef, path, pol), ...]."""
+def _remap_slot(s: HybridState, pid: str, table: dict) -> HybridState:
+    """Expand each branch through table[(path, pol)] -> [(coef, path, pol), ...].
+
+    Slots missing from the table pass through unchanged.  The photon's slot
+    is replaced in place: its id, and so its position in the sorted slots,
+    does not change.
+    """
     s.registry.paths_of(pid)
+    out: list[Branch] = []
+    for br in s.branches:
+        photons = br.photons
+        i = next(k for k, t in enumerate(photons) if t[0] == pid)
+        images = table.get(photons[i][1:])
+        if images is None:
+            out.append(br)
+            continue
+        for coef, path, pol in images:
+            if coef != 0:
+                slots = photons[:i] + ((pid, path, pol),) + photons[i + 1 :]
+                out.append(Branch(br.amplitude * coef, slots, br.qubus))
+    return HybridState(s.registry, out).canonical()
 
-    def expand(br: Branch):
-        path, pol = br.slot(pid)
-        rest = tuple(t for t in br.photons if t[0] != pid)
-        for coef, new_path, new_pol in fn(path, pol):
-            if coef == 0:
-                continue
-            yield Branch(
-                br.amplitude * coef,
-                _sorted_slots(rest + ((pid, new_path, new_pol),)),
-                br.qubus,
-            )
 
-    return s.map_branches(expand)
+def _path_map(s: HybridState, pid: str, path_a: str, path_b: str, m) -> HybridState:
+    """2×2 map m on the amplitudes of (path_a, path_b), alike for H and V."""
+    for p in (path_a, path_b):
+        if p not in s.registry.paths_of(pid):
+            raise RegistryError(f"path {p!r} not registered for photon {pid!r}")
+    table = {}
+    for pol in POLS:
+        table[path_a, pol] = [(m[0][0], path_a, pol), (m[1][0], path_b, pol)]
+        table[path_b, pol] = [(m[0][1], path_a, pol), (m[1][1], path_b, pol)]
+    return _remap_slot(s, pid, table)
+
+
+def _pol_map(s: HybridState, pid: str, path: str | None, m) -> HybridState:
+    """2×2 map m on the (H, V) amplitudes of one path (every path if None)."""
+    table = {}
+    for p in s.registry.paths_of(pid) if path is None else (path,):
+        table[p, H] = [(m[0][0], p, H), (m[1][0], p, V)]
+        table[p, V] = [(m[0][1], p, H), (m[1][1], p, V)]
+    return _remap_slot(s, pid, table)
+
+
+def _with_paths(s: HybridState, pid: str, *paths: str) -> HybridState:
+    """s with those of paths not yet registered for pid added to it."""
+    reg = s.registry
+    for p in paths:
+        if p not in reg.paths_of(pid):
+            reg = reg.with_path(pid, p)
+    return HybridState(reg, s.branches)
+
+
+def _pm_table(in_path: str, out_plus: str, out_minus: str) -> dict:
+    """Route |±⟩ = (H ± V)/√2 of in_path to out_plus / out_minus, in H/V form."""
+    plus = [(0.5, out_plus, H), (0.5, out_plus, V)]
+    return {
+        (in_path, H): plus + [(0.5, out_minus, H), (-0.5, out_minus, V)],
+        (in_path, V): plus + [(-0.5, out_minus, H), (0.5, out_minus, V)],
+    }
 
 
 def photon_bs(
     s: HybridState, pid: str, path_a: str, path_b: str, theta: float = math.pi / 4
 ) -> HybridState:
     """Beam splitter between two paths of one photon (default 50:50)."""
-    for p in (path_a, path_b):
-        if p not in s.registry.paths_of(pid):
-            raise RegistryError(f"path {p!r} not registered for photon {pid!r}")
     c, sn = math.cos(theta), math.sin(theta)
+    return _path_map(s, pid, path_a, path_b, ((c, sn), (sn, -c)))
 
-    def fn(path, pol):
-        if path == path_a:
-            return [(c, path_a, pol), (sn, path_b, pol)]
-        if path == path_b:
-            return [(sn, path_a, pol), (-c, path_b, pol)]
-        return [(1.0, path, pol)]
 
-    return _remap_slot(s, pid, fn)
+def path_switch(s: HybridState, pid: str, path_a: str, path_b: str) -> HybridState:
+    """Swap two path labels of one photon."""
+    return _path_map(s, pid, path_a, path_b, ((0, 1), (1, 0)))
 
 
 def pbs(s: HybridState, pid: str, in_path: str, out_h: str, out_v: str) -> HybridState:
     """Polarizing beam splitter: H → out_h, V → out_v."""
-    reg = s.registry
-    for out in (out_h, out_v):
-        if out not in reg.paths_of(pid):
-            reg = reg.with_path(pid, out)
-    s = HybridState(reg, s.branches)
-
-    def fn(path, pol):
-        if path == in_path:
-            return [(1.0, out_h if pol == H else out_v, pol)]
-        return [(1.0, path, pol)]
-
-    return _remap_slot(s, pid, fn)
+    table = {(in_path, H): [(1, out_h, H)], (in_path, V): [(1, out_v, V)]}
+    return _remap_slot(_with_paths(s, pid, out_h, out_v), pid, table)
 
 
 def pbs_merge(s: HybridState, pid: str, h_path: str, v_path: str, out: str) -> HybridState:
     """Inverse PBS: H from h_path and V from v_path recombine on one path."""
-    reg = s.registry
-    if out not in reg.paths_of(pid):
-        reg = reg.with_path(pid, out)
-    s = HybridState(reg, s.branches)
-
-    def fn(path, pol):
-        if path == h_path:
-            if pol != H:
-                raise StateError(f"V component present on H input {h_path!r} of PBS merge")
-            return [(1.0, out, H)]
-        if path == v_path:
-            if pol != V:
-                raise StateError(f"H component present on V input {v_path!r} of PBS merge")
-            return [(1.0, out, V)]
-        return [(1.0, path, pol)]
-
-    return _remap_slot(s, pid, fn)
+    for br in s.branches:
+        path, pol = br.slot(pid)
+        if (path, pol) in ((h_path, V), (v_path, H)):
+            port = "H" if path == h_path else "V"
+            raise StateError(f"{pol} component present on {port} input {path!r} of PBS merge")
+    table = {(h_path, H): [(1, out, H)], (v_path, V): [(1, out, V)]}
+    return _remap_slot(_with_paths(s, pid, out), pid, table)
 
 
 def pbs_pm(s: HybridState, pid: str, in_path: str, out_plus: str, out_minus: str) -> HybridState:
     """PBS in the |±⟩ basis: |+⟩ → out_plus, |−⟩ → out_minus."""
-    reg = s.registry
-    for out in (out_plus, out_minus):
-        if out not in reg.paths_of(pid):
-            reg = reg.with_path(pid, out)
-    s = HybridState(reg, s.branches)
-
-    def fn(path, pol):
-        if path != in_path:
-            return [(1.0, path, pol)]
-        sign = 1.0 if pol == H else -1.0
-        # |H⟩ = (|+⟩+|−⟩)/√2, |V⟩ = (|+⟩−|−⟩)/√2; |±⟩ = (H ± V)/√2 on the arm
-        return [
-            (0.5, out_plus, H),
-            (0.5, out_plus, V),
-            (0.5 * sign, out_minus, H),
-            (-0.5 * sign, out_minus, V),
-        ]
-
-    return _remap_slot(s, pid, fn)
+    s = _with_paths(s, pid, out_plus, out_minus)
+    return _remap_slot(s, pid, _pm_table(in_path, out_plus, out_minus))
 
 
 def pbs_pm_merge(
@@ -188,32 +175,11 @@ def pbs_pm_merge(
     minus arm exit on one path.  Amplitude that would leave through the dark
     port (|−⟩ on the plus arm or |+⟩ on the minus arm) is an error.
     """
-    reg = s.registry
-    if out not in reg.paths_of(pid):
-        reg = reg.with_path(pid, out)
-    dark = reg.fresh_path("_dark")
-    reg = reg.with_path(pid, dark)
-    s = HybridState(reg, s.branches)
-
-    def fn(path, pol):
-        sv = 1.0 if pol == H else -1.0  # sign of the |−⟩ content of the slot
-        if path == plus_path:
-            return [
-                (0.5, out, H),
-                (0.5, out, V),
-                (0.5 * sv, dark, H),
-                (-0.5 * sv, dark, V),
-            ]
-        if path == minus_path:
-            return [
-                (0.5 * sv, out, H),
-                (-0.5 * sv, out, V),
-                (0.5, dark, H),
-                (0.5, dark, V),
-            ]
-        return [(1.0, path, pol)]
-
-    mapped = _remap_slot(s, pid, fn)
+    s = _with_paths(s, pid, out)
+    dark = s.registry.fresh_path("_dark")
+    s = _with_paths(s, pid, dark)
+    table = _pm_table(plus_path, out, dark) | _pm_table(minus_path, dark, out)
+    mapped = _remap_slot(s, pid, table)
     leak = math.fsum(
         abs(br.amplitude) ** 2 for br in mapped.branches if br.slot(pid)[0] == dark
     )
@@ -223,123 +189,40 @@ def pbs_pm_merge(
     return HybridState(mapped.registry.without_path(pid, dark), kept)
 
 
-def wave_plate(s: HybridState, pid: str, path: str | None, kind: str, phi: float = 0.0) -> HybridState:
-    """σx, σz or a polarization phase on one path (or all paths, path=None).
-
-    kind: "x" swaps H↔V; "z" maps |V⟩ → −|V⟩; "phase" multiplies |V⟩ by e^{iφ}.
-    """
+def wave_plate(s: HybridState, pid: str, path: str | None, kind: str) -> HybridState:
+    """σx ("x": H↔V) or σz ("z": |V⟩ → −|V⟩) on one path (every path if None)."""
     if kind == "x":
-        def fn(p, pol):
-            if path is None or p == path:
-                return [(1.0, p, V if pol == H else H)]
-            return [(1.0, p, pol)]
-    elif kind == "z":
-        def fn(p, pol):
-            if (path is None or p == path) and pol == V:
-                return [(-1.0, p, pol)]
-            return [(1.0, p, pol)]
-    elif kind == "phase":
-        w = cmath.exp(1j * phi)
-
-        def fn(p, pol):
-            if (path is None or p == path) and pol == V:
-                return [(w, p, pol)]
-            return [(1.0, p, pol)]
-    else:
-        raise ValueError(f"unknown wave plate kind {kind!r}")
-    return _remap_slot(s, pid, fn)
+        return _pol_map(s, pid, path, ((0, 1), (1, 0)))
+    if kind == "z":
+        return _pol_map(s, pid, path, ((1, 0), (0, -1)))
+    raise ValueError(f"unknown wave plate kind {kind!r}")
 
 
 def pol_rotate(s: HybridState, pid: str, path: str | None, theta: float) -> HybridState:
     """Polarization rotation: H → cosθ H + sinθ V, V → −sinθ H + cosθ V."""
     c, sn = math.cos(theta), math.sin(theta)
-
-    def fn(p, pol):
-        if path is not None and p != path:
-            return [(1.0, p, pol)]
-        if pol == H:
-            return [(c, p, H), (sn, p, V)]
-        return [(-sn, p, H), (c, p, V)]
-
-    return _remap_slot(s, pid, fn)
-
-
-def path_phase(s: HybridState, pid: str, path: str, phi: float) -> HybridState:
-    """Phase e^{iφ} on every polarization component of one path."""
-    w = cmath.exp(1j * phi)
-
-    def fn(p, pol):
-        return [(w if p == path else 1.0, p, pol)]
-
-    return _remap_slot(s, pid, fn)
-
-
-def slot_phase(s: HybridState, pid: str, path: str, pol: str, phi: float) -> HybridState:
-    """Phase e^{iφ} on a single (path, pol) slot, e.g. σz restricted to a path."""
-    w = cmath.exp(1j * phi)
-
-    def fn(p, q):
-        return [(w if (p == path and q == pol) else 1.0, p, q)]
-
-    return _remap_slot(s, pid, fn)
-
-
-def path_switch(s: HybridState, pid: str, path_a: str, path_b: str) -> HybridState:
-    """Swap two path labels of one photon."""
-    for p in (path_a, path_b):
-        if p not in s.registry.paths_of(pid):
-            raise RegistryError(f"path {p!r} not registered for photon {pid!r}")
-
-    def fn(p, pol):
-        if p == path_a:
-            return [(1.0, path_b, pol)]
-        if p == path_b:
-            return [(1.0, path_a, pol)]
-        return [(1.0, p, pol)]
-
-    return _remap_slot(s, pid, fn)
+    return _pol_map(s, pid, path, ((c, -sn), (sn, c)))
 
 
 def pol_unitary(s: HybridState, pid: str, path: str | None, u: np.ndarray) -> HybridState:
-    """Arbitrary 2×2 unitary on (H, V) of one path, phase-exact.
+    """Arbitrary 2×2 unitary on (H, V) of one path (every path if None).
 
-    ZYZ: two polarization-phase plates around a rotation, plus a closing
-    whole-path phase.  The closing phase matters: when the unitary acts on
-    one rail of a superposition, its "global" phase is relative.
+    Phase-exact: when the unitary acts on one rail of a superposition, its
+    "global" phase is relative.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
         raise ValueError("pol_unitary needs a 2x2 unitary")
-    det = np.linalg.det(u)
-    su = u / np.sqrt(det)
-    b = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
-    if abs(su[0, 0]) > 1e-12 and abs(su[1, 0]) > 1e-12:
-        apc = -2.0 * cmath.phase(su[0, 0])  # a + c
-        amc = 2.0 * cmath.phase(su[1, 0])   # a - c
-        a, c = (apc + amc) / 2.0, (apc - amc) / 2.0
-    elif abs(su[0, 0]) > 1e-12:
-        a, c = -2.0 * cmath.phase(su[0, 0]), 0.0
-    else:
-        a, c = 2.0 * cmath.phase(su[1, 0]), 0.0
-    # plates implement P(a)·Ry(b)·P(c) with P(t) = diag(1, e^{it})
-    cb, sb = math.cos(b / 2.0), math.sin(b / 2.0)
-    impl = np.array(
-        [[1, 0], [0, cmath.exp(1j * a)]], dtype=complex
-    ) @ np.array([[cb, -sb], [sb, cb]], dtype=complex) @ np.array(
-        [[1, 0], [0, cmath.exp(1j * c)]], dtype=complex
-    )
-    ij = np.unravel_index(np.argmax(np.abs(impl)), impl.shape)
-    residue = cmath.phase(u[ij] / impl[ij])
-    out = wave_plate(s, pid, path, "phase", c)
-    out = pol_rotate(out, pid, path, b / 2.0)
-    out = wave_plate(out, pid, path, "phase", a)
-    if abs(residue) > 1e-14:
-        if path is None:
-            for p in out.photon_paths_in_use(pid):
-                out = path_phase(out, pid, p, residue)
-        else:
-            out = path_phase(out, pid, path, residue)
-    return out
+    return _pol_map(s, pid, path, [[complex(x) for x in row] for row in u])
+
+
+def phase(s: HybridState, pid: str, path: str | None, pol: str | None, phi: float) -> HybridState:
+    """Phase e^{iφ} on one (path, pol) slot of a photon; None selects every
+    path or both polarizations (pol=None phases a whole path)."""
+    w = cmath.exp(1j * phi)
+    paths = s.registry.paths_of(pid) if path is None else (path,)
+    pols = POLS if pol is None else (pol,)
+    return _remap_slot(s, pid, {(p, q): [(w, p, q)] for p in paths for q in pols})
 
 
 # ---------------------------------------------------------------------------
@@ -404,38 +287,41 @@ def qubus_bs(s: HybridState, mode_a: str, mode_b: str) -> HybridState:
 # ---------------------------------------------------------------------------
 
 
+#: kind -> (the ElementOp target keys it reads, in call order, and the call
+#: on the state, those targets and the parameter).  Functions are looked up at
+#: call time, so rebinding a module attribute reaches apply_element too.
+ELEMENTS: dict[str, tuple[tuple[str, ...], Callable]] = {
+    "PhotonBS": (
+        ("photon", "path_a", "path_b"),
+        lambda s, pid, a, b, x: photon_bs(s, pid, a, b, x or math.pi / 4),
+    ),
+    "PBS": (
+        ("photon", "in_path", "out_h", "out_v"),
+        lambda s, pid, i, h, v, x: pbs(s, pid, i, h, v),
+    ),
+    "PBSpm": (
+        ("photon", "in_path", "out_plus", "out_minus"),
+        lambda s, pid, i, p, m, x: pbs_pm(s, pid, i, p, m),
+    ),
+    "WavePlateX": (("photon", "path"), lambda s, pid, path, x: wave_plate(s, pid, path, "x")),
+    "WavePlateZ": (("photon", "path"), lambda s, pid, path, x: wave_plate(s, pid, path, "z")),
+    "PolPhase": (("photon", "path", "pol"), lambda s, *a: phase(s, *a)),
+    "PolRot": (("photon", "path"), lambda s, *a: pol_rotate(s, *a)),
+    "PathSwitch": (
+        ("photon", "path_a", "path_b"),
+        lambda s, pid, a, b, x: path_switch(s, pid, a, b),
+    ),
+    "XPM": (("mode", "photon", "path", "pol"), lambda s, *a: xpm(s, *a)),
+    "QubusPhase": (("mode",), lambda s, *a: qubus_phase(s, *a)),
+    "QubusBS": (("mode_a", "mode_b"), lambda s, a, b, x: qubus_bs(s, a, b)),
+}
+ELEMENT_KINDS = tuple(ELEMENTS)
+
+
 def apply_element(s: HybridState, e: ElementOp) -> HybridState:
     """Execute one serializable element; used by feed-forward and meshes."""
-    k = e.kind
-    if k == "PhotonBS":
-        return photon_bs(s, e.target("photon"), e.target("path_a"), e.target("path_b"), e.parameter or math.pi / 4)
-    if k == "PBS":
-        return pbs(s, e.target("photon"), e.target("in_path"), e.target("out_h"), e.target("out_v"))
-    if k == "PBSpm":
-        return pbs_pm(s, e.target("photon"), e.target("in_path"), e.target("out_plus"), e.target("out_minus"))
-    if k == "WavePlateX":
-        return wave_plate(s, e.target("photon"), e.target("path"), "x")
-    if k == "WavePlateZ":
-        return wave_plate(s, e.target("photon"), e.target("path"), "z")
-    if k == "PolPhase":
-        pol = e.target("pol")
-        pid, path = e.target("photon"), e.target("path")
-        if pol is None:
-            return path_phase(s, pid, path, e.parameter)
-        if path is None:
-            return wave_plate(s, pid, None, "phase", e.parameter)
-        return slot_phase(s, pid, path, pol, e.parameter)
-    if k == "PolRot":
-        return pol_rotate(s, e.target("photon"), e.target("path"), e.parameter)
-    if k == "PathSwitch":
-        return path_switch(s, e.target("photon"), e.target("path_a"), e.target("path_b"))
-    if k == "XPM":
-        return xpm(s, e.target("mode"), e.target("photon"), e.target("path"), e.target("pol"), e.parameter)
-    if k == "QubusPhase":
-        return qubus_phase(s, e.target("mode"), e.parameter)
-    if k == "QubusBS":
-        return qubus_bs(s, e.target("mode_a"), e.target("mode_b"))
-    raise ValueError(f"unknown element kind {k!r}")
+    keys, call = ELEMENTS[e.kind]
+    return call(s, *map(e.target, keys), e.parameter)
 
 
 def apply_elements(s: HybridState, ops: Sequence[ElementOp]) -> HybridState:

@@ -18,7 +18,6 @@ are safe to share across threads.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -238,13 +237,6 @@ class HybridState:
 
     # -- algebra -------------------------------------------------------------
 
-    def map_branches(self, fn) -> "HybridState":
-        """Apply fn(Branch) -> iterable[Branch] and re-canonicalize."""
-        out: list[Branch] = []
-        for br in self.branches:
-            out.extend(fn(br))
-        return HybridState(self.registry, out).canonical()
-
     def canonical(self, tol: float = CANON_TOL) -> "HybridState":
         return canonicalize(self, tol)
 
@@ -454,25 +446,6 @@ def random_polarization_state(n: int, seed: int) -> HybridState:
 # ---------------------------------------------------------------------------
 
 
-def relabel_photon(s: HybridState, old: str, new: str) -> HybridState:
-    """Rename a photon id; pure bookkeeping, no physics."""
-    if s.registry.has_photon(new):
-        raise RegistryError(f"photon id {new!r} already in use")
-    paths = s.registry.paths_of(old)
-    reg = s.registry.without_photon(old).with_photon(new, paths)
-    branches = [
-        Branch(
-            br.amplitude,
-            _sorted_slots(
-                tuple((new if q == old else q, p, pol) for q, p, pol in br.photons)
-            ),
-            br.qubus,
-        )
-        for br in s.branches
-    ]
-    return HybridState(reg, branches)
-
-
 def remove_photon(s: HybridState, pid: str) -> HybridState:
     """Drop a photon that is in a product state with the rest; else error.
 
@@ -594,11 +567,3 @@ def state_from_dict(d: dict) -> HybridState:
         qubus = tuple(complex(re, im) for re, im in bd["qubus"])
         branches.append(Branch(amp, slots, qubus))
     return HybridState(reg, branches)
-
-
-def state_to_json(s: HybridState, **kwargs) -> str:
-    return json.dumps(state_to_dict(s), sort_keys=True, **kwargs)
-
-
-def state_from_json(text: str) -> HybridState:
-    return state_from_dict(json.loads(text))

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import elements
-from .state import HybridState, StateError
+from .state import POLS, HybridState, StateError
 
 
 class SynthesisError(ValueError):
@@ -183,15 +183,12 @@ def apply_path_unitary(
     u = check_unitary(u)
     if u.shape[0] != len(paths):
         raise SynthesisError("unitary size does not match path count")
-    index = {p: i for i, p in enumerate(paths)}
-
-    def fn(path, pol):
-        j = index.get(path)
-        if j is None:
-            return [(1.0, path, pol)]
-        return [(u[k, j], paths[k], pol) for k in range(len(paths))]
-
-    return elements._remap_slot(s, photon, fn)
+    table = {
+        (p, pol): [(u[k, j], q, pol) for k, q in enumerate(paths)]
+        for j, p in enumerate(paths)
+        for pol in POLS
+    }
+    return elements._remap_slot(s, photon, table)
 
 
 def qft_matrix(n: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qubusim import elements as el
 from qubusim import pipelines as pl
 from qubusim import polarization_state, state_to_dict
 from qubusim.analysis import alpha_for_beta2
@@ -155,6 +156,13 @@ def test_readme_lists_every_registry_step():
     assert [row.split("`")[1] for row in rows] == list(GATES)
 
 
+def test_readme_lists_every_element_kind_with_its_targets():
+    lines = README.read_text().splitlines()
+    for kind, (keys, _) in el.ELEMENTS.items():
+        line = next(line for line in lines if line.startswith(f"- `{kind}`:"))
+        assert line.split(";")[0] == f"- `{kind}`: " + ", ".join(f"`{k}`" for k in keys)
+
+
 def test_validation_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -163,9 +171,14 @@ def test_validation_error_exit_2(tmp_path):
         program = {"photons": [{"id": "1", "path": "t1", "state": state}], "gates": []}
         bad.write_text(json.dumps(program))
         assert main(["run", str(bad)]) == 2, state
+    program = {"photons": [{"id": "1", "path": "t1"}], "coeffs": [[1], [0, 0]], "gates": []}
+    bad.write_text(json.dumps(program))
+    assert main(["run", str(bad)]) == 2
     matrix = tmp_path / "m.json"
-    matrix.write_text(json.dumps([[1, 0], [1, 0]]))
-    assert main(["decompose", str(matrix)]) == 2
+    for data in ([[1, 0], [1, 0]], [[[1]]]):
+        matrix.write_text(json.dumps(data))
+        assert main(["decompose", str(matrix)]) == 2, data
+    assert main(["gate", "parity", "--input", "[[1],[0,0],[0,0],[0,0]]"]) == 2
 
 
 def test_decompose_identity(tmp_path):

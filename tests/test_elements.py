@@ -125,7 +125,7 @@ def test_odd_outcome_fixed_by_pi_phase_and_switch():
         [mk(a, "H", "H", "p3"), mk(b, "H", "V", "p2"),
          mk(c, "V", "H", "p2"), mk(d, "V", "V", "p3")],
     )
-    out = el.wave_plate(odd_form, "1", "p1", "phase", math.pi)
+    out = el.phase(odd_form, "1", "p1", "V", math.pi)
     out = el.path_switch(out, "2", "p2", "p3")
     assert fidelity(out, sorted_form) == pytest.approx(1.0)
 
@@ -213,6 +213,49 @@ def test_pol_unitary_matches_dense_including_phase():
             [amplitude_of(out, {"1": ("p", "H")}), amplitude_of(out, {"1": ("p", "V")})]
         )
         assert np.max(np.abs(got - u @ v)) < 1e-10
+
+
+def test_pol_phase_on_every_path_phases_only_the_named_polarization():
+    s = pol_qubit("1", "t1", 0.6, 0.8)
+    out = el.apply_element(s, el.op("PolPhase", math.pi / 3, photon="1", path=None, pol="H"))
+    assert amplitude_of(out, {"1": ("t1", "H")}) == pytest.approx(0.6 * cmath.exp(1j * math.pi / 3))
+    assert amplitude_of(out, {"1": ("t1", "V")}) == pytest.approx(0.8)
+
+
+#: kind -> (parameter, ElementOp targets, the same element called directly)
+DIRECT_CALLS = {
+    "PhotonBS": (0.3, dict(photon="1", path_a="p1", path_b="p3"),
+                 lambda s: el.photon_bs(s, "1", "p1", "p3", 0.3)),
+    "PBS": (0.0, dict(photon="1", in_path="p3", out_h="h", out_v="v"),
+            lambda s: el.pbs(s, "1", "p3", "h", "v")),
+    "PBSpm": (0.0, dict(photon="2", in_path="p2", out_plus="pp", out_minus="pm"),
+              lambda s: el.pbs_pm(s, "2", "p2", "pp", "pm")),
+    "WavePlateX": (0.0, dict(photon="1", path="p1"), lambda s: el.wave_plate(s, "1", "p1", "x")),
+    "WavePlateZ": (0.0, dict(photon="2", path=None), lambda s: el.wave_plate(s, "2", None, "z")),
+    "PolPhase": (0.7, dict(photon="1", path="p3", pol="V"),
+                 lambda s: el.phase(s, "1", "p3", "V", 0.7)),
+    "PolRot": (0.4, dict(photon="2", path="p2"), lambda s: el.pol_rotate(s, "2", "p2", 0.4)),
+    "PathSwitch": (0.0, dict(photon="1", path_a="p3", path_b="p1"),
+                   lambda s: el.path_switch(s, "1", "p3", "p1")),
+    "XPM": (0.2, dict(mode="q", photon="1", path="p1", pol="H"),
+            lambda s: el.xpm(s, "q", "1", "p1", "H", 0.2)),
+    "QubusPhase": (0.5, dict(mode="q"), lambda s: el.qubus_phase(s, "q", 0.5)),
+    "QubusBS": (0.0, dict(mode_a="r", mode_b="q"), lambda s: el.qubus_bs(s, "r", "q")),
+}
+
+
+@pytest.mark.parametrize("kind", el.ELEMENT_KINDS)
+def test_apply_element_matches_direct_call(kind):
+    s = polarization_state(haar_vec(4, 31), [("1", "p1"), ("2", "p2")])
+    s = el.photon_bs(with_extra_path(s, "1", "p3"), "1", "p1", "p3", 0.2)
+    s = attach_qubus(s, "q", 1.5 + 0.5j)
+    if kind == "QubusBS":  # the one element on two beams
+        s = attach_qubus(s, "r", 0.7)
+    parameter, targets, direct = DIRECT_CALLS[kind]
+    got = el.apply_element(s, el.op(kind, parameter, **targets))
+    want = direct(s)
+    assert got.registry == want.registry
+    assert got.branches == want.branches
 
 
 # -- displayed coherent patterns -------------------------------------------

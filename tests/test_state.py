@@ -1,5 +1,6 @@
 """Hybrid-state algebra: overlaps, fidelity, canonicalization, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -22,11 +23,9 @@ from qubusim import (
     plus_photon,
     pol_qubit,
     polarization_state,
-    relabel_photon,
     remove_photon,
-    state_from_json,
+    state_from_dict,
     state_to_dict,
-    state_to_json,
     tensor,
 )
 from qubusim.numerics import fock_amplitude
@@ -173,19 +172,11 @@ def test_remove_photon_rejects_entangled():
         remove_photon(s, "a")
 
 
-def test_relabel_photon_round_trip():
-    s = two_photon(13)
-    out = relabel_photon(s, "2", "zz")
-    assert set(out.registry.photons) == {"1", "zz"}
-    back = relabel_photon(out, "zz", "2")
-    assert fidelity(back, s) == pytest.approx(1.0)
-
-
 def test_json_snapshot_round_trip():
     s = attach_qubus(two_photon(17), "q", 1.0 + 2.0j)
     doc = state_to_dict(s)
     assert set(doc) == {"photons", "qubus_modes", "branches"}
     for br in doc["branches"]:
         assert set(br) == {"amplitude", "photons", "qubus"}
-    restored = state_from_json(state_to_json(s))
+    restored = state_from_dict(json.loads(json.dumps(doc)))
     assert abs(inner_product(restored, s) - 1.0) < 1e-12
