@@ -69,7 +69,10 @@ def parse_state_spec(spec: str, n_photons: int, seed: int) -> HybridState:
         coeffs = [0.0] * 2**n_photons
         coeffs[idx] = 1.0
         return polarization_state(coeffs, photons)
-    vals = [_entry(c) for c in json.loads(spec)]
+    data = json.loads(spec)
+    if not isinstance(data, list):
+        raise StateError(f"input {spec!r} is not a basis string, a coefficient list or haar[:seed]")
+    vals = [_entry(c) for c in data]
     if len(vals) != 2**n_photons:
         raise StateError(f"need {2**n_photons} coefficients, got {len(vals)}")
     return polarization_state(vals, photons)

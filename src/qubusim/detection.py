@@ -6,7 +6,9 @@ XPM + 50:50 BS + non-resolving detector), the non-resolving POVM
 that keeps the photon, and the (idealized, projective) Bell measurement.
 
 Every measurement is enumerated: `*_outcomes` lists each outcome above
-MIN_PROB with its exact probability and collapsed state.
+MIN_PROB with its exact probability and collapsed state.  The Fock pmf of a
+beam is computed for every n in one array pass over the branches; only the
+outcomes it keeps are then collapsed into states.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import default_fock_cutoff, fock_amplitude, poisson_pmf
+from .numerics import default_fock_cutoff, fock_amplitude, fock_amplitude_table, poisson_pmf
 from .state import (
     Branch,
     HybridState,
@@ -66,24 +68,49 @@ def _fock_collapsed(s: HybridState, idx: int, n: int) -> HybridState:
     return HybridState(reg, out).canonical(0.0)
 
 
+def _fock_pmf(s: HybridState, idx: int, cutoff: int) -> np.ndarray:
+    """P(n) = Σ_bb' conj(c_b F_bn) G_bb' c_b' F_b'n for n = 0..cutoff.
+
+    F_bn = ⟨n|α_b⟩ on the measured mode; G_bb' is the coherent overlap of the
+    other modes, nonzero only between branches with equal photon labels and
+    Hermitian, so each label group adds its upper triangle twice.
+    """
+    branches = s.branches
+    w = fock_amplitude_table([br.qubus[idx] for br in branches], cutoff)
+    w *= np.array([br.amplitude for br in branches], dtype=complex)[:, None]
+    probs = (w.real**2 + w.imag**2).sum(axis=0)
+    groups: dict[tuple, list[int]] = {}
+    for b, br in enumerate(branches):
+        groups.setdefault(br.photons, []).append(b)
+    rest = [br.qubus[:idx] + br.qubus[idx + 1 :] for br in branches]
+    for members in groups.values():
+        for i, b in enumerate(members[:-1]):
+            others = members[i + 1 :]
+            g = np.array([coherent_overlap(rest[b], rest[k]) for k in others])
+            cross = (g[:, None] * w[others]).sum(axis=0)
+            probs += 2.0 * (w[b].conj() * cross).real
+    return probs
+
+
 def fock_distribution(
     s: HybridState, mode: str, cutoff: int | None = None, tail_tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray]:
     """Photon-number pmf of one qubus beam: P(n) = ‖Σ_b amp_b ⟨n|α_b⟩ |rest_b⟩‖².
 
-    The cutoff defaults to mean + 12√mean of the largest branch intensity;
-    if the enumerated mass misses 1 by more than tail_tol the cutoff was too
-    small and an error reports the measured tail mass.
+    Every n = 0..cutoff comes from one array pass (a log-domain ⟨n|α_b⟩
+    table and the Gram matrix of the other modes within each label group);
+    no collapsed state is built.  The cutoff defaults to mean + 12√mean of
+    the largest branch intensity; if the enumerated mass misses 1 by more
+    than tail_tol the cutoff was too small and an error reports the measured
+    tail mass.
     """
     idx = s.registry.qubus_index(mode)
     if cutoff is None:
         mean = max((abs(br.qubus[idx]) ** 2 for br in s.branches), default=0.0)
         cutoff = default_fock_cutoff(mean)
-    probs = np.empty(cutoff + 1)
-    for n in range(cutoff + 1):
-        probs[n] = norm(_fock_collapsed(s, idx, n)) ** 2
+    probs = _fock_pmf(s, idx, cutoff)
     total = float(probs.sum())
-    if abs(total - 1.0) > tail_tol:
+    if not abs(total - 1.0) <= tail_tol:  # a NaN total fails too
         raise MeasurementError(
             f"Fock cutoff {cutoff} too small: tail mass {max(1.0 - total, 0.0):.3e}"
         )
@@ -103,15 +130,18 @@ def fock_project(s: HybridState, mode: str, n: int) -> MeasurementRecord:
 
 
 def fock_outcomes(s: HybridState, mode: str) -> list[MeasurementRecord]:
-    """All Fock outcomes with probability above MIN_PROB."""
+    """All Fock outcomes with probability above MIN_PROB.
+
+    The pmf picks the outcomes; each kept n is collapsed once, and its
+    record carries the collapsed state's own norm² and normalized state.
+    """
     ns, probs = fock_distribution(s, mode)
     idx = s.registry.qubus_index(mode)
     out = []
-    for n, p in zip(ns, probs):
-        if p >= MIN_PROB:
-            out.append(
-                MeasurementRecord("fock", int(n), float(p), _fock_collapsed(s, idx, int(n)).normalized())
-            )
+    for n in ns[probs >= MIN_PROB]:
+        collapsed = _fock_collapsed(s, idx, int(n))
+        nrm = norm(collapsed)
+        out.append(MeasurementRecord("fock", int(n), nrm**2, collapsed.scaled(1.0 / nrm)))
     return out
 
 

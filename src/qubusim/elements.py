@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,6 +49,8 @@ class ElementOp:
     def __post_init__(self):
         if self.kind not in ELEMENTS:
             raise ValueError(f"unknown element kind {self.kind!r}")
+        if not isinstance(self.parameter, numbers.Real):
+            raise ValueError(f"element parameter {self.parameter!r} is not a number")
         if not math.isfinite(self.parameter):
             raise ValueError("element parameter must be finite")
 

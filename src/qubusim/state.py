@@ -222,18 +222,23 @@ class HybridState:
         self.registry = registry
         self.branches = tuple(branches)
         nq = len(registry.qubus_modes)
-        pids = set(registry.photons)
+        paths = dict(registry.photon_paths)
+        pids = sorted(paths)
+        # equal label tuples get equal verdicts, so each distinct one is checked once
+        checked: set[tuple[Slot, ...]] = set()
         for br in self.branches:
             if len(br.qubus) != nq:
                 raise StateError("branch qubus length != number of registered modes")
-            ids = [s[0] for s in br.photons]
-            if sorted(ids) != sorted(pids):
+            if br.photons in checked:
+                continue
+            if sorted(s[0] for s in br.photons) != pids:
                 raise StateError("branch photon ids do not match registry")
             for pid, path, pol in br.photons:
                 if pol not in POLS:
                     raise StateError(f"bad polarization {pol!r}")
-                if path not in registry.paths_of(pid):
+                if path not in paths[pid]:
                     raise RegistryError(f"path {path!r} not registered for {pid!r}")
+            checked.add(br.photons)
 
     # -- algebra -------------------------------------------------------------
 

@@ -179,6 +179,12 @@ def test_validation_error_exit_2(tmp_path):
         matrix.write_text(json.dumps(data))
         assert main(["decompose", str(matrix)]) == 2, data
     assert main(["gate", "parity", "--input", "[[1],[0,0],[0,0],[0,0]]"]) == 2
+    assert main(["gate", "parity", "--input", "5"]) == 2
+    step = {"gate": "element", "kind": "PolRot", "parameter": "x",
+            "targets": {"photon": "1", "path": "t1"}}
+    program = {"photons": [{"id": "1", "path": "t1"}], "gates": [step]}
+    bad.write_text(json.dumps(program))
+    assert main(["run", str(bad)]) == 2
 
 
 def test_decompose_identity(tmp_path):

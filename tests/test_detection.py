@@ -6,17 +6,24 @@ import numpy as np
 import pytest
 
 from qubusim import (
+    Branch,
     HybridState,
+    ModeRegistry,
     attach_qubus,
     bell_state,
     norm,
     pol_qubit,
+    normalize,
     polarization_state,
     tensor,
 )
 from qubusim import elements as el
+from qubusim import gates
+from qubusim import pipelines as pl
 from qubusim.detection import (
+    MIN_PROB,
     MeasurementError,
+    _fock_collapsed,
     QndConfig,
     bell_outcomes,
     fock_distribution,
@@ -73,6 +80,64 @@ def test_fock_distribution_parity_output_p0():
 def test_fock_distribution_cutoff_error():
     with pytest.raises(MeasurementError, match="tail"):
         fock_distribution(coherent_state(math.sqrt(20)), "q", cutoff=10)
+
+
+def _teleport_block(monkeypatch, branches=256):
+    """The coupled state of the first qubus block of that size in a 3-photon teleport."""
+
+    class Found(Exception):
+        pass
+
+    def capture(s, mode):
+        if len(s.branches) == branches:
+            raise Found(s, mode)
+        return fock_outcomes(s, mode)
+
+    monkeypatch.setattr(gates, "fock_outcomes", capture)
+    s = tensor(
+        tensor(pol_qubit("1", "t1", 0.6, 0.8j), pol_qubit("2", "t2", 1, 1)),
+        pol_qubit("3", "t3", 0.3, -0.7),
+    )
+    with pytest.raises(Found) as found:
+        pl.to_qudit_teleport(s, ["1", "2", "3"], alpha_for(20.0), THETA)
+    return found.value.args
+
+
+def _vacuum_branch_state():
+    """Label groups of several branches, one of them with α = 0 on mode q."""
+    reg = ModeRegistry().with_photon("1", ("t1",)).with_qubus("q").with_qubus("r")
+    h, v = (("1", "t1", "H"),), (("1", "t1", "V"),)
+    return normalize(HybridState(reg, [
+        Branch(0.6 + 0j, h, (0j, 1.0 + 0j)),
+        Branch(0.5j, h, (2.0 + 0j, 1.5 - 0.5j)),
+        Branch(0.4 + 0j, h, (-1.5j, 0.3 + 0j)),
+        Branch(0.3 + 0j, v, (1 + 1j, 0j)),
+        Branch(-0.2j, v, (1 - 1j, 0.5j)),
+    ]))
+
+
+@pytest.mark.parametrize("case", ["parity-2000", "cpath2-256", "vacuum-branch"])
+def test_fock_pmf_matches_collapsed_norms(case, monkeypatch):
+    # the one-pass pmf against the norm of each collapsed state, n = 0..cutoff
+    if case == "parity-2000":
+        s, (mode, _) = parity_premeasure(beta2=2000.0)
+    elif case == "cpath2-256":
+        s, mode = _teleport_block(monkeypatch)
+    else:
+        s, mode = _vacuum_branch_state(), "q"
+    ns, probs = fock_distribution(s, mode)
+    idx = s.registry.qubus_index(mode)
+    ref = np.array([norm(_fock_collapsed(s, idx, int(n))) ** 2 for n in ns])
+    assert np.max(np.abs(probs - ref)) <= 1e-12
+    records = fock_outcomes(s, mode)
+    assert [r.value for r in records] == [int(n) for n in ns[probs >= MIN_PROB]]
+    for r in records:
+        assert r.probability == norm(_fock_collapsed(s, idx, r.value)) ** 2
+
+
+def test_fock_distribution_rejects_nan_amplitude():
+    with pytest.raises(MeasurementError, match="tail"):
+        fock_distribution(coherent_state(complex(math.nan, 0.0)), "q", cutoff=30)
 
 
 def test_fock_project_impossible():

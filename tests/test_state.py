@@ -145,6 +145,30 @@ def test_fock_truncation_oracle_agreement():
         assert abs(got - expect) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "last, error, message",
+    [
+        ((("1", "p", "H"),), StateError, "branch photon ids do not match registry"),
+        ((("1", "p", "H"), ("2", "r", "D")), StateError, "bad polarization 'D'"),
+        ((("1", "p", "H"), ("2", "zz", "V")), RegistryError, "path 'zz' not registered for '2'"),
+    ],
+    ids=["missing-photon", "bad-polarization", "unregistered-path"],
+)
+def test_state_rejects_only_the_last_bad_branch(last, error, message):
+    reg = ModeRegistry().with_photon("1", ("p",)).with_photon("2", ("r", "r2")).with_qubus("q")
+    good = [
+        Branch(0.1 + 0j, (("1", "p", pol1), ("2", path, pol2)), (complex(k),))
+        for k in range(8)
+        for pol1 in "HV"
+        for path in ("r", "r2")
+        for pol2 in "HV"
+    ]
+    HybridState(reg, good)
+    with pytest.raises(error) as caught:
+        HybridState(reg, good + [Branch(0.1 + 0j, last, (0j,))])
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_norm_zero_state_errors():
     reg = ModeRegistry().with_photon("1", ("p",))
     s = HybridState(reg, [Branch(0.0, (("1", "p", "H"),), ())])
