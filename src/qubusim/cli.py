@@ -115,6 +115,8 @@ def _entry(c) -> complex:
 
 def _matrix_from_json(data) -> np.ndarray:
     """Rows of entries, each a number or an [re, im] pair."""
+    if not (isinstance(data, list) and data and all(isinstance(row, list) for row in data)):
+        raise StateError(f"matrix {data!r} is not a non-empty list of rows")
     return np.array([[_entry(c) for c in row] for row in data], dtype=complex)
 
 

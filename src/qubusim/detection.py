@@ -6,16 +6,20 @@ XPM + 50:50 BS + non-resolving detector), the non-resolving POVM
 that keeps the photon, and the (idealized, projective) Bell measurement.
 
 Every measurement is enumerated: `*_outcomes` lists each outcome above
-MIN_PROB with its exact probability and collapsed state.  The Fock pmf of a
-beam is computed for every n in one array pass over the branches; only the
-outcomes it keeps are then collapsed into states.
+MIN_PROB with its exact probability and collapsed state.  A beam's Fock pmf
+comes from its decomposition into parts, one per distinct beam value α_k:
+outcome n collapses to Σ_k ⟨n|α_k⟩ ψ_k, so P(n) for every n is one array pass
+over a K-row ⟨n|α_k⟩ table and the K×K Gram matrix of the parts.
+`fock_outcomes` returns the kept outcomes as a sequence carrying those parts
+and weights; a record, with its collapsed state, is built only when an
+outcome is read.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from .state import (
     Branch,
     HybridState,
     coherent_overlap,
+    inner_product,
     norm,
 )
 
@@ -68,53 +73,79 @@ def _fock_collapsed(s: HybridState, idx: int, n: int) -> HybridState:
     return HybridState(reg, out).canonical(0.0)
 
 
-def _fock_pmf(s: HybridState, idx: int, cutoff: int) -> np.ndarray:
-    """P(n) = Σ_bb' conj(c_b F_bn) G_bb' c_b' F_b'n for n = 0..cutoff.
+def _split_by_value(s: HybridState, idx: int) -> tuple[list[complex], list[HybridState]]:
+    """The distinct values α_k of qubus mode idx and the parts ψ_k.
 
-    F_bn = ⟨n|α_b⟩ on the measured mode; G_bb' is the coherent overlap of the
-    other modes, nonzero only between branches with equal photon labels and
-    Hermitian, so each label group adds its upper triangle twice.
+    ψ_k holds the branches whose value is α_k, with the mode removed, so the
+    state is Σ_k ψ_k ⊗ |α_k⟩ and a projection ⟨n| on the mode gives
+    Σ_k ⟨n|α_k⟩ ψ_k.
     """
-    branches = s.branches
-    w = fock_amplitude_table([br.qubus[idx] for br in branches], cutoff)
-    w *= np.array([br.amplitude for br in branches], dtype=complex)[:, None]
-    probs = (w.real**2 + w.imag**2).sum(axis=0)
-    groups: dict[tuple, list[int]] = {}
-    for b, br in enumerate(branches):
-        groups.setdefault(br.photons, []).append(b)
-    rest = [br.qubus[:idx] + br.qubus[idx + 1 :] for br in branches]
-    for members in groups.values():
-        for i, b in enumerate(members[:-1]):
-            others = members[i + 1 :]
-            g = np.array([coherent_overlap(rest[b], rest[k]) for k in others])
-            cross = (g[:, None] * w[others]).sum(axis=0)
-            probs += 2.0 * (w[b].conj() * cross).real
-    return probs
+    reg = s.registry.without_qubus(s.registry.qubus_modes[idx])
+    groups: dict[complex, list[Branch]] = {}
+    for br in s.branches:
+        rest = Branch(br.amplitude, br.photons, br.qubus[:idx] + br.qubus[idx + 1 :])
+        groups.setdefault(br.qubus[idx], []).append(rest)
+    return list(groups), [HybridState(reg, brs) for brs in groups.values()]
+
+
+def _gram(parts: Sequence[HybridState]) -> np.ndarray:
+    """G_kl = ⟨parts_k|parts_l⟩, Hermitian, from the upper triangle."""
+    g = np.empty((len(parts), len(parts)), dtype=complex)
+    for k, a in enumerate(parts):
+        for j in range(k, len(parts)):
+            g[k, j] = inner_product(a, parts[j])
+            g[j, k] = g[k, j].conjugate()
+    return g
+
+
+def _quadratic_forms(g: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """fₙᴴ G fₙ for every column fₙ of f."""
+    return np.einsum("kn,kl,ln->n", f.conj(), g, f).real
+
+
+@dataclass(frozen=True)
+class FockPmf:
+    """P(n) of one qubus beam for n = 0..cutoff, with the decomposition behind it.
+
+    Unpacks as (ns, probs).  parts[k] holds the branches whose beam value is
+    α_k, with the beam removed, and table[k, n] = ⟨n|α_k⟩; outcome n
+    collapses to Σ_k table[k, n] parts[k].
+    """
+
+    ns: np.ndarray
+    probs: np.ndarray
+    parts: tuple[HybridState, ...]
+    table: np.ndarray
+
+    def __iter__(self):
+        return iter((self.ns, self.probs))
 
 
 def fock_distribution(
     s: HybridState, mode: str, cutoff: int | None = None, tail_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
-    """Photon-number pmf of one qubus beam: P(n) = ‖Σ_b amp_b ⟨n|α_b⟩ |rest_b⟩‖².
+) -> FockPmf:
+    """Photon-number pmf of one qubus beam: P(n) = ‖Σ_k ⟨n|α_k⟩ ψ_k‖².
 
-    Every n = 0..cutoff comes from one array pass (a log-domain ⟨n|α_b⟩
-    table and the Gram matrix of the other modes within each label group);
-    no collapsed state is built.  The cutoff defaults to mean + 12√mean of
-    the largest branch intensity; if the enumerated mass misses 1 by more
-    than tail_tol the cutoff was too small and an error reports the measured
-    tail mass.
+    The beam takes a few distinct values α_k; ψ_k are the parts of the state
+    at each (see FockPmf).  Every n = 0..cutoff comes from one log-domain
+    ⟨n|α_k⟩ table with K rows and the K×K Gram matrix G of the parts, as
+    P(n) = fₙᴴ G fₙ; no collapsed state is built.  The cutoff defaults to
+    mean + 12√mean of the largest value's intensity; if the enumerated mass
+    misses 1 by more than tail_tol the cutoff was too small and an error
+    reports the measured tail mass.
     """
     idx = s.registry.qubus_index(mode)
+    values, parts = _split_by_value(s, idx)
     if cutoff is None:
-        mean = max((abs(br.qubus[idx]) ** 2 for br in s.branches), default=0.0)
-        cutoff = default_fock_cutoff(mean)
-    probs = _fock_pmf(s, idx, cutoff)
+        cutoff = default_fock_cutoff(max((abs(a) ** 2 for a in values), default=0.0))
+    table = fock_amplitude_table(values, cutoff)
+    probs = _quadratic_forms(_gram(parts), table)
     total = float(probs.sum())
     if not abs(total - 1.0) <= tail_tol:  # a NaN total fails too
         raise MeasurementError(
             f"Fock cutoff {cutoff} too small: tail mass {max(1.0 - total, 0.0):.3e}"
         )
-    return np.arange(cutoff + 1), probs
+    return FockPmf(np.arange(cutoff + 1), probs, tuple(parts), table)
 
 
 def fock_project(s: HybridState, mode: str, n: int) -> MeasurementRecord:
@@ -129,20 +160,38 @@ def fock_project(s: HybridState, mode: str, n: int) -> MeasurementRecord:
     return MeasurementRecord("fock", n, p, collapsed.normalized())
 
 
-def fock_outcomes(s: HybridState, mode: str) -> list[MeasurementRecord]:
-    """All Fock outcomes with probability above MIN_PROB.
+class FockOutcomes(Sequence):
+    """The Fock outcomes of one beam above MIN_PROB, in increasing n.
 
-    The pmf picks the outcomes; each kept n is collapsed once, and its
-    record carries the collapsed state's own norm² and normalized state.
+    values, probabilities and weights (the columns ⟨n|α_k⟩ of the pmf table)
+    come from the pmf, and parts from its decomposition, so outcome i is
+    Σ_k weights[k, i] parts[k] without building a state.  Indexing or
+    iterating collapses the state into outcome i's MeasurementRecord, whose
+    probability is the collapsed state's own norm².
     """
-    ns, probs = fock_distribution(s, mode)
-    idx = s.registry.qubus_index(mode)
-    out = []
-    for n in ns[probs >= MIN_PROB]:
-        collapsed = _fock_collapsed(s, idx, int(n))
+
+    def __init__(self, s: HybridState, mode: str, pmf: FockPmf):
+        keep = pmf.probs >= MIN_PROB
+        self.values = [int(n) for n in pmf.ns[keep]]
+        self.probabilities = pmf.probs[keep]
+        self.weights = pmf.table[:, keep]
+        self.parts = pmf.parts
+        self._state = s
+        self._idx = s.registry.qubus_index(mode)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: int) -> MeasurementRecord:
+        n = self.values[i]
+        collapsed = _fock_collapsed(self._state, self._idx, n)
         nrm = norm(collapsed)
-        out.append(MeasurementRecord("fock", int(n), nrm**2, collapsed.scaled(1.0 / nrm)))
-    return out
+        return MeasurementRecord("fock", n, nrm**2, collapsed.scaled(1.0 / nrm))
+
+
+def fock_outcomes(s: HybridState, mode: str) -> FockOutcomes:
+    """All Fock outcomes with probability above MIN_PROB (see FockOutcomes)."""
+    return FockOutcomes(s, mode, fock_distribution(s, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +256,7 @@ class QndConfig:
 
 def qnd_outcomes(
     s: HybridState, mode: str, cfg: QndConfig, readout: str = "ideal"
-) -> list[MeasurementRecord]:
+) -> Sequence[MeasurementRecord]:
     """Enumerate the QND module's outcomes on one qubus beam.
 
     "ideal" realizes |n⟩⟨n| directly (the chain's net effect).  "binned"
@@ -380,21 +429,26 @@ def bell_outcomes(s: HybridState, pid_a: str, pid_b: str) -> list[MeasurementRec
 def project_qubus_coherent(s: HybridState, mode: str) -> tuple[HybridState, float]:
     """Project one qubus mode onto its dominant coherent value and drop it.
 
-    The dominant branch's amplitude is the value; returns (state, prob).
-    Composite gates dispose of their unmeasured beam this way; the tiny
-    residual which-path weight (~e^{−|β|²}) becomes the gates'
-    deterministic-fidelity leak.
+    The value is the mode's value in the branch of largest |amplitude|;
+    returns (state, prob).  Composite gates dispose of their unmeasured beam
+    this way; the tiny residual which-path weight (~e^{−|β|²}) becomes the
+    gates' deterministic-fidelity leak.
     """
     idx = s.registry.qubus_index(mode)
     value = max(s.branches, key=lambda br: abs(br.amplitude)).qubus[idx]
-    reg = s.registry.without_qubus(mode)
+    collapsed = _project_onto(s, idx, value)
+    p = norm(collapsed) ** 2
+    return collapsed.normalized(), p
+
+
+def _project_onto(s: HybridState, idx: int, value: complex) -> HybridState:
+    """⟨value| on qubus mode idx, the mode removed; canonical, not normalized."""
+    reg = s.registry.without_qubus(s.registry.qubus_modes[idx])
     out = []
     for br in s.branches:
         w = coherent_overlap((complex(value),), (br.qubus[idx],))
         out.append(Branch(br.amplitude * w, br.photons, br.qubus[:idx] + br.qubus[idx + 1 :]))
-    collapsed = HybridState(reg, out).canonical()
-    p = norm(collapsed) ** 2
-    return collapsed.normalized(), p
+    return HybridState(reg, out).canonical()
 
 
 # ---------------------------------------------------------------------------

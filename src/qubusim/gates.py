@@ -10,6 +10,19 @@ state; the unmeasured sum port is disposed of by heralded projection onto its
 dominant coherent value, whose tiny residual which-path weight is the only
 nondeterminism left (≤ ~e^{−|β|²} in fidelity, with |β|² = 2α²sin²θ).
 
+A block computes its whole outcome table from one decomposition.  The
+difference port takes a few distinct values α_k (0 and ±β in every gate
+here), so outcome n is Σ_k ⟨n|α_k⟩ ψ_k over the parts ψ_k of the state at
+each value.  Feed-forward, disposal and the gate's post step are linear once
+the disposal value is fixed, so each feed-forward class pushes the K parts
+through `FeedForwardPlan.correct` once, and each (class, disposal value)
+group projects and post-processes them once.  Probabilities, norms and
+fidelities with the representative are K-term sums over Gram matrices of the
+parts, and an outcome's state is built only when read.  The representative,
+and every outcome whose disposal value is not unique, take the per-outcome
+route (collapse, correct, dispose, post); the representative's batched state
+must match its route, so the array algebra is checked on every block.
+
 The parity gate and the C-path family share one rail-routing block: a fresh
 rail opens beside each target rail with a 50:50 split, and even n switches
 the rails while odd n adds a π phase.  C-path is C-path-2 on a one-rail
@@ -23,25 +36,38 @@ resource counts, and the feed-forward table actually used.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 from . import elements as el
 from . import synthesis as syn
 from .detection import (
+    FockOutcomes,
+    MeasurementRecord,
+    _gram,
+    _project_onto,
+    _quadratic_forms,
     fock_outcomes,
     presence_outcomes,
     project_qubus_coherent,
 )
 from .state import (
+    CANON_TOL,
     H,
     V,
+    Branch,
     HybridState,
     attach_qubus,
     fidelity,
     inner_product,
+    norm,
     plus_photon,
     remove_photon,
     tensor,
@@ -60,6 +86,15 @@ DEFAULTS = {
 
 #: an outcome "agrees" with the representative above this fidelity
 AGREEMENT_TOL = 1e-6
+
+#: two magnitudes within this relative gap tie: an outcome whose disposal
+#: value ties, and every outcome tied for most probable, take the per-outcome
+#: route in a qubus block
+TIE_TOL = 1e-9
+
+#: a qubus block's batched representative must match its per-outcome route
+#: to this fidelity
+ROUTE_TOL = 1e-9
 
 
 class GateError(ValueError):
@@ -191,9 +226,13 @@ class FeedForwardPlan:
     def __init__(self, even_ops: Sequence[el.ElementOp], odd_ops: Sequence[el.ElementOp]):
         self.rows = ([], list(even_ops), list(odd_ops))
 
+    @staticmethod
+    def row_of(n: int) -> int:
+        """The row outcome n uses: 0 for n=0, 1 for even n, 2 for odd n."""
+        return 0 if n == 0 else 1 + n % 2
+
     def correct(self, state: HybridState, record) -> HybridState:
-        n = record.value
-        return el.apply_elements(state, self.rows[0 if n == 0 else 1 + n % 2])
+        return el.apply_elements(state, self.rows[self.row_of(record.value)])
 
     def describe(self) -> list[tuple[str, list[dict]]]:
         return [(label, [o.to_dict() for o in ops]) for label, ops in zip(self.LABELS, self.rows)]
@@ -213,7 +252,7 @@ class Scored:
     outcomes: list[OutcomeEntry]
     min_fidelity: float
     success_probability: float
-    states: list[tuple[object, float, HybridState]]  # (value, prob, corrected state)
+    states: Sequence[tuple[object, float, HybridState]]  # (value, prob, corrected state)
 
     def report(self, name: str, resources: Resources, **fields) -> GateReport:
         """The stage's GateReport; fields fill the remaining report fields."""
@@ -223,24 +262,40 @@ class Scored:
         )
 
 
-def score_outcomes(kind: str, corrected: list[tuple[object, float, HybridState]]) -> Scored:
+def _score(
+    kind: str,
+    values: Sequence[object],
+    probs: Sequence[float],
+    fidelities: Callable[[int], Sequence[float]],
+    states: Sequence[tuple[object, float, HybridState]],
+) -> Scored:
     """Pick the most probable outcome as representative and score all against it.
 
-    corrected holds (value, probability, corrected state) per outcome.  An
-    outcome counts towards the success mass when its fidelity with the
-    representative is within AGREEMENT_TOL of 1.
+    fidelities(rep) gives every outcome's fidelity with outcome rep's
+    corrected state, and states[i] is outcome i's (value, probability,
+    corrected state).  An outcome counts towards the success mass when its
+    fidelity with the representative is within AGREEMENT_TOL of 1.
     """
-    ref_value, _, ref_state = max(corrected, key=lambda t: t[1])
-    outcomes = []
-    min_fid = 1.0
+    rep = max(range(len(probs)), key=probs.__getitem__)
+    fids = fidelities(rep)
+    outcomes = [OutcomeEntry(kind, v, p, f) for v, p, f in zip(values, probs, fids)]
     success = 0.0
-    for value, p, st in corrected:
-        f = fidelity(st, ref_state)
-        outcomes.append(OutcomeEntry(kind, value, p, f))
-        min_fid = min(min_fid, f)
+    for p, f in zip(probs, fids):
         if f >= 1.0 - AGREEMENT_TOL:
             success += p
-    return Scored(ref_value, ref_state, outcomes, min_fid, success, corrected)
+    return Scored(values[rep], states[rep][2], outcomes, min(1.0, *fids), success, states)
+
+
+def score_outcomes(kind: str, corrected: list[tuple[object, float, HybridState]]) -> Scored:
+    """Score a stage whose corrected states are all built: (value, prob, state) each."""
+
+    def fidelities(rep: int) -> list[float]:
+        ref = corrected[rep][2]
+        return [fidelity(st, ref) for _, _, st in corrected]
+
+    values = [v for v, _, _ in corrected]
+    probs = [p for _, p, _ in corrected]
+    return _score(kind, values, probs, fidelities, corrected)
 
 
 def couple_qubus_pair(
@@ -249,8 +304,11 @@ def couple_qubus_pair(
     """Attach |α⟩|α⟩, run the XPM pattern, −θ on both beams, then the qubus BS.
 
     Returns the pre-measurement state and the two beam names (difference
-    port first).
+    port first).  α and θ must be finite numbers.
     """
+    for name, x in (("alpha", alpha), ("theta", theta)):
+        if not (isinstance(x, numbers.Number) and cmath.isfinite(x)):
+            raise GateError(f"{name} must be a finite number, got {x!r}")
     reg = s.registry
     for c in couplings:
         if c.path not in reg.paths_of(c.photon):
@@ -268,6 +326,152 @@ def couple_qubus_pair(
     return s, beams
 
 
+def _outcome_route(
+    rec: MeasurementRecord,
+    plan: FeedForwardPlan,
+    beam: str,
+    post: Callable[[HybridState], HybridState] | None,
+) -> HybridState:
+    """One outcome on its own: feed-forward on its collapsed state, disposal of
+    the beam onto its dominant value, then post."""
+    st = plan.correct(rec.collapsed, rec)
+    st, _ = project_qubus_coherent(st, beam)
+    return st if post is None else post(st)
+
+
+def _branch_matrix(states: Sequence[HybridState]) -> tuple[list[tuple], np.ndarray]:
+    """The states' amplitudes over their merged branch basis, one column each.
+
+    Branches with equal labels and qubus values within CANON_TOL share a row,
+    as canonicalize would merge them.  Returns each row's qubus values and
+    the (rows × states) amplitude matrix.
+    """
+    qubus: list[tuple] = []
+    rows_of: dict[tuple, list[int]] = {}
+    entries = []
+    for j, st in enumerate(states):
+        for br in st.branches:
+            rows = rows_of.setdefault(br.photons, [])
+            for r in rows:
+                if all(abs(x - y) <= CANON_TOL for x, y in zip(qubus[r], br.qubus)):
+                    break
+            else:
+                r = len(qubus)
+                qubus.append(br.qubus)
+                rows.append(r)
+            entries.append((r, j, br.amplitude))
+    m = np.zeros((len(qubus), len(states)), dtype=complex)
+    for r, j, a in entries:
+        m[r, j] += a
+    return qubus, m
+
+
+class _BlockOutputs(Sequence):
+    """The corrected outputs of one qubus block: (value, probability, state) each.
+
+    Computed from the parts and weights of `found` (a FockOutcomes) as the
+    module docstring describes.  The outcomes are grouped by (feed-forward
+    row, disposal value); an outcome's disposal value is the sum-port value
+    of its largest branch, read from one (basis × outcomes) array per row.
+    `routed` holds the outcomes that went the per-outcome route
+    (_outcome_route): the representative, whose batched state must match it,
+    and every outcome whose disposal value ties with another within TIE_TOL.
+    """
+
+    def __init__(
+        self,
+        found: FockOutcomes,
+        plan: FeedForwardPlan,
+        beam: str,
+        post: Callable[[HybridState], HybridState] | None,
+    ):
+        self.found, self.plan, self.beam, self.post = found, plan, beam, post
+        self.values = found.values
+        self.probs = found.probabilities.tolist()
+        self.routed: dict[int, HybridState] = {}
+        self.groups: list[tuple[np.ndarray, list[HybridState]]] = []  # (outcomes, parts)
+        self.group_of = np.full(len(self.values), -1)
+        self.norms = np.zeros(len(self.values))
+        w = found.weights
+        idx = found.parts[0].registry.qubus_index(beam)
+        plan_rows = np.array([plan.row_of(n) for n in self.values])
+        for row in range(len(plan.rows)):
+            cols = np.flatnonzero(plan_rows == row)
+            if not len(cols):
+                continue
+            rec = MeasurementRecord("fock", self.values[cols[0]], self.probs[cols[0]], None)
+            corrected = [plan.correct(part, rec) for part in found.parts]
+            qubus, m = _branch_matrix(corrected)
+            amps = np.abs(m @ w[:, cols])
+            values = np.array([q[idx] for q in qubus])
+            top = amps.argmax(axis=0)
+            dominant = values[top]
+            rivals = np.where(values[:, None] != dominant, amps, 0.0).max(axis=0)
+            tied = rivals >= (1 - TIE_TOL) * amps[top, np.arange(len(cols))]
+            for v in dict.fromkeys(dominant[~tied].tolist()):
+                members = cols[~tied & (dominant == v)]
+                parts = [_project_onto(st, idx, v) for st in corrected]
+                self.norms[members] = np.sqrt(
+                    np.maximum(_quadratic_forms(_gram(parts), w[:, members]), 0.0)
+                )
+                if post is not None:
+                    parts = [post(d) for d in parts]
+                self.group_of[members] = len(self.groups)
+                self.groups.append((members, parts))
+            for i in cols[tied].tolist():
+                self.routed[i] = self._route(i)
+        # the most probable outcome is picked from the collapsed norms, as the
+        # per-outcome route picks it, whenever the pmf leaves it within TIE_TOL
+        top_p = max(self.probs)
+        near = [i for i, p in enumerate(self.probs) if p >= (1 - TIE_TOL) * top_p]
+        if len(near) > 1:
+            for i in near:
+                self.probs[i] = self.found[i].probability
+
+    def _route(self, i: int) -> HybridState:
+        return _outcome_route(self.found[i], self.plan, self.beam, self.post)
+
+    def _row(self, i: int) -> HybridState:
+        """Outcome i's normalized output, built from its group's parts."""
+        parts = self.groups[self.group_of[i]][1]
+        scale = (self.found.weights[:, i] / self.norms[i]).tolist()
+        branches = [
+            Branch(br.amplitude * c, br.photons, br.qubus)
+            for c, part in zip(scale, parts)
+            if c != 0
+            for br in part.branches
+        ]
+        return HybridState(parts[0].registry, branches).canonical()
+
+    def fidelities(self, rep: int) -> list[float]:
+        """Every outcome's fidelity with outcome rep, which goes the per-outcome
+        route; a batched representative must match that route."""
+        if rep not in self.routed:
+            self.routed[rep] = self._route(rep)
+            row = self._row(rep)
+            if abs(norm(row) - 1.0) > 1e-8 or fidelity(self.routed[rep], row) < 1 - ROUTE_TOL:
+                raise GateError(
+                    f"batched outcome n={self.values[rep]} disagrees with its per-outcome route"
+                )
+        ref = self.routed[rep]
+        fids = np.empty(len(self))
+        for members, parts in self.groups:
+            overlaps = np.array([inner_product(d, ref) for d in parts])
+            z = overlaps @ self.found.weights[:, members].conj() / self.norms[members]
+            fids[members] = np.minimum(np.abs(z) ** 2, 1.0)
+        for i, st in self.routed.items():
+            fids[i] = fidelity(st, ref)
+        return fids.tolist()
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: int) -> tuple[object, float, HybridState]:
+        i = range(len(self))[i]
+        state = self.routed[i] if i in self.routed else self._row(i)
+        return self.values[i], self.probs[i], state
+
+
 def run_qubus_block(
     s: HybridState,
     couplings: Sequence[Coupling],
@@ -278,19 +482,12 @@ def run_qubus_block(
 ) -> Scored:
     """Couple, measure the difference port, feed forward, dispose of the sum port.
 
-    Every Fock outcome above detection.MIN_PROB is enumerated, corrected and scored
-    against the highest-probability outcome.
+    Every Fock outcome above detection.MIN_PROB is enumerated, corrected and
+    scored against the highest-probability outcome (see _BlockOutputs).
     """
     coupled, (b0, b1) = couple_qubus_pair(s, couplings, alpha, theta)
-    records = fock_outcomes(coupled, b0)
-    corrected: list[tuple[object, float, HybridState]] = []
-    for rec in records:
-        st = plan.correct(rec.collapsed, rec)
-        st, _ = project_qubus_coherent(st, b1)
-        if post is not None:
-            st = post(st)
-        corrected.append((rec.value, rec.probability, st))
-    return score_outcomes("fock", corrected)
+    outputs = _BlockOutputs(fock_outcomes(coupled, b0), plan, b1, post)
+    return _score("fock", outputs.values, outputs.probs, outputs.fidelities, outputs)
 
 
 def _block_report(
@@ -923,8 +1120,6 @@ def _factorize_corrections(u, qbits: int) -> list[list[float]]:
     bit 0 is the most significant rail-index bit (first companion).
     Raises when the interference matrix does not factorize.
     """
-    import cmath
-
     n = u.shape[0]
     mags = abs(u)
     if mags.max() - mags.min() > 1e-10:

@@ -35,7 +35,7 @@ def fock_amplitude_table(alphas: Sequence[complex], cutoff: int) -> np.ndarray:
     a2 = alphas.real**2 + alphas.imag**2
     vacuum = a2 == 0.0
     ns = np.arange(cutoff + 1)
-    half_log_fact = 0.5 * np.array([math.lgamma(n + 1) for n in ns])
+    half_log_fact = 0.5 * np.fromiter(map(math.lgamma, range(1, cutoff + 2)), float, cutoff + 1)
     log_a2 = np.log(np.where(vacuum, 1.0, a2))
     table = np.empty((len(alphas), cutoff + 1), dtype=complex)
     table.real = (-0.5 * a2)[:, None] + (0.5 * ns) * log_a2[:, None] - half_log_fact

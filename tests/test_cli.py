@@ -163,7 +163,7 @@ def test_readme_lists_every_element_kind_with_its_targets():
         assert line.split(";")[0] == f"- `{kind}`: " + ", ".join(f"`{k}`" for k in keys)
 
 
-def test_validation_error_exit_2(tmp_path):
+def test_validation_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", str(bad)]) == 2
@@ -175,11 +175,15 @@ def test_validation_error_exit_2(tmp_path):
     bad.write_text(json.dumps(program))
     assert main(["run", str(bad)]) == 2
     matrix = tmp_path / "m.json"
-    for data in ([[1, 0], [1, 0]], [[[1]]]):
+    for data in ([[1, 0], [1, 0]], [[[1]]], 5, [1, 2]):
         matrix.write_text(json.dumps(data))
         assert main(["decompose", str(matrix)]) == 2, data
     assert main(["gate", "parity", "--input", "[[1],[0,0],[0,0],[0,0]]"]) == 2
     assert main(["gate", "parity", "--input", "5"]) == 2
+    for flag in ("--alpha", "--theta"):
+        capsys.readouterr()
+        assert main(["gate", "parity", flag, "nan"]) == 2
+        assert f"{flag[2:]} must be a finite number" in capsys.readouterr().err
     step = {"gate": "element", "kind": "PolRot", "parameter": "x",
             "targets": {"photon": "1", "path": "t1"}}
     program = {"photons": [{"id": "1", "path": "t1"}], "gates": [step]}

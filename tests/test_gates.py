@@ -22,7 +22,9 @@ from qubusim import (
 from qubusim import elements as el
 from qubusim import gates as g
 from qubusim import synthesis as syn
-from qubusim.detection import MeasurementRecord
+from qubusim.analysis import alpha_for_beta2
+from qubusim.cli import DEMO_GATES, main
+from qubusim.detection import MeasurementRecord, fock_outcomes, project_qubus_coherent
 from qubusim.state import Branch, ModeRegistry, _sorted_slots
 
 from conftest import haar_vec, two_photon, THETA
@@ -547,3 +549,91 @@ def test_feedforward_plan_picks_row_by_parity():
     assert plan.describe() == [
         ("n=0", []), ("n even", [x.to_dict()]), ("n odd", [x.to_dict(), z.to_dict()])
     ]
+
+
+# -- the batched qubus block against the per-outcome loop ---------------------------
+
+
+def _outcome_loop(s, couplings, alpha, theta, plan, post=None):
+    """The reference block: collapse, correct, dispose and score each outcome alone."""
+    coupled, (b0, b1) = g.couple_qubus_pair(s, couplings, alpha, theta)
+    corrected = []
+    for rec in fock_outcomes(coupled, b0):
+        st = plan.correct(rec.collapsed, rec)
+        st, _ = project_qubus_coherent(st, b1)
+        if post is not None:
+            st = post(st)
+        corrected.append((rec.value, rec.probability, st))
+    return g.score_outcomes("fock", corrected)
+
+
+def _assert_block_matches_loop(got, ref):
+    assert [o.value for o in got.outcomes] == [o.value for o in ref.outcomes]
+    for a, b in zip(got.outcomes, ref.outcomes):
+        assert abs(a.probability - b.probability) <= 1e-12
+        assert abs(a.fidelity - b.fidelity) <= 1e-12
+    assert abs(got.success_probability - ref.success_probability) <= 1e-12
+    assert abs(got.min_fidelity - ref.min_fidelity) <= 1e-12
+    assert got.value == ref.value
+    assert state_to_dict(got.state) == state_to_dict(ref.state)
+    assert len(got.states) == len(ref.states)
+    for (v, p, st), (rv, rp, rst) in zip(got.states, ref.states):
+        assert v == rv and abs(p - rp) <= 1e-12
+        assert fidelity(st, rst) >= 1 - 1e-12
+
+
+_BLOCK_RUNS = {name: [name, "--beta2", "20", "--input", "haar:3"] for name in DEMO_GATES}
+_BLOCK_RUNS["cn-uk"] += ["--targets", "2"]
+_BLOCK_RUNS["parity-2000"] = ["parity", "--beta2", "2000"]
+_BLOCK_RUNS["toffoli-compact"] = ["toffoli", "--layout", "compact"]
+
+
+@pytest.mark.parametrize("argv", list(_BLOCK_RUNS.values()), ids=list(_BLOCK_RUNS))
+def test_batched_block_matches_outcome_route(argv, monkeypatch, tmp_path):
+    calls = []
+    block = g.run_qubus_block
+
+    def capture(*args, **kwargs):
+        calls.append((args, kwargs, block(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(g, "run_qubus_block", capture)
+    assert main(["gate", *argv, "--out", str(tmp_path / "r.json")]) == 0
+    assert calls
+    for args, kwargs, got in calls:
+        _assert_block_matches_loop(got, _outcome_loop(*args, **kwargs))
+
+
+def test_block_with_tied_disposal_values_takes_the_outcome_route(monkeypatch):
+    # both branches of every outcome have the same |amplitude| and different
+    # sum-port values, so no outcome has a unique disposal value
+    s = plus_photon("1", "t1")
+    couplings = [g.Coupling(0, "1", "t1", "H")] * 2 + [g.Coupling(0, "1", "t1", "V")] * 3
+    couplings.append(g.Coupling(1, "1", "t1", "V"))
+    plan = g.FeedForwardPlan([], [])
+    routed = []
+    route = g._outcome_route
+
+    def counting(rec, *args):
+        routed.append(rec.value)
+        return route(rec, *args)
+
+    monkeypatch.setattr(g, "_outcome_route", counting)
+    alpha = alpha_for_beta2(20.0, THETA)
+    got = g.run_qubus_block(s, couplings, alpha, THETA, plan)
+    assert len(got.outcomes) == 61
+    assert sorted(routed) == [o.value for o in got.outcomes]
+    _assert_block_matches_loop(got, _outcome_loop(s, couplings, alpha, THETA, plan))
+
+
+@pytest.mark.parametrize("mean", [20, 21, 33])
+def test_block_tied_for_most_probable_matches_outcome_route(mean):
+    # one coupling puts a Poisson(mean) pmf on the difference port; at an
+    # integer mean P(mean - 1) = P(mean), and the collapsed norms break the tie
+    s = pol_qubit("1", "t1", 1, 0)
+    couplings = [g.Coupling(0, "1", "t1", "H")]
+    plan = g.FeedForwardPlan([], [])
+    alpha = math.sqrt(mean / (2 * math.sin(THETA / 2) ** 2))
+    got = g.run_qubus_block(s, couplings, alpha, THETA, plan)
+    assert got.value in (mean - 1, mean)
+    _assert_block_matches_loop(got, _outcome_loop(s, couplings, alpha, THETA, plan))
