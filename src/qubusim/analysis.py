@@ -33,6 +33,11 @@ def beta_squared(alpha: float, theta: float) -> float:
 
 
 def alpha_for_beta2(beta2: float, theta: float) -> float:
+    """The α that gives |β|² = beta2 at XPM angle θ; needs beta2 ≥ 0 and sin θ ≠ 0."""
+    if not (math.isfinite(beta2) and beta2 >= 0):
+        raise AnalysisError(f"beta2 must be a finite number >= 0, got {beta2!r}")
+    if not math.isfinite(theta) or math.sin(theta) ** 2 == 0:
+        raise AnalysisError(f"theta must be finite with sin(theta) != 0, got {theta!r}")
     return math.sqrt(beta2 / (2.0 * math.sin(theta) ** 2))
 
 

@@ -180,6 +180,14 @@ def _rails(st: dict, pid: str, rails: dict[str, list[str]]) -> list[str]:
     return rails[pid]
 
 
+def _photon_pair(st: dict) -> list[str]:
+    """The step's "photons", which must name exactly two photons."""
+    photons = st["photons"]
+    if not (isinstance(photons, (list, tuple)) and len(photons) == 2):
+        raise GateError(f"{st['gate']!r} step needs exactly two photon ids, got {photons!r}")
+    return photons
+
+
 def _disentangler(s, st, a, t, rails):
     routed = _rails(st, st["target"], rails)
     # the V rails are the half that the last C-path-family gate added
@@ -240,7 +248,7 @@ _PLUS = {"gate": "plus", "photon": "anc"}
 # here, so that rebinding a module attribute reaches every caller.
 GATES: dict[str, Gate] = {
     "parity": Gate(
-        2, lambda s, st, a, t, r: gates.parity_gate(s, *st["photons"], a, t),
+        2, lambda s, st, a, t, r: gates.parity_gate(s, *_photon_pair(st), a, t),
         lambda p, o: [{"gate": "parity", "photons": p[:2]}],
     ),
     "cpath": Gate(
@@ -307,7 +315,7 @@ GATES: dict[str, Gate] = {
     ),
     "two-qubit": Gate(
         2, lambda s, st, a, t, r: pl.two_qubit_gate(
-            s, *st["photons"], parse_unitary_spec(st["unitary"], 4), a, t
+            s, *_photon_pair(st), parse_unitary_spec(st["unitary"], 4), a, t
         ),
         lambda p, o: [{"gate": "two-qubit", "photons": p[:2], "unitary": o.unitary or "cnot"}],
     ),
@@ -398,11 +406,36 @@ def _run_steps(
     return state, reports
 
 
+class _DemoOption(argparse.Action):
+    """A `qubusim gate` option that only some demos read: stores the value and
+    records the option in args.given, so that an unread one is refused."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
+class _ReadRecorder:
+    """A view of the parsed args that records which attributes are read."""
+
+    def __init__(self, args):
+        self._args = args
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._args, name)
+
+
 def cmd_gate(args) -> int:
     gate = GATES[args.name]
     state = parse_state_spec(args.input, args.photons or gate.photons, args.seed)
     alpha = args.alpha if args.beta2 is None else an.alpha_for_beta2(args.beta2, args.theta)
-    steps = gate.demo(list(state.registry.photons), args)
+    view = _ReadRecorder(args)
+    steps = gate.demo(list(state.registry.photons), view)
+    unread = sorted(args.given - view.read)
+    if unread:
+        raise UsageError(f"gate {args.name!r} does not take --{', --'.join(unread)}")
     out, reports = _run_steps(state, steps, alpha, args.theta)
     payload = {
         "gate": args.name,
@@ -525,17 +558,19 @@ def build_parser() -> _Parser:
     g.add_argument("--input", default="haar:0",
                    help='basis string "HVH", JSON coefficients, or haar[:seed]')
     g.add_argument("--photons", type=int, default=None)
-    g.add_argument("--unitary", default=None)
-    g.add_argument("--targets", type=int, default=1, help="target count for cn-uk")
-    g.add_argument("--layout", choices=("split", "compact"), default="split")
-    g.add_argument("--interference", choices=("qft", "hadamard4"), default="qft")
+    g.add_argument("--unitary", default=None, action=_DemoOption)
+    g.add_argument("--targets", type=int, default=1, action=_DemoOption,
+                   help="target count for cn-uk")
+    g.add_argument("--layout", choices=("split", "compact"), default="split", action=_DemoOption)
+    g.add_argument("--interference", choices=("qft", "hadamard4"), default="qft",
+                   action=_DemoOption)
     g.add_argument("--alpha", type=float, default=DEFAULTS["alpha"])
     g.add_argument("--theta", type=float, default=DEFAULTS["theta"])
     g.add_argument("--beta2", type=float, default=None,
                    help="set alpha from |beta|^2 = 2 alpha^2 sin^2(theta)")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None)
-    g.set_defaults(fn=cmd_gate)
+    g.set_defaults(fn=cmd_gate, given=frozenset())
 
     r = sub.add_parser("run", help="execute a JSON circuit program")
     r.add_argument("program")

@@ -117,26 +117,16 @@ def to_qudit_circuit(
 
 
 def _bell_feedforward_sbit(
-    rails: Sequence[str], bit: int, n_bits: int, carrier: str, kind: str
+    rails: Sequence[str], bit: int, carrier: str, kind: str
 ) -> list[el.ElementOp]:
     """σx/σz on one switch-state bit of a rail-encoded qudit."""
-    ops = []
+    bit_clear, bit_set = split_rails(rails, bit)
     if kind == "x":
-        for j in range(len(rails)):
-            if not (j >> (n_bits - 1 - bit)) & 1:
-                ops.append(
-                    el.op(
-                        "PathSwitch",
-                        photon=carrier,
-                        path_a=rails[j],
-                        path_b=rails[j | (1 << (n_bits - 1 - bit))],
-                    )
-                )
-    elif kind == "z":
-        for j in range(len(rails)):
-            if (j >> (n_bits - 1 - bit)) & 1:
-                ops.append(el.op("PolPhase", math.pi, photon=carrier, path=rails[j], pol=None))
-    return ops
+        return [
+            el.op("PathSwitch", photon=carrier, path_a=a, path_b=b)
+            for a, b in zip(bit_clear, bit_set)
+        ]
+    return [el.op("PolPhase", math.pi, photon=carrier, path=r, pol=None) for r in bit_set]
 
 
 def to_qudit_teleport(
@@ -187,7 +177,6 @@ def to_qudit_teleport(
         rails = [r for pair in zip(rails, fresh) for r in pair]
 
     # Bell measurements with feed-forward, enumerated pair by pair
-    n_bits = n - 1
     pairs = [(photons[i], plus_ids[i], ("sbit", i)) for i in range(n - 1)]
     pairs.append((photons[-1], m2, ("pol", None)))
     for pid_in, pid_anc, (target_kind, bit) in pairs:
@@ -200,7 +189,7 @@ def to_qudit_teleport(
                     kind = "WavePlateX" if gate_kind == "x" else "WavePlateZ"
                     ops.append(el.op(kind, photon=m1, path=None))
                 else:
-                    ops.extend(_bell_feedforward_sbit(rails, bit, n_bits, m1, gate_kind))
+                    ops.extend(_bell_feedforward_sbit(rails, bit, m1, gate_kind))
             corrected.append((rec.value, rec.probability, el.apply_elements(rec.collapsed, ops)))
         scored = score_outcomes("bell", corrected)
         report.absorb(scored.report(f"bell({pid_in},{pid_anc})", Resources(detections=1)))
@@ -480,10 +469,7 @@ def cn_u1(
     out, rails = _control_chain(s, controls + [target], report, alpha, theta, layout)
     control_rails, t_rails = rails[:-1], rails[-1]
 
-    if np.allclose(u1, SIGMA_X):
-        out = el.wave_plate(out, target, t_rails[1], "x")
-    else:
-        out = el.pol_unitary(out, target, t_rails[1], u1)
+    out = el.pol_unitary(out, target, t_rails[1], u1)
 
     out, carriers = _merge_back(
         out, [(target, t_rails)], controls, control_rails, report, alpha, theta

@@ -245,9 +245,6 @@ class HybridState:
     def canonical(self, tol: float = CANON_TOL) -> "HybridState":
         return canonicalize(self, tol)
 
-    def norm(self) -> float:
-        return norm(self)
-
     def normalized(self) -> "HybridState":
         return normalize(self)
 
@@ -256,9 +253,6 @@ class HybridState:
             self.registry,
             [Branch(br.amplitude * factor, br.photons, br.qubus) for br in self.branches],
         )
-
-    def __matmul__(self, other: "HybridState") -> "HybridState":
-        return tensor(self, other)
 
     def photon_paths_in_use(self, pid: str) -> tuple[str, ...]:
         """Paths the photon actually occupies somewhere in the superposition."""

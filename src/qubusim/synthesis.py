@@ -72,17 +72,6 @@ class Mesh:
             "phases": list(self.phases),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Mesh":
-        return cls(
-            d["n_modes"],
-            tuple(
-                MeshRotation(r["mode_a"], r["mode_b"], r["theta"], r["phi"])
-                for r in d["rotations"]
-            ),
-            tuple(d["phases"]),
-        )
-
     def element_ops(self, photon: str, paths: Sequence[str]) -> list[elements.ElementOp]:
         """The mesh as a native optical-elements sequence on the given paths."""
         if len(paths) != self.n_modes:

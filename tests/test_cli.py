@@ -92,6 +92,25 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
     assert main(argv) == 1
 
 
+@pytest.mark.parametrize("name, flag, value, code", [
+    ("two-qubit", "--unitary", "cnot", 0),
+    ("parity", "--unitary", "cnot", 1),
+    ("cn-uk", "--targets", "2", 0),
+    ("toffoli", "--targets", "2", 1),
+    ("toffoli", "--layout", "compact", 0),
+    ("parity", "--layout", "compact", 1),
+    ("parity", "--layout", "split", 1),
+    ("from-qudit", "--interference", "hadamard4", 0),
+    ("cpath", "--interference", "hadamard4", 1),
+])
+def test_gate_flag_its_demo_does_not_read_is_a_usage_error(name, flag, value, code, tmp_path,
+                                                            capsys):
+    argv = ["gate", name, flag, value, "--beta2", "20", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == code
+    if code:
+        assert f"gate {name!r} does not take {flag}" in capsys.readouterr().err
+
+
 def _write_program(tmp_path, photons, coeffs, steps, alpha):
     program = {
         "photons": [{"id": pid, "path": f"t{pid}"} for pid in photons],
@@ -189,6 +208,23 @@ def test_validation_error_exit_2(tmp_path, capsys):
     program = {"photons": [{"id": "1", "path": "t1"}], "gates": [step]}
     bad.write_text(json.dumps(program))
     assert main(["run", str(bad)]) == 2
+    photons = [{"id": pid, "path": f"t{pid}"} for pid in ("1", "2", "3")]
+    for gate in ("parity", "two-qubit"):
+        step = {"gate": gate, "photons": ["1", "2", "3"], "unitary": "cnot"}
+        bad.write_text(json.dumps({"photons": photons, "gates": [step]}))
+        capsys.readouterr()
+        assert main(["run", str(bad)]) == 2, gate
+        assert f"'{gate}' step needs exactly two photon ids" in capsys.readouterr().err
+    for argv, err in (
+        (["--photons", "1"], "'parity' step needs exactly two photon ids, got ['1']"),
+        (["--beta2", "-5"], "beta2 must be a finite number >= 0, got -5.0"),
+        (["--beta2", "nan"], "beta2 must be a finite number >= 0, got nan"),
+        (["--beta2", "20", "--theta", "0"], "sin(theta) != 0, got 0.0"),
+        (["--alpha", "1e200"], "beam mean photon number inf is not finite"),
+    ):
+        capsys.readouterr()
+        assert main(["gate", "parity", *argv]) == 2, argv
+        assert err in capsys.readouterr().err, argv
 
 
 def test_decompose_identity(tmp_path):

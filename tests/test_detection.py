@@ -1,4 +1,4 @@
-"""Measurement chain: Fock projection, QND module, POVM, presence, Bell."""
+"""Measurement chain: Fock projection, probe peaks, presence, Bell, disposal."""
 
 import math
 
@@ -23,17 +23,14 @@ from qubusim import pipelines as pl
 from qubusim.detection import (
     MIN_PROB,
     MeasurementError,
+    MAX_FOCK_CUTOFF,
     _fock_collapsed,
-    QndConfig,
     bell_outcomes,
     fock_distribution,
     fock_outcomes,
-    fock_project,
-    povm_outcomes,
     presence_outcomes,
     probe_peak_mean,
     project_qubus_coherent,
-    qnd_outcomes,
 )
 from qubusim.gates import couple_qubus_pair, parity_couplings
 from qubusim.numerics import fock_amplitude, poisson_pmf
@@ -140,15 +137,17 @@ def test_fock_distribution_rejects_nan_amplitude():
         fock_distribution(coherent_state(complex(math.nan, 0.0)), "q", cutoff=30)
 
 
-def test_fock_project_impossible():
-    s = coherent_state(0.0)
-    with pytest.raises(MeasurementError, match="impossible"):
-        fock_project(s, "q", 3)
+def test_fock_distribution_rejects_too_bright_beam():
+    # |alpha|^2 = 1e8 needs a cutoff of about 1e8 + 1.2e5, above the limit
+    with pytest.raises(MeasurementError, match=f"limit {MAX_FOCK_CUTOFF}"):
+        fock_distribution(coherent_state(1e4), "q")
+    with pytest.raises(MeasurementError, match="not finite"):
+        fock_distribution(coherent_state(1e200), "q")
 
 
 def test_fock_project_removes_mode_and_normalizes():
     s = coherent_state(2.0)
-    rec = fock_project(s, "q", 4)
+    rec = next(r for r in fock_outcomes(s, "q") if r.value == 4)
     assert rec.probability == pytest.approx(poisson_pmf(4.0, 4), rel=1e-9)
     assert rec.collapsed.registry.qubus_modes == ()
     assert norm(rec.collapsed) == pytest.approx(1.0, abs=1e-10)
@@ -183,7 +182,7 @@ def test_fock_pmf_matches_dense_truncated_oracle():
     assert tv < 1e-6
 
 
-# -- QND module ---------------------------------------------------------------
+# -- probe readout peaks ------------------------------------------------------
 
 
 def test_probe_peak_means():
@@ -192,88 +191,6 @@ def test_probe_peak_means():
         mu = probe_peak_mean(100.0, 0.05, k)
         assert mu == pytest.approx(2 * 100**2 * math.sin(k * 0.05 / 2) ** 2, abs=1e-9)
         assert mu == pytest.approx(approx, rel=5e-4)
-
-
-def test_qnd_config_validates_bins():
-    with pytest.raises(MeasurementError):
-        QndConfig(100.0, 0.05, 0.95, ((1, 999.0, 0.0, 10.0),))
-    cfg = QndConfig.with_default_bins(100.0, 0.05, 0.95)
-    assert cfg.bins[0][0] == 0
-    los = [b[2] for b in cfg.bins]
-    assert los == sorted(los)
-
-
-def test_qnd_binned_matches_ideal_within_tv():
-    coupled, (b0, _) = parity_premeasure()
-    cfg = QndConfig.with_default_bins(100.0, 0.05, 0.95)
-    ideal = {r.value: r.probability for r in qnd_outcomes(coupled, b0, cfg, "ideal")}
-    binned = {r.value: r.probability for r in qnd_outcomes(coupled, b0, cfg, "binned")}
-    assert sum(binned.values()) == pytest.approx(1.0, abs=1e-9)
-    keys = set(ideal) | set(binned)
-    tv = 0.5 * sum(abs(ideal.get(k, 0.0) - binned.get(k, 0.0)) for k in keys)
-    assert tv < 1e-6
-
-
-def test_qnd_binned_vacuum_fires_bin0():
-    cfg = QndConfig.with_default_bins(50.0, 0.05, 0.4)
-    s = coherent_state(0.0)
-    recs = qnd_outcomes(s, "q", cfg, "binned")
-    assert len(recs) == 1 and recs[0].value == 0
-    assert recs[0].probability == pytest.approx(1.0)
-
-
-def test_qnd_binned_ambiguous_readout():
-    # two well-weighted Fock values in one bin cannot be read out
-    cfg = QndConfig(100.0, 0.05, 0.95, ((0, 0.0, 0.0, 2.0 * 100**2),))
-    s = coherent_state(1.5)
-    with pytest.raises(MeasurementError, match="ambiguous"):
-        qnd_outcomes(s, "q", cfg, "binned")
-
-
-# -- POVM ---------------------------------------------------------------------
-
-
-def test_povm_vacuum():
-    recs = povm_outcomes(coherent_state(0.0), "q", 0.9)
-    assert recs[0].value == 0 and recs[0].probability == pytest.approx(1.0)
-    assert recs[1].probability == pytest.approx(0.0)
-
-
-def test_povm_coherent_closed_form():
-    # P(0) = e^{-eta |alpha|^2} = e^{-18}
-    recs = povm_outcomes(coherent_state(math.sqrt(20)), "q", 0.9)
-    assert recs[0].probability == pytest.approx(math.exp(-18.0), rel=1e-9)
-    assert recs[0].probability + recs[1].probability == pytest.approx(1.0)
-    # collapse-0 attenuates the beam to alpha sqrt(1-eta)
-    br = recs[0].collapsed.branches[0]
-    assert br.qubus[0] == pytest.approx(math.sqrt(20) * math.sqrt(0.1))
-
-
-def test_povm_eta_one_vacuum_weight():
-    # near eta -> 1, P(0) approaches the exact vacuum weight of the state
-    s = coherent_state(4.0)
-    recs = povm_outcomes(s, "q", 1.0)
-    assert recs[0].probability == pytest.approx(math.exp(-16.0), rel=1e-9)
-    # superposition with an exactly-vacuum component: weight recovered
-    from qubusim.state import Branch, HybridState
-
-    base = coherent_state(4.0)
-    mixed = HybridState(
-        base.registry,
-        [
-            Branch(1 / math.sqrt(2), (("x", "p", "H"),), (4.0 + 0j,)),
-            Branch(1 / math.sqrt(2), (("x", "p", "V"),), (0.0 + 0j,)),
-        ],
-    )
-    recs = povm_outcomes(mixed, "q", 1.0, strict=False)
-    assert recs[0].probability == pytest.approx(0.5, abs=1e-6)
-    assert recs[1].collapsed is None  # not representable, probability still exact
-
-
-def test_povm_outcome1_entangled_mode_rejected():
-    coupled, (b0, _) = parity_premeasure()
-    with pytest.raises(MeasurementError, match="branch-uniform"):
-        povm_outcomes(coupled, b0, 0.9)
 
 
 # -- presence and Bell --------------------------------------------------------
@@ -323,9 +240,17 @@ def test_bell_rejects_multipath():
         bell_outcomes(s, "1", "2")
 
 
+def test_bell_lists_only_possible_outcomes():
+    s = polarization_state([1, 0, 0, 0], [("a", "pa"), ("b", "pb")])
+    recs = bell_outcomes(s, "a", "b")
+    assert [r.value for r in recs] == ["phi+", "phi-"]
+    assert all(r.collapsed is not None for r in recs)
+
+
 def test_project_qubus_coherent_disposal():
     coupled, (b0, b1) = parity_premeasure()
-    rec = fock_project(coupled, b0, 0)
+    rec = fock_outcomes(coupled, b0)[0]
+    assert rec.value == 0
     cleaned, p = project_qubus_coherent(rec.collapsed, b1)
     assert cleaned.registry.qubus_modes == ()
     assert p > 1.0 - 1e-6
