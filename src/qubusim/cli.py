@@ -429,7 +429,10 @@ class _ReadRecorder:
 
 def cmd_gate(args) -> int:
     gate = GATES[args.name]
-    state = parse_state_spec(args.input, args.photons or gate.photons, args.seed)
+    photons = gate.photons if args.photons is None else args.photons
+    if not 1 <= photons <= pl.MAX_PHOTONS:
+        raise pl.PipelineError(f"--photons must be 1..{pl.MAX_PHOTONS}, got {photons}")
+    state = parse_state_spec(args.input, photons, args.seed)
     alpha = args.alpha if args.beta2 is None else an.alpha_for_beta2(args.beta2, args.theta)
     view = _ReadRecorder(args)
     steps = gate.demo(list(state.registry.photons), view)

@@ -75,7 +75,7 @@ def _fock_collapsed(s: HybridState, idx: int, n: int) -> HybridState:
         if w == 0:
             continue
         out.append(Branch(br.amplitude * w, br.photons, br.qubus[:idx] + br.qubus[idx + 1 :]))
-    return HybridState(reg, out).canonical(0.0)
+    return HybridState._derived(reg, out).canonical(0.0)
 
 
 def _split_by_value(s: HybridState, idx: int) -> tuple[list[complex], list[HybridState]]:
@@ -90,7 +90,7 @@ def _split_by_value(s: HybridState, idx: int) -> tuple[list[complex], list[Hybri
     for br in s.branches:
         rest = Branch(br.amplitude, br.photons, br.qubus[:idx] + br.qubus[idx + 1 :])
         groups.setdefault(br.qubus[idx], []).append(rest)
-    return list(groups), [HybridState(reg, brs) for brs in groups.values()]
+    return list(groups), [HybridState._derived(reg, brs) for brs in groups.values()]
 
 
 def _gram(parts: Sequence[HybridState]) -> np.ndarray:
@@ -251,7 +251,7 @@ def bell_outcomes(s: HybridState, pid_a: str, pid_b: str) -> list[MeasurementRec
                 continue
             rest = tuple(t for t in br.photons if t[0] not in (pid_a, pid_b))
             collapsed.append(Branch(br.amplitude * w * r, rest, br.qubus))
-        part = HybridState(reg, collapsed).canonical(0.0)
+        part = HybridState._derived(reg, collapsed).canonical(0.0)
         p = norm(part) ** 2
         if p >= MIN_PROB:
             out.append(MeasurementRecord("bell", name, p, part.normalized()))
@@ -285,7 +285,7 @@ def _project_onto(s: HybridState, idx: int, value: complex) -> HybridState:
     for br in s.branches:
         w = coherent_overlap((complex(value),), (br.qubus[idx],))
         out.append(Branch(br.amplitude * w, br.photons, br.qubus[:idx] + br.qubus[idx + 1 :]))
-    return HybridState(reg, out).canonical()
+    return HybridState._derived(reg, out).canonical()
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .state import POLS, H, V, Branch, HybridState, RegistryError, StateError
+from .state import POLS, H, V, Branch, HybridState, RegistryError, StateError, _check_slot
 
 
 @dataclass(frozen=True)
@@ -78,29 +78,43 @@ def _remap_slot(s: HybridState, pid: str, table: dict) -> HybridState:
 
     Slots missing from the table pass through unchanged.  The photon's slot
     is replaced in place: its id, and so its position in the sorted slots,
-    does not change.
+    does not change.  An image is checked against the registry the first
+    time a branch emits it; the other slots come unchanged from s.
     """
-    s.registry.paths_of(pid)
+    paths = s.registry.paths_of(pid)
+    hit: set[tuple[str, str]] = set()
     out: list[Branch] = []
     for br in s.branches:
         photons = br.photons
         i = next(k for k, t in enumerate(photons) if t[0] == pid)
-        images = table.get(photons[i][1:])
+        key = photons[i][1:]
+        images = table.get(key)
         if images is None:
             out.append(br)
             continue
+        if key not in hit:
+            for coef, path, pol in images:
+                if coef != 0:
+                    _check_slot(paths, pid, path, pol)
+            hit.add(key)
         for coef, path, pol in images:
             if coef != 0:
                 slots = photons[:i] + ((pid, path, pol),) + photons[i + 1 :]
                 out.append(Branch(br.amplitude * coef, slots, br.qubus))
-    return HybridState(s.registry, out).canonical()
+    return HybridState._derived(s.registry, out).canonical()
+
+
+def _require_paths(s: HybridState, pid: str, *paths: str) -> None:
+    """Every path named must be registered for the photon."""
+    registered = s.registry.paths_of(pid)
+    for p in paths:
+        if p not in registered:
+            raise RegistryError(f"path {p!r} not registered for photon {pid!r}")
 
 
 def _path_map(s: HybridState, pid: str, path_a: str, path_b: str, m) -> HybridState:
     """2×2 map m on the amplitudes of (path_a, path_b), alike for H and V."""
-    for p in (path_a, path_b):
-        if p not in s.registry.paths_of(pid):
-            raise RegistryError(f"path {p!r} not registered for photon {pid!r}")
+    _require_paths(s, pid, path_a, path_b)
     table = {}
     for pol in POLS:
         table[path_a, pol] = [(m[0][0], path_a, pol), (m[1][0], path_b, pol)]
@@ -110,6 +124,8 @@ def _path_map(s: HybridState, pid: str, path_a: str, path_b: str, m) -> HybridSt
 
 def _pol_map(s: HybridState, pid: str, path: str | None, m) -> HybridState:
     """2×2 map m on the (H, V) amplitudes of one path (every path if None)."""
+    if path is not None:
+        _require_paths(s, pid, path)
     table = {}
     for p in s.registry.paths_of(pid) if path is None else (path,):
         table[p, H] = [(m[0][0], p, H), (m[1][0], p, V)]
@@ -123,7 +139,7 @@ def _with_paths(s: HybridState, pid: str, *paths: str) -> HybridState:
     for p in paths:
         if p not in reg.paths_of(pid):
             reg = reg.with_path(pid, p)
-    return HybridState(reg, s.branches)
+    return HybridState._derived(reg, s.branches)
 
 
 def _pm_table(in_path: str, out_plus: str, out_minus: str) -> dict:
@@ -150,12 +166,14 @@ def path_switch(s: HybridState, pid: str, path_a: str, path_b: str) -> HybridSta
 
 def pbs(s: HybridState, pid: str, in_path: str, out_h: str, out_v: str) -> HybridState:
     """Polarizing beam splitter: H → out_h, V → out_v."""
+    _require_paths(s, pid, in_path)
     table = {(in_path, H): [(1, out_h, H)], (in_path, V): [(1, out_v, V)]}
     return _remap_slot(_with_paths(s, pid, out_h, out_v), pid, table)
 
 
 def pbs_merge(s: HybridState, pid: str, h_path: str, v_path: str, out: str) -> HybridState:
     """Inverse PBS: H from h_path and V from v_path recombine on one path."""
+    _require_paths(s, pid, h_path, v_path)
     for br in s.branches:
         path, pol = br.slot(pid)
         if (path, pol) in ((h_path, V), (v_path, H)):
@@ -167,6 +185,7 @@ def pbs_merge(s: HybridState, pid: str, h_path: str, v_path: str, out: str) -> H
 
 def pbs_pm(s: HybridState, pid: str, in_path: str, out_plus: str, out_minus: str) -> HybridState:
     """PBS in the |±⟩ basis: |+⟩ → out_plus, |−⟩ → out_minus."""
+    _require_paths(s, pid, in_path)
     s = _with_paths(s, pid, out_plus, out_minus)
     return _remap_slot(s, pid, _pm_table(in_path, out_plus, out_minus))
 
@@ -178,6 +197,7 @@ def pbs_pm_merge(
     minus arm exit on one path.  Amplitude that would leave through the dark
     port (|−⟩ on the plus arm or |+⟩ on the minus arm) is an error.
     """
+    _require_paths(s, pid, plus_path, minus_path)
     s = _with_paths(s, pid, out)
     dark = s.registry.fresh_path("_dark")
     s = _with_paths(s, pid, dark)
@@ -189,7 +209,7 @@ def pbs_pm_merge(
     if leak > 1e-9:
         raise StateError(f"PBS± merge dark port carries weight {leak:.3e}")
     kept = [br for br in mapped.branches if br.slot(pid)[0] != dark]
-    return HybridState(mapped.registry.without_path(pid, dark), kept)
+    return HybridState._derived(mapped.registry.without_path(pid, dark), kept)
 
 
 def wave_plate(s: HybridState, pid: str, path: str | None, kind: str) -> HybridState:
@@ -222,6 +242,8 @@ def pol_unitary(s: HybridState, pid: str, path: str | None, u: np.ndarray) -> Hy
 def phase(s: HybridState, pid: str, path: str | None, pol: str | None, phi: float) -> HybridState:
     """Phase e^{iφ} on one (path, pol) slot of a photon; None selects every
     path or both polarizations (pol=None phases a whole path)."""
+    if path is not None:
+        _require_paths(s, pid, path)
     w = cmath.exp(1j * phi)
     paths = s.registry.paths_of(pid) if path is None else (path,)
     pols = POLS if pol is None else (pol,)
@@ -255,14 +277,14 @@ def xpm(
             out.append(Branch(br.amplitude, br.photons, qubus))
         else:
             out.append(br)
-    return HybridState(s.registry, out)
+    return HybridState._derived(s.registry, out)
 
 
 def qubus_phase(s: HybridState, mode: str, phi: float) -> HybridState:
     """Unconditional phase shifter on a qubus beam: α → α e^{iφ}."""
     idx = s.registry.qubus_index(mode)
     w = cmath.exp(1j * phi)
-    return HybridState(
+    return HybridState._derived(
         s.registry,
         [
             Branch(br.amplitude, br.photons, br.qubus[:idx] + (br.qubus[idx] * w,) + br.qubus[idx + 1 :])
@@ -282,7 +304,7 @@ def qubus_bs(s: HybridState, mode_a: str, mode_b: str) -> HybridState:
         a1, a2 = qs[ia], qs[ib]
         qs[ia], qs[ib] = (a1 - a2) * r, (a1 + a2) * r
         out.append(Branch(br.amplitude, br.photons, tuple(qs)))
-    return HybridState(s.registry, out).canonical()
+    return HybridState._derived(s.registry, out).canonical()
 
 
 # ---------------------------------------------------------------------------

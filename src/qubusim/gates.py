@@ -441,7 +441,7 @@ class _BlockOutputs(Sequence):
             if c != 0
             for br in part.branches
         ]
-        return HybridState(parts[0].registry, branches).canonical()
+        return HybridState._derived(parts[0].registry, branches).canonical()
 
     def fidelities(self, rep: int) -> list[float]:
         """Every outcome's fidelity with outcome rep, which goes the per-outcome

@@ -213,8 +213,42 @@ def coherent_overlap(a: Sequence[complex], b: Sequence[complex]) -> complex:
     return cmath.exp(z)
 
 
+def _check_labels(registry: ModeRegistry, branches: Sequence[Branch]) -> None:
+    """Every branch must hold each registered photon once, on one of its
+    registered paths, in H or V; the first fault found is raised.
+
+    Equal label tuples get equal verdicts, so each distinct one is checked once.
+    """
+    paths = dict(registry.photon_paths)
+    pids = sorted(paths)
+    checked: set[tuple[Slot, ...]] = set()
+    for br in branches:
+        if br.photons in checked:
+            continue
+        if sorted(s[0] for s in br.photons) != pids:
+            raise StateError("branch photon ids do not match registry")
+        for pid, path, pol in br.photons:
+            _check_slot(paths[pid], pid, path, pol)
+        checked.add(br.photons)
+
+
+def _check_slot(paths: Sequence[str], pid: str, path: str, pol: str) -> None:
+    """One slot of photon pid, whose registered paths are paths."""
+    if pol not in POLS:
+        raise StateError(f"bad polarization {pol!r}")
+    if path not in paths:
+        raise RegistryError(f"path {path!r} not registered for {pid!r}")
+
+
 class HybridState:
-    """Normalized superposition of branches over a shared ModeRegistry."""
+    """Normalized superposition of branches over a shared ModeRegistry.
+
+    The constructor checks every branch against the registry.  A kernel that
+    knows its output labels are valid (they come from a checked state whose
+    registry differs only in what those labels do not use, or it checked each
+    slot it wrote) builds its result with `_derived`, which checks the qubus
+    lengths only.
+    """
 
     __slots__ = ("registry", "branches")
 
@@ -222,23 +256,21 @@ class HybridState:
         self.registry = registry
         self.branches = tuple(branches)
         nq = len(registry.qubus_modes)
-        paths = dict(registry.photon_paths)
-        pids = sorted(paths)
-        # equal label tuples get equal verdicts, so each distinct one is checked once
-        checked: set[tuple[Slot, ...]] = set()
-        for br in self.branches:
-            if len(br.qubus) != nq:
-                raise StateError("branch qubus length != number of registered modes")
-            if br.photons in checked:
-                continue
-            if sorted(s[0] for s in br.photons) != pids:
-                raise StateError("branch photon ids do not match registry")
-            for pid, path, pol in br.photons:
-                if pol not in POLS:
-                    raise StateError(f"bad polarization {pol!r}")
-                if path not in paths[pid]:
-                    raise RegistryError(f"path {path!r} not registered for {pid!r}")
-            checked.add(br.photons)
+        bad = next((i for i, br in enumerate(self.branches) if len(br.qubus) != nq), None)
+        # labels before the first bad qubus length go first: the earlier fault is raised
+        _check_labels(registry, self.branches[:bad])
+        if bad is not None:
+            raise StateError("branch qubus length != number of registered modes")
+
+    @classmethod
+    def _derived(cls, registry: ModeRegistry, branches: Iterable[Branch]) -> "HybridState":
+        """A state whose branch labels are known to be valid for registry."""
+        self = cls.__new__(cls)
+        self.registry = registry
+        self.branches = tuple(branches)
+        if {len(br.qubus) for br in self.branches} - {len(registry.qubus_modes)}:
+            raise StateError("branch qubus length != number of registered modes")
+        return self
 
     # -- algebra -------------------------------------------------------------
 
@@ -249,7 +281,7 @@ class HybridState:
         return normalize(self)
 
     def scaled(self, factor: complex) -> "HybridState":
-        return HybridState(
+        return HybridState._derived(
             self.registry,
             [Branch(br.amplitude * factor, br.photons, br.qubus) for br in self.branches],
         )
@@ -340,7 +372,7 @@ def canonicalize(s: HybridState, tol: float = CANON_TOL) -> HybridState:
         for amp, qs in bucket:
             if abs(amp) >= tol:
                 out.append(Branch(amp, photons, qs))
-    return HybridState(s.registry, out)
+    return HybridState._derived(s.registry, out)
 
 
 def tensor(a: HybridState, b: HybridState) -> HybridState:
@@ -422,7 +454,7 @@ def bell_state(kind: str, a: tuple[str, str], b: tuple[str, str]) -> HybridState
 def attach_qubus(s: HybridState, mode: str, alpha: complex) -> HybridState:
     """Adjoin a fresh qubus mode in the coherent state |alpha⟩ to every branch."""
     reg = s.registry.with_qubus(mode)
-    return HybridState(
+    return HybridState._derived(
         reg,
         [Branch(br.amplitude, br.photons, br.qubus + (complex(alpha),)) for br in s.branches],
     )
@@ -459,7 +491,7 @@ def remove_photon(s: HybridState, pid: str) -> HybridState:
     reg = s.registry.without_photon(pid)
     parts = []
     for slot, rest_branches in groups.items():
-        part = HybridState(reg, rest_branches)
+        part = HybridState._derived(reg, rest_branches)
         parts.append((slot, part, norm(part)))
     ref = max(parts, key=lambda t: t[2])[1].normalized()
     total = 0.0

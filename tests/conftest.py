@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qubusim import polarization_state
+from qubusim import HybridState, polarization_state
 from qubusim.analysis import alpha_for_beta2
+from qubusim.state import _check_labels
 
 THETA = 0.05
 
@@ -29,3 +30,21 @@ def alpha20():
 @pytest.fixture
 def alpha40():
     return alpha_for(40.0)
+
+
+@pytest.fixture(autouse=True)
+def label_checked_derivations(monkeypatch):
+    """Label-check every state a kernel derives, as the constructor does.
+
+    Kernels build states whose labels are valid by construction with
+    HybridState._derived, which skips that check; inside the suite it runs
+    anyway, so a kernel that writes a bad label fails the test reaching it.
+    """
+    derived = HybridState.__dict__["_derived"].__func__
+
+    def checked(cls, registry, branches):
+        st = derived(cls, registry, branches)
+        _check_labels(st.registry, st.branches)
+        return st
+
+    monkeypatch.setattr(HybridState, "_derived", classmethod(checked))

@@ -217,6 +217,10 @@ def test_validation_error_exit_2(tmp_path, capsys):
         assert f"'{gate}' step needs exactly two photon ids" in capsys.readouterr().err
     for argv, err in (
         (["--photons", "1"], "'parity' step needs exactly two photon ids, got ['1']"),
+        (["--photons", "-1"], f"--photons must be 1..{pl.MAX_PHOTONS}, got -1"),
+        (["--photons", "0"], f"--photons must be 1..{pl.MAX_PHOTONS}, got 0"),
+        (["--photons", str(pl.MAX_PHOTONS + 1)],
+         f"--photons must be 1..{pl.MAX_PHOTONS}, got {pl.MAX_PHOTONS + 1}"),
         (["--beta2", "-5"], "beta2 must be a finite number >= 0, got -5.0"),
         (["--beta2", "nan"], "beta2 must be a finite number >= 0, got nan"),
         (["--beta2", "20", "--theta", "0"], "sin(theta) != 0, got 0.0"),
@@ -225,6 +229,16 @@ def test_validation_error_exit_2(tmp_path, capsys):
         capsys.readouterr()
         assert main(["gate", "parity", *argv]) == 2, argv
         assert err in capsys.readouterr().err, argv
+
+
+def test_huge_photon_count_is_refused_before_a_state_is_built(monkeypatch, capsys):
+    # 40 photons would ask for a 2**40-entry vector; the state builder must not be reached
+    def unreachable(*args):
+        raise AssertionError("a state was built for an out-of-range --photons")
+
+    monkeypatch.setattr("qubusim.cli.parse_state_spec", unreachable)
+    assert main(["gate", "parity", "--photons", "40"]) == 2
+    assert f"--photons must be 1..{pl.MAX_PHOTONS}, got 40" in capsys.readouterr().err
 
 
 def test_decompose_identity(tmp_path):
@@ -320,6 +334,26 @@ def test_run_program_raw_element_step(tmp_path):
     assert main(["run", str(prog), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["final_state"]["branches"][0]["photons"][0]["pol"] == "V"
+
+
+@pytest.mark.parametrize(
+    "kind, targets",
+    [
+        ("WavePlateX", {"path": "t9"}),
+        ("WavePlateZ", {"path": "t9"}),
+        ("PBS", {"in_path": "t9", "out_h": "h", "out_v": "v"}),
+        ("PBSpm", {"in_path": "t9", "out_plus": "p", "out_minus": "m"}),
+        ("PolPhase", {"path": "t9", "pol": "V"}),
+        ("PolRot", {"path": "t9"}),
+    ],
+)
+def test_element_on_an_unregistered_path_exits_2(tmp_path, capsys, kind, targets):
+    step = {"gate": "element", "kind": kind, "parameter": 0.3,
+            "targets": {"photon": "1", **targets}}
+    prog = tmp_path / "prog.json"
+    prog.write_text(json.dumps({"photons": [{"id": "1", "path": "t1"}], "gates": [step]}))
+    assert main(["run", str(prog)]) == 2
+    assert "RegistryError: path 't9' not registered for photon '1'" in capsys.readouterr().err
 
 
 def test_run_program_teleport_roundtrip(tmp_path):

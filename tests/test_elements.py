@@ -10,6 +10,7 @@ import pytest
 from qubusim import (
     HybridState,
     RegistryError,
+    StateError,
     amplitude_of,
     attach_qubus,
     fidelity,
@@ -67,6 +68,41 @@ def test_photon_bs_unregistered_path():
     s = pol_qubit("1", "a", 1, 0)
     with pytest.raises(RegistryError):
         el.photon_bs(s, "1", "a", "nope")
+
+
+def test_elements_naming_an_unregistered_path_raise():
+    s = with_extra_path(pol_qubit("1", "a", 0.6, 0.8), "1", "b")
+    calls = [
+        lambda: el.wave_plate(s, "1", "nope", "x"),
+        lambda: el.pol_rotate(s, "1", "nope", 0.3),
+        lambda: el.pol_unitary(s, "1", "nope", np.eye(2)),
+        lambda: el.phase(s, "1", "nope", "V", 0.3),
+        lambda: el.phase(s, "1", "nope", None, 0.3),
+        lambda: el.pbs(s, "1", "nope", "h", "v"),
+        lambda: el.pbs_pm(s, "1", "nope", "p", "m"),
+        lambda: el.pbs_merge(s, "1", "nope", "b", "out"),
+        lambda: el.pbs_merge(s, "1", "a", "nope", "out"),
+        lambda: el.pbs_pm_merge(s, "1", "nope", "b", "out"),
+        lambda: el.pbs_pm_merge(s, "1", "a", "nope", "out"),
+    ]
+    for call in calls:
+        with pytest.raises(RegistryError, match="path 'nope' not registered for photon '1'"):
+            call()
+
+
+def test_remap_slot_checks_only_the_images_it_emits(monkeypatch):
+    # drop the suite's extra label check on derived states: the kernel's own check must raise
+    monkeypatch.undo()
+    s = with_extra_path(pol_qubit("1", "a", 1, 0), "1", "b")
+    # a zero coefficient emits nothing, and an unoccupied slot's images are never emitted
+    table = {("a", "H"): [(1, "b", "H"), (0, "nope", "H")], ("b", "V"): [(1, "nope", "H")]}
+    out = el._remap_slot(s, "1", table)
+    assert amplitude_of(out, {"1": ("b", "H")}) == pytest.approx(1.0)
+    # an emitted image raises what the HybridState constructor raises for its slot
+    with pytest.raises(RegistryError, match="path 'nope' not registered for '1'"):
+        el._remap_slot(s, "1", {("a", "H"): [(0.6, "a", "H"), (0.8, "nope", "H")]})
+    with pytest.raises(StateError, match="bad polarization 'D'"):
+        el._remap_slot(s, "1", {("a", "H"): [(1, "a", "D")]})
 
 
 def test_pbs_routes_by_polarization():

@@ -1,0 +1,90 @@
+"""Property tests: random element sequences keep the norm and valid labels."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qubusim import HybridState, attach_qubus, norm, random_polarization_state
+from qubusim import elements as el
+from qubusim.state import POLS, _check_labels
+
+PROPERTIES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+angles = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+def _start(n: int, seed: int) -> HybridState:
+    """Haar state of photons "1".."n" with a spare path u<i> registered for each,
+    and two qubus beams of small amplitude."""
+    s = random_polarization_state(n, seed)
+    reg = s.registry
+    for pid in reg.photons:
+        reg = reg.with_path(pid, f"u{pid}")
+    s = HybridState(reg, s.branches)
+    return attach_qubus(attach_qubus(s, "qa", 1.3 + 0.2j), "qb", -0.7j)
+
+
+@st.composite
+def programs(draw):
+    """(n, seed, steps); a step is (element name, photon index, draws for its arguments)."""
+    n = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    step = st.tuples(
+        st.sampled_from(
+            ["photon_bs", "path_switch", "pbs", "pbs_pm", "wave_plate", "pol_rotate",
+             "pol_unitary", "phase", "xpm", "qubus_phase", "qubus_bs"]
+        ),
+        st.integers(0, n - 1),
+        st.integers(0, 2**16),
+        angles,
+    )
+    return n, seed, draw(st.lists(step, max_size=8))
+
+
+def _apply(s: HybridState, name: str, photon: int, k: int, x: float) -> HybridState:
+    """One element on registered paths, its choices made from k and x; the
+    first path it names is one the photon occupies."""
+    pid = s.registry.photons[photon]
+    paths = s.registry.paths_of(pid)
+    used = s.photon_paths_in_use(pid)
+    a = used[k % len(used)]
+    b = paths[(k // len(used)) % len(paths)]
+    pol = POLS[k % 2]
+    if name in ("photon_bs", "path_switch"):
+        if a == b:
+            b = paths[(paths.index(a) + 1) % len(paths)]
+        return el.photon_bs(s, pid, a, b, x) if name == "photon_bs" else el.path_switch(s, pid, a, b)
+    if name in ("pbs", "pbs_pm"):
+        # both outputs fresh, so no routed amplitude lands on an occupied slot
+        out1 = s.registry.fresh_path(a + "o")
+        out2 = s.registry.with_path(pid, out1).fresh_path(a + "o")
+        return getattr(el, name)(s, pid, a, out1, out2)
+    path = None if k % 3 == 0 else a
+    if name == "wave_plate":
+        return el.wave_plate(s, pid, path, "xz"[k % 2])
+    if name == "pol_rotate":
+        return el.pol_rotate(s, pid, path, x)
+    if name == "pol_unitary":
+        c, sn = math.cos(x), math.sin(x)
+        u = [[c, -sn * complex(math.cos(k), math.sin(k))], [sn, c * complex(math.cos(k), math.sin(k))]]
+        return el.pol_unitary(s, pid, path, u)
+    if name == "phase":
+        return el.phase(s, pid, path, None if k % 5 == 0 else pol, x)
+    if name == "xpm":
+        return el.xpm(s, ("qa", "qb")[k % 2], pid, a, None if k % 5 == 0 else pol, x)
+    if name == "qubus_phase":
+        return el.qubus_phase(s, ("qa", "qb")[k % 2], x)
+    return el.qubus_bs(s, *(("qa", "qb") if k % 2 else ("qb", "qa")))
+
+
+@PROPERTIES
+@given(programs())
+def test_element_sequences_preserve_the_norm_and_the_labels(program):
+    n, seed, steps = program
+    s = _start(n, seed)
+    for step in steps:
+        s = _apply(s, *step)
+        _check_labels(s.registry, s.branches)
+        assert norm(s) == pytest.approx(1.0, abs=1e-12), step

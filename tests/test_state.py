@@ -169,6 +169,27 @@ def test_state_rejects_only_the_last_bad_branch(last, error, message):
     assert type(caught.value) is error and str(caught.value) == message
 
 
+def test_state_reports_the_earlier_of_a_label_and_a_qubus_fault():
+    reg = ModeRegistry().with_photon("1", ("p",)).with_qubus("q")
+    ok = Branch(1.0 + 0j, (("1", "p", "H"),), (0j,))
+    short = Branch(1.0 + 0j, (("1", "p", "V"),), ())
+    bad_pol = Branch(1.0 + 0j, (("1", "p", "D"),), (0j,))
+    with pytest.raises(StateError, match="branch qubus length != number of registered modes"):
+        HybridState(reg, [ok, short, bad_pol])
+    with pytest.raises(StateError, match="bad polarization 'D'"):
+        HybridState(reg, [ok, bad_pol, short])
+    with pytest.raises(StateError, match="branch qubus length != number of registered modes"):
+        HybridState._derived(reg, [ok, short])
+
+
+def test_derived_states_are_label_checked_inside_the_suite():
+    # the suite's autouse fixture adds the label check that _derived skips
+    reg = ModeRegistry().with_photon("1", ("p",))
+    assert HybridState._derived(reg, [Branch(1.0 + 0j, (("1", "p", "H"),), ())]).branches
+    with pytest.raises(RegistryError, match="path 'zz' not registered for '1'"):
+        HybridState._derived(reg, [Branch(1.0 + 0j, (("1", "zz", "H"),), ())])
+
+
 def test_norm_zero_state_errors():
     reg = ModeRegistry().with_photon("1", ("p",))
     s = HybridState(reg, [Branch(0.0, (("1", "p", "H"),), ())])
