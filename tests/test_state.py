@@ -86,6 +86,14 @@ def test_fidelity_rejects_unnormalized():
         fidelity(s.scaled(0.5), s)
 
 
+def test_fidelity_names_first_unnormalized_state():
+    s = two_photon(3)
+    with pytest.raises(StateError, match="state a"):
+        fidelity(s.scaled(0.5), s.scaled(2.0))
+    with pytest.raises(StateError, match="state b"):
+        fidelity(s, s.scaled(2.0))
+
+
 def test_canonicalize_merges_equal_branches():
     reg = ModeRegistry().with_photon("1", ("p",)).with_qubus("q")
     br = Branch(0.5, (("1", "p", "H"),), (1.0 + 0j,))
@@ -101,6 +109,98 @@ def test_canonicalize_drops_dust():
         reg, [Branch(1.0, (("1", "p", "H"),), ()), Branch(1e-15, (("1", "p", "V"),), ())]
     )
     assert len(canonicalize(s).branches) == 1
+
+
+def test_canonicalize_keeps_unmerged_branch_objects():
+    reg = ModeRegistry().with_photon("1", ("p", "r")).with_qubus("q")
+    s = HybridState(reg, [
+        Branch(0.3 + 0.1j, (("1", p, pol),), (complex(k),))
+        for p in ("p", "r") for pol in "HV" for k in range(3)
+    ])
+    out = canonicalize(s)
+    assert len(out.branches) == len(s.branches)
+    assert all(a is b for a, b in zip(out.branches, s.branches))
+
+
+def test_canonicalize_merges_within_tol_and_drops_dust_beside_kept_branches():
+    reg = ModeRegistry().with_photon("1", ("p",)).with_qubus("q")
+    h, v = (("1", "p", "H"),), (("1", "p", "V"),)
+    lone = Branch(0.6 + 0j, h, (2.0 + 0j,))
+    near = [Branch(0.4 + 0j, h, (1.0 + 0j,)), Branch(0.2 + 0j, h, (1.0 + 0.5e-12j,))]
+    cancel = [Branch(0.5 + 0j, v, (3.0 + 0j,)), Branch(-0.5 + 0j, v, (3.0 + 0j,))]
+    dust = Branch(1e-15 + 0j, v, (4.0 + 0j,))
+    out = canonicalize(HybridState(reg, [lone, *near, *cancel, dust]))
+    assert len(out.branches) == 2
+    assert out.branches[0] is lone
+    merged = out.branches[1]
+    assert merged not in near and merged.qubus == near[0].qubus
+    assert merged.amplitude == pytest.approx(0.6, abs=1e-15)
+    # a wider gap than the tolerance keeps the branches apart
+    apart = HybridState(reg, [near[0], Branch(0.2 + 0j, h, (1.0 + 1e-9j,))])
+    assert [a is b for a, b in zip(canonicalize(apart).branches, apart.branches)] == [True, True]
+
+
+def _random_branches(rng, labels, count, modes):
+    """count branches drawn from labels with repeats, random amplitudes and beams."""
+    out = []
+    for _ in range(count):
+        amp = complex(*rng.standard_normal(2))
+        beam = tuple(complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(modes))
+        out.append(Branch(amp, labels[rng.integers(len(labels))], beam))
+    return out
+
+
+def _two_photon_labels():
+    return [
+        (("1", p1, pol1), ("2", p2, pol2))
+        for p1 in ("a", "b") for pol1 in "HV" for p2 in ("c", "d") for pol2 in "HV"
+    ]
+
+
+def test_beam_free_gram_sums_match_a_dense_vector():
+    rng = np.random.default_rng(4)
+    labels = _two_photon_labels()
+    reg = ModeRegistry().with_photon("1", ("a", "b")).with_photon("2", ("c", "d"))
+
+    def dense(s):
+        vec = np.zeros(len(labels), dtype=complex)
+        for br in s.branches:
+            vec[labels.index(br.photons)] += br.amplitude
+        return vec
+
+    for trial in range(20):
+        x = HybridState(reg, _random_branches(rng, labels, 40, 0))
+        y = HybridState(reg, _random_branches(rng, labels[: 6 + trial % 10], 25, 0))
+        assert len({br.photons for br in x.branches}) < len(x.branches)  # labels repeat
+        vx, vy = dense(x), dense(y)
+        assert abs(norm(x) - np.linalg.norm(vx)) < 1e-12 * np.linalg.norm(vx)
+        assert abs(inner_product(x, y) - np.vdot(vx, vy)) < 1e-12 * (
+            np.linalg.norm(vx) * np.linalg.norm(vy))
+
+
+def test_gram_sums_with_beams_match_the_per_pair_closed_form():
+    rng = np.random.default_rng(5)
+    labels = _two_photon_labels()[:5]
+    reg = ModeRegistry().with_photon("1", ("a", "b")).with_photon("2", ("c", "d"))
+    reg = reg.with_qubus("qa").with_qubus("qb")
+
+    def closed_form(bras, kets):
+        total = 0j
+        for a in bras:
+            for b in kets:
+                if a.photons == b.photons:
+                    qa, qb = np.array(a.qubus), np.array(b.qubus)
+                    exponent = np.sum(-0.5 * abs(qa) ** 2 - 0.5 * abs(qb) ** 2 + qa.conj() * qb)
+                    total += np.conj(a.amplitude) * b.amplitude * np.exp(exponent)
+        return total
+
+    for _ in range(10):
+        x = HybridState(reg, _random_branches(rng, labels, 12, 2))
+        y = HybridState(reg, _random_branches(rng, labels, 9, 2))
+        xx = closed_form(x.branches, x.branches).real
+        assert abs(norm(x) - math.sqrt(xx)) < 1e-12 * math.sqrt(xx)
+        xy = closed_form(x.branches, y.branches)
+        assert abs(inner_product(x, y) - xy) < 1e-12 * (norm(x) * norm(y))
 
 
 def test_norm_of_random_state():
@@ -180,6 +280,31 @@ def test_state_reports_the_earlier_of_a_label_and_a_qubus_fault():
         HybridState(reg, [ok, bad_pol, short])
     with pytest.raises(StateError, match="branch qubus length != number of registered modes"):
         HybridState._derived(reg, [ok, short])
+
+
+def test_state_rejects_slots_not_sorted_by_photon_id():
+    # the same basis state written in two slot orders would count as two orthogonal ones
+    reg = ModeRegistry().with_photon("1", ("a",)).with_photon("2", ("b",))
+    sorted_br = Branch(0.5 + 0j, (("1", "a", "H"), ("2", "b", "H")), ())
+    swapped = Branch(0.5 + 0j, (("2", "b", "H"), ("1", "a", "H")), ())
+    with pytest.raises(StateError, match="branch slots are not sorted by photon id"):
+        HybridState(reg, [sorted_br, swapped])
+    assert norm(HybridState(reg, [sorted_br, sorted_br])) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_slot_index_is_the_sorted_position_whatever_the_registration_order():
+    a, b = pol_qubit("2", "r", 1, 1), pol_qubit("10", "p", 1, 0)
+    ab = tensor(a, b)
+    assert ab.registry.photons == ("2", "10")
+    assert [ab.registry.slot_index(pid) for pid in ("10", "2")] == [0, 1]
+    assert all([t[0] for t in br.photons] == ["10", "2"] for br in ab.branches)
+    with pytest.raises(RegistryError, match="unknown photon 'x'"):
+        ab.registry.slot_index("x")
+    # a snapshot listing slots out of order is sorted on the way in
+    doc = state_to_dict(ab)
+    for br in doc["branches"]:
+        br["photons"].reverse()
+    assert abs(inner_product(state_from_dict(doc), ab) - 1.0) < 1e-12
 
 
 def test_derived_states_are_label_checked_inside_the_suite():
