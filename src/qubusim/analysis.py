@@ -151,8 +151,6 @@ def pmf_to_csv(ns: Sequence[int], probs: Sequence[float]) -> str:
 # sweeps
 # ---------------------------------------------------------------------------
 
-QUANTITIES = ("P_E_formula", "P_E_direct", "peak_overlap", "gate_fidelity", "pmf")
-
 _DEFAULTS = {**DEFAULTS, "k1": 1, "k2": 2, "beta2": None, "state_seed": 0}
 
 
@@ -191,6 +189,32 @@ def _gate_fidelity(p: dict) -> float:
     )
 
 
+def _error_args(p: dict) -> tuple:
+    return p["alpha"], p["theta"], p["gamma"], p["eta"], p["theta_probe"]
+
+
+def _pmf(p: dict) -> list[dict]:
+    """The difference port's Poisson pmf, one entry per n up to the default cutoff."""
+    b2 = p["beta2"]
+    if b2 is None:
+        b2 = beta_squared(p["alpha"], p["theta"])
+    cutoff = default_fock_cutoff(b2)
+    return [{"n": n, "probability": poisson_pmf(b2, n)} for n in range(cutoff + 1)]
+
+
+#: each sweep quantity -> the row entries of one resolved grid point
+_SWEEP_POINT = {
+    "P_E_formula": lambda p: [{"value": error_probability_formula(*_error_args(p))}],
+    "P_E_direct": lambda p: [{"value": error_probability_direct(*_error_args(p))}],
+    "peak_overlap": lambda p: [
+        {"value": peak_overlap(p["gamma"], p["theta_probe"], int(p["k1"]), int(p["k2"]))}
+    ],
+    "gate_fidelity": lambda p: [{"value": _gate_fidelity(p)}],
+    "pmf": _pmf,
+}
+QUANTITIES = tuple(_SWEEP_POINT)
+
+
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the grid; one row per point (plus one row per n for pmf)."""
     keys = list(spec.grid.keys())
@@ -199,45 +223,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         point = dict(zip(keys, values))
         params = _resolve({**spec.fixed, **point})
         try:
-            if spec.quantity == "P_E_formula":
-                out = {
-                    "value": error_probability_formula(
-                        params["alpha"], params["theta"], params["gamma"],
-                        params["eta"], params["theta_probe"],
-                    )
-                }
-            elif spec.quantity == "P_E_direct":
-                out = {
-                    "value": error_probability_direct(
-                        params["alpha"], params["theta"], params["gamma"],
-                        params["eta"], params["theta_probe"],
-                    )
-                }
-            elif spec.quantity == "peak_overlap":
-                out = {
-                    "value": peak_overlap(
-                        params["gamma"], params["theta_probe"],
-                        int(params["k1"]), int(params["k2"]),
-                    )
-                }
-            elif spec.quantity == "gate_fidelity":
-                out = {"value": _gate_fidelity(params)}
-            else:  # pmf
-                b2 = params["beta2"]
-                if b2 is None:
-                    b2 = beta_squared(params["alpha"], params["theta"])
-                cutoff = default_fock_cutoff(b2)
-                out = {
-                    "pmf": [
-                        {"n": n, "probability": poisson_pmf(b2, n)}
-                        for n in range(cutoff + 1)
-                    ]
-                }
+            entries = _SWEEP_POINT[spec.quantity](params)
         except Exception as exc:
             raise AnalysisError(f"sweep point {point} failed: {exc}") from exc
-        if "pmf" in out:
-            for entry in out["pmf"]:
-                rows.append({**point, **entry})
-        else:
-            rows.append({**point, **out})
+        rows += [{**point, **entry} for entry in entries]
     return rows

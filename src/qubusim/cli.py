@@ -194,23 +194,21 @@ def _disentangler(s, st, a, t, rails):
     return gates.disentangler(s, st["control"], st["target"], routed[len(routed) // 2 :])
 
 
+def _entangler2(s, st, a, t, rails):
+    routed = _rails(st, st["qudit"], rails)
+    return gates.entangler3(s, st["companion"], st["qudit"], routed[:1], routed[1:], a, t)
+
+
 def _entangler3(s, st, a, t, rails):
     rails_a, rails_b = pl.split_rails(_rails(st, st["qudit"], rails), st.get("bit", 0))
     return gates.entangler3(s, st["companion"], st["qudit"], rails_a, rails_b, a, t)
 
 
-def _merging(s, st, a, t, rails):
-    return gates.merging(
-        s, st["photon"], _rails(st, st["photon"], rails), st["ancilla"],
-        [(c, None) for c in st["companions"]], a, t, keep_recycled=False,
-    )
-
-
-def _merging_n(s, st, a, t, rails):
+def _merging(s, st, a, t, rails, interference="bs"):
     return gates.merging_n(
         s, st["photon"], _rails(st, st["photon"], rails), st["ancilla"],
         [(c, None) for c in st["companions"]], a, t,
-        interference=st.get("interference", "qft"), keep_recycled=False,
+        interference=interference, keep_recycled=False,
     )
 
 
@@ -273,16 +271,14 @@ GATES: dict[str, Gate] = {
         lambda p, o: [_pair("cpath", p[0], p[1]), _pair("disentangler", p[0], p[1])],
     ),
     "entangler1": Gate(
-        2, lambda s, st, a, t, r: gates.entangler1(
-            s, st["photon"], _rails(st, st["photon"], r), st["ancilla"], a, t
+        2, lambda s, st, a, t, r: gates.entangler4(
+            s, st["ancilla"], st["photon"], _rails(st, st["photon"], r), a, t
         ),
         lambda p, o: [_pair("cpath", p[0], p[1]), _PLUS,
                       {"gate": "entangler1", "photon": p[1], "ancilla": "anc"}],
     ),
     "entangler2": Gate(
-        2, lambda s, st, a, t, r: gates.entangler2(
-            s, st["companion"], st["qudit"], _rails(st, st["qudit"], r), a, t
-        ),
+        2, _entangler2,
         lambda p, o: [{"gate": "to-qudit", "photons": p},
                       {"gate": "entangler2", "companion": p[0], "qudit": p[1]}],
     ),
@@ -305,7 +301,7 @@ GATES: dict[str, Gate] = {
                        "companions": [p[0]]}],
     ),
     "merging-n": Gate(
-        3, _merging_n,
+        3, lambda s, st, a, t, r: _merging(s, st, a, t, r, st.get("interference", "qft")),
         lambda p, o: [{"gate": "to-qudit", "photons": p},
                       {"gate": "entangler3", "companion": p[0], "qudit": p[2]},
                       {"gate": "entangler3", "companion": p[1], "qudit": p[2], "bit": 1},

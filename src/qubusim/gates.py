@@ -26,7 +26,9 @@ must match its route, so the array algebra is checked on every block.
 The parity gate and the C-path family share one rail-routing block: a fresh
 rail opens beside each target rail with a 50:50 split, and even n switches
 the rails while odd n adds a π phase.  C-path is C-path-2 on a one-rail
-target.  pbs_fan_out / pbs_fan_in move a rail's V component to a fresh rail
+target, and likewise Entangler-1, Entangler-2 and Merging are entangler4,
+entangler3 and merging_n at two rails, whose reports take the two-rail names.
+pbs_fan_out / pbs_fan_in move a rail's V component to a fresh rail
 as H and back; C-path-3 and the qudit unitaries use them.
 
 Each gate returns (output state, GateReport); the report logs every outcome
@@ -900,34 +902,6 @@ def _entangler_block(
     return block.state, _block_report(name, block, couplings, plan)
 
 
-def entangler1(
-    s: HybridState,
-    photon: str,
-    rails: tuple[str, str],
-    ancilla: str,
-    alpha: float = DEFAULTS["alpha"],
-    theta: float = DEFAULTS["theta"],
-) -> tuple[HybridState, GateReport]:
-    """Correlate a |+⟩ ancilla with a two-rail photon's polarization."""
-    anc_path = _require_plus(s, ancilla)
-    couplings = entangler4_couplings(ancilla, anc_path, photon, rails)
-    return _entangler_block(s, couplings, ancilla, alpha, theta, "entangler1")
-
-
-def entangler2(
-    s: HybridState,
-    companion: str,
-    qudit: str,
-    rails: tuple[str, str],
-    alpha: float = DEFAULTS["alpha"],
-    theta: float = DEFAULTS["theta"],
-) -> tuple[HybridState, GateReport]:
-    """Re-entangle a |+⟩ companion with which-rail of a two-rail qudit."""
-    comp_path = _require_single_path(s, companion)
-    couplings = entangler3_couplings(companion, comp_path, qudit, rails[:1], rails[1:])
-    return _entangler_block(s, couplings, companion, alpha, theta, "entangler2")
-
-
 def entangler3(
     s: HybridState,
     companion: str,
@@ -937,11 +911,15 @@ def entangler3(
     alpha: float = DEFAULTS["alpha"],
     theta: float = DEFAULTS["theta"],
 ) -> tuple[HybridState, GateReport]:
-    """Entangler-2 generalized: each rail half behaves as one spatial mode."""
+    """Re-entangle a |+⟩ companion with which rail half a qudit occupies.
+
+    Each rail half behaves as one spatial mode; with one rail per half this is
+    the two-rail Entangler-2, and reports as "entangler2".
+    """
     comp_path = _require_single_path(s, companion)
     couplings = entangler3_couplings(companion, comp_path, qudit, rails_a, rails_b)
-    out, rep = _entangler_block(s, couplings, companion, alpha, theta, "entangler3")
-    return out, rep
+    name = "entangler2" if len(rails_a) == 1 else "entangler3"
+    return _entangler_block(s, couplings, companion, alpha, theta, name)
 
 
 def entangler4(
@@ -952,50 +930,19 @@ def entangler4(
     alpha: float = DEFAULTS["alpha"],
     theta: float = DEFAULTS["theta"],
 ) -> tuple[HybridState, GateReport]:
-    """Couple the ancilla to every rail of a multi-rail qudit photon."""
+    """Correlate a |+⟩ ancilla with the polarization on every rail of a qudit.
+
+    On a two-rail photon this is Entangler-1, and reports as "entangler1".
+    """
     anc_path = _require_plus(s, ancilla)
     couplings = entangler4_couplings(ancilla, anc_path, qudit, rails)
-    return _entangler_block(s, couplings, ancilla, alpha, theta, "entangler4")
+    name = "entangler1" if len(rails) == 2 else "entangler4"
+    return _entangler_block(s, couplings, ancilla, alpha, theta, name)
 
 
 # ---------------------------------------------------------------------------
 # Merging family
 # ---------------------------------------------------------------------------
-
-
-def merging(
-    s: HybridState,
-    photon: str,
-    rails: tuple[str, str],
-    ancilla: str,
-    companions: Sequence[tuple[str, str | None]],
-    alpha: float = DEFAULTS["alpha"],
-    theta: float = DEFAULTS["theta"],
-    keep_recycled: bool = True,
-) -> tuple[HybridState, GateReport]:
-    """Merge a photon's two rails onto a fresh |+⟩ ancilla (inverse of C-path).
-
-    After the Entangler and its feed-forward, a 50:50 BS interferes the two
-    rails, PBS± fan them out onto four arms, and QND modules find the photon
-    on one arm in |±⟩ (probability 1/4 each).  Conditional σ_z on the listed
-    companion V slot and/or the ancilla then restore one fixed output; the
-    detected photon survives on its arm for recycling.
-
-    companions names the (photon, path-or-None) V slot that tags rail 2, e.g.
-    [("1", None)] when rail 2 is correlated with photon 1 being V.
-    """
-    return merging_n(
-        s,
-        photon,
-        rails,
-        ancilla,
-        companions,
-        alpha=alpha,
-        theta=theta,
-        interference="bs",
-        keep_recycled=keep_recycled,
-        name="merging",
-    )
 
 
 def merging_n(
@@ -1008,15 +955,23 @@ def merging_n(
     theta: float = DEFAULTS["theta"],
     interference: str | object = "qft",
     keep_recycled: bool = True,
-    name: str = "merging_n",
 ) -> tuple[HybridState, GateReport]:
-    """Merge 2^{n−1} rails into the ancilla via an interference mesh.
+    """Merge 2^{n−1} rails onto a fresh |+⟩ ancilla (inverse of the C-path family).
+
+    After the Entangler and its feed-forward, an interference mesh mixes the
+    rails, PBS± fan them out onto 2·2^{n−1} arms, and QND modules find the
+    photon on one arm in |±⟩.  Conditional phases on the companions' V slots
+    and σ_z on the ancilla then restore one fixed output; the detected photon
+    survives on its arm for recycling unless keep_recycled is false.
 
     interference: "qft" (Fourier matrix through a Reck mesh), "hadamard4" (the
     real 4×4 choice that leaves σ_z-only corrections), "bs" (N=2 50:50 BS,
-    the standard Merging gate), or an explicit unitary.  The feed-forward
-    phases are obtained by factorizing conj(U[k,j]/U[k,0]) over the rail-index
-    bits; each bit's phase lands on the matching companion's V slot.
+    the standard Merging gate, which reports as "merging"), or an explicit
+    unitary.  The feed-forward phases are obtained by factorizing
+    conj(U[k,j]/U[k,0]) over the rail-index bits; each bit's phase lands on
+    the matching companion's V slot.  companions names one (photon,
+    path-or-None) V slot per bit, e.g. [("1", None)] when rail 2 of two is
+    correlated with photon 1 being V.
     """
     rails = list(rails)
     n_rails = len(rails)
@@ -1025,18 +980,16 @@ def merging_n(
     qbits = n_rails.bit_length() - 1
     if len(companions) != qbits:
         raise GateError(f"need {qbits} companions for {n_rails} rails")
-    anc_path = _require_plus(s, ancilla)
-
-    report = GateReport(name, gates=Counter({name: 1}))
 
     # Entangler: correlate ancilla polarization with the photon polarization
-    ent_name = "entangler1" if n_rails == 2 else "entangler4"
-    couplings = entangler4_couplings(ancilla, anc_path, photon, rails)
-    out, ent_report = _entangler_block(s, couplings, ancilla, alpha, theta, ent_name)
+    out, ent_report = entangler4(s, ancilla, photon, rails, alpha, theta)
+    (anc_path,) = s.photon_paths_in_use(ancilla)  # entangler4 checked: one path, |+⟩
+    u, label = _interference_matrix(interference, n_rails)
+    name = "merging" if label == "bs" else "merging_n"
+    report = GateReport(name, gates=Counter({name: 1}))
     report.absorb(ent_report)
 
     # interference across the rails
-    u, label = _interference_matrix(interference, n_rails)
     report.extras["interference"] = label
     if label == "bs":
         out = el.photon_bs(out, photon, rails[0], rails[1])

@@ -31,10 +31,8 @@ from .gates import (
     c_path2,
     c_path3,
     disentangler,
-    entangler2,
     entangler3,
     inject_plus,
-    merging,
     merging_n,
     pbs_fan_in,
     pbs_fan_out,
@@ -252,29 +250,18 @@ def _fold_back(
 ) -> tuple[HybridState, str]:
     """Re-entangle each companion with its rail-index bit, then merge the
     rails onto a fresh |+⟩ ancilla; the gates' reports go into report.
-    Returns the state and the ancilla id."""
-    n = len(companions) + 1
+    Two rails merge through the 50:50 BS, the Merging gate, whatever the
+    interference.  Returns the state and the ancilla id."""
     for m, comp in enumerate(companions):
-        rails_a, rails_b = split_rails(rails, m)
-        if n == 2:
-            out, rep = entangler2(out, comp, qudit, (rails_a[0], rails_b[0]), alpha, theta)
-        else:
-            out, rep = entangler3(out, comp, qudit, rails_a, rails_b, alpha, theta)
+        out, rep = entangler3(out, comp, qudit, *split_rails(rails, m), alpha, theta)
         report.absorb(rep)
 
     out, anc_id, _ = inject_plus(out)
     report.resources.add(Resources(ancilla_photons=1))
-    merge_companions = [(c, None) for c in companions]
-    if n == 2:
-        out, rep = merging(
-            out, qudit, (rails[0], rails[1]), anc_id, merge_companions, alpha, theta,
-            keep_recycled=False,
-        )
-    else:
-        out, rep = merging_n(
-            out, qudit, rails, anc_id, merge_companions, alpha, theta,
-            interference=interference, keep_recycled=False,
-        )
+    out, rep = merging_n(
+        out, qudit, rails, anc_id, [(c, None) for c in companions], alpha, theta,
+        interference="bs" if len(rails) == 2 else interference, keep_recycled=False,
+    )
     report.absorb(rep)
     return out, anc_id
 
@@ -428,7 +415,7 @@ def _merge_back(
     for photon, rails, companion in steps:
         if sign == "-":
             out = el.wave_plate(out, anc, None, "z")
-        out, rep = merging(out, photon, rails, anc, [companion], alpha, theta, keep_recycled=True)
+        out, rep = merging_n(out, photon, rails, anc, [companion], alpha, theta, "bs")
         report.absorb(rep)
         carriers[photon] = anc
         anc, sign = photon, rep.extras["recycled_sign"]

@@ -260,10 +260,10 @@ class HybridState:
     """Normalized superposition of branches over a shared ModeRegistry.
 
     The constructor checks every branch against the registry.  A kernel that
-    knows its output labels are valid (they come from a checked state whose
-    registry differs only in what those labels do not use, or it checked each
-    slot it wrote) builds its result with `_derived`, which checks the qubus
-    lengths only.
+    knows its output branches are valid (labels and qubus values come from a
+    checked state whose registry differs only in what they do not use, or it
+    checked each slot it wrote) builds its result with `_derived`, which
+    checks nothing.
     """
 
     __slots__ = ("registry", "branches")
@@ -280,12 +280,10 @@ class HybridState:
 
     @classmethod
     def _derived(cls, registry: ModeRegistry, branches: Iterable[Branch]) -> "HybridState":
-        """A state whose branch labels are known to be valid for registry."""
+        """A state whose branches are known to be valid for registry."""
         self = cls.__new__(cls)
         self.registry = registry
         self.branches = tuple(branches)
-        if {len(br.qubus) for br in self.branches} - {len(registry.qubus_modes)}:
-            raise StateError("branch qubus length != number of registered modes")
         return self
 
     # -- algebra -------------------------------------------------------------

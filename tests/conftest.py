@@ -3,7 +3,6 @@ import pytest
 
 from qubusim import HybridState, polarization_state
 from qubusim.analysis import alpha_for_beta2
-from qubusim.state import _check_labels
 
 THETA = 0.05
 
@@ -33,18 +32,19 @@ def alpha40():
 
 
 @pytest.fixture(autouse=True)
-def label_checked_derivations(monkeypatch):
-    """Label-check every state a kernel derives, as the constructor does.
+def checked_derivations(monkeypatch):
+    """Check every state a kernel derives, as the public constructor does.
 
-    Kernels build states whose labels are valid by construction with
-    HybridState._derived, which skips that check; inside the suite it runs
-    anyway, so a kernel that writes a bad label fails the test reaching it.
+    Kernels build states whose branches are valid by construction with
+    HybridState._derived, which checks nothing; inside the suite the
+    constructor's full check (labels and qubus lengths) runs anyway, so a
+    kernel that writes a bad branch fails the test reaching it.
     """
     derived = HybridState.__dict__["_derived"].__func__
 
     def checked(cls, registry, branches):
         st = derived(cls, registry, branches)
-        _check_labels(st.registry, st.branches)
+        HybridState(st.registry, st.branches)
         return st
 
     monkeypatch.setattr(HybridState, "_derived", classmethod(checked))

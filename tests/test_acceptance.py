@@ -81,9 +81,9 @@ def test_criterion_2_merging_inverts_c_path():
         s = polarization_state(coeffs, [("1", "t1"), ("2", "t2")])
         mid, rep1 = g.c_path(s, "1", "2", ALPHA_20, THETA)
         mid, _, _ = g.inject_plus(mid, "A", "pa")
-        out, _ = g.merging(
+        out, _ = g.merging_n(
             mid, "2", rep1.extras["rails"], "A", [("1", None)], ALPHA_20, THETA,
-            keep_recycled=False,
+            interference="bs", keep_recycled=False,
         )
         target = polarization_state(coeffs, [("1", "t1"), ("A", "pa")])
         f = fidelity(out, target)

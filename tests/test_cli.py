@@ -53,6 +53,34 @@ def test_every_gate_name_invocable(name, tmp_path):
     assert doc["report"]["success_probability"] == pytest.approx(1.0, abs=1e-6)
 
 
+MERGE = ["merging", "entangler1", "merging_readout"]
+REPORT_NAMES = [
+    (["entangler1"], ["entangler1"]),
+    (["entangler2"], ["entangler2"]),
+    (["entangler3"], ["entangler3"]),
+    (["entangler4"], ["entangler4"]),
+    (["merging"], MERGE),
+    (["merging-n"], ["merging_n", "entangler4", "merging_n_readout"]),
+    (["from-qudit"], ["from_qudit", "entangler3", "entangler3",
+                      "merging_n", "entangler4", "merging_n_readout"]),
+    (["from-qudit", "--photons", "2"], ["from_qudit", "entangler2", *MERGE]),
+    (["toffoli"], ["toffoli", "c_path", "c_path3", *MERGE, *MERGE]),
+]
+
+
+@pytest.mark.parametrize("args, names", REPORT_NAMES, ids=[" ".join(a) for a, _ in REPORT_NAMES])
+def test_gate_report_names(args, names, tmp_path):
+    # depth-first gate names of the report tree: the two-rail Entangler and
+    # Merging stages keep their own names
+    out = tmp_path / "r.json"
+    assert main(["gate", *args, "--beta2", "20", "--out", str(out)]) == 0
+
+    def walk(rep):
+        return [rep["gate"]] + [n for child in rep["children"] for n in walk(child)]
+
+    assert walk(json.loads(out.read_text())["report"]) == names
+
+
 def test_gate_basis_input_and_toffoli_truth(tmp_path):
     out = tmp_path / "t.json"
     assert main(["gate", "toffoli", "--input", "VVH", "--beta2", "20", "--out", str(out)]) == 0

@@ -361,7 +361,7 @@ def test_entangler1_three_photon_state(alpha20):
         ],
     ).normalized()
     s = tensor(s, plus_photon("4", "p4"))
-    out, rep = g.entangler1(s, "2", ("p2", "p3"), "4", alpha20, THETA)
+    out, rep = g.entangler4(s, "4", "2", ("p2", "p3"), alpha20, THETA)
     assert rep.success_probability == pytest.approx(1.0, abs=1e-9)
     target = branch_state(
         out.registry,
@@ -385,7 +385,7 @@ def test_entangler2_reentangles_companion(alpha20):
          (c, {"2": ("r2", "H")}), (d, {"2": ("r2", "V")})],
     ).normalized()
     s = tensor(plus_photon("1", "t1"), qud)
-    out, rep = g.entangler2(s, "1", "2", ("r1", "r2"), alpha20, THETA)
+    out, rep = g.entangler3(s, "1", "2", ["r1"], ["r2"], alpha20, THETA)
     target = branch_state(
         out.registry,
         [
@@ -408,9 +408,9 @@ def test_merging_inverts_c_path(alpha20):
         s = polarization_state(z, [("1", "t1"), ("2", "t2")])
         mid, rep1 = g.c_path(s, "1", "2", alpha20, THETA)
         mid, anc, apath = g.inject_plus(mid, "A", "pa")
-        out, rep2 = g.merging(
+        out, rep2 = g.merging_n(
             mid, "2", rep1.extras["rails"], "A", [("1", None)], alpha20, THETA,
-            keep_recycled=False,
+            interference="bs", keep_recycled=False,
         )
         target = polarization_state(z, [("1", "t1"), ("A", "pa")])
         assert fidelity(out, target) >= 1 - 1e-8
@@ -423,7 +423,10 @@ def test_merging_basis_case(alpha20):
     reg = ModeRegistry().with_photon("1", ("p1",)).with_photon("2", ("p2", "p3"))
     s = branch_state(reg, [(1.0, {"1": ("p1", "H"), "2": ("p2", "V")})])
     s = tensor(s, plus_photon("4", "p4"))
-    out, rep = g.merging(s, "2", ("p2", "p3"), "4", [("1", None)], alpha20, THETA, keep_recycled=False)
+    out, rep = g.merging_n(
+        s, "2", ("p2", "p3"), "4", [("1", None)], alpha20, THETA,
+        interference="bs", keep_recycled=False,
+    )
     assert abs(amplitude_of(out, {"1": ("p1", "H"), "4": ("p4", "V")})) == pytest.approx(1.0, abs=1e-4)
 
 
@@ -432,7 +435,9 @@ def test_merging_keeps_recycled_photon(alpha20):
     s = polarization_state(z, [("1", "t1"), ("2", "t2")])
     mid, rep1 = g.c_path(s, "1", "2", alpha20, THETA)
     mid, anc, _ = g.inject_plus(mid, "A", "pa")
-    out, rep = g.merging(mid, "2", rep1.extras["rails"], "A", [("1", None)], alpha20, THETA)
+    out, rep = g.merging_n(
+        mid, "2", rep1.extras["rails"], "A", [("1", None)], alpha20, THETA, interference="bs"
+    )
     assert "2" in out.registry.photons
     assert rep.extras["recycled_sign"] in "+-"
     stripped = remove_photon(out, "2")
@@ -444,7 +449,7 @@ def test_merging_requires_plus_ancilla(alpha20):
     s = branch_state(reg, [(1.0, {"1": ("p1", "H"), "2": ("p2", "H")})])
     s = tensor(s, pol_qubit("4", "p4", 1, 0))  # |H>, not |+>
     with pytest.raises(g.GateError, match=r"\|\+\>|not in"):
-        g.merging(s, "2", ("p2", "p3"), "4", [("1", None)], alpha20, THETA)
+        g.merging_n(s, "2", ("p2", "p3"), "4", [("1", None)], alpha20, THETA, interference="bs")
 
 
 def test_merging_n_reduces_to_merging(alpha20):
@@ -453,7 +458,10 @@ def test_merging_n_reduces_to_merging(alpha20):
     mid, rep1 = g.c_path(s, "1", "2", alpha20, THETA)
     rails = rep1.extras["rails"]
     m1, _, _ = g.inject_plus(mid, "A", "pa")
-    out_std, _ = g.merging(m1, "2", rails, "A", [("1", None)], alpha20, THETA, keep_recycled=False)
+    out_std, _ = g.merging_n(
+        m1, "2", rails, "A", [("1", None)], alpha20, THETA, interference="bs",
+        keep_recycled=False,
+    )
     m2, _, _ = g.inject_plus(mid, "A", "pa")
     out_qft, _ = g.merging_n(
         m2, "2", rails, "A", [("1", None)], alpha20, THETA, interference="qft",

@@ -308,7 +308,7 @@ def test_slot_index_is_the_sorted_position_whatever_the_registration_order():
 
 
 def test_derived_states_are_label_checked_inside_the_suite():
-    # the suite's autouse fixture adds the label check that _derived skips
+    # the suite's autouse fixture adds the constructor's check that _derived skips
     reg = ModeRegistry().with_photon("1", ("p",))
     assert HybridState._derived(reg, [Branch(1.0 + 0j, (("1", "p", "H"),), ())]).branches
     with pytest.raises(RegistryError, match="path 'zz' not registered for '1'"):
