@@ -731,13 +731,12 @@ def _route_rails(
     theta: float,
     name: str,
     suffix: str,
-    split_path: str | None = None,
 ) -> tuple[HybridState, GateReport]:
     """C-path on every rail of the target: control H keeps the rails, control
     V moves the photon to the fresh rail beside each."""
     c_path_ = _require_single_path(s, control)
     rails = list(rails)
-    s, fresh = _open_rails(s, target, rails, suffix, split_path)
+    s, fresh = _open_rails(s, target, rails, suffix)
     couplings = c_path2_couplings(control, c_path_, target, rails, fresh)
     plan = _switch_plan(target, rails, fresh)
     block = run_qubus_block(s, couplings, alpha, theta, plan)
@@ -750,16 +749,15 @@ def c_path(
     target: str,
     alpha: float = DEFAULTS["alpha"],
     theta: float = DEFAULTS["theta"],
-    split_path: str | None = None,
 ) -> tuple[HybridState, GateReport]:
     """Route the target photon to rail 1 (control H) or rail 2 (control V).
 
-    Rail 1 is the target's input path; rail 2 is split_path (fresh when not
-    given).  Deterministic through a conditional rail switch plus a π phase
-    on rail 1 for odd outcomes.  This is c_path2 on a one-rail target.
+    Rail 1 is the target's input path; rail 2 is fresh, the second of the
+    report's rails.  Deterministic through a conditional rail switch plus a
+    π phase on rail 1 for odd outcomes.  This is c_path2 on a one-rail target.
     """
     rail1 = _require_single_path(s, target)
-    return _route_rails(s, control, target, [rail1], alpha, theta, "c_path", "s", split_path)
+    return _route_rails(s, control, target, [rail1], alpha, theta, "c_path", "s")
 
 
 def c_path2(
@@ -790,7 +788,6 @@ def c_path3(
     target: str,
     alpha: float = DEFAULTS["alpha"],
     theta: float = DEFAULTS["theta"],
-    split_path: str | None = None,
     layout: str = "split",
     witness: tuple[str, str, str] | None = None,
 ) -> tuple[HybridState, GateReport]:
@@ -804,7 +801,7 @@ def c_path3(
     """
     first, second = control_rails
     rail1 = _require_single_path(s, target)
-    s, (rail2,) = _open_rails(s, target, [rail1], "s", split_path)
+    s, (rail2,) = _open_rails(s, target, [rail1], "s")
 
     first_aux = None
     if layout == "split":

@@ -57,8 +57,24 @@ class PipelineError(GateError):
     pass
 
 
-def _require_product_qubits(s: HybridState, photons: Sequence[str]) -> None:
+def _require_photons(s: HybridState, least: int, **lists: Sequence[str]) -> None:
+    """The photon-list check of every pipeline entry: each named list is
+    non-empty, and together they hold least to MAX_PHOTONS distinct photons,
+    each registered in s and on a single path."""
+    for name, ids in lists.items():
+        if not ids:
+            raise PipelineError(f"{name} must name at least one photon")
+    photons = [pid for ids in lists.values() for pid in ids]
+    if len(photons) < least:
+        raise PipelineError(f"need at least {least} photons, got {len(photons)}")
+    if len(photons) > MAX_PHOTONS:
+        raise PipelineError(f"desk-scale cap is {MAX_PHOTONS} photons, got {len(photons)}")
+    repeated = sorted(pid for pid, count in Counter(photons).items() if count > 1)
+    if repeated:
+        raise PipelineError(f"photon ids must be distinct, repeated: {repeated}")
     for pid in photons:
+        if pid not in s.registry.photons:
+            raise PipelineError(f"photon {pid!r} is not in the state")
         if len(s.photon_paths_in_use(pid)) != 1:
             raise PipelineError(f"photon {pid!r} must start single-path")
 
@@ -83,11 +99,7 @@ def to_qudit_circuit(
     """
     photons = list(photons)
     n = len(photons)
-    if n < 2:
-        raise PipelineError("need at least two photons")
-    if n > MAX_PHOTONS:
-        raise PipelineError(f"desk-scale cap is {MAX_PHOTONS} photons")
-    _require_product_qubits(s, photons)
+    _require_photons(s, 2, photons=photons)
     carrier = photons[-1]
     report = GateReport("to_qudit_circuit", gates=Counter({"to_qudit_circuit": 1}))
 
@@ -143,11 +155,7 @@ def to_qudit_teleport(
     """
     photons = list(photons)
     n = len(photons)
-    if n < 2:
-        raise PipelineError("need at least two photons")
-    if n > MAX_PHOTONS:
-        raise PipelineError(f"desk-scale cap is {MAX_PHOTONS} photons")
-    _require_product_qubits(s, photons)
+    _require_photons(s, 2, photons=photons)
     report = GateReport("to_qudit_teleport", gates=Counter({"to_qudit_teleport": 1}))
 
     plus_ids = []
@@ -229,6 +237,7 @@ def from_qudit(
     """
     companions = list(companions)
     rails = list(rails)
+    _require_photons(s, 1, companions=companions)
     n = len(companions) + 1
     if len(rails) != 2 ** (n - 1):
         raise PipelineError(f"need {2 ** (n - 1)} rails for {n - 1} companions")
@@ -250,8 +259,8 @@ def _fold_back(
 ) -> tuple[HybridState, str]:
     """Re-entangle each companion with its rail-index bit, then merge the
     rails onto a fresh |+⟩ ancilla; the gates' reports go into report.
-    Two rails merge through the 50:50 BS, the Merging gate, whatever the
-    interference.  Returns the state and the ancilla id."""
+    At two rails the QFT is the 50:50 BS of the Merging gate.  Returns the
+    state and the ancilla id."""
     for m, comp in enumerate(companions):
         out, rep = entangler3(out, comp, qudit, *split_rails(rails, m), alpha, theta)
         report.absorb(rep)
@@ -260,7 +269,8 @@ def _fold_back(
     report.resources.add(Resources(ancilla_photons=1))
     out, rep = merging_n(
         out, qudit, rails, anc_id, [(c, None) for c in companions], alpha, theta,
-        interference="bs" if len(rails) == 2 else interference, keep_recycled=False,
+        interference="bs" if len(rails) == 2 and interference == "qft" else interference,
+        keep_recycled=False,
     )
     report.absorb(rep)
     return out, anc_id
@@ -279,16 +289,13 @@ def two_qubit_gate(
     alpha: float = DEFAULTS["alpha"],
     theta: float = DEFAULTS["theta"],
 ) -> tuple[HybridState, GateReport]:
-    """Any U(4) on two polarization qubits, via the single-photon qudit detour.
+    """Any U(4) on two polarization qubits: multi_qubit_gate on two photons.
 
     Transform to a 4-rail qudit, run the Reck mesh of U, transform back with
     an Entangler-2 and a Merging gate.  The report's extras give the output
     photon order (the second logical qubit exits on the Merging ancilla).
     """
-    u = syn.check_unitary(np.asarray(u, dtype=complex))
-    if u.shape != (4, 4):
-        raise PipelineError("two_qubit_gate needs a 4x4 unitary")
-    return _qudit_unitary("two_qubit_gate", s, [photon1, photon2], u, alpha, theta, "qft")
+    return multi_qubit_gate(s, [photon1, photon2], u, alpha, theta)
 
 
 def multi_qubit_gate(
@@ -299,37 +306,22 @@ def multi_qubit_gate(
     theta: float = DEFAULTS["theta"],
     interference: str = "qft",
 ) -> tuple[HybridState, GateReport]:
-    """Any U(2ⁿ) on n polarization qubits (n ≤ 4), lexicographic H/V basis.
+    """Any U(2ⁿ) on n polarization qubits (2 ≤ n ≤ 4), lexicographic H/V basis.
 
-    n−1 C-path-family gates map the state onto one photon's 2^{n−1} rails, a
-    2ⁿ-port Reck mesh applies U, n−1 Entangler-3 re-entangle the companions,
-    and a Merging-n gate (second LOMI: QFT or the σz-only Hadamard variant)
-    folds the rails onto one ancilla.
+    n−1 C-path-family gates map the state onto the last photon's 2^{n−1}
+    rails, a 2ⁿ-port Reck mesh applies U on the all-H rails, n−1 Entangler-3
+    re-entangle the companions, and a Merging-n gate (second LOMI: QFT or the
+    σz-only Hadamard variant) folds the rails onto one ancilla.  The last
+    logical qubit exits on that ancilla, named in the report's photon order.
+    On two photons this is the two-qubit gate, and its report is named so.
     """
     photons = list(photons)
     n = len(photons)
+    _require_photons(s, 2, photons=photons)
     u = syn.check_unitary(np.asarray(u, dtype=complex))
     if u.shape != (2**n, 2**n):
         raise PipelineError(f"need a {2**n}x{2**n} unitary for {n} photons")
-    if n == 2:
-        return two_qubit_gate(s, photons[0], photons[1], u, alpha, theta)
-    if n > MAX_PHOTONS:
-        raise PipelineError(f"desk-scale cap is {MAX_PHOTONS} photons")
-    return _qudit_unitary("multi_qubit_gate", s, photons, u, alpha, theta, interference)
-
-
-def _qudit_unitary(
-    name: str,
-    s: HybridState,
-    photons: list[str],
-    u: np.ndarray,
-    alpha: float,
-    theta: float,
-    interference: str,
-) -> tuple[HybridState, GateReport]:
-    """Map the photons onto the last one's rails, run the Reck mesh of u on
-    the all-H rails, and fold back; the last logical qubit exits on the
-    Merging ancilla, named in the report's photon order."""
+    name = "two_qubit_gate" if n == 2 else "multi_qubit_gate"
     report = GateReport(name, gates=Counter({name: 1}))
     qudit = photons[-1]
 
@@ -354,74 +346,92 @@ def _qudit_unitary(
 # ---------------------------------------------------------------------------
 
 
-def _control_chain(
+def _multi_control(
     s: HybridState,
     controls: Sequence[str],
-    report: GateReport,
+    targets: Sequence[str],
+    u: np.ndarray,
     alpha: float,
     theta: float,
     layout: str,
-) -> tuple[HybridState, list[tuple[str, str]]]:
-    """Split photons 2..n of the chain pairwise: each photon's second rail
-    carries the all-V-so-far component.  Returns the (first, second) rails per
-    split photon.
+) -> tuple[HybridState, GateReport]:
+    """C^n(U_k): U acts on the k targets only when all n controls are |V⟩.
+
+    The controls and the first target form a chain.  A C-path routes its
+    second photon by the first one's polarization, and a C-path-3 routes each
+    later photon onto two rails by the all-V-so-far rail of the one before;
+    layout picks the couplings of the first C-path-3.  Each further target is
+    routed off the last control.  U then acts on the targets' all-V rails:
+    wave plates for one target, the idealized block unitary of
+    _conditional_pol_unitary for k ≥ 2.  Last, one Merging gate per routed
+    photon folds everything back.  The report is "cn_u1" for one target and "cn_uk" for more; its
+    extras map each logical qubit to its carrier photon.
     """
-    out = s
-    rails: list[tuple[str, str]] = []
-    out, rep = c_path(out, controls[0], controls[1], alpha, theta)
-    report.absorb(rep)
-    rails.append(rep.extras["rails"])
-    for k in range(1, len(controls) - 1):
-        use_layout = layout if k == 1 else "split"
-        witness = None
-        if use_layout == "compact":
-            c1_path = out.photon_paths_in_use(controls[0])[0]
-            witness = (controls[0], c1_path, H)
-        out, rep = c_path3(
-            out, controls[k], rails[-1], controls[k + 1], alpha, theta,
-            layout=use_layout, witness=witness,
+    controls, targets = list(controls), list(targets)
+    n, k = len(controls), len(targets)
+    _require_photons(s, 2, controls=controls, targets=targets)
+    u = syn.check_unitary(np.asarray(u, dtype=complex))
+    if u.shape != (2**k, 2**k):
+        raise PipelineError(f"U must be {2**k}x{2**k} for {k} target(s)")
+    if layout == "compact" and n < 2:
+        raise PipelineError(
+            "the compact layout needs at least two controls: "
+            "one control leaves no C-path-3 stage for it to act on"
         )
+    name = "cn_u1" if k == 1 else "cn_uk"
+    report = GateReport(name, gates=Counter({name: 1}))
+
+    chain = controls + targets[:1]
+    links = list(zip(chain, chain[1:])) + [(controls[-1], t) for t in targets[1:]]
+    rails: dict[str, tuple[str, str]] = {}  # each routed photon's (first, second) rails
+    out = s
+    for i, (ctrl, photon) in enumerate(links):
+        if ctrl == controls[0]:
+            out, rep = c_path(out, ctrl, photon, alpha, theta)
+        elif i == 1:  # the first C-path-3 stage takes the layout
+            witness = (controls[0], out.photon_paths_in_use(controls[0])[0], H)
+            out, rep = c_path3(
+                out, ctrl, rails[ctrl], photon, alpha, theta, layout=layout, witness=witness
+            )
+        else:
+            out, rep = c_path3(out, ctrl, rails[ctrl], photon, alpha, theta)
         report.absorb(rep)
-        rails.append(rep.extras["rails"])
-    return out, rails
+        rails[photon] = rep.extras["rails"]
 
+    active = [rails[t][1] for t in targets]
+    if k == 1:
+        out = el.pol_unitary(out, targets[0], active[0], u)
+    else:
+        out = _conditional_pol_unitary(out, targets, active, u)
+        report.extras["idealized_uk"] = True
 
-def _merge_back(
-    out: HybridState,
-    routed: list[tuple[str, Sequence[str]]],
-    controls: Sequence[str],
-    control_rails: list[tuple[str, str]],
-    report: GateReport,
-    alpha: float,
-    theta: float,
-) -> tuple[HybridState, dict]:
-    """Fold the routed (photon, rails) targets, then the split controls last
-    to first, back with one Merging gate each.
-
-    Each step's companion is the V slot that marks "every control before it
-    is V": the first control's polarization, then each split control's V on
-    its second rail.  The first gate merges onto a fresh |+⟩ ancilla, each
-    later one onto the photon the previous gate recycled, and the photon
-    recycled last is dropped.  Returns the state and each photon's carrier.
-    """
-    flags = [(controls[0], None)] + [(c, r[1]) for c, r in zip(controls[1:], control_rails)]
-    steps = [(photon, rails, flags[-1]) for photon, rails in routed]
-    steps += [(controls[k], control_rails[k - 1], flags[k - 1]) for k in range(len(controls) - 1, 0, -1)]
-
+    # Fold the targets (last first), then the split controls (last first)
+    # back with one Merging gate each.  Each step's companion is the V slot
+    # that marks "every control before it is V": the first control's
+    # polarization, then each split control's V on its second rail.  The
+    # first gate merges onto a fresh |+⟩ ancilla, each later one onto the
+    # photon the previous gate recycled, and the photon recycled last is
+    # dropped.
+    flags = [(controls[0], None)] + [(c, rails[c][1]) for c in controls[1:]]
+    steps = [(t, flags[-1]) for t in targets[::-1]]
+    steps += [(controls[j], flags[j - 1]) for j in range(n - 1, 0, -1)]
     out, anc, _ = inject_plus(out)
     report.resources.add(Resources(ancilla_photons=1))
     sign = "+"
     carriers = {controls[0]: controls[0]}
-    for photon, rails, companion in steps:
+    for photon, companion in steps:
         if sign == "-":
             out = el.wave_plate(out, anc, None, "z")
-        out, rep = merging_n(out, photon, rails, anc, [companion], alpha, theta, "bs")
+        out, rep = merging_n(out, photon, rails[photon], anc, [companion], alpha, theta, "bs")
         report.absorb(rep)
         carriers[photon] = anc
         anc, sign = photon, rep.extras["recycled_sign"]
     if sign == "-":
         out = el.wave_plate(out, anc, None, "z")
-    return remove_photon(out, anc), carriers
+
+    order = tuple(carriers[p] for p in controls + targets)
+    report.extras.update({"photon_order": order, "carriers": carriers})
+    return remove_photon(out, anc), report
 
 
 def cn_u1(
@@ -440,30 +450,7 @@ def cn_u1(
     fold everything back, recycling one ancilla photon throughout.  The
     extras map each logical qubit to its carrier photon.
     """
-    controls = list(controls)
-    n = len(controls)
-    if n < 1:
-        raise PipelineError("need at least one control")
-    if n + 1 > MAX_PHOTONS:
-        raise PipelineError(f"desk-scale cap is {MAX_PHOTONS} photons")
-    u1 = syn.check_unitary(np.asarray(u1, dtype=complex))
-    if u1.shape != (2, 2):
-        raise PipelineError("U1 must be 2x2")
-    _require_product_qubits(s, controls + [target])
-    report = GateReport("cn_u1", gates=Counter({"cn_u1": 1}))
-
-    # the target is routed like one more link of the control chain
-    out, rails = _control_chain(s, controls + [target], report, alpha, theta, layout)
-    control_rails, t_rails = rails[:-1], rails[-1]
-
-    out = el.pol_unitary(out, target, t_rails[1], u1)
-
-    out, carriers = _merge_back(
-        out, [(target, t_rails)], controls, control_rails, report, alpha, theta
-    )
-    order = tuple(carriers[c] for c in controls) + (carriers[target],)
-    report.extras.update({"photon_order": order, "carriers": carriers})
-    return out, report
+    return _multi_control(s, controls, [target], u1, alpha, theta, layout)
 
 
 def toffoli(
@@ -532,42 +519,7 @@ def cn_uk(
 
     The control chain, target routing and every Merging gate use the real
     coupling machinery; for k ≥ 2 the conditional U_k itself is applied as an
-    explicit block unitary on the routed rails (k = 1 falls back to cn_u1's
-    fully physical wave plates).
+    explicit block unitary on the routed rails.  On one target this is
+    C^n(U1), fully physical wave plates and report name included.
     """
-    controls, targets = list(controls), list(targets)
-    if len(targets) == 1:
-        return cn_u1(s, controls, targets[0], uk, alpha, theta)
-    n, k = len(controls), len(targets)
-    if n + k > MAX_PHOTONS:
-        raise PipelineError(f"desk-scale cap is {MAX_PHOTONS} photons")
-    uk = syn.check_unitary(np.asarray(uk, dtype=complex))
-    if uk.shape != (2**k, 2**k):
-        raise PipelineError(f"U_k must be {2**k}x{2**k}")
-    _require_product_qubits(s, controls + targets)
-    report = GateReport("cn_uk", gates=Counter({"cn_uk": 1}))
-
-    # every target is routed off the same control: its all-V rail (or, for a
-    # single control, its polarization directly)
-    if n == 1:
-        out, control_rails = s, []
-    else:
-        out, control_rails = _control_chain(s, controls, report, alpha, theta, "split")
-    target_rails = []
-    for t in targets:
-        if n == 1:
-            out, rep = c_path(out, controls[0], t, alpha, theta)
-        else:
-            out, rep = c_path3(out, controls[-1], control_rails[-1], t, alpha, theta)
-        report.absorb(rep)
-        target_rails.append(rep.extras["rails"])
-
-    active = [rails[1] for rails in target_rails]
-    out = _conditional_pol_unitary(out, targets, active, uk)
-    report.extras["idealized_uk"] = True
-
-    routed = list(zip(targets, target_rails))[::-1]
-    out, carriers = _merge_back(out, routed, controls, control_rails, report, alpha, theta)
-    order = tuple(carriers[c] for c in controls) + tuple(carriers[t] for t in targets)
-    report.extras.update({"photon_order": order, "carriers": carriers})
-    return out, report
+    return _multi_control(s, controls, targets, uk, alpha, theta, "split")

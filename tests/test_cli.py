@@ -243,6 +243,34 @@ def test_validation_error_exit_2(tmp_path, capsys):
         capsys.readouterr()
         assert main(["run", str(bad)]) == 2, gate
         assert f"'{gate}' step needs exactly two photon ids" in capsys.readouterr().err
+    for step, err in (
+        ({"gate": "cn-uk", "controls": [], "targets": ["2", "3"], "unitary": "identity"},
+         "controls must name at least one photon"),
+        ({"gate": "cn-uk", "controls": ["1", "2"], "targets": [], "unitary": "identity"},
+         "targets must name at least one photon"),
+        ({"gate": "toffoli", "controls": ["1", "1"], "target": "2"},
+         "photon ids must be distinct, repeated: ['1']"),
+        ({"gate": "to-qudit", "photons": ["1", "1", "2"]},
+         "photon ids must be distinct, repeated: ['1']"),
+        ({"gate": "multi-qubit", "photons": ["1", "1", "3"], "unitary": "identity"},
+         "photon ids must be distinct, repeated: ['1']"),
+        ({"gate": "toffoli", "controls": ["1", "2"], "target": "3", "layout": "bogus"},
+         "unknown C-path-3 layout 'bogus'"),
+    ):
+        bad.write_text(json.dumps({"photons": photons, "gates": [step]}))
+        capsys.readouterr()
+        assert main(["run", str(bad)]) == 2, step
+        assert err in capsys.readouterr().err, step
+    compact = "the compact layout needs at least two controls"
+    for argv, err in (
+        (["from-qudit", "--photons", "2", "--interference", "hadamard4"],
+         "'hadamard4' interference needs four rails"),
+        (["cn-u1", "--photons", "2", "--layout", "compact"], compact),
+        (["toffoli", "--photons", "2", "--layout", "compact"], compact),
+    ):
+        capsys.readouterr()
+        assert main(["gate", *argv]) == 2, argv
+        assert err in capsys.readouterr().err, argv
     for argv, err in (
         (["--photons", "1"], "'parity' step needs exactly two photon ids, got ['1']"),
         (["--photons", "-1"], f"--photons must be 1..{pl.MAX_PHOTONS}, got -1"),

@@ -196,25 +196,28 @@ def test_parity_rejects_multipath_photon(alpha20):
 def test_c_path_basis_routing(alpha20):
     # |V>_C |H>_T -> target on rail 2; |H>_C keeps rail 1
     s = polarization_state([0, 0, 1, 0], [("C", "tc"), ("T", "tt")])
-    out, rep = g.c_path(s, "C", "T", alpha20, THETA, split_path="tt2")
-    assert abs(amplitude_of(out, {"C": ("tc", "V"), "T": ("tt2", "H")})) == pytest.approx(1.0, abs=1e-4)
+    out, rep = g.c_path(s, "C", "T", alpha20, THETA)
+    rail2 = rep.extras["rails"][1]
+    assert abs(amplitude_of(out, {"C": ("tc", "V"), "T": (rail2, "H")})) == pytest.approx(1.0, abs=1e-4)
     s = polarization_state(haar_vec(4, 3) * np.array([1, 1, 0, 0]), [("C", "tc"), ("T", "tt")])
-    out, rep = g.c_path(s, "C", "T", alpha20, THETA, split_path="tt2")
-    stray = sum(abs(br.amplitude) ** 2 for br in out.branches if br.slot("T")[0] == "tt2")
+    out, rep = g.c_path(s, "C", "T", alpha20, THETA)
+    rail2 = rep.extras["rails"][1]
+    stray = sum(abs(br.amplitude) ** 2 for br in out.branches if br.slot("T")[0] == rail2)
     assert stray < 1e-8  # only the e^{-|beta|^2} dust rides the wrong rail
 
 
 def test_c_path_full_map(alpha20):
     a, b, c, d = haar_vec(4, 5)
     s = polarization_state([a, b, c, d], [("C", "tc"), ("T", "r1")])
-    out, rep = g.c_path(s, "C", "T", alpha20, THETA, split_path="r2")
+    out, rep = g.c_path(s, "C", "T", alpha20, THETA)
+    r2 = rep.extras["rails"][1]
     target = branch_state(
         out.registry,
         [
             (a, {"C": ("tc", "H"), "T": ("r1", "H")}),
             (b, {"C": ("tc", "H"), "T": ("r1", "V")}),
-            (c, {"C": ("tc", "V"), "T": ("r2", "H")}),
-            (d, {"C": ("tc", "V"), "T": ("r2", "V")}),
+            (c, {"C": ("tc", "V"), "T": (r2, "H")}),
+            (d, {"C": ("tc", "V"), "T": (r2, "V")}),
         ],
     ).normalized()
     assert fidelity(out, target) >= 1 - 1e-8
@@ -224,14 +227,15 @@ def test_c_path_full_map(alpha20):
 def test_c_path_builds_switch_state_on_bell_pair(alpha20):
     # |+>_C controlling half a Bell pair builds |Sigma>
     s = tensor(plus_photon("C", "tc"), bell_state("phi+", ("1", "r3"), ("2", "t2")))
-    out, rep = g.c_path(s, "C", "1", alpha20, THETA, split_path="r4")
+    out, rep = g.c_path(s, "C", "1", alpha20, THETA)
+    r4 = rep.extras["rails"][1]
     target = branch_state(
         out.registry,
         [
             (0.5, {"C": ("tc", "H"), "1": ("r3", "H"), "2": ("t2", "H")}),
             (0.5, {"C": ("tc", "H"), "1": ("r3", "V"), "2": ("t2", "V")}),
-            (0.5, {"C": ("tc", "V"), "1": ("r4", "H"), "2": ("t2", "H")}),
-            (0.5, {"C": ("tc", "V"), "1": ("r4", "V"), "2": ("t2", "V")}),
+            (0.5, {"C": ("tc", "V"), "1": (r4, "H"), "2": ("t2", "H")}),
+            (0.5, {"C": ("tc", "V"), "1": (r4, "V"), "2": ("t2", "V")}),
         ],
     )
     assert fidelity(out, target) >= 1 - 1e-8
@@ -265,18 +269,19 @@ def test_c_path2_doubles_rails_triple_photon_stage(alpha40):
 def test_c_path3_layouts_agree(alpha20):
     a = haar_vec(8, 77)
     s = polarization_state(a, [("1", "t1"), ("2", "t2"), ("3", "t3")])
-    mid, rep1 = g.c_path(s, "1", "2", alpha20, THETA, split_path="r3")
-    split_out, rep = g.c_path3(mid, "2", ("t2", "r3"), "3", alpha20, THETA, split_path="r5")
+    mid, rep1 = g.c_path(s, "1", "2", alpha20, THETA)
+    split_out, rep = g.c_path3(mid, "2", rep1.extras["rails"], "3", alpha20, THETA)
+    r5 = rep.extras["rails"][1]
     assert rep.success_probability == pytest.approx(1.0, abs=1e-9)
     # target reaches rail 2 only on the |VV> component
     v_comp = [
-        br for br in split_out.branches if br.slot("3")[0] == "r5" and abs(br.amplitude) > 1e-4
+        br for br in split_out.branches if br.slot("3")[0] == r5 and abs(br.amplitude) > 1e-4
     ]
     assert all(br.slot("1")[1] == "V" and br.slot("2")[1] == "V" for br in v_comp)
     compact_s = polarization_state(a, [("1", "t1"), ("2", "t2"), ("3", "t3")])
-    mid, _ = g.c_path(compact_s, "1", "2", alpha20, THETA, split_path="r3")
+    mid, rep1 = g.c_path(compact_s, "1", "2", alpha20, THETA)
     out_c, rep_c = g.c_path3(
-        mid, "2", ("t2", "r3"), "3", alpha20, THETA, split_path="r5",
+        mid, "2", rep1.extras["rails"], "3", alpha20, THETA,
         layout="compact", witness=("1", "t1", "H"),
     )
     assert fidelity(out_c, split_out) >= 1 - 1e-8
@@ -286,18 +291,19 @@ def test_c_path3_displayed_coherent_pattern(alpha20):
     # the widetext display: branch-by-branch (alpha, alpha e^{+-i theta}) values
     a = haar_vec(8, 78)
     s = polarization_state(a, [("1", "t1"), ("2", "t2"), ("3", "t3")])
-    mid, _ = g.c_path(s, "1", "2", alpha20, THETA, split_path="r3")
+    mid, rep1 = g.c_path(s, "1", "2", alpha20, THETA)
+    r3 = rep1.extras["rails"][1]
     mid = el.pbs(mid, "2", "t2", "t2", "t2v")
     mid = el.wave_plate(mid, "2", "t2v", "x")
     mid = HybridState(mid.registry.with_path("3", "r5"), mid.branches)
     mid = el.photon_bs(mid, "3", "t3", "r5")
-    couplings = g.c_path3_couplings("2", "t2", "t2v", "r3", "3", "t3", "r5", "split")
+    couplings = g.c_path3_couplings("2", "t2", "t2v", r3, "3", "t3", "r5", "split")
     coupled, beams = g.couple_qubus_pair(mid, couplings, alpha20, THETA)
     beta = 1j * math.sqrt(2) * alpha20 * math.sin(THETA)
     for br in coupled.branches:
         if abs(br.amplitude) < 1e-3:
             continue  # upstream e^{-|beta|^2} dust follows its own pattern
-        vv = br.slot("1")[1] == "V" and br.slot("2") == ("r3", "V")
+        vv = br.slot("1")[1] == "V" and br.slot("2") == (r3, "V")
         on5 = br.slot("3")[0] == "r5"
         q0 = br.qubus[0]
         if vv and not on5:
@@ -316,16 +322,17 @@ def test_c_path3_displayed_coherent_pattern(alpha20):
 def test_disentangler_two_photon_transform(alpha20):
     a, b, c, d = haar_vec(4, 41)
     s = polarization_state([a, b, c, d], [("1", "t1"), ("2", "t2")])
-    out, rep1 = g.c_path(s, "1", "2", alpha20, THETA, split_path="r2")
-    out, rep = g.disentangler(out, "1", "2", v_rails=["r2"])
+    out, rep1 = g.c_path(s, "1", "2", alpha20, THETA)
+    r2 = rep1.extras["rails"][1]
+    out, rep = g.disentangler(out, "1", "2", v_rails=[r2])
     assert rep.success_probability == pytest.approx(1.0, abs=1e-9)
     target = tensor(
         plus_photon("1", "t1"),
         branch_state(
-            ModeRegistry().with_photon("2", ("t2", "r2")),
+            ModeRegistry().with_photon("2", ("t2", r2)),
             [
                 (a, {"2": ("t2", "H")}), (b, {"2": ("t2", "V")}),
-                (c, {"2": ("r2", "H")}), (d, {"2": ("r2", "V")}),
+                (c, {"2": (r2, "H")}), (d, {"2": (r2, "V")}),
             ],
         ).normalized(),
     )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qubusim import (
+    HybridState,
     path_pol_vector,
     pol_qubit,
     polarization_state,
@@ -241,6 +242,35 @@ def test_multi_qubit_resources_n3():
     assert rep.resources.ancilla_photons == 1
 
 
+def test_multi_qubit_on_two_photons_is_the_two_qubit_gate():
+    u = syn.random_haar_unitary(4, 7)
+    z = haar_vec(4, 107)
+    s = polarization_state(z, [("1", "t1"), ("2", "t2")])
+    out, rep = pl.multi_qubit_gate(s, ["1", "2"], u, ALPHA_40, THETA)
+    assert rep.gate == "two_qubit_gate"
+    vec = polarization_vector(out, list(rep.extras["photon_order"]))
+    assert abs(np.vdot(u @ z, vec)) ** 2 >= 1 - 1e-8
+    # the two-rail QFT is the 50:50 BS; the Hadamard variant needs four rails
+    with pytest.raises(pl.GateError, match="four rails"):
+        pl.multi_qubit_gate(s, ["1", "2"], u, ALPHA_40, THETA, interference="hadamard4")
+
+
+def test_photon_lists_are_checked_at_every_entry():
+    s, _, ids = product_state(3, seed=4)
+    split = el.photon_bs(HybridState(s.registry.with_path("3", "x"), s.branches), "3", "t3", "x")
+    for call, match in (
+        (lambda: pl.to_qudit_teleport(s, ["1", "2", "2"], ALPHA_40, THETA), "distinct"),
+        (lambda: pl.to_qudit_circuit(s, ["1", "9"], ALPHA_40, THETA), "'9' is not in the state"),
+        (lambda: pl.to_qudit_circuit(split, ids, ALPHA_40, THETA), "'3' must start single-path"),
+        (lambda: pl.from_qudit(s, "3", ["1", "1"], ["a", "b", "c", "d"], ALPHA_40, THETA),
+         "distinct"),
+        (lambda: pl.cn_u1(s, [], "3", np.eye(2), ALPHA_40, THETA), "controls must name"),
+        (lambda: pl.cn_uk(s, ["1"], ["2", "1"], np.eye(4), ALPHA_40, THETA), "distinct"),
+    ):
+        with pytest.raises(pl.PipelineError, match=match):
+            call()
+
+
 def test_multi_qubit_desk_cap():
     s, _, ids = product_state(4, seed=3)
     big = tensor(s, pol_qubit("5", "t5", 1, 0))
@@ -332,7 +362,7 @@ def test_cn_u1_single_control_is_controlled_u():
     assert abs(np.vdot(oracle @ z, vec)) ** 2 >= 1 - 1e-8
 
 
-@pytest.mark.parametrize("n_controls,k", [(1, 2), (2, 2)])
+@pytest.mark.parametrize("n_controls,k", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_cn_uk_against_dense_oracle(n_controls, k):
     uk = syn.random_haar_unitary(2**k, 91)
     dim = 2 ** (n_controls + k)
@@ -344,6 +374,7 @@ def test_cn_uk_against_dense_oracle(n_controls, k):
     oracle = np.eye(dim, dtype=complex)
     oracle[dim - 2**k :, dim - 2**k :] = uk
     assert abs(np.vdot(oracle @ z, vec)) ** 2 >= 1 - 1e-8
+    assert rep.gate == ("cn_u1" if k == 1 else "cn_uk")
 
 
 def test_resource_scaling_to_qudit_linear():
