@@ -321,7 +321,7 @@ GATES: dict[str, Gate] = {
             a, t, st.get("interference", "qft"),
         ),
         lambda p, o: [{"gate": "multi-qubit", "photons": p,
-                       "unitary": o.unitary or f"haar:{o.seed}:8",
+                       "unitary": o.unitary or f"haar:{o.seed}:{2 ** len(p)}",
                        "interference": o.interference}],
     ),
     "toffoli": Gate(

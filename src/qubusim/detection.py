@@ -10,9 +10,9 @@ MIN_PROB with its exact probability and collapsed state.  A beam's Fock pmf
 comes from its decomposition into parts, one per distinct beam value α_k:
 outcome n collapses to Σ_k ⟨n|α_k⟩ ψ_k, so P(n) for every n is one array pass
 over a K-row ⟨n|α_k⟩ table and the K×K Gram matrix of the parts.
-`fock_outcomes` returns the kept outcomes as a sequence carrying those parts
-and weights; a record, with its collapsed state, is built only when an
-outcome is read.
+`fock_outcomes` returns the kept outcomes as a sequence carrying the state,
+its beam values and the weights; a record, with its collapsed state, is
+built only when an outcome is read.
 """
 
 from __future__ import annotations
@@ -25,10 +25,14 @@ import numpy as np
 
 from .numerics import default_fock_cutoff, fock_amplitude, fock_amplitude_table, poisson_pmf
 from .state import (
-    Branch,
+    POLS,
     HybridState,
+    _drop_column,
+    _gram_sum,
+    _norms,
+    _recode,
+    _slot_digits,
     coherent_overlap,
-    inner_product,
     norm,
 )
 
@@ -66,60 +70,58 @@ class MeasurementRecord:
 
 
 def _fock_collapsed(s: HybridState, idx: int, n: int) -> HybridState:
-    """Unnormalized collapse: amplitudes × ⟨n|α_b⟩, mode removed."""
-    mode = s.registry.qubus_modes[idx]
-    reg = s.registry.without_qubus(mode)
-    out = []
-    for br in s.branches:
-        w = fock_amplitude(n, br.qubus[idx])
-        if w == 0:
-            continue
-        out.append(Branch(br.amplitude * w, br.photons, br.qubus[:idx] + br.qubus[idx + 1 :]))
-    return HybridState._derived(reg, out).canonical(0.0)
+    """Unnormalized collapse: amplitudes × ⟨n|α_b⟩, mode removed.
+
+    ⟨n|α⟩ is evaluated once per distinct beam value and gathered."""
+    col = s.qubus[:, idx]
+    w = np.zeros(len(col), complex)
+    for a in dict.fromkeys(col.tolist()):
+        w[col == a] = fock_amplitude(n, a)
+    hit = w != 0
+    rest = _drop_column(s.qubus[hit], idx)
+    reg = s.registry.without_qubus(s.registry.qubus_modes[idx])
+    return HybridState._rows(reg, s.amps[hit] * w[hit], s.codes[hit], rest).canonical(0.0)
 
 
-def _split_by_value(s: HybridState, idx: int) -> tuple[list[complex], list[HybridState]]:
+def _split_by_value(
+    s: HybridState, idx: int, values: Sequence[complex] | None = None
+) -> tuple[list[complex], list[HybridState]]:
     """The distinct values α_k of qubus mode idx and the parts ψ_k.
 
-    ψ_k holds the branches whose value is α_k, with the mode removed, so the
+    ψ_k holds the rows whose value is α_k, with the mode removed, so the
     state is Σ_k ψ_k ⊗ |α_k⟩ and a projection ⟨n| on the mode gives
-    Σ_k ⟨n|α_k⟩ ψ_k.
+    Σ_k ⟨n|α_k⟩ ψ_k.  values fixes the α_k and their order (default: the
+    distinct values in row order).  A part keeps its rows' canonical order:
+    they share the removed value.
     """
     reg = s.registry.without_qubus(s.registry.qubus_modes[idx])
-    groups: dict[complex, list[Branch]] = {}
-    for br in s.branches:
-        rest = Branch(br.amplitude, br.photons, br.qubus[:idx] + br.qubus[idx + 1 :])
-        groups.setdefault(br.qubus[idx], []).append(rest)
-    return list(groups), [HybridState._derived(reg, brs) for brs in groups.values()]
-
-
-def _gram(parts: Sequence[HybridState]) -> np.ndarray:
-    """G_kl = ⟨parts_k|parts_l⟩, Hermitian, from the upper triangle."""
-    g = np.empty((len(parts), len(parts)), dtype=complex)
-    for k, a in enumerate(parts):
-        for j in range(k, len(parts)):
-            g[k, j] = inner_product(a, parts[j])
-            g[j, k] = g[k, j].conjugate()
-    return g
+    col, rest = s.qubus[:, idx], _drop_column(s.qubus, idx)
+    if values is None:
+        values = list(dict.fromkeys(col.tolist()))
+    parts = []
+    for a in values:
+        m = (col == a).nonzero()[0]
+        parts.append(HybridState._derived(reg, s.amps[m], s.codes[m], rest.take(m, 0)))
+    return values, parts
 
 
 def _quadratic_forms(g: np.ndarray, f: np.ndarray) -> np.ndarray:
     """fₙᴴ G fₙ for every column fₙ of f."""
-    return np.einsum("kn,kl,ln->n", f.conj(), g, f).real
+    return (f.conj() * (g @ f)).sum(axis=0).real
 
 
 @dataclass(frozen=True)
 class FockPmf:
     """P(n) of one qubus beam for n = 0..cutoff, with the decomposition behind it.
 
-    Unpacks as (ns, probs).  parts[k] holds the branches whose beam value is
-    α_k, with the beam removed, and table[k, n] = ⟨n|α_k⟩; outcome n
-    collapses to Σ_k table[k, n] parts[k].
+    Unpacks as (ns, probs).  values[k] = α_k are the beam's distinct values,
+    and table[k, n] = ⟨n|α_k⟩; outcome n collapses to Σ_k table[k, n] ψ_k,
+    where ψ_k holds the rows whose beam value is α_k, with the beam removed.
     """
 
     ns: np.ndarray
     probs: np.ndarray
-    parts: tuple[HybridState, ...]
+    values: tuple[complex, ...]
     table: np.ndarray
 
     def __iter__(self):
@@ -158,40 +160,40 @@ def fock_distribution(
             f"exceeds the limit {MAX_FOCK_CUTOFF}"
         )
     table = fock_amplitude_table(values, cutoff)
-    probs = _quadratic_forms(_gram(parts), table)
+    probs = _quadratic_forms(_gram_sum(parts, parts), table)
     total = float(probs.sum())
     if not abs(total - 1.0) <= tail_tol:  # a NaN total fails too
         raise MeasurementError(
             f"Fock cutoff {cutoff} too small: tail mass {max(1.0 - total, 0.0):.3e}"
         )
-    return FockPmf(np.arange(cutoff + 1), probs, tuple(parts), table)
+    return FockPmf(np.arange(cutoff + 1), probs, tuple(values), table)
 
 
 class FockOutcomes(Sequence):
     """The Fock outcomes of one beam above MIN_PROB, in increasing n.
 
     values, probabilities and weights (the columns ⟨n|α_k⟩ of the pmf table)
-    come from the pmf, and parts from its decomposition, so outcome i is
-    Σ_k weights[k, i] parts[k] without building a state.  Indexing or
-    iterating collapses the state into outcome i's MeasurementRecord, whose
-    probability is the collapsed state's own norm².
+    come from the pmf, so outcome i is Σ_k weights[k, i] ψ_k, the parts ψ_k
+    of state at beam_values[k] on mode_index, without building a state.
+    Indexing or iterating collapses the state into outcome i's
+    MeasurementRecord, whose probability is the collapsed state's own norm².
     """
 
     def __init__(self, s: HybridState, mode: str, pmf: FockPmf):
         keep = pmf.probs >= MIN_PROB
-        self.values = [int(n) for n in pmf.ns[keep]]
+        self.values = pmf.ns[keep].tolist()
         self.probabilities = pmf.probs[keep]
         self.weights = pmf.table[:, keep]
-        self.parts = pmf.parts
-        self._state = s
-        self._idx = s.registry.qubus_index(mode)
+        self.beam_values = pmf.values
+        self.state = s
+        self.mode_index = s.registry.qubus_index(mode)
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __getitem__(self, i: int) -> MeasurementRecord:
         n = self.values[i]
-        collapsed = _fock_collapsed(self._state, self._idx, n)
+        collapsed = _fock_collapsed(self.state, self.mode_index, n)
         nrm = norm(collapsed)
         return MeasurementRecord("fock", n, nrm**2, collapsed.scaled(1.0 / nrm))
 
@@ -208,14 +210,15 @@ def fock_outcomes(s: HybridState, mode: str) -> FockOutcomes:
 
 def presence_outcomes(s: HybridState, pid: str, paths: Sequence[str]) -> list[MeasurementRecord]:
     """Where the photon is found among the given paths, photon preserved."""
-    i = s.registry.slot_index(pid)
-    out = []
+    on = _slot_digits(s, pid) >> 1
+    parts = []
     for path in paths:
-        kept = [br for br in s.branches if br.photons[i][1] == path]
-        part = HybridState(s.registry, kept)
-        p = norm(part) ** 2
-        if p >= MIN_PROB:
-            out.append(MeasurementRecord("presence", path, p, part.normalized()))
+        m = (on == s.registry.paths_of(pid).index(path)).nonzero()[0]
+        parts.append(HybridState._derived(s.registry, s.amps[m], s.codes[m], s.qubus.take(m, 0)))
+    out = []
+    for path, part, nrm in zip(paths, parts, _norms(parts)):
+        if nrm**2 >= MIN_PROB:
+            out.append(MeasurementRecord("presence", path, nrm**2, part.normalized()))
     return out
 
 
@@ -240,20 +243,15 @@ def bell_outcomes(s: HybridState, pid_a: str, pid_b: str) -> list[MeasurementRec
         if len(s.photon_paths_in_use(pid)) != 1:
             raise MeasurementError(f"Bell measurement needs single-path photons; {pid!r} is split")
     reg = s.registry.without_photon(pid_a).without_photon(pid_b)
-    ia, ib = s.registry.slot_index(pid_a), s.registry.slot_index(pid_b)
-    lo, hi = sorted((ia, ib))
+    pols = 2 * (_slot_digits(s, pid_a) % 2) + _slot_digits(s, pid_b) % 2  # HH, HV, VH, VV
+    rest = _recode(s.codes, s.registry, reg)
     out = []
     r = 1 / math.sqrt(2)
     for name, pattern in _BELL.items():
-        collapsed = []
-        for br in s.branches:
-            photons = br.photons
-            w = pattern.get((photons[ia][2], photons[ib][2]))
-            if w is None:
-                continue
-            rest = photons[:lo] + photons[lo + 1 : hi] + photons[hi + 1 :]
-            collapsed.append(Branch(br.amplitude * w * r, rest, br.qubus))
-        part = HybridState._derived(reg, collapsed).canonical(0.0)
+        w = np.array([pattern.get((a, b), 0) for a in POLS for b in POLS], float)[pols]
+        hit = w != 0
+        part = HybridState._rows(reg, s.amps[hit] * w[hit] * r, rest[hit], s.qubus[hit])
+        part = part.canonical(0.0)
         p = norm(part) ** 2
         if p >= MIN_PROB:
             out.append(MeasurementRecord("bell", name, p, part.normalized()))
@@ -274,20 +272,20 @@ def project_qubus_coherent(s: HybridState, mode: str) -> tuple[HybridState, floa
     gates' deterministic-fidelity leak.
     """
     idx = s.registry.qubus_index(mode)
-    value = max(s.branches, key=lambda br: abs(br.amplitude)).qubus[idx]
+    value = s.qubus[np.argmax(abs(s.amps)), idx]
     collapsed = _project_onto(s, idx, value)
     p = norm(collapsed) ** 2
     return collapsed.normalized(), p
 
 
 def _project_onto(s: HybridState, idx: int, value: complex) -> HybridState:
-    """⟨value| on qubus mode idx, the mode removed; canonical, not normalized."""
+    """⟨value| on qubus mode idx, the mode removed; canonical, not normalized.
+
+    One coherent_overlap call covers every row."""
     reg = s.registry.without_qubus(s.registry.qubus_modes[idx])
-    out = []
-    for br in s.branches:
-        w = coherent_overlap((complex(value),), (br.qubus[idx],))
-        out.append(Branch(br.amplitude * w, br.photons, br.qubus[:idx] + br.qubus[idx + 1 :]))
-    return HybridState._derived(reg, out).canonical()
+    col = s.qubus[:, idx : idx + 1]
+    w = coherent_overlap(np.full(col.shape, value), col)
+    return HybridState._rows(reg, s.amps * w, s.codes, _drop_column(s.qubus, idx)).canonical()
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ coherent beam.
 Every photonic element is a slot table: a dict from one photon's
 (path, pol) slot to its images [(coefficient, path, pol), ...].  Slots
 missing from the table pass through unchanged, and `_remap_slot` is the one
-routine that applies a table to every branch.  Path maps (beam splitter,
-switch) act alike on H and V; polarization maps (wave plates, rotations,
-2×2 unitaries) act on (H, V) of one path, or of every registered path when
-the path is None; `phase` and the PBS routings are tables of their own.
-`ELEMENTS` maps each serializable kind to its function.
+routine that applies a table, by arithmetic on every row's label code.
+Path maps (beam splitter, switch) act alike on H and V; polarization maps
+(wave plates, rotations, 2×2 unitaries) act on (H, V) of one path, or of
+every registered path when the path is None; `phase` and the PBS routings
+are tables of their own.  Qubus elements are column operations on the beam
+values.  `ELEMENTS` maps each serializable kind to its function.
 
 Conventions fixed here and used by every composite gate:
   * photon_bs:  |x⟩_A → (|x⟩_A + |x⟩_B)/√2,  |x⟩_B → (|x⟩_A − |x⟩_B)/√2,
@@ -35,7 +36,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .state import POLS, H, V, Branch, HybridState, RegistryError, StateError, _check_slot
+from .state import (
+    POLS,
+    H,
+    V,
+    HybridState,
+    RegistryError,
+    StateError,
+    _distinct,
+    _reregistered,
+    _slot_digits,
+)
 
 
 @dataclass(frozen=True)
@@ -74,35 +85,47 @@ def op(kind: str, parameter: float = 0.0, **targets) -> ElementOp:
 
 
 def _remap_slot(s: HybridState, pid: str, table: dict) -> HybridState:
-    """Expand each branch through table[(path, pol)] -> [(coef, path, pol), ...].
+    """Expand each row through table[(path, pol)] -> [(coef, path, pol), ...].
 
-    Slots missing from the table pass through unchanged.  The photon's slot
-    is replaced in place, at its registry slot index: its id, and so its
-    position in the sorted slots, does not change.  An image is checked
-    against the registry the first time a branch emits it; the other slots
-    come unchanged from s.
+    Slots missing from the table pass through unchanged.  The photon's digit
+    is rewritten by integer arithmetic on the label code: the k-th images of
+    all rows come from two arrays over the digit, a coefficient and a
+    destination digit, one gather each.  An image is checked against the
+    registry when an occupied slot emits it.  A table that gives the
+    occupied slots one image each, all distinct, merges no rows: its result
+    is re-sorted, and neither merged nor cleared of dust.
     """
-    paths = s.registry.paths_of(pid)
-    i = s.registry.slot_index(pid)
-    hit: set[tuple[str, str]] = set()
-    out: list[Branch] = []
-    for br in s.branches:
-        photons = br.photons
-        key = photons[i][1:]
-        images = table.get(key)
-        if images is None:
-            out.append(br)
-            continue
-        if key not in hit:
-            for coef, path, pol in images:
-                if coef != 0:
-                    _check_slot(paths, pid, path, pol)
-            hit.add(key)
-        for coef, path, pol in images:
-            if coef != 0:
-                slots = photons[:i] + ((pid, path, pol),) + photons[i + 1 :]
-                out.append(Branch(br.amplitude * coef, slots, br.qubus))
-    return HybridState._derived(s.registry, out).canonical()
+    reg = s.registry
+    i = reg.slot_index(pid)
+    paths, stride, radix = reg._layout[i][1], reg._stride[i], reg._radix[i]
+    digits = s.codes // stride % radix
+    images = {}
+    for d in _distinct(digits):
+        slot = (paths[d >> 1], POLS[d & 1])
+        images[d] = [(c, reg._digit(pid, p, q)) for c, p, q in table.get(slot, [(1, *slot)]) if c]
+    width = max(map(len, images.values()), default=0)
+    full = all(len(row) == width for row in images.values())
+    amps, codes, emitted = [], [], []
+    for k in range(width):
+        have = [d for d, row in images.items() if len(row) > k]
+        coef, dest = np.zeros(radix, complex), np.zeros(radix, np.int64)
+        coef[have], dest[have] = zip(*(images[d][k] for d in have))
+        c = coef[digits]
+        amps.append(s.amps * c)
+        codes.append(s.codes + (dest[digits] - digits) * stride)
+        emitted.append(None if full else c != 0)
+    if width == 1:
+        amps, codes, qubus = amps[0], codes[0], s.qubus
+    else:
+        amps, codes = np.concatenate(amps or [s.amps[:0]]), np.concatenate(codes or [s.codes[:0]])
+        qubus = np.concatenate([s.qubus] * width or [s.qubus[:0]])
+    if not full:
+        keep = np.concatenate(emitted).nonzero()[0]
+        amps, codes, qubus = amps[keep], codes[keep], qubus.take(keep, 0)
+    targets = [t for row in images.values() for _, t in row]
+    if width == 1 and len(set(targets)) == len(targets):
+        return HybridState._sorted(reg, amps, codes, qubus)
+    return HybridState._rows(reg, amps, codes, qubus).canonical()
 
 
 def _require_paths(s: HybridState, pid: str, *paths: str) -> None:
@@ -140,7 +163,7 @@ def _with_paths(s: HybridState, pid: str, *paths: str) -> HybridState:
     for p in paths:
         if p not in reg.paths_of(pid):
             reg = reg.with_path(pid, p)
-    return HybridState._derived(reg, s.branches)
+    return _reregistered(s, reg)
 
 
 def _pm_table(in_path: str, out_plus: str, out_minus: str) -> dict:
@@ -175,12 +198,11 @@ def pbs(s: HybridState, pid: str, in_path: str, out_h: str, out_v: str) -> Hybri
 def pbs_merge(s: HybridState, pid: str, h_path: str, v_path: str, out: str) -> HybridState:
     """Inverse PBS: H from h_path and V from v_path recombine on one path."""
     _require_paths(s, pid, h_path, v_path)
-    i = s.registry.slot_index(pid)
-    for br in s.branches:
-        _, path, pol = br.photons[i]
-        if (path, pol) in ((h_path, V), (v_path, H)):
-            port = "H" if path == h_path else "V"
-            raise StateError(f"{pol} component present on {port} input {path!r} of PBS merge")
+    digits = _slot_digits(s, pid)
+    wrong = (s.registry._digit(pid, h_path, V), s.registry._digit(pid, v_path, H))
+    for d in _distinct(digits[np.isin(digits, wrong)]):
+        path, port = (h_path, "H") if d == wrong[0] else (v_path, "V")
+        raise StateError(f"{POLS[d % 2]} component present on {port} input {path!r} of PBS merge")
     table = {(h_path, H): [(1, out, H)], (v_path, V): [(1, out, V)]}
     return _remap_slot(_with_paths(s, pid, out), pid, table)
 
@@ -205,14 +227,15 @@ def pbs_pm_merge(
     s = _with_paths(s, pid, dark)
     table = _pm_table(plus_path, out, dark) | _pm_table(minus_path, dark, out)
     mapped = _remap_slot(s, pid, table)
-    i = s.registry.slot_index(pid)
-    leak = math.fsum(
-        abs(br.amplitude) ** 2 for br in mapped.branches if br.photons[i][1] == dark
-    )
+    dark_rows = _slot_digits(mapped, pid) >> 1 == mapped.registry.paths_of(pid).index(dark)
+    leak = math.fsum((abs(mapped.amps[dark_rows]) ** 2).tolist())
     if leak > 1e-9:
         raise StateError(f"PBS± merge dark port carries weight {leak:.3e}")
-    kept = [br for br in mapped.branches if br.photons[i][1] != dark]
-    return HybridState._derived(mapped.registry.without_path(pid, dark), kept)
+    kept = ~dark_rows
+    kept = HybridState._derived(
+        mapped.registry, mapped.amps[kept], mapped.codes[kept], mapped.qubus[kept]
+    )
+    return _reregistered(kept, mapped.registry.without_path(pid, dark))
 
 
 def wave_plate(s: HybridState, pid: str, path: str | None, kind: str) -> HybridState:
@@ -259,56 +282,37 @@ def phase(s: HybridState, pid: str, path: str | None, pol: str | None, phi: floa
 
 
 def xpm(
-    s: HybridState,
-    qubus_mode: str,
-    pid: str,
-    path: str,
-    pol: str | None,
-    theta: float,
+    s: HybridState, qubus_mode: str, pid: str, path: str, pol: str | None, theta: float
 ) -> HybridState:
     """Conditional cross-phase: the beam gains e^{iθ} when the slot is occupied.
 
     pol=None couples every polarization on the path (two photonic modes).
     """
     idx = s.registry.qubus_index(qubus_mode)
-    i = s.registry.slot_index(pid)
-    w = cmath.exp(1j * theta)
-    out = []
-    for br in s.branches:
-        _, p, q = br.photons[i]
-        if p == path and (pol is None or q == pol):
-            qubus = br.qubus[:idx] + (br.qubus[idx] * w,) + br.qubus[idx + 1 :]
-            out.append(Branch(br.amplitude, br.photons, qubus))
-        else:
-            out.append(br)
-    return HybridState._derived(s.registry, out)
+    paths = s.registry.paths_of(pid)
+    k = paths.index(path) if path in paths else -1
+    digits = _slot_digits(s, pid)
+    hit = digits >> 1 == k if pol is None else digits == 2 * k + POLS.index(pol)
+    qubus = s.qubus.copy()
+    np.multiply(qubus[:, idx], cmath.exp(1j * theta), out=qubus[:, idx], where=hit)
+    return HybridState._sorted(s.registry, s.amps, s.codes, qubus)
 
 
 def qubus_phase(s: HybridState, mode: str, phi: float) -> HybridState:
     """Unconditional phase shifter on a qubus beam: α → α e^{iφ}."""
-    idx = s.registry.qubus_index(mode)
-    w = cmath.exp(1j * phi)
-    return HybridState._derived(
-        s.registry,
-        [
-            Branch(br.amplitude, br.photons, br.qubus[:idx] + (br.qubus[idx] * w,) + br.qubus[idx + 1 :])
-            for br in s.branches
-        ],
-    )
+    qubus = s.qubus.copy()
+    qubus[:, s.registry.qubus_index(mode)] *= cmath.exp(1j * phi)
+    return HybridState._sorted(s.registry, s.amps, s.codes, qubus)
 
 
 def qubus_bs(s: HybridState, mode_a: str, mode_b: str) -> HybridState:
     """50:50 qubus beam splitter: (α₁, α₂) → ((α₁−α₂)/√2, (α₁+α₂)/√2)."""
-    ia = s.registry.qubus_index(mode_a)
-    ib = s.registry.qubus_index(mode_b)
+    ia, ib = s.registry.qubus_index(mode_a), s.registry.qubus_index(mode_b)
     r = 1 / math.sqrt(2)
-    out = []
-    for br in s.branches:
-        qs = list(br.qubus)
-        a1, a2 = qs[ia], qs[ib]
-        qs[ia], qs[ib] = (a1 - a2) * r, (a1 + a2) * r
-        out.append(Branch(br.amplitude, br.photons, tuple(qs)))
-    return HybridState._derived(s.registry, out).canonical()
+    qubus = s.qubus.copy()
+    a1, a2 = s.qubus[:, ia], s.qubus[:, ib]
+    qubus[:, ia], qubus[:, ib] = (a1 - a2) * r, (a1 + a2) * r
+    return HybridState._rows(s.registry, s.amps, s.codes, qubus).canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +324,18 @@ def qubus_bs(s: HybridState, mode_a: str, mode_b: str) -> HybridState:
 #: on the state, those targets and the parameter).  Functions are looked up at
 #: call time, so rebinding a module attribute reaches apply_element too.
 ELEMENTS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "PhotonBS": (
-        ("photon", "path_a", "path_b"),
-        lambda s, pid, a, b, x: photon_bs(s, pid, a, b, x or math.pi / 4),
-    ),
-    "PBS": (
-        ("photon", "in_path", "out_h", "out_v"),
-        lambda s, pid, i, h, v, x: pbs(s, pid, i, h, v),
-    ),
-    "PBSpm": (
-        ("photon", "in_path", "out_plus", "out_minus"),
-        lambda s, pid, i, p, m, x: pbs_pm(s, pid, i, p, m),
-    ),
+    "PhotonBS": (("photon", "path_a", "path_b"),
+                 lambda s, pid, a, b, x: photon_bs(s, pid, a, b, x or math.pi / 4)),
+    "PBS": (("photon", "in_path", "out_h", "out_v"),
+            lambda s, pid, i, h, v, x: pbs(s, pid, i, h, v)),
+    "PBSpm": (("photon", "in_path", "out_plus", "out_minus"),
+              lambda s, pid, i, p, m, x: pbs_pm(s, pid, i, p, m)),
     "WavePlateX": (("photon", "path"), lambda s, pid, path, x: wave_plate(s, pid, path, "x")),
     "WavePlateZ": (("photon", "path"), lambda s, pid, path, x: wave_plate(s, pid, path, "z")),
     "PolPhase": (("photon", "path", "pol"), lambda s, *a: phase(s, *a)),
     "PolRot": (("photon", "path"), lambda s, *a: pol_rotate(s, *a)),
-    "PathSwitch": (
-        ("photon", "path_a", "path_b"),
-        lambda s, pid, a, b, x: path_switch(s, pid, a, b),
-    ),
+    "PathSwitch": (("photon", "path_a", "path_b"),
+                   lambda s, pid, a, b, x: path_switch(s, pid, a, b)),
     "XPM": (("mode", "photon", "path", "pol"), lambda s, *a: xpm(s, *a)),
     "QubusPhase": (("mode",), lambda s, *a: qubus_phase(s, *a)),
     "QubusBS": (("mode_a", "mode_b"), lambda s, a, b, x: qubus_bs(s, a, b)),

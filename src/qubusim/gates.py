@@ -14,11 +14,12 @@ A block computes its whole outcome table from one decomposition.  The
 difference port takes a few distinct values α_k (0 and ±β in every gate
 here), so outcome n is Σ_k ⟨n|α_k⟩ ψ_k over the parts ψ_k of the state at
 each value.  Feed-forward, disposal and the gate's post step are linear once
-the disposal value is fixed, so each feed-forward class pushes the K parts
-through `FeedForwardPlan.correct` once, and each (class, disposal value)
-group projects and post-processes them once.  Probabilities, norms and
-fidelities with the representative are K-term sums over Gram matrices of the
-parts, and an outcome's state is built only when read.  The representative,
+the disposal value is fixed, and act on photons only, so each feed-forward
+class corrects the coupled state once, every part at once, and each (class,
+disposal value) group projects and post-processes it once before the parts
+are split off by their α_k.  Probabilities, norms and fidelities with the
+representative are K-term sums over Gram matrices of the parts, one Gram sum
+for all groups, and an outcome's state is built only when read.  The representative,
 and every outcome whose disposal value is not unique, take the per-outcome
 route (collapse, correct, dispose, post); the representative's batched state
 must match its route, so the array algebra is checked on every block.
@@ -53,8 +54,8 @@ from . import synthesis as syn
 from .detection import (
     FockOutcomes,
     MeasurementRecord,
-    _gram,
     _project_onto,
+    _split_by_value,
     _quadratic_forms,
     fock_outcomes,
     presence_outcomes,
@@ -64,8 +65,11 @@ from .state import (
     CANON_TOL,
     H,
     V,
-    Branch,
     HybridState,
+    _drop_column,
+    _gram_sum,
+    _norms,
+    _runs,
     attach_qubus,
     fidelity,
     inner_product,
@@ -229,9 +233,10 @@ class FeedForwardPlan:
         self.rows = ([], list(even_ops), list(odd_ops))
 
     @staticmethod
-    def row_of(n: int) -> int:
-        """The row outcome n uses: 0 for n=0, 1 for even n, 2 for odd n."""
-        return 0 if n == 0 else 1 + n % 2
+    def row_of(n):
+        """The row outcome n uses: 0 for n=0, 1 for even n, 2 for odd n (an
+        int, or an array of them for an array of n)."""
+        return (n > 0) * (1 + n % 2)
 
     def correct(self, state: HybridState, record) -> HybridState:
         return el.apply_elements(state, self.rows[self.row_of(record.value)])
@@ -273,12 +278,15 @@ def _score(
 ) -> Scored:
     """Pick the most probable outcome as representative and score all against it.
 
+    Outcomes within TIE_TOL of the largest probability tie, and the first of
+    them represents, so sums that round differently pick the same one.
     fidelities(rep) gives every outcome's fidelity with outcome rep's
     corrected state, and states[i] is outcome i's (value, probability,
     corrected state).  An outcome counts towards the success mass when its
     fidelity with the representative is within AGREEMENT_TOL of 1.
     """
-    rep = max(range(len(probs)), key=probs.__getitem__)
+    top = max(probs)
+    rep = next(i for i, p in enumerate(probs) if p >= (1 - TIE_TOL) * top)
     fids = fidelities(rep)
     outcomes = [OutcomeEntry(kind, v, p, f) for v, p, f in zip(values, probs, fids)]
     success = 0.0
@@ -292,8 +300,12 @@ def score_outcomes(kind: str, corrected: list[tuple[object, float, HybridState]]
     """Score a stage whose corrected states are all built: (value, prob, state) each."""
 
     def fidelities(rep: int) -> list[float]:
-        ref = corrected[rep][2]
-        return [fidelity(st, ref) for _, _, st in corrected]
+        # fidelity(st, ref) for every outcome, from one Gram sum of the outcomes
+        states = [st for _, _, st in corrected]
+        if any(abs(n - 1.0) > 1e-8 for n in _norms(states)):
+            raise GateError("an outcome's corrected state is not normalized")
+        overlaps = _gram_sum(states, [states[rep]])[:, 0]
+        return np.minimum(np.abs(overlaps) ** 2, 1.0).tolist()
 
     values = [v for v, _, _ in corrected]
     probs = [p for _, p, _ in corrected]
@@ -349,40 +361,36 @@ def _outcome_route(
     return st if post is None else post(st)
 
 
-def _branch_matrix(states: Sequence[HybridState]) -> tuple[list[tuple], np.ndarray]:
-    """The states' amplitudes over their merged branch basis, one column each.
+def _branch_matrix(
+    s: HybridState, col: int, values: Sequence[complex]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each part's amplitudes over the parts' merged row basis.
 
-    Branches with equal labels and qubus values within CANON_TOL share a row,
-    as canonicalize would merge them.  Returns each row's qubus values and
-    the (rows × states) amplitude matrix.
+    Part k holds the rows of s whose qubus column col is values[k]; with
+    that column dropped, rows merge by canonicalize's rule at CANON_TOL.
+    Returns each basis row's qubus values, shape (rows, M − 1), and the
+    (rows × parts) amplitude matrix.
     """
-    qubus: list[tuple] = []
-    rows_of: dict[tuple, list[int]] = {}
-    entries = []
-    for j, st in enumerate(states):
-        for br in st.branches:
-            rows = rows_of.setdefault(br.photons, [])
-            for r in rows:
-                if all(abs(x - y) <= CANON_TOL for x, y in zip(qubus[r], br.qubus)):
-                    break
-            else:
-                r = len(qubus)
-                qubus.append(br.qubus)
-                rows.append(r)
-            entries.append((r, j, br.amplitude))
-    m = np.zeros((len(qubus), len(states)), dtype=complex)
-    for r, j, a in entries:
-        m[r, j] += a
-    return qubus, m
+    qubus = _drop_column(s.qubus, col)
+    part = np.zeros(len(s.amps), int)
+    for k, v in enumerate(values):
+        part[s.qubus[:, col] == v] = k
+    order, new = _runs(s.codes, qubus, CANON_TOL)
+    cells = (new.cumsum() - 1) * len(values) + part[order]
+    size = int(new.sum()) * len(values)
+    amps = s.amps[order]
+    m = np.bincount(cells, amps.real, size) + 1j * np.bincount(cells, amps.imag, size)
+    return qubus.take(order[new], 0), m.reshape(-1, len(values))
 
 
 class _BlockOutputs(Sequence):
     """The corrected outputs of one qubus block: (value, probability, state) each.
 
-    Computed from the parts and weights of `found` (a FockOutcomes) as the
-    module docstring describes.  The outcomes are grouped by (feed-forward
-    row, disposal value); an outcome's disposal value is the sum-port value
-    of its largest branch, read from one (basis × outcomes) array per row.
+    Computed from the coupled state and weights of `found` (a FockOutcomes)
+    as the module docstring describes.  The outcomes are grouped by
+    (feed-forward row, disposal value); an outcome's disposal value is the
+    sum-port value of its largest row, read from one (basis × outcomes) array
+    per feed-forward row.
     `routed` holds the outcomes that went the per-outcome route
     (_outcome_route): the representative, whose batched state must match it,
     and every outcome whose disposal value ties with another within TIE_TOL.
@@ -403,40 +411,41 @@ class _BlockOutputs(Sequence):
         self.group_of = np.full(len(self.values), -1)
         self.norms = np.zeros(len(self.values))
         w = found.weights
-        idx = found.parts[0].registry.qubus_index(beam)
-        plan_rows = np.array([plan.row_of(n) for n in self.values])
+        k_col, values = found.mode_index, found.beam_values  # the measured beam
+        plan_rows = plan.row_of(np.array(self.values))
         for row in range(len(plan.rows)):
             cols = np.flatnonzero(plan_rows == row)
             if not len(cols):
                 continue
             rec = MeasurementRecord("fock", self.values[cols[0]], self.probs[cols[0]], None)
-            corrected = [plan.correct(part, rec) for part in found.parts]
-            qubus, m = _branch_matrix(corrected)
+            # feed-forward, disposal and post are photonic: each acts on every
+            # part at once, and the parts are split off by their beam value last
+            corrected = plan.correct(found.state, rec)
+            idx = corrected.registry.qubus_index(beam)
+            basis, m = _branch_matrix(corrected, k_col, values)
             amps = np.abs(m @ w[:, cols])
-            values = np.array([q[idx] for q in qubus])
+            disposal = basis[:, idx - (k_col < idx)]
             top = amps.argmax(axis=0)
-            dominant = values[top]
-            rivals = np.where(values[:, None] != dominant, amps, 0.0).max(axis=0)
+            dominant = disposal[top]
+            rivals = np.where(disposal[:, None] != dominant, amps, 0.0).max(axis=0)
             tied = rivals >= (1 - TIE_TOL) * amps[top, np.arange(len(cols))]
             for v in dict.fromkeys(dominant[~tied].tolist()):
                 members = cols[~tied & (dominant == v)]
-                parts = [_project_onto(st, idx, v) for st in corrected]
-                self.norms[members] = np.sqrt(
-                    np.maximum(_quadratic_forms(_gram(parts), w[:, members]), 0.0)
-                )
+                kept = _project_onto(corrected, idx, v)
                 if post is not None:
-                    parts = [post(d) for d in parts]
+                    kept = post(kept)
+                parts = _split_by_value(kept, k_col - (idx < k_col), values)[1]
                 self.group_of[members] = len(self.groups)
                 self.groups.append((members, parts))
             for i in cols[tied].tolist():
                 self.routed[i] = self._route(i)
-        # the most probable outcome is picked from the collapsed norms, as the
-        # per-outcome route picks it, whenever the pmf leaves it within TIE_TOL
-        top_p = max(self.probs)
-        near = [i for i, p in enumerate(self.probs) if p >= (1 - TIE_TOL) * top_p]
-        if len(near) > 1:
-            for i in near:
-                self.probs[i] = self.found[i].probability
+        # one Gram sum over every group's parts; each group reads its diagonal block
+        every = [part for _, parts in self.groups for part in parts]
+        g = _gram_sum(every, every) if every else None
+        for j, (members, _) in enumerate(self.groups):
+            block = g[j * len(values) : (j + 1) * len(values), j * len(values) : (j + 1) * len(values)]
+            self.norms[members] = np.sqrt(np.maximum(_quadratic_forms(block, w[:, members]), 0.0))
+
 
     def _route(self, i: int) -> HybridState:
         return _outcome_route(self.found[i], self.plan, self.beam, self.post)
@@ -445,13 +454,13 @@ class _BlockOutputs(Sequence):
         """Outcome i's normalized output, built from its group's parts."""
         parts = self.groups[self.group_of[i]][1]
         scale = (self.found.weights[:, i] / self.norms[i]).tolist()
-        branches = [
-            Branch(br.amplitude * c, br.photons, br.qubus)
-            for c, part in zip(scale, parts)
-            if c != 0
-            for br in part.branches
-        ]
-        return HybridState._derived(parts[0].registry, branches).canonical()
+        picked = [(c, part) for c, part in zip(scale, parts) if c != 0]
+        return HybridState._rows(
+            parts[0].registry,
+            np.concatenate([part.amps * c for c, part in picked]),
+            np.concatenate([part.codes for _, part in picked]),
+            np.concatenate([part.qubus for _, part in picked]),
+        ).canonical()
 
     def fidelities(self, rep: int) -> list[float]:
         """Every outcome's fidelity with outcome rep, which goes the per-outcome
@@ -465,9 +474,10 @@ class _BlockOutputs(Sequence):
                 )
         ref = self.routed[rep]
         fids = np.empty(len(self))
-        for members, parts in self.groups:
-            overlaps = np.array([inner_product(d, ref) for d in parts])
-            z = overlaps @ self.found.weights[:, members].conj() / self.norms[members]
+        every = [part for _, parts in self.groups for part in parts]
+        overlaps = _gram_sum(every, [ref])[:, 0].reshape(len(self.groups), -1) if every else ()
+        for (members, _), z in zip(self.groups, overlaps):
+            z = z @ self.found.weights[:, members].conj() / self.norms[members]
             fids[members] = np.minimum(np.abs(z) ** 2, 1.0)
         for i, st in self.routed.items():
             fids[i] = fidelity(st, ref)

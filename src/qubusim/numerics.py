@@ -7,6 +7,7 @@ up to a few thousand never overflow.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Sequence
 
@@ -35,7 +36,7 @@ def fock_amplitude_table(alphas: Sequence[complex], cutoff: int) -> np.ndarray:
     a2 = alphas.real**2 + alphas.imag**2
     vacuum = a2 == 0.0
     ns = np.arange(cutoff + 1)
-    half_log_fact = 0.5 * np.fromiter(map(math.lgamma, range(1, cutoff + 2)), float, cutoff + 1)
+    half_log_fact = _half_log_factorials(cutoff)
     log_a2 = np.log(np.where(vacuum, 1.0, a2))
     table = np.empty((len(alphas), cutoff + 1), dtype=complex)
     table.real = (-0.5 * a2)[:, None] + (0.5 * ns) * log_a2[:, None] - half_log_fact
@@ -43,6 +44,15 @@ def fock_amplitude_table(alphas: Sequence[complex], cutoff: int) -> np.ndarray:
     np.exp(table, out=table)
     table[vacuum] = 0.0
     table[vacuum, 0] = 1.0
+    return table
+
+
+@functools.lru_cache(maxsize=4)
+def _half_log_factorials(cutoff: int) -> np.ndarray:
+    """log(n!)/2 for n = 0..cutoff, read-only: every block at one |β|² needs
+    the same cutoff, so a few cached tables serve a whole run."""
+    table = 0.5 * np.fromiter(map(math.lgamma, range(1, cutoff + 2)), float, cutoff + 1)
+    table.flags.writeable = False
     return table
 
 

@@ -41,8 +41,9 @@ from .gates import (
 from .state import (
     H,
     V,
-    Branch,
     HybridState,
+    _runs,
+    _slot_digits,
     bell_state,
     remove_photon,
     tensor,
@@ -373,6 +374,8 @@ def _multi_control(
     u = syn.check_unitary(np.asarray(u, dtype=complex))
     if u.shape != (2**k, 2**k):
         raise PipelineError(f"U must be {2**k}x{2**k} for {k} target(s)")
+    if layout not in ("split", "compact"):
+        raise PipelineError(f"unknown C-path-3 layout {layout!r}")
     if layout == "compact" and n < 2:
         raise PipelineError(
             "the compact layout needs at least two controls: "
@@ -471,40 +474,36 @@ def toffoli(
 def _conditional_pol_unitary(
     s: HybridState, targets: Sequence[str], active_rails: Sequence[str], u: np.ndarray
 ) -> HybridState:
-    """Apply U on the joint polarization of the targets, only in branches where
+    """Apply U on the joint polarization of the targets, only in rows where
     every target sits on its active rail.  Explicitly idealized block unitary
     (the couplings that would realize it gate-by-gate are not constructed)."""
-    k = len(targets)
-    at = [s.registry.slot_index(t) for t in targets]
-    groups: dict[tuple, dict[int, complex]] = {}
-    passive = []
-    for br in s.branches:
-        photons = br.photons
-        if all(photons[j][1] == active_rails[i] for i, j in enumerate(at)):
-            rest = tuple(t for j, t in enumerate(photons) if j not in at)
-            idx = 0
-            for j in at:
-                idx = (idx << 1) | (1 if photons[j][2] == V else 0)
-            groups.setdefault((rest, br.qubus), {})[idx] = (
-                groups.setdefault((rest, br.qubus), {}).get(idx, 0) + br.amplitude
-            )
-        else:
-            passive.append(br)
-    out = list(passive)
-    for (rest, qubus), amps in groups.items():
-        vec = np.zeros(2**k, dtype=complex)
-        for idx, a in amps.items():
-            vec[idx] = a
-        vec = u @ vec
-        for idx in range(2**k):
-            if abs(vec[idx]) < 1e-300:
-                continue
-            slots = tuple(
-                (t, active_rails[i], V if (idx >> (k - 1 - i)) & 1 else H)
-                for i, t in enumerate(targets)
-            )
-            out.append(Branch(vec[idx], tuple(sorted(rest + slots)), qubus))
-    return HybridState(s.registry, out).canonical()
+    reg, k = s.registry, len(targets)
+    strides = [reg._stride[reg.slot_index(t)] for t in targets]
+    digits = [_slot_digits(s, t) for t in targets]
+    active = np.logical_and.reduce(
+        [d >> 1 == reg.paths_of(t).index(r) for d, t, r in zip(digits, targets, active_rails)]
+    )
+    # the targets' polarizations as a k-bit index (first target most significant),
+    # and each row's code with every target set to H: rows of one group share it
+    pol = sum((d & 1) << (k - 1 - i) for i, d in enumerate(digits))
+    base = s.codes - sum((d & 1) * st for d, st in zip(digits, strides))
+    on = active.nonzero()[0]
+    order, new = _runs(base[on], s.qubus[on], 0.0)
+    group = np.empty(len(on), int)
+    group[order] = new.cumsum() - 1
+    vecs = np.zeros((int(new.sum()), 2**k), complex)
+    np.add.at(vecs, (group, pol[on]), s.amps[on])
+    vecs = vecs @ u.T
+    g, idx = (abs(vecs) >= 1e-300).nonzero()
+    first = on[order[new]][g]
+    bits = sum(((idx >> (k - 1 - i)) & 1) * st for i, st in enumerate(strides))
+    off = (~active).nonzero()[0]
+    return HybridState._rows(
+        reg,
+        np.concatenate([s.amps[off], vecs[g, idx]]),
+        np.concatenate([s.codes[off], base[first] + bits]),
+        np.concatenate([s.qubus[off], s.qubus[first]]),
+    ).canonical()
 
 
 def cn_uk(

@@ -7,194 +7,44 @@ amplitudes are never Fock-expanded inside the state; all overlaps use the
 closed form ⟨α|β⟩ = exp(−|α|²/2 − |β|²/2 + conj(α)·β), which stays exact at
 |α|² ~ 10³–10⁴ where truncation is impossible.
 
+A state stores its branches as three arrays, one row per branch:
+  * amps, shape (B,), complex: the amplitudes;
+  * codes, shape (B,), int64: the photon labels as one mixed-radix number,
+    coded by the ModeRegistry (see qubusim.registry);
+  * qubus, shape (B, M), complex: the beam values in registry mode order.
+Rows are kept in canonical order: by code, then by each beam's real and
+imaginary part in mode order.  `Branch` records are built only when
+`branches` is read; its len() builds none.
+
 Polarization is stored in the H/V basis; |±⟩ = (|H⟩ ± |V⟩)/√2 is a derived
 view.  Path and mode names are symbolic strings resolved through a
 ModeRegistry, so pipeline stages can mint new paths (1', 2', ...) on the fly.
 
 States are immutable values: every operation returns a new state, and states
-are safe to share across threads.
+are safe to share across threads.  A derived state may share arrays with the
+state it came from, so the arrays are never written in place.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Sequence as SequenceABC
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-H = "H"
-V = "V"
-POLS = (H, V)
+from .registry import POLS, H, ModeRegistry, RegistryError, Slot, StateError, V
 
 #: default tolerance for merging/dropping branches in canonicalize()
 CANON_TOL = 1e-12
 
 
-class RegistryError(ValueError):
-    """Raised for unknown or colliding photons, paths and qubus modes."""
-
-
-class StateError(ValueError):
-    """Raised for ill-formed states (normalization, id collisions, ...)."""
-
-
 # ---------------------------------------------------------------------------
-# registry
+# branches and label codes
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModeRegistry:
-    """Declares photons with their admissible paths, plus the qubus modes.
-
-    Path sets are disjoint across photons; ids are unique.  All update
-    methods return a new registry.  A branch lists its slots sorted by photon
-    id, so a photon's slot sits at the same index, slot_index(pid), in every
-    branch of a state.
-    """
-
-    photon_paths: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    qubus_modes: tuple[str, ...] = ()
-    _slot_of: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        seen_photons = set()
-        seen_paths = set()
-        for pid, paths in self.photon_paths:
-            if pid in seen_photons:
-                raise RegistryError(f"duplicate photon id {pid!r}")
-            seen_photons.add(pid)
-            for p in paths:
-                if p in seen_paths:
-                    raise RegistryError(f"path {p!r} registered for two photons")
-                seen_paths.add(p)
-        if len(set(self.qubus_modes)) != len(self.qubus_modes):
-            raise RegistryError("duplicate qubus mode id")
-        slot_of = {pid: i for i, pid in enumerate(sorted(seen_photons))}
-        object.__setattr__(self, "_slot_of", slot_of)
-
-    # -- queries ------------------------------------------------------------
-
-    @property
-    def photons(self) -> tuple[str, ...]:
-        return tuple(pid for pid, _ in self.photon_paths)
-
-    def paths_of(self, pid: str) -> tuple[str, ...]:
-        for q, paths in self.photon_paths:
-            if q == pid:
-                return paths
-        raise RegistryError(f"unknown photon {pid!r}")
-
-    def has_photon(self, pid: str) -> bool:
-        return pid in self._slot_of
-
-    def slot_index(self, pid: str) -> int:
-        """Index of the photon's slot in every branch (slots sort by photon id)."""
-        try:
-            return self._slot_of[pid]
-        except KeyError:
-            raise RegistryError(f"unknown photon {pid!r}") from None
-
-    def qubus_index(self, mode: str) -> int:
-        try:
-            return self.qubus_modes.index(mode)
-        except ValueError:
-            raise RegistryError(f"unknown qubus mode {mode!r}") from None
-
-    # -- updates ------------------------------------------------------------
-
-    def with_photon(self, pid: str, paths: Sequence[str]) -> "ModeRegistry":
-        return ModeRegistry(self.photon_paths + ((pid, tuple(paths)),), self.qubus_modes)
-
-    def without_photon(self, pid: str) -> "ModeRegistry":
-        self.paths_of(pid)
-        return ModeRegistry(
-            tuple((q, p) for q, p in self.photon_paths if q != pid), self.qubus_modes
-        )
-
-    def with_path(self, pid: str, path: str) -> "ModeRegistry":
-        """Register an extra admissible path for an existing photon."""
-        out = []
-        found = False
-        for q, paths in self.photon_paths:
-            if q == pid:
-                found = True
-                if path in paths:
-                    raise RegistryError(f"path {path!r} already registered for {pid!r}")
-                paths = paths + (path,)
-            out.append((q, paths))
-        if not found:
-            raise RegistryError(f"unknown photon {pid!r}")
-        return ModeRegistry(tuple(out), self.qubus_modes)
-
-    def without_path(self, pid: str, path: str) -> "ModeRegistry":
-        out = []
-        for q, paths in self.photon_paths:
-            if q == pid:
-                if path not in paths:
-                    raise RegistryError(f"path {path!r} not registered for {pid!r}")
-                paths = tuple(p for p in paths if p != path)
-            out.append((q, paths))
-        return ModeRegistry(tuple(out), self.qubus_modes)
-
-    def with_qubus(self, mode: str) -> "ModeRegistry":
-        if mode in self.qubus_modes:
-            raise RegistryError(f"duplicate qubus mode {mode!r}")
-        return ModeRegistry(self.photon_paths, self.qubus_modes + (mode,))
-
-    def without_qubus(self, mode: str) -> "ModeRegistry":
-        self.qubus_index(mode)
-        return ModeRegistry(
-            self.photon_paths, tuple(m for m in self.qubus_modes if m != mode)
-        )
-
-    def fresh_path(self, hint: str) -> str:
-        """A path name based on `hint` that collides with nothing registered."""
-        taken = {p for _, paths in self.photon_paths for p in paths}
-        name = hint
-        k = 1
-        while name in taken:
-            k += 1
-            name = f"{hint}{k}"
-        return name
-
-    def fresh_qubus(self, hint: str = "q") -> str:
-        name = hint
-        k = 1
-        while name in self.qubus_modes:
-            k += 1
-            name = f"{hint}{k}"
-        return name
-
-    def fresh_photon(self, hint: str = "anc") -> str:
-        name = hint
-        k = 1
-        while self.has_photon(name):
-            k += 1
-            name = f"{hint}{k}"
-        return name
-
-    def merged(self, other: "ModeRegistry") -> "ModeRegistry":
-        reg = self
-        for pid, paths in other.photon_paths:
-            reg = reg.with_photon(pid, paths)
-        for mode in other.qubus_modes:
-            reg = reg.with_qubus(mode)
-        return reg
-
-
-# ---------------------------------------------------------------------------
-# branches
-# ---------------------------------------------------------------------------
-
-#: one photon occupation inside a branch: (photon id, path, polarization)
-Slot = tuple[str, str, str]
-
-
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One term of the superposition: amplitude × photon labels × qubus values."""
 
     amplitude: complex
@@ -212,79 +62,172 @@ def _sorted_slots(slots: Iterable[Slot]) -> tuple[Slot, ...]:
     return tuple(sorted(slots, key=lambda s: s[0]))
 
 
-def coherent_overlap(a: Sequence[complex], b: Sequence[complex]) -> complex:
-    """⟨a|b⟩ for products of coherent states, mode by mode.
+def _distinct(ints: np.ndarray) -> list[int]:
+    """The distinct values of an array of small non-negative ints, ascending
+    (np.unique's first call imports numpy.ma, a set-up cost bincount avoids)."""
+    return np.bincount(ints).nonzero()[0].tolist()
 
-    Exact: exp(Σ_i −|a_i|²/2 − |b_i|²/2 + conj(a_i)·b_i).  The real part of
-    the exponent is −Σ|a_i − b_i|²/2 ≤ 0, so this never overflows.
+
+def _slot_digits(s: HybridState, pid: str) -> np.ndarray:
+    """Each row's digit for photon pid: 2·(its path's registry index) + (1 for V)."""
+    i = s.registry.slot_index(pid)
+    return s.codes // s.registry._stride[i] % s.registry._radix[i]
+
+
+def _recode(codes: np.ndarray, src: ModeRegistry, dst: ModeRegistry) -> np.ndarray:
+    """Label codes of src's layout rewritten in dst's.
+
+    Photons that dst does not register are dropped, photons only dst
+    registers read as digit 0, and a row whose slot dst does not register
+    gets the code -1.
     """
-    z = 0.0 + 0.0j
-    for ai, bi in zip(a, b):
-        z += -0.5 * (ai.real**2 + ai.imag**2) - 0.5 * (bi.real**2 + bi.imag**2)
-        z += ai.conjugate() * bi
-    return cmath.exp(z)
-
-
-def _check_labels(registry: ModeRegistry, branches: Sequence[Branch]) -> None:
-    """Every branch must hold each registered photon once, slots sorted by
-    photon id, on one of its registered paths, in H or V; the first fault
-    found is raised.
-
-    Equal label tuples get equal verdicts, so each distinct one is checked once.
-    """
-    paths = dict(registry.photon_paths)
-    pids = sorted(paths)
-    checked: set[tuple[Slot, ...]] = set()
-    for br in branches:
-        if br.photons in checked:
+    if src._layout == dst._layout:
+        return codes
+    out = np.zeros_like(codes)
+    lost = np.zeros(len(codes), bool)
+    for (pid, paths), k, r in zip(src._layout, src._stride, src._radix):
+        if pid not in dst._slot_of:
             continue
-        ids = [s[0] for s in br.photons]
-        if ids != pids:
-            if sorted(ids) == pids:
-                raise StateError(f"branch slots are not sorted by photon id: {ids}")
-            raise StateError("branch photon ids do not match registry")
-        for pid, path, pol in br.photons:
-            _check_slot(paths[pid], pid, path, pol)
-        checked.add(br.photons)
+        to = dst._layout[dst._slot_of[pid]][1]
+        table = np.array([2 * to.index(p) + b if p in to else -1 for p in paths for b in (0, 1)])
+        digit = table[codes // k % r]
+        lost |= digit < 0
+        out += digit * dst._stride[dst._slot_of[pid]]
+    out[lost] = -1
+    return out
 
 
-def _check_slot(paths: Sequence[str], pid: str, path: str, pol: str) -> None:
-    """One slot of photon pid, whose registered paths are paths."""
-    if pol not in POLS:
-        raise StateError(f"bad polarization {pol!r}")
-    if path not in paths:
-        raise RegistryError(f"path {path!r} not registered for {pid!r}")
+def _canonical_order(codes: np.ndarray, qubus: np.ndarray) -> np.ndarray:
+    """The row permutation into canonical order: by code, then beam by beam
+    by real and imaginary part."""
+    if not qubus.shape[1]:
+        return codes.argsort(kind="stable")
+    keys = [codes]
+    for col in qubus.T:
+        keys += (col.real, col.imag)
+    return np.lexsort(keys[::-1])
+
+
+def _runs(codes: np.ndarray, qubus: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(canonical order, run starts): in canonical order, a row starts a new
+    run unless it has the code of the row before it and every beam value
+    within tol of that row's (|x − y| ≤ tol)."""
+    order = _canonical_order(codes, qubus)
+    codes = codes[order]
+    new = np.empty(len(codes), bool)
+    new[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    for col in qubus.T:
+        col = col[order]
+        new[1:] |= abs(col[1:] - col[:-1]) > tol
+    return order, new
+
+
+def _reregistered(s: HybridState, registry: ModeRegistry) -> HybridState:
+    """s over registry, whose path lists may differ from s.registry's: the
+    label codes are rewritten, and a row on a slot that registry lacks raises
+    what the constructor raises for it."""
+    if len(s.amps) and len(registry.qubus_modes) != len(s.registry.qubus_modes):
+        raise StateError("branch qubus length != number of registered modes")
+    if len(s.amps) and registry._slot_of.keys() != s.registry._slot_of.keys():
+        raise StateError("branch photon ids do not match registry")
+    codes = _recode(s.codes, s.registry, registry)
+    lost = (codes < 0).nonzero()[0]
+    if len(lost):
+        registry._code(s.registry._labels(int(s.codes[lost[0]])))
+    return HybridState._sorted(registry, s.amps, codes, s.qubus)
+
+
+def _drop_column(qubus: np.ndarray, idx: int) -> np.ndarray:
+    return np.concatenate((qubus[:, :idx], qubus[:, idx + 1 :]), axis=1)
+
+
+class _Branches(SequenceABC):
+    """A state's rows as Branch records, built when read; len() builds none."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: HybridState):
+        self._state = state
+
+    def __len__(self) -> int:
+        return len(self._state.amps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        s = self._state
+        return Branch(complex(s.amps[i]), s.registry._labels(int(s.codes[i])),
+                      tuple(s.qubus[i].tolist()))
+
+    def __iter__(self):
+        s = self._state
+        labels = s.registry._labels
+        for a, c, q in zip(s.amps.tolist(), s.codes.tolist(), s.qubus.tolist()):
+            yield Branch(a, labels(c), tuple(q))
 
 
 class HybridState:
     """Normalized superposition of branches over a shared ModeRegistry.
 
-    The constructor checks every branch against the registry.  A kernel that
-    knows its output branches are valid (labels and qubus values come from a
-    checked state whose registry differs only in what they do not use, or it
-    checked each slot it wrote) builds its result with `_derived`, which
-    checks nothing.
+    The constructor checks every branch against the registry and sorts the
+    rows into canonical order; it merges nothing.  Given another state's
+    `branches`, it takes that state's rows over the new registry, checked
+    as label codes, without building Branch records.  Kernels build their
+    results from arrays: `_derived` for rows valid for the registry and in
+    canonical order, which checks nothing, and `_rows` for valid rows in any
+    order, which only canonicalize may read.
     """
 
-    __slots__ = ("registry", "branches")
+    __slots__ = ("registry", "amps", "codes", "qubus", "_norm")
 
     def __init__(self, registry: ModeRegistry, branches: Iterable[Branch]):
-        self.registry = registry
-        self.branches = tuple(branches)
+        if isinstance(branches, _Branches):  # another state's rows: checked as codes
+            st = _reregistered(branches._state, registry)
+            self.registry, self._norm = registry, None
+            self.amps, self.codes, self.qubus = st.amps, st.codes, st.qubus
+            return
+        branches = tuple(branches)
         nq = len(registry.qubus_modes)
-        bad = next((i for i, br in enumerate(self.branches) if len(br.qubus) != nq), None)
+        bad = next((i for i, br in enumerate(branches) if len(br.qubus) != nq), None)
         # labels before the first bad qubus length go first: the earlier fault is raised
-        _check_labels(registry, self.branches[:bad])
+        codes: dict[tuple[Slot, ...], int] = {}
+        for br in branches[:bad]:
+            if br.photons not in codes:
+                codes[br.photons] = registry._code(br.photons)
         if bad is not None:
             raise StateError("branch qubus length != number of registered modes")
+        amps = np.array([br.amplitude for br in branches], complex)
+        labels = np.array([codes[br.photons] for br in branches], np.int64)
+        qubus = np.array([br.qubus for br in branches], complex).reshape(len(branches), nq)
+        order = _canonical_order(labels, qubus)
+        self.registry, self._norm = registry, None
+        self.amps, self.codes, self.qubus = amps[order], labels[order], qubus[order]
 
     @classmethod
-    def _derived(cls, registry: ModeRegistry, branches: Iterable[Branch]) -> "HybridState":
-        """A state whose branches are known to be valid for registry."""
+    def _rows(cls, registry: ModeRegistry, amps, codes, qubus) -> "HybridState":
+        """A state over rows valid for registry, in any order: only for canonicalize."""
         self = cls.__new__(cls)
-        self.registry = registry
-        self.branches = tuple(branches)
+        self.registry, self._norm = registry, None
+        self.amps, self.codes, self.qubus = amps, codes, qubus
         return self
+
+    @classmethod
+    def _derived(cls, registry: ModeRegistry, amps, codes, qubus) -> "HybridState":
+        """A state whose rows are valid for registry and in canonical order."""
+        return cls._rows(registry, amps, codes, qubus)
+
+    @classmethod
+    def _sorted(cls, registry: ModeRegistry, amps, codes, qubus) -> "HybridState":
+        """A state over valid rows, sorted into canonical order; nothing merges."""
+        if not (codes[1:] > codes[:-1]).all():  # else every code is its own row, in order
+            order = _canonical_order(codes, qubus)
+            amps, codes, qubus = amps[order], codes[order], qubus.take(order, 0)
+        return cls._derived(registry, amps, codes, qubus)
+
+    @property
+    def branches(self) -> Sequence[Branch]:
+        return _Branches(self)
 
     # -- algebra -------------------------------------------------------------
 
@@ -295,18 +238,15 @@ class HybridState:
         return normalize(self)
 
     def scaled(self, factor: complex) -> "HybridState":
-        return HybridState._derived(
-            self.registry,
-            [Branch(br.amplitude * factor, br.photons, br.qubus) for br in self.branches],
-        )
+        return HybridState._derived(self.registry, self.amps * factor, self.codes, self.qubus)
 
     def photon_paths_in_use(self, pid: str) -> tuple[str, ...]:
-        """Paths the photon actually occupies somewhere in the superposition."""
-        i = self.registry.slot_index(pid)
-        return tuple(dict.fromkeys(br.photons[i][1] for br in self.branches))
+        """Paths the photon actually occupies somewhere, in registry order."""
+        paths = self.registry.paths_of(pid)
+        return tuple(paths[i] for i in _distinct(_slot_digits(self, pid) >> 1))
 
     def __repr__(self):
-        return f"HybridState({len(self.branches)} branches, photons={self.registry.photons})"
+        return f"HybridState({len(self.amps)} branches, photons={self.registry.photons})"
 
 
 # ---------------------------------------------------------------------------
@@ -314,38 +254,66 @@ class HybridState:
 # ---------------------------------------------------------------------------
 
 
-def _gram_sum(bras: Sequence[Branch], kets: Sequence[Branch]) -> complex:
-    """Σ conj(amp_a) amp_b ⟨labels_a|labels_b⟩⟨qubus_a|qubus_b⟩, grouped by labels.
+def coherent_overlap(a, b) -> np.ndarray:
+    """⟨a|b⟩ for products of coherent states, row by row.
 
-    Two paths, chosen by the input.  Without qubus modes every pair shares the
-    overlap ⟨()|()⟩ = 1, so the bra amplitudes are summed per label in one
-    dict pass; with beams, every pair with equal labels evaluates its own
-    coherent overlap.
+    a and b hold one product per row, the last axis running over modes, e.g.
+    shape (N, M) each.  Exact: exp(Σ_i −|a_i|²/2 − |b_i|²/2 + conj(a_i)·b_i),
+    evaluated as exp(Σ_i −|a_i − b_i|²/2 + i·Im(conj(a_i)·b_i)).  The real
+    part is never positive, so this never overflows, and it carries no
+    cancellation between terms of size |α|²: equal values give exactly 1.
     """
-    if not bras or not kets:
-        return 0.0 + 0.0j
-    if not bras[0].qubus:
-        bra_sum: dict[tuple[Slot, ...], complex] = {}
-        for br in bras:
-            bra_sum[br.photons] = bra_sum.get(br.photons, 0.0) + br.amplitude.conjugate()
-        total = 0.0 + 0.0j
-        for kb in kets:
-            c = bra_sum.get(kb.photons)
-            if c is not None:
-                total += c * kb.amplitude
-        # ⟨()|()⟩ is exactly 1; the call is kept so that per-layer counts of
-        # coherent_overlap (the bench's state.gram_pairs) see one per sum.
-        return total * coherent_overlap((), ())
-    by_label: dict[tuple[Slot, ...], list[Branch]] = {}
-    for br in bras:
-        by_label.setdefault(br.photons, []).append(br)
-    total = 0.0 + 0.0j
-    for kb in kets:
-        for bb in by_label.get(kb.photons, ()):
-            total += bb.amplitude.conjugate() * kb.amplitude * coherent_overlap(
-                bb.qubus, kb.qubus
-            )
-    return total
+    a, b = np.asarray(a, complex), np.asarray(b, complex)
+    if not a.shape[-1]:  # no modes: the empty product, ⟨|⟩ = 1
+        return np.ones(a.shape[:-1], complex)
+    d = a - b
+    re = -0.5 * (d.real * d.real + d.imag * d.imag)
+    return np.exp((re + 1j * (a.real * b.imag - a.imag * b.real)).sum(axis=-1))
+
+
+def _stack(states: Sequence[HybridState], reg: ModeRegistry):
+    """amps, codes in reg's layout, qubus and state index (None for one state)
+    of every row of states."""
+    if len(states) == 1:
+        st = states[0]
+        return st.amps, _recode(st.codes, st.registry, reg), st.qubus, None
+    ids = np.repeat(np.arange(len(states)), [len(st.amps) for st in states])
+    codes = [_recode(st.codes, st.registry, reg) for st in states]
+    return (np.concatenate([st.amps for st in states]), np.concatenate(codes),
+            np.concatenate([st.qubus for st in states]), ids)
+
+
+def _gram_sum(bras: Sequence[HybridState], kets: Sequence[HybridState]) -> np.ndarray:
+    """G[k, l] = ⟨bras[k]|kets[l]⟩ = Σ conj(a_i) b_j ⟨q_i|q_j⟩ over row pairs with equal labels.
+
+    The bras share one path layout, and the kets are recoded into it; a ket
+    row on a path the bras do not register pairs with nothing.  With the bra rows in code order, two binary searches give
+    each ket row its partners, and one coherent_overlap call evaluates every
+    pair, with or without beams.
+    """
+    reg = bras[0].registry
+    if any(st.registry._layout != reg._layout for st in bras):
+        raise RegistryError("a Gram sum's bras must share one path layout")
+    a_amps, a_codes, a_q, a_ids = _stack(bras, reg)
+    if len(bras) > 1:
+        order = a_codes.argsort(kind="stable")
+        a_amps, a_codes, a_q, a_ids = a_amps[order], a_codes[order], a_q[order], a_ids[order]
+    # kets pair in any order, so bras that are also the kets serve sorted
+    b_amps, b_codes, b_q, b_ids = (
+        (a_amps, a_codes, a_q, a_ids) if kets is bras else _stack(kets, reg)
+    )
+    lo = a_codes.searchsorted(b_codes)
+    hi = a_codes.searchsorted(b_codes, "right")
+    n = hi - lo
+    j = np.arange(len(n)).repeat(n)
+    i = np.arange(len(j)) - (n.cumsum() - hi).repeat(n)
+    w = a_amps[i].conj() * b_amps[j] * coherent_overlap(a_q.take(i, 0), b_q.take(j, 0))
+    if a_ids is None and b_ids is None:
+        return w.sum().reshape(1, 1)
+    cells = (0 if a_ids is None else a_ids[i] * len(kets)) + (0 if b_ids is None else b_ids[j])
+    size = len(bras) * len(kets)
+    g = np.bincount(cells, w.real, size) + 1j * np.bincount(cells, w.imag, size)
+    return g.reshape(len(bras), len(kets))
 
 
 def inner_product(a: HybridState, b: HybridState) -> complex:
@@ -358,12 +326,23 @@ def inner_product(a: HybridState, b: HybridState) -> complex:
         a.registry.qubus_modes != b.registry.qubus_modes
     ):
         raise RegistryError("inner_product requires matching photons and qubus modes")
-    return _gram_sum(a.branches, b.branches)
+    return complex(_gram_sum([a], [b])[0, 0])
 
 
 def norm(s: HybridState) -> float:
-    n2 = _gram_sum(s.branches, s.branches).real
-    return math.sqrt(max(n2, 0.0))
+    """‖s‖, computed once per state: states are immutable."""
+    if s._norm is None:
+        s._norm = math.sqrt(max(float(_gram_sum([s], [s])[0, 0].real), 0.0))
+    return s._norm
+
+
+def _norms(states: Sequence[HybridState]) -> list[float]:
+    """‖s‖ of every state from one Gram sum, kept on each state as norm() keeps it."""
+    diagonal = _gram_sum(states, states).diagonal().real.tolist()
+    for st, n2 in zip(states, diagonal):
+        if st._norm is None:
+            st._norm = math.sqrt(max(n2, 0.0))
+    return [st._norm for st in states]
 
 
 def normalize(s: HybridState) -> HybridState:
@@ -382,46 +361,40 @@ def fidelity(a: HybridState, b: HybridState) -> float:
 
 
 def canonicalize(s: HybridState, tol: float = CANON_TOL) -> HybridState:
-    """Merge branches with equal labels and qubus values within tol; drop dust.
+    """Merge rows with equal labels and qubus values within tol; drop dust.
 
-    XPM phase factors of identical branches are computed identically, so the
-    tolerance only has to absorb rounding from beam-splitter arithmetic.  A
-    branch that merges with none is kept as the same Branch object.
+    The rule: sort the rows into canonical order; a row merges into the row
+    before it when both have the same code and every beam value of the two
+    differs by at most tol (|x − y| ≤ tol).  A chain of rows, each within tol
+    of the one before, merges into one row even where its ends lie further
+    apart.  The merged row keeps the beam values of the chain's first row and
+    the sum of its amplitudes; then every row with |amplitude| < tol is
+    dropped.  A row that merges with none is kept bit for bit.  Closeness is
+    tested between neighbours only, so two rows within tol whose canonical
+    order puts a different beam value between them stay apart.  XPM phase
+    factors of identical branches are computed identically, so the tolerance
+    only has to absorb rounding from beam-splitter arithmetic.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    # per label: [amplitude, qubus, the branch while nothing merged into it]
-    groups: dict[tuple[Slot, ...], list[list]] = {}
-    for br in s.branches:
-        bucket = groups.get(br.photons)
-        if bucket is None:
-            groups[br.photons] = [[br.amplitude, br.qubus, br]]
-            continue
-        for entry in bucket:
-            qs = entry[1]
-            if all(abs(x - y) <= tol for x, y in zip(qs, br.qubus)):
-                entry[0] += br.amplitude
-                entry[2] = None
-                break
-        else:
-            bucket.append([br.amplitude, br.qubus, br])
-    out = []
-    for photons, bucket in groups.items():
-        for amp, qs, br in bucket:
-            if abs(amp) >= tol:
-                out.append(br if br is not None else Branch(amp, photons, qs))
-    return HybridState._derived(s.registry, out)
+    order, new = _runs(s.codes, s.qubus, tol)
+    starts = new.nonzero()[0]
+    amps = s.amps[order]
+    if len(starts) < len(amps):
+        amps = np.add.reduceat(amps, starts)
+    keep = (abs(amps) >= tol).nonzero()[0]
+    first = order[starts[keep]]
+    return HybridState._derived(s.registry, amps[keep], s.codes[first], s.qubus.take(first, 0))
 
 
 def tensor(a: HybridState, b: HybridState) -> HybridState:
     """Product state; photon ids and qubus modes must not collide."""
     reg = a.registry.merged(b.registry)
-    branches = [
-        Branch(x.amplitude * y.amplitude, _sorted_slots(x.photons + y.photons), x.qubus + y.qubus)
-        for x in a.branches
-        for y in b.branches
-    ]
-    return HybridState(reg, branches)
+    codes = _recode(a.codes, a.registry, reg)[:, None] + _recode(b.codes, b.registry, reg)
+    qubus = np.concatenate(
+        [np.repeat(a.qubus, len(b.amps), axis=0), np.tile(b.qubus, (len(a.amps), 1))], axis=1
+    )
+    return HybridState._sorted(reg, np.outer(a.amps, b.amps).ravel(), codes.ravel(), qubus)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +410,7 @@ def basis_photon(pid: str, path: str, pol: str) -> HybridState:
 def pol_qubit(pid: str, path: str, h: complex, v: complex) -> HybridState:
     """Single polarization qubit h|H⟩ + v|V⟩ on one path, normalized."""
     reg = ModeRegistry().with_photon(pid, (path,))
-    branches = []
-    if h != 0:
-        branches.append(Branch(complex(h), ((pid, path, H),), ()))
-    if v != 0:
-        branches.append(Branch(complex(v), ((pid, path, V),), ()))
+    branches = [Branch(complex(c), ((pid, path, pol),), ()) for c, pol in ((h, H), (v, V)) if c != 0]
     return normalize(HybridState(reg, branches))
 
 
@@ -463,27 +432,20 @@ def polarization_state(
     reg = ModeRegistry()
     for pid, path in photons:
         reg = reg.with_photon(pid, (path,))
-    branches = []
-    for idx, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        slots = []
-        for i, (pid, path) in enumerate(photons):
-            bit = (idx >> (n - 1 - i)) & 1
-            slots.append((pid, path, V if bit else H))
-        branches.append(Branch(complex(c), _sorted_slots(slots), ()))
+    branches = [
+        Branch(complex(c), _sorted_slots(
+            (pid, path, POLS[idx >> (n - 1 - i) & 1]) for i, (pid, path) in enumerate(photons)
+        ), ())
+        for idx, c in enumerate(coeffs)
+        if c != 0
+    ]
     return normalize(HybridState(reg, branches))
 
 
 def bell_state(kind: str, a: tuple[str, str], b: tuple[str, str]) -> HybridState:
     """One of |Φ±⟩, |Ψ±⟩ on two photons given as (id, path)."""
     r = 1 / math.sqrt(2)
-    table = {
-        "phi+": (r, 0, 0, r),
-        "phi-": (r, 0, 0, -r),
-        "psi+": (0, r, r, 0),
-        "psi-": (0, r, -r, 0),
-    }
+    table = {"phi+": (r, 0, 0, r), "phi-": (r, 0, 0, -r), "psi+": (0, r, r, 0), "psi-": (0, r, -r, 0)}
     if kind not in table:
         raise ValueError(f"unknown Bell state {kind!r}")
     return polarization_state(table[kind], [a, b])
@@ -492,10 +454,8 @@ def bell_state(kind: str, a: tuple[str, str], b: tuple[str, str]) -> HybridState
 def attach_qubus(s: HybridState, mode: str, alpha: complex) -> HybridState:
     """Adjoin a fresh qubus mode in the coherent state |alpha⟩ to every branch."""
     reg = s.registry.with_qubus(mode)
-    return HybridState._derived(
-        reg,
-        [Branch(br.amplitude, br.photons, br.qubus + (complex(alpha),)) for br in s.branches],
-    )
+    column = np.full((len(s.amps), 1), complex(alpha))
+    return HybridState._derived(reg, s.amps, s.codes, np.concatenate([s.qubus, column], axis=1))
 
 
 def haar_coeffs(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -521,26 +481,24 @@ def remove_photon(s: HybridState, pid: str) -> HybridState:
     Slots with norm below 1e-9 are ignored; the others must agree to 1e-9.
     """
     tol = 1e-9
-    i = s.registry.slot_index(pid)
-    groups: dict[tuple[str, str], list[Branch]] = {}
-    for br in s.branches:
-        photons = br.photons
-        rest = photons[:i] + photons[i + 1 :]
-        groups.setdefault(photons[i][1:], []).append(Branch(br.amplitude, rest, br.qubus))
+    digits = _slot_digits(s, pid)
     reg = s.registry.without_photon(pid)
+    rest = _recode(s.codes, s.registry, reg)
     parts = []
-    for slot, rest_branches in groups.items():
-        part = HybridState._derived(reg, rest_branches)
-        parts.append((slot, part, norm(part)))
-    ref = max(parts, key=lambda t: t[2])[1].normalized()
+    for d in _distinct(digits):
+        m = (digits == d).nonzero()[0]
+        parts.append(HybridState._derived(reg, s.amps[m], rest[m], s.qubus.take(m, 0)))
+    g = _gram_sum(parts, parts)  # one Gram sum for every norm and overlap below
+    norms = [math.sqrt(max(x, 0.0)) for x in g.diagonal().real.tolist()]
+    r = max(range(len(parts)), key=norms.__getitem__)
     total = 0.0
-    for _, part, w in parts:
+    for k, w in enumerate(norms):
         if w < tol:
             continue
-        if abs(abs(inner_product(ref, part.normalized())) - 1.0) > tol:
+        if abs(abs(g[r, k]) / (norms[r] * w) - 1.0) > tol:
             raise StateError(f"photon {pid!r} is entangled with the rest; cannot remove")
         total += w**2
-    return ref.scaled(math.sqrt(total)).canonical()
+    return parts[r].scaled(1.0 / norms[r]).scaled(math.sqrt(total)).canonical()
 
 
 def amplitude_of(s: HybridState, slots: Mapping[str, tuple[str, str]]) -> complex:
@@ -550,11 +508,12 @@ def amplitude_of(s: HybridState, slots: Mapping[str, tuple[str, str]]) -> comple
     """
     if s.registry.qubus_modes:
         raise StateError("amplitude_of requires a photon-only state")
-    want = _sorted_slots(tuple((pid, p, pol) for pid, (p, pol) in slots.items()))
-    for br in s.branches:
-        if br.photons == want:
-            return br.amplitude
-    return 0.0 + 0.0j
+    try:
+        code = s.registry._code(_sorted_slots((pid, p, pol) for pid, (p, pol) in slots.items()))
+    except (StateError, RegistryError):  # labels the state cannot hold
+        return 0.0 + 0.0j
+    i = int(s.codes.searchsorted(code))
+    return complex(s.amps[i]) if i < len(s.codes) and s.codes[i] == code else 0.0 + 0.0j
 
 
 def polarization_vector(s: HybridState, order: Sequence[str]) -> np.ndarray:
@@ -572,14 +531,10 @@ def polarization_vector(s: HybridState, order: Sequence[str]) -> np.ndarray:
         if len(used) != 1:
             raise StateError(f"photon {pid!r} occupies several paths")
         paths[pid] = used[0]
-    vec = np.zeros(2**n, dtype=complex)
-    for idx in range(2**n):
-        slots = {
-            pid: (paths[pid], V if (idx >> (n - 1 - i)) & 1 else H)
-            for i, pid in enumerate(order)
-        }
-        vec[idx] = amplitude_of(s, slots)
-    return vec
+    return np.array([
+        amplitude_of(s, {pid: (paths[pid], POLS[idx >> (n - 1 - i) & 1]) for i, pid in enumerate(order)})
+        for idx in range(2**n)
+    ], dtype=complex)
 
 
 def path_pol_vector(s: HybridState, pid: str, rails: Sequence[str]) -> np.ndarray:
@@ -592,11 +547,12 @@ def path_pol_vector(s: HybridState, pid: str, rails: Sequence[str]) -> np.ndarra
         raise StateError("path_pol_vector requires a photon-only state")
     if tuple(s.registry.photons) != (pid,):
         raise StateError("path_pol_vector needs the qudit photon alone; remove companions first")
+    paths, digits = s.registry.paths_of(pid), _slot_digits(s, pid)
+    used = _distinct(digits >> 1)
+    rail_of = np.zeros(len(paths), int)
+    rail_of[used] = [rails.index(paths[k]) for k in used]
     vec = np.zeros(2 * len(rails), dtype=complex)
-    for br in s.branches:
-        path, pol = br.slot(pid)
-        i = rails.index(path)
-        vec[2 * i + (1 if pol == V else 0)] += br.amplitude
+    np.add.at(vec, 2 * rail_of[digits >> 1] + digits % 2, s.amps)
     return vec
 
 
@@ -630,10 +586,9 @@ def state_from_dict(d: dict) -> HybridState:
         reg = reg.with_photon(pid, tuple(paths))
     for mode in d["qubus_modes"]:
         reg = reg.with_qubus(mode)
-    branches = []
-    for bd in d["branches"]:
-        amp = complex(bd["amplitude"][0], bd["amplitude"][1])
-        slots = _sorted_slots(tuple((p["id"], p["path"], p["pol"]) for p in bd["photons"]))
-        qubus = tuple(complex(re, im) for re, im in bd["qubus"])
-        branches.append(Branch(amp, slots, qubus))
-    return HybridState(reg, branches)
+    return HybridState(reg, [
+        Branch(complex(*bd["amplitude"]),
+               _sorted_slots((p["id"], p["path"], p["pol"]) for p in bd["photons"]),
+               tuple(complex(re, im) for re, im in bd["qubus"]))
+        for bd in d["branches"]
+    ])

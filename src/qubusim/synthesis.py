@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import elements
-from .state import POLS, HybridState, StateError
+from .state import POLS, HybridState, StateError, _distinct, _slot_digits
 
 
 class SynthesisError(ValueError):
@@ -146,10 +146,10 @@ def mesh_apply(
     The photon must occupy a subset of `paths` with one common polarization;
     mixing polarizations across the listed paths is an error.
     """
-    i = s.registry.slot_index(photon)
-    on_mesh = set(paths)
-    pols = {br.photons[i][2] for br in s.branches if br.photons[i][1] in on_mesh}
-    if len(pols) > 1:
+    registered = s.registry.paths_of(photon)
+    digits = _slot_digits(s, photon)
+    on_mesh = np.isin(digits >> 1, [registered.index(p) for p in paths if p in registered])
+    if len(_distinct(digits[on_mesh] % 2)) > 1:
         raise StateError("mesh_apply: photon polarization is mixed across the mesh paths")
     return apply_mesh_ops(s, photon, paths, mesh)
 

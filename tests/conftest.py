@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from qubusim import HybridState, polarization_state
+from qubusim import HybridState, StateError, polarization_state
 from qubusim.analysis import alpha_for_beta2
+from qubusim.state import _canonical_order
 
 THETA = 0.05
 
@@ -35,16 +38,25 @@ def alpha40():
 def checked_derivations(monkeypatch):
     """Check every state a kernel derives, as the public constructor does.
 
-    Kernels build states whose branches are valid by construction with
-    HybridState._derived, which checks nothing; inside the suite the
-    constructor's full check (labels and qubus lengths) runs anyway, so a
-    kernel that writes a bad branch fails the test reaching it.
+    Kernels build states from arrays with HybridState._derived, which checks
+    nothing; inside the suite every such state is checked in full, in the
+    integer form the store keeps: one qubus value per registered mode, every
+    label code inside the registry's label space (so every row decodes to
+    registered slots), and the rows in canonical order.
     """
     derived = HybridState.__dict__["_derived"].__func__
 
-    def checked(cls, registry, branches):
-        st = derived(cls, registry, branches)
-        HybridState(st.registry, st.branches)
+    def checked(cls, registry, amps, codes, qubus):
+        st = derived(cls, registry, amps, codes, qubus)
+        rows = len(st.amps)
+        if st.qubus.shape != (rows, len(registry.qubus_modes)):
+            raise StateError("branch qubus length != number of registered modes")
+        if st.codes.shape != (rows,) or rows and not (
+            st.codes.min() >= 0 and st.codes.max() < math.prod(registry._radix)
+        ):
+            raise StateError("label code out of range")
+        if not np.array_equal(_canonical_order(st.codes, st.qubus), np.arange(rows)):
+            raise StateError("rows are not in canonical order")
         return st
 
     monkeypatch.setattr(HybridState, "_derived", classmethod(checked))

@@ -53,6 +53,14 @@ def test_every_gate_name_invocable(name, tmp_path):
     assert doc["report"]["success_probability"] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("photons", ["2", "4"])
+def test_multi_qubit_demo_sizes_its_unitary_from_the_photon_count(photons, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["gate", "multi-qubit", "--photons", photons, "--beta2", "20", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["report"]["success_probability"] == pytest.approx(1.0, abs=1e-6)
+
+
 MERGE = ["merging", "entangler1", "merging_readout"]
 REPORT_NAMES = [
     (["entangler1"], ["entangler1"]),
@@ -256,6 +264,11 @@ def test_validation_error_exit_2(tmp_path, capsys):
          "photon ids must be distinct, repeated: ['1']"),
         ({"gate": "toffoli", "controls": ["1", "2"], "target": "3", "layout": "bogus"},
          "unknown C-path-3 layout 'bogus'"),
+        # one control leaves no C-path-3 stage, and the layout is refused all the same
+        ({"gate": "toffoli", "controls": ["1"], "target": "3", "layout": "bogus"},
+         "unknown C-path-3 layout 'bogus'"),
+        ({"gate": "cn-u1", "controls": ["1"], "target": "3", "unitary": "identity",
+          "layout": "bogus"}, "unknown C-path-3 layout 'bogus'"),
     ):
         bad.write_text(json.dumps({"photons": photons, "gates": [step]}))
         capsys.readouterr()

@@ -644,7 +644,7 @@ def test_block_with_tied_disposal_values_takes_the_outcome_route(monkeypatch):
 @pytest.mark.parametrize("mean", [20, 21, 33])
 def test_block_tied_for_most_probable_matches_outcome_route(mean):
     # one coupling puts a Poisson(mean) pmf on the difference port; at an
-    # integer mean P(mean - 1) = P(mean), and the collapsed norms break the tie
+    # integer mean P(mean - 1) = P(mean), and the first of the tied outcomes represents
     s = pol_qubit("1", "t1", 1, 0)
     couplings = [g.Coupling(0, "1", "t1", "H")]
     plan = g.FeedForwardPlan([], [])

@@ -1,4 +1,5 @@
-"""Property tests: random element sequences keep the norm and valid labels."""
+"""Property tests: random element sequences keep the norm, valid labels and the
+canonical row store."""
 
 import math
 
@@ -6,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from qubusim import HybridState, attach_qubus, norm, random_polarization_state
 from qubusim import elements as el
-from qubusim.state import POLS, _check_labels
+from qubusim import state_from_dict, state_to_dict
+from qubusim.state import CANON_TOL, POLS, _canonical_order
 
 PROPERTIES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -79,6 +83,20 @@ def _apply(s: HybridState, name: str, photon: int, k: int, x: float) -> HybridSt
     return el.qubus_bs(s, *(("qa", "qb") if k % 2 else ("qb", "qa")))
 
 
+def _assert_canonical_store(s: HybridState) -> None:
+    """Rows in canonical order, no two neighbours that canonicalize would merge
+    (so (code, beam) keys are unique), no dust, and a lossless JSON round trip."""
+    assert np.array_equal(_canonical_order(s.codes, s.qubus), np.arange(len(s.amps)))
+    same_code = s.codes[1:] == s.codes[:-1]
+    close = (abs(s.qubus[1:] - s.qubus[:-1]) <= CANON_TOL).all(axis=1)
+    assert not (same_code & close).any()
+    assert (abs(s.amps) >= CANON_TOL).all()
+    back = state_from_dict(state_to_dict(s))
+    assert back.registry == s.registry
+    for got, want in ((back.amps, s.amps), (back.codes, s.codes), (back.qubus, s.qubus)):
+        assert np.array_equal(got, want)
+
+
 @PROPERTIES
 @given(programs())
 def test_element_sequences_preserve_the_norm_and_the_labels(program):
@@ -86,5 +104,6 @@ def test_element_sequences_preserve_the_norm_and_the_labels(program):
     s = _start(n, seed)
     for step in steps:
         s = _apply(s, *step)
-        _check_labels(s.registry, s.branches)
+        HybridState(s.registry, s.branches)  # every label passes the constructor's check
+        _assert_canonical_store(s)
         assert norm(s) == pytest.approx(1.0, abs=1e-12), step

@@ -28,7 +28,9 @@ from qubusim import (
     state_to_dict,
     tensor,
 )
+from qubusim import elements as el
 from qubusim.numerics import fock_amplitude
+from qubusim.state import CANON_TOL
 
 from conftest import haar_vec, two_photon
 
@@ -111,15 +113,23 @@ def test_canonicalize_drops_dust():
     assert len(canonicalize(s).branches) == 1
 
 
-def test_canonicalize_keeps_unmerged_branch_objects():
+def test_canonicalize_keeps_unmerged_rows_bit_for_bit():
     reg = ModeRegistry().with_photon("1", ("p", "r")).with_qubus("q")
     s = HybridState(reg, [
-        Branch(0.3 + 0.1j, (("1", p, pol),), (complex(k),))
+        Branch(complex(0.3 + 0.1 * k, 0.1 - 0.07 * k), (("1", p, pol),), (complex(k, 0.3 * k),))
         for p in ("p", "r") for pol in "HV" for k in range(3)
     ])
     out = canonicalize(s)
+    for got, want in ((out.amps, s.amps), (out.codes, s.codes), (out.qubus, s.qubus)):
+        assert got.tobytes() == want.tobytes()
+    # beside a merge, the other rows still come through untouched
+    twice = HybridState(reg, list(s.branches) + [s.branches[5]])
+    out = canonicalize(twice)
     assert len(out.branches) == len(s.branches)
-    assert all(a is b for a, b in zip(out.branches, s.branches))
+    for i, (got, want) in enumerate(zip(out.branches, s.branches)):
+        if i != 5:
+            assert got == want
+    assert out.branches[5].amplitude == 2 * s.branches[5].amplitude
 
 
 def test_canonicalize_merges_within_tol_and_drops_dust_beside_kept_branches():
@@ -131,13 +141,72 @@ def test_canonicalize_merges_within_tol_and_drops_dust_beside_kept_branches():
     dust = Branch(1e-15 + 0j, v, (4.0 + 0j,))
     out = canonicalize(HybridState(reg, [lone, *near, *cancel, dust]))
     assert len(out.branches) == 2
-    assert out.branches[0] is lone
-    merged = out.branches[1]
-    assert merged not in near and merged.qubus == near[0].qubus
+    merged, kept = out.branches  # canonical order: beam 1.0 before beam 2.0
+    assert kept == lone
+    assert merged.qubus == near[0].qubus
     assert merged.amplitude == pytest.approx(0.6, abs=1e-15)
     # a wider gap than the tolerance keeps the branches apart
     apart = HybridState(reg, [near[0], Branch(0.2 + 0j, h, (1.0 + 1e-9j,))])
-    assert [a is b for a, b in zip(canonicalize(apart).branches, apart.branches)] == [True, True]
+    assert list(canonicalize(apart).branches) == list(apart.branches)
+
+
+def test_canonicalize_tolerance_rule_chains_neighbours_in_canonical_order():
+    reg = ModeRegistry().with_photon("1", ("p",)).with_qubus("q")
+    h = (("1", "p", "H"),)
+    t = CANON_TOL
+    # three beam values, each within tol of the next in canonical order, the
+    # ends 1.6 tol apart: one chain, one row with the first value and the
+    # amplitudes summed
+    chain = [Branch(0.1 * (k + 1) + 0j, h, (complex(1.0, 0.8 * t * k),)) for k in (2, 0, 1)]
+    (row,) = canonicalize(HybridState(reg, chain)).branches
+    assert row.qubus == (1.0 + 0j,)
+    assert row.amplitude == pytest.approx(0.6, abs=1e-15)
+    # closeness is tested between neighbours only: a row between two close
+    # values in canonical order (real parts first) keeps them apart
+    split = [Branch(0.1 + 0j, h, (complex(1.0, 0.0),)),
+             Branch(0.1 + 0j, h, (complex(1.0 + 0.2 * t, 5.0),)),
+             Branch(0.1 + 0j, h, (complex(1.0 + 0.4 * t, 0.0),))]
+    assert len(canonicalize(HybridState(reg, split)).branches) == 3
+    # dust is judged after the merge: two halves of a dust-sized amplitude stay dust
+    halves = [Branch(0.4 * t + 0j, h, (2.0 + 0j,)), Branch(0.4 * t + 0j, h, (complex(2.0, 0.5 * t),))]
+    assert len(canonicalize(HybridState(reg, halves)).branches) == 0
+    whole = [Branch(0.6 * t + 0j, h, (2.0 + 0j,)), Branch(0.6 * t + 0j, h, (complex(2.0, 0.5 * t),))]
+    assert len(canonicalize(HybridState(reg, whole)).branches) == 1
+
+
+def _canonicalize_loop(s, tol):
+    """The written rule one row at a time, the reference for canonicalize."""
+    key = lambda b: (s.registry._code(b.photons), [x for q in b.qubus for x in (q.real, q.imag)])
+    chains = []  # [amplitude, first row, previous row]
+    for b in sorted(s.branches, key=key):
+        last = chains[-1][2] if chains else None
+        if last is not None and last.photons == b.photons and all(
+            abs(x - y) <= tol for x, y in zip(last.qubus, b.qubus)
+        ):
+            chains[-1][0] += b.amplitude
+            chains[-1][2] = b
+        else:
+            chains.append([b.amplitude, b, b])
+    return [(amp, first.photons, first.qubus) for amp, first, _ in chains if abs(amp) >= tol]
+
+
+def test_canonicalize_matches_the_rule_one_row_at_a_time():
+    rng = np.random.default_rng(8)
+    labels = _two_photon_labels()[:4]
+    reg = ModeRegistry().with_photon("1", ("a", "b")).with_photon("2", ("c", "d")).with_qubus("q")
+    t = CANON_TOL
+    for trial in range(30):
+        branches = []
+        for _ in range(40):
+            beam = complex(rng.integers(3), rng.integers(2)) + complex(*rng.choice([0, 0.4 * t, 2 * t], 2))
+            amp = complex(*rng.standard_normal(2)) * rng.choice([1.0, 1e-13])
+            branches.append(Branch(amp, labels[rng.integers(len(labels))], (beam,)))
+        s = HybridState(reg, branches)
+        want = _canonicalize_loop(s, t)
+        got = list(canonicalize(s).branches)
+        assert [(b.photons, b.qubus) for b in got] == [(p, q) for _, p, q in want]
+        for b, (amp, _, _) in zip(got, want):
+            assert abs(b.amplitude - amp) <= 1e-15 * 40
 
 
 def _random_branches(rng, labels, count, modes):
@@ -279,7 +348,7 @@ def test_state_reports_the_earlier_of_a_label_and_a_qubus_fault():
     with pytest.raises(StateError, match="bad polarization 'D'"):
         HybridState(reg, [ok, bad_pol, short])
     with pytest.raises(StateError, match="branch qubus length != number of registered modes"):
-        HybridState._derived(reg, [ok, short])
+        HybridState._derived(reg, np.ones(2, complex), np.array([0, 1]), np.zeros((2, 0), complex))
 
 
 def test_state_rejects_slots_not_sorted_by_photon_id():
@@ -309,10 +378,47 @@ def test_slot_index_is_the_sorted_position_whatever_the_registration_order():
 
 def test_derived_states_are_label_checked_inside_the_suite():
     # the suite's autouse fixture adds the constructor's check that _derived skips
-    reg = ModeRegistry().with_photon("1", ("p",))
-    assert HybridState._derived(reg, [Branch(1.0 + 0j, (("1", "p", "H"),), ())]).branches
-    with pytest.raises(RegistryError, match="path 'zz' not registered for '1'"):
-        HybridState._derived(reg, [Branch(1.0 + 0j, (("1", "zz", "H"),), ())])
+    reg = ModeRegistry().with_photon("1", ("p",))  # codes 0 (H) and 1 (V)
+    derive = lambda codes: HybridState._derived(
+        reg, np.ones(len(codes), complex), np.array(codes), np.zeros((len(codes), 0), complex)
+    )
+    assert derive([1]).branches[0].photons == (("1", "p", "V"),)
+    with pytest.raises(StateError, match="label code out of range"):
+        derive([2])  # past the label space
+    with pytest.raises(StateError, match="rows are not in canonical order"):
+        derive([1, 0])
+
+
+def test_branches_are_built_only_when_read(monkeypatch):
+    from qubusim import state as st
+
+    s = attach_qubus(two_photon(3), "q", 1.5)
+    monkeypatch.setattr(st, "Branch", None)  # building one would now fail
+    assert len(s.branches) == 4
+    assert repr(s) == "HybridState(4 branches, photons=('1', '2'))"
+
+
+def test_registry_rejects_label_codes_beyond_64_bits():
+    reg = ModeRegistry()
+    for k in range(15):
+        reg = reg.with_photon(f"p{k:02d}", tuple(f"r{k}_{j}" for j in range(8)))
+    assert reg._radix == (16,) * 15
+    with pytest.raises(RegistryError, match="wider than 64 bits"):
+        reg.with_photon("p15", tuple(f"r15_{j}" for j in range(8)))
+
+
+def test_constructor_takes_another_states_rows_over_a_new_registry():
+    s = polarization_state(haar_vec(4, 2), [("1", "a"), ("2", "b")])
+    wide = HybridState(s.registry.with_path("1", "a2").with_path("2", "b0"), s.branches)
+    assert list(wide.branches) == list(s.branches)
+    assert list(HybridState(s.registry, wide.branches).branches) == list(s.branches)
+    moved = el.path_switch(wide, "1", "a", "a2")
+    with pytest.raises(RegistryError, match="path 'a2' not registered for '1'"):
+        HybridState(s.registry, moved.branches)
+    with pytest.raises(StateError, match="branch qubus length != number of registered modes"):
+        HybridState(s.registry.with_qubus("q"), s.branches)
+    with pytest.raises(StateError, match="branch photon ids do not match registry"):
+        HybridState(s.registry.without_photon("2"), s.branches)
 
 
 def test_norm_zero_state_errors():
