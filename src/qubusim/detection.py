@@ -115,7 +115,8 @@ class FockPmf:
     """P(n) of one qubus beam for n = 0..cutoff, with the decomposition behind it.
 
     Unpacks as (ns, probs).  values[k] = α_k are the beam's distinct values,
-    and table[k, n] = ⟨n|α_k⟩; outcome n collapses to Σ_k table[k, n] ψ_k,
+    and table[k, n] = ⟨n|α_k⟩, read-only (numerics keeps it for the next
+    beam with the same values); outcome n collapses to Σ_k table[k, n] ψ_k,
     where ψ_k holds the rows whose beam value is α_k, with the beam removed.
     """
 

@@ -152,8 +152,10 @@ class Resources:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutcomeEntry:
+    """One row of an OutcomeTable, built when the row is read."""
+
     kind: str
     value: object
     probability: float
@@ -168,6 +170,49 @@ class OutcomeEntry:
         }
 
 
+class OutcomeTable(Sequence):
+    """A stage's outcomes as columns: one kind, and each outcome's value,
+    probability and fidelity with the representative.
+
+    Indexing, slicing and iterating build OutcomeEntry views; to_dicts
+    writes the JSON rows straight from the columns.  The default is the
+    empty table.
+    """
+
+    __slots__ = ("kind", "values", "probabilities", "fidelities")
+
+    def __init__(
+        self,
+        kind: str = "",
+        values: Sequence[object] = (),
+        probabilities: Sequence[float] = (),
+        fidelities: Sequence[float] = (),
+    ):
+        self.kind, self.values = kind, values
+        self.probabilities, self.fidelities = probabilities, fidelities
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return OutcomeEntry(self.kind, self.values[i], self.probabilities[i], self.fidelities[i])
+
+    def __iter__(self):
+        kind = self.kind
+        for v, p, f in zip(self.values, self.probabilities, self.fidelities):
+            yield OutcomeEntry(kind, v, p, f)
+
+    def to_dicts(self) -> list[dict]:
+        """[entry.to_dict() for entry in self], without building the entries."""
+        kind = self.kind
+        return [
+            {"kind": kind, "value": v, "probability": p, "fidelity": f}
+            for v, p, f in zip(self.values, self.probabilities, self.fidelities)
+        ]
+
+
 @dataclass
 class GateReport:
     """Per-gate log: outcome table, determinism figure, resources."""
@@ -175,7 +220,7 @@ class GateReport:
     gate: str
     success_probability: float = 1.0
     min_fidelity: float = 1.0
-    outcomes: list[OutcomeEntry] = field(default_factory=list)
+    outcomes: OutcomeTable = field(default_factory=OutcomeTable)
     resources: Resources = field(default_factory=Resources)
     gates: Counter = field(default_factory=Counter)
     feedforward: list[tuple[str, list[dict]]] = field(default_factory=list)
@@ -194,7 +239,7 @@ class GateReport:
             "gate": self.gate,
             "success_probability": self.success_probability,
             "min_fidelity": self.min_fidelity,
-            "outcomes": [o.to_dict() for o in self.outcomes],
+            "outcomes": self.outcomes.to_dicts(),
             "resources": self.resources.to_dict(),
             "gates": dict(self.gates),
             "feedforward": [
@@ -256,7 +301,7 @@ class Scored:
 
     value: object  # the representative (most probable) outcome
     state: HybridState  # the representative's corrected output
-    outcomes: list[OutcomeEntry]
+    outcomes: OutcomeTable
     min_fidelity: float
     success_probability: float
     states: Sequence[tuple[object, float, HybridState]]  # (value, prob, corrected state)
@@ -283,16 +328,15 @@ def _score(
     fidelities(rep) gives every outcome's fidelity with outcome rep's
     corrected state, and states[i] is outcome i's (value, probability,
     corrected state).  An outcome counts towards the success mass when its
-    fidelity with the representative is within AGREEMENT_TOL of 1.
+    fidelity with the representative is within AGREEMENT_TOL of 1; the mass
+    is summed in outcome order (a cumulative sum, not a pairwise one).
     """
-    top = max(probs)
-    rep = next(i for i, p in enumerate(probs) if p >= (1 - TIE_TOL) * top)
+    p = np.asarray(probs, dtype=float)
+    rep = int(np.argmax(p >= (1 - TIE_TOL) * p.max()))
     fids = fidelities(rep)
-    outcomes = [OutcomeEntry(kind, v, p, f) for v, p, f in zip(values, probs, fids)]
-    success = 0.0
-    for p, f in zip(probs, fids):
-        if f >= 1.0 - AGREEMENT_TOL:
-            success += p
+    agree = p[np.asarray(fids) >= 1.0 - AGREEMENT_TOL]
+    success = float(agree.cumsum()[-1]) if len(agree) else 0.0
+    outcomes = OutcomeTable(kind, values, probs, fids)
     return Scored(values[rep], states[rep][2], outcomes, min(1.0, *fids), success, states)
 
 

@@ -30,9 +30,19 @@ def fock_amplitude_table(alphas: Sequence[complex], cutoff: int) -> np.ndarray:
     """⟨n|α_b⟩ for every α_b and n = 0..cutoff, shape (len(alphas), cutoff + 1).
 
     The same log-domain formula as fock_amplitude, one array pass; a row
-    with α = 0 is exactly δ_n0.
+    with α = 0 is exactly δ_n0.  The table is read-only and kept for the
+    next call with the same α_b, bit for bit, and cutoff: every block of a
+    run at one |β|² measures the same beam values.
     """
     alphas = np.asarray(alphas, dtype=complex)
+    return _fock_table(alphas.tobytes(), cutoff)
+
+
+@functools.lru_cache(maxsize=1)
+def _fock_table(alphas_bytes: bytes, cutoff: int) -> np.ndarray:
+    """fock_amplitude_table keyed by the α_b's bytes, so that values which
+    compare equal but differ in the sign of a zero keep their own tables."""
+    alphas = np.frombuffer(alphas_bytes, dtype=complex)
     a2 = alphas.real**2 + alphas.imag**2
     vacuum = a2 == 0.0
     ns = np.arange(cutoff + 1)
@@ -44,6 +54,7 @@ def fock_amplitude_table(alphas: Sequence[complex], cutoff: int) -> np.ndarray:
     np.exp(table, out=table)
     table[vacuum] = 0.0
     table[vacuum, 0] = 1.0
+    table.flags.writeable = False
     return table
 
 

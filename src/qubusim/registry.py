@@ -75,10 +75,12 @@ def _fresh(hint: str, taken) -> str:
 class ModeRegistry:
     """Declares photons with their admissible paths, plus the qubus modes.
 
-    Path sets are disjoint across photons; ids are unique.  All update
-    methods return a new registry.  A branch lists its slots sorted by photon
-    id, so a photon's slot sits at the same index, slot_index(pid), in every
-    branch of a state, and its digit at the same place in every label code.
+    Path sets are disjoint across photons; ids are unique.  Registries are
+    immutable: an update method returns the registry of the updated layout,
+    the same instance each time it meets that layout again.  A branch lists
+    its slots sorted by photon id, so a photon's slot sits at the same index,
+    slot_index(pid), in every branch of a state, and its digit at the same
+    place in every label code.
     """
 
     photon_paths: tuple[tuple[str, tuple[str, ...]], ...] = ()
@@ -149,11 +151,11 @@ class ModeRegistry:
     # -- updates ------------------------------------------------------------
 
     def with_photon(self, pid: str, paths: Sequence[str]) -> "ModeRegistry":
-        return ModeRegistry(self.photon_paths + ((pid, tuple(paths)),), self.qubus_modes)
+        return _registry(self.photon_paths + ((pid, tuple(paths)),), self.qubus_modes)
 
     def without_photon(self, pid: str) -> "ModeRegistry":
         self.slot_index(pid)
-        return ModeRegistry(tuple(e for e in self.photon_paths if e[0] != pid), self.qubus_modes)
+        return _registry(tuple(e for e in self.photon_paths if e[0] != pid), self.qubus_modes)
 
     def with_path(self, pid: str, path: str) -> "ModeRegistry":
         """Register an extra admissible path for an existing photon."""
@@ -167,18 +169,18 @@ class ModeRegistry:
         return self._repathed(pid, tuple(p for p in self.paths_of(pid) if p != path))
 
     def _repathed(self, pid: str, paths: tuple[str, ...]) -> "ModeRegistry":
-        return ModeRegistry(
+        return _registry(
             tuple((q, paths if q == pid else p) for q, p in self.photon_paths), self.qubus_modes
         )
 
     def with_qubus(self, mode: str) -> "ModeRegistry":
         if mode in self.qubus_modes:
             raise RegistryError(f"duplicate qubus mode {mode!r}")
-        return ModeRegistry(self.photon_paths, self.qubus_modes + (mode,))
+        return _registry(self.photon_paths, self.qubus_modes + (mode,))
 
     def without_qubus(self, mode: str) -> "ModeRegistry":
         self.qubus_index(mode)
-        return ModeRegistry(self.photon_paths, tuple(m for m in self.qubus_modes if m != mode))
+        return _registry(self.photon_paths, tuple(m for m in self.qubus_modes if m != mode))
 
     def fresh_path(self, hint: str) -> str:
         """A path name based on `hint` that collides with nothing registered."""
@@ -197,3 +199,12 @@ class ModeRegistry:
         for mode in other.qubus_modes:
             reg = reg.with_qubus(mode)
         return reg
+
+
+@functools.lru_cache(maxsize=1024)
+def _registry(
+    photon_paths: tuple[tuple[str, tuple[str, ...]], ...], qubus_modes: tuple[str, ...]
+) -> ModeRegistry:
+    """The registry of one (photon_paths, qubus_modes), built once: a run's
+    updates meet the same few layouts over and over."""
+    return ModeRegistry(photon_paths, qubus_modes)

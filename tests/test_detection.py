@@ -33,7 +33,7 @@ from qubusim.detection import (
     project_qubus_coherent,
 )
 from qubusim.gates import couple_qubus_pair, parity_couplings
-from qubusim.numerics import fock_amplitude, poisson_pmf
+from qubusim.numerics import default_fock_cutoff, fock_amplitude, fock_amplitude_table, poisson_pmf
 
 from conftest import alpha_for, haar_vec, THETA
 
@@ -59,6 +59,30 @@ def test_fock_distribution_poisson():
     assert probs.sum() == pytest.approx(1.0, abs=1e-10)
     for n in (0, 5, 20, 40):
         assert probs[n] == pytest.approx(poisson_pmf(20.0, n), rel=1e-9)
+
+
+def test_fock_amplitude_table_is_kept_per_exact_key_and_read_only():
+    # parity-bright's and qudit-wide's beam values, each with an alpha = 0 row, then
+    # qudit-wide's cutoff with other values; a table served from the wrong key fails
+    bright, dim = math.sqrt(2000.0), math.sqrt(20.0)
+    keys = [
+        ((0j, complex(bright), complex(-bright)), default_fock_cutoff(2000.0)),
+        ((0j, complex(dim), complex(-dim)), default_fock_cutoff(20.0)),
+        ((0j, 1j * dim, -1j * dim), default_fock_cutoff(20.0)),
+    ]
+    for values, cutoff in keys + keys[::-1] + keys:
+        table = fock_amplitude_table(values, cutoff)
+        want = [[fock_amplitude(n, a) for n in range(cutoff + 1)] for a in values]
+        np.testing.assert_allclose(table, want, rtol=1e-9, atol=0)
+        assert table[0, 0] == 1 and not table[0, 1:].any()
+        with pytest.raises(ValueError, match="read-only"):
+            table[1, 1] = 0
+    # -dim + 0j == -dim - 0j, but their phases are +pi and -pi: each keeps its own table
+    for im in (0.0, -0.0, 0.0):
+        value = complex(-dim, im)
+        got = fock_amplitude_table([value], 84)[0, 1].imag
+        assert math.copysign(1, got) == math.copysign(1, fock_amplitude(1, value).imag)
+    assert not fock_distribution(coherent_state(dim), "q").table.flags.writeable
 
 
 def test_fock_distribution_vacuum():

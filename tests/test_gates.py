@@ -21,6 +21,7 @@ from qubusim import (
 )
 from qubusim import elements as el
 from qubusim import gates as g
+from qubusim import pipelines as pl
 from qubusim import synthesis as syn
 from qubusim.analysis import alpha_for_beta2
 from qubusim.cli import DEMO_GATES, main
@@ -551,6 +552,78 @@ def test_fidelity_monotone_in_beta2():
     assert vals == sorted(vals)
     assert vals[0] < 1 - 1e-3  # small beta leaks measurably
     assert vals[-1] >= 1 - 1e-8
+
+
+def _report_tree(rep):
+    yield rep
+    for child in rep.children:
+        yield from _report_tree(child)
+
+
+def _assert_outcome_rows(rep):
+    """Every report of the tree writes its outcome table as its entries' dicts."""
+    for r in _report_tree(rep):
+        assert isinstance(r.outcomes, g.OutcomeTable)
+        assert r.to_dict()["outcomes"] == [o.to_dict() for o in r.outcomes]
+
+
+def test_outcome_table_columns_read_as_entries():
+    # a bright beam: hundreds of outcomes, so a sum in another order would round differently
+    s = polarization_state(haar_vec(4, 5), [("1", "t1"), ("2", "t2")])
+    _, rep = g.parity_gate(s, "1", "2", alpha_for_beta2(2000.0, THETA), THETA)
+    table = rep.outcomes
+    _assert_outcome_rows(rep)
+    rows = list(zip(table.values, table.probabilities, table.fidelities))
+    assert len(table) == len(rows) > 500 and all(type(v) is int for v, _, _ in rows)
+    success = 0.0
+    for o in table:  # the success mass is summed in outcome order
+        if o.fidelity >= 1.0 - g.AGREEMENT_TOL:
+            success += o.probability
+    assert rep.success_probability == success
+    assert rep.min_fidelity == min(1.0, *table.fidelities)
+    entries = [g.OutcomeEntry("fock", *row) for row in rows]
+    assert list(table) == entries
+    assert table[0] == entries[0] and table[-1] == entries[-1] and table[-2] == entries[-2]
+    assert table[1:3] == entries[1:3] and table[::-2] == entries[::-2]
+    with pytest.raises(IndexError):
+        table[len(rows)]
+    assert rep.to_dict()["outcomes"][0] == {
+        "kind": "fock", "value": 0, "probability": rows[0][1], "fidelity": rows[0][2]
+    }
+    empty = g.GateReport("empty")
+    assert len(empty.outcomes) == 0 and empty.to_dict()["outcomes"] == []
+
+
+def test_outcome_tables_of_presence_readouts_and_report_trees(alpha20):
+    z = haar_vec(4, 7)
+    s = polarization_state(z, [("1", "t1"), ("2", "t2")])
+    mid, rep1 = g.c_path(s, "1", "2", alpha20, THETA)
+    mid, _, _ = g.inject_plus(mid, "A", "pa")
+    _, rep = g.merging_n(
+        mid, "2", rep1.extras["rails"], "A", [("1", None)], alpha20, THETA, interference="bs"
+    )
+    assert rep.outcomes is rep.children[-1].outcomes  # the readout stage's table
+    assert rep.outcomes.kind == "presence" and len(rep.outcomes) == 4
+    assert all(isinstance(o.value, str) for o in rep.outcomes)
+    _assert_outcome_rows(rep)
+
+    s = polarization_state(haar_vec(8, 9), [("1", "t1"), ("2", "t2"), ("3", "t3")])
+    _, rep = pl.toffoli(s, ["1", "2"], "3", alpha20, THETA)
+    kinds = {r.outcomes.kind for r in _report_tree(rep) if len(r.outcomes)}
+    assert kinds == {"fock", "presence"}
+    _assert_outcome_rows(rep)
+
+
+def test_gate_fidelity_reads_the_outcome_columns():
+    from qubusim.analysis import run_sweep, SweepSpec
+    from qubusim.state import random_polarization_state
+
+    (row,) = run_sweep(SweepSpec("gate_fidelity", {"beta2": [8.0]}))
+    _, rep = g.parity_gate(
+        random_polarization_state(2, 0), "1", "2", alpha_for_beta2(8.0, THETA), THETA
+    )
+    p, f = rep.outcomes.probabilities, rep.outcomes.fidelities
+    assert row["value"] == math.fsum(a * b for a, b in zip(p, f)) / math.fsum(p) < 1 - 1e-6
 
 
 def test_feedforward_plan_picks_row_by_parity():

@@ -398,6 +398,25 @@ def test_branches_are_built_only_when_read(monkeypatch):
     assert repr(s) == "HybridState(4 branches, photons=('1', '2'))"
 
 
+def test_registry_updates_return_one_instance_per_layout():
+    reg = ModeRegistry().with_photon("1", ("p",))
+    updates = [
+        lambda r: r.with_qubus("q"),
+        lambda r: r.with_qubus("q").without_qubus("q"),
+        lambda r: r.with_path("1", "p2"),
+        lambda r: r.with_path("1", "p2").without_path("1", "p2"),
+        lambda r: r.with_photon("2", ("r",)),
+        lambda r: r.with_photon("2", ("r",)).without_photon("2"),
+    ]
+    for update in updates:
+        assert update(reg) is update(reg)
+    fresh = ModeRegistry((("1", ("p", "p2")),), ("q",))
+    cached = reg.with_path("1", "p2").with_qubus("q")
+    assert cached == fresh and cached._layout == fresh._layout and cached._stride == fresh._stride
+    with pytest.raises(RegistryError, match="duplicate qubus mode"):
+        reg.with_qubus("q").with_qubus("q")
+
+
 def test_registry_rejects_label_codes_beyond_64_bits():
     reg = ModeRegistry()
     for k in range(15):
