@@ -454,6 +454,8 @@ def cmd_gate(args) -> int:
 
 def run_program(program: dict) -> dict:
     photons = program["photons"]
+    if not photons:
+        raise StateError("a program needs at least one photon")
     pairs = [(p["id"], p["path"]) for p in photons]
     if "coeffs" in program:
         state = polarization_state([_entry(c) for c in program["coeffs"]], pairs)

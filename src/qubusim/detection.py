@@ -12,7 +12,8 @@ outcome n collapses to Σ_k ⟨n|α_k⟩ ψ_k, so P(n) for every n is one array 
 over a K-row ⟨n|α_k⟩ table and the K×K Gram matrix of the parts.
 `fock_outcomes` returns the kept outcomes as a sequence carrying the state,
 its beam values and the weights; a record, with its collapsed state, is
-built only when an outcome is read.
+built only when an outcome is read.  The corrections that follow an outcome
+are the gates module's FeedForwardPlan tables.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class MeasurementRecord:
     kind: str  # "fock" | "presence" | "bell"
     value: object
     probability: float
-    collapsed: HybridState | None  # None only in the qubus block's feed-forward row record
+    collapsed: HybridState
 
     def __post_init__(self):
         if not -1e-12 <= self.probability <= 1 + 1e-9:
@@ -233,9 +234,6 @@ _BELL = {
     "psi+": {("H", "V"): 1, ("V", "H"): 1},
     "psi-": {("H", "V"): 1, ("V", "H"): -1},
 }
-
-#: polarization correction that undoes each Bell outcome in teleportation
-BELL_CORRECTIONS = {"phi+": (), "phi-": ("z",), "psi+": ("x",), "psi-": ("x", "z")}
 
 
 def bell_outcomes(s: HybridState, pid_a: str, pid_b: str) -> list[MeasurementRecord]:

@@ -270,6 +270,8 @@ def phase(s: HybridState, pid: str, path: str | None, pol: str | None, phi: floa
     path or both polarizations (pol=None phases a whole path)."""
     if path is not None:
         _require_paths(s, pid, path)
+    if pol is not None and pol not in POLS:
+        raise StateError(f"bad polarization {pol!r}")
     w = cmath.exp(1j * phi)
     paths = s.registry.paths_of(pid) if path is None else (path,)
     pols = POLS if pol is None else (pol,)

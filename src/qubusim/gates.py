@@ -4,11 +4,15 @@ Every gate here follows the same recipe.  Two fresh qubus beams |α⟩|α⟩ are
 coupled to the photonic modes listed in the gate's coupling table (θ per
 coupling), both beams get a −θ compensation, a 50:50 qubus BS forms the
 difference/sum ports, and the difference port is read out by the QND module
-(enumerated exactly as Fock outcomes).  A feed-forward plan, a fixed
+(enumerated exactly as Fock outcomes).  A feed-forward plan, here the
 n=0 / n even / n odd table, then turns every outcome into the same output
 state; the unmeasured sum port is disposed of by heralded projection onto its
 dominant coherent value, whose tiny residual which-path weight is the only
 nondeterminism left (≤ ~e^{−|β|²} in fidelity, with |β|² = 2α²sin²θ).
+
+The other measurement stages, the Disentangler's and Merging's presence
+readouts (a row per arm) and the teleport transform's Bell measurements
+(phi±, psi±), correct their outcomes by a FeedForwardPlan in correct_outcomes.
 
 A block computes its whole outcome table from one decomposition.  The
 difference port takes a few distinct values α_k (0 and ±β in every gate
@@ -34,7 +38,7 @@ as H and back; C-path-3 and the qudit unitaries use them.
 
 Each gate returns (output state, GateReport); the report logs every outcome
 with its probability and fidelity against the representative output, the
-resource counts, and the feed-forward table actually used.
+resource counts, and the stage's feed-forward table, a row per outcome class.
 """
 
 from __future__ import annotations
@@ -246,18 +250,8 @@ class GateReport:
                 {"outcome": label, "ops": ops} for label, ops in self.feedforward
             ],
             "children": [c.to_dict() for c in self.children],
-            "extras": {k: v for k, v in self.extras.items() if _jsonable(v)},
+            "extras": dict(self.extras),
         }
-
-
-def _jsonable(v) -> bool:
-    if isinstance(v, (str, int, float, bool, type(None))):
-        return True
-    if isinstance(v, (list, tuple)):
-        return all(_jsonable(x) for x in v)
-    if isinstance(v, dict):
-        return all(isinstance(k, str) and _jsonable(x) for k, x in v.items())
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -266,28 +260,49 @@ def _jsonable(v) -> bool:
 
 
 class FeedForwardPlan:
-    """The correction table of a qubus block: n=0, n even, n odd.
+    """The correction table of one measurement stage: labelled rows of ElementOps.
 
-    Only the parity of the detected photon number n matters: n=0 needs no
-    correction, even n the even_ops and odd n the odd_ops.
+    row_of(value) is the row an outcome value uses, correct(state, value)
+    applies that row, and describe() is the table as a report lists it, one
+    row per outcome class whether or not an outcome of it was found.
     """
 
-    LABELS = ("n=0", "n even", "n odd")
+    def __init__(
+        self,
+        rows: Sequence[tuple[str, Sequence[el.ElementOp]]],
+        row_of: Callable[[object], int],
+    ):
+        self.labels = [label for label, _ in rows]
+        self.rows = [list(ops) for _, ops in rows]
+        self.row_of = row_of
 
-    def __init__(self, even_ops: Sequence[el.ElementOp], odd_ops: Sequence[el.ElementOp]):
-        self.rows = ([], list(even_ops), list(odd_ops))
-
-    @staticmethod
-    def row_of(n):
-        """The row outcome n uses: 0 for n=0, 1 for even n, 2 for odd n (an
-        int, or an array of them for an array of n)."""
-        return (n > 0) * (1 + n % 2)
-
-    def correct(self, state: HybridState, record) -> HybridState:
-        return el.apply_elements(state, self.rows[self.row_of(record.value)])
+    def correct(self, state: HybridState, value) -> HybridState:
+        return el.apply_elements(state, self.rows[self.row_of(value)])
 
     def describe(self) -> list[tuple[str, list[dict]]]:
-        return [(label, [o.to_dict() for o in ops]) for label, ops in zip(self.LABELS, self.rows)]
+        return [(label, [o.to_dict() for o in ops]) for label, ops in zip(self.labels, self.rows)]
+
+
+def _parity_plan(
+    even_ops: Sequence[el.ElementOp], odd_ops: Sequence[el.ElementOp]
+) -> FeedForwardPlan:
+    """A qubus block's table: only the parity of the detected photon number n
+    matters, so n=0 needs no correction, even n the even_ops and odd n the
+    odd_ops.  row_of maps an int n, or an array of them, to 0, 1 or 2."""
+    return FeedForwardPlan(
+        [("n=0", []), ("n even", even_ops), ("n odd", odd_ops)], lambda n: (n > 0) * (1 + n % 2)
+    )
+
+
+def correct_outcomes(
+    records: Sequence[MeasurementRecord],
+    plan: FeedForwardPlan,
+    prepare: Callable[[HybridState], HybridState] = lambda st: st,
+) -> list[tuple[object, float, HybridState]]:
+    """The feed-forward of a presence or Bell stage: each outcome's (value,
+    probability, corrected state), its collapsed state run through prepare
+    and then corrected by its plan row."""
+    return [(r.value, r.probability, plan.correct(prepare(r.collapsed), r.value)) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +321,14 @@ class Scored:
     success_probability: float
     states: Sequence[tuple[object, float, HybridState]]  # (value, prob, corrected state)
 
-    def report(self, name: str, resources: Resources, **fields) -> GateReport:
-        """The stage's GateReport; fields fill the remaining report fields."""
+    def report(
+        self, name: str, plan: FeedForwardPlan, resources: Resources, **fields
+    ) -> GateReport:
+        """The stage's GateReport with plan's full correction table; fields
+        fill the remaining report fields."""
         return GateReport(
             name, self.success_probability, self.min_fidelity, self.outcomes, resources,
-            **fields,
+            feedforward=plan.describe(), **fields,
         )
 
 
@@ -400,7 +418,7 @@ def _outcome_route(
 ) -> HybridState:
     """One outcome on its own: feed-forward on its collapsed state, disposal of
     the beam onto its dominant value, then post."""
-    st = plan.correct(rec.collapsed, rec)
+    st = plan.correct(rec.collapsed, rec.value)
     st, _ = project_qubus_coherent(st, beam)
     return st if post is None else post(st)
 
@@ -461,10 +479,9 @@ class _BlockOutputs(Sequence):
             cols = np.flatnonzero(plan_rows == row)
             if not len(cols):
                 continue
-            rec = MeasurementRecord("fock", self.values[cols[0]], self.probs[cols[0]], None)
             # feed-forward, disposal and post are photonic: each acts on every
             # part at once, and the parts are split off by their beam value last
-            corrected = plan.correct(found.state, rec)
+            corrected = plan.correct(found.state, self.values[cols[0]])
             idx = corrected.registry.qubus_index(beam)
             basis, m = _branch_matrix(corrected, k_col, values)
             amps = np.abs(m @ w[:, cols])
@@ -560,9 +577,9 @@ def _block_report(
     """The report of a gate made of one qubus block."""
     return block.report(
         name,
+        plan,
         Resources(xpm_couplings=coupling_mode_count(couplings), qubus_modes=2, detections=1),
         gates=Counter({name: 1}),
-        feedforward=plan.describe(),
         extras=extras,
     )
 
@@ -702,9 +719,9 @@ def _switch_plan(
     """
     switches = [el.op("PathSwitch", photon=photon, path_a=r, path_b=f) for r, f in zip(rails, fresh)]
     if odd_phase is not None:
-        return FeedForwardPlan(switches, odd_phase + switches)
+        return _parity_plan(switches, odd_phase + switches)
     pis = [el.op("PolPhase", math.pi, photon=photon, path=r, pol=None) for r in rails]
-    return FeedForwardPlan(switches, switches + pis)
+    return _parity_plan(switches, switches + pis)
 
 
 def pbs_fan_out(
@@ -766,7 +783,6 @@ def parity_gate(
         "parity", block, couplings, plan,
         even_paths=(p1_path, rail_b),
         odd_paths=(p1_path, rail_a),
-        outcome_states=block.states,  # (n, prob, state); not serialized
     )
     return block.state, report
 
@@ -894,41 +910,24 @@ def disentangler(
     control leaves in |+⟩ exactly; the target keeps all four coefficients.
     """
     path = _require_single_path(s, control)
-    pi_rails = sorted(v_rails)
-
     reg = s.registry
     arm_p = reg.fresh_path(path + "p")
     arm_m = reg.fresh_path(path + "m")
     split = el.pbs_pm(s, control, path, arm_p, arm_m)
+    minus = [el.op("WavePlateZ", photon=control, path=path)] + [
+        el.op("PolPhase", math.pi, photon=target, path=r, pol=None) for r in sorted(v_rails)
+    ]
+    plan = FeedForwardPlan([("+", []), ("-", minus)], [arm_p, arm_m].index)
+
+    def merge(st: HybridState) -> HybridState:
+        st = el.pbs_pm_merge(st, control, arm_p, arm_m, path)
+        reg = st.registry.without_path(control, arm_p).without_path(control, arm_m)
+        return HybridState(reg, st.branches)
 
     records = presence_outcomes(split, control, [arm_p, arm_m])
-    corrected = []
-    feedforward = []
-    for rec in records:
-        st = rec.collapsed
-        st = el.pbs_pm_merge(st, control, arm_p, arm_m, path)
-        st = HybridState(
-            st.registry.without_path(control, arm_p).without_path(control, arm_m),
-            st.branches,
-        )
-        ops = []
-        if rec.value == arm_m:
-            ops.append(el.op("WavePlateZ", photon=control, path=path))
-            ops += [
-                el.op("PolPhase", math.pi, photon=target, path=r, pol=None)
-                for r in pi_rails
-            ]
-        st = el.apply_elements(st, ops)
-        corrected.append((rec.value, rec.probability, st))
-        feedforward.append(
-            ("+" if rec.value == arm_p else "-", [o.to_dict() for o in ops])
-        )
-    scored = score_outcomes("presence", corrected)
+    scored = score_outcomes("presence", correct_outcomes(records, plan, merge))
     report = scored.report(
-        "disentangler",
-        Resources(detections=1),
-        gates=Counter({"disentangler": 1}),
-        feedforward=feedforward,
+        "disentangler", plan, Resources(detections=1), gates=Counter({"disentangler": 1})
     )
     return scored.state, report
 
@@ -948,7 +947,7 @@ def _entangler_block(
 ) -> tuple[HybridState, GateReport]:
     sx = el.op("WavePlateX", photon=flip_photon, path=None)
     sz = el.op("WavePlateZ", photon=flip_photon, path=None)
-    plan = FeedForwardPlan([sx], [sx, sz])
+    plan = _parity_plan([sx], [sx, sz])
     block = run_qubus_block(s, couplings, alpha, theta, plan)
     return block.state, _block_report(name, block, couplings, plan)
 
@@ -1048,61 +1047,50 @@ def merging_n(
         out = syn.apply_mesh_ops(out, photon, rails, syn.reck_decompose(u))
         report.gates.update({"lomi": 1})
 
-    # feed-forward phases per rail bit: conj(U[k,j]) must factorize over bits
+    # PBS± fan-out onto a plus and a minus arm per rail, each arm with its
+    # feed-forward row: rail k's phases on the companions' V slots (conj(U[k,j])
+    # must factorize over the rail bits), then σ_z on the ancilla for a minus
+    # arm; no row touches the detected photon
     phases = _factorize_corrections(u, qbits)
-
-    # PBS± fan-out and presence detection
-    arms = []
-    for r in rails:
+    sz = el.op("WavePlateZ", photon=ancilla, path=None)
+    arms, rows = [], []
+    for k, r in enumerate(rails):
         ap, am = out.registry.fresh_path(r + "p"), out.registry.fresh_path(r + "m")
         out = el.pbs_pm(out, photon, r, ap, am)
-        arms.append((ap, am))
+        fix = []
+        for (pid, cpath), phi in zip(companions, [bit[k] for bit in phases]):
+            if abs(abs(phi) - math.pi) < 1e-12 and cpath is None:
+                fix.append(el.op("WavePlateZ", photon=pid, path=None))
+            elif abs(phi) > 1e-12:
+                fix.append(el.op("PolPhase", phi, photon=pid, path=cpath, pol=V))
+        arms += [ap, am]
+        rows += [(f"arm {k}+", fix), (f"arm {k}-", fix + [sz])]
+    plan = FeedForwardPlan(rows, arms.index)
 
-    flat_arms = [a for pair in arms for a in pair]
-    records = presence_outcomes(out, photon, flat_arms)
-    corrected = []
-    feedforward = []
-    for rec in records:
-        arm = rec.value
-        k = next(i for i, pair in enumerate(arms) if arm in pair)
-        minus = arm == arms[k][1]
-        ops = []
-        for m in range(qbits):
-            phi = phases[m][k]
-            if abs(phi) > 1e-12:
-                pid, cpath = companions[m]
-                if abs(abs(phi) - math.pi) < 1e-12 and cpath is None:
-                    ops.append(el.op("WavePlateZ", photon=pid, path=None))
-                else:
-                    ops.append(el.op("PolPhase", phi, photon=pid, path=cpath, pol=V))
-        if minus:
-            ops.append(el.op("WavePlateZ", photon=ancilla, path=None))
-        st = el.apply_elements(rec.collapsed, ops)
-        corrected.append((f"{k}{'-' if minus else '+'}", rec.probability, st))
-        feedforward.append((f"arm {k}{'-' if minus else '+'}", [o.to_dict() for o in ops]))
-
+    # an outcome's value is its row's label without "arm ": k+ or k- for rail k
+    names = [label[4:] for label in plan.labels]
+    corrected = correct_outcomes(presence_outcomes(out, photon, arms), plan)
     scored = score_outcomes(
-        "presence", [(v, p, remove_photon(st, photon)) for v, p, st in corrected]
+        "presence",
+        [(names[plan.row_of(a)], p, remove_photon(st, photon)) for a, p, st in corrected],
     )
-    stage = scored.report(name + "_readout", Resources(detections=1), feedforward=feedforward)
+    stage = scored.report(name + "_readout", plan, Resources(detections=1))
     report.absorb(stage)
-    report.feedforward = feedforward
+    report.feedforward = stage.feedforward
     report.outcomes = stage.outcomes
     report.extras.update(
-        {"carrier": (ancilla, anc_path), "recycled": photon, "arms": tuple(flat_arms)}
+        {"carrier": (ancilla, anc_path), "recycled": photon, "arms": tuple(arms)}
     )
 
-    rep_state = next(st for v, p, st in corrected if v == scored.value)
+    # the representative's row names its arm, and the photon stays there in
+    # |+⟩ on a plus arm and |−⟩ on a minus arm
+    rep_arm = arms[names.index(scored.value)]
+    rep_state = next(st for a, _, st in corrected if a == rep_arm)
     if not keep_recycled:
         rep_state = remove_photon(rep_state, photon)
     else:
-        rep_arm = next(
-            arm for arm in flat_arms if arm in rep_state.photon_paths_in_use(photon)
-        )
-        flipped = el.wave_plate(rep_state, photon, None, "x")
-        sign = inner_product(flipped, rep_state).real
         report.extras["recycled_arm"] = rep_arm
-        report.extras["recycled_sign"] = "+" if sign > 0 else "-"
+        report.extras["recycled_sign"] = scored.value[-1]
     return rep_state, report
 
 

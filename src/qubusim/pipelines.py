@@ -21,15 +21,17 @@ import numpy as np
 
 from . import elements as el
 from . import synthesis as syn
-from .detection import BELL_CORRECTIONS, bell_outcomes
+from .detection import bell_outcomes
 from .gates import (
     DEFAULTS,
+    FeedForwardPlan,
     GateError,
     GateReport,
     Resources,
     c_path,
     c_path2,
     c_path3,
+    correct_outcomes,
     disentangler,
     entangler3,
     inject_plus,
@@ -127,19 +129,6 @@ def to_qudit_circuit(
 # ---------------------------------------------------------------------------
 
 
-def _bell_feedforward_sbit(
-    rails: Sequence[str], bit: int, carrier: str, kind: str
-) -> list[el.ElementOp]:
-    """σx/σz on one switch-state bit of a rail-encoded qudit."""
-    bit_clear, bit_set = split_rails(rails, bit)
-    if kind == "x":
-        return [
-            el.op("PathSwitch", photon=carrier, path_a=a, path_b=b)
-            for a, b in zip(bit_clear, bit_set)
-        ]
-    return [el.op("PolPhase", math.pi, photon=carrier, path=r, pol=None) for r in bit_set]
-
-
 def to_qudit_teleport(
     s: HybridState,
     photons: Sequence[str],
@@ -183,23 +172,23 @@ def to_qudit_teleport(
         fresh = list(all_rails[len(rails) :])
         rails = [r for pair in zip(rails, fresh) for r in pair]
 
-    # Bell measurements with feed-forward, enumerated pair by pair
-    pairs = [(photons[i], plus_ids[i], ("sbit", i)) for i in range(n - 1)]
-    pairs.append((photons[-1], m2, ("pol", None)))
-    for pid_in, pid_anc, (target_kind, bit) in pairs:
-        records = bell_outcomes(out, pid_in, pid_anc)
-        corrected = []
-        for rec in records:
-            ops = []
-            for gate_kind in BELL_CORRECTIONS[rec.value]:
-                if target_kind == "pol":
-                    kind = "WavePlateX" if gate_kind == "x" else "WavePlateZ"
-                    ops.append(el.op(kind, photon=m1, path=None))
-                else:
-                    ops.extend(_bell_feedforward_sbit(rails, bit, m1, gate_kind))
-            corrected.append((rec.value, rec.probability, el.apply_elements(rec.collapsed, ops)))
-        scored = score_outcomes("bell", corrected)
-        report.absorb(scored.report(f"bell({pid_in},{pid_anc})", Resources(detections=1)))
+    # Bell measurements with feed-forward, enumerated pair by pair: input i
+    # with ancilla i acts on rail-index bit i of the Bell photon (σx switches
+    # the bit, σz puts π on the rails where it is set), the last input with
+    # the Bell pair's second photon on its polarization
+    bells = ("phi+", "phi-", "psi+", "psi-")
+    for i, pid_in in enumerate(photons):
+        if i < n - 1:
+            pid_anc, (clear, set_) = plus_ids[i], split_rails(rails, i)
+            sx = [el.op("PathSwitch", photon=m1, path_a=a, path_b=b) for a, b in zip(clear, set_)]
+            sz = [el.op("PolPhase", math.pi, photon=m1, path=r, pol=None) for r in set_]
+        else:
+            pid_anc = m2
+            sx = [el.op("WavePlateX", photon=m1, path=None)]
+            sz = [el.op("WavePlateZ", photon=m1, path=None)]
+        plan = FeedForwardPlan(list(zip(bells, ([], sz, sx, sx + sz))), bells.index)
+        scored = score_outcomes("bell", correct_outcomes(bell_outcomes(out, pid_in, pid_anc), plan))
+        report.absorb(scored.report(f"bell({pid_in},{pid_anc})", plan, Resources(detections=1)))
         out = scored.state
 
     report.extras.update({"rails": tuple(rails), "carrier": m1})

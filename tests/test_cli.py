@@ -244,6 +244,16 @@ def test_validation_error_exit_2(tmp_path, capsys):
     program = {"photons": [{"id": "1", "path": "t1"}], "gates": [step]}
     bad.write_text(json.dumps(program))
     assert main(["run", str(bad)]) == 2
+    step = {"gate": "element", "kind": "PolPhase", "parameter": 1.0,
+            "targets": {"photon": "1", "path": "t1", "pol": "X"}}
+    for program, err in (
+        ({"photons": [{"id": "1", "path": "t1"}], "gates": [step]}, "bad polarization 'X'"),
+        ({"photons": []}, "a program needs at least one photon"),
+    ):
+        bad.write_text(json.dumps(program))
+        capsys.readouterr()
+        assert main(["run", str(bad)]) == 2, program
+        assert f"error: {err}" in capsys.readouterr().err, program
     photons = [{"id": pid, "path": f"t{pid}"} for pid in ("1", "2", "3")]
     for gate in ("parity", "two-qubit"):
         step = {"gate": gate, "photons": ["1", "2", "3"], "unitary": "cnot"}

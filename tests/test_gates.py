@@ -25,7 +25,7 @@ from qubusim import pipelines as pl
 from qubusim import synthesis as syn
 from qubusim.analysis import alpha_for_beta2
 from qubusim.cli import DEMO_GATES, main
-from qubusim.detection import MeasurementRecord, fock_outcomes, project_qubus_coherent
+from qubusim.detection import fock_outcomes, project_qubus_coherent
 from qubusim.state import Branch, ModeRegistry, _sorted_slots
 
 from conftest import haar_vec, two_photon, THETA
@@ -630,13 +630,84 @@ def test_feedforward_plan_picks_row_by_parity():
     s = pol_qubit("1", "p", 0.6, 0.8)
     x = el.op("WavePlateX", photon="1", path=None)
     z = el.op("WavePlateZ", photon="1", path=None)
-    plan = g.FeedForwardPlan([x], [x, z])
+    plan = g._parity_plan([x], [x, z])
     for n, ops in ((0, []), (2, [x]), (6, [x]), (1, [x, z]), (5, [x, z])):
-        got = plan.correct(s, MeasurementRecord("fock", n, 0.5, None))
+        got = plan.correct(s, n)
         assert state_to_dict(got) == state_to_dict(el.apply_elements(s, ops))
     assert plan.describe() == [
         ("n=0", []), ("n even", [x.to_dict()]), ("n odd", [x.to_dict(), z.to_dict()])
     ]
+
+
+def _expected_bell_rows(sx, sz):
+    return [("phi+", []), ("phi-", sz), ("psi+", sx), ("psi-", sx + sz)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["teleport", "--photons", "3"], ["teleport", "--photons", "4"], ["toffoli"]],
+    ids=["teleport-3", "teleport-4", "toffoli"],
+)
+def test_every_measurement_stage_lists_its_feedforward_table(argv, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["gate", *argv, "--beta2", "20", "--input", "haar:5", "--out", str(out)]) == 0
+    top = json.loads(out.read_text())["report"]
+
+    def tree(node):
+        yield node
+        for child in node["children"]:
+            yield from tree(child)
+
+    bells = []
+    stages = [r for r in tree(top) if r["outcomes"]]
+    assert stages
+    for r in stages:
+        labels = [row["outcome"] for row in r["feedforward"]]
+        kind = r["outcomes"][0]["kind"]
+        values = [o["value"] for o in r["outcomes"]]
+        if kind == "fock":
+            assert labels == ["n=0", "n even", "n odd"], r["gate"]
+        elif kind == "bell":
+            assert labels == ["phi+", "phi-", "psi+", "psi-"], r["gate"]
+            assert set(values) <= set(labels)
+            bells.append(r)
+        elif r["gate"] == "disentangler":
+            assert labels == ["+", "-"]
+        else:  # a Merging readout: one row per arm, k+ and k- for rail k
+            rails = len(labels) // 2
+            assert labels == [f"arm {k}{sign}" for k in range(rails) for sign in "+-"]
+            assert {f"arm {v}" for v in values} <= set(labels)
+    if argv[0] != "teleport":
+        assert not bells
+        return
+    # input i with ancilla i corrects rail-index bit i of the Bell photon, the
+    # last input its polarization
+    n = int(argv[2])
+    carrier, rails = top["extras"]["carrier"], top["extras"]["rails"]
+    assert len(bells) == n
+    for i, r in enumerate(bells):
+        if i < n - 1:
+            clear, set_ = pl.split_rails(rails, i)
+            sx = [el.op("PathSwitch", photon=carrier, path_a=a, path_b=b) for a, b in zip(clear, set_)]
+            sz = [el.op("PolPhase", math.pi, photon=carrier, path=x, pol=None) for x in set_]
+        else:
+            sx = [el.op("WavePlateX", photon=carrier, path=None)]
+            sz = [el.op("WavePlateZ", photon=carrier, path=None)]
+        want = [
+            {"outcome": label, "ops": [o.to_dict() for o in ops]}
+            for label, ops in _expected_bell_rows(sx, sz)
+        ]
+        assert r["feedforward"] == want, r["gate"]
+
+
+def test_presence_stage_lists_arms_with_no_outcome(alpha20):
+    # a control already in |+> is only ever found on the plus arm
+    s = tensor(plus_photon("1", "t1"), pol_qubit("2", "t2", 0.6, 0.8))
+    out, rep = g.disentangler(s, "1", "2", v_rails=["t2"])
+    assert [o.value for o in rep.outcomes] == ["t1p"]
+    assert [label for label, _ in rep.feedforward] == ["+", "-"]
+    assert len(rep.feedforward[1][1]) == 2  # sigma_z on the control, pi on t2
+    assert fidelity(out, s) >= 1 - 1e-12
 
 
 # -- the batched qubus block against the per-outcome loop ---------------------------
@@ -647,7 +718,7 @@ def _outcome_loop(s, couplings, alpha, theta, plan, post=None):
     coupled, (b0, b1) = g.couple_qubus_pair(s, couplings, alpha, theta)
     corrected = []
     for rec in fock_outcomes(coupled, b0):
-        st = plan.correct(rec.collapsed, rec)
+        st = plan.correct(rec.collapsed, rec.value)
         st, _ = project_qubus_coherent(st, b1)
         if post is not None:
             st = post(st)
@@ -698,7 +769,7 @@ def test_block_with_tied_disposal_values_takes_the_outcome_route(monkeypatch):
     s = plus_photon("1", "t1")
     couplings = [g.Coupling(0, "1", "t1", "H")] * 2 + [g.Coupling(0, "1", "t1", "V")] * 3
     couplings.append(g.Coupling(1, "1", "t1", "V"))
-    plan = g.FeedForwardPlan([], [])
+    plan = g._parity_plan([], [])
     routed = []
     route = g._outcome_route
 
@@ -720,7 +791,7 @@ def test_block_tied_for_most_probable_matches_outcome_route(mean):
     # integer mean P(mean - 1) = P(mean), and the first of the tied outcomes represents
     s = pol_qubit("1", "t1", 1, 0)
     couplings = [g.Coupling(0, "1", "t1", "H")]
-    plan = g.FeedForwardPlan([], [])
+    plan = g._parity_plan([], [])
     alpha = math.sqrt(mean / (2 * math.sin(THETA / 2) ** 2))
     got = g.run_qubus_block(s, couplings, alpha, THETA, plan)
     assert got.value in (mean - 1, mean)

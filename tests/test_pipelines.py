@@ -7,6 +7,7 @@ import pytest
 
 from qubusim import (
     HybridState,
+    inner_product,
     path_pol_vector,
     pol_qubit,
     polarization_state,
@@ -375,6 +376,50 @@ def test_cn_uk_against_dense_oracle(n_controls, k):
     oracle[dim - 2**k :, dim - 2**k :] = uk
     assert abs(np.vdot(oracle @ z, vec)) ** 2 >= 1 - 1e-8
     assert rep.gate == ("cn_u1" if k == 1 else "cn_uk")
+
+
+def _recycled_by_overlap(out, rep):
+    """The recycled photon's arm, found among the Merging arms, and its sign,
+    from the overlap of the state with its sigma_x flip (|+> gives +1, |-> -1)."""
+    photon = rep.extras["recycled"]
+    (arm,) = [a for a in rep.extras["arms"] if a in out.photon_paths_in_use(photon)]
+    overlap = inner_product(el.wave_plate(out, photon, None, "x"), out)
+    assert abs(abs(overlap) - 1.0) < 1e-9
+    return arm, "+" if overlap.real > 0 else "-"
+
+
+_MULTI_CONTROL_RUNS = (
+    lambda s, ids: pl.toffoli(s, ids[:2], ids[2], ALPHA_40, THETA),
+    lambda s, ids: pl.toffoli(s, ids[:3], ids[3], ALPHA_40, THETA, layout="compact"),
+    lambda s, ids: pl.cn_u1(s, ids[:1], ids[1], syn.random_haar_unitary(2, 5), ALPHA_40, THETA),
+    lambda s, ids: pl.cn_u1(s, ids[:2], ids[2], syn.random_haar_unitary(2, 6), ALPHA_40, THETA),
+    lambda s, ids: pl.cn_uk(s, ids[:1], ids[1:3], syn.random_haar_unitary(4, 7), ALPHA_40, THETA),
+    lambda s, ids: pl.cn_uk(s, ids[:2], ids[2:], syn.random_haar_unitary(4, 8), ALPHA_40, THETA),
+)
+
+
+def test_recycled_arm_and_sign_match_the_sigma_x_overlap(monkeypatch):
+    merges = []
+    merging_n = pl.merging_n
+
+    def capture(*args, **kwargs):
+        merges.append(merging_n(*args, **kwargs))
+        return merges[-1]
+
+    monkeypatch.setattr(pl, "merging_n", capture)
+    ids = ["1", "2", "3", "4"]
+    signs = []
+    for i, run in enumerate(_MULTI_CONTROL_RUNS):
+        for seed in range(4):
+            s = polarization_state(haar_vec(16, 300 + 10 * i + seed), [(p, f"t{p}") for p in ids])
+            merges.clear()
+            run(s, ids)
+            assert merges
+            for out, rep in merges:
+                want = _recycled_by_overlap(out, rep)
+                assert (rep.extras["recycled_arm"], rep.extras["recycled_sign"]) == want
+                signs.append(want[1])
+    assert set(signs) == {"+", "-"}
 
 
 def test_resource_scaling_to_qudit_linear():
