@@ -10,7 +10,7 @@ import numpy as np
 
 from qubusim import polarization_state, polarization_vector
 from qubusim.analysis import alpha_for_beta2
-from qubusim.pipelines import two_qubit_gate
+from qubusim.pipelines import multi_qubit_gate
 from qubusim.synthesis import random_haar_unitary, reck_decompose
 
 theta = 0.05
@@ -22,7 +22,7 @@ for idx, label in enumerate(("HH", "HV", "VH", "VV")):
     coeffs = [0.0] * 4
     coeffs[idx] = 1.0
     s = polarization_state(coeffs, [("1", "t1"), ("2", "t2")])
-    out, rep = two_qubit_gate(s, "1", "2", cnot, alpha, theta)
+    out, rep = multi_qubit_gate(s, ["1", "2"], cnot, alpha, theta)
     vec = polarization_vector(out, list(rep.extras["photon_order"]))
     got = ("HH", "HV", "VH", "VV")[int(np.argmax(np.abs(vec)))]
     print(f"  |{label}> -> |{got}>")
@@ -36,7 +36,7 @@ rng = np.random.default_rng(7)
 z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
 z /= np.linalg.norm(z)
 s = polarization_state(z, [("1", "t1"), ("2", "t2")])
-out, rep = two_qubit_gate(s, "1", "2", u, alpha, theta)
+out, rep = multi_qubit_gate(s, ["1", "2"], u, alpha, theta)
 vec = polarization_vector(out, list(rep.extras["photon_order"]))
 print(f"gate fidelity vs dense U|psi>: {abs(np.vdot(u @ z, vec))**2:.12f}")
 print(f"resources: {rep.resources.to_dict()}")

@@ -170,6 +170,8 @@ class SweepSpec:
         for key in (*self.grid, *self.fixed):
             if key not in _DEFAULTS:
                 raise AnalysisError(f"unknown sweep parameter {key!r}")
+        if {"alpha", "beta2"} <= {*self.grid, *self.fixed}:
+            raise AnalysisError("set alpha or beta2, not both: beta2 sets alpha")
 
 
 def _resolve(params: dict) -> dict:

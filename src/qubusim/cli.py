@@ -59,7 +59,7 @@ def parse_state_spec(spec: str, n_photons: int, seed: int) -> HybridState:
     ids = [str(i + 1) for i in range(n_photons)]
     paths = [f"t{i + 1}" for i in range(n_photons)]
     photons = list(zip(ids, paths))
-    if spec.startswith("haar"):
+    if spec == "haar" or spec.startswith("haar:"):
         parts = spec.split(":")
         return random_polarization_state(n_photons, int(parts[1]) if len(parts) > 1 else seed)
     if all(ch in "HV" for ch in spec) and spec:
@@ -194,21 +194,16 @@ def _disentangler(s, st, a, t, rails):
     return gates.disentangler(s, st["control"], st["target"], routed[len(routed) // 2 :])
 
 
-def _entangler2(s, st, a, t, rails):
-    routed = _rails(st, st["qudit"], rails)
-    return gates.entangler3(s, st["companion"], st["qudit"], routed[:1], routed[1:], a, t)
-
-
 def _entangler3(s, st, a, t, rails):
     rails_a, rails_b = pl.split_rails(_rails(st, st["qudit"], rails), st.get("bit", 0))
     return gates.entangler3(s, st["companion"], st["qudit"], rails_a, rails_b, a, t)
 
 
-def _merging(s, st, a, t, rails, interference="bs"):
+def _merging(s, st, a, t, rails):
     return gates.merging_n(
         s, st["photon"], _rails(st, st["photon"], rails), st["ancilla"],
         [(c, None) for c in st["companions"]], a, t,
-        interference=interference, keep_recycled=False,
+        interference=st.get("interference", "qft"), keep_recycled=False,
     )
 
 
@@ -278,7 +273,7 @@ GATES: dict[str, Gate] = {
                       {"gate": "entangler1", "photon": p[1], "ancilla": "anc"}],
     ),
     "entangler2": Gate(
-        2, _entangler2,
+        2, _entangler3,
         lambda p, o: [{"gate": "to-qudit", "photons": p},
                       {"gate": "entangler2", "companion": p[0], "qudit": p[1]}],
     ),
@@ -301,7 +296,7 @@ GATES: dict[str, Gate] = {
                        "companions": [p[0]]}],
     ),
     "merging-n": Gate(
-        3, lambda s, st, a, t, r: _merging(s, st, a, t, r, st.get("interference", "qft")),
+        3, _merging,
         lambda p, o: [{"gate": "to-qudit", "photons": p},
                       {"gate": "entangler3", "companion": p[0], "qudit": p[2]},
                       {"gate": "entangler3", "companion": p[1], "qudit": p[2], "bit": 1},
@@ -310,8 +305,8 @@ GATES: dict[str, Gate] = {
                        "companions": p[:2], "interference": o.interference}],
     ),
     "two-qubit": Gate(
-        2, lambda s, st, a, t, r: pl.two_qubit_gate(
-            s, *_photon_pair(st), parse_unitary_spec(st["unitary"], 4), a, t
+        2, lambda s, st, a, t, r: pl.multi_qubit_gate(
+            s, _photon_pair(st), parse_unitary_spec(st["unitary"], 4), a, t
         ),
         lambda p, o: [{"gate": "two-qubit", "photons": p[:2], "unitary": o.unitary or "cnot"}],
     ),
@@ -428,9 +423,10 @@ def cmd_gate(args) -> int:
     photons = gate.photons if args.photons is None else args.photons
     if not 1 <= photons <= pl.MAX_PHOTONS:
         raise pl.PipelineError(f"--photons must be 1..{pl.MAX_PHOTONS}, got {photons}")
-    state = parse_state_spec(args.input, photons, args.seed)
-    alpha = args.alpha if args.beta2 is None else an.alpha_for_beta2(args.beta2, args.theta)
     view = _ReadRecorder(args)
+    # of the inputs, only a bare "haar" draws on --seed
+    state = parse_state_spec(args.input, photons, view.seed if args.input == "haar" else args.seed)
+    alpha = args.alpha if args.beta2 is None else an.alpha_for_beta2(args.beta2, args.theta)
     steps = gate.demo(list(state.registry.photons), view)
     unread = sorted(args.given - view.read)
     if unread:
@@ -452,8 +448,18 @@ def cmd_gate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _objects(program: dict, key: str) -> list[dict]:
+    """The program's list of objects under key; a missing key is an empty list."""
+    items = program.get(key, [])
+    if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
+        raise StateError(f"program key {key!r} must be a list of objects, got {items!r}")
+    return items
+
+
 def run_program(program: dict) -> dict:
-    photons = program["photons"]
+    if not isinstance(program, dict):
+        raise StateError(f"a program must be a JSON object, got {program!r}")
+    photons = _objects(program, "photons")
     if not photons:
         raise StateError("a program needs at least one photon")
     pairs = [(p["id"], p["path"]) for p in photons]
@@ -464,7 +470,7 @@ def run_program(program: dict) -> dict:
 
     alpha = program.get("alpha", DEFAULTS["alpha"])
     theta = program.get("theta", DEFAULTS["theta"])
-    state, reports = _run_steps(state, program.get("gates", []), alpha, theta)
+    state, reports = _run_steps(state, _objects(program, "gates"), alpha, theta)
     return {"reports": [rep.to_dict() for rep in reports], "final_state": state_to_dict(state)}
 
 
@@ -565,11 +571,13 @@ def build_parser() -> _Parser:
     g.add_argument("--layout", choices=("split", "compact"), default="split", action=_DemoOption)
     g.add_argument("--interference", choices=("qft", "hadamard4"), default="qft",
                    action=_DemoOption)
-    g.add_argument("--alpha", type=float, default=DEFAULTS["alpha"])
+    coupling = g.add_mutually_exclusive_group()
+    coupling.add_argument("--alpha", type=float, default=DEFAULTS["alpha"])
+    coupling.add_argument("--beta2", type=float, default=None,
+                          help="set alpha from |beta|^2 = 2 alpha^2 sin^2(theta)")
     g.add_argument("--theta", type=float, default=DEFAULTS["theta"])
-    g.add_argument("--beta2", type=float, default=None,
-                   help="set alpha from |beta|^2 = 2 alpha^2 sin^2(theta)")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=0, action=_DemoOption,
+                   help="seed of a bare haar input and of the default unitaries")
     g.add_argument("--out", default=None)
     g.set_defaults(fn=cmd_gate, given=frozenset())
 

@@ -165,14 +165,6 @@ class OutcomeEntry:
     probability: float
     fidelity: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "probability": self.probability,
-            "fidelity": self.fidelity,
-        }
-
 
 class OutcomeTable(Sequence):
     """A stage's outcomes as columns: one kind, and each outcome's value,
@@ -209,7 +201,7 @@ class OutcomeTable(Sequence):
             yield OutcomeEntry(kind, v, p, f)
 
     def to_dicts(self) -> list[dict]:
-        """[entry.to_dict() for entry in self], without building the entries."""
+        """Each entry's fields as a JSON row, without building the entries."""
         kind = self.kind
         return [
             {"kind": kind, "value": v, "probability": p, "fidelity": f}
@@ -1003,7 +995,7 @@ def merging_n(
     companions: Sequence[tuple[str, str | None]],
     alpha: float = DEFAULTS["alpha"],
     theta: float = DEFAULTS["theta"],
-    interference: str | object = "qft",
+    interference: str = "qft",
     keep_recycled: bool = True,
 ) -> tuple[HybridState, GateReport]:
     """Merge 2^{n−1} rails onto a fresh |+⟩ ancilla (inverse of the C-path family).
@@ -1014,10 +1006,11 @@ def merging_n(
     and σ_z on the ancilla then restore one fixed output; the detected photon
     survives on its arm for recycling unless keep_recycled is false.
 
-    interference: "qft" (Fourier matrix through a Reck mesh), "hadamard4" (the
-    real 4×4 choice that leaves σ_z-only corrections), "bs" (N=2 50:50 BS,
-    the standard Merging gate, which reports as "merging"), or an explicit
-    unitary.  The feed-forward phases are obtained by factorizing
+    interference: "qft" (Fourier matrix through a Reck mesh) or "hadamard4"
+    (the real 4×4 choice that leaves σ_z-only corrections).  On two rails the
+    QFT is the 50:50 BS of the standard Merging gate: it runs as that BS, and
+    the report is "merging" with interference "bs" and no LOMI.  The
+    feed-forward phases are obtained by factorizing
     conj(U[k,j]/U[k,0]) over the rail-index bits; each bit's phase lands on
     the matching companion's V slot.  companions names one (photon,
     path-or-None) V slot per bit, e.g. [("1", None)] when rail 2 of two is
@@ -1030,18 +1023,22 @@ def merging_n(
     qbits = n_rails.bit_length() - 1
     if len(companions) != qbits:
         raise GateError(f"need {qbits} companions for {n_rails} rails")
+    if not (isinstance(interference, str) and interference in ("qft", "hadamard4")):
+        raise GateError(f"interference must be 'qft' or 'hadamard4', got {interference!r}")
+    if interference == "hadamard4" and n_rails != 4:
+        raise GateError("'hadamard4' interference needs four rails")
 
     # Entangler: correlate ancilla polarization with the photon polarization
     out, ent_report = entangler4(s, ancilla, photon, rails, alpha, theta)
     (anc_path,) = s.photon_paths_in_use(ancilla)  # entangler4 checked: one path, |+⟩
-    u, label = _interference_matrix(interference, n_rails)
-    name = "merging" if label == "bs" else "merging_n"
+    name = "merging" if n_rails == 2 else "merging_n"
     report = GateReport(name, gates=Counter({name: 1}))
     report.absorb(ent_report)
 
-    # interference across the rails
-    report.extras["interference"] = label
-    if label == "bs":
+    # interference across the rails; the two-rail QFT is the 50:50 BS
+    u = syn.HADAMARD4 if interference == "hadamard4" else syn.qft_matrix(n_rails)
+    report.extras["interference"] = "bs" if n_rails == 2 else interference
+    if n_rails == 2:
         out = el.photon_bs(out, photon, rails[0], rails[1])
     else:
         out = syn.apply_mesh_ops(out, photon, rails, syn.reck_decompose(u))
@@ -1092,26 +1089,6 @@ def merging_n(
         report.extras["recycled_arm"] = rep_arm
         report.extras["recycled_sign"] = scored.value[-1]
     return rep_state, report
-
-
-def _interference_matrix(interference, n_rails: int):
-    """Resolve merging_n's interference argument into (matrix, report label)."""
-    if not isinstance(interference, str):
-        u = syn.check_unitary(interference)
-        if u.shape[0] != n_rails:
-            raise GateError("interference matrix size does not match rails")
-        return u, "custom"
-    if interference == "bs":
-        if n_rails != 2:
-            raise GateError("'bs' interference is the two-rail case")
-        return syn.qft_matrix(2), "bs"
-    if interference == "qft":
-        return syn.qft_matrix(n_rails), "qft"
-    if interference == "hadamard4":
-        if n_rails != 4:
-            raise GateError("'hadamard4' interference needs four rails")
-        return syn.HADAMARD4, "hadamard4"
-    raise GateError(f"unknown interference {interference!r}")
 
 
 def _factorize_corrections(u, qbits: int) -> list[list[float]]:

@@ -203,7 +203,13 @@ def to_qudit_teleport(
 def split_rails(rails: Sequence[str], bit: int) -> tuple[list[str], list[str]]:
     """Split bit-ordered qudit rails by one index bit (bit 0 is the most
     significant): the rails with that bit clear, then those with it set."""
-    mask = 1 << (len(rails).bit_length() - 2 - bit)
+    n_rails = len(rails)
+    if n_rails < 2 or n_rails & (n_rails - 1):
+        raise PipelineError(f"rail count must be a power of two >= 2, got {n_rails}")
+    bits = n_rails.bit_length() - 1
+    if not (isinstance(bit, int) and 0 <= bit < bits):
+        raise PipelineError(f"bit must be 0..{bits - 1} for {n_rails} rails, got {bit!r}")
+    mask = 1 << (bits - 1 - bit)
     return (
         [r for j, r in enumerate(rails) if not j & mask],
         [r for j, r in enumerate(rails) if j & mask],
@@ -249,8 +255,7 @@ def _fold_back(
 ) -> tuple[HybridState, str]:
     """Re-entangle each companion with its rail-index bit, then merge the
     rails onto a fresh |+⟩ ancilla; the gates' reports go into report.
-    At two rails the QFT is the 50:50 BS of the Merging gate.  Returns the
-    state and the ancilla id."""
+    Returns the state and the ancilla id."""
     for m, comp in enumerate(companions):
         out, rep = entangler3(out, comp, qudit, *split_rails(rails, m), alpha, theta)
         report.absorb(rep)
@@ -259,8 +264,7 @@ def _fold_back(
     report.resources.add(Resources(ancilla_photons=1))
     out, rep = merging_n(
         out, qudit, rails, anc_id, [(c, None) for c in companions], alpha, theta,
-        interference="bs" if len(rails) == 2 and interference == "qft" else interference,
-        keep_recycled=False,
+        interference, keep_recycled=False,
     )
     report.absorb(rep)
     return out, anc_id
@@ -269,23 +273,6 @@ def _fold_back(
 # ---------------------------------------------------------------------------
 # general two-qubit / multi-qubit gates
 # ---------------------------------------------------------------------------
-
-
-def two_qubit_gate(
-    s: HybridState,
-    photon1: str,
-    photon2: str,
-    u: np.ndarray,
-    alpha: float = DEFAULTS["alpha"],
-    theta: float = DEFAULTS["theta"],
-) -> tuple[HybridState, GateReport]:
-    """Any U(4) on two polarization qubits: multi_qubit_gate on two photons.
-
-    Transform to a 4-rail qudit, run the Reck mesh of U, transform back with
-    an Entangler-2 and a Merging gate.  The report's extras give the output
-    photon order (the second logical qubit exits on the Merging ancilla).
-    """
-    return multi_qubit_gate(s, [photon1, photon2], u, alpha, theta)
 
 
 def multi_qubit_gate(
@@ -303,7 +290,8 @@ def multi_qubit_gate(
     re-entangle the companions, and a Merging-n gate (second LOMI: QFT or the
     σz-only Hadamard variant) folds the rails onto one ancilla.  The last
     logical qubit exits on that ancilla, named in the report's photon order.
-    On two photons this is the two-qubit gate, and its report is named so.
+    On two photons this is the two-qubit gate, and its report is named so:
+    Entangler-2 and Merging (the two-rail QFT is the 50:50 BS) fold it back.
     """
     photons = list(photons)
     n = len(photons)
@@ -414,7 +402,7 @@ def _multi_control(
     for photon, companion in steps:
         if sign == "-":
             out = el.wave_plate(out, anc, None, "z")
-        out, rep = merging_n(out, photon, rails[photon], anc, [companion], alpha, theta, "bs")
+        out, rep = merging_n(out, photon, rails[photon], anc, [companion], alpha, theta)
         report.absorb(rep)
         carriers[photon] = anc
         anc, sign = photon, rep.extras["recycled_sign"]

@@ -92,7 +92,7 @@ def test_criterion_2_merging_inverts_c_path():
         mid, _, _ = g.inject_plus(mid, "A", "pa")
         out, _ = g.merging_n(
             mid, "2", rep1.extras["rails"], "A", [("1", None)], ALPHA_20, THETA,
-            interference="bs", keep_recycled=False,
+            keep_recycled=False,
         )
         target = polarization_state(coeffs, [("1", "t1"), ("A", "pa")])
         f = fidelity(out, target)
@@ -138,7 +138,7 @@ def test_criterion_4_two_qubit_gates():
         coeffs = [0.0] * 4
         coeffs[idx] = 1.0
         s = polarization_state(coeffs, [("1", "t1"), ("2", "t2")])
-        out, rep = pl.two_qubit_gate(s, "1", "2", cnot, ALPHA_40, THETA)
+        out, rep = pl.multi_qubit_gate(s, ["1", "2"], cnot, ALPHA_40, THETA)
         vec = polarization_vector(out, list(rep.extras["photon_order"]))
         assert abs(vec[want]) ** 2 >= 1 - 1e-8
 
@@ -147,7 +147,7 @@ def test_criterion_4_two_qubit_gates():
         u = syn.random_haar_unitary(4, 400 + seed)
         z = haar_vec(4, 500 + seed)
         s = polarization_state(z, [("1", "t1"), ("2", "t2")])
-        out, rep = pl.two_qubit_gate(s, "1", "2", u, ALPHA_40, THETA)
+        out, rep = pl.multi_qubit_gate(s, ["1", "2"], u, ALPHA_40, THETA)
         vec = polarization_vector(out, list(rep.extras["photon_order"]))
         f = abs(np.vdot(u @ z, vec)) ** 2
         worst = min(worst, f)

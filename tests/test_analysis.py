@@ -143,6 +143,9 @@ def test_sweep_rejects_bad_spec():
         SweepSpec("P_E_formula", {})
     with pytest.raises(AnalysisError):
         SweepSpec("P_E_formula", {"bogus": [1.0]})
+    # beta2 sets alpha, so an alpha beside it would be ignored
+    with pytest.raises(AnalysisError, match="set alpha or beta2, not both"):
+        SweepSpec("P_E_formula", {"alpha": [10.0, 20.0]}, {"beta2": 20.0})
 
 
 def test_sweep_error_carries_grid_coordinates():

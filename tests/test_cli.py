@@ -138,6 +138,8 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
     ("parity", "--layout", "split", 1),
     ("from-qudit", "--interference", "hadamard4", 0),
     ("cpath", "--interference", "hadamard4", 1),
+    ("cn-uk", "--seed", "9", 0),
+    ("parity", "--seed", "9", 1),
 ])
 def test_gate_flag_its_demo_does_not_read_is_a_usage_error(name, flag, value, code, tmp_path,
                                                             capsys):
@@ -145,6 +147,21 @@ def test_gate_flag_its_demo_does_not_read_is_a_usage_error(name, flag, value, co
     assert main(argv) == code
     if code:
         assert f"gate {name!r} does not take {flag}" in capsys.readouterr().err
+
+
+def test_alpha_and_beta2_are_exclusive(capsys):
+    # beta2 sets alpha, so an alpha beside it would be ignored
+    assert main(["gate", "parity", "--beta2", "20", "--alpha", "5"]) == 1
+    assert "argument --alpha: not allowed with argument --beta2" in capsys.readouterr().err
+
+
+def test_seed_is_read_by_a_bare_haar_input(tmp_path):
+    bare, seeded = tmp_path / "bare.json", tmp_path / "seeded.json"
+    common = ["--beta2", "20", "--out"]
+    assert main(["gate", "parity", "--input", "haar", "--seed", "9", *common, str(bare)]) == 0
+    assert main(["gate", "parity", "--input", "haar:9", *common, str(seeded)]) == 0
+    bare_doc, seeded_doc = json.loads(bare.read_text()), json.loads(seeded.read_text())
+    assert bare_doc["seed"] == 9 and bare_doc["state"] == seeded_doc["state"]
 
 
 def _write_program(tmp_path, photons, coeffs, steps, alpha):
@@ -249,6 +266,13 @@ def test_validation_error_exit_2(tmp_path, capsys):
     for program, err in (
         ({"photons": [{"id": "1", "path": "t1"}], "gates": [step]}, "bad polarization 'X'"),
         ({"photons": []}, "a program needs at least one photon"),
+        ({"photons": "x"}, "program key 'photons' must be a list of objects, got 'x'"),
+        ({"photons": [5]}, "program key 'photons' must be a list of objects, got [5]"),
+        ({"photons": [{"id": "1", "path": "t1"}], "gates": 5},
+         "program key 'gates' must be a list of objects, got 5"),
+        ({"photons": [{"id": "1", "path": "t1"}], "gates": [5]},
+         "program key 'gates' must be a list of objects, got [5]"),
+        ([], "a program must be a JSON object, got []"),
     ):
         bad.write_text(json.dumps(program))
         capsys.readouterr()
@@ -281,6 +305,19 @@ def test_validation_error_exit_2(tmp_path, capsys):
           "layout": "bogus"}, "unknown C-path-3 layout 'bogus'"),
     ):
         bad.write_text(json.dumps({"photons": photons, "gates": [step]}))
+        capsys.readouterr()
+        assert main(["run", str(bad)]) == 2, step
+        assert err in capsys.readouterr().err, step
+    to_qudit = {"gate": "to-qudit", "photons": ["1", "2", "3"]}
+    for step, err in (
+        ({"bit": -1}, "bit must be 0..1 for 4 rails, got -1"),
+        ({"bit": 2}, "bit must be 0..1 for 4 rails, got 2"),
+        ({"bit": 5}, "bit must be 0..1 for 4 rails, got 5"),
+        ({"rails": ["p1", "p2", "p3"]}, "rail count must be a power of two >= 2, got 3"),
+        ({"rails": ["p1"]}, "rail count must be a power of two >= 2, got 1"),
+    ):
+        step = {"gate": "entangler3", "companion": "1", "qudit": "3", **step}
+        bad.write_text(json.dumps({"photons": photons, "gates": [to_qudit, step]}))
         capsys.readouterr()
         assert main(["run", str(bad)]) == 2, step
         assert err in capsys.readouterr().err, step

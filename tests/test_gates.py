@@ -3,6 +3,7 @@ transformations of each gate family."""
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ def test_c_path2_single_rail_reduces_to_c_path(alpha20):
     out2, rep2 = g.c_path2(s, "C", "T", ["r1"], alpha20, THETA)
     assert rep1.extras["rails"] == ("r1", "r1s") and rep2.extras["rails"] == ("r1", "r1n")
     assert json.dumps(rep1.feedforward).replace("r1s", "r1n") == json.dumps(rep2.feedforward)
-    assert [o.to_dict() for o in rep1.outcomes] == [o.to_dict() for o in rep2.outcomes]
+    assert [asdict(o) for o in rep1.outcomes] == [asdict(o) for o in rep2.outcomes]
     renamed = json.loads(json.dumps(state_to_dict(out1)).replace("r1s", "r1n"))
     assert renamed == state_to_dict(out2)
 
@@ -418,7 +419,7 @@ def test_merging_inverts_c_path(alpha20):
         mid, anc, apath = g.inject_plus(mid, "A", "pa")
         out, rep2 = g.merging_n(
             mid, "2", rep1.extras["rails"], "A", [("1", None)], alpha20, THETA,
-            interference="bs", keep_recycled=False,
+            keep_recycled=False,
         )
         target = polarization_state(z, [("1", "t1"), ("A", "pa")])
         assert fidelity(out, target) >= 1 - 1e-8
@@ -433,7 +434,7 @@ def test_merging_basis_case(alpha20):
     s = tensor(s, plus_photon("4", "p4"))
     out, rep = g.merging_n(
         s, "2", ("p2", "p3"), "4", [("1", None)], alpha20, THETA,
-        interference="bs", keep_recycled=False,
+        keep_recycled=False,
     )
     assert abs(amplitude_of(out, {"1": ("p1", "H"), "4": ("p4", "V")})) == pytest.approx(1.0, abs=1e-4)
 
@@ -444,7 +445,7 @@ def test_merging_keeps_recycled_photon(alpha20):
     mid, rep1 = g.c_path(s, "1", "2", alpha20, THETA)
     mid, anc, _ = g.inject_plus(mid, "A", "pa")
     out, rep = g.merging_n(
-        mid, "2", rep1.extras["rails"], "A", [("1", None)], alpha20, THETA, interference="bs"
+        mid, "2", rep1.extras["rails"], "A", [("1", None)], alpha20, THETA
     )
     assert "2" in out.registry.photons
     assert rep.extras["recycled_sign"] in "+-"
@@ -457,25 +458,22 @@ def test_merging_requires_plus_ancilla(alpha20):
     s = branch_state(reg, [(1.0, {"1": ("p1", "H"), "2": ("p2", "H")})])
     s = tensor(s, pol_qubit("4", "p4", 1, 0))  # |H>, not |+>
     with pytest.raises(g.GateError, match=r"\|\+\>|not in"):
-        g.merging_n(s, "2", ("p2", "p3"), "4", [("1", None)], alpha20, THETA, interference="bs")
+        g.merging_n(s, "2", ("p2", "p3"), "4", [("1", None)], alpha20, THETA)
 
 
 def test_merging_n_reduces_to_merging(alpha20):
+    # on two rails the QFT is the 50:50 BS of the standard Merging gate
     z = haar_vec(4, 9)
     s = polarization_state(z, [("1", "t1"), ("2", "t2")])
     mid, rep1 = g.c_path(s, "1", "2", alpha20, THETA)
-    rails = rep1.extras["rails"]
-    m1, _, _ = g.inject_plus(mid, "A", "pa")
-    out_std, _ = g.merging_n(
-        m1, "2", rails, "A", [("1", None)], alpha20, THETA, interference="bs",
-        keep_recycled=False,
+    mid, _, _ = g.inject_plus(mid, "A", "pa")
+    out, rep = g.merging_n(
+        mid, "2", rep1.extras["rails"], "A", [("1", None)], alpha20, THETA,
+        interference="qft", keep_recycled=False,
     )
-    m2, _, _ = g.inject_plus(mid, "A", "pa")
-    out_qft, _ = g.merging_n(
-        m2, "2", rails, "A", [("1", None)], alpha20, THETA, interference="qft",
-        keep_recycled=False,
-    )
-    assert fidelity(out_std, out_qft) >= 1 - 1e-8
+    assert rep.gate == "merging" and rep.extras["interference"] == "bs"
+    assert "lomi" not in rep.gates
+    assert fidelity(out, polarization_state(z, [("1", "t1"), ("A", "pa")])) >= 1 - 1e-8
 
 
 def test_merging_n_rejects_bad_rail_count(alpha20):
@@ -511,26 +509,16 @@ def test_merging_n_hadamard4_sigma_z_only_feedforward(alpha40):
     assert fidelity(merged, target) >= 1 - 1e-8
 
 
-def test_merging_n_explicit_matrix_matches_qft(alpha20):
-    # an explicit unitary is accepted and reported as "custom"
-    vs = [haar_vec(2, 210 + i) for i in range(3)]
-    s = tensor(tensor(pol_qubit("1", "t1", *vs[0]), pol_qubit("2", "t2", *vs[1])), pol_qubit("3", "t3", *vs[2]))
-    from qubusim.pipelines import to_qudit_circuit
-
-    out, rep = to_qudit_circuit(s, ["1", "2", "3"], alpha20, THETA)
-    rails = list(rep.extras["rails"])
-    out, _ = g.entangler3(out, "1", "3", rails[:2], rails[2:], alpha20, THETA)
-    out, _ = g.entangler3(out, "2", "3", rails[::2], rails[1::2], alpha20, THETA)
-    out, _, _ = g.inject_plus(out, "A", "pa")
-    merged = {}
-    for interference in ("qft", syn.qft_matrix(4)):
-        state, repm = g.merging_n(
-            out, "3", rails, "A", [("1", None), ("2", None)], alpha20, THETA,
-            interference=interference, keep_recycled=False,
-        )
-        merged[repm.extras["interference"]] = state_to_dict(state)
-    assert set(merged) == {"qft", "custom"}
-    assert merged["custom"] == merged["qft"]
+def test_merging_n_interference_is_qft_or_hadamard4(alpha20):
+    s = polarization_state(haar_vec(4, 9), [("1", "t1"), ("2", "t2")])
+    mid, rep1 = g.c_path(s, "1", "2", alpha20, THETA)
+    mid, _, _ = g.inject_plus(mid, "A", "pa")
+    for interference in (syn.qft_matrix(2), "bs", "custom"):
+        with pytest.raises(g.GateError, match="interference must be 'qft' or 'hadamard4'"):
+            g.merging_n(
+                mid, "2", rep1.extras["rails"], "A", [("1", None)], alpha20, THETA,
+                interference=interference,
+            )
 
 
 def test_gate_determinism_invariant_beta20(alpha20):
@@ -564,7 +552,7 @@ def _assert_outcome_rows(rep):
     """Every report of the tree writes its outcome table as its entries' dicts."""
     for r in _report_tree(rep):
         assert isinstance(r.outcomes, g.OutcomeTable)
-        assert r.to_dict()["outcomes"] == [o.to_dict() for o in r.outcomes]
+        assert r.to_dict()["outcomes"] == [asdict(o) for o in r.outcomes]
 
 
 def test_outcome_table_columns_read_as_entries():
@@ -600,7 +588,7 @@ def test_outcome_tables_of_presence_readouts_and_report_trees(alpha20):
     mid, rep1 = g.c_path(s, "1", "2", alpha20, THETA)
     mid, _, _ = g.inject_plus(mid, "A", "pa")
     _, rep = g.merging_n(
-        mid, "2", rep1.extras["rails"], "A", [("1", None)], alpha20, THETA, interference="bs"
+        mid, "2", rep1.extras["rails"], "A", [("1", None)], alpha20, THETA
     )
     assert rep.outcomes is rep.children[-1].outcomes  # the readout stage's table
     assert rep.outcomes.kind == "presence" and len(rep.outcomes) == 4

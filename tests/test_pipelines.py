@@ -182,7 +182,7 @@ def test_two_qubit_cnot_truth_table():
         coeffs = [0] * 4
         coeffs[idx] = 1
         s = polarization_state(coeffs, [("1", "t1"), ("2", "t2")])
-        out, rep = pl.two_qubit_gate(s, "1", "2", CNOT, ALPHA_40, THETA)
+        out, rep = pl.multi_qubit_gate(s, ["1", "2"], CNOT, ALPHA_40, THETA)
         vec = polarization_vector(out, list(rep.extras["photon_order"]))
         assert abs(vec[want]) == pytest.approx(1.0, abs=1e-6)
 
@@ -190,7 +190,7 @@ def test_two_qubit_cnot_truth_table():
 def test_two_qubit_identity():
     z = haar_vec(4, 51)
     s = polarization_state(z, [("1", "t1"), ("2", "t2")])
-    out, rep = pl.two_qubit_gate(s, "1", "2", np.eye(4), ALPHA_40, THETA)
+    out, rep = pl.multi_qubit_gate(s, ["1", "2"], np.eye(4), ALPHA_40, THETA)
     vec = polarization_vector(out, list(rep.extras["photon_order"]))
     assert abs(np.vdot(z, vec)) ** 2 >= 1 - 1e-8
 
@@ -200,7 +200,7 @@ def test_two_qubit_haar(seed):
     u = syn.random_haar_unitary(4, seed)
     z = haar_vec(4, 100 + seed)
     s = polarization_state(z, [("1", "t1"), ("2", "t2")])
-    out, rep = pl.two_qubit_gate(s, "1", "2", u, ALPHA_40, THETA)
+    out, rep = pl.multi_qubit_gate(s, ["1", "2"], u, ALPHA_40, THETA)
     vec = polarization_vector(out, list(rep.extras["photon_order"]))
     assert abs(np.vdot(u @ z, vec)) ** 2 >= 1 - 1e-8
 
@@ -208,7 +208,7 @@ def test_two_qubit_haar(seed):
 def test_two_qubit_rejects_non_unitary():
     s = polarization_state([1, 0, 0, 0], [("1", "t1"), ("2", "t2")])
     with pytest.raises(syn.SynthesisError):
-        pl.two_qubit_gate(s, "1", "2", np.ones((4, 4)), ALPHA_40, THETA)
+        pl.multi_qubit_gate(s, ["1", "2"], np.ones((4, 4)), ALPHA_40, THETA)
 
 
 # -- multi-qubit gate ---------------------------------------------------------------
