@@ -22,7 +22,7 @@ print(np.round(coeffs, 4))
 theta = 0.05
 alpha = alpha_for_beta2(20.0, theta)  # |beta|^2 = 2 alpha^2 sin^2 theta = 20
 state = polarization_state(coeffs, [("1", "t1"), ("2", "t2")])
-out, report = parity_gate(state, "1", "2", alpha, theta, split_path="t3")
+out, report = parity_gate(state, "1", "2", alpha, theta)
 
 print(f"\nqubus amplitude alpha = {alpha:.2f}, XPM angle theta = {theta}")
 print(f"even-parity paths: {report.extras['even_paths']}")

@@ -5,6 +5,9 @@ programs), `sweep` (parameter sweeps to CSV/JSON), `decompose` (unitary to
 Reck mesh), `fig2` (detector-model data files), `verify` (golden-state
 comparisons).  Same config and seed give byte-identical JSON output.
 
+Program and sweep-spec keys are checked against one declared schema (`_check`)
+before any state is built: a missing, mistyped or unknown key exits 2.
+
 Exit codes: 0 ok, 1 usage, 2 numeric/validation failure.
 """
 
@@ -79,8 +82,8 @@ def parse_state_spec(spec: str, n_photons: int, seed: int) -> HybridState:
 
 
 def parse_unitary_spec(spec, dim: int | None = None) -> np.ndarray:
-    """"cnot" | "qft:N" | "hadamard4" | "haar:seed[:N]" | JSON matrix | file path,
-    or an already parsed JSON matrix; dim sizes the specs that leave it open."""
+    """"cnot" | "identity" | "qft:N" | "hadamard4" | "haar:seed[:N]" | JSON matrix
+    text, or an already parsed JSON matrix; dim sizes the specs that leave it open."""
     if not isinstance(spec, str):
         return _matrix_from_json(spec)
     if spec == "cnot":
@@ -98,11 +101,7 @@ def parse_unitary_spec(spec, dim: int | None = None) -> np.ndarray:
         seed = int(parts[1])
         n = int(parts[2]) if len(parts) > 2 else (dim or 4)
         return syn.random_haar_unitary(n, seed)
-    if Path(spec).exists():
-        data = json.loads(Path(spec).read_text())
-    else:
-        data = json.loads(spec)
-    return _matrix_from_json(data)
+    return _matrix_from_json(json.loads(spec))
 
 
 def _entry(c) -> complex:
@@ -144,6 +143,42 @@ def _photon_vector(photon: dict) -> np.ndarray:
     )
 
 
+def _list_of(t: type) -> Callable:
+    return lambda v: isinstance(v, list) and all(isinstance(x, t) for x in v)
+
+
+#: the JSON types of the program schema: name -> (test, how an error names it)
+_TYPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str|null": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "strs": (_list_of(str), "a list of strings"),
+    "pair": (lambda v: _list_of(str)(v) and len(v) == 2, "a list of two photon ids"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "num": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "str|list": (lambda v: isinstance(v, (str, list)), "a string or a list"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "obj": (lambda v: isinstance(v, dict), "an object"),
+    "objs": (_list_of(dict), "a list of objects"),
+}
+
+
+def _check(where: str, obj, keys: dict[str, str]) -> None:
+    """Refuse (StateError) an obj that is not a JSON object, misses a required
+    key of keys (a trailing "?" marks an optional one), holds a value that is
+    not of its _TYPES type, or holds a key keys does not list, in that order."""
+    if not isinstance(obj, dict):
+        raise StateError(f"{where} must be a JSON object, got {obj!r}")
+    for spec, kind in keys.items():
+        key = spec.rstrip("?")
+        if key == spec and key not in obj:
+            raise StateError(f"{where}: missing key {key!r}")
+        if key in obj and not _TYPES[kind][0](obj[key]):
+            raise StateError(f"{where}: key {key!r} must be {_TYPES[kind][1]}, got {obj[key]!r}")
+    for key in obj:
+        if key not in keys and f"{key}?" not in keys:
+            raise StateError(f"{where}: unknown key {key!r} (it takes {', '.join(keys)})")
+
+
 def _emit(payload, fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -174,18 +209,10 @@ def _emit(payload, fmt: str, out: str | None) -> None:
 def _rails(st: dict, pid: str, rails: dict[str, list[str]]) -> list[str]:
     """The step's "rails", else the rails photon pid was last routed onto."""
     if "rails" in st:
-        return list(st["rails"])
+        return st["rails"]
     if pid not in rails:
         raise GateError(f"{st['gate']!r} step: no rails known for photon {pid!r}")
     return rails[pid]
-
-
-def _photon_pair(st: dict) -> list[str]:
-    """The step's "photons", which must name exactly two photons."""
-    photons = st["photons"]
-    if not (isinstance(photons, (list, tuple)) and len(photons) == 2):
-        raise GateError(f"{st['gate']!r} step needs exactly two photon ids, got {photons!r}")
-    return photons
 
 
 def _disentangler(s, st, a, t, rails):
@@ -209,7 +236,7 @@ def _merging(s, st, a, t, rails):
 
 def _element(s, st, a, t, rails):
     """Program-only step: one raw optical element."""
-    op = el.op(st["kind"], st.get("parameter", 0.0), **st.get("targets", {}))
+    op = el.op(st["kind"], st.get("parameter", 0.0), **st["targets"])
     return el.apply_element(s, op), None
 
 
@@ -224,6 +251,8 @@ class Gate:
 
     #: photon count of the demo input (0 for program-only steps)
     photons: int
+    #: the step's keys besides _STEP_KEYS -> their _TYPES name ("?": optional)
+    keys: dict[str, str]
     #: the step function
     step: Callable
     #: (photon ids, parsed args) -> the demo's program steps, the gate itself last
@@ -235,68 +264,69 @@ def _pair(gate: str, control: str, target: str) -> dict:
 
 
 _PLUS = {"gate": "plus", "photon": "anc"}
+#: the keys of every step, besides its gate's
+_STEP_KEYS = {"gate": "str", "alpha?": "num", "theta?": "num"}
+_MERGING_KEYS = {"photon": "str", "ancilla": "str", "companions": "strs", "rails?": "strs",
+                 "interference?": "str"}
 
 
 # Library functions are looked up on their module at call time, never stored
 # here, so that rebinding a module attribute reaches every caller.
 GATES: dict[str, Gate] = {
-    "parity": Gate(
-        2, lambda s, st, a, t, r: gates.parity_gate(s, *_photon_pair(st), a, t),
+    "parity": Gate(2, {"photons": "pair"},
+        lambda s, st, a, t, r: gates.parity_gate(s, *st["photons"], a, t),
         lambda p, o: [{"gate": "parity", "photons": p[:2]}],
     ),
-    "cpath": Gate(
-        2, lambda s, st, a, t, r: gates.c_path(s, st["control"], st["target"], a, t),
+    "cpath": Gate(2, {"control": "str", "target": "str"},
+        lambda s, st, a, t, r: gates.c_path(s, st["control"], st["target"], a, t),
         lambda p, o: [_pair("cpath", p[0], p[1])],
     ),
-    "cpath2": Gate(
-        3, lambda s, st, a, t, r: gates.c_path2(
+    "cpath2": Gate(3, {"control": "str", "target": "str", "rails?": "strs"},
+        lambda s, st, a, t, r: gates.c_path2(
             s, st["control"], st["target"], _rails(st, st["target"], r), a, t
         ),
         lambda p, o: [_pair("cpath", p[1], p[2]), _pair("disentangler", p[1], p[2]),
                       _pair("cpath2", p[0], p[2])],
     ),
-    "cpath3": Gate(
-        3, lambda s, st, a, t, r: gates.c_path3(
+    "cpath3": Gate(3, {"control": "str", "target": "str", "rails?": "strs"},
+        lambda s, st, a, t, r: gates.c_path3(
             s, st["control"], _rails(st, st["control"], r), st["target"], a, t
         ),
         lambda p, o: [_pair("cpath", p[0], p[1]), _pair("cpath3", p[1], p[2])],
     ),
-    "disentangler": Gate(
-        2, _disentangler,
+    "disentangler": Gate(2, {"control": "str", "target": "str", "rails?": "strs"}, _disentangler,
         lambda p, o: [_pair("cpath", p[0], p[1]), _pair("disentangler", p[0], p[1])],
     ),
-    "entangler1": Gate(
-        2, lambda s, st, a, t, r: gates.entangler4(
+    "entangler1": Gate(2, {"photon": "str", "ancilla": "str", "rails?": "strs"},
+        lambda s, st, a, t, r: gates.entangler4(
             s, st["ancilla"], st["photon"], _rails(st, st["photon"], r), a, t
         ),
         lambda p, o: [_pair("cpath", p[0], p[1]), _PLUS,
                       {"gate": "entangler1", "photon": p[1], "ancilla": "anc"}],
     ),
-    "entangler2": Gate(
-        2, _entangler3,
+    "entangler2": Gate(2, {"companion": "str", "qudit": "str", "rails?": "strs", "bit?": "int"},
+        _entangler3,
         lambda p, o: [{"gate": "to-qudit", "photons": p},
                       {"gate": "entangler2", "companion": p[0], "qudit": p[1]}],
     ),
-    "entangler3": Gate(
-        3, _entangler3,
+    "entangler3": Gate(3, {"companion": "str", "qudit": "str", "rails?": "strs", "bit?": "int"},
+        _entangler3,
         lambda p, o: [{"gate": "to-qudit", "photons": p},
                       {"gate": "entangler3", "companion": p[0], "qudit": p[2]}],
     ),
-    "entangler4": Gate(
-        3, lambda s, st, a, t, r: gates.entangler4(
+    "entangler4": Gate(3, {"ancilla": "str", "qudit": "str", "rails?": "strs"},
+        lambda s, st, a, t, r: gates.entangler4(
             s, st["ancilla"], st["qudit"], _rails(st, st["qudit"], r), a, t
         ),
         lambda p, o: [{"gate": "to-qudit", "photons": p}, _PLUS,
                       {"gate": "entangler4", "ancilla": "anc", "qudit": p[2]}],
     ),
-    "merging": Gate(
-        2, _merging,
+    "merging": Gate(2, _MERGING_KEYS, _merging,
         lambda p, o: [_pair("cpath", p[0], p[1]), _PLUS,
                       {"gate": "merging", "photon": p[1], "ancilla": "anc",
                        "companions": [p[0]]}],
     ),
-    "merging-n": Gate(
-        3, _merging,
+    "merging-n": Gate(3, _MERGING_KEYS, _merging,
         lambda p, o: [{"gate": "to-qudit", "photons": p},
                       {"gate": "entangler3", "companion": p[0], "qudit": p[2]},
                       {"gate": "entangler3", "companion": p[1], "qudit": p[2], "bit": 1},
@@ -304,14 +334,14 @@ GATES: dict[str, Gate] = {
                       {"gate": "merging-n", "photon": p[2], "ancilla": "anc",
                        "companions": p[:2], "interference": o.interference}],
     ),
-    "two-qubit": Gate(
-        2, lambda s, st, a, t, r: pl.multi_qubit_gate(
-            s, _photon_pair(st), parse_unitary_spec(st["unitary"], 4), a, t
+    "two-qubit": Gate(2, {"photons": "pair", "unitary": "str|list"},
+        lambda s, st, a, t, r: pl.multi_qubit_gate(
+            s, st["photons"], parse_unitary_spec(st["unitary"], 4), a, t
         ),
         lambda p, o: [{"gate": "two-qubit", "photons": p[:2], "unitary": o.unitary or "cnot"}],
     ),
-    "multi-qubit": Gate(
-        3, lambda s, st, a, t, r: pl.multi_qubit_gate(
+    "multi-qubit": Gate(3, {"photons": "strs", "unitary": "str|list", "interference?": "str"},
+        lambda s, st, a, t, r: pl.multi_qubit_gate(
             s, st["photons"], parse_unitary_spec(st["unitary"], 2 ** len(st["photons"])),
             a, t, st.get("interference", "qft"),
         ),
@@ -319,23 +349,24 @@ GATES: dict[str, Gate] = {
                        "unitary": o.unitary or f"haar:{o.seed}:{2 ** len(p)}",
                        "interference": o.interference}],
     ),
-    "toffoli": Gate(
-        3, lambda s, st, a, t, r: pl.toffoli(
+    "toffoli": Gate(3, {"controls": "strs", "target": "str", "layout?": "str"},
+        lambda s, st, a, t, r: pl.toffoli(
             s, st["controls"], st["target"], a, t, layout=st.get("layout", "split")
         ),
         lambda p, o: [{"gate": "toffoli", "controls": p[:-1], "target": p[-1],
                        "layout": o.layout}],
     ),
     "cn-u1": Gate(
-        3, lambda s, st, a, t, r: pl.cn_u1(
+        3, {"controls": "strs", "target": "str", "unitary": "str|list", "layout?": "str"},
+        lambda s, st, a, t, r: pl.cn_u1(
             s, st["controls"], st["target"], parse_unitary_spec(st["unitary"], 2), a, t,
             layout=st.get("layout", "split"),
         ),
         lambda p, o: [{"gate": "cn-u1", "controls": p[:-1], "target": p[-1],
                        "unitary": o.unitary or "haar:0:2", "layout": o.layout}],
     ),
-    "cn-uk": Gate(
-        3, lambda s, st, a, t, r: pl.cn_uk(
+    "cn-uk": Gate(3, {"controls": "strs", "targets": "strs", "unitary": "str|list"},
+        lambda s, st, a, t, r: pl.cn_uk(
             s, st["controls"], st["targets"],
             parse_unitary_spec(st["unitary"], 2 ** len(st["targets"])), a, t,
         ),
@@ -343,12 +374,13 @@ GATES: dict[str, Gate] = {
                        "targets": p[-o.targets :],
                        "unitary": o.unitary or f"haar:{o.seed}:{2**o.targets}"}],
     ),
-    "to-qudit": Gate(
-        3, lambda s, st, a, t, r: pl.to_qudit_circuit(s, st["photons"], a, t),
+    "to-qudit": Gate(3, {"photons": "strs"},
+        lambda s, st, a, t, r: pl.to_qudit_circuit(s, st["photons"], a, t),
         lambda p, o: [{"gate": "to-qudit", "photons": p}],
     ),
     "from-qudit": Gate(
-        3, lambda s, st, a, t, r: pl.from_qudit(
+        3, {"qudit": "str", "companions": "strs", "rails?": "strs", "interference?": "str"},
+        lambda s, st, a, t, r: pl.from_qudit(
             s, st["qudit"], st["companions"], _rails(st, st["qudit"], r), a, t,
             interference=st.get("interference", "qft"),
         ),
@@ -356,12 +388,13 @@ GATES: dict[str, Gate] = {
                       {"gate": "from-qudit", "qudit": p[-1], "companions": p[:-1],
                        "interference": o.interference}],
     ),
-    "teleport": Gate(
-        2, lambda s, st, a, t, r: pl.to_qudit_teleport(s, st["photons"], a, t),
+    "teleport": Gate(2, {"photons": "strs"},
+        lambda s, st, a, t, r: pl.to_qudit_teleport(s, st["photons"], a, t),
         lambda p, o: [{"gate": "teleport", "photons": p}],
     ),
-    "element": Gate(0, _element),
-    "plus": Gate(0, _plus),
+    # _checked_steps checks "targets" against the keys of el.ELEMENTS[kind]
+    "element": Gate(0, {"kind": "str", "targets": "obj", "parameter?": "num"}, _element),
+    "plus": Gate(0, {"photon": "str", "path?": "str"}, _plus),
 }
 
 #: the gates `qubusim gate` can demo
@@ -376,24 +409,38 @@ def _step_key(name: str) -> str:
 _STEP_NAMES = {_step_key(name): name for name in GATES}
 
 
-def _run_steps(
-    state: HybridState, steps: list[dict], alpha: float, theta: float
-) -> tuple[HybridState, list[GateReport]]:
-    """Run program steps in order; each step may override alpha and theta."""
-    rails: dict[str, list[str]] = {}
-    reports = []
-    for step in steps:
+def _checked_steps(steps: list[dict]) -> list[tuple[Gate, dict]]:
+    """The (gate, step) pairs of a program, each step checked against
+    _STEP_KEYS and its gate's keys; an unknown step name is a UsageError."""
+    checked = []
+    for i, step in enumerate(steps):
+        if not isinstance(step.get("gate"), str):
+            _check(f"step {i}", step, _STEP_KEYS)  # refuses the "gate", its first key
         name = _STEP_NAMES.get(_step_key(step["gate"]))
         if name is None:
             raise UsageError(f"unknown program gate {step['gate']!r}")
-        state, rep = GATES[name].step(
-            state, step, step.get("alpha", alpha), step.get("theta", theta), rails
-        )
+        where = f"step {i} ({name})"
+        _check(where, step, {**GATES[name].keys, **_STEP_KEYS})
+        if name == "element" and step["kind"] in el.ELEMENTS:
+            targets = dict.fromkeys(el.ELEMENTS[step["kind"]][0], "str|null")
+            _check(f"{where} targets", step["targets"], targets)
+        checked.append((GATES[name], step))
+    return checked
+
+
+def _run_steps(
+    state: HybridState, steps: list[tuple[Gate, dict]], alpha: float, theta: float
+) -> tuple[HybridState, list[GateReport]]:
+    """Run checked program steps in order; each step may override alpha and theta."""
+    rails: dict[str, list[str]] = {}
+    reports = []
+    for gate, st in steps:
+        state, rep = gate.step(state, st, st.get("alpha", alpha), st.get("theta", theta), rails)
         if rep is not None:
             reports.append(rep)
             if "rails" in rep.extras:
                 # C-path-family gates route the step's target, transforms their carrier
-                rails[rep.extras.get("carrier", step.get("target"))] = list(rep.extras["rails"])
+                rails[rep.extras.get("carrier", st.get("target"))] = list(rep.extras["rails"])
     return state, reports
 
 
@@ -427,7 +474,7 @@ def cmd_gate(args) -> int:
     # of the inputs, only a bare "haar" draws on --seed
     state = parse_state_spec(args.input, photons, view.seed if args.input == "haar" else args.seed)
     alpha = args.alpha if args.beta2 is None else an.alpha_for_beta2(args.beta2, args.theta)
-    steps = gate.demo(list(state.registry.photons), view)
+    steps = _checked_steps(gate.demo(list(state.registry.photons), view))
     unread = sorted(args.given - view.read)
     if unread:
         raise UsageError(f"gate {args.name!r} does not take --{', --'.join(unread)}")
@@ -448,20 +495,21 @@ def cmd_gate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _objects(program: dict, key: str) -> list[dict]:
-    """The program's list of objects under key; a missing key is an empty list."""
-    items = program.get(key, [])
-    if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
-        raise StateError(f"program key {key!r} must be a list of objects, got {items!r}")
-    return items
+_PROGRAM_KEYS = {"photons": "objs", "coeffs?": "list", "alpha?": "num", "theta?": "num",
+                 "gates?": "objs"}
+_PHOTON_KEYS = {"id": "str", "path": "str", "state?": "str|list"}
 
 
 def run_program(program: dict) -> dict:
-    if not isinstance(program, dict):
-        raise StateError(f"a program must be a JSON object, got {program!r}")
-    photons = _objects(program, "photons")
+    _check("program", program, _PROGRAM_KEYS)
+    photons = program["photons"]
     if not photons:
         raise StateError("a program needs at least one photon")
+    # "coeffs" gives the whole state, so a photon's own "state" would be ignored
+    photon_keys = {"id": "str", "path": "str"} if "coeffs" in program else _PHOTON_KEYS
+    for j, photon in enumerate(photons):
+        _check(f"photon {j}", photon, photon_keys)
+    steps = _checked_steps(program.get("gates", []))
     pairs = [(p["id"], p["path"]) for p in photons]
     if "coeffs" in program:
         state = polarization_state([_entry(c) for c in program["coeffs"]], pairs)
@@ -470,7 +518,7 @@ def run_program(program: dict) -> dict:
 
     alpha = program.get("alpha", DEFAULTS["alpha"])
     theta = program.get("theta", DEFAULTS["theta"])
-    state, reports = _run_steps(state, _objects(program, "gates"), alpha, theta)
+    state, reports = _run_steps(state, steps, alpha, theta)
     return {"reports": [rep.to_dict() for rep in reports], "final_state": state_to_dict(state)}
 
 
@@ -487,19 +535,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec_data = json.loads(Path(args.spec).read_text())
-    spec = an.SweepSpec(
-        quantity=spec_data["quantity"],
-        grid=spec_data["grid"],
-        fixed=spec_data.get("fixed", {}),
-    )
-    rows = an.run_sweep(spec)
+    spec = json.loads(Path(args.spec).read_text())
+    _check("sweep spec", spec, {"quantity": "str", "grid": "obj", "fixed?": "obj"})
+    rows = an.run_sweep(an.SweepSpec(**spec))
     _emit(rows, args.format, args.out)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    u = parse_unitary_spec(args.matrix)
+    path = Path(args.matrix)
+    u = (_matrix_from_json(json.loads(path.read_text())) if path.exists()
+         else parse_unitary_spec(args.matrix))
     mesh = syn.reck_decompose(u)
     err = float(np.max(np.abs(mesh.matrix() - u)))
     payload = {"mesh": mesh.to_dict(), "reconstruction_error": err}

@@ -682,17 +682,16 @@ def entangler4_couplings(anc: str, anc_path: str, qudit: str, rails: Sequence[st
 
 
 def _open_rails(
-    s: HybridState, photon: str, rails: Sequence[str], suffix: str, split_path: str | None = None
+    s: HybridState, photon: str, rails: Sequence[str], suffix: str
 ) -> tuple[HybridState, list[str]]:
     """Open a fresh rail beside each of the photon's rails and 50:50-split onto it.
 
-    The fresh rail of r is named r+suffix (made unique), or split_path when
-    the photon has one rail.  Returns the state and the fresh rails in order.
+    Rail r's fresh rail is r+suffix (made unique); returns the state and them in order.
     """
     reg = s.registry
     fresh = []
     for r in rails:
-        f = split_path or reg.fresh_path(r + suffix)
+        f = reg.fresh_path(r + suffix)
         fresh.append(f)
         reg = reg.with_path(photon, f)
     s = HybridState(reg, s.branches)
@@ -754,17 +753,16 @@ def parity_gate(
     photon2: str,
     alpha: float = DEFAULTS["alpha"],
     theta: float = DEFAULTS["theta"],
-    split_path: str | None = None,
 ) -> tuple[HybridState, GateReport]:
     """Send even/odd parity components of a two-photon state to distinct paths.
 
-    Photon 2 splits over (its path, split_path); after feed-forward the even
+    Photon 2 splits over its path and a fresh one; after feed-forward the even
     component (|HH⟩, |VV⟩ weights) rides on the new rail and the odd one on
     the original rail, for every measurement outcome.
     """
     p1_path = _require_single_path(s, photon1)
     rail_a = _require_single_path(s, photon2)
-    s, (rail_b,) = _open_rails(s, photon2, [rail_a], "s", split_path)
+    s, (rail_b,) = _open_rails(s, photon2, [rail_a], "s")
 
     couplings = parity_couplings(photon1, p1_path, photon2, rail_a, rail_b)
     pi_v1 = el.op("PolPhase", math.pi, photon=photon1, path=p1_path, pol=V)

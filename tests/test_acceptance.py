@@ -69,8 +69,9 @@ def test_criterion_1_parity_determinism(monkeypatch):
     for seed in range(200):
         coeffs = haar_vec(4, seed)
         s = polarization_state(coeffs, [("1", "t1"), ("2", "t2")])
-        out, rep = g.parity_gate(s, "1", "2", ALPHA_20, THETA, split_path="t3")
-        target = parity_sorted_target(out.registry, coeffs, "t1", "t3", "t2")
+        out, rep = g.parity_gate(s, "1", "2", ALPHA_20, THETA)
+        fresh = rep.extras["even_paths"][1]
+        target = parity_sorted_target(out.registry, coeffs, "t1", fresh, "t2")
         assert len(blocks) == seed + 1
         for value, prob, state in blocks[-1].states:
             if prob <= 1e-12:

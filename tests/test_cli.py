@@ -1,14 +1,19 @@
 """CLI: every paper gate name invocable, determinism, exit codes, files."""
 
+import copy
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
+from qubusim import StateError, cli
 from qubusim import elements as el
 from qubusim import pipelines as pl
 from qubusim import polarization_state, state_to_dict
@@ -226,6 +231,10 @@ def test_readme_lists_every_registry_step():
     section = text[text.index("## Command line"):text.index("## Scope notes")]
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     assert [row.split("`")[1] for row in rows] == list(GATES)
+    # the keys column lists each step's declared keys in order, "?" marking optional ones
+    for row in rows:
+        name, keys = row.split("`")[1], row.split("|")[3]
+        assert re.findall(r"`([^`]+)`", keys) == list(GATES[name].keys), name
 
 
 def test_readme_lists_every_element_kind_with_its_targets():
@@ -235,7 +244,7 @@ def test_readme_lists_every_element_kind_with_its_targets():
         assert line.split(";")[0] == f"- `{kind}`: " + ", ".join(f"`{k}`" for k in keys)
 
 
-def test_validation_error_exit_2(tmp_path, capsys):
+def test_validation_error_exit_2(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", str(bad)]) == 2
@@ -266,13 +275,13 @@ def test_validation_error_exit_2(tmp_path, capsys):
     for program, err in (
         ({"photons": [{"id": "1", "path": "t1"}], "gates": [step]}, "bad polarization 'X'"),
         ({"photons": []}, "a program needs at least one photon"),
-        ({"photons": "x"}, "program key 'photons' must be a list of objects, got 'x'"),
-        ({"photons": [5]}, "program key 'photons' must be a list of objects, got [5]"),
+        ({"photons": "x"}, "program: key 'photons' must be a list of objects, got 'x'"),
+        ({"photons": [5]}, "program: key 'photons' must be a list of objects, got [5]"),
         ({"photons": [{"id": "1", "path": "t1"}], "gates": 5},
-         "program key 'gates' must be a list of objects, got 5"),
+         "program: key 'gates' must be a list of objects, got 5"),
         ({"photons": [{"id": "1", "path": "t1"}], "gates": [5]},
-         "program key 'gates' must be a list of objects, got [5]"),
-        ([], "a program must be a JSON object, got []"),
+         "program: key 'gates' must be a list of objects, got [5]"),
+        ([], "program must be a JSON object, got []"),
     ):
         bad.write_text(json.dumps(program))
         capsys.readouterr()
@@ -284,7 +293,8 @@ def test_validation_error_exit_2(tmp_path, capsys):
         bad.write_text(json.dumps({"photons": photons, "gates": [step]}))
         capsys.readouterr()
         assert main(["run", str(bad)]) == 2, gate
-        assert f"'{gate}' step needs exactly two photon ids" in capsys.readouterr().err
+        assert f"step 0 ({gate}): key 'photons' must be a list of two photon ids" in (
+            capsys.readouterr().err)
     for step, err in (
         ({"gate": "cn-uk", "controls": [], "targets": ["2", "3"], "unitary": "identity"},
          "controls must name at least one photon"),
@@ -309,6 +319,45 @@ def test_validation_error_exit_2(tmp_path, capsys):
         assert main(["run", str(bad)]) == 2, step
         assert err in capsys.readouterr().err, step
     to_qudit = {"gate": "to-qudit", "photons": ["1", "2", "3"]}
+    # each key below was once parsed and ignored, or read without a type check
+    toffoli = {"gate": "toffoli", "controls": ["1", "2"], "target": "3"}
+    cpath = {"gate": "cpath", "control": "1", "target": "2"}
+    disentangler = {**cpath, "gate": "disentangler", "rails": "t2"}
+    waveplate = {"gate": "element", "kind": "WavePlateX",
+                 "targets": {"photon": "1", "path": "t1", "pol": "H"}}
+    for program, err in (
+        ({"photons": photons, "gates": [{**toffoli, "layuot": "compact"}]},
+         "step 0 (toffoli): unknown key 'layuot'"),
+        ({"photons": photons, "alhpa": 5, "gates": [toffoli]}, "program: unknown key 'alhpa'"),
+        ({"photons": photons, "gates": [{"gate": "toffoli", "target": "3"}]},
+         "step 0 (toffoli): missing key 'controls'"),
+        ({"photons": photons, "gates": [{"gate": 5}]},
+         "step 0: key 'gate' must be a string, got 5"),
+        ({"photons": photons, "gates": [cpath, disentangler]},
+         "step 1 (disentangler): key 'rails' must be a list of strings, got 't2'"),
+        ({"photons": [{"id": 5, "path": "t1"}, {"id": "2", "path": "t2"}]},
+         "photon 0: key 'id' must be a string, got 5"),
+        ({"photons": photons, "gates": [to_qudit, {"gate": "entangler3", "companion": "1",
+                                                   "qudit": "3", "bit": True}]},
+         "step 1 (entangler3): key 'bit' must be an integer, got True"),
+        ({"photons": photons, "gates": [waveplate]}, "step 0 (element) targets: unknown key 'pol'"),
+        ({"photons": [{"id": "1", "path": "t1", "state": "V"}], "coeffs": [1, 0]},
+         "photon 0: unknown key 'state'"),
+    ):
+        bad.write_text(json.dumps(program))
+        capsys.readouterr()
+        assert main(["run", str(bad)]) == 2, program
+        assert f"error: {err}" in capsys.readouterr().err, program
+    spec = {"quantity": "P_E_formula", "grid": {"theta": [0.05]}, "fixd": {"beta2": 2000}}
+    bad.write_text(json.dumps(spec))
+    assert main(["sweep", str(bad)]) == 2
+    assert "error: sweep spec: unknown key 'fixd'" in capsys.readouterr().err
+    # a program's unitary is a spec or a matrix, never a file name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cnot.json").write_text(json.dumps(parse_unitary_spec("cnot").real.tolist()))
+    step = {"gate": "two-qubit", "photons": ["1", "2"], "unitary": "cnot.json"}
+    bad.write_text(json.dumps({"photons": photons[:2], "gates": [step]}))
+    assert main(["run", str(bad)]) == 2
     for step, err in (
         ({"bit": -1}, "bit must be 0..1 for 4 rails, got -1"),
         ({"bit": 2}, "bit must be 0..1 for 4 rails, got 2"),
@@ -332,7 +381,8 @@ def test_validation_error_exit_2(tmp_path, capsys):
         assert main(["gate", *argv]) == 2, argv
         assert err in capsys.readouterr().err, argv
     for argv, err in (
-        (["--photons", "1"], "'parity' step needs exactly two photon ids, got ['1']"),
+        (["--photons", "1"],
+         "step 0 (parity): key 'photons' must be a list of two photon ids, got ['1']"),
         (["--photons", "-1"], f"--photons must be 1..{pl.MAX_PHOTONS}, got -1"),
         (["--photons", "0"], f"--photons must be 1..{pl.MAX_PHOTONS}, got 0"),
         (["--photons", str(pl.MAX_PHOTONS + 1)],
@@ -347,6 +397,59 @@ def test_validation_error_exit_2(tmp_path, capsys):
         capsys.readouterr()
         assert main(["gate", "parity", *argv]) == 2, argv
         assert err in capsys.readouterr().err, argv
+
+
+GOLDEN_PROGRAMS = [json.loads(p.read_text())["program"] for p in sorted(GOLDEN.glob("*.json"))]
+
+
+def _checked_objects(program):
+    """(object, its declared keys) for each object of a program that the schema checks."""
+    yield program, cli._PROGRAM_KEYS
+    for photon in program["photons"]:
+        yield photon, cli._PHOTON_KEYS
+    for step in program.get("gates", []):
+        yield step, {**GATES[step["gate"]].keys, **cli._STEP_KEYS}
+        if step["gate"] == "element":
+            yield step["targets"], dict.fromkeys(el.ELEMENTS[step["kind"]][0])
+
+
+def _json_kind(v) -> str:
+    return "number" if isinstance(v, (int, float)) and not isinstance(v, bool) else type(v).__name__
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=hst.data())
+def test_golden_program_mutants_are_refused_before_a_state_is_built(data):
+    """Drop a required key, misspell a key or change a value's JSON type in a
+    golden program: the check refuses it, names the key and builds no state."""
+    program = copy.deepcopy(data.draw(hst.sampled_from(GOLDEN_PROGRAMS)))
+    obj, keys = data.draw(hst.sampled_from(list(_checked_objects(program))))
+    key = data.draw(hst.sampled_from(sorted(obj)))
+    required = key in keys
+    how = data.draw(hst.sampled_from(["drop", "misspell", "retype"] if required
+                                     else ["misspell", "retype"]))
+    named = key
+    if how == "drop":
+        del obj[key]
+    elif how == "misspell":
+        i = data.draw(hst.integers(0, len(key) - 2))
+        typo = key[:i] + key[i + 1] + key[i] + key[i + 2:]
+        assume(typo != key)
+        obj[typo] = obj.pop(key)
+        # a required key is reported missing before the unknown one
+        named = key if required else typo
+    else:
+        # no key that takes one of these values takes a value of another JSON type
+        others = [v for v in (True, 5, {"x": 1}) if _json_kind(v) != _json_kind(obj[key])]
+        obj[key] = data.draw(hst.sampled_from(others))
+
+    def unreachable(*args):
+        raise AssertionError("a state was built for a program the schema refuses")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "polarization_state", unreachable)
+        with pytest.raises(StateError, match=re.escape(repr(named))):
+            cli.run_program(program)
 
 
 def test_huge_photon_count_is_refused_before_a_state_is_built(monkeypatch, capsys):

@@ -161,11 +161,11 @@ def parity_sorted_state(reg, a, b, c, d, p1, even2, odd2):
 
 
 def test_parity_basis_cases(alpha20):
-    # |HH> stays even (paths 1,3); |HV> lands odd (paths 1,2)
+    # |HH> stays even (path 1 and the fresh rail); |HV> lands odd (paths 1,2)
     for coeffs, even in (([1, 0, 0, 0], True), ([0, 1, 0, 0], False)):
         s = polarization_state(coeffs, [("1", "t1"), ("2", "t2")])
-        out, rep = g.parity_gate(s, "1", "2", alpha20, THETA, split_path="t3")
-        path = "t3" if even else "t2"
+        out, rep = g.parity_gate(s, "1", "2", alpha20, THETA)
+        path = rep.extras["even_paths"][1] if even else "t2"
         pol = "H" if even else "V"
         assert abs(amplitude_of(out, {"1": ("t1", "H"), "2": (path, pol)})) == pytest.approx(
             1.0, abs=1e-4
@@ -176,8 +176,9 @@ def test_parity_basis_cases(alpha20):
 def test_parity_deterministic_over_all_outcomes(alpha20):
     a, b, c, d = haar_vec(4, 33)
     s = polarization_state([a, b, c, d], [("1", "t1"), ("2", "t2")])
-    out, rep = g.parity_gate(s, "1", "2", alpha20, THETA, split_path="t3")
-    target = parity_sorted_state(out.registry, a, b, c, d, "t1", "t3", "t2")
+    out, rep = g.parity_gate(s, "1", "2", alpha20, THETA)
+    fresh = rep.extras["even_paths"][1]
+    target = parity_sorted_state(out.registry, a, b, c, d, "t1", fresh, "t2")
     assert fidelity(out, target) >= 1 - 1e-8
     assert rep.min_fidelity >= 1 - 1e-8
     assert all(o.fidelity >= 1 - 1e-8 for o in rep.outcomes if o.probability > 1e-12)
