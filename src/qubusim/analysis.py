@@ -12,6 +12,7 @@ import csv
 import io
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -154,6 +155,11 @@ def pmf_to_csv(ns: Sequence[int], probs: Sequence[float]) -> str:
 _DEFAULTS = {**DEFAULTS, "k1": 1, "k2": 2, "beta2": None, "state_seed": 0}
 
 
+def _finite(x) -> bool:
+    """x is a finite real number, and not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A quantity evaluated over the Cartesian grid (row order = grid order)."""
@@ -165,11 +171,19 @@ class SweepSpec:
     def __post_init__(self):
         if self.quantity not in QUANTITIES:
             raise AnalysisError(f"unknown sweep quantity {self.quantity!r}")
-        if not self.grid or any(len(v) == 0 for v in self.grid.values()):
+        if not self.grid:
             raise AnalysisError("sweep grid must be non-empty")
         for key in (*self.grid, *self.fixed):
             if key not in _DEFAULTS:
                 raise AnalysisError(f"unknown sweep parameter {key!r}")
+        for key, values in self.grid.items():
+            if not (isinstance(values, list) and values and all(map(_finite, values))):
+                raise AnalysisError(
+                    f"sweep grid {key!r} must be a non-empty list of finite numbers, got {values!r}"
+                )
+        for key, value in self.fixed.items():
+            if not _finite(value):
+                raise AnalysisError(f"sweep fixed {key!r} must be a finite number, got {value!r}")
         if {"alpha", "beta2"} <= {*self.grid, *self.fixed}:
             raise AnalysisError("set alpha or beta2, not both: beta2 sets alpha")
 

@@ -421,7 +421,10 @@ def _checked_steps(steps: list[dict]) -> list[tuple[Gate, dict]]:
             raise UsageError(f"unknown program gate {step['gate']!r}")
         where = f"step {i} ({name})"
         _check(where, step, {**GATES[name].keys, **_STEP_KEYS})
-        if name == "element" and step["kind"] in el.ELEMENTS:
+        if name == "element":
+            if step["kind"] not in el.ELEMENTS:
+                raise StateError(f"{where}: key 'kind' must be an element kind "
+                                 f"({', '.join(el.ELEMENT_KINDS)}), got {step['kind']!r}")
             targets = dict.fromkeys(el.ELEMENTS[step["kind"]][0], "str|null")
             _check(f"{where} targets", step["targets"], targets)
         checked.append((GATES[name], step))

@@ -7,13 +7,20 @@ coherent beam.
 
 Every photonic element is a slot table: a dict from one photon's
 (path, pol) slot to its images [(coefficient, path, pol), ...].  Slots
-missing from the table pass through unchanged, and `_remap_slot` is the one
-routine that applies a table, by arithmetic on every row's label code.
-Path maps (beam splitter, switch) act alike on H and V; polarization maps
-(wave plates, rotations, 2×2 unitaries) act on (H, V) of one path, or of
-every registered path when the path is None; `phase` and the PBS routings
-are tables of their own.  Qubus elements are column operations on the beam
-values.  `ELEMENTS` maps each serializable kind to its function.
+missing from the table pass through unchanged.  A table becomes arrays of
+coefficients and destination digits (`_slot_images`), and `_apply_images`
+is the one routine that applies them, by arithmetic on every row's label
+code.  Path maps (beam splitter, switch) act alike on H and V; polarization
+maps (wave plates, rotations, 2×2 unitaries) act on (H, V) of one path, or
+of every registered path when the path is None; `phase` and the PBS
+routings are tables of their own.  Qubus elements are column operations on
+the beam values.  `ELEMENTS` maps each serializable kind to its function.
+
+`apply_elements` runs a sequence of ElementOps.  Each maximal run of the
+slot-map kinds (PhotonBS, PathSwitch, PolPhase, PolRot, WavePlateX,
+WavePlateZ) is compiled once per path layout into one digit map per photon
+it touches, and each map is applied in one gather pass; the other kinds run
+one by one in their place.  Feed-forward rows and Reck meshes run this way.
 
 Conventions fixed here and used by every composite gate:
   * photon_bs:  |x⟩_A → (|x⟩_A + |x⟩_B)/√2,  |x⟩_B → (|x⟩_A − |x⟩_B)/√2,
@@ -29,6 +36,8 @@ Every element preserves the norm and the photon content of each branch.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -41,6 +50,7 @@ from .state import (
     H,
     V,
     HybridState,
+    ModeRegistry,
     RegistryError,
     StateError,
     _distinct,
@@ -84,35 +94,54 @@ def op(kind: str, parameter: float = 0.0, **targets) -> ElementOp:
 # ---------------------------------------------------------------------------
 
 
-def _remap_slot(s: HybridState, pid: str, table: dict) -> HybridState:
-    """Expand each row through table[(path, pol)] -> [(coef, path, pol), ...].
+def _slot_images(reg: ModeRegistry, pid: str, table: dict, digits) -> tuple[np.ndarray, np.ndarray]:
+    """(coef, dest), shape (width, radix) each: row k holds the k-th image of
+    each of `digits` under table[(path, pol)] -> [(coef, path, pol), ...], as
+    a coefficient and a destination digit of photon pid.
 
-    Slots missing from the table pass through unchanged.  The photon's digit
-    is rewritten by integer arithmetic on the label code: the k-th images of
-    all rows come from two arrays over the digit, a coefficient and a
-    destination digit, one gather each.  An image is checked against the
-    registry when an occupied slot emits it.  A table that gives the
-    occupied slots one image each, all distinct, merges no rows: its result
-    is re-sorted, and neither merged nor cleared of dust.
+    Slots missing from the table map to themselves.  Images with coefficient
+    0 are left out, the rest packed first, so a digit with fewer images than
+    the widest has coefficient 0 in its last rows, as has every digit not in
+    `digits`.  Only the images kept are checked against the registry.
     """
-    reg = s.registry
-    i = reg.slot_index(pid)
-    paths, stride, radix = reg._layout[i][1], reg._stride[i], reg._radix[i]
-    digits = s.codes // stride % radix
+    paths, radix = reg.paths_of(pid), reg._radix[reg.slot_index(pid)]
     images = {}
-    for d in _distinct(digits):
+    for d in digits:
         slot = (paths[d >> 1], POLS[d & 1])
         images[d] = [(c, reg._digit(pid, p, q)) for c, p, q in table.get(slot, [(1, *slot)]) if c]
     width = max(map(len, images.values()), default=0)
-    full = all(len(row) == width for row in images.values())
+    coef, dest = np.zeros((width, radix), complex), np.zeros((width, radix), np.int64)
+    for d, row in images.items():
+        if row:
+            coef[: len(row), d], dest[: len(row), d] = zip(*row)
+    return coef, dest
+
+
+def _apply_images(s: HybridState, i: int, coef: np.ndarray, dest: np.ndarray) -> HybridState:
+    """Expand each row of s through the images (coef, dest) of its digit in
+    slot i, as `_slot_images` lays them out.
+
+    The digit is rewritten by integer arithmetic on the label code: the k-th
+    images of all rows come from row k of coef and dest, one gather each.
+    Images that give the occupied digits one image each, all distinct, merge
+    no rows: the result is re-sorted, and neither merged nor cleared of dust.
+    Any other images are canonicalized.
+    """
+    reg = s.registry
+    stride, radix = reg._stride[i], reg._radix[i]
+    digits = s.codes // stride % radix
+    if coef.all():  # every digit has len(coef) images
+        occupied, width, full = slice(None), len(coef), True
+    else:
+        occupied = _distinct(digits)
+        counts = (coef[:, occupied] != 0).sum(0)
+        width = int(counts.max(initial=0))
+        full = bool((counts == width).all())
     amps, codes, emitted = [], [], []
     for k in range(width):
-        have = [d for d, row in images.items() if len(row) > k]
-        coef, dest = np.zeros(radix, complex), np.zeros(radix, np.int64)
-        coef[have], dest[have] = zip(*(images[d][k] for d in have))
-        c = coef[digits]
+        c = coef[k][digits]
         amps.append(s.amps * c)
-        codes.append(s.codes + (dest[digits] - digits) * stride)
+        codes.append(s.codes + (dest[k][digits] - digits) * stride)
         emitted.append(None if full else c != 0)
     if width == 1:
         amps, codes, qubus = amps[0], codes[0], s.qubus
@@ -122,39 +151,89 @@ def _remap_slot(s: HybridState, pid: str, table: dict) -> HybridState:
     if not full:
         keep = np.concatenate(emitted).nonzero()[0]
         amps, codes, qubus = amps[keep], codes[keep], qubus.take(keep, 0)
-    targets = [t for row in images.values() for _, t in row]
-    if width == 1 and len(set(targets)) == len(targets):
-        return HybridState._sorted(reg, amps, codes, qubus)
+    if width == 1:
+        targets = dest[0, occupied][coef[0, occupied] != 0]
+        if len(_distinct(targets)) == len(targets):
+            # rows that share a code after a one-to-one map shared one before it,
+            # in canonical order: a stable sort by code restores canonical order
+            order = codes.argsort(kind="stable")
+            return HybridState._derived(reg, amps[order], codes[order], qubus.take(order, 0))
     return HybridState._rows(reg, amps, codes, qubus).canonical()
 
 
-def _require_paths(s: HybridState, pid: str, *paths: str) -> None:
+def _remap_slot(s: HybridState, pid: str, table: dict) -> HybridState:
+    """Expand each row through table[(path, pol)] -> [(coef, path, pol), ...].
+
+    Slots missing from the table pass through unchanged.  An image is
+    checked against the registry when an occupied slot emits it.
+    """
+    i = s.registry.slot_index(pid)
+    digits = _distinct(s.codes // s.registry._stride[i] % s.registry._radix[i])
+    return _apply_images(s, i, *_slot_images(s.registry, pid, table, digits))
+
+
+def _require_paths(reg: ModeRegistry, pid: str, *paths: str) -> None:
     """Every path named must be registered for the photon."""
-    registered = s.registry.paths_of(pid)
+    registered = reg.paths_of(pid)
     for p in paths:
         if p not in registered:
             raise RegistryError(f"path {p!r} not registered for photon {pid!r}")
 
 
-def _path_map(s: HybridState, pid: str, path_a: str, path_b: str, m) -> HybridState:
+def _path_table(reg: ModeRegistry, pid: str, path_a: str, path_b: str, m) -> dict:
     """2×2 map m on the amplitudes of (path_a, path_b), alike for H and V."""
-    _require_paths(s, pid, path_a, path_b)
+    _require_paths(reg, pid, path_a, path_b)
     table = {}
     for pol in POLS:
         table[path_a, pol] = [(m[0][0], path_a, pol), (m[1][0], path_b, pol)]
         table[path_b, pol] = [(m[0][1], path_a, pol), (m[1][1], path_b, pol)]
-    return _remap_slot(s, pid, table)
+    return table
 
 
-def _pol_map(s: HybridState, pid: str, path: str | None, m) -> HybridState:
+def _pol_table(reg: ModeRegistry, pid: str, path: str | None, m) -> dict:
     """2×2 map m on the (H, V) amplitudes of one path (every path if None)."""
     if path is not None:
-        _require_paths(s, pid, path)
+        _require_paths(reg, pid, path)
     table = {}
-    for p in s.registry.paths_of(pid) if path is None else (path,):
+    for p in reg.paths_of(pid) if path is None else (path,):
         table[p, H] = [(m[0][0], p, H), (m[1][0], p, V)]
         table[p, V] = [(m[0][1], p, H), (m[1][1], p, V)]
-    return _remap_slot(s, pid, table)
+    return table
+
+
+def _bs_table(reg: ModeRegistry, pid: str, path_a: str, path_b: str, theta: float) -> dict:
+    c, sn = math.cos(theta), math.sin(theta)
+    return _path_table(reg, pid, path_a, path_b, ((c, sn), (sn, -c)))
+
+
+def _switch_table(reg: ModeRegistry, pid: str, path_a: str, path_b: str) -> dict:
+    return _path_table(reg, pid, path_a, path_b, ((0, 1), (1, 0)))
+
+
+def _wave_plate_table(reg: ModeRegistry, pid: str, path: str | None, kind: str) -> dict:
+    if kind == "x":
+        return _pol_table(reg, pid, path, ((0, 1), (1, 0)))
+    if kind == "z":
+        return _pol_table(reg, pid, path, ((1, 0), (0, -1)))
+    raise ValueError(f"unknown wave plate kind {kind!r}")
+
+
+def _rotation_table(reg: ModeRegistry, pid: str, path: str | None, theta: float) -> dict:
+    c, sn = math.cos(theta), math.sin(theta)
+    return _pol_table(reg, pid, path, ((c, -sn), (sn, c)))
+
+
+def _phase_table(
+    reg: ModeRegistry, pid: str, path: str | None, pol: str | None, phi: float
+) -> dict:
+    if path is not None:
+        _require_paths(reg, pid, path)
+    if pol is not None and pol not in POLS:
+        raise StateError(f"bad polarization {pol!r}")
+    w = cmath.exp(1j * phi)
+    paths = reg.paths_of(pid) if path is None else (path,)
+    pols = POLS if pol is None else (pol,)
+    return {(p, q): [(w, p, q)] for p in paths for q in pols}
 
 
 def _with_paths(s: HybridState, pid: str, *paths: str) -> HybridState:
@@ -179,25 +258,24 @@ def photon_bs(
     s: HybridState, pid: str, path_a: str, path_b: str, theta: float = math.pi / 4
 ) -> HybridState:
     """Beam splitter between two paths of one photon (default 50:50)."""
-    c, sn = math.cos(theta), math.sin(theta)
-    return _path_map(s, pid, path_a, path_b, ((c, sn), (sn, -c)))
+    return _remap_slot(s, pid, _bs_table(s.registry, pid, path_a, path_b, theta))
 
 
 def path_switch(s: HybridState, pid: str, path_a: str, path_b: str) -> HybridState:
     """Swap two path labels of one photon."""
-    return _path_map(s, pid, path_a, path_b, ((0, 1), (1, 0)))
+    return _remap_slot(s, pid, _switch_table(s.registry, pid, path_a, path_b))
 
 
 def pbs(s: HybridState, pid: str, in_path: str, out_h: str, out_v: str) -> HybridState:
     """Polarizing beam splitter: H → out_h, V → out_v."""
-    _require_paths(s, pid, in_path)
+    _require_paths(s.registry, pid, in_path)
     table = {(in_path, H): [(1, out_h, H)], (in_path, V): [(1, out_v, V)]}
     return _remap_slot(_with_paths(s, pid, out_h, out_v), pid, table)
 
 
 def pbs_merge(s: HybridState, pid: str, h_path: str, v_path: str, out: str) -> HybridState:
     """Inverse PBS: H from h_path and V from v_path recombine on one path."""
-    _require_paths(s, pid, h_path, v_path)
+    _require_paths(s.registry, pid, h_path, v_path)
     digits = _slot_digits(s, pid)
     wrong = (s.registry._digit(pid, h_path, V), s.registry._digit(pid, v_path, H))
     for d in _distinct(digits[np.isin(digits, wrong)]):
@@ -209,7 +287,7 @@ def pbs_merge(s: HybridState, pid: str, h_path: str, v_path: str, out: str) -> H
 
 def pbs_pm(s: HybridState, pid: str, in_path: str, out_plus: str, out_minus: str) -> HybridState:
     """PBS in the |±⟩ basis: |+⟩ → out_plus, |−⟩ → out_minus."""
-    _require_paths(s, pid, in_path)
+    _require_paths(s.registry, pid, in_path)
     s = _with_paths(s, pid, out_plus, out_minus)
     return _remap_slot(s, pid, _pm_table(in_path, out_plus, out_minus))
 
@@ -221,7 +299,7 @@ def pbs_pm_merge(
     minus arm exit on one path.  Amplitude that would leave through the dark
     port (|−⟩ on the plus arm or |+⟩ on the minus arm) is an error.
     """
-    _require_paths(s, pid, plus_path, minus_path)
+    _require_paths(s.registry, pid, plus_path, minus_path)
     s = _with_paths(s, pid, out)
     dark = s.registry.fresh_path("_dark")
     s = _with_paths(s, pid, dark)
@@ -240,17 +318,12 @@ def pbs_pm_merge(
 
 def wave_plate(s: HybridState, pid: str, path: str | None, kind: str) -> HybridState:
     """σx ("x": H↔V) or σz ("z": |V⟩ → −|V⟩) on one path (every path if None)."""
-    if kind == "x":
-        return _pol_map(s, pid, path, ((0, 1), (1, 0)))
-    if kind == "z":
-        return _pol_map(s, pid, path, ((1, 0), (0, -1)))
-    raise ValueError(f"unknown wave plate kind {kind!r}")
+    return _remap_slot(s, pid, _wave_plate_table(s.registry, pid, path, kind))
 
 
 def pol_rotate(s: HybridState, pid: str, path: str | None, theta: float) -> HybridState:
     """Polarization rotation: H → cosθ H + sinθ V, V → −sinθ H + cosθ V."""
-    c, sn = math.cos(theta), math.sin(theta)
-    return _pol_map(s, pid, path, ((c, -sn), (sn, c)))
+    return _remap_slot(s, pid, _rotation_table(s.registry, pid, path, theta))
 
 
 def pol_unitary(s: HybridState, pid: str, path: str | None, u: np.ndarray) -> HybridState:
@@ -262,20 +335,14 @@ def pol_unitary(s: HybridState, pid: str, path: str | None, u: np.ndarray) -> Hy
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
         raise ValueError("pol_unitary needs a 2x2 unitary")
-    return _pol_map(s, pid, path, [[complex(x) for x in row] for row in u])
+    m = [[complex(x) for x in row] for row in u]
+    return _remap_slot(s, pid, _pol_table(s.registry, pid, path, m))
 
 
 def phase(s: HybridState, pid: str, path: str | None, pol: str | None, phi: float) -> HybridState:
     """Phase e^{iφ} on one (path, pol) slot of a photon; None selects every
     path or both polarizations (pol=None phases a whole path)."""
-    if path is not None:
-        _require_paths(s, pid, path)
-    if pol is not None and pol not in POLS:
-        raise StateError(f"bad polarization {pol!r}")
-    w = cmath.exp(1j * phi)
-    paths = s.registry.paths_of(pid) if path is None else (path,)
-    pols = POLS if pol is None else (pol,)
-    return _remap_slot(s, pid, {(p, q): [(w, p, q)] for p in paths for q in pols})
+    return _remap_slot(s, pid, _phase_table(s.registry, pid, path, pol, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +413,70 @@ ELEMENT_KINDS = tuple(ELEMENTS)
 
 
 def apply_element(s: HybridState, e: ElementOp) -> HybridState:
-    """Execute one serializable element; used by feed-forward and meshes."""
+    """Execute one serializable element through its function in ELEMENTS."""
     keys, call = ELEMENTS[e.kind]
     return call(s, *map(e.target, keys), e.parameter)
 
 
+#: the kinds that only remap one photon's slots: kind -> its slot table over
+#: a registry, from the targets and parameter that ELEMENTS reads
+_SLOT_TABLES: dict[str, Callable] = {
+    "PhotonBS": lambda reg, pid, a, b, x: _bs_table(reg, pid, a, b, x or math.pi / 4),
+    "PathSwitch": lambda reg, pid, a, b, x: _switch_table(reg, pid, a, b),
+    "WavePlateX": lambda reg, pid, path, x: _wave_plate_table(reg, pid, path, "x"),
+    "WavePlateZ": lambda reg, pid, path, x: _wave_plate_table(reg, pid, path, "z"),
+    "PolPhase": _phase_table,
+    "PolRot": _rotation_table,
+}
+
+
+@functools.lru_cache(maxsize=512)
+def _compiled(reg: ModeRegistry, run: tuple[ElementOp, ...]) -> tuple:
+    """A run of slot-map elements as one digit map per photon it touches:
+    (slot index, coef, dest) in `_slot_images`' layout, over every digit.
+
+    Each op's table is built, and so checked, as its element function builds
+    it.  Maps on different photons commute; the maps on one photon compose
+    in order, as radix × radix matrices.  A run meets the same few layouts
+    over and over, so each (registry, run) is compiled once.
+    """
+    maps: dict[int, list] = {}
+    for e in run:
+        pid, *args = map(e.target, ELEMENTS[e.kind][0])
+        table = _SLOT_TABLES[e.kind](reg, pid, *args, e.parameter)
+        i = reg.slot_index(pid)
+        maps.setdefault(i, []).append(_slot_images(reg, pid, table, range(reg._radix[i])))
+    compiled = []
+    for i, images in maps.items():
+        coef, dest = images[0] if len(images) == 1 else _composed(images, reg._radix[i])
+        coef.setflags(write=False)
+        dest.setflags(write=False)
+        compiled.append((i, coef, dest))
+    return tuple(compiled)
+
+
+def _composed(images: list, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """The images (coef, dest) of one photon's maps applied in order, as
+    `_slot_images` lays them out: their radix × radix matrices multiplied."""
+    m = np.eye(radix, dtype=complex)
+    for coef, dest in images:
+        step = np.zeros((radix, radix), complex)
+        np.add.at(step, (dest, np.broadcast_to(np.arange(radix), dest.shape)), coef)
+        m = step @ m
+    nonzero = m != 0
+    dest = np.argsort(~nonzero, axis=0, kind="stable")[: nonzero.sum(0).max()]
+    return np.take_along_axis(m, dest, 0), dest
+
+
 def apply_elements(s: HybridState, ops: Sequence[ElementOp]) -> HybridState:
-    for e in ops:
-        s = apply_element(s, e)
+    """Execute elements in order.  Each maximal run of slot-map kinds
+    (`_SLOT_TABLES`) applies as its compiled digit maps, one gather pass per
+    photon; every other element goes through apply_element in its place."""
+    for slot_maps, group in itertools.groupby(ops, lambda e: e.kind in _SLOT_TABLES):
+        if slot_maps:
+            for i, coef, dest in _compiled(s.registry, tuple(group)):
+                s = _apply_images(s, i, coef, dest)
+        else:
+            for e in group:
+                s = apply_element(s, e)
     return s

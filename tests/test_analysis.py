@@ -146,6 +146,20 @@ def test_sweep_rejects_bad_spec():
     # beta2 sets alpha, so an alpha beside it would be ignored
     with pytest.raises(AnalysisError, match="set alpha or beta2, not both"):
         SweepSpec("P_E_formula", {"alpha": [10.0, 20.0]}, {"beta2": 20.0})
+    # grid values are non-empty lists of finite numbers, fixed values finite numbers
+    for grid, fixed, err in (
+        ({"theta": 5}, {}, "sweep grid 'theta' must be a non-empty list of finite numbers, got 5"),
+        ({"theta": []}, {}, r"sweep grid 'theta' must be .*, got \[\]"),
+        ({"theta": [0.05, "x"]}, {}, r"sweep grid 'theta' must be .*, got \[0.05, 'x'\]"),
+        ({"theta": [0.05, math.nan]}, {}, "sweep grid 'theta' must be"),
+        ({"eta": [True]}, {}, "sweep grid 'eta' must be"),
+        ({"theta": [0.05]}, {"beta2": "x"}, "sweep fixed 'beta2' must be a finite number, got 'x'"),
+        ({"theta": [0.05]}, {"gamma": math.inf}, "sweep fixed 'gamma' must be a finite number"),
+        ({"theta": [0.05]}, {"eta": False}, "sweep fixed 'eta' must be a finite number, got False"),
+        ({"theta": [0.05]}, {"beta2": None}, "sweep fixed 'beta2' must be a finite number"),
+    ):
+        with pytest.raises(AnalysisError, match=err):
+            SweepSpec("P_E_formula", grid, fixed)
 
 
 def test_sweep_error_carries_grid_coordinates():

@@ -341,6 +341,10 @@ def test_validation_error_exit_2(tmp_path, capsys, monkeypatch):
                                                    "qudit": "3", "bit": True}]},
          "step 1 (entangler3): key 'bit' must be an integer, got True"),
         ({"photons": photons, "gates": [waveplate]}, "step 0 (element) targets: unknown key 'pol'"),
+        # an unknown kind is refused before its targets, which no kind's keys can check
+        ({"photons": photons, "gates": [
+            toffoli, {"gate": "element", "kind": "Mirror", "targets": {"photon": "1", "bogus": "x"}}
+        ]}, "step 1 (element): key 'kind' must be an element kind (PhotonBS, PBS, "),
         ({"photons": [{"id": "1", "path": "t1", "state": "V"}], "coeffs": [1, 0]},
          "photon 0: unknown key 'state'"),
     ):
@@ -348,10 +352,18 @@ def test_validation_error_exit_2(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert main(["run", str(bad)]) == 2, program
         assert f"error: {err}" in capsys.readouterr().err, program
-    spec = {"quantity": "P_E_formula", "grid": {"theta": [0.05]}, "fixd": {"beta2": 2000}}
-    bad.write_text(json.dumps(spec))
-    assert main(["sweep", str(bad)]) == 2
-    assert "error: sweep spec: unknown key 'fixd'" in capsys.readouterr().err
+    for spec, err in (
+        ({"quantity": "P_E_formula", "grid": {"theta": [0.05]}, "fixd": {"beta2": 2000}},
+         "sweep spec: unknown key 'fixd'"),
+        ({"quantity": "P_E_formula", "grid": {"theta": 5}},
+         "sweep grid 'theta' must be a non-empty list of finite numbers, got 5"),
+        ({"quantity": "P_E_formula", "grid": {"theta": [0.05]}, "fixed": {"beta2": "x"}},
+         "sweep fixed 'beta2' must be a finite number, got 'x'"),
+    ):
+        bad.write_text(json.dumps(spec))
+        capsys.readouterr()
+        assert main(["sweep", str(bad)]) == 2, spec
+        assert f"error: {err}" in capsys.readouterr().err, spec
     # a program's unitary is a spec or a matrix, never a file name
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cnot.json").write_text(json.dumps(parse_unitary_spec("cnot").real.tolist()))

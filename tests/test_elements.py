@@ -3,6 +3,7 @@ amplitudes of the coupled-then-interfered qubus patterns."""
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,70 @@ def test_apply_element_matches_direct_call(kind):
     want = direct(s)
     assert got.registry == want.registry
     assert list(got.branches) == list(want.branches)
+
+
+# -- compiled runs of slot-map elements -------------------------------------
+
+
+def _assert_matches_one_by_one(s, ops):
+    """apply_elements(s, ops) keeps the rows of the elements applied one by
+    one, with amplitudes within 1e-12; returns it."""
+    got, want = el.apply_elements(s, ops), s
+    for e in ops:
+        want = el.apply_element(want, e)
+    assert got.registry == want.registry
+    assert np.array_equal(got.codes, want.codes) and np.array_equal(got.qubus, want.qubus)
+    assert np.max(abs(got.amps - want.amps), initial=0.0) < 1e-12
+    return got
+
+
+def test_a_compiled_run_is_compiled_for_each_path_layout():
+    run = [el.op("PhotonBS", 0.3, photon="1", path_a="a", path_b="b"),
+           el.op("PolPhase", 0.7, photon="1", path="a", pol="V"),
+           el.op("WavePlateX", photon="1", path="b")]
+    base = polarization_state(haar_vec(4, 7), [("1", "a"), ("2", "t2")])
+    layouts = (("a", "b"), ("b", "a"), ("a", "b", "c"), ("c", "a", "b"))
+    slots = [{"1": (p, q), "2": ("t2", q2)} for p in "ab" for q in "HV" for q2 in "HV"]
+    want = None
+    for paths in layouts:  # each after the others, so a run cached for another layout shows
+        s = HybridState(base.registry._repathed("1", paths), base.branches)
+        out = _assert_matches_one_by_one(s, run)
+        got = [amplitude_of(out, slot) for slot in slots]
+        want = want or got
+        assert got == pytest.approx(want, abs=1e-12), paths
+
+
+def test_slot_maps_keep_their_order_around_another_element():
+    s = pol_qubit("1", "a", 0.6, 0.8)
+    ops = [el.op("WavePlateX", photon="1", path="a"),
+           el.op("PBS", photon="1", in_path="a", out_h="h", out_v="v"),
+           el.op("PolPhase", math.pi, photon="1", path="h", pol=None),
+           el.op("PathSwitch", photon="1", path_a="h", path_b="v")]
+    out = _assert_matches_one_by_one(s, ops)
+    # X: 0.8 H + 0.6 V on a; PBS: H to h, V to v; π on h; then h and v swap
+    assert amplitude_of(out, {"1": ("v", "H")}) == pytest.approx(-0.8)
+    assert amplitude_of(out, {"1": ("h", "V")}) == pytest.approx(0.6)
+
+
+def test_a_compiled_run_raises_what_its_elements_raise():
+    s = with_extra_path(pol_qubit("1", "a", 0.6, 0.8), "1", "b")
+    x = el.op("WavePlateX", photon="1", path="a")
+    for bad, call in (
+        (el.op("PhotonBS", photon="1", path_a="a", path_b="nope"),
+         lambda: el.photon_bs(s, "1", "a", "nope")),
+        (el.op("PathSwitch", photon="1", path_a="nope", path_b="b"),
+         lambda: el.path_switch(s, "1", "nope", "b")),
+        (el.op("WavePlateZ", photon="1", path="nope"), lambda: el.wave_plate(s, "1", "nope", "z")),
+        (el.op("PolRot", 0.2, photon="1", path="nope"), lambda: el.pol_rotate(s, "1", "nope", 0.2)),
+        (el.op("PolPhase", 0.2, photon="1", path="a", pol="D"),
+         lambda: el.phase(s, "1", "a", "D", 0.2)),
+        (el.op("WavePlateX", photon="9", path=None), lambda: el.wave_plate(s, "9", None, "x")),
+    ):
+        with pytest.raises((RegistryError, StateError)) as want:
+            call()
+        for _ in range(2):  # a failed compile is not cached
+            with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+                el.apply_elements(s, [x, bad, x])
 
 
 # -- displayed coherent patterns -------------------------------------------

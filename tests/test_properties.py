@@ -107,3 +107,69 @@ def test_element_sequences_preserve_the_norm_and_the_labels(program):
         HybridState(s.registry, s.branches)  # every label passes the constructor's check
         _assert_canonical_store(s)
         assert norm(s) == pytest.approx(1.0, abs=1e-12), step
+
+
+#: the element kinds a compiled run is made of, with the targets each names
+SLOT_MAP_KINDS = ("PhotonBS", "PathSwitch", "PolPhase", "PolRot", "WavePlateX", "WavePlateZ")
+
+
+@st.composite
+def slot_map_runs(draw):
+    """(seed, path counts, ops): photons "1" and "2" on 2–4 registered paths
+    each, and a run of the slot-map kinds on them.  Angles lie on a grid of
+    π/10⁶, so that no coefficient sits near the dust tolerance, where dropping
+    dust after every element and dropping it once at the end keep different rows."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    counts = draw(st.tuples(st.integers(2, 4), st.integers(2, 4)))
+    angle = st.integers(-10**6, 10**6).map(lambda k: k * math.pi / 10**6)
+    ops = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(SLOT_MAP_KINDS))
+        p = draw(st.integers(0, 1))
+        pid = str(p + 1)
+        paths = _paths(pid, counts[p])
+        a, b = draw(st.lists(st.sampled_from(paths), min_size=2, max_size=2, unique=True))
+        path = draw(st.sampled_from([None, a]))
+        if kind in ("PhotonBS", "PathSwitch"):
+            ops.append(el.op(kind, draw(angle), photon=pid, path_a=a, path_b=b))
+        elif kind == "PolPhase":
+            pol = draw(st.sampled_from([None, *POLS]))
+            ops.append(el.op(kind, draw(angle), photon=pid, path=path, pol=pol))
+        else:
+            ops.append(el.op(kind, draw(angle), photon=pid, path=path))
+    return seed, counts, ops
+
+
+def _paths(pid: str, n: int) -> list[str]:
+    """The n paths photon pid is registered on: t<pid>, then r<pid>1, r<pid>2, ..."""
+    return [f"t{pid}", *(f"r{pid}{j}" for j in range(1, n))]
+
+
+def _spread(seed: int, counts: tuple[int, int]) -> HybridState:
+    """A Haar state of photons "1" and "2" spread by beam splitters over all
+    their registered paths, with beam values that differ between rows."""
+    s = random_polarization_state(2, seed)
+    reg = s.registry
+    for pid, n in zip(("1", "2"), counts):
+        for path in _paths(pid, n)[1:]:
+            reg = reg.with_path(pid, path)
+    s = attach_qubus(HybridState(reg, s.branches), "q", 1.3 + 0.2j)
+    for pid, n in zip(("1", "2"), counts):
+        for j, path in enumerate(_paths(pid, n)[1:], start=1):
+            s = el.photon_bs(s, pid, f"t{pid}", path, 0.4 + 0.3 * j)
+    return el.xpm(s, "q", "1", "t1", "H", 0.7)
+
+
+@PROPERTIES
+@given(slot_map_runs())
+def test_a_compiled_run_matches_the_elements_one_by_one(run):
+    seed, counts, ops = run
+    s = _spread(seed, counts)
+    got = el.apply_elements(s, ops)
+    want = s
+    for e in ops:  # the element functions, one _remap_slot each
+        want = el.apply_element(want, e)
+    assert got.registry == want.registry
+    assert np.array_equal(got.codes, want.codes)
+    assert np.array_equal(got.qubus, want.qubus)
+    assert np.max(abs(got.amps - want.amps), initial=0.0) < 1e-12
