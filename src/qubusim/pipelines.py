@@ -44,8 +44,10 @@ from .state import (
     H,
     V,
     HybridState,
+    _put_in,
     _runs,
     _slot_digits,
+    _stand_in,
     bell_state,
     remove_photon,
     tensor,
@@ -137,11 +139,14 @@ def to_qudit_teleport(
 ) -> tuple[HybridState, GateReport]:
     """Teleport n polarization qubits onto one Bell-pair photon's rails.
 
-    Ancillas: n−1 fresh photons in |+⟩ plus one Bell pair |Φ⁺⟩.  Each |+⟩
-    ancilla controls the Bell photon's paths through a C-path / C-path-2
-    gate, then Bell measurements on (input_i, ancilla_i) pairs are
+    Ancillas: n−1 fresh photons in |+⟩ plus one Bell pair |Φ⁺⟩.  This
+    resource state is prepared first, on its own: each |+⟩ ancilla controls
+    the Bell photon's paths through a C-path / C-path-2 gate.  Then the
+    inputs join it, and Bell measurements on (input_i, ancilla_i) pairs are
     enumerated and the I/σx/−iσy/σz corrections are fed forward; all 4ⁿ
-    outcome combinations land on the same state.
+    outcome combinations land on the same state.  The resource is built
+    beside a one-row stand-in for s, so its photon, path and beam names are
+    the ones it would get beside s.
     """
     photons = list(photons)
     n = len(photons)
@@ -149,7 +154,7 @@ def to_qudit_teleport(
     report = GateReport("to_qudit_teleport", gates=Counter({"to_qudit_teleport": 1}))
 
     plus_ids = []
-    work = s
+    work = _stand_in(s)
     for i in range(n - 1):
         work, pid, _ = inject_plus(work)
         plus_ids.append(pid)
@@ -171,6 +176,7 @@ def to_qudit_teleport(
         all_rails = rep.extras["rails"]
         fresh = list(all_rails[len(rails) :])
         rails = [r for pair in zip(rails, fresh) for r in pair]
+    out = _put_in(s, out)
 
     # Bell measurements with feed-forward, enumerated pair by pair: input i
     # with ancilla i acts on rail-index bit i of the Bell photon (σx switches

@@ -501,6 +501,30 @@ def remove_photon(s: HybridState, pid: str) -> HybridState:
     return parts[r].scaled(1.0 / norms[r]).scaled(math.sqrt(total)).canonical()
 
 
+def _stand_in(s: HybridState) -> HybridState:
+    """s's first row at amplitude 1.  It registers s's photons, paths and
+    qubus modes, so a state built beside it draws the fresh names it would
+    draw beside s; _put_in puts s in its place."""
+    return HybridState._derived(s.registry, np.ones(1, complex), s.codes[:1], s.qubus[:1])
+
+
+def _put_in(s: HybridState, built: HybridState) -> HybridState:
+    """tensor(s, built without s's stand-in), in one relabelling.
+
+    built was made from _stand_in(s) by operations that left its photons and
+    qubus modes alone, so they hold one label and one beam value in every
+    row; dropping them keeps the rows in canonical order.
+    """
+    reg = built.registry
+    for pid in s.registry.photons:
+        reg = reg.without_photon(pid)
+    for mode in s.registry.qubus_modes:
+        reg = reg.without_qubus(mode)
+    codes = _recode(built.codes, built.registry, reg)
+    qubus = built.qubus[:, [built.registry.qubus_index(m) for m in reg.qubus_modes]]
+    return tensor(s, HybridState._derived(reg, built.amps, codes, qubus))
+
+
 def amplitude_of(s: HybridState, slots: Mapping[str, tuple[str, str]]) -> complex:
     """Amplitude of the branch with the given {photon: (path, pol)} labels.
 

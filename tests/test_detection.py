@@ -19,7 +19,6 @@ from qubusim import (
 )
 from qubusim import elements as el
 from qubusim import gates
-from qubusim import pipelines as pl
 from qubusim.detection import (
     MIN_PROB,
     MeasurementError,
@@ -103,25 +102,30 @@ def test_fock_distribution_cutoff_error():
         fock_distribution(coherent_state(math.sqrt(20)), "q", cutoff=10)
 
 
-def _teleport_block(monkeypatch, branches=256):
-    """The coupled state of the first qubus block of that size in a 3-photon teleport."""
+def _teleport_block(monkeypatch):
+    """The coupled state of the C-path-2 block of a 3-photon teleport, built
+    with the inputs already in: its rows couple every input row."""
 
     class Found(Exception):
         pass
 
     def capture(s, mode):
-        if len(s.branches) == branches:
-            raise Found(s, mode)
-        return fock_outcomes(s, mode)
+        raise Found(s, mode)
 
-    monkeypatch.setattr(gates, "fock_outcomes", capture)
     s = tensor(
         tensor(pol_qubit("1", "t1", 0.6, 0.8j), pol_qubit("2", "t2", 1, 1)),
         pol_qubit("3", "t3", 0.3, -0.7),
     )
+    s, a1, _ = gates.inject_plus(s)
+    s, a2, _ = gates.inject_plus(s)
+    s = tensor(s, bell_state("phi+", ("bellA", "bA"), ("bellB", "bB")))
+    s, rep = gates.c_path(s, a1, "bellA", alpha_for(20.0), THETA)
+    monkeypatch.setattr(gates, "fock_outcomes", capture)
     with pytest.raises(Found) as found:
-        pl.to_qudit_teleport(s, ["1", "2", "3"], alpha_for(20.0), THETA)
-    return found.value.args
+        gates.c_path2(s, a2, "bellA", rep.extras["rails"], alpha_for(20.0), THETA)
+    coupled, mode = found.value.args
+    assert len(coupled.branches) == 256
+    return coupled, mode
 
 
 def _vacuum_branch_state():

@@ -12,10 +12,12 @@ from qubusim import (
     pol_qubit,
     polarization_state,
     polarization_vector,
+    random_polarization_state,
     remove_photon,
     tensor,
 )
 from qubusim import elements as el
+from qubusim import gates
 from qubusim import pipelines as pl
 from qubusim import synthesis as syn
 
@@ -131,6 +133,54 @@ def test_teleport_circuit_cross_method():
     out_c, rep_c = pl.to_qudit_circuit(s2, ids, ALPHA_HI, THETA)
     vec_c = qudit_vector(out_c, rep_c, ids[:-1])
     assert abs(abs(np.vdot(vec_c, vec_t)) - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_teleport_entangled_inputs(n):
+    s = random_polarization_state(n, seed=20 + n)
+    ids = [str(i + 1) for i in range(n)]
+    coeffs = polarization_vector(s, ids)
+    out, rep = pl.to_qudit_teleport(s, ids, ALPHA_HI, THETA)
+    vec = path_pol_vector(out, rep.extras["carrier"], list(rep.extras["rails"]))
+    assert np.max(np.abs(vec - coeffs)) < 1e-9
+    assert rep.success_probability >= 1 - 1e-8
+
+
+@pytest.mark.parametrize(
+    "paths, rails",
+    [
+        (("bAs", "t2"), ("bA", "bAs2")),
+        (("bAs", "bAs2"), ("bA", "bAs3")),
+        (("bA", "bB"), ("bA2", "bA2s")),
+    ],
+)
+def test_teleport_names_avoid_the_input_paths(paths, rails):
+    # the resource is built before the inputs join it, yet its fresh names
+    # must still step around the inputs' paths
+    s = tensor(pol_qubit("1", paths[0], 0.6, 0.8), pol_qubit("2", paths[1], 1, 1j))
+    out, rep = pl.to_qudit_teleport(s, ["1", "2"], ALPHA_40, THETA)
+    assert rep.extras["rails"] == rails
+    assert rep.extras["carrier"] == "bellA"
+    assert out.registry.photon_paths == (("bellA", rails),)
+
+
+@pytest.mark.parametrize("n, sizes", [(3, [16, 32]), (4, [32, 64, 128])])
+def test_teleport_blocks_couple_the_resource_alone(n, sizes, monkeypatch):
+    coupled = []
+    couple = gates.couple_qubus_pair
+
+    def counted(s, *args):
+        out = couple(s, *args)
+        coupled.append(len(out[0].branches))
+        return out
+
+    monkeypatch.setattr(gates, "couple_qubus_pair", counted)
+    ids = [str(i + 1) for i in range(n)]
+    basis = polarization_state(np.eye(2**n)[0], [(pid, f"t{pid}") for pid in ids])
+    for s in (random_polarization_state(n, seed=n), basis):
+        coupled.clear()
+        pl.to_qudit_teleport(s, ids, alpha_for(20.0), THETA)
+        assert coupled == sizes
 
 
 # -- from_qudit -------------------------------------------------------------------
