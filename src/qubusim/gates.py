@@ -56,6 +56,7 @@ import numpy as np
 from . import elements as el
 from . import synthesis as syn
 from .detection import (
+    MIN_PROB,
     FockOutcomes,
     MeasurementRecord,
     _project_onto,
@@ -72,7 +73,6 @@ from .state import (
     HybridState,
     _drop_column,
     _gram_sum,
-    _norms,
     _runs,
     attach_qubus,
     fidelity,
@@ -345,7 +345,7 @@ def _score(
     rep = int(np.argmax(p >= (1 - TIE_TOL) * p.max()))
     fids = fidelities(rep)
     agree = p[np.asarray(fids) >= 1.0 - AGREEMENT_TOL]
-    success = float(agree.cumsum()[-1]) if len(agree) else 0.0
+    success = min(1.0, float(agree.cumsum()[-1])) if len(agree) else 0.0
     outcomes = OutcomeTable(kind, values, probs, fids)
     return Scored(values[rep], states[rep][2], outcomes, min(1.0, *fids), success, states)
 
@@ -354,12 +354,13 @@ def score_outcomes(kind: str, corrected: list[tuple[object, float, HybridState]]
     """Score a stage whose corrected states are all built: (value, prob, state) each."""
 
     def fidelities(rep: int) -> list[float]:
-        # fidelity(st, ref) for every outcome, from one Gram sum of the outcomes
+        # fidelity(st, ref) for every outcome, and every norm, from one Gram sum
         states = [st for _, _, st in corrected]
-        if any(abs(n - 1.0) > 1e-8 for n in _norms(states)):
+        g = _gram_sum(states, states)
+        norms = np.sqrt(np.maximum(g.diagonal().real, 0.0))
+        if (abs(norms - 1.0) > 1e-8).any():
             raise GateError("an outcome's corrected state is not normalized")
-        overlaps = _gram_sum(states, [states[rep]])[:, 0]
-        return np.minimum(np.abs(overlaps) ** 2, 1.0).tolist()
+        return np.minimum(np.abs(g[:, rep]) ** 2, 1.0).tolist()
 
     values = [v for v, _, _ in corrected]
     probs = [p for _, p, _ in corrected]
@@ -374,16 +375,25 @@ def couple_qubus_pair(
     Returns the pre-measurement state and the two beam names (difference
     port first).  α and θ must be finite numbers, and the difference beam's
     displacement |β|² = 2|α|²sin²θ must not vanish: with β = 0 every outcome
-    is n=0 and the block cannot tell the photon's modes apart.
+    is n=0 and the block cannot tell the photon's modes apart.  Nor may it be
+    so small that 1 − e^{−|β|²}, the most any n ≥ 1 outcome can hold, falls
+    below detection.MIN_PROB: then every kept outcome is n=0 too.
     """
     for name, x in (("alpha", alpha), ("theta", theta)):
         if not (isinstance(x, numbers.Number) and cmath.isfinite(x)):
             raise GateError(f"{name} must be a finite number, got {x!r}")
     a, sn = abs(alpha), abs(cmath.sin(theta))
-    if 2 * a * a * sn * sn == 0:  # products, not powers: a huge α gives inf, not OverflowError
+    beta2 = 2 * a * a * sn * sn  # products, not powers: a huge α gives inf, not OverflowError
+    if beta2 == 0:
         raise GateError(
             f"coupling cannot separate outcomes: 2|alpha|^2 sin^2(theta) = 0 "
             f"(alpha={alpha!r}, theta={theta!r})"
+        )
+    if -math.expm1(-beta2) < MIN_PROB:
+        raise GateError(
+            f"coupling too weak to separate outcomes: |beta|^2 = 2|alpha|^2 sin^2(theta) "
+            f"= {beta2:.3g} puts every n >= 1 outcome below the kept-outcome threshold "
+            f"{MIN_PROB:g} (alpha={alpha!r}, theta={theta!r})"
         )
     reg = s.registry
     for c in couplings:

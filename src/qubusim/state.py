@@ -16,6 +16,15 @@ Rows are kept in canonical order: by code, then by each beam's real and
 imaginary part in mode order.  `Branch` records are built only when
 `branches` is read; its len() builds none.
 
+Rows pair in overlaps when their labels are equal.  A state whose codes
+strictly increase (every photon-only canonical state, for one) pairs each
+row only with itself, so its norm is √Σ|a|² and its inner products take one
+binary search over the codes; any other state goes through the Gram sum,
+which stays the reference route.  `scaled` carries a known norm over as
+|factor|·‖s‖, so a normalized state never recomputes it.  Codes move
+between layouts by `_recode`, whose digit tables are compiled once per pair
+of layouts.
+
 Polarization is stored in the H/V basis; |±⟩ = (|H⟩ ± |V⟩)/√2 is a derived
 view.  Path and mode names are symbolic strings resolved through a
 ModeRegistry, so pipeline stages can mint new paths (1', 2', ...) on the fly.
@@ -27,13 +36,14 @@ state it came from, so the arrays are never written in place.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence as SequenceABC
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .registry import POLS, H, ModeRegistry, RegistryError, Slot, StateError, V
+from .registry import POLS, H, ModeRegistry, RegistryError, Slot, StateError, V, _codec
 
 #: default tolerance for merging/dropping branches in canonicalize()
 CANON_TOL = 1e-12
@@ -79,22 +89,53 @@ def _recode(codes: np.ndarray, src: ModeRegistry, dst: ModeRegistry) -> np.ndarr
 
     Photons that dst does not register are dropped, photons only dst
     registers read as digit 0, and a row whose slot dst does not register
-    gets the code -1.
+    gets the code -1.  The digit tables are compiled once per pair of
+    layouts (`_recoding`); a call decodes every kept digit of every row,
+    maps them in one gather and sums them with dst's strides in one dot.
     """
     if src._layout == dst._layout:
         return codes
-    out = np.zeros_like(codes)
-    lost = np.zeros(len(codes), bool)
-    for (pid, paths), k, r in zip(src._layout, src._stride, src._radix):
-        if pid not in dst._slot_of:
-            continue
-        to = dst._layout[dst._slot_of[pid]][1]
-        table = np.array([2 * to.index(p) + b if p in to else -1 for p in paths for b in (0, 1)])
-        digit = table[codes // k % r]
-        lost |= digit < 0
-        out += digit * dst._stride[dst._slot_of[pid]]
-    out[lost] = -1
+    stride, radix, offset, table, to_stride, lossy = _recoding(src._layout, dst._layout)
+    digits = table[codes[:, None] // stride % radix + offset]
+    out = digits @ to_stride
+    if lossy:
+        out[(digits < 0).any(axis=1)] = -1
     return out
+
+
+@functools.lru_cache(maxsize=512)
+def _recoding(src: tuple, dst: tuple) -> tuple:
+    """_recode's tables from layout src to layout dst, over the photons both
+    register: (their strides and radices in src, the offset of each one's
+    table, the tables end to end, their strides in dst, whether any entry is
+    -1).  Entry d of a photon's table is its src digit d in dst's layout, or
+    -1 where dst lacks the path.  Recoding meets the same few pairs of
+    layouts over and over, so each pair is compiled once."""
+    src_radix, src_stride = _codec(src)[2:]
+    dst_slot, _, _, dst_stride = _codec(dst)
+    kept = [i for i, (pid, _) in enumerate(src) if pid in dst_slot]
+    offset, table = [], []
+    for i in kept:
+        pid, paths = src[i]
+        to = dst[dst_slot[pid]][1]
+        offset.append(len(table))
+        table += [2 * to.index(p) + b if p in to else -1 for p in paths for b in (0, 1)]
+    compiled = (
+        np.array([src_stride[i] for i in kept], np.int64),
+        np.array([src_radix[i] for i in kept], np.int64),
+        np.array(offset, np.int64),
+        np.array(table, np.int64),
+        np.array([dst_stride[dst_slot[src[i][0]]] for i in kept], np.int64),
+    )
+    for a in compiled:
+        a.setflags(write=False)
+    return compiled + (-1 in table,)
+
+
+def _increasing(codes: np.ndarray) -> bool:
+    """Whether the codes strictly increase: rows in canonical order with
+    these codes each hold a label no other row holds."""
+    return bool((codes[1:] > codes[:-1]).all())
 
 
 def _canonical_order(codes: np.ndarray, qubus: np.ndarray) -> np.ndarray:
@@ -220,7 +261,7 @@ class HybridState:
     @classmethod
     def _sorted(cls, registry: ModeRegistry, amps, codes, qubus) -> "HybridState":
         """A state over valid rows, sorted into canonical order; nothing merges."""
-        if not (codes[1:] > codes[:-1]).all():  # else every code is its own row, in order
+        if not _increasing(codes):  # else every code is its own row, in order
             order = _canonical_order(codes, qubus)
             amps, codes, qubus = amps[order], codes[order], qubus.take(order, 0)
         return cls._derived(registry, amps, codes, qubus)
@@ -238,7 +279,11 @@ class HybridState:
         return normalize(self)
 
     def scaled(self, factor: complex) -> "HybridState":
-        return HybridState._derived(self.registry, self.amps * factor, self.codes, self.qubus)
+        """factor·self; a norm known for self carries over as |factor|·‖self‖."""
+        out = HybridState._derived(self.registry, self.amps * factor, self.codes, self.qubus)
+        if self._norm is not None:
+            out._norm = abs(factor) * self._norm
+        return out
 
     def photon_paths_in_use(self, pid: str) -> tuple[str, ...]:
         """Paths the photon actually occupies somewhere, in registry order."""
@@ -320,19 +365,38 @@ def inner_product(a: HybridState, b: HybridState) -> complex:
     """⟨a|b⟩, sesquilinear; coherent branches are non-orthogonal.
 
     The registries must carry the same photons and the same qubus mode order;
-    admissible-path sets may differ (gates register transient rails).
+    admissible-path sets may differ (gates register transient rails).  When
+    a's codes strictly increase, each row of b pairs with at most one row of
+    a, found by one binary search; coherent_overlap runs only if beams
+    remain.  Any other a goes through _gram_sum.
     """
     if set(a.registry.photons) != set(b.registry.photons) or (
         a.registry.qubus_modes != b.registry.qubus_modes
     ):
         raise RegistryError("inner_product requires matching photons and qubus modes")
-    return complex(_gram_sum([a], [b])[0, 0])
+    if not len(a.codes) or not _increasing(a.codes):
+        return complex(_gram_sum([a], [b])[0, 0])
+    codes = _recode(b.codes, b.registry, a.registry)
+    i = a.codes.searchsorted(codes)
+    j = (a.codes.take(i, mode="clip") == codes).nonzero()[0]
+    i = i[j]
+    if not a.qubus.shape[1]:
+        return complex(np.vdot(a.amps[i], b.amps[j]))
+    w = a.amps[i].conj() * b.amps[j] * coherent_overlap(a.qubus.take(i, 0), b.qubus.take(j, 0))
+    return complex(w.sum())
 
 
 def norm(s: HybridState) -> float:
-    """‖s‖, computed once per state: states are immutable."""
+    """‖s‖, computed once per state: states are immutable, and `scaled`
+    carries a known norm over.  When the codes strictly increase, each row
+    pairs only with itself and ⟨q|q⟩ = 1, so ‖s‖² = Σ|a|² in closed form;
+    any other state goes through _gram_sum."""
     if s._norm is None:
-        s._norm = math.sqrt(max(float(_gram_sum([s], [s])[0, 0].real), 0.0))
+        if _increasing(s.codes):
+            n2 = float(np.vdot(s.amps, s.amps).real)
+        else:
+            n2 = float(_gram_sum([s], [s])[0, 0].real)
+        s._norm = math.sqrt(max(n2, 0.0))
     return s._norm
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from qubusim import StateError, cli
@@ -409,6 +409,39 @@ def test_validation_error_exit_2(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert main(["gate", "parity", *argv]) == 2, argv
         assert err in capsys.readouterr().err, argv
+
+
+def test_a_coupling_too_weak_to_reach_an_n_above_0_is_refused(capsys, tmp_path):
+    """Below |β|² = −ln(1 − MIN_PROB) no n ≥ 1 outcome is kept, so every branch
+    would read n=0 and report success from one outcome."""
+    for argv in (["--theta", "1e-20"], ["--beta2", "1e-20"], ["--beta2", "1e-300"]):
+        capsys.readouterr()
+        assert main(["gate", "parity", *argv]) == 2, argv
+        err = capsys.readouterr().err
+        assert "coupling too weak to separate outcomes: |beta|^2" in err, argv
+        assert "threshold 1e-13" in err, argv
+    assert main(["gate", "parity", "--beta2", "4", "--out", str(tmp_path / "r.json")]) == 0
+
+
+def _report_tree(report):
+    yield report
+    for child in report["children"]:
+        yield from _report_tree(child)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(name=hst.sampled_from(DEMO_GATES), seed=hst.integers(0, 2**16),
+       beta2=hst.sampled_from(["20", "200"]))
+@example(name="toffoli", seed=3, beta2="20")
+@example(name="cn-uk", seed=3, beta2="20")
+def test_every_report_in_a_gate_tree_has_success_at_most_1(name, seed, beta2, tmp_path_factory):
+    out = tmp_path_factory.mktemp("tree") / "r.json"
+    args = ["gate", name, "--input", f"haar:{seed}", "--beta2", beta2, "--out", str(out)]
+    if name == "cn-uk":
+        args += ["--targets", "2"]
+    assert main(args) == 0
+    for report in _report_tree(json.loads(out.read_text())["report"]):
+        assert 0.0 <= report["success_probability"] <= 1.0, report["gate"]
 
 
 GOLDEN_PROGRAMS = [json.loads(p.read_text())["program"] for p in sorted(GOLDEN.glob("*.json"))]

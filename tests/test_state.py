@@ -1,10 +1,13 @@
 """Hybrid-state algebra: overlaps, fidelity, canonicalization, serialization."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qubusim import (
     Branch,
@@ -29,8 +32,10 @@ from qubusim import (
     tensor,
 )
 from qubusim import elements as el
+from qubusim import gates
+from qubusim import state as state_mod
 from qubusim.numerics import fock_amplitude
-from qubusim.state import CANON_TOL
+from qubusim.state import CANON_TOL, _gram_sum, _recode
 
 from conftest import haar_vec, two_photon
 
@@ -475,3 +480,136 @@ def test_json_snapshot_round_trip():
         assert set(br) == {"amplitude", "photons", "qubus"}
     restored = state_from_dict(json.loads(json.dumps(doc)))
     assert abs(inner_product(restored, s) - 1.0) < 1e-12
+
+
+# -- pairing in closed form, carried norms, compiled recoding -----------------
+
+PAIRING = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+PATHS = {"1": ("a", "b", "c"), "2": ("d", "e"), "3": ("f", "g", "h")}
+
+
+@hst.composite
+def registries(draw, pids=("1", "2"), modes=0):
+    """A registry of the photons pids, registered in a drawn order, each on a
+    drawn, ordered, non-empty subset of its paths, and `modes` beams."""
+    reg = ModeRegistry()
+    for pid in draw(hst.permutations(pids)):
+        paths = draw(hst.permutations(PATHS[pid]))
+        reg = reg.with_photon(pid, tuple(paths[: draw(hst.integers(1, len(paths)))]))
+    for m in range(modes):
+        reg = reg.with_qubus(f"q{m}")
+    return reg
+
+
+@hst.composite
+def pairing_states(draw, reg):
+    """A state over reg: 0-10 rows with random amplitudes and beams, its
+    labels either all distinct or drawn with repeats."""
+    pids = sorted(reg.photons)
+    slots = [[(pid, path, pol) for path in reg.paths_of(pid) for pol in "HV"] for pid in pids]
+    labels = list(itertools.product(*slots))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    rows = draw(hst.integers(0, min(10, len(labels))))
+    if draw(hst.booleans()):
+        picks = rng.permutation(len(labels))[:rows]
+    else:
+        picks = rng.integers(len(labels), size=rows)
+    nq = len(reg.qubus_modes)
+    return HybridState(reg, [
+        Branch(complex(*rng.standard_normal(2)), labels[k],
+               tuple(complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(nq)))
+        for k in picks
+    ])
+
+
+@hst.composite
+def state_pairs(draw):
+    """Two states with the same photons and beams over path lists that may differ."""
+    modes = draw(hst.integers(0, 2))
+    a = draw(pairing_states(draw(registries(modes=modes))))
+    b = draw(pairing_states(draw(registries(modes=modes))))
+    return a, b, complex(*draw(hst.tuples(*[hst.floats(-3.0, 3.0)] * 2)))
+
+
+@PAIRING
+@given(state_pairs())
+def test_closed_form_pairing_matches_the_gram_sum(pair):
+    a, b, c = pair
+    for s in (a, b):
+        gram = math.sqrt(max(_gram_sum([s], [s])[0, 0].real, 0.0))
+        assert abs(norm(s) - gram) <= 1e-12 * max(gram, 1.0)
+        scaled = s.scaled(c)
+        assert abs(norm(scaled) - abs(c) * gram) <= 1e-12 * max(abs(c) * gram, 1.0)
+        rescaled = HybridState._derived(s.registry, scaled.amps, s.codes, s.qubus)
+        assert abs(norm(scaled) - norm(rescaled)) <= 1e-12 * max(norm(rescaled), 1.0)
+    scale = max(norm(a) * norm(b), 1.0)
+    assert abs(inner_product(a, b) - _gram_sum([a], [b])[0, 0]) <= 1e-12 * scale
+    assert abs(inner_product(b, a) - _gram_sum([b], [a])[0, 0]) <= 1e-12 * scale
+
+
+def _recode_by_photon(codes, src, dst):
+    """Codes of src's layout in dst's, one photon at a time: the reference
+    for the compiled _recode."""
+    out = np.zeros_like(codes)
+    lost = np.zeros(len(codes), bool)
+    for (pid, paths), k, r in zip(src._layout, src._stride, src._radix):
+        if pid not in dst._slot_of:
+            continue
+        to = dst._layout[dst._slot_of[pid]][1]
+        table = np.array([2 * to.index(p) + b if p in to else -1 for p in paths for b in (0, 1)])
+        digit = table[codes // k % r]
+        lost |= digit < 0
+        out += digit * dst._stride[dst._slot_of[pid]]
+    out[lost] = -1
+    return out
+
+
+@PAIRING
+@given(hst.data())
+def test_compiled_recode_matches_the_per_photon_loop(data):
+    # photons dropped (src only), added (dst only) or kept, over reordered paths
+    ids = hst.lists(hst.sampled_from(sorted(PATHS)), unique=True)
+    src = data.draw(registries(pids=data.draw(ids.filter(len))))
+    dst = data.draw(registries(pids=data.draw(ids)))
+    codes = np.arange(math.prod(src._radix), dtype=np.int64)
+    got = _recode(codes, src, dst)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _recode_by_photon(codes, src, dst))
+
+
+def test_recode_marks_a_slot_the_target_lacks():
+    src = ModeRegistry().with_photon("1", ("a", "b")).with_photon("2", ("d",))
+    dst = ModeRegistry().with_photon("2", ("e", "d")).with_photon("1", ("b",))
+    codes = np.arange(8, dtype=np.int64)  # photon 1 on a (codes 0-3) or b (4-7)
+    assert _recode(codes, src, dst).tolist() == [-1] * 4 + [2, 3, 6, 7]
+    assert _recode(codes, src, dst).tolist() == _recode_by_photon(codes, src, dst).tolist()
+
+
+def test_normalized_states_keep_their_norm_and_a_stage_takes_one_gram_sum(monkeypatch):
+    calls = []
+    gram = state_mod._gram_sum
+
+    def counted(bras, kets):
+        calls.append(len(bras))
+        return gram(bras, kets)
+
+    monkeypatch.setattr(state_mod, "_gram_sum", counted)
+    monkeypatch.setattr(gates, "_gram_sum", counted)
+    reg = ModeRegistry().with_photon("1", ("a",)).with_qubus("q")
+    distinct = HybridState(reg, [Branch(0.6, (("1", "a", "H"),), (1.0,)),
+                                 Branch(0.3j, (("1", "a", "V"),), (2.0,))])
+    repeated = HybridState(reg, [Branch(0.6, (("1", "a", "H"),), (1.0,)),
+                                 Branch(0.3j, (("1", "a", "H"),), (2.0,))])
+    assert norm(normalize(distinct)) == pytest.approx(1.0, abs=1e-15)
+    assert calls == []  # closed form, then the carried norm
+    t = normalize(repeated)
+    assert len(calls) == 1
+    assert norm(t) == pytest.approx(1.0, abs=1e-15)
+    assert len(calls) == 1  # carried
+    fresh = [HybridState._derived(reg, st.amps, st.codes, st.qubus)
+             for st in (normalize(distinct), t, t.scaled(-1))]
+    calls.clear()
+    scored = gates.score_outcomes("fock", [(n, 1 / 3, st) for n, st in enumerate(fresh)])
+    assert calls == [3]
+    want = [fidelity(st, fresh[0]) for st in fresh]
+    assert list(scored.outcomes.fidelities) == pytest.approx(want, abs=1e-12)
