@@ -106,6 +106,10 @@ TIE_TOL = 1e-9
 #: to this fidelity
 ROUTE_TOL = 1e-9
 
+#: a success mass above 1 by at most this is rounding and reads 1; above
+#: that it raises GateError
+SUCCESS_TOL = 1e-12
+
 
 class GateError(ValueError):
     pass
@@ -339,13 +343,18 @@ def _score(
     corrected state, and states[i] is outcome i's (value, probability,
     corrected state).  An outcome counts towards the success mass when its
     fidelity with the representative is within AGREEMENT_TOL of 1; the mass
-    is summed in outcome order (a cumulative sum, not a pairwise one).
+    is summed in outcome order (a cumulative sum, not a pairwise one), and a
+    mass above 1 by no more than rounding (SUCCESS_TOL) reads 1; a larger one
+    means outcomes were counted twice and raises GateError.
     """
     p = np.asarray(probs, dtype=float)
     rep = int(np.argmax(p >= (1 - TIE_TOL) * p.max()))
     fids = fidelities(rep)
     agree = p[np.asarray(fids) >= 1.0 - AGREEMENT_TOL]
-    success = min(1.0, float(agree.cumsum()[-1])) if len(agree) else 0.0
+    success = float(agree.cumsum()[-1]) if len(agree) else 0.0
+    if success > 1.0 + SUCCESS_TOL:
+        raise GateError(f"{kind} outcomes that agree hold probability {success!r} > 1")
+    success = min(success, 1.0)
     outcomes = OutcomeTable(kind, values, probs, fids)
     return Scored(values[rep], states[rep][2], outcomes, min(1.0, *fids), success, states)
 

@@ -16,14 +16,14 @@ Rows are kept in canonical order: by code, then by each beam's real and
 imaginary part in mode order.  `Branch` records are built only when
 `branches` is read; its len() builds none.
 
-Rows pair in overlaps when their labels are equal.  A state whose codes
-strictly increase (every photon-only canonical state, for one) pairs each
-row only with itself, so its norm is √Σ|a|² and its inner products take one
-binary search over the codes; any other state goes through the Gram sum,
-which stays the reference route.  `scaled` carries a known norm over as
-|factor|·‖s‖, so a normalized state never recomputes it.  Codes move
-between layouts by `_recode`, whose digit tables are compiled once per pair
-of layouts.
+Rows pair in overlaps when their labels are equal, and every norm, inner
+product and Gram sum finds its pairs in `_pairs`.  When no two bra rows
+share a code (every photon-only canonical state, for one), a norm pairs
+each row with itself and an overlap finds each ket row's one partner in a
+single binary search; otherwise each ket row pairs with a run of bra rows.
+`scaled` carries a known norm over as |factor|·‖s‖, so a normalized state
+never recomputes it.  Codes move between layouts by `_recode`, whose digit
+tables are compiled once per pair of layouts.
 
 Polarization is stored in the H/V basis; |±⟩ = (|H⟩ ± |V⟩)/√2 is a derived
 view.  Path and mode names are symbolic strings resolved through a
@@ -328,13 +328,44 @@ def _stack(states: Sequence[HybridState], reg: ModeRegistry):
             np.concatenate([st.qubus for st in states]), ids)
 
 
+def _pairs(a_codes: np.ndarray, b_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row pair (i, j) with a_codes[i] == b_codes[j], in ket order; a_codes sorted.
+
+    When no two bra rows share a code (every photon-only canonical state, for
+    one), each ket row has at most one partner, found by one binary search,
+    and codes paired with themselves pair row by row.  Otherwise two binary
+    searches bound each ket row's run of partners.
+    """
+    if len(a_codes) and _increasing(a_codes):
+        if b_codes is a_codes:
+            i = np.arange(len(a_codes))
+            return i, i
+        i = a_codes.searchsorted(b_codes)
+        j = (a_codes.take(i, mode="clip") == b_codes).nonzero()[0]
+        return i[j], j
+    lo = a_codes.searchsorted(b_codes)
+    hi = a_codes.searchsorted(b_codes, "right")
+    n = hi - lo
+    return np.arange(n.sum()) - (n.cumsum() - hi).repeat(n), np.arange(len(n)).repeat(n)
+
+
+def _overlap(a: HybridState, b: HybridState) -> complex:
+    """⟨a|b⟩ = Σ conj(a_i) b_j ⟨q_i|q_j⟩ over row pairs with equal labels, b's
+    codes recoded into a's layout; one coherent_overlap call, with or without
+    beams."""
+    codes = a.codes if b is a else _recode(b.codes, b.registry, a.registry)
+    i, j = _pairs(a.codes, codes)
+    q = coherent_overlap(a.qubus.take(i, 0), b.qubus.take(j, 0))
+    return complex(np.vdot(a.amps[i], b.amps[j] * q))
+
+
 def _gram_sum(bras: Sequence[HybridState], kets: Sequence[HybridState]) -> np.ndarray:
     """G[k, l] = ⟨bras[k]|kets[l]⟩ = Σ conj(a_i) b_j ⟨q_i|q_j⟩ over row pairs with equal labels.
 
     The bras share one path layout, and the kets are recoded into it; a ket
-    row on a path the bras do not register pairs with nothing.  With the bra rows in code order, two binary searches give
-    each ket row its partners, and one coherent_overlap call evaluates every
-    pair, with or without beams.
+    row on a path the bras do not register pairs with nothing.  With the bra
+    rows in code order, `_pairs` finds every pair, and one coherent_overlap
+    call evaluates them all, with or without beams.
     """
     reg = bras[0].registry
     if any(st.registry._layout != reg._layout for st in bras):
@@ -347,11 +378,7 @@ def _gram_sum(bras: Sequence[HybridState], kets: Sequence[HybridState]) -> np.nd
     b_amps, b_codes, b_q, b_ids = (
         (a_amps, a_codes, a_q, a_ids) if kets is bras else _stack(kets, reg)
     )
-    lo = a_codes.searchsorted(b_codes)
-    hi = a_codes.searchsorted(b_codes, "right")
-    n = hi - lo
-    j = np.arange(len(n)).repeat(n)
-    i = np.arange(len(j)) - (n.cumsum() - hi).repeat(n)
+    i, j = _pairs(a_codes, b_codes)
     w = a_amps[i].conj() * b_amps[j] * coherent_overlap(a_q.take(i, 0), b_q.take(j, 0))
     if a_ids is None and b_ids is None:
         return w.sum().reshape(1, 1)
@@ -365,38 +392,21 @@ def inner_product(a: HybridState, b: HybridState) -> complex:
     """⟨a|b⟩, sesquilinear; coherent branches are non-orthogonal.
 
     The registries must carry the same photons and the same qubus mode order;
-    admissible-path sets may differ (gates register transient rails).  When
-    a's codes strictly increase, each row of b pairs with at most one row of
-    a, found by one binary search; coherent_overlap runs only if beams
-    remain.  Any other a goes through _gram_sum.
+    admissible-path sets may differ (gates register transient rails).
     """
     if set(a.registry.photons) != set(b.registry.photons) or (
         a.registry.qubus_modes != b.registry.qubus_modes
     ):
         raise RegistryError("inner_product requires matching photons and qubus modes")
-    if not len(a.codes) or not _increasing(a.codes):
-        return complex(_gram_sum([a], [b])[0, 0])
-    codes = _recode(b.codes, b.registry, a.registry)
-    i = a.codes.searchsorted(codes)
-    j = (a.codes.take(i, mode="clip") == codes).nonzero()[0]
-    i = i[j]
-    if not a.qubus.shape[1]:
-        return complex(np.vdot(a.amps[i], b.amps[j]))
-    w = a.amps[i].conj() * b.amps[j] * coherent_overlap(a.qubus.take(i, 0), b.qubus.take(j, 0))
-    return complex(w.sum())
+    return _overlap(a, b)
 
 
 def norm(s: HybridState) -> float:
     """‖s‖, computed once per state: states are immutable, and `scaled`
-    carries a known norm over.  When the codes strictly increase, each row
-    pairs only with itself and ⟨q|q⟩ = 1, so ‖s‖² = Σ|a|² in closed form;
-    any other state goes through _gram_sum."""
+    carries a known norm over.  Each row of a state whose codes strictly
+    increase pairs only with itself (`_pairs`)."""
     if s._norm is None:
-        if _increasing(s.codes):
-            n2 = float(np.vdot(s.amps, s.amps).real)
-        else:
-            n2 = float(_gram_sum([s], [s])[0, 0].real)
-        s._norm = math.sqrt(max(n2, 0.0))
+        s._norm = math.sqrt(max(_overlap(s, s).real, 0.0))
     return s._norm
 
 

@@ -699,6 +699,14 @@ def test_presence_stage_lists_arms_with_no_outcome(alpha20):
     assert fidelity(out, s) >= 1 - 1e-12
 
 
+def test_success_mass_reads_1_within_rounding_and_raises_above():
+    one = pol_qubit("1", "a", 1.0, 0.0)
+    scored = g.score_outcomes("fock", [(0, 0.5, one), (1, 0.5, one), (2, 4e-16, one)])
+    assert scored.success_probability == 1.0
+    with pytest.raises(g.GateError, match="fock outcomes that agree hold probability"):
+        g.score_outcomes("fock", [(0, 0.5, one), (1, 0.5, one), (2, 1e-9, one)])
+
+
 # -- the batched qubus block against the per-outcome loop ---------------------------
 
 

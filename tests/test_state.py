@@ -35,7 +35,7 @@ from qubusim import elements as el
 from qubusim import gates
 from qubusim import state as state_mod
 from qubusim.numerics import fock_amplitude
-from qubusim.state import CANON_TOL, _gram_sum, _recode
+from qubusim.state import CANON_TOL, _gram_sum, _recode, coherent_overlap
 
 from conftest import haar_vec, two_photon
 
@@ -482,7 +482,7 @@ def test_json_snapshot_round_trip():
     assert abs(inner_product(restored, s) - 1.0) < 1e-12
 
 
-# -- pairing in closed form, carried norms, compiled recoding -----------------
+# -- pairing by one search, carried norms, compiled recoding -------------------
 
 PAIRING = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 PATHS = {"1": ("a", "b", "c"), "2": ("d", "e"), "3": ("f", "g", "h")}
@@ -524,27 +524,50 @@ def pairing_states(draw, reg):
 
 @hst.composite
 def state_pairs(draw):
-    """Two states with the same photons and beams over path lists that may differ."""
+    """Two states a, a2 over one registry and b over a registry with the same
+    photons and beams whose path lists may differ, and a factor."""
     modes = draw(hst.integers(0, 2))
-    a = draw(pairing_states(draw(registries(modes=modes))))
+    reg = draw(registries(modes=modes))
+    a, a2 = draw(pairing_states(reg)), draw(pairing_states(reg))
     b = draw(pairing_states(draw(registries(modes=modes))))
-    return a, b, complex(*draw(hst.tuples(*[hst.floats(-3.0, 3.0)] * 2)))
+    return a, a2, b, complex(*draw(hst.tuples(*[hst.floats(-3.0, 3.0)] * 2)))
+
+
+def _gram_sum_by_runs(bras, kets):
+    """G[k, l] with every ket row paired to the run of equal codes in the
+    bra, found by two binary searches whatever the codes: the reference for
+    _gram_sum's one-search and self pairings."""
+    reg = bras[0].registry
+    g = np.zeros((len(bras), len(kets)), complex)
+    for k, a in enumerate(bras):
+        for l, b in enumerate(kets):
+            codes = _recode(b.codes, b.registry, reg)
+            lo, hi = a.codes.searchsorted(codes), a.codes.searchsorted(codes, "right")
+            for j, (first, last) in enumerate(zip(lo, hi)):
+                for i in range(first, last):
+                    q = coherent_overlap(a.qubus[i], b.qubus[j])
+                    g[k, l] += a.amps[i].conjugate() * b.amps[j] * q
+    return g
 
 
 @PAIRING
 @given(state_pairs())
-def test_closed_form_pairing_matches_the_gram_sum(pair):
-    a, b, c = pair
+def test_gram_sums_match_pairing_by_runs(pair):
+    a, a2, b, c = pair
+    scale = max(norm(a), norm(a2), 1.0) * max(norm(b), 1.0)
+    one, both = [a], [a, a2]  # a Gram sum whose kets are its bras pairs them sorted
+    for bras, kets in (([a], [b]), ([b], [a]), (one, one), (both, [b]), ([b], both), (both, both)):
+        assert np.abs(_gram_sum(bras, kets) - _gram_sum_by_runs(bras, kets)).max() <= 1e-12 * scale
+    assert abs(inner_product(a, b) - _gram_sum_by_runs([a], [b])[0, 0]) <= 1e-12 * scale
+    assert abs(inner_product(b, a) - _gram_sum_by_runs([b], [a])[0, 0]) <= 1e-12 * scale
     for s in (a, b):
-        gram = math.sqrt(max(_gram_sum([s], [s])[0, 0].real, 0.0))
-        assert abs(norm(s) - gram) <= 1e-12 * max(gram, 1.0)
-        scaled = s.scaled(c)
-        assert abs(norm(scaled) - abs(c) * gram) <= 1e-12 * max(abs(c) * gram, 1.0)
+        ref = math.sqrt(max(_gram_sum_by_runs([s], [s])[0, 0].real, 0.0))
+        fresh = HybridState._derived(s.registry, s.amps, s.codes, s.qubus)
+        assert abs(norm(fresh) - ref) <= 1e-12 * max(ref, 1.0)
+        scaled = s.scaled(c)  # carries norm(s) over
+        assert abs(norm(scaled) - abs(c) * ref) <= 1e-12 * max(abs(c) * ref, 1.0)
         rescaled = HybridState._derived(s.registry, scaled.amps, s.codes, s.qubus)
         assert abs(norm(scaled) - norm(rescaled)) <= 1e-12 * max(norm(rescaled), 1.0)
-    scale = max(norm(a) * norm(b), 1.0)
-    assert abs(inner_product(a, b) - _gram_sum([a], [b])[0, 0]) <= 1e-12 * scale
-    assert abs(inner_product(b, a) - _gram_sum([b], [a])[0, 0]) <= 1e-12 * scale
 
 
 def _recode_by_photon(codes, src, dst):
@@ -586,28 +609,35 @@ def test_recode_marks_a_slot_the_target_lacks():
 
 
 def test_normalized_states_keep_their_norm_and_a_stage_takes_one_gram_sum(monkeypatch):
-    calls = []
-    gram = state_mod._gram_sum
+    calls = []  # a Gram sum is counted by its bra count, a single overlap as "overlap"
+    gram, overlap = state_mod._gram_sum, state_mod._overlap
 
-    def counted(bras, kets):
+    def counted_gram(bras, kets):
         calls.append(len(bras))
         return gram(bras, kets)
 
-    monkeypatch.setattr(state_mod, "_gram_sum", counted)
-    monkeypatch.setattr(gates, "_gram_sum", counted)
+    def counted_overlap(a, b):
+        calls.append("overlap")
+        return overlap(a, b)
+
+    monkeypatch.setattr(state_mod, "_gram_sum", counted_gram)
+    monkeypatch.setattr(gates, "_gram_sum", counted_gram)
+    monkeypatch.setattr(state_mod, "_overlap", counted_overlap)
     reg = ModeRegistry().with_photon("1", ("a",)).with_qubus("q")
     distinct = HybridState(reg, [Branch(0.6, (("1", "a", "H"),), (1.0,)),
                                  Branch(0.3j, (("1", "a", "V"),), (2.0,))])
     repeated = HybridState(reg, [Branch(0.6, (("1", "a", "H"),), (1.0,)),
                                  Branch(0.3j, (("1", "a", "H"),), (2.0,))])
-    assert norm(normalize(distinct)) == pytest.approx(1.0, abs=1e-15)
-    assert calls == []  # closed form, then the carried norm
-    t = normalize(repeated)
-    assert len(calls) == 1
-    assert norm(t) == pytest.approx(1.0, abs=1e-15)
-    assert len(calls) == 1  # carried
+    unit = []
+    for s in (distinct, repeated):
+        unit.append(normalize(s))
+        assert calls == ["overlap"]  # norm(s)
+        assert norm(unit[-1]) == pytest.approx(1.0, abs=1e-15)
+        assert norm(unit[-1].scaled(-1j)) == pytest.approx(1.0, abs=1e-15)
+        assert calls == ["overlap"]  # carried
+        calls.clear()
     fresh = [HybridState._derived(reg, st.amps, st.codes, st.qubus)
-             for st in (normalize(distinct), t, t.scaled(-1))]
+             for st in (unit[0], unit[1], unit[1].scaled(-1))]
     calls.clear()
     scored = gates.score_outcomes("fock", [(n, 1 / 3, st) for n, st in enumerate(fresh)])
     assert calls == [3]
