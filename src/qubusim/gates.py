@@ -421,17 +421,28 @@ def couple_qubus_pair(
     return s, beams
 
 
+@dataclass(frozen=True)
+class FanIn:
+    """A qubus block's post step as data: pbs_fan_in of the photon's fresh
+    rails back onto its rails (σx and a PBS merge per rail, then the fresh
+    rail dropped).  Being data, a block's post is hashable."""
+
+    photon: str
+    rails: tuple[str, ...]
+    fresh: tuple[str, ...]
+
+    def apply(self, s: HybridState) -> HybridState:
+        return pbs_fan_in(s, self.photon, self.rails, self.fresh)
+
+
 def _outcome_route(
-    rec: MeasurementRecord,
-    plan: FeedForwardPlan,
-    beam: str,
-    post: Callable[[HybridState], HybridState] | None,
+    rec: MeasurementRecord, plan: FeedForwardPlan, beam: str, post: FanIn | None
 ) -> HybridState:
     """One outcome on its own: feed-forward on its collapsed state, disposal of
     the beam onto its dominant value, then post."""
     st = plan.correct(rec.collapsed, rec.value)
     st, _ = project_qubus_coherent(st, beam)
-    return st if post is None else post(st)
+    return st if post is None else post.apply(st)
 
 
 def _branch_matrix(
@@ -474,7 +485,7 @@ class _BlockOutputs(Sequence):
         found: FockOutcomes,
         plan: FeedForwardPlan,
         beam: str,
-        post: Callable[[HybridState], HybridState] | None,
+        post: FanIn | None,
     ):
         self.found, self.plan, self.beam, self.post = found, plan, beam, post
         self.values = found.values
@@ -505,7 +516,7 @@ class _BlockOutputs(Sequence):
                 members = cols[~tied & (dominant == v)]
                 kept = _project_onto(corrected, idx, v)
                 if post is not None:
-                    kept = post(kept)
+                    kept = post.apply(kept)
                 parts = _split_by_value(kept, k_col - (idx < k_col), values)[1]
                 self.group_of[members] = len(self.groups)
                 self.groups.append((members, parts))
@@ -570,7 +581,7 @@ def run_qubus_block(
     alpha: float,
     theta: float,
     plan: FeedForwardPlan,
-    post: Callable[[HybridState], HybridState] | None = None,
+    post: FanIn | None = None,
 ) -> Scored:
     """Couple, measure the difference port, feed forward, dispose of the sum port.
 
@@ -889,10 +900,7 @@ def c_path3(
         control, first, first_aux, second, target, rail1, rail2, layout, witness
     )
     plan = _switch_plan(target, [rail1], [rail2])
-
-    def unsplit(st: HybridState) -> HybridState:
-        return pbs_fan_in(st, control, [first], [first_aux]) if layout == "split" else st
-
+    unsplit = FanIn(control, (first,), (first_aux,)) if layout == "split" else None
     block = run_qubus_block(s, couplings, alpha, theta, plan, post=unsplit)
     report = _block_report(
         "c_path3", block, couplings, plan, rails=(rail1, rail2), layout=layout

@@ -718,7 +718,7 @@ def _outcome_loop(s, couplings, alpha, theta, plan, post=None):
         st = plan.correct(rec.collapsed, rec.value)
         st, _ = project_qubus_coherent(st, b1)
         if post is not None:
-            st = post(st)
+            st = post.apply(st)
         corrected.append((rec.value, rec.probability, st))
     return g.score_outcomes("fock", corrected)
 
