@@ -18,15 +18,22 @@ A block computes its whole outcome table from one decomposition.  The
 difference port takes a few distinct values α_k (0 and ±β in every gate
 here), so outcome n is Σ_k ⟨n|α_k⟩ ψ_k over the parts ψ_k of the state at
 each value.  Feed-forward, disposal and the gate's post step are linear once
-the disposal value is fixed, and act on photons only, so each feed-forward
-class corrects the coupled state once, every part at once, and each (class,
-disposal value) group projects and post-processes it once before the parts
-are split off by their α_k.  Probabilities, norms and fidelities with the
-representative are K-term sums over Gram matrices of the parts, one Gram sum
-for all groups, and an outcome's state is built only when read.  The representative,
-and every outcome whose disposal value is not unique, take the per-outcome
-route (collapse, correct, dispose, post); the representative's batched state
-must match its route, so the array algebra is checked on every block.
+the disposal value is fixed, and act on photons only, so each (feed-forward
+row, disposal value) group gives every outcome of it from K fixed parts.
+None of that depends on the amplitudes: for one coupled-state structure
+(its registry, label codes and beam values) with one plan, disposal beam
+and post step, the block is compiled once (_block_algebra) into each row's
+map from the coupled amplitudes to its corrected rows, each group's part
+rows as maps of the coupled amplitudes, and the overlaps of those rows.  A
+call still couples and enumerates the Fock outcomes (the MIN_PROB cut and
+the tail check), and then only does array work on its amplitudes: each
+outcome's dominant disposal value and the TIE_TOL tie rule, the parts with
+canonicalize's dust rule on their rows, one K×K Gram matrix per group for
+the norms, and the overlaps with the representative.  An outcome's state is
+built only when read.  The representative, and every outcome whose disposal
+value is not unique, take the per-outcome route (collapse, correct,
+dispose, post); the representative's batched state must match its route,
+so the compiled algebra is checked on every call.
 
 The parity gate and the C-path family share one rail-routing block: a fresh
 rail opens beside each target rail with a 50:50 split, and even n switches
@@ -44,12 +51,13 @@ resource counts, and the stage's feed-forward table, a row per outcome class.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,21 +68,23 @@ from .detection import (
     FockOutcomes,
     MeasurementRecord,
     _project_onto,
-    _split_by_value,
     _quadratic_forms,
     fock_outcomes,
     presence_outcomes,
     project_qubus_coherent,
 )
+from .registry import ModeRegistry
 from .state import (
     CANON_TOL,
     H,
     V,
     HybridState,
-    _drop_column,
     _gram_sum,
+    _pairs,
+    _recode,
     _runs,
     attach_qubus,
+    coherent_overlap,
     fidelity,
     inner_product,
     norm,
@@ -109,6 +119,9 @@ ROUTE_TOL = 1e-9
 #: a success mass above 1 by at most this is rounding and reads 1; above
 #: that it raises GateError
 SUCCESS_TOL = 1e-12
+
+#: qubus block structures whose compiled algebra is kept (_block_algebra)
+BLOCK_CACHE = 64
 
 
 class GateError(ValueError):
@@ -331,8 +344,8 @@ class Scored:
 def _score(
     kind: str,
     values: Sequence[object],
-    probs: Sequence[float],
-    fidelities: Callable[[int], Sequence[float]],
+    probs: Sequence[float] | np.ndarray,
+    fidelities: Callable[[int], Sequence[float] | np.ndarray],
     states: Sequence[tuple[object, float, HybridState]],
 ) -> Scored:
     """Pick the most probable outcome as representative and score all against it.
@@ -349,27 +362,28 @@ def _score(
     """
     p = np.asarray(probs, dtype=float)
     rep = int(np.argmax(p >= (1 - TIE_TOL) * p.max()))
-    fids = fidelities(rep)
-    agree = p[np.asarray(fids) >= 1.0 - AGREEMENT_TOL]
+    fids = np.asarray(fidelities(rep), dtype=float)
+    agree = p[fids >= 1.0 - AGREEMENT_TOL]
     success = float(agree.cumsum()[-1]) if len(agree) else 0.0
     if success > 1.0 + SUCCESS_TOL:
         raise GateError(f"{kind} outcomes that agree hold probability {success!r} > 1")
     success = min(success, 1.0)
-    outcomes = OutcomeTable(kind, values, probs, fids)
-    return Scored(values[rep], states[rep][2], outcomes, min(1.0, *fids), success, states)
+    outcomes = OutcomeTable(kind, values, p.tolist(), fids.tolist())
+    min_fidelity = min(1.0, float(fids.min()))
+    return Scored(values[rep], states[rep][2], outcomes, min_fidelity, success, states)
 
 
 def score_outcomes(kind: str, corrected: list[tuple[object, float, HybridState]]) -> Scored:
     """Score a stage whose corrected states are all built: (value, prob, state) each."""
 
-    def fidelities(rep: int) -> list[float]:
+    def fidelities(rep: int) -> np.ndarray:
         # fidelity(st, ref) for every outcome, and every norm, from one Gram sum
         states = [st for _, _, st in corrected]
         g = _gram_sum(states, states)
         norms = np.sqrt(np.maximum(g.diagonal().real, 0.0))
         if (abs(norms - 1.0) > 1e-8).any():
             raise GateError("an outcome's corrected state is not normalized")
-        return np.minimum(np.abs(g[:, rep]) ** 2, 1.0).tolist()
+        return np.minimum(np.abs(g[:, rep]) ** 2, 1.0)
 
     values = [v for v, _, _ in corrected]
     probs = [p for _, p, _ in corrected]
@@ -445,107 +459,193 @@ def _outcome_route(
     return st if post is None else post.apply(st)
 
 
-def _branch_matrix(
-    s: HybridState, col: int, values: Sequence[complex]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each part's amplitudes over the parts' merged row basis.
+#: every coupled row's amplitude while a block compiles: a power of two, so
+#: dividing it out is exact, and so large that no compiled row is dust
+_COMPILE_AMP = 2.0**600
 
-    Part k holds the rows of s whose qubus column col is values[k]; with
-    that column dropped, rows merge by canonicalize's rule at CANON_TOL.
-    Returns each basis row's qubus values, shape (rows, M − 1), and the
-    (rows × parts) amplitude matrix.
+
+class _Algebra(NamedTuple):
+    """A qubus block's compiled algebra (see _block_algebra).
+
+    A group is one (feed-forward row, disposal value v): the coupled state
+    corrected by the row, projected onto ⟨v| on the disposal beam, post
+    applied and split by measured value into K parts.  R is the number of
+    coupled rows; every array is read-only.
     """
-    qubus = _drop_column(s.qubus, col)
-    part = np.zeros(len(s.amps), int)
-    for k, v in enumerate(values):
-        part[s.qubus[:, col] == v] = k
-    order, new = _runs(s.codes, qubus, CANON_TOL)
-    cells = (new.cumsum() - 1) * len(values) + part[order]
-    size = int(new.sum()) * len(values)
-    amps = s.amps[order]
-    m = np.bincount(cells, amps.real, size) + 1j * np.bincount(cells, amps.imag, size)
-    return qubus.take(order[new], 0), m.reshape(-1, len(values))
+
+    branch: np.ndarray  # (basis, rows·K, R): each feed-forward row's corrected
+    #                     amplitudes over its merged rows (measured beam dropped)
+    #                     and the K measured values, rows side by side
+    group: np.ndarray  # (basis, rows): the group of each basis row's disposal
+    #                    value; -1 pads a row to the largest basis
+    registry: ModeRegistry  # the layout of the part rows
+    codes: np.ndarray  # every group's part rows, sorted by code, then group and part
+    qubus: np.ndarray  # their beam values left
+    cell: np.ndarray  # group·K + part of each part row
+    parts: np.ndarray  # (part rows, R): each part row's amplitude from the coupled ones
+    members: tuple  # each group's part rows, in table order
+    gram: tuple  # (i, j, overlap, cell): the part-row pairs of a group that share
+    #              a code, their beam overlap and their cell (group, k, l) of the
+    #              groups' K×K Gram matrices
+
+
+def _compile_rows(s: HybridState, merge_on: list[int], values: list, measured: int) -> tuple:
+    """The rows of a tagged state (see _block_algebra), merged by
+    canonicalize's rule at CANON_TOL on their code and the beam columns
+    merge_on.  Returns (the first row of each merged row, in canonical order;
+    each row's merged row; each row's part, the index in values of its beam
+    value at column measured; each row's source row and coefficient)."""
+    order, new = _runs(s.codes, s.qubus[:, merge_on], CANON_TOL)
+    merged = np.empty(len(order), int)
+    merged[order] = new.cumsum() - 1
+    index = {v: k for k, v in enumerate(values)}
+    part = np.array([index[v] for v in s.qubus[:, measured].tolist()], int)
+    return order[new], merged, part, s.qubus[:, -1].real.astype(int), s.amps / _COMPILE_AMP
+
+
+@functools.lru_cache(maxsize=BLOCK_CACHE)
+def _block_algebra(
+    reg: ModeRegistry,
+    codes: bytes,
+    qubus: bytes,
+    rows: tuple[tuple[el.ElementOp, ...], ...],
+    measured: int,
+    beam: str,
+    post: FanIn | None,
+) -> _Algebra:
+    """What a qubus block does that does not depend on the amplitudes.
+
+    The coupled state's rows (registry reg, label codes and beam values as
+    bytes, the measured beam at column `measured`), the feed-forward rows,
+    the disposal beam and the post step fix every step of the block but the
+    amplitudes, and every step is linear in them.  So each step runs once,
+    on a tagged copy of the R coupled rows: an extra beam column holds each
+    row's index, which keeps the rows of different sources from merging, and
+    every amplitude is _COMPILE_AMP, so no row is dropped as dust.  Merging
+    the results by canonicalize's rule gives each output row as a fixed
+    combination of coupled rows.  A block meets the same structure call
+    after call, so each is compiled once.
+    """
+    codes = np.frombuffer(codes, np.int64)
+    qubus = np.frombuffer(qubus, complex).reshape(len(codes), -1)
+    n, modes, mode = len(codes), len(reg.qubus_modes), reg.qubus_modes[measured]
+    values = list(dict.fromkeys(qubus[:, measured].tolist()))
+    k = len(values)
+    tag = reg.fresh_qubus("tag")
+    tagged = HybridState._derived(reg.with_qubus(tag), np.full(n, _COMPILE_AMP, complex),
+                                  codes, np.column_stack((qubus, np.arange(n))))
+    idx = reg.qubus_index(beam)
+    unmeasured = [c for c in range(modes) if c != measured]
+    pieces, branches, groups = [], [], []
+    for ops in rows:
+        corrected = el.apply_elements(tagged, ops)
+        first, merged, part, source, coef = _compile_rows(corrected, unmeasured, values, measured)
+        branch = np.zeros((len(first), k, n), complex)
+        np.add.at(branch, (merged, part, source), coef)
+        disposal = corrected.qubus[first, idx].tolist()
+        candidates = list(dict.fromkeys(disposal))
+        branches.append(branch)
+        groups.append([len(pieces) + candidates.index(v) for v in disposal])
+        for v in candidates:
+            kept = _project_onto(corrected, idx, v)
+            if post is not None:
+                kept = post.apply(kept)
+            m = kept.registry.qubus_index(mode)
+            rest = [c for c in range(modes - 1) if c != m]
+            first, merged, part, source, coef = _compile_rows(kept, rest + [m], values, m)
+            a = np.zeros((len(first), n), complex)
+            np.add.at(a, (merged, source), coef)
+            pieces.append((kept.codes[first], kept.qubus[first][:, rest], part[first], a))
+    registry = kept.registry.without_qubus(tag).without_qubus(mode)
+    basis = max(len(b) for b in branches)
+    branch = np.zeros((basis, len(rows), k, n), complex)
+    group = np.full((basis, len(rows)), -1)
+    for r, (b, gs) in enumerate(zip(branches, groups)):
+        branch[: len(b), r], group[: len(gs), r] = b, gs
+    owner = np.repeat(np.arange(len(pieces)), [len(p[0]) for p in pieces])
+    codes, qubus, part, a = (np.concatenate(x) for x in zip(*pieces))
+    order = np.lexsort((part, owner, codes))
+    codes, qubus, part, a, owner = codes[order], qubus[order], part[order], a[order], owner[order]
+    i, j = _pairs(codes, codes)
+    i, j = i[owner[i] == owner[j]], j[owner[i] == owner[j]]
+    gram = (i, j, coherent_overlap(qubus[i], qubus[j]), (owner[i] * k + part[i]) * k + part[j])
+    members = tuple(np.flatnonzero(owner == g) for g in range(len(pieces)))
+    algebra = _Algebra(branch.reshape(basis, -1, n), group, registry, codes, qubus,
+                       owner * k + part, a, members, gram)
+    for x in (*algebra[:2], *algebra[3:7], *members, *gram):
+        x.setflags(write=False)
+    return algebra
 
 
 class _BlockOutputs(Sequence):
     """The corrected outputs of one qubus block: (value, probability, state) each.
 
     Computed from the coupled state and weights of `found` (a FockOutcomes)
-    as the module docstring describes.  The outcomes are grouped by
-    (feed-forward row, disposal value); an outcome's disposal value is the
-    sum-port value of its largest row, read from one (basis × outcomes) array
-    per feed-forward row.
+    through the block's compiled algebra (_block_algebra), as the module
+    docstring describes.  The outcomes are grouped by (feed-forward row,
+    disposal value); an outcome's disposal value is the sum-port value of its
+    largest row, read from one (basis × outcomes) array.  `part_amps` holds
+    the part rows of every group, with canonicalize's dust rule applied;
     `routed` holds the outcomes that went the per-outcome route
-    (_outcome_route): the representative, whose batched state must match it,
-    and every outcome whose disposal value ties with another within TIE_TOL.
+    (_outcome_route): the representative, whose batched state must match
+    it, and every outcome whose disposal value ties with another within
+    TIE_TOL (group -1).
     """
 
-    def __init__(
-        self,
-        found: FockOutcomes,
-        plan: FeedForwardPlan,
-        beam: str,
-        post: FanIn | None,
-    ):
+    def __init__(self, found: FockOutcomes, plan: FeedForwardPlan, beam: str, post: FanIn | None):
         self.found, self.plan, self.beam, self.post = found, plan, beam, post
         self.values = found.values
-        self.probs = found.probabilities.tolist()
+        self.probs = found.probabilities
         self.routed: dict[int, HybridState] = {}
-        self.groups: list[tuple[np.ndarray, list[HybridState]]] = []  # (outcomes, parts)
-        self.group_of = np.full(len(self.values), -1)
-        self.norms = np.zeros(len(self.values))
-        w = found.weights
-        k_col, values = found.mode_index, found.beam_values  # the measured beam
-        plan_rows = plan.row_of(np.array(self.values))
-        for row in range(len(plan.rows)):
-            cols = np.flatnonzero(plan_rows == row)
-            if not len(cols):
-                continue
-            # feed-forward, disposal and post are photonic: each acts on every
-            # part at once, and the parts are split off by their beam value last
-            corrected = plan.correct(found.state, self.values[cols[0]])
-            idx = corrected.registry.qubus_index(beam)
-            basis, m = _branch_matrix(corrected, k_col, values)
-            amps = np.abs(m @ w[:, cols])
-            disposal = basis[:, idx - (k_col < idx)]
-            top = amps.argmax(axis=0)
-            dominant = disposal[top]
-            rivals = np.where(disposal[:, None] != dominant, amps, 0.0).max(axis=0)
-            tied = rivals >= (1 - TIE_TOL) * amps[top, np.arange(len(cols))]
-            for v in dict.fromkeys(dominant[~tied].tolist()):
-                members = cols[~tied & (dominant == v)]
-                kept = _project_onto(corrected, idx, v)
-                if post is not None:
-                    kept = post.apply(kept)
-                parts = _split_by_value(kept, k_col - (idx < k_col), values)[1]
-                self.group_of[members] = len(self.groups)
-                self.groups.append((members, parts))
-            for i in cols[tied].tolist():
-                self.routed[i] = self._route(i)
-        # one Gram sum over every group's parts; each group reads its diagonal block
-        every = [part for _, parts in self.groups for part in parts]
-        g = _gram_sum(every, every) if every else None
-        for j, (members, _) in enumerate(self.groups):
-            block = g[j * len(values) : (j + 1) * len(values), j * len(values) : (j + 1) * len(values)]
-            self.norms[members] = np.sqrt(np.maximum(_quadratic_forms(block, w[:, members]), 0.0))
-
+        st, w = found.state, found.weights
+        self.algebra = alg = _block_algebra(
+            st.registry, st.codes.tobytes(), st.qubus.tobytes(), tuple(map(tuple, plan.rows)),
+            found.mode_index, beam, post,
+        )
+        # the post step is a one-to-one relabelling, so the dust rule of the
+        # projection's canonicalize applies to the part rows as it stands
+        z = alg.parts @ st.amps
+        z[abs(z) < CANON_TOL] = 0.0
+        self.part_amps = z
+        # every group's K×K Gram matrix, and a zero one last for group -1
+        k, size = len(w), (len(alg.members) + 1) * len(w) ** 2
+        i, j, overlap, cell = alg.gram
+        t = z[i].conj() * z[j] * overlap
+        grams = np.bincount(cell, t.real, size) + 1j * np.bincount(cell, t.imag, size)
+        # each outcome's amplitudes over its feed-forward row's basis rows: its
+        # weights sit in its row's block of the product, zeros elsewhere
+        rows, every = plan.row_of(np.array(self.values)), np.arange(len(self.values))
+        blocks = np.zeros((alg.group.shape[1], k, len(rows)), complex)
+        blocks[rows, :, every] = w.T
+        amps = np.abs((alg.branch @ st.amps) @ blocks.reshape(-1, len(rows)))
+        top = amps.argmax(axis=0)
+        groups = alg.group[:, rows]
+        dominant = groups[top, every]
+        rivals = np.where(groups != dominant, amps, 0.0).max(axis=0)
+        tied = rivals >= (1 - TIE_TOL) * amps[top, every]
+        self.group_of = np.where(tied, -1, dominant)
+        # ‖outcome n‖² = wₙᴴ G wₙ with its group's Gram matrix G
+        pairs = (w.conj()[:, None] * w).reshape(k * k, -1)
+        forms = (grams.reshape(-1, k * k) @ pairs)[self.group_of, every].real
+        self.norms = np.where(tied, 1.0, np.sqrt(np.maximum(forms, 0.0)))
+        for n in np.flatnonzero(tied).tolist():
+            self.routed[n] = self._route(n)
 
     def _route(self, i: int) -> HybridState:
         return _outcome_route(self.found[i], self.plan, self.beam, self.post)
 
     def _row(self, i: int) -> HybridState:
-        """Outcome i's normalized output, built from its group's parts."""
-        parts = self.groups[self.group_of[i]][1]
-        scale = (self.found.weights[:, i] / self.norms[i]).tolist()
-        picked = [(c, part) for c, part in zip(scale, parts) if c != 0]
+        """Outcome i's normalized output, built from its group's part rows."""
+        alg = self.algebra
+        rows = alg.members[self.group_of[i]]
+        scale = (self.found.weights[:, i] / self.norms[i])[alg.cell[rows] % len(self.found.weights)]
+        z = self.part_amps[rows]
+        keep = ((z != 0) & (scale != 0)).nonzero()[0]
         return HybridState._rows(
-            parts[0].registry,
-            np.concatenate([part.amps * c for c, part in picked]),
-            np.concatenate([part.codes for _, part in picked]),
-            np.concatenate([part.qubus for _, part in picked]),
+            alg.registry, z[keep] * scale[keep], alg.codes[rows[keep]], alg.qubus[rows[keep]]
         ).canonical()
 
-    def fidelities(self, rep: int) -> list[float]:
+    def fidelities(self, rep: int) -> np.ndarray:
         """Every outcome's fidelity with outcome rep, which goes the per-outcome
         route; a batched representative must match that route."""
         if rep not in self.routed:
@@ -555,16 +655,19 @@ class _BlockOutputs(Sequence):
                 raise GateError(
                     f"batched outcome n={self.values[rep]} disagrees with its per-outcome route"
                 )
-        ref = self.routed[rep]
-        fids = np.empty(len(self))
-        every = [part for _, parts in self.groups for part in parts]
-        overlaps = _gram_sum(every, [ref])[:, 0].reshape(len(self.groups), -1) if every else ()
-        for (members, _), z in zip(self.groups, overlaps):
-            z = z @ self.found.weights[:, members].conj() / self.norms[members]
-            fids[members] = np.minimum(np.abs(z) ** 2, 1.0)
-        for i, st in self.routed.items():
-            fids[i] = fidelity(st, ref)
-        return fids.tolist()
+        ref, alg, w = self.routed[rep], self.algebra, self.found.weights
+        # ⟨part|ref⟩ of every group's parts, paired over the part rows (sorted
+        # by code); group -1 reads the zero row last
+        i, j = _pairs(alg.codes, _recode(ref.codes, ref.registry, alg.registry))
+        t = self.part_amps[i].conj() * ref.amps[j] * coherent_overlap(
+            alg.qubus.take(i, 0), ref.qubus.take(j, 0))
+        cells, size = alg.cell[i], (len(alg.members) + 1) * len(w)
+        overlaps = np.bincount(cells, t.real, size) + 1j * np.bincount(cells, t.imag, size)
+        z = (overlaps.reshape(-1, len(w))[self.group_of].T * w.conj()).sum(axis=0)
+        fids = np.minimum(np.abs(z / self.norms) ** 2, 1.0)
+        for n, st in self.routed.items():
+            fids[n] = fidelity(st, ref)
+        return fids
 
     def __len__(self) -> int:
         return len(self.values)
@@ -572,7 +675,7 @@ class _BlockOutputs(Sequence):
     def __getitem__(self, i: int) -> tuple[object, float, HybridState]:
         i = range(len(self))[i]
         state = self.routed[i] if i in self.routed else self._row(i)
-        return self.values[i], self.probs[i], state
+        return self.values[i], float(self.probs[i]), state
 
 
 def run_qubus_block(
@@ -586,7 +689,11 @@ def run_qubus_block(
     """Couple, measure the difference port, feed forward, dispose of the sum port.
 
     Every Fock outcome above detection.MIN_PROB is enumerated, corrected and
-    scored against the highest-probability outcome (see _BlockOutputs).
+    scored against the highest-probability outcome (see _BlockOutputs).  The
+    coupling and the Fock enumeration run on every call; the rest of the
+    block runs through its algebra, compiled once per coupled-state
+    structure, plan, disposal beam and post (_block_algebra), and checked
+    against the representative's per-outcome route.
     """
     coupled, (b0, b1) = couple_qubus_pair(s, couplings, alpha, theta)
     outputs = _BlockOutputs(fock_outcomes(coupled, b0), plan, b1, post)
