@@ -746,6 +746,9 @@ _BLOCK_RUNS["toffoli-compact"] = ["toffoli", "--layout", "compact"]
 
 @pytest.mark.parametrize("argv", list(_BLOCK_RUNS.values()), ids=list(_BLOCK_RUNS))
 def test_batched_block_matches_outcome_route(argv, monkeypatch, tmp_path):
+    # the second run, on another Haar input, finds the blocks of the first
+    # compiled, and still matches the loop; a later block can meet a new
+    # structure, as its rails follow an earlier stage's representative
     calls = []
     block = g.run_qubus_block
 
@@ -754,10 +757,18 @@ def test_batched_block_matches_outcome_route(argv, monkeypatch, tmp_path):
         return calls[-1][2]
 
     monkeypatch.setattr(g, "run_qubus_block", capture)
-    assert main(["gate", *argv, "--out", str(tmp_path / "r.json")]) == 0
-    assert calls
-    for args, kwargs, got in calls:
-        _assert_block_matches_loop(got, _outcome_loop(*args, **kwargs))
+    for warm, run in enumerate((argv, argv + ["--input", "haar:11"])):
+        calls.clear()
+        before = g._block_algebra.cache_info()
+        assert main(["gate", *run, "--out", str(tmp_path / "r.json")]) == 0
+        after = g._block_algebra.cache_info()
+        assert calls
+        hits, misses = after.hits - before.hits, after.misses - before.misses
+        assert hits + misses == len(calls)
+        if warm:
+            assert hits and misses < len(calls) / 2
+        for args, kwargs, got in calls:
+            _assert_block_matches_loop(got, _outcome_loop(*args, **kwargs))
 
 
 def test_block_with_tied_disposal_values_takes_the_outcome_route(monkeypatch):
@@ -793,3 +804,144 @@ def test_block_tied_for_most_probable_matches_outcome_route(mean):
     got = g.run_qubus_block(s, couplings, alpha, THETA, plan)
     assert got.value in (mean - 1, mean)
     _assert_block_matches_loop(got, _outcome_loop(s, couplings, alpha, THETA, plan))
+
+
+# -- the compiled block algebra ----------------------------------------------
+
+
+def _parity_block(coeffs, alpha=None, theta=THETA, plan=None):
+    """The parity gate's block on photons 1 and 2: (state, couplings, α, θ, plan)."""
+    s = polarization_state(coeffs, [("1", "t1"), ("2", "t2")])
+    s, (rail_b,) = g._open_rails(s, "2", ["t2"], "s")
+    couplings = g.parity_couplings("1", "t1", "2", "t2", rail_b)
+    if plan is None:
+        pi_v1 = el.op("PolPhase", math.pi, photon="1", path="t1", pol="V")
+        plan = g._switch_plan("2", ["t2"], [rail_b], odd_phase=[pi_v1])
+    return s, couplings, alpha or alpha_for_beta2(20.0, theta), theta, plan
+
+
+def _run_compiled(*args, **kwargs):
+    """run_qubus_block, checked against the loop; returns the cache misses it took."""
+    before = g._block_algebra.cache_info().misses
+    got = g.run_qubus_block(*args, **kwargs)
+    _assert_block_matches_loop(got, _outcome_loop(*args, **kwargs))
+    return g._block_algebra.cache_info().misses - before
+
+
+def test_a_block_of_another_structure_misses_the_compiled_cache():
+    g._block_algebra.cache_clear()
+    haar = haar_vec(4, 5)
+    assert _run_compiled(*_parity_block(haar)) == 1
+    assert _run_compiled(*_parity_block(haar_vec(4, 6))) == 0  # same structure
+    assert _run_compiled(*_parity_block([0, 1, 0, 0])) == 1  # a basis input: one row
+    assert _run_compiled(*_parity_block(haar, alpha=alpha_for_beta2(30.0, THETA))) == 1
+    assert _run_compiled(*_parity_block(haar, theta=0.07)) == 1
+    # the same couplings under the parity table of the Entangler
+    sx, sz = el.op("WavePlateX", photon="1", path=None), el.op("WavePlateZ", photon="1", path=None)
+    assert _run_compiled(*_parity_block(haar, plan=g._parity_plan([sx], [sx, sz]))) == 1
+    # C-path-3 in both layouts: a post step, and one coupling fewer
+    s = tensor(polarization_state(haar_vec(4, 7), [("1", "a"), ("2", "t2")]), pol_qubit("3", "t3", 0.6, 0.8))
+    s = el.photon_bs(HybridState(s.registry.with_path("1", "b"), s.branches), "1", "a", "b")
+    calls, block = [], g.run_qubus_block
+
+    def capture(*args, **kwargs):
+        before = g._block_algebra.cache_info().misses
+        got = block(*args, **kwargs)
+        calls.append(g._block_algebra.cache_info().misses - before)
+        _assert_block_matches_loop(got, _outcome_loop(*args, **kwargs))
+        return got
+
+    for layout in ("split", "compact"):
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(g, "run_qubus_block", capture)
+            g.c_path3(s, "1", ("a", "b"), "3", alpha_for_beta2(20.0, THETA), THETA,
+                      layout=layout, witness=("2", "t2", "V"))
+        assert calls == [1], layout
+
+
+def test_the_compiled_cache_is_bounded():
+    info = g._block_algebra.cache_info()
+    assert info.maxsize == g.BLOCK_CACHE
+    s, couplings = pol_qubit("1", "t1", 0.6, 0.8), [g.Coupling(0, "1", "t1", "H")]
+    for beta2 in 20.0 + np.arange(info.maxsize + 1):
+        g.run_qubus_block(s, couplings, alpha_for_beta2(beta2, THETA), THETA, g._parity_plan([], []))
+    assert g._block_algebra.cache_info().currsize == info.maxsize
+
+
+def test_a_corrupted_compiled_block_fails_the_route_check():
+    # parts 0 and 1 of every group swapped on a cache hit: the batched
+    # representative no longer matches its per-outcome route
+    args = _parity_block(haar_vec(4, 5))
+    g.run_qubus_block(*args)
+    coupled, (b0, b1) = g.couple_qubus_pair(*args[:4])
+    found = fock_outcomes(coupled, b0)
+    st = found.state
+    alg = g._block_algebra(st.registry, st.codes.tobytes(), st.qubus.tobytes(),
+                           tuple(map(tuple, args[4].rows)), found.mode_index, b1, None)
+    try:
+        alg.cell.setflags(write=True)
+        alg.cell[:] += np.array([1, -1, 0])[alg.cell % len(found.beam_values)]
+        with pytest.raises(g.GateError, match="disagrees with its per-outcome route"):
+            g.run_qubus_block(*args)
+    finally:
+        g._block_algebra.cache_clear()
+
+
+def _uncompiled_outputs(found, plan, beam, post=None):
+    """Each outcome's batched output as the block builds it without compiling:
+    the coupled state corrected by the outcome's row, projected onto the
+    sum-port value of its largest row (canonicalize drops the dust), post
+    applied, split by measured value and summed with the outcome's weights."""
+    from qubusim.detection import _project_onto, _quadratic_forms, _split_by_value
+    from qubusim.state import _gram_sum
+
+    out = []
+    for i, n in enumerate(found.values):
+        one = plan.correct(found[i].collapsed, n)
+        v = one.qubus[np.argmax(abs(one.amps)), one.registry.qubus_index(beam)]
+        every = plan.correct(found.state, n)
+        kept = _project_onto(every, every.registry.qubus_index(beam), v)
+        if post is not None:
+            kept = post.apply(kept)
+        m = kept.registry.qubus_index(found.state.registry.qubus_modes[found.mode_index])
+        parts = _split_by_value(kept, m, found.beam_values)[1]
+        w = found.weights[:, i]
+        scale = w / np.sqrt(_quadratic_forms(_gram_sum(parts, parts), w[:, None])[0])
+        out.append(HybridState._rows(
+            parts[0].registry,
+            np.concatenate([part.amps * c for c, part in zip(scale, parts) if c != 0]),
+            np.concatenate([part.codes for c, part in zip(scale, parts) if c != 0]),
+            np.concatenate([part.qubus for c, part in zip(scale, parts) if c != 0]),
+        ).canonical())
+    return out
+
+
+def _dusty_block():
+    """One photon on paths a (1e-2), b (bulk) and c (1e-3), all H.  Path b
+    lights the difference port, so n = 0 is mostly a; path c shifts the sum
+    port by 2|d| (|d|² = 12 on the difference port), so projected onto a's
+    value its row is 1e-3·e^{-24} ≈ 4e-14: dust that canonicalize drops,
+    though the n = 0 output would lift it to ~4e-12."""
+    reg = ModeRegistry().with_photon("1", ("a", "b", "c"))
+    amps = {"a": 1e-2, "b": math.sqrt(1 - 1e-4 - 1e-6), "c": 1e-3}
+    s = branch_state(reg, [(x, {"1": (path, "H")}) for path, x in amps.items()])
+    couplings = [g.Coupling(0, "1", "b", "H"), g.Coupling(0, "1", "c", "H"),
+                 g.Coupling(1, "1", "c", "H")]
+    alpha = math.sqrt(12 / (2 * math.sin(THETA / 2) ** 2))
+    return s, couplings, alpha, THETA, g._parity_plan([], [])
+
+
+@pytest.mark.parametrize("block", [_dusty_block, lambda: _parity_block(haar_vec(4, 5))],
+                         ids=["dust", "parity"])
+def test_compiled_outputs_keep_the_rows_of_the_uncompiled_block(block):
+    s, couplings, alpha, theta, plan = block()
+    coupled, (b0, b1) = g.couple_qubus_pair(s, couplings, alpha, theta)
+    found = fock_outcomes(coupled, b0)
+    outputs = g._BlockOutputs(found, plan, b1, None)
+    assert not outputs.routed
+    for i, want in enumerate(_uncompiled_outputs(found, plan, b1)):
+        got = outputs[i][2]
+        assert np.array_equal(got.codes, want.codes), found.values[i]
+        assert np.array_equal(got.qubus, want.qubus)
+        assert np.abs(got.amps - want.amps).max() <= 1e-12
