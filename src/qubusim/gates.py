@@ -487,6 +487,7 @@ class _Algebra(NamedTuple):
     gram: tuple  # (i, j, overlap, cell): the part-row pairs of a group that share
     #              a code, their beam overlap and their cell (group, k, l) of the
     #              groups' K×K Gram matrices
+    cross: tuple  # the entries (k, l), k < l, off the Gram diagonals that a pair fills
 
 
 def _compile_rows(s: HybridState, merge_on: list[int], values: list, measured: int) -> tuple:
@@ -570,8 +571,9 @@ def _block_algebra(
     i, j = i[owner[i] == owner[j]], j[owner[i] == owner[j]]
     gram = (i, j, coherent_overlap(qubus[i], qubus[j]), (owner[i] * k + part[i]) * k + part[j])
     members = tuple(np.flatnonzero(owner == g) for g in range(len(pieces)))
+    cross = tuple(sorted({(int(x), int(y)) for x, y in zip(part[i], part[j]) if x < y}))
     algebra = _Algebra(branch.reshape(basis, -1, n), group, registry, codes, qubus,
-                       owner * k + part, a, members, gram)
+                       owner * k + part, a, members, gram, cross)
     for x in (*algebra[:2], *algebra[3:7], *members, *gram):
         x.setflags(write=False)
     return algebra
@@ -619,14 +621,24 @@ class _BlockOutputs(Sequence):
         blocks[rows, :, every] = w.T
         amps = np.abs((alg.branch @ st.amps) @ blocks.reshape(-1, len(rows)))
         top = amps.argmax(axis=0)
-        groups = alg.group[:, rows]
-        dominant = groups[top, every]
-        rivals = np.where(groups != dominant, amps, 0.0).max(axis=0)
-        tied = rivals >= (1 - TIE_TOL) * amps[top, every]
+        dominant = alg.group[top, rows]
+        # a tie needs a second row within TIE_TOL of the largest: a rival
+        # group is looked for only where there is one
+        bar = (1 - TIE_TOL) * amps[top, every]
+        amps[top, every] = 0.0
+        close = np.flatnonzero(amps.max(axis=0) >= bar)
+        tied = np.zeros(len(rows), bool)
+        if len(close):
+            rival = (amps[:, close] >= bar[close]) & (alg.group[:, rows[close]] != dominant[close])
+            tied[close] = rival.any(axis=0)
         self.group_of = np.where(tied, -1, dominant)
-        # ‖outcome n‖² = wₙᴴ G wₙ with its group's Gram matrix G
-        pairs = (w.conj()[:, None] * w).reshape(k * k, -1)
-        forms = (grams.reshape(-1, k * k) @ pairs)[self.group_of, every].real
+        # ‖outcome n‖² = wₙᴴ G wₙ with its group's Gram matrix G: the diagonal,
+        # plus the entries across parts that some group holds
+        grams = grams.reshape(-1, k, k)
+        diagonal = grams.diagonal(axis1=1, axis2=2).real
+        forms = (diagonal @ (w.real**2 + w.imag**2))[self.group_of, every]
+        for a, b in alg.cross:
+            forms += 2 * (grams[self.group_of, a, b] * w[a].conj() * w[b]).real
         self.norms = np.where(tied, 1.0, np.sqrt(np.maximum(forms, 0.0)))
         for n in np.flatnonzero(tied).tolist():
             self.routed[n] = self._route(n)
@@ -663,7 +675,7 @@ class _BlockOutputs(Sequence):
             alg.qubus.take(i, 0), ref.qubus.take(j, 0))
         cells, size = alg.cell[i], (len(alg.members) + 1) * len(w)
         overlaps = np.bincount(cells, t.real, size) + 1j * np.bincount(cells, t.imag, size)
-        z = (overlaps.reshape(-1, len(w))[self.group_of].T * w.conj()).sum(axis=0)
+        z = (overlaps.reshape(-1, len(w)) @ w.conj())[self.group_of, np.arange(len(self))]
         fids = np.minimum(np.abs(z / self.norms) ** 2, 1.0)
         for n, st in self.routed.items():
             fids[n] = fidelity(st, ref)

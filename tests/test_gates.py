@@ -932,14 +932,25 @@ def _dusty_block():
     return s, couplings, alpha, THETA, g._parity_plan([], [])
 
 
-@pytest.mark.parametrize("block", [_dusty_block, lambda: _parity_block(haar_vec(4, 5))],
-                         ids=["dust", "parity"])
+def _mixing_block():
+    """The parity block with polarization rotations on both photons as its
+    n ≠ 0 correction: rows of the +β and −β parts meet on one label code, so
+    the Gram matrices hold entries across parts."""
+    rot = [el.op("PolRot", 0.3, photon="1", path="t1"), el.op("PolRot", 0.4, photon="2", path="t2")]
+    return _parity_block(haar_vec(4, 5), plan=g._parity_plan(rot, rot))
+
+
+@pytest.mark.parametrize("block", [_dusty_block, lambda: _parity_block(haar_vec(4, 5)),
+                                   _mixing_block], ids=["dust", "parity", "mixing"])
 def test_compiled_outputs_keep_the_rows_of_the_uncompiled_block(block):
     s, couplings, alpha, theta, plan = block()
     coupled, (b0, b1) = g.couple_qubus_pair(s, couplings, alpha, theta)
     found = fock_outcomes(coupled, b0)
     outputs = g._BlockOutputs(found, plan, b1, None)
     assert not outputs.routed
+    assert bool(outputs.algebra.cross) == (block is _mixing_block)
+    _assert_block_matches_loop(g.run_qubus_block(s, couplings, alpha, theta, plan),
+                               _outcome_loop(s, couplings, alpha, theta, plan))
     for i, want in enumerate(_uncompiled_outputs(found, plan, b1)):
         got = outputs[i][2]
         assert np.array_equal(got.codes, want.codes), found.values[i]
