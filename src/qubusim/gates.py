@@ -282,7 +282,7 @@ class FeedForwardPlan:
         row_of: Callable[[object], int],
     ):
         self.labels = [label for label, _ in rows]
-        self.rows = [list(ops) for _, ops in rows]
+        self.rows = tuple(tuple(ops) for _, ops in rows)
         self.row_of = row_of
 
     def correct(self, state: HybridState, value) -> HybridState:
@@ -601,7 +601,7 @@ class _BlockOutputs(Sequence):
         self.routed: dict[int, HybridState] = {}
         st, w = found.state, found.weights
         self.algebra = alg = _block_algebra(
-            st.registry, st.codes.tobytes(), st.qubus.tobytes(), tuple(map(tuple, plan.rows)),
+            st.registry, st.codes.tobytes(), st.qubus.tobytes(), plan.rows,
             found.mode_index, beam, post,
         )
         # the post step is a one-to-one relabelling, so the dust rule of the
@@ -616,7 +616,7 @@ class _BlockOutputs(Sequence):
         grams = np.bincount(cell, t.real, size) + 1j * np.bincount(cell, t.imag, size)
         # each outcome's amplitudes over its feed-forward row's basis rows: its
         # weights sit in its row's block of the product, zeros elsewhere
-        rows, every = plan.row_of(np.array(self.values)), np.arange(len(self.values))
+        rows, every = plan.row_of(found.ns), np.arange(len(self.values))
         blocks = np.zeros((alg.group.shape[1], k, len(rows)), complex)
         blocks[rows, :, every] = w.T
         amps = np.abs((alg.branch @ st.amps) @ blocks.reshape(-1, len(rows)))

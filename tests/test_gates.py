@@ -878,7 +878,7 @@ def test_a_corrupted_compiled_block_fails_the_route_check():
     found = fock_outcomes(coupled, b0)
     st = found.state
     alg = g._block_algebra(st.registry, st.codes.tobytes(), st.qubus.tobytes(),
-                           tuple(map(tuple, args[4].rows)), found.mode_index, b1, None)
+                           args[4].rows, found.mode_index, b1, None)
     try:
         alg.cell.setflags(write=True)
         alg.cell[:] += np.array([1, -1, 0])[alg.cell % len(found.beam_values)]
