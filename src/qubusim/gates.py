@@ -68,7 +68,6 @@ from .detection import (
     FockOutcomes,
     MeasurementRecord,
     _project_onto,
-    _quadratic_forms,
     fock_outcomes,
     presence_outcomes,
     project_qubus_coherent,
@@ -614,8 +613,8 @@ class _BlockOutputs(Sequence):
         i, j, overlap, cell = alg.gram
         t = z[i].conj() * z[j] * overlap
         grams = np.bincount(cell, t.real, size) + 1j * np.bincount(cell, t.imag, size)
-        # each outcome's amplitudes over its feed-forward row's basis rows: its
-        # weights sit in its row's block of the product, zeros elsewhere
+        # each outcome's amplitudes over the basis rows of its feed-forward row
+        # (rows[n]): its weights sit in that row's block, zeros elsewhere
         rows, every = plan.row_of(found.ns), np.arange(len(self.values))
         blocks = np.zeros((alg.group.shape[1], k, len(rows)), complex)
         blocks[rows, :, every] = w.T
@@ -649,8 +648,8 @@ class _BlockOutputs(Sequence):
     def _row(self, i: int) -> HybridState:
         """Outcome i's normalized output, built from its group's part rows."""
         alg = self.algebra
-        rows = alg.members[self.group_of[i]]
-        scale = (self.found.weights[:, i] / self.norms[i])[alg.cell[rows] % len(self.found.weights)]
+        rows, w = alg.members[self.group_of[i]], self.found.weights
+        scale = (w[:, i] / self.norms[i])[alg.cell[rows] % len(w)]
         z = self.part_amps[rows]
         keep = ((z != 0) & (scale != 0)).nonzero()[0]
         return HybridState._rows(

@@ -840,7 +840,8 @@ def test_a_block_of_another_structure_misses_the_compiled_cache():
     sx, sz = el.op("WavePlateX", photon="1", path=None), el.op("WavePlateZ", photon="1", path=None)
     assert _run_compiled(*_parity_block(haar, plan=g._parity_plan([sx], [sx, sz]))) == 1
     # C-path-3 in both layouts: a post step, and one coupling fewer
-    s = tensor(polarization_state(haar_vec(4, 7), [("1", "a"), ("2", "t2")]), pol_qubit("3", "t3", 0.6, 0.8))
+    s = polarization_state(haar_vec(4, 7), [("1", "a"), ("2", "t2")])
+    s = tensor(s, pol_qubit("3", "t3", 0.6, 0.8))
     s = el.photon_bs(HybridState(s.registry.with_path("1", "b"), s.branches), "1", "a", "b")
     calls, block = [], g.run_qubus_block
 
@@ -864,8 +865,9 @@ def test_the_compiled_cache_is_bounded():
     info = g._block_algebra.cache_info()
     assert info.maxsize == g.BLOCK_CACHE
     s, couplings = pol_qubit("1", "t1", 0.6, 0.8), [g.Coupling(0, "1", "t1", "H")]
+    plan = g._parity_plan([], [])
     for beta2 in 20.0 + np.arange(info.maxsize + 1):
-        g.run_qubus_block(s, couplings, alpha_for_beta2(beta2, THETA), THETA, g._parity_plan([], []))
+        g.run_qubus_block(s, couplings, alpha_for_beta2(beta2, THETA), THETA, plan)
     assert g._block_algebra.cache_info().currsize == info.maxsize
 
 
@@ -935,7 +937,8 @@ def _dusty_block():
 def _mixing_block():
     """The parity block with polarization rotations on both photons as its
     n ≠ 0 correction: rows of the +β and −β parts meet on one label code, so
-    the Gram matrices hold entries across parts."""
+    the Gram matrices have cells across parts (whose values vanish, as the
+    rotations are unitary)."""
     rot = [el.op("PolRot", 0.3, photon="1", path="t1"), el.op("PolRot", 0.4, photon="2", path="t2")]
     return _parity_block(haar_vec(4, 5), plan=g._parity_plan(rot, rot))
 
