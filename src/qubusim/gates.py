@@ -344,7 +344,7 @@ def _score(
     kind: str,
     values: Sequence[object],
     probs: Sequence[float] | np.ndarray,
-    fidelities: Callable[[int], Sequence[float] | np.ndarray],
+    fidelities: Callable[[int], np.ndarray],
     states: Sequence[tuple[object, float, HybridState]],
 ) -> Scored:
     """Pick the most probable outcome as representative and score all against it.
@@ -361,7 +361,7 @@ def _score(
     """
     p = np.asarray(probs, dtype=float)
     rep = int(np.argmax(p >= (1 - TIE_TOL) * p.max()))
-    fids = np.asarray(fidelities(rep), dtype=float)
+    fids = fidelities(rep)
     agree = p[fids >= 1.0 - AGREEMENT_TOL]
     success = float(agree.cumsum()[-1]) if len(agree) else 0.0
     if success > 1.0 + SUCCESS_TOL:
