@@ -174,18 +174,16 @@ def fock_distribution(
 class FockOutcomes(Sequence):
     """The Fock outcomes of one beam above MIN_PROB, in increasing n.
 
-    values (also as the array ns), probabilities and weights (the columns
-    ⟨n|α_k⟩ of the pmf table) come from the pmf, so outcome i is
-    Σ_k weights[k, i] ψ_k, the parts ψ_k of state at beam_values[k] on
-    mode_index, without building a state.
+    values, probabilities and weights (the columns ⟨n|α_k⟩ of the pmf table)
+    come from the pmf, so outcome i is Σ_k weights[k, i] ψ_k, the parts ψ_k
+    of state at beam_values[k] on mode_index, without building a state.
     Indexing or iterating collapses the state into outcome i's
     MeasurementRecord, whose probability is the collapsed state's own norm².
     """
 
     def __init__(self, s: HybridState, mode: str, pmf: FockPmf):
         keep = pmf.probs >= MIN_PROB
-        self.ns = pmf.ns[keep]
-        self.values = self.ns.tolist()
+        self.values = pmf.ns[keep].tolist()
         self.probabilities = pmf.probs[keep]
         self.weights = pmf.table[:, keep]
         self.beam_values = pmf.values

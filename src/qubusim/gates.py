@@ -24,10 +24,12 @@ None of that depends on the amplitudes: for one coupled-state structure
 (its registry, label codes and beam values) with one plan, disposal beam
 and post step, the block is compiled once (_block_algebra) into each row's
 map from the coupled amplitudes to its corrected rows, each group's part
-rows as maps of the coupled amplitudes, and the overlaps of those rows.  A
-call still couples and enumerates the Fock outcomes (the MIN_PROB cut and
-the tail check), and then only does array work on its amplitudes: each
-outcome's dominant disposal value and the TIE_TOL tie rule, the parts with
+rows as maps of the coupled amplitudes, and the overlaps of those rows.
+The beam values are part of that structure, so a new α or θ compiles
+afresh: the cache pays off only when a structure repeats.  A call still
+couples and enumerates the Fock outcomes (the MIN_PROB cut and the tail
+check), and then only does array work on its amplitudes: each outcome's
+dominant disposal value and the TIE_TOL tie rule, the parts with
 canonicalize's dust rule on their rows, one K×K Gram matrix per group for
 the norms, and the overlaps with the representative.  An outcome's state is
 built only when read.  The representative, and every outcome whose disposal
@@ -469,24 +471,32 @@ class _Algebra(NamedTuple):
     A group is one (feed-forward row, disposal value v): the coupled state
     corrected by the row, projected onto ⟨v| on the disposal beam, post
     applied and split by measured value into K parts.  R is the number of
-    coupled rows; every array is read-only.
+    coupled rows.  A map is (target, source, coefficient) arrays, one entry
+    per term, so it is linear in R (see _gather); every array is read-only.
     """
 
-    branch: np.ndarray  # (basis, rows·K, R): each feed-forward row's corrected
-    #                     amplitudes over its merged rows (measured beam dropped)
-    #                     and the K measured values, rows side by side
+    branch: tuple  # map onto (basis, rows, K) flattened: each feed-forward row's
+    #                corrected amplitudes over its merged rows (measured beam
+    #                dropped) and the K measured values
     group: np.ndarray  # (basis, rows): the group of each basis row's disposal
     #                    value; -1 pads a row to the largest basis
     registry: ModeRegistry  # the layout of the part rows
     codes: np.ndarray  # every group's part rows, sorted by code, then group and part
     qubus: np.ndarray  # their beam values left
     cell: np.ndarray  # group·K + part of each part row
-    parts: np.ndarray  # (part rows, R): each part row's amplitude from the coupled ones
+    parts: tuple  # map onto the part rows
     members: tuple  # each group's part rows, in table order
     gram: tuple  # (i, j, overlap, cell): the part-row pairs of a group that share
     #              a code, their beam overlap and their cell (group, k, l) of the
     #              groups' K×K Gram matrices
-    cross: tuple  # the entries (k, l), k < l, off the Gram diagonals that a pair fills
+
+
+def _gather(mapping: tuple, amps: np.ndarray, size: int) -> np.ndarray:
+    """A compiled map applied to the coupled amplitudes: Σ coefficient ·
+    amps[source] into each of `size` targets."""
+    target, source, coef = mapping
+    t = coef * amps[source]
+    return np.bincount(target, t.real, size) + 1j * np.bincount(target, t.imag, size)
 
 
 def _compile_rows(s: HybridState, merge_on: list[int], values: list, measured: int) -> tuple:
@@ -523,29 +533,28 @@ def _block_algebra(
     row's index, which keeps the rows of different sources from merging, and
     every amplitude is _COMPILE_AMP, so no row is dropped as dust.  Merging
     the results by canonicalize's rule gives each output row as a fixed
-    combination of coupled rows.  A block meets the same structure call
-    after call, so each is compiled once.
+    combination of coupled rows.  The beam values are part of the key, so a
+    block at a new α or θ compiles afresh; only blocks that repeat their
+    structure (one gate on many inputs) gain from the cache.
     """
     codes = np.frombuffer(codes, np.int64)
     qubus = np.frombuffer(qubus, complex).reshape(len(codes), -1)
     n, modes, mode = len(codes), len(reg.qubus_modes), reg.qubus_modes[measured]
     values = list(dict.fromkeys(qubus[:, measured].tolist()))
-    k = len(values)
+    k, nrows = len(values), len(rows)
     tag = reg.fresh_qubus("tag")
     tagged = HybridState._derived(reg.with_qubus(tag), np.full(n, _COMPILE_AMP, complex),
                                   codes, np.column_stack((qubus, np.arange(n))))
     idx = reg.qubus_index(beam)
     unmeasured = [c for c in range(modes) if c != measured]
-    pieces, branches, groups = [], [], []
-    for ops in rows:
+    pieces, branch, group = [], [], []
+    for r, ops in enumerate(rows):
         corrected = el.apply_elements(tagged, ops)
         first, merged, part, source, coef = _compile_rows(corrected, unmeasured, values, measured)
-        branch = np.zeros((len(first), k, n), complex)
-        np.add.at(branch, (merged, part, source), coef)
+        branch.append(((merged * nrows + r) * k + part, source, coef))
         disposal = corrected.qubus[first, idx].tolist()
         candidates = list(dict.fromkeys(disposal))
-        branches.append(branch)
-        groups.append([len(pieces) + candidates.index(v) for v in disposal])
+        group.append([len(pieces) + candidates.index(v) for v in disposal])
         for v in candidates:
             kept = _project_onto(corrected, idx, v)
             if post is not None:
@@ -553,27 +562,28 @@ def _block_algebra(
             m = kept.registry.qubus_index(mode)
             rest = [c for c in range(modes - 1) if c != m]
             first, merged, part, source, coef = _compile_rows(kept, rest + [m], values, m)
-            a = np.zeros((len(first), n), complex)
-            np.add.at(a, (merged, source), coef)
-            pieces.append((kept.codes[first], kept.qubus[first][:, rest], part[first], a))
+            pieces.append((kept.codes[first], kept.qubus[first][:, rest], part[first],
+                           merged, source, coef))
     registry = kept.registry.without_qubus(tag).without_qubus(mode)
-    basis = max(len(b) for b in branches)
-    branch = np.zeros((basis, len(rows), k, n), complex)
-    group = np.full((basis, len(rows)), -1)
-    for r, (b, gs) in enumerate(zip(branches, groups)):
-        branch[: len(b), r], group[: len(gs), r] = b, gs
-    owner = np.repeat(np.arange(len(pieces)), [len(p[0]) for p in pieces])
-    codes, qubus, part, a = (np.concatenate(x) for x in zip(*pieces))
+    groups = np.full((max(map(len, group)), nrows), -1)
+    for r, gs in enumerate(group):
+        groups[: len(gs), r] = gs
+    sizes = [len(p[0]) for p in pieces]
+    owner = np.repeat(np.arange(len(pieces)), sizes)
+    codes, qubus, part, merged, source, coef = (np.concatenate(x) for x in zip(*pieces))
     order = np.lexsort((part, owner, codes))
-    codes, qubus, part, a, owner = codes[order], qubus[order], part[order], a[order], owner[order]
+    codes, qubus, part, owner = codes[order], qubus[order], part[order], owner[order]
+    # each term's part row: its piece's offset plus its merged row, renumbered by order
+    at = np.empty(len(order), int)
+    at[order] = np.arange(len(order))
+    offsets = np.repeat(np.cumsum([0, *sizes[:-1]]), [len(p[3]) for p in pieces])
     i, j = _pairs(codes, codes)
     i, j = i[owner[i] == owner[j]], j[owner[i] == owner[j]]
     gram = (i, j, coherent_overlap(qubus[i], qubus[j]), (owner[i] * k + part[i]) * k + part[j])
     members = tuple(np.flatnonzero(owner == g) for g in range(len(pieces)))
-    cross = tuple(sorted({(int(x), int(y)) for x, y in zip(part[i], part[j]) if x < y}))
-    algebra = _Algebra(branch.reshape(basis, -1, n), group, registry, codes, qubus,
-                       owner * k + part, a, members, gram, cross)
-    for x in (*algebra[:2], *algebra[3:7], *members, *gram):
+    algebra = _Algebra(tuple(map(np.concatenate, zip(*branch))), groups, registry, codes, qubus,
+                       owner * k + part, (at[offsets + merged], source, coef), members, gram)
+    for x in (*algebra.branch, groups, codes, qubus, algebra.cell, *algebra.parts, *members, *gram):
         x.setflags(write=False)
     return algebra
 
@@ -605,7 +615,7 @@ class _BlockOutputs(Sequence):
         )
         # the post step is a one-to-one relabelling, so the dust rule of the
         # projection's canonicalize applies to the part rows as it stands
-        z = alg.parts @ st.amps
+        z = _gather(alg.parts, st.amps, len(alg.codes))
         z[abs(z) < CANON_TOL] = 0.0
         self.part_amps = z
         # every group's K×K Gram matrix, and a zero one last for group -1
@@ -615,10 +625,11 @@ class _BlockOutputs(Sequence):
         grams = np.bincount(cell, t.real, size) + 1j * np.bincount(cell, t.imag, size)
         # each outcome's amplitudes over the basis rows of its feed-forward row
         # (rows[n]): its weights sit in that row's block, zeros elsewhere
-        rows, every = plan.row_of(found.ns), np.arange(len(self.values))
+        rows, every = plan.row_of(np.asarray(self.values)), np.arange(len(self.values))
         blocks = np.zeros((alg.group.shape[1], k, len(rows)), complex)
         blocks[rows, :, every] = w.T
-        amps = np.abs((alg.branch @ st.amps) @ blocks.reshape(-1, len(rows)))
+        branch = _gather(alg.branch, st.amps, alg.group.size * k).reshape(len(alg.group), -1)
+        amps = np.abs(branch @ blocks.reshape(-1, len(rows)))
         top = amps.argmax(axis=0)
         dominant = alg.group[top, rows]
         # a tie needs a second row within TIE_TOL of the largest: a rival
@@ -631,13 +642,9 @@ class _BlockOutputs(Sequence):
             rival = (amps[:, close] >= bar[close]) & (alg.group[:, rows[close]] != dominant[close])
             tied[close] = rival.any(axis=0)
         self.group_of = np.where(tied, -1, dominant)
-        # ‖outcome n‖² = wₙᴴ G wₙ with its group's Gram matrix G: the diagonal,
-        # plus the entries across parts that some group holds
-        grams = grams.reshape(-1, k, k)
-        diagonal = grams.diagonal(axis1=1, axis2=2).real
-        forms = (diagonal @ (w.real**2 + w.imag**2))[self.group_of, every]
-        for a, b in alg.cross:
-            forms += 2 * (grams[self.group_of, a, b] * w[a].conj() * w[b]).real
+        # ‖outcome n‖² = wₙᴴ G wₙ with its group's Gram matrix G
+        pairs = (w.conj()[:, None] * w[None]).reshape(k * k, -1)
+        forms = (grams.reshape(-1, k * k) @ pairs)[self.group_of, every].real
         self.norms = np.where(tied, 1.0, np.sqrt(np.maximum(forms, 0.0)))
         for n in np.flatnonzero(tied).tolist():
             self.routed[n] = self._route(n)
