@@ -540,50 +540,58 @@ def _block_algebra(
     codes = np.frombuffer(codes, np.int64)
     qubus = np.frombuffer(qubus, complex).reshape(len(codes), -1)
     n, modes, mode = len(codes), len(reg.qubus_modes), reg.qubus_modes[measured]
+    idx = reg.qubus_index(beam)
     values = list(dict.fromkeys(qubus[:, measured].tolist()))
-    k, nrows = len(values), len(rows)
-    tag = reg.fresh_qubus("tag")
+    disposals = {v: c for c, v in enumerate(dict.fromkeys(qubus[:, idx].tolist()))}
+    k, c = len(values), len(disposals)
+    # every feed-forward row corrects a tagged copy, side by side, the row in
+    # beam column `key`, which keeps rows of different copies from merging
+    tag, key = reg.fresh_qubus("tag"), reg.fresh_qubus("key")
     tagged = HybridState._derived(reg.with_qubus(tag), np.full(n, _COMPILE_AMP, complex),
                                   codes, np.column_stack((qubus, np.arange(n))))
-    idx = reg.qubus_index(beam)
-    unmeasured = [c for c in range(modes) if c != measured]
-    pieces, branch, group = [], [], []
-    for r, ops in enumerate(rows):
-        corrected = el.apply_elements(tagged, ops)
-        first, merged, part, source, coef = _compile_rows(corrected, unmeasured, values, measured)
-        branch.append(((merged * nrows + r) * k + part, source, coef))
-        disposal = corrected.qubus[first, idx].tolist()
-        candidates = list(dict.fromkeys(disposal))
-        group.append([len(pieces) + candidates.index(v) for v in disposal])
-        for v in candidates:
-            kept = _project_onto(corrected, idx, v)
-            if post is not None:
-                kept = post.apply(kept)
-            m = kept.registry.qubus_index(mode)
-            rest = [c for c in range(modes - 1) if c != m]
-            first, merged, part, source, coef = _compile_rows(kept, rest + [m], values, m)
-            pieces.append((kept.codes[first], kept.qubus[first][:, rest], part[first],
-                           merged, source, coef))
-    registry = kept.registry.without_qubus(tag).without_qubus(mode)
-    groups = np.full((max(map(len, group)), nrows), -1)
-    for r, gs in enumerate(group):
-        groups[: len(gs), r] = gs
-    sizes = [len(p[0]) for p in pieces]
-    owner = np.repeat(np.arange(len(pieces)), sizes)
-    codes, qubus, part, merged, source, coef = (np.concatenate(x) for x in zip(*pieces))
+    corrected = [el.apply_elements(tagged, ops) for ops in rows]
+    beams = np.concatenate([x.qubus for x in corrected])
+    copy = np.repeat(np.arange(len(rows)), [len(x.amps) for x in corrected])
+    every = HybridState._rows(
+        reg.with_qubus(key).with_qubus(tag), np.concatenate([x.amps for x in corrected]),
+        np.concatenate([x.codes for x in corrected]),
+        np.column_stack((beams[:, :-1], copy, beams[:, -1])))
+    unmeasured = [x for x in range(modes) if x != measured]
+    first, merged, part, source, coef = _compile_rows(every, [*unmeasured, modes], values, measured)
+    # basis row b of feed-forward row r is the b-th merged row of copy r
+    row = every.qubus[first, modes].real.astype(int)
+    by_row = np.argsort(row, kind="stable")
+    place = np.empty(len(row), int)
+    place[by_row] = np.arange(len(row)) - row[by_row].searchsorted(row[by_row])
+    branch = ((place[merged] * len(rows) + row[merged]) * k + part, source, coef)
+    group = np.full((place.max() + 1, len(rows)), -1)
+    group[place, row] = row * c + [disposals[v] for v in every.qubus[first, idx].tolist()]
+    # group r·c + d: row r's copy projected onto disposal value d, all at once
+    d = np.repeat(np.arange(c), len(every.amps))
+    q = np.tile(every.qubus, (c, 1))
+    q[:, modes] = q[:, modes] * c + d
+    kept = _project_onto(HybridState._rows(every.registry, np.tile(every.amps, c),
+                                           np.tile(every.codes, c), q),
+                         idx, np.array(list(disposals))[d, None])
+    if post is not None:
+        kept = post.apply(kept)
+    m, at = kept.registry.qubus_index(mode), kept.registry.qubus_index(key)
+    rest = [x for x in range(modes - 1) if x != m]
+    first, merged, part, source, coef = _compile_rows(kept, [*rest, m, at], values, m)
+    registry = kept.registry.without_qubus(tag).without_qubus(key).without_qubus(mode)
+    codes, qubus, part = kept.codes[first], kept.qubus[first][:, rest], part[first]
+    owner = kept.qubus[first, at].real.astype(int)
     order = np.lexsort((part, owner, codes))
     codes, qubus, part, owner = codes[order], qubus[order], part[order], owner[order]
-    # each term's part row: its piece's offset plus its merged row, renumbered by order
-    at = np.empty(len(order), int)
-    at[order] = np.arange(len(order))
-    offsets = np.repeat(np.cumsum([0, *sizes[:-1]]), [len(p[3]) for p in pieces])
+    renumber = np.empty(len(order), int)
+    renumber[order] = np.arange(len(order))
     i, j = _pairs(codes, codes)
     i, j = i[owner[i] == owner[j]], j[owner[i] == owner[j]]
     gram = (i, j, coherent_overlap(qubus[i], qubus[j]), (owner[i] * k + part[i]) * k + part[j])
-    members = tuple(np.flatnonzero(owner == g) for g in range(len(pieces)))
-    algebra = _Algebra(tuple(map(np.concatenate, zip(*branch))), groups, registry, codes, qubus,
-                       owner * k + part, (at[offsets + merged], source, coef), members, gram)
-    for x in (*algebra.branch, groups, codes, qubus, algebra.cell, *algebra.parts, *members, *gram):
+    members = tuple(np.flatnonzero(owner == g) for g in range(len(rows) * c))
+    algebra = _Algebra(branch, group, registry, codes, qubus, owner * k + part,
+                       (renumber[merged], source, coef), members, gram)
+    for x in (*branch, group, codes, qubus, algebra.cell, *algebra.parts, *members, *gram):
         x.setflags(write=False)
     return algebra
 
