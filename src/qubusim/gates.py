@@ -533,7 +533,10 @@ def _block_algebra(
     row's index, which keeps the rows of different sources from merging, and
     every amplitude is _COMPILE_AMP, so no row is dropped as dust.  Merging
     the results by canonicalize's rule gives each output row as a fixed
-    combination of coupled rows.  The beam values are part of the key, so a
+    combination of coupled rows.  The copies of every feed-forward row, and
+    then of every group, go through the steps side by side in one state, so
+    a compile takes one correction per row and one projection, post step
+    and merge for all groups.  The beam values are part of the key, so a
     block at a new α or θ compiles afresh; only blocks that repeat their
     structure (one gate on many inputs) gain from the cache.
     """
