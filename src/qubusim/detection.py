@@ -29,8 +29,7 @@ from .state import (
     POLS,
     HybridState,
     _drop_column,
-    _gram_sum,
-    _norms,
+    _gram,
     _recode,
     _slot_digits,
     coherent_overlap,
@@ -162,7 +161,7 @@ def fock_distribution(
             f"exceeds the limit {MAX_FOCK_CUTOFF}"
         )
     table = fock_amplitude_table(values, cutoff)
-    probs = _quadratic_forms(_gram_sum(parts, parts), table)
+    probs = _quadratic_forms(_gram(parts), table)
     total = float(probs.sum())
     if not abs(total - 1.0) <= tail_tol:  # a NaN total fails too
         raise MeasurementError(
@@ -213,14 +212,13 @@ def fock_outcomes(s: HybridState, mode: str) -> FockOutcomes:
 def presence_outcomes(s: HybridState, pid: str, paths: Sequence[str]) -> list[MeasurementRecord]:
     """Where the photon is found among the given paths, photon preserved."""
     on = _slot_digits(s, pid) >> 1
-    parts = []
+    out = []
     for path in paths:
         m = (on == s.registry.paths_of(pid).index(path)).nonzero()[0]
-        parts.append(HybridState._derived(s.registry, s.amps[m], s.codes[m], s.qubus.take(m, 0)))
-    out = []
-    for path, part, nrm in zip(paths, parts, _norms(parts)):
-        if nrm**2 >= MIN_PROB:
-            out.append(MeasurementRecord("presence", path, nrm**2, part.normalized()))
+        part = HybridState._derived(s.registry, s.amps[m], s.codes[m], s.qubus.take(m, 0))
+        p = norm(part) ** 2
+        if p >= MIN_PROB:
+            out.append(MeasurementRecord("presence", path, p, part.normalized()))
     return out
 
 

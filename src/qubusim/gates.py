@@ -80,7 +80,8 @@ from .state import (
     H,
     V,
     HybridState,
-    _gram_sum,
+    _binned,
+    _gram,
     _pairs,
     _recode,
     _runs,
@@ -378,9 +379,8 @@ def score_outcomes(kind: str, corrected: list[tuple[object, float, HybridState]]
     """Score a stage whose corrected states are all built: (value, prob, state) each."""
 
     def fidelities(rep: int) -> np.ndarray:
-        # fidelity(st, ref) for every outcome, and every norm, from one Gram sum
-        states = [st for _, _, st in corrected]
-        g = _gram_sum(states, states)
+        # fidelity(st, ref) for every outcome, and every norm, from one Gram matrix
+        g = _gram([st for _, _, st in corrected])
         norms = np.sqrt(np.maximum(g.diagonal().real, 0.0))
         if (abs(norms - 1.0) > 1e-8).any():
             raise GateError("an outcome's corrected state is not normalized")
@@ -495,8 +495,7 @@ def _gather(mapping: tuple, amps: np.ndarray, size: int) -> np.ndarray:
     """A compiled map applied to the coupled amplitudes: Σ coefficient ·
     amps[source] into each of `size` targets."""
     target, source, coef = mapping
-    t = coef * amps[source]
-    return np.bincount(target, t.real, size) + 1j * np.bincount(target, t.imag, size)
+    return _binned(target, coef * amps[source], size)
 
 
 def _compile_rows(s: HybridState, merge_on: list[int], values: list, measured: int) -> tuple:
@@ -632,8 +631,7 @@ class _BlockOutputs(Sequence):
         # every group's K×K Gram matrix, and a zero one last for group -1
         k, size = len(w), (len(alg.members) + 1) * len(w) ** 2
         i, j, overlap, cell = alg.gram
-        t = z[i].conj() * z[j] * overlap
-        grams = np.bincount(cell, t.real, size) + 1j * np.bincount(cell, t.imag, size)
+        grams = _binned(cell, z[i].conj() * z[j] * overlap, size)
         # each outcome's amplitudes over the basis rows of its feed-forward row
         # (rows[n]): its weights sit in that row's block, zeros elsewhere
         rows, every = plan.row_of(np.asarray(self.values)), np.arange(len(self.values))
@@ -690,8 +688,7 @@ class _BlockOutputs(Sequence):
         i, j = _pairs(alg.codes, _recode(ref.codes, ref.registry, alg.registry))
         t = self.part_amps[i].conj() * ref.amps[j] * coherent_overlap(
             alg.qubus.take(i, 0), ref.qubus.take(j, 0))
-        cells, size = alg.cell[i], (len(alg.members) + 1) * len(w)
-        overlaps = np.bincount(cells, t.real, size) + 1j * np.bincount(cells, t.imag, size)
+        overlaps = _binned(alg.cell[i], t, (len(alg.members) + 1) * len(w))
         z = (overlaps.reshape(-1, len(w)) @ w.conj())[self.group_of, np.arange(len(self))]
         fids = np.minimum(np.abs(z / self.norms) ** 2, 1.0)
         for n, st in self.routed.items():

@@ -16,11 +16,14 @@ Rows are kept in canonical order: by code, then by each beam's real and
 imaginary part in mode order.  `Branch` records are built only when
 `branches` is read; its len() builds none.
 
-Rows pair in overlaps when their labels are equal, and every norm, inner
-product and Gram sum finds its pairs in `_pairs`.  When no two bra rows
-share a code (every photon-only canonical state, for one), a norm pairs
-each row with itself and an overlap finds each ket row's one partner in a
-single binary search; otherwise each ket row pairs with a run of bra rows.
+Rows pair in overlaps when their labels are equal, and every `norm`,
+`inner_product` and `_gram` (the Gram matrix of a list of states that share
+a path layout) finds its pairs in `_pairs`.  A readout or a disposal takes
+`norm` of each of its parts; only outcome scoring and the Fock pmf need a
+Gram matrix.  When no two bra rows share a code (every photon-only
+canonical state, for one), a norm pairs each row with itself and an overlap
+finds each ket row's one partner in a single binary search; otherwise each
+ket row pairs with a run of bra rows.
 `scaled` carries a known norm over as |factor|·‖s‖, so a normalized state
 never recomputes it.  Codes move between layouts by `_recode`, whose digit
 tables are compiled once per pair of layouts.
@@ -316,18 +319,6 @@ def coherent_overlap(a, b) -> np.ndarray:
     return np.exp((re + 1j * (a.real * b.imag - a.imag * b.real)).sum(axis=-1))
 
 
-def _stack(states: Sequence[HybridState], reg: ModeRegistry):
-    """amps, codes in reg's layout, qubus and state index (None for one state)
-    of every row of states."""
-    if len(states) == 1:
-        st = states[0]
-        return st.amps, _recode(st.codes, st.registry, reg), st.qubus, None
-    ids = np.repeat(np.arange(len(states)), [len(st.amps) for st in states])
-    codes = [_recode(st.codes, st.registry, reg) for st in states]
-    return (np.concatenate([st.amps for st in states]), np.concatenate(codes),
-            np.concatenate([st.qubus for st in states]), ids)
-
-
 def _pairs(a_codes: np.ndarray, b_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every row pair (i, j) with a_codes[i] == b_codes[j], in ket order; a_codes sorted.
 
@@ -359,33 +350,31 @@ def _overlap(a: HybridState, b: HybridState) -> complex:
     return complex(np.vdot(a.amps[i], b.amps[j] * q))
 
 
-def _gram_sum(bras: Sequence[HybridState], kets: Sequence[HybridState]) -> np.ndarray:
-    """G[k, l] = ⟨bras[k]|kets[l]⟩ = Σ conj(a_i) b_j ⟨q_i|q_j⟩ over row pairs with equal labels.
+def _binned(cells: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """Σ terms into `size` complex bins by cell (one bincount per part)."""
+    return np.bincount(cells, terms.real, size) + 1j * np.bincount(cells, terms.imag, size)
 
-    The bras share one path layout, and the kets are recoded into it; a ket
-    row on a path the bras do not register pairs with nothing.  With the bra
-    rows in code order, `_pairs` finds every pair, and one coherent_overlap
-    call evaluates them all, with or without beams.
+
+def _gram(states: Sequence[HybridState]) -> np.ndarray:
+    """G[k, l] = ⟨states[k]|states[l]⟩ = Σ conj(a_i) a_j ⟨q_i|q_j⟩ over row pairs with equal labels.
+
+    The states share one path layout.  With every row stacked in code order,
+    `_pairs` finds every pair, and one coherent_overlap call evaluates them
+    all, with or without beams.
     """
-    reg = bras[0].registry
-    if any(st.registry._layout != reg._layout for st in bras):
-        raise RegistryError("a Gram sum's bras must share one path layout")
-    a_amps, a_codes, a_q, a_ids = _stack(bras, reg)
-    if len(bras) > 1:
-        order = a_codes.argsort(kind="stable")
-        a_amps, a_codes, a_q, a_ids = a_amps[order], a_codes[order], a_q[order], a_ids[order]
-    # kets pair in any order, so bras that are also the kets serve sorted
-    b_amps, b_codes, b_q, b_ids = (
-        (a_amps, a_codes, a_q, a_ids) if kets is bras else _stack(kets, reg)
-    )
-    i, j = _pairs(a_codes, b_codes)
-    w = a_amps[i].conj() * b_amps[j] * coherent_overlap(a_q.take(i, 0), b_q.take(j, 0))
-    if a_ids is None and b_ids is None:
-        return w.sum().reshape(1, 1)
-    cells = (0 if a_ids is None else a_ids[i] * len(kets)) + (0 if b_ids is None else b_ids[j])
-    size = len(bras) * len(kets)
-    g = np.bincount(cells, w.real, size) + 1j * np.bincount(cells, w.imag, size)
-    return g.reshape(len(bras), len(kets))
+    reg = states[0].registry
+    if any(st.registry._layout != reg._layout for st in states):
+        raise RegistryError("a Gram matrix's states must share one path layout")
+    codes = np.concatenate([st.codes for st in states])
+    order = codes.argsort(kind="stable")
+    codes = codes[order]
+    ids = np.repeat(np.arange(len(states)), [len(st.amps) for st in states])[order]
+    amps = np.concatenate([st.amps for st in states])[order]
+    qubus = np.concatenate([st.qubus for st in states])[order]
+    i, j = _pairs(codes, codes)
+    w = amps[i].conj() * amps[j] * coherent_overlap(qubus.take(i, 0), qubus.take(j, 0))
+    n = len(states)
+    return _binned(ids[i] * n + ids[j], w, n * n).reshape(n, n)
 
 
 def inner_product(a: HybridState, b: HybridState) -> complex:
@@ -408,15 +397,6 @@ def norm(s: HybridState) -> float:
     if s._norm is None:
         s._norm = math.sqrt(max(_overlap(s, s).real, 0.0))
     return s._norm
-
-
-def _norms(states: Sequence[HybridState]) -> list[float]:
-    """‖s‖ of every state from one Gram sum, kept on each state as norm() keeps it."""
-    diagonal = _gram_sum(states, states).diagonal().real.tolist()
-    for st, n2 in zip(states, diagonal):
-        if st._norm is None:
-            st._norm = math.sqrt(max(n2, 0.0))
-    return [st._norm for st in states]
 
 
 def normalize(s: HybridState) -> HybridState:
@@ -562,14 +542,13 @@ def remove_photon(s: HybridState, pid: str) -> HybridState:
     for d in _distinct(digits):
         m = (digits == d).nonzero()[0]
         parts.append(HybridState._derived(reg, s.amps[m], rest[m], s.qubus.take(m, 0)))
-    g = _gram_sum(parts, parts)  # one Gram sum for every norm and overlap below
-    norms = [math.sqrt(max(x, 0.0)) for x in g.diagonal().real.tolist()]
+    norms = [norm(part) for part in parts]
     r = max(range(len(parts)), key=norms.__getitem__)
     total = 0.0
     for k, w in enumerate(norms):
         if w < tol:
             continue
-        if abs(abs(g[r, k]) / (norms[r] * w) - 1.0) > tol:
+        if k != r and abs(abs(_overlap(parts[r], parts[k])) / (norms[r] * w) - 1.0) > tol:
             raise StateError(f"photon {pid!r} is entangled with the rest; cannot remove")
         total += w**2
     return parts[r].scaled(1.0 / norms[r]).scaled(math.sqrt(total)).canonical()

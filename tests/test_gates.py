@@ -896,7 +896,7 @@ def _uncompiled_outputs(found, plan, beam, post=None):
     sum-port value of its largest row (canonicalize drops the dust), post
     applied, split by measured value and summed with the outcome's weights."""
     from qubusim.detection import _project_onto, _quadratic_forms, _split_by_value
-    from qubusim.state import _gram_sum
+    from qubusim.state import _gram
 
     out = []
     for i, n in enumerate(found.values):
@@ -909,7 +909,7 @@ def _uncompiled_outputs(found, plan, beam, post=None):
         m = kept.registry.qubus_index(found.state.registry.qubus_modes[found.mode_index])
         parts = _split_by_value(kept, m, found.beam_values)[1]
         w = found.weights[:, i]
-        scale = w / np.sqrt(_quadratic_forms(_gram_sum(parts, parts), w[:, None])[0])
+        scale = w / np.sqrt(_quadratic_forms(_gram(parts), w[:, None])[0])
         out.append(HybridState._rows(
             parts[0].registry,
             np.concatenate([part.amps * c for c, part in zip(scale, parts) if c != 0]),

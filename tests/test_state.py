@@ -35,7 +35,7 @@ from qubusim import elements as el
 from qubusim import gates
 from qubusim import state as state_mod
 from qubusim.numerics import fock_amplitude
-from qubusim.state import CANON_TOL, _gram_sum, _recode, coherent_overlap
+from qubusim.state import CANON_TOL, _gram, _recode, coherent_overlap
 
 from conftest import haar_vec, two_photon
 
@@ -536,7 +536,7 @@ def state_pairs(draw):
 def _gram_sum_by_runs(bras, kets):
     """G[k, l] with every ket row paired to the run of equal codes in the
     bra, found by two binary searches whatever the codes: the reference for
-    _gram_sum's one-search and self pairings."""
+    the one-search and self pairings of _gram and inner_product."""
     reg = bras[0].registry
     g = np.zeros((len(bras), len(kets)), complex)
     for k, a in enumerate(bras):
@@ -555,9 +555,8 @@ def _gram_sum_by_runs(bras, kets):
 def test_gram_sums_match_pairing_by_runs(pair):
     a, a2, b, c = pair
     scale = max(norm(a), norm(a2), 1.0) * max(norm(b), 1.0)
-    one, both = [a], [a, a2]  # a Gram sum whose kets are its bras pairs them sorted
-    for bras, kets in (([a], [b]), ([b], [a]), (one, one), (both, [b]), ([b], both), (both, both)):
-        assert np.abs(_gram_sum(bras, kets) - _gram_sum_by_runs(bras, kets)).max() <= 1e-12 * scale
+    for states in ([a], [a, a2]):
+        assert np.abs(_gram(states) - _gram_sum_by_runs(states, states)).max() <= 1e-12 * scale
     assert abs(inner_product(a, b) - _gram_sum_by_runs([a], [b])[0, 0]) <= 1e-12 * scale
     assert abs(inner_product(b, a) - _gram_sum_by_runs([b], [a])[0, 0]) <= 1e-12 * scale
     for s in (a, b):
@@ -609,19 +608,19 @@ def test_recode_marks_a_slot_the_target_lacks():
 
 
 def test_normalized_states_keep_their_norm_and_a_stage_takes_one_gram_sum(monkeypatch):
-    calls = []  # a Gram sum is counted by its bra count, a single overlap as "overlap"
-    gram, overlap = state_mod._gram_sum, state_mod._overlap
+    calls = []  # a Gram matrix is counted by its state count, a single overlap as "overlap"
+    gram, overlap = state_mod._gram, state_mod._overlap
 
-    def counted_gram(bras, kets):
-        calls.append(len(bras))
-        return gram(bras, kets)
+    def counted_gram(states):
+        calls.append(len(states))
+        return gram(states)
 
     def counted_overlap(a, b):
         calls.append("overlap")
         return overlap(a, b)
 
-    monkeypatch.setattr(state_mod, "_gram_sum", counted_gram)
-    monkeypatch.setattr(gates, "_gram_sum", counted_gram)
+    monkeypatch.setattr(state_mod, "_gram", counted_gram)
+    monkeypatch.setattr(gates, "_gram", counted_gram)
     monkeypatch.setattr(state_mod, "_overlap", counted_overlap)
     reg = ModeRegistry().with_photon("1", ("a",)).with_qubus("q")
     distinct = HybridState(reg, [Branch(0.6, (("1", "a", "H"),), (1.0,)),
