@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detection import poisson_overlap, probe_peak_mean
+from .detection import MAX_FOCK_CUTOFF, poisson_overlap, probe_peak_mean
 from .numerics import default_fock_cutoff, poisson_pmf
 from .state import random_polarization_state
 from .gates import DEFAULTS, parity_gate
@@ -26,6 +26,19 @@ from .gates import DEFAULTS, parity_gate
 
 class AnalysisError(ValueError):
     pass
+
+
+def _poisson_cutoff(mean: float, name: str, cutoff: int | None = None) -> int:
+    """The last n of a Poisson sum over mean `name`: cutoff, or by default
+    default_fock_cutoff(mean).  A mean that is negative or not finite, or a
+    cutoff above detection.MAX_FOCK_CUTOFF, is an error before any term."""
+    if not (math.isfinite(mean) and mean >= 0):
+        raise AnalysisError(f"{name} must be a finite number >= 0, got {mean!r}")
+    cutoff = default_fock_cutoff(mean) if cutoff is None else cutoff
+    if cutoff > MAX_FOCK_CUTOFF:
+        raise AnalysisError(f"the Poisson sum at {name} = {mean:.6g} needs cutoff {cutoff}, "
+                            f"above the limit {MAX_FOCK_CUTOFF}")
+    return cutoff
 
 
 def beta_squared(alpha: float, theta: float) -> float:
@@ -68,8 +81,7 @@ def error_probability_direct(
     if alpha < 0 or gamma < 0 or not 0.0 <= eta <= 1.0:
         raise AnalysisError("parameters must be positive with eta in [0, 1]")
     b2 = beta_squared(alpha, theta)
-    if cutoff is None:
-        cutoff = default_fock_cutoff(b2)
+    cutoff = _poisson_cutoff(b2, "beta2", cutoff)
     mass = math.fsum(poisson_pmf(b2, n) for n in range(cutoff + 1))
     if 1.0 - mass > 1e-14:
         raise AnalysisError(
@@ -87,6 +99,8 @@ def peak_overlap(gamma: float, theta_probe: float, k1: int, k2: int) -> float:
         raise AnalysisError("peak overlap of a peak with itself")
     mu1 = probe_peak_mean(gamma, theta_probe, k1)
     mu2 = probe_peak_mean(gamma, theta_probe, k2)
+    _poisson_cutoff(mu1, f"probe peak mean mu_{k1}")
+    _poisson_cutoff(mu2, f"probe peak mean mu_{k2}")
     return poisson_overlap(mu1, mu2)
 
 
@@ -113,15 +127,15 @@ class Fig2Data:
 
 
 def fig2_data(gamma: float, theta_probe: float, beta2: float) -> Fig2Data:
-    cutoff = default_fock_cutoff(beta2)
+    cutoff = _poisson_cutoff(beta2, "beta2")
+    means = [probe_peak_mean(gamma, theta_probe, k) for k in range(1, 5)]
+    cutoffs = [_poisson_cutoff(mu, f"probe peak mean mu_{k}") for k, mu in enumerate(means, 1)]
     ns = np.arange(cutoff + 1)
     pmf = np.array([poisson_pmf(beta2, int(n)) for n in ns])
     thr = 1e-4 * pmf.max()
     dominant = np.nonzero(pmf >= thr)[0]
-    means = [probe_peak_mean(gamma, theta_probe, k) for k in range(1, 5)]
     peaks = []
-    for mu in means:
-        c = default_fock_cutoff(mu)
+    for mu, c in zip(means, cutoffs):
         kn = np.arange(c + 1)
         peaks.append((kn, np.array([poisson_pmf(mu, int(n)) for n in kn])))
     return Fig2Data(
@@ -214,7 +228,7 @@ def _pmf(p: dict) -> list[dict]:
     b2 = p["beta2"]
     if b2 is None:
         b2 = beta_squared(p["alpha"], p["theta"])
-    cutoff = default_fock_cutoff(b2)
+    cutoff = _poisson_cutoff(b2, "beta2")
     return [{"n": n, "probability": poisson_pmf(b2, n)} for n in range(cutoff + 1)]
 
 

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from qubusim import analysis as an
+from qubusim import detection
 from qubusim.analysis import (
     AnalysisError,
     SweepSpec,
@@ -16,6 +18,7 @@ from qubusim.analysis import (
     pmf_to_csv,
     run_sweep,
 )
+from qubusim.detection import MAX_FOCK_CUTOFF
 from qubusim.numerics import poisson_pmf
 
 
@@ -69,6 +72,57 @@ def test_direct_in_unit_interval():
 def test_direct_cutoff_error():
     with pytest.raises(AnalysisError, match="tail"):
         error_probability_direct(math.sqrt(4000), 0.05, 100.0, 0.9, 0.05, cutoff=5)
+
+
+@pytest.fixture
+def no_poisson_terms(monkeypatch):
+    """A Poisson term taken anywhere in analysis or detection fails the test."""
+
+    def refuse(mu, n):
+        raise AssertionError(f"Poisson term taken at mean {mu}")
+
+    monkeypatch.setattr(an, "poisson_pmf", refuse)
+    monkeypatch.setattr(detection, "poisson_pmf", refuse)
+
+
+@pytest.mark.parametrize("beta2, match", [
+    (1e9, f"beta2 = 1e\\+09 needs cutoff 1000379484, above the limit {MAX_FOCK_CUTOFF}"),
+    (math.nan, "beta2 must be a finite number >= 0, got nan"),
+    (-1.0, "beta2 must be a finite number >= 0, got -1.0"),
+    (math.inf, "beta2 must be a finite number >= 0, got inf"),
+])
+def test_fig2_data_refuses_beta2_before_any_term(beta2, match, no_poisson_terms):
+    with pytest.raises(AnalysisError, match=match):
+        fig2_data(100.0, 0.05, beta2)
+
+
+def test_fig2_data_refuses_a_too_bright_probe_peak(no_poisson_terms):
+    # gamma = 1e6: mu_1 = 2e12 sin^2(0.025), about 1.25e9
+    with pytest.raises(AnalysisError, match=f"mu_1 = 1.24974e\\+09 .* limit {MAX_FOCK_CUTOFF}"):
+        fig2_data(1e6, 0.05, 20.0)
+
+
+def test_direct_refuses_a_bright_beam_a_nan_mean_or_a_large_cutoff(no_poisson_terms):
+    bright = alpha_for_beta2(1e9, 0.05)
+    for alpha, cutoff, match in (
+        (bright, None, "beta2 = 1e\\+09 needs cutoff"),
+        (math.nan, None, "beta2 must be a finite number >= 0, got nan"),
+        (30.0, MAX_FOCK_CUTOFF + 1, f"cutoff {MAX_FOCK_CUTOFF + 1}, above the limit"),
+    ):
+        with pytest.raises(AnalysisError, match=match):
+            error_probability_direct(alpha, 0.05, 100.0, 0.9, 0.05, cutoff=cutoff)
+
+
+def test_sweep_pmf_refuses_a_too_bright_beam(no_poisson_terms):
+    for grid in ({"beta2": [1e9]}, {"alpha": [1e6]}):
+        with pytest.raises(AnalysisError, match="beta2 = .* above the limit"):
+            run_sweep(SweepSpec("pmf", grid))
+
+
+def test_peak_overlap_refuses_a_bad_or_too_bright_peak(no_poisson_terms):
+    for gamma, match in ((1e6, "mu_1 = .* above the limit"), (math.nan, "mu_1 must be")):
+        with pytest.raises(AnalysisError, match=match):
+            peak_overlap(gamma, 0.05, 1, 2)
 
 
 def test_formula_direct_log_ratio_in_asymptotic_regime():

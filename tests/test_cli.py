@@ -540,6 +540,13 @@ def test_fig2_files_and_peak_means(tmp_path):
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("beta2", ["1e9", "nan", "-1"])
+def test_fig2_refuses_a_bad_or_too_bright_beta2(beta2, tmp_path, capsys):
+    assert main(["fig2", "--beta2", beta2, "--out-prefix", str(tmp_path / "f_")]) == 2
+    assert re.match(r"error: .*beta2", capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_csv(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
