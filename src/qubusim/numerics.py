@@ -58,13 +58,22 @@ def _fock_table(alphas_bytes: bytes, cutoff: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=4)
+#: log(n!)/2 for n = 0..len − 1, read-only; grown to the largest cutoff asked for
+_half_log_fact = np.zeros(0)
+
+
 def _half_log_factorials(cutoff: int) -> np.ndarray:
-    """log(n!)/2 for n = 0..cutoff, read-only: every block at one |β|² needs
-    the same cutoff, so a few cached tables serve a whole run."""
-    table = 0.5 * np.fromiter(map(math.lgamma, range(1, cutoff + 2)), float, cutoff + 1)
-    table.flags.writeable = False
-    return table
+    """log(n!)/2 for n = 0..cutoff, read-only: a slice of one table, so a
+    sweep over |β|² computes each entry once, whatever the order of its
+    cutoffs.  A grown table replaces the old one whole."""
+    global _half_log_fact
+    table = _half_log_fact
+    if len(table) <= cutoff:
+        new = range(len(table) + 1, cutoff + 2)
+        table = np.concatenate((table, 0.5 * np.fromiter(map(math.lgamma, new), float, len(new))))
+        table.flags.writeable = False
+        _half_log_fact = table
+    return table[: cutoff + 1]
 
 
 def poisson_pmf(mu: float, n: int) -> float:

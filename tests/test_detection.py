@@ -18,7 +18,7 @@ from qubusim import (
     tensor,
 )
 from qubusim import elements as el
-from qubusim import gates
+from qubusim import gates, numerics
 from qubusim.detection import (
     MIN_PROB,
     MeasurementError,
@@ -82,6 +82,25 @@ def test_fock_amplitude_table_is_kept_per_exact_key_and_read_only():
         got = fock_amplitude_table([value], 84)[0, 1].imag
         assert math.copysign(1, got) == math.copysign(1, fock_amplitude(1, value).imag)
     assert not fock_distribution(coherent_state(dim), "q").table.flags.writeable
+
+
+def test_half_log_factorials_slice_one_grown_table(monkeypatch):
+    # parity-bright's cutoff, qudit-wide's, then a larger one: each entry is
+    # computed once, and a smaller cutoff after a larger one computes none
+    monkeypatch.setattr(numerics, "_half_log_fact", np.zeros(0))
+    lgamma, calls = math.lgamma, []
+
+    def counted(x):
+        calls.append(x)
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", counted)
+    for cutoff, computed in ((2547, 2548), (84, 0), (3000, 453)):
+        calls.clear()
+        table = numerics._half_log_factorials(cutoff)
+        assert len(calls) == computed
+        assert table.tolist() == [0.5 * lgamma(n + 1) for n in range(cutoff + 1)]
+        assert not table.flags.writeable
 
 
 def test_fock_distribution_vacuum():
