@@ -31,6 +31,7 @@ from qubusim import (
     state_to_dict,
     tensor,
 )
+from qubusim import detection
 from qubusim import elements as el
 from qubusim import gates
 from qubusim import state as state_mod
@@ -472,6 +473,38 @@ def test_remove_photon_rejects_entangled():
         remove_photon(s, "a")
 
 
+def test_remove_photon_split_over_two_paths_beside_a_beam():
+    # photon 1 is H on path a and V on path b; photon 2 and its beam are entangled
+    split = HybridState(ModeRegistry().with_photon("1", ("a", "b")), [
+        Branch(0.6, (("1", "a", "H"),), ()), Branch(0.8j, (("1", "b", "V"),), ())])
+    reg = ModeRegistry().with_photon("2", ("c",)).with_qubus("q")
+    rest = HybridState(reg, [Branch(0.6, (("2", "c", "H"),), (1.0 + 0.5j,)),
+                             Branch(-0.8j, (("2", "c", "V"),), (-1.0 - 0.5j,))])
+    s = tensor(split, rest)
+    out = remove_photon(s, "1")
+    assert out.registry.photons == ("2",) and out.registry.qubus_modes == ("q",)
+    assert fidelity(out, normalize(rest)) >= 1 - 1e-12
+    assert norm(out) == pytest.approx(norm(s), abs=1e-12)
+    assert norm(remove_photon(s.scaled(0.5), "1")) == pytest.approx(0.5 * norm(s), abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.0])
+def test_remove_photon_tied_to_the_rest_only_by_a_beam(alpha):
+    # H rows at +alpha, V rows at -alpha: at |alpha|^2 = 1 the two parts
+    # overlap by e^{-2}, so the photon is entangled; at alpha = 0 it is not
+    reg = ModeRegistry().with_photon("1", ("a",)).with_qubus("q")
+    r = 1 / math.sqrt(2)
+    tied = HybridState(reg, [Branch(r, (("1", "a", "H"),), (alpha,)),
+                             Branch(r, (("1", "a", "V"),), (-alpha,))])
+    s = tensor(tied, pol_qubit("2", "c", 0.6, 0.8))
+    if alpha:
+        with pytest.raises(StateError, match="entangled"):
+            remove_photon(s, "1")
+    else:
+        want = attach_qubus(pol_qubit("2", "c", 0.6, 0.8), "q", 0.0)
+        assert fidelity(remove_photon(s, "1"), want) >= 1 - 1e-12
+
+
 def test_json_snapshot_round_trip():
     s = attach_qubus(two_photon(17), "q", 1.0 + 2.0j)
     doc = state_to_dict(s)
@@ -642,3 +675,29 @@ def test_normalized_states_keep_their_norm_and_a_stage_takes_one_gram_sum(monkey
     assert calls == [3]
     want = [fidelity(st, fresh[0]) for st in fresh]
     assert list(scored.outcomes.fidelities) == pytest.approx(want, abs=1e-12)
+
+
+def test_readouts_take_norms_and_only_scoring_and_the_pmf_take_a_gram_matrix(monkeypatch):
+    calls = []
+    gram = state_mod._gram
+
+    def counted_gram(states):
+        calls.append(len(states))
+        return gram(states)
+
+    for module in (state_mod, detection, gates):
+        monkeypatch.setattr(module, "_gram", counted_gram)
+    split = el.photon_bs(HybridState(ModeRegistry().with_photon("1", ("a", "b")),
+                                     pol_qubit("1", "a", 0.6, 0.8).branches), "1", "a", "b")
+    beam = attach_qubus(pol_qubit("2", "c", 0.6, 0.8), "q", 1.5)
+    s = tensor(tensor(split, beam), polarization_state([1, 0, 0, 0], [("3", "d"), ("4", "e")]))
+    assert len(detection.presence_outcomes(s, "1", ["a", "b"])) == 2
+    assert len(detection.bell_outcomes(s, "3", "4")) == 2
+    assert set(remove_photon(s, "1").registry.photons) == {"2", "3", "4"}
+    assert calls == []
+    detection.fock_distribution(s, "q")
+    assert calls == [1]
+    calls.clear()
+    outcomes = [(path, 0.5, st.normalized()) for path, st in zip("ab", (s, s.scaled(1j)))]
+    gates.score_outcomes("presence", outcomes)
+    assert calls == [2]
