@@ -857,6 +857,7 @@ def _open_rails(
         f = reg.fresh_path(r + suffix)
         fresh.append(f)
         reg = reg.with_path(photon, f)
+    # not _reregistered: bench/workloads._CORE needs this HybridState.__init__ call
     s = HybridState(reg, s.branches)
     for r, f in zip(rails, fresh):
         s = el.photon_bs(s, photon, r, f)

@@ -351,12 +351,12 @@ def _overlap(a: HybridState, b: HybridState) -> complex:
 
 
 def _binned(cells: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
-    """Σ terms into `size` complex bins by cell (one bincount per part)."""
+    """Σ terms into `size` complex bins by cell, real and imaginary parts apart."""
     return np.bincount(cells, terms.real, size) + 1j * np.bincount(cells, terms.imag, size)
 
 
 def _gram(states: Sequence[HybridState]) -> np.ndarray:
-    """G[k, l] = ⟨states[k]|states[l]⟩ = Σ conj(a_i) a_j ⟨q_i|q_j⟩ over row pairs with equal labels.
+    """G[k, l] = ⟨states[k]|states[l]⟩: Σ conj(a_i) a_j ⟨q_i|q_j⟩ over row pairs with equal labels.
 
     The states share one path layout.  With every row stacked in code order,
     `_pairs` finds every pair, and one coherent_overlap call evaluates them
