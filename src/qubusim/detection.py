@@ -8,23 +8,31 @@ analysis module uses.
 Every measurement is enumerated: `*_outcomes` lists each outcome above
 MIN_PROB with its exact probability and collapsed state.  A beam's Fock pmf
 comes from its decomposition into parts, one per distinct beam value α_k:
-outcome n collapses to Σ_k ⟨n|α_k⟩ ψ_k, so P(n) for every n is one array pass
-over a K-row ⟨n|α_k⟩ table and the K×K Gram matrix of the parts.
-`fock_outcomes` returns the kept outcomes as a sequence carrying the state,
-its beam values and the weights; a record, with its collapsed state, is
-built only when an outcome is read.  The corrections that follow an outcome
-are the gates module's FeedForwardPlan tables.
+outcome n collapses to Σ_k ⟨n|α_k⟩ ψ_k, so P(n) = fₙᴴ G fₙ with fₙ the
+column n of a K-row ⟨n|α_k⟩ table and G the K×K Gram matrix of the parts.
+The table is numerics' FockTable, kept per (beam values, cutoff), which also
+holds each column's weight ‖fₙ‖² and the moments Σ_n conj(fₙ) fₙᵀ.  The
+tail check needs only the total Σ_n P(n), one K×K sum against the moments,
+and the array of every P(n) is built only when a caller reads it.
+`fock_outcomes` takes the quadratic form only on a window, the n whose
+weight times tr(G) can reach MIN_PROB (P(n) ≤ tr(G)‖fₙ‖²), so its work
+grows with the outcomes it keeps rather than with the cutoff.  It returns
+the kept outcomes as a sequence carrying the state, its beam values and the
+weights; a record, with its collapsed state, is built only when an outcome
+is read.  The corrections that follow an outcome are the gates module's
+FeedForwardPlan tables.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import default_fock_cutoff, fock_amplitude, fock_amplitude_table, poisson_pmf
+from .numerics import FockTable, default_fock_cutoff, fock_amplitude, fock_table, poisson_pmf
 from .state import (
     POLS,
     HybridState,
@@ -115,15 +123,30 @@ class FockPmf:
     """P(n) of one qubus beam for n = 0..cutoff, with the decomposition behind it.
 
     Unpacks as (ns, probs).  values[k] = α_k are the beam's distinct values,
-    and table[k, n] = ⟨n|α_k⟩, read-only (numerics keeps it for the next
-    beam with the same values); outcome n collapses to Σ_k table[k, n] ψ_k,
-    where ψ_k holds the rows whose beam value is α_k, with the beam removed.
+    and fock is numerics' FockTable of them, whose table[k, n] = ⟨n|α_k⟩ is
+    read-only (numerics keeps it for the next beam with the same values);
+    outcome n collapses to Σ_k table[k, n] ψ_k, where ψ_k holds the rows
+    whose beam value is α_k, with the beam removed, and gram is their K×K
+    Gram matrix.  total = Σ_n P(n), from the table's moments.  The array
+    probs is built when it is first read, ns likewise.
     """
 
-    ns: np.ndarray
-    probs: np.ndarray
     values: tuple[complex, ...]
-    table: np.ndarray
+    fock: FockTable
+    gram: np.ndarray
+    total: float
+
+    @property
+    def table(self) -> np.ndarray:
+        return self.fock.table
+
+    @functools.cached_property
+    def ns(self) -> np.ndarray:
+        return np.arange(self.table.shape[1])
+
+    @functools.cached_property
+    def probs(self) -> np.ndarray:
+        return _quadratic_forms(self.gram, self.table)
 
     def __iter__(self):
         return iter((self.ns, self.probs))
@@ -137,12 +160,15 @@ def fock_distribution(
     The beam takes a few distinct values α_k; ψ_k are the parts of the state
     at each (see FockPmf).  Every n = 0..cutoff comes from one log-domain
     ⟨n|α_k⟩ table with K rows and the K×K Gram matrix G of the parts, as
-    P(n) = fₙᴴ G fₙ; no collapsed state is built.  The cutoff defaults to
-    mean + 12√mean of the largest value's intensity; a mean that is not
-    finite there, or any cutoff above MAX_FOCK_CUTOFF, is an error before
-    the table is allocated.  If the enumerated mass misses 1 by more than
-    tail_tol the cutoff was too small and an error reports the measured tail
-    mass.
+    P(n) = fₙᴴ G fₙ; no collapsed state is built, and the array of every
+    P(n) only when the pmf's probs are read.  The enumerated mass Σ_n P(n)
+    is Σ_jk G_jk M_jk, with the table's moments M_jk = Σ_n conj(⟨n|α_j⟩)
+    ⟨n|α_k⟩: one K×K sum.  The cutoff defaults to mean + 12√mean of the
+    largest value's intensity; a mean that is not finite there, or any
+    cutoff above MAX_FOCK_CUTOFF, is an error before the table is
+    allocated.  If the enumerated mass misses 1 by more than tail_tol (or is
+    not a number) the cutoff was too small and an error reports the
+    measured tail mass.
     """
     idx = s.registry.qubus_index(mode)
     values, parts = _split_by_value(s, idx)
@@ -160,31 +186,58 @@ def fock_distribution(
             f"Fock cutoff {cutoff} for beam mean photon number {mean:.6g} "
             f"exceeds the limit {MAX_FOCK_CUTOFF}"
         )
-    table = fock_amplitude_table(values, cutoff)
-    probs = _quadratic_forms(_gram(parts), table)
-    total = float(probs.sum())
+    fock = fock_table(values, cutoff)
+    gram = _gram(parts)
+    total = float((gram * fock.moments).sum().real)
     if not abs(total - 1.0) <= tail_tol:  # a NaN total fails too
         raise MeasurementError(
             f"Fock cutoff {cutoff} too small: tail mass {max(1.0 - total, 0.0):.3e}"
         )
-    return FockPmf(np.arange(cutoff + 1), probs, tuple(values), table)
+    return FockPmf(tuple(values), fock, gram, total)
+
+
+def _window(pmf: FockPmf) -> tuple[np.ndarray, np.ndarray]:
+    """The n where P(n) can reach MIN_PROB, as an array, and their table columns.
+
+    P(n) = fₙᴴ G fₙ ≤ λ_max(G) ‖fₙ‖² ≤ tr(G) ‖fₙ‖², and ‖fₙ‖² is the
+    table's weights[n], so an outcome above MIN_PROB has weights[n] · tr(G)
+    ≥ MIN_PROB; the window keeps every n with weights[n] · L ≥ MIN_PROB/2,
+    where L is tr(G) rounded up to a power of two ≥ 1.  L keys the window in
+    the table's record, so the states of a run share a few windows.
+    """
+    mantissa, level = math.frexp(float(pmf.gram.trace().real))
+    level = max(level - (mantissa == 0.5), 0)  # 2**level: tr(G) rounded up, at least 1
+    windows = pmf.fock.windows
+    if level not in windows:
+        ns = np.flatnonzero(pmf.fock.weights * math.ldexp(1.0, level) >= MIN_PROB / 2)
+        columns = pmf.table[:, ns]
+        ns.flags.writeable = columns.flags.writeable = False
+        windows[level] = ns, columns
+    return windows[level]
 
 
 class FockOutcomes(Sequence):
     """The Fock outcomes of one beam above MIN_PROB, in increasing n.
 
-    values, probabilities and weights (the columns ⟨n|α_k⟩ of the pmf table)
-    come from the pmf, so outcome i is Σ_k weights[k, i] ψ_k, the parts ψ_k
-    of state at beam_values[k] on mode_index, without building a state.
+    The quadratic form P(n) = fₙᴴ G fₙ is taken only on the pmf's window
+    (_window): the n whose table column could carry MIN_PROB at all, a few
+    hundred around the Poisson peaks of a bright beam out of thousands up
+    to the cutoff.  values (a list) and ns (the same n, an int array),
+    probabilities and weights (the columns ⟨n|α_k⟩ of the pmf table) are
+    those of the kept n, so outcome i is Σ_k weights[k, i] ψ_k, the parts
+    ψ_k of state at beam_values[k] on mode_index, without building a state.
     Indexing or iterating collapses the state into outcome i's
     MeasurementRecord, whose probability is the collapsed state's own norm².
     """
 
     def __init__(self, s: HybridState, mode: str, pmf: FockPmf):
-        keep = pmf.probs >= MIN_PROB
-        self.values = pmf.ns[keep].tolist()
-        self.probabilities = pmf.probs[keep]
-        self.weights = pmf.table[:, keep]
+        ns, columns = _window(pmf)
+        probs = _quadratic_forms(pmf.gram, columns)
+        keep = np.flatnonzero(probs >= MIN_PROB)
+        self.ns = ns.take(keep)
+        self.values = self.ns.tolist()
+        self.probabilities = probs.take(keep)
+        self.weights = columns.take(keep, axis=1)
         self.beam_values = pmf.values
         self.state = s
         self.mode_index = s.registry.qubus_index(mode)

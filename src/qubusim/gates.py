@@ -39,9 +39,11 @@ so the compiled algebra is checked on every call.
 
 The parity gate and the C-path family share one rail-routing block: a fresh
 rail opens beside each target rail with a 50:50 split, and even n switches
-the rails while odd n adds a π phase.  C-path is C-path-2 on a one-rail
-target, and likewise Entangler-1, Entangler-2 and Merging are entangler4,
-entangler3 and merging_n at two rails, whose reports take the two-rail names.
+the rails while odd n adds a π phase; the splits and the plan are built once
+per layout (photon, rails, fresh rails) and shared, as both are immutable.
+C-path is C-path-2 on a one-rail target, and likewise Entangler-1,
+Entangler-2 and Merging are entangler4, entangler3 and merging_n at two
+rails, whose reports take the two-rail names.
 pbs_fan_out / pbs_fan_in move a rail's V component to a fresh rail
 as H and back; C-path-3 and the qudit unitaries use them.
 
@@ -84,6 +86,7 @@ from .state import (
     _gram,
     _pairs,
     _recode,
+    _reregistered,
     _runs,
     attach_qubus,
     coherent_overlap,
@@ -283,7 +286,7 @@ class FeedForwardPlan:
         rows: Sequence[tuple[str, Sequence[el.ElementOp]]],
         row_of: Callable[[object], int],
     ):
-        self.labels = [label for label, _ in rows]
+        self.labels = tuple(label for label, _ in rows)
         self.rows = tuple(tuple(ops) for _, ops in rows)
         self.row_of = row_of
 
@@ -634,7 +637,7 @@ class _BlockOutputs(Sequence):
         grams = _binned(cell, z[i].conj() * z[j] * overlap, size)
         # each outcome's amplitudes over the basis rows of its feed-forward row
         # (rows[n]): its weights sit in that row's block, zeros elsewhere
-        rows, every = plan.row_of(np.asarray(self.values)), np.arange(len(self.values))
+        rows, every = plan.row_of(found.ns), np.arange(len(self.values))
         blocks = np.zeros((alg.group.shape[1], k, len(rows)), complex)
         blocks[rows, :, every] = w.T
         branch = _gather(alg.branch, st.amps, alg.group.size * k).reshape(len(alg.group), -1)
@@ -846,10 +849,11 @@ def entangler4_couplings(anc: str, anc_path: str, qudit: str, rails: Sequence[st
 
 def _open_rails(
     s: HybridState, photon: str, rails: Sequence[str], suffix: str
-) -> tuple[HybridState, list[str]]:
+) -> tuple[HybridState, tuple[str, ...]]:
     """Open a fresh rail beside each of the photon's rails and 50:50-split onto it.
 
-    Rail r's fresh rail is r+suffix (made unique); returns the state and them in order.
+    Rail r's fresh rail is r+suffix (made unique); returns the state and them
+    in order.  The splits run as one compiled slot-map run (_splits).
     """
     reg = s.registry
     fresh = []
@@ -859,22 +863,35 @@ def _open_rails(
         reg = reg.with_path(photon, f)
     # not _reregistered: bench/workloads._CORE needs this HybridState.__init__ call
     s = HybridState(reg, s.branches)
-    for r, f in zip(rails, fresh):
-        s = el.photon_bs(s, photon, r, f)
-    return s, fresh
+    fresh = tuple(fresh)
+    return el.apply_elements(s, _splits(photon, tuple(rails), fresh)), fresh
 
 
+@functools.lru_cache(maxsize=64)
+def _splits(photon: str, rails: tuple[str, ...], fresh: tuple[str, ...]) -> tuple[el.ElementOp, ...]:
+    """The 50:50 PhotonBS of each rail with its fresh partner, built once per layout."""
+    return tuple(el.op("PhotonBS", photon=photon, path_a=r, path_b=f) for r, f in zip(rails, fresh))
+
+
+@functools.lru_cache(maxsize=64)
 def _switch_plan(
-    photon: str, rails: Sequence[str], fresh: Sequence[str], odd_phase: list | None = None
+    photon: str,
+    rails: tuple[str, ...],
+    fresh: tuple[str, ...],
+    odd_phase: tuple[str, str] | None = None,
 ) -> FeedForwardPlan:
     """Even n switches every rail with its fresh partner; odd n also needs a π.
 
     The π goes on the original rails after the switches, unless odd_phase
-    gives it (the parity gate's π on photon 1's V), which then goes first.
+    names a (photon, path) whose V takes it (the parity gate's π on photon
+    1's V), which then goes first.  A plan is immutable, so each layout's is
+    built once and shared.
     """
     switches = [el.op("PathSwitch", photon=photon, path_a=r, path_b=f) for r, f in zip(rails, fresh)]
     if odd_phase is not None:
-        return _parity_plan(switches, odd_phase + switches)
+        pid, path = odd_phase
+        return _parity_plan(switches, [el.op("PolPhase", math.pi, photon=pid, path=path, pol=V)]
+                            + switches)
     pis = [el.op("PolPhase", math.pi, photon=photon, path=r, pol=None) for r in rails]
     return _parity_plan(switches, switches + pis)
 
@@ -902,7 +919,7 @@ def pbs_fan_in(
     for r, f in zip(rails, fresh):
         s = el.wave_plate(s, photon, f, "x")
         s = el.pbs_merge(s, photon, r, f, r)
-        s = HybridState(s.registry.without_path(photon, f), s.branches)
+        s = _reregistered(s, s.registry.without_path(photon, f))
     return s
 
 
@@ -929,8 +946,7 @@ def parity_gate(
     s, (rail_b,) = _open_rails(s, photon2, [rail_a], "s")
 
     couplings = parity_couplings(photon1, p1_path, photon2, rail_a, rail_b)
-    pi_v1 = el.op("PolPhase", math.pi, photon=photon1, path=p1_path, pol=V)
-    plan = _switch_plan(photon2, [rail_a], [rail_b], odd_phase=[pi_v1])
+    plan = _switch_plan(photon2, (rail_a,), (rail_b,), odd_phase=(photon1, p1_path))
 
     block = run_qubus_block(s, couplings, alpha, theta, plan)
     report = _block_report(
@@ -959,12 +975,12 @@ def _route_rails(
     """C-path on every rail of the target: control H keeps the rails, control
     V moves the photon to the fresh rail beside each."""
     c_path_ = _require_single_path(s, control)
-    rails = list(rails)
+    rails = tuple(rails)
     s, fresh = _open_rails(s, target, rails, suffix)
     couplings = c_path2_couplings(control, c_path_, target, rails, fresh)
     plan = _switch_plan(target, rails, fresh)
     block = run_qubus_block(s, couplings, alpha, theta, plan)
-    return block.state, _block_report(name, block, couplings, plan, rails=tuple(rails + fresh))
+    return block.state, _block_report(name, block, couplings, plan, rails=rails + fresh)
 
 
 def c_path(
@@ -1033,7 +1049,7 @@ def c_path3(
     couplings = c_path3_couplings(
         control, first, first_aux, second, target, rail1, rail2, layout, witness
     )
-    plan = _switch_plan(target, [rail1], [rail2])
+    plan = _switch_plan(target, (rail1,), (rail2,))
     unsplit = FanIn(control, (first,), (first_aux,)) if layout == "split" else None
     block = run_qubus_block(s, couplings, alpha, theta, plan, post=unsplit)
     report = _block_report(
@@ -1073,7 +1089,7 @@ def disentangler(
     def merge(st: HybridState) -> HybridState:
         st = el.pbs_pm_merge(st, control, arm_p, arm_m, path)
         reg = st.registry.without_path(control, arm_p).without_path(control, arm_m)
-        return HybridState(reg, st.branches)
+        return _reregistered(st, reg)
 
     records = presence_outcomes(split, control, [arm_p, arm_m])
     scored = score_outcomes("presence", correct_outcomes(records, plan, merge))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,22 +26,38 @@ def fock_amplitude(n: int, alpha: complex) -> complex:
     return cmath.exp(complex(log_mag, phase))
 
 
-def fock_amplitude_table(alphas: Sequence[complex], cutoff: int) -> np.ndarray:
-    """⟨n|α_b⟩ for every α_b and n = 0..cutoff, shape (len(alphas), cutoff + 1).
+class FockTable(NamedTuple):
+    """⟨n|α_k⟩ for every beam value α_k and n = 0..cutoff, with the sums over n
+    that a beam's pmf needs; every array is read-only.
+
+    weights[n] = Σ_k |⟨n|α_k⟩|² bounds what column n can give a state's
+    P(n), and moments[j, k] = Σ_n conj(⟨n|α_j⟩) ⟨n|α_k⟩ gives the pmf's
+    total mass in one K×K sum.  windows is the callers' cache of column
+    subsets of table, by their own key.
+    """
+
+    table: np.ndarray
+    weights: np.ndarray
+    moments: np.ndarray
+    windows: dict
+
+
+def fock_table(alphas: Sequence[complex], cutoff: int) -> FockTable:
+    """The FockTable of the α_k up to cutoff; table[k, n] = ⟨n|α_k⟩.
 
     The same log-domain formula as fock_amplitude, one array pass; a row
-    with α = 0 is exactly δ_n0.  The table is read-only and kept for the
-    next call with the same α_b, bit for bit, and cutoff: every block of a
-    run at one |β|² measures the same beam values.
+    with α = 0 is exactly δ_n0.  The record is kept for the next call with
+    the same α_k, bit for bit, and cutoff: every block of a run at one |β|²
+    measures the same beam values.
     """
     alphas = np.asarray(alphas, dtype=complex)
     return _fock_table(alphas.tobytes(), cutoff)
 
 
 @functools.lru_cache(maxsize=1)
-def _fock_table(alphas_bytes: bytes, cutoff: int) -> np.ndarray:
-    """fock_amplitude_table keyed by the α_b's bytes, so that values which
-    compare equal but differ in the sign of a zero keep their own tables."""
+def _fock_table(alphas_bytes: bytes, cutoff: int) -> FockTable:
+    """fock_table keyed by the α_k's bytes, so that values which compare
+    equal but differ in the sign of a zero keep their own tables."""
     alphas = np.frombuffer(alphas_bytes, dtype=complex)
     a2 = alphas.real**2 + alphas.imag**2
     vacuum = a2 == 0.0
@@ -54,8 +70,11 @@ def _fock_table(alphas_bytes: bytes, cutoff: int) -> np.ndarray:
     np.exp(table, out=table)
     table[vacuum] = 0.0
     table[vacuum, 0] = 1.0
-    table.flags.writeable = False
-    return table
+    weights = (table.real**2 + table.imag**2).sum(axis=0)
+    moments = table.conj() @ table.T
+    for x in (table, weights, moments):
+        x.flags.writeable = False
+    return FockTable(table, weights, moments, {})
 
 
 #: log(n!)/2 for n = 0..len − 1, read-only; grown to the largest cutoff asked for

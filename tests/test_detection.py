@@ -1,5 +1,6 @@
 """Measurement chain: Fock projection, probe peaks, presence, Bell, disposal."""
 
+import cmath
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from qubusim import (
     tensor,
 )
 from qubusim import elements as el
-from qubusim import gates, numerics
+from qubusim import detection, gates, numerics
 from qubusim.detection import (
     MIN_PROB,
     MeasurementError,
@@ -32,7 +33,7 @@ from qubusim.detection import (
     project_qubus_coherent,
 )
 from qubusim.gates import couple_qubus_pair, parity_couplings
-from qubusim.numerics import default_fock_cutoff, fock_amplitude, fock_amplitude_table, poisson_pmf
+from qubusim.numerics import default_fock_cutoff, fock_amplitude, fock_table, poisson_pmf
 
 from conftest import alpha_for, haar_vec, THETA
 
@@ -70,16 +71,20 @@ def test_fock_amplitude_table_is_kept_per_exact_key_and_read_only():
         ((0j, 1j * dim, -1j * dim), default_fock_cutoff(20.0)),
     ]
     for values, cutoff in keys + keys[::-1] + keys:
-        table = fock_amplitude_table(values, cutoff)
+        table = fock_table(values, cutoff).table
         want = [[fock_amplitude(n, a) for n in range(cutoff + 1)] for a in values]
         np.testing.assert_allclose(table, want, rtol=1e-9, atol=0)
         assert table[0, 0] == 1 and not table[0, 1:].any()
         with pytest.raises(ValueError, match="read-only"):
             table[1, 1] = 0
+        record = fock_table(values, cutoff)
+        np.testing.assert_allclose(record.weights, (abs(table) ** 2).sum(axis=0), rtol=1e-15)
+        np.testing.assert_allclose(record.moments, table.conj() @ table.T, rtol=0, atol=1e-15)
+        assert not (record.weights.flags.writeable or record.moments.flags.writeable)
     # -dim + 0j == -dim - 0j, but their phases are +pi and -pi: each keeps its own table
     for im in (0.0, -0.0, 0.0):
         value = complex(-dim, im)
-        got = fock_amplitude_table([value], 84)[0, 1].imag
+        got = fock_table([value], 84).table[0, 1].imag
         assert math.copysign(1, got) == math.copysign(1, fock_amplitude(1, value).imag)
     assert not fock_distribution(coherent_state(dim), "q").table.flags.writeable
 
@@ -182,6 +187,100 @@ def test_fock_pmf_matches_collapsed_norms(case, monkeypatch):
 def test_fock_distribution_rejects_nan_amplitude():
     with pytest.raises(MeasurementError, match="tail"):
         fock_distribution(coherent_state(complex(math.nan, 0.0)), "q", cutoff=30)
+
+
+def _beam_state(beta2, extra, seed):
+    """Photon 1 over four labels, a measured beam q at |β|² = beta2 and
+    `extra` more beams: seven rows, whose q values are 0 (the vacuum branch),
+    ±β, iβ and β·e^{0.3i}, so labels meet several values."""
+    rng = np.random.default_rng(seed)
+    reg = ModeRegistry().with_photon("1", ("a", "b")).with_qubus("q")
+    for k in range(extra):
+        reg = reg.with_qubus(f"r{k}")
+    labels = [(("1", path, pol),) for path in "ab" for pol in "HV"]
+    b = math.sqrt(beta2)
+    values = [0, b, -b, 1j * b, b * cmath.exp(0.3j), -b, b]
+    rows = []
+    for i, value in enumerate(values):
+        others = tuple(complex(*rng.standard_normal(2)) for _ in range(extra))
+        amp = complex(*rng.standard_normal(2))
+        rows.append(Branch(amp, labels[i % 4], (complex(value),) + others))
+    return normalize(HybridState(reg, rows))
+
+
+def _cancelling_state():
+    """Two rows on one label whose beam values nearly agree, with opposite
+    amplitudes: the parts are ~100 times the state's norm, so tr(G) ≈ 2e4
+    and P(n) exceeds the summed weights ‖fₙ‖² in the tails."""
+    reg = ModeRegistry().with_photon("1", ("a",)).with_qubus("q")
+    h = (("1", "a", "H"),)
+    return normalize(HybridState(reg, [Branch(1.0, h, (20.0 + 0j,)), Branch(-1.0, h, (20.01 + 0j,))]))
+
+
+def _assert_window_matches_pmf(s, mode, total_tol=1e-13):
+    pmf = fock_distribution(s, mode)
+    found = fock_outcomes(s, mode)
+    ns, probs = pmf
+    keep = probs >= MIN_PROB
+    assert found.values == ns[keep].tolist()
+    assert found.ns.tolist() == found.values and found.ns.dtype.kind == "i"
+    np.testing.assert_allclose(found.probabilities, probs[keep], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(found.weights, pmf.table[:, keep], rtol=0, atol=1e-15)
+    assert abs(pmf.total - probs.sum()) <= total_tol
+    return pmf
+
+
+@pytest.mark.parametrize("beta2", [1e-3, 0.5, 4.0, 20.0, 200.0, 2000.0, 20000.0])
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_windowed_outcomes_match_the_full_pmf(beta2, extra):
+    # the outcomes taken on the window are those of the full pmf above MIN_PROB
+    _assert_window_matches_pmf(_beam_state(beta2, extra, seed=int(beta2 * 10) + extra), "q")
+
+
+def test_windowed_outcomes_scale_the_bound_by_the_gram_trace():
+    # parts far larger than the state: the window must widen by tr(G)
+    # (both totals round at about tr(G)·1e-16, so they agree to tr(G)·1e-15)
+    s = _cancelling_state()
+    trace = fock_distribution(s, "q").gram.trace().real
+    assert trace > 1e4
+    pmf = _assert_window_matches_pmf(s, "q", total_tol=trace * 1e-15)
+    probs, weights = pmf.probs, pmf.fock.weights
+    assert ((probs >= MIN_PROB) & (weights < MIN_PROB / 2)).any()
+
+
+def test_windowed_outcomes_reject_a_nan_amplitude():
+    s = _beam_state(20.0, 1, seed=3)
+    bad = HybridState._derived(s.registry, np.where(np.arange(len(s.amps)) == 2, np.nan, s.amps),
+                               s.codes, s.qubus)
+    for measure in (fock_distribution, fock_outcomes):
+        with pytest.raises(MeasurementError, match="tail"):
+            measure(bad, "q")
+
+
+def test_bright_outcomes_take_the_quadratic_form_on_the_window_only(monkeypatch):
+    # at |β|² = 2000 the pmf has 2548 columns; the kept outcomes need the
+    # quadratic form only where tr(G)·‖fₙ‖² can reach MIN_PROB, and the full
+    # pmf is never built
+    s, (mode, _) = parity_premeasure(beta2=2000.0)
+    columns = []
+    forms = detection._quadratic_forms
+
+    def counted(g, f):
+        columns.append(f.shape[1])
+        return forms(g, f)
+
+    monkeypatch.setattr(detection, "_quadratic_forms", counted)
+    found = fock_outcomes(s, mode)
+    idx = s.registry.qubus_index(mode)
+    values, parts = detection._split_by_value(s, idx)
+    cutoff = default_fock_cutoff(max(abs(a) ** 2 for a in values))
+    assert cutoff + 1 == 2548
+    # the rule's slack: tr(G) rounded up to a power of two is below 2·max(tr(G), 1)
+    level = 2 * max(sum(norm(part) ** 2 for part in parts), 1.0)
+    weights = [sum(abs(fock_amplitude(n, a)) ** 2 for a in values) for n in range(cutoff + 1)]
+    allowed = sum(w * level >= MIN_PROB / 2 for w in weights)
+    assert len(found) == 627
+    assert sum(columns) <= min(700, allowed), columns
 
 
 def test_fock_distribution_rejects_too_bright_beam():

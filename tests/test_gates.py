@@ -13,6 +13,7 @@ from qubusim import (
     amplitude_of,
     bell_state,
     fidelity,
+    normalize,
     plus_photon,
     pol_qubit,
     polarization_state,
@@ -628,6 +629,57 @@ def test_feedforward_plan_picks_row_by_parity():
     ]
 
 
+def _three_rail_state():
+    """Photon 2 over rails r1, r2 and r3 (and a path x in no row), photon 1 on
+    t1 and a beam: rows on every rail and polarization."""
+    reg = ModeRegistry().with_photon("1", ("t1",)).with_photon("2", ("r1", "r2", "r3", "x"))
+    rng = np.random.default_rng(4)
+    rows = [
+        Branch(complex(*rng.standard_normal(2)), (("1", "t1", p1), ("2", rail, p2)), (v,))
+        for p1 in "HV" for rail in ("r1", "r2", "r3") for p2 in "HV" for v in (0.5 + 0j, -1j)
+    ]
+    return normalize(HybridState(reg.with_qubus("q"), rows))
+
+
+@pytest.mark.parametrize("layout", ["one-rail", "three-rail", "two-of-three-rails"])
+def test_open_rails_matches_the_per_element_split(layout):
+    # the compiled run of the rail splits gives the rows of one photon_bs per rail, bit for bit
+    if layout == "one-rail":
+        s, rails = two_photon(7), ["t2"]
+    else:
+        s = _three_rail_state()
+        rails = ["r1", "r2", "r3"] if layout == "three-rail" else ["r3", "r1"]
+    got, fresh = g._open_rails(s, "2", rails, "s")
+    reg = s.registry
+    for f in fresh:
+        reg = reg.with_path("2", f)
+    want = HybridState(reg, s.branches)
+    for r, f in zip(rails, fresh):
+        want = el.photon_bs(want, "2", r, f)
+    assert got.registry == want.registry
+    assert np.array_equal(got.codes, want.codes) and np.array_equal(got.qubus, want.qubus)
+    assert np.array_equal(got.amps, want.amps)
+
+
+def test_cached_plans_do_not_leak_into_the_next_report(alpha20):
+    # a caller that edits one report's feed-forward table leaves the next call's alone
+    calls = [
+        lambda: g.parity_gate(two_photon(3), "1", "2", alpha20),
+        lambda: g.c_path(two_photon(3), "1", "2", alpha20),
+    ]
+    for call in calls:
+        want = call()[1].to_dict()["feedforward"]
+        _, rep = call()
+        table = rep.to_dict()["feedforward"]
+        table[2]["ops"][0]["targets"]["photon"] = "edited"
+        table[2]["ops"].append({"kind": "edited"})
+        table.clear()
+        rep.feedforward[1][1][0]["kind"] = "edited"
+        rep.feedforward[2][1].clear()
+        rep.feedforward.clear()
+        assert call()[1].to_dict()["feedforward"] == want
+
+
 def _expected_bell_rows(sx, sz):
     return [("phi+", []), ("phi-", sz), ("psi+", sx), ("psi-", sx + sz)]
 
@@ -815,8 +867,7 @@ def _parity_block(coeffs, alpha=None, theta=THETA, plan=None):
     s, (rail_b,) = g._open_rails(s, "2", ["t2"], "s")
     couplings = g.parity_couplings("1", "t1", "2", "t2", rail_b)
     if plan is None:
-        pi_v1 = el.op("PolPhase", math.pi, photon="1", path="t1", pol="V")
-        plan = g._switch_plan("2", ["t2"], [rail_b], odd_phase=[pi_v1])
+        plan = g._switch_plan("2", ("t2",), (rail_b,), odd_phase=("1", "t1"))
     return s, couplings, alpha or alpha_for_beta2(20.0, theta), theta, plan
 
 
