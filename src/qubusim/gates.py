@@ -868,7 +868,9 @@ def _open_rails(
 
 
 @functools.lru_cache(maxsize=64)
-def _splits(photon: str, rails: tuple[str, ...], fresh: tuple[str, ...]) -> tuple[el.ElementOp, ...]:
+def _splits(
+    photon: str, rails: tuple[str, ...], fresh: tuple[str, ...]
+) -> tuple[el.ElementOp, ...]:
     """The 50:50 PhotonBS of each rail with its fresh partner, built once per layout."""
     return tuple(el.op("PhotonBS", photon=photon, path_a=r, path_b=f) for r, f in zip(rails, fresh))
 
@@ -890,8 +892,8 @@ def _switch_plan(
     switches = [el.op("PathSwitch", photon=photon, path_a=r, path_b=f) for r, f in zip(rails, fresh)]
     if odd_phase is not None:
         pid, path = odd_phase
-        return _parity_plan(switches, [el.op("PolPhase", math.pi, photon=pid, path=path, pol=V)]
-                            + switches)
+        pi = el.op("PolPhase", math.pi, photon=pid, path=path, pol=V)
+        return _parity_plan(switches, [pi] + switches)
     pis = [el.op("PolPhase", math.pi, photon=photon, path=r, pol=None) for r in rails]
     return _parity_plan(switches, switches + pis)
 

@@ -214,7 +214,8 @@ def _cancelling_state():
     and P(n) exceeds the summed weights ‖fₙ‖² in the tails."""
     reg = ModeRegistry().with_photon("1", ("a",)).with_qubus("q")
     h = (("1", "a", "H"),)
-    return normalize(HybridState(reg, [Branch(1.0, h, (20.0 + 0j,)), Branch(-1.0, h, (20.01 + 0j,))]))
+    rows = [Branch(1.0, h, (20.0 + 0j,)), Branch(-1.0, h, (20.01 + 0j,))]
+    return normalize(HybridState(reg, rows))
 
 
 def _assert_window_matches_pmf(s, mode, total_tol=1e-13):
