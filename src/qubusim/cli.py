@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import reduce
@@ -58,13 +59,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_state_spec(spec: str, n_photons: int, seed: int) -> HybridState:
-    """Basis string ("HVH"), JSON coefficient list, or "haar[:seed]"."""
+    """Basis string ("HVH"), JSON coefficient list, or "haar[:seed]" with a
+    non-negative integer seed; any other spec is refused."""
     ids = [str(i + 1) for i in range(n_photons)]
     paths = [f"t{i + 1}" for i in range(n_photons)]
     photons = list(zip(ids, paths))
-    if spec == "haar" or spec.startswith("haar:"):
-        parts = spec.split(":")
-        return random_polarization_state(n_photons, int(parts[1]) if len(parts) > 1 else seed)
+    refused = StateError(f"input {spec!r} is not a basis string, a coefficient list or haar[:seed]")
+    haar = re.fullmatch(r"haar(?::([0-9]+))?", spec)
+    if haar:
+        return random_polarization_state(n_photons, seed if haar[1] is None else int(haar[1]))
     if all(ch in "HV" for ch in spec) and spec:
         if len(spec) != n_photons:
             raise StateError(f"basis string {spec!r} needs {n_photons} letters")
@@ -72,9 +75,12 @@ def parse_state_spec(spec: str, n_photons: int, seed: int) -> HybridState:
         coeffs = [0.0] * 2**n_photons
         coeffs[idx] = 1.0
         return polarization_state(coeffs, photons)
-    data = json.loads(spec)
+    try:
+        data = json.loads(spec)
+    except json.JSONDecodeError:
+        raise refused from None
     if not isinstance(data, list):
-        raise StateError(f"input {spec!r} is not a basis string, a coefficient list or haar[:seed]")
+        raise refused
     vals = [_entry(c) for c in data]
     if len(vals) != 2**n_photons:
         raise StateError(f"need {2**n_photons} coefficients, got {len(vals)}")

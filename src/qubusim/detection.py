@@ -21,6 +21,13 @@ the kept outcomes as a sequence carrying the state, its beam values and the
 weights; a record, with its collapsed state, is built only when an outcome
 is read.  The corrections that follow an outcome are the gates module's
 FeedForwardPlan tables.
+
+The Bell readout splits the state in one pass: the rows group by their
+remaining labels and beam values, a (groups × 4) matrix holds each group's
+amplitudes on the measured pair's HH, HV, VH and VV, and one product with
+the 4×4 Bell matrix gives all four outcomes' amplitudes.  Presence and Bell
+parts carry their norm √Σ|a|² when their codes strictly increase, since each
+row then pairs only with itself; other parts take `norm`.
 """
 
 from __future__ import annotations
@@ -34,11 +41,13 @@ import numpy as np
 
 from .numerics import FockTable, default_fock_cutoff, fock_amplitude, fock_table, poisson_pmf
 from .state import (
-    POLS,
     HybridState,
+    _binned,
     _drop_column,
     _gram,
+    _part,
     _recode,
+    _runs,
     _slot_digits,
     coherent_overlap,
     norm,
@@ -268,7 +277,7 @@ def presence_outcomes(s: HybridState, pid: str, paths: Sequence[str]) -> list[Me
     out = []
     for path in paths:
         m = (on == s.registry.paths_of(pid).index(path)).nonzero()[0]
-        part = HybridState._derived(s.registry, s.amps[m], s.codes[m], s.qubus.take(m, 0))
+        part = _part(s.registry, s.amps[m], s.codes[m], s.qubus.take(m, 0))
         p = norm(part) ** 2
         if p >= MIN_PROB:
             out.append(MeasurementRecord("presence", path, p, part.normalized()))
@@ -279,32 +288,47 @@ def presence_outcomes(s: HybridState, pid: str, paths: Sequence[str]) -> list[Me
 # Bell measurement (idealized projective)
 # ---------------------------------------------------------------------------
 
-_BELL = {
-    "phi+": {("H", "H"): 1, ("V", "V"): 1},
-    "phi-": {("H", "H"): 1, ("V", "V"): -1},
-    "psi+": {("H", "V"): 1, ("V", "H"): 1},
-    "psi-": {("H", "V"): 1, ("V", "H"): -1},
-}
+#: the Bell outcomes in record order, and √2 times the matrix taking a row's
+#: amplitudes on the pair's HH, HV, VH, VV (rows) to its outcomes (columns);
+#: the amplitudes take the 1/√2 first, so a pair that cancels gives exactly 0
+BELLS = ("phi+", "phi-", "psi+", "psi-")
+_BELL = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]], complex)
+_BELL.flags.writeable = False
 
 
 def bell_outcomes(s: HybridState, pid_a: str, pid_b: str) -> list[MeasurementRecord]:
-    """Project two single-path photons onto the Bell basis; removes both."""
+    """Project two single-path photons onto the Bell basis; removes both.
+
+    One pass (see the module docstring).  Rows group by the rule of
+    canonical(0.0); an outcome's part holds, in canonical order, each group
+    with a row on the outcome's two patterns, a group that cancels to 0
+    included.
+    """
+    digits = []
     for pid in (pid_a, pid_b):
-        if len(s.photon_paths_in_use(pid)) != 1:
+        d = _slot_digits(s, pid)
+        if not len(d) or ((d >> 1) != (d[0] >> 1)).any():
             raise MeasurementError(f"Bell measurement needs single-path photons; {pid!r} is split")
+        digits.append(d % 2)
     reg = s.registry.without_photon(pid_a).without_photon(pid_b)
-    pols = 2 * (_slot_digits(s, pid_a) % 2) + _slot_digits(s, pid_b) % 2  # HH, HV, VH, VV
     rest = _recode(s.codes, s.registry, reg)
+    order, new = _runs(rest, s.qubus, 0.0)
+    group = np.empty(len(order), np.int64)
+    group[order] = new.cumsum() - 1
+    first = order[new]
+    cells = 4 * group + 2 * digits[0] + digits[1]  # HH, HV, VH, VV
+    size = 4 * len(first)
+    amps = ((_binned(cells, s.amps, size) * (1 / math.sqrt(2))).reshape(-1, 4) @ _BELL).T
+    on = np.bincount(cells, minlength=size).reshape(-1, 4) > 0
+    codes, qubus = rest[first], s.qubus.take(first, 0)
     out = []
-    r = 1 / math.sqrt(2)
-    for name, pattern in _BELL.items():
-        w = np.array([pattern.get((a, b), 0) for a in POLS for b in POLS], float)[pols]
-        hit = w != 0
-        part = HybridState._rows(reg, s.amps[hit] * w[hit] * r, rest[hit], s.qubus[hit])
-        part = part.canonical(0.0)
-        p = norm(part) ** 2
-        if p >= MIN_PROB:
-            out.append(MeasurementRecord("bell", name, p, part.normalized()))
+    for k, reached in enumerate((on[:, 0] | on[:, 3], on[:, 1] | on[:, 2])):  # Φ±, Ψ±
+        m = reached.nonzero()[0]
+        for j in (2 * k, 2 * k + 1):
+            part = _part(reg, amps[j, m], codes[m], qubus.take(m, 0))
+            p = norm(part) ** 2
+            if p >= MIN_PROB:
+                out.append(MeasurementRecord("bell", BELLS[j], p, part.normalized()))
     return out
 
 

@@ -82,6 +82,7 @@ from .state import (
     H,
     V,
     HybridState,
+    _ancilla,
     _binned,
     _gram,
     _pairs,
@@ -93,7 +94,6 @@ from .state import (
     fidelity,
     inner_product,
     norm,
-    plus_photon,
     remove_photon,
     tensor,
 )
@@ -1308,4 +1308,4 @@ def inject_plus(
     """Tensor a fresh |+⟩ photon into the state; returns (state, id, path)."""
     pid = pid or s.registry.fresh_photon("anc")
     path = path or s.registry.fresh_path(pid)
-    return tensor(s, plus_photon(pid, path)), pid, path
+    return tensor(s, _ancilla("plus", pid, path)), pid, path

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import elements as el
 from . import synthesis as syn
-from .detection import bell_outcomes
+from .detection import BELLS, bell_outcomes
 from .gates import (
     DEFAULTS,
     FeedForwardPlan,
@@ -44,11 +44,11 @@ from .state import (
     H,
     V,
     HybridState,
+    _ancilla,
     _put_in,
     _runs,
     _slot_digits,
     _stand_in,
-    bell_state,
     remove_photon,
     tensor,
 )
@@ -162,7 +162,7 @@ def to_qudit_teleport(
     p1 = work.registry.fresh_path("bA")
     m2 = work.registry.fresh_photon("bellB")
     p2_ = work.registry.fresh_path("bB")
-    work = tensor(work, bell_state("phi+", (m1, p1), (m2, p2_)))
+    work = tensor(work, _ancilla("phi+", m1, p1, m2, p2_))
     report.resources.add(Resources(ancilla_photons=n + 1))
 
     # ancilla q_1 controls first (its bit is most significant); later splits
@@ -182,7 +182,6 @@ def to_qudit_teleport(
     # with ancilla i acts on rail-index bit i of the Bell photon (σx switches
     # the bit, σz puts π on the rails where it is set), the last input with
     # the Bell pair's second photon on its polarization
-    bells = ("phi+", "phi-", "psi+", "psi-")
     for i, pid_in in enumerate(photons):
         if i < n - 1:
             pid_anc, (clear, set_) = plus_ids[i], split_rails(rails, i)
@@ -192,7 +191,7 @@ def to_qudit_teleport(
             pid_anc = m2
             sx = [el.op("WavePlateX", photon=m1, path=None)]
             sz = [el.op("WavePlateZ", photon=m1, path=None)]
-        plan = FeedForwardPlan(list(zip(bells, ([], sz, sx, sx + sz))), bells.index)
+        plan = FeedForwardPlan(list(zip(BELLS, ([], sz, sx, sx + sz))), BELLS.index)
         scored = score_outcomes("bell", correct_outcomes(bell_outcomes(out, pid_in, pid_anc), plan))
         report.absorb(scored.report(f"bell({pid_in},{pid_anc})", plan, Resources(detections=1)))
         out = scored.state

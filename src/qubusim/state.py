@@ -18,12 +18,13 @@ imaginary part in mode order.  `Branch` records are built only when
 
 Rows pair in overlaps when their labels are equal, and every `norm`,
 `inner_product` and `_gram` (the Gram matrix of a list of states that share
-a path layout) finds its pairs in `_pairs`.  A readout or a disposal takes
-`norm` of each of its parts; only outcome scoring and the Fock pmf need a
-Gram matrix.  When no two bra rows share a code (every photon-only
-canonical state, for one), a norm pairs each row with itself and an overlap
-finds each ket row's one partner in a single binary search; otherwise each
-ket row pairs with a run of bra rows.
+a path layout) finds its pairs in `_pairs`.  A readout or a disposal cuts
+its parts with `_part`, which carries a part's norm √Σ|a|² where its codes
+strictly increase; other parts take `norm`.  Only outcome scoring and the
+Fock pmf need a Gram matrix.  When no two bra rows share a code (every
+photon-only canonical state, for one), a norm pairs each row with itself and
+an overlap finds each ket row's one partner in a single binary search;
+otherwise each ket row pairs with a run of bra rows.
 `scaled` carries a known norm over as |factor|·‖s‖, so a normalized state
 never recomputes it.  Codes move between layouts by `_recode`, whose digit
 tables are compiled once per pair of layouts.
@@ -399,6 +400,16 @@ def norm(s: HybridState) -> float:
     return s._norm
 
 
+def _part(registry: ModeRegistry, amps, codes, qubus) -> HybridState:
+    """A readout's part: rows valid for registry, in canonical order.  When
+    the codes strictly increase each row pairs only with itself (`_pairs`),
+    so the part carries its norm √Σ|a|² and `norm` takes no overlap."""
+    out = HybridState._derived(registry, amps, codes, qubus)
+    if _increasing(codes):
+        out._norm = math.sqrt(np.vdot(amps, amps).real)
+    return out
+
+
 def normalize(s: HybridState) -> HybridState:
     n = norm(s)
     if n < 1e-300:
@@ -505,6 +516,18 @@ def bell_state(kind: str, a: tuple[str, str], b: tuple[str, str]) -> HybridState
     return polarization_state(table[kind], [a, b])
 
 
+@functools.lru_cache(maxsize=64)
+def _ancilla(kind: str, *names: str) -> HybridState:
+    """|+⟩ (kind "plus", names: id, path) or a Bell state (kind as for
+    bell_state, names: id, path, id, path), as plus_photon or bell_state
+    builds it, kept with read-only arrays: pipelines draw the same few
+    ancilla names call after call."""
+    s = plus_photon(*names) if kind == "plus" else bell_state(kind, names[:2], names[2:])
+    for a in (s.amps, s.codes, s.qubus):
+        a.flags.writeable = False
+    return s
+
+
 def attach_qubus(s: HybridState, mode: str, alpha: complex) -> HybridState:
     """Adjoin a fresh qubus mode in the coherent state |alpha⟩ to every branch."""
     reg = s.registry.with_qubus(mode)
@@ -541,7 +564,7 @@ def remove_photon(s: HybridState, pid: str) -> HybridState:
     parts = []
     for d in _distinct(digits):
         m = (digits == d).nonzero()[0]
-        parts.append(HybridState._derived(reg, s.amps[m], rest[m], s.qubus.take(m, 0)))
+        parts.append(_part(reg, s.amps[m], rest[m], s.qubus.take(m, 0)))
     norms = [norm(part) for part in parts]
     r = max(range(len(parts)), key=norms.__getitem__)
     total = 0.0

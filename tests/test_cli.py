@@ -655,6 +655,14 @@ def test_parse_state_spec_variants():
     assert len(s.branches) == 2
 
 
+@pytest.mark.parametrize("spec", ["haar:1:2", "hv", "", "XYZ", "haar:x", "haar:-1", "haar:", "{}"])
+def test_malformed_input_spec_is_refused(spec, capsys):
+    assert main(["gate", "parity", "--input", spec]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: input {spec!r} is not a basis string, a coefficient list "
+                   "or haar[:seed]\n")
+
+
 def test_parse_unitary_spec_variants():
     assert np.allclose(parse_unitary_spec("qft:2"), np.array([[1, 1], [1, -1]]) / np.sqrt(2))
     u = parse_unitary_spec("haar:3:4")

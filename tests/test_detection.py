@@ -16,9 +16,11 @@ from qubusim import (
     pol_qubit,
     normalize,
     polarization_state,
+    random_polarization_state,
     tensor,
 )
 from qubusim import elements as el
+from qubusim import state as state_mod
 from qubusim import detection, gates, numerics
 from qubusim.detection import (
     MIN_PROB,
@@ -34,6 +36,7 @@ from qubusim.detection import (
 )
 from qubusim.gates import couple_qubus_pair, parity_couplings
 from qubusim.numerics import default_fock_cutoff, fock_amplitude, fock_table, poisson_pmf
+from qubusim.state import _recode, _slot_digits
 
 from conftest import alpha_for, haar_vec, THETA
 
@@ -383,8 +386,107 @@ def test_bell_rejects_multipath():
     s = HybridState(s.registry.with_path("1", "b"), s.branches)
     s = el.photon_bs(s, "1", "a", "b")
     s = tensor(s, pol_qubit("2", "c", 1, 0))
-    with pytest.raises(MeasurementError):
-        bell_outcomes(s, "1", "2")
+    for pair in (("1", "2"), ("2", "1")):
+        with pytest.raises(MeasurementError) as err:
+            bell_outcomes(s, *pair)
+        assert str(err.value) == "Bell measurement needs single-path photons; '1' is split"
+
+
+_BELL_PATTERNS = {
+    "phi+": {("H", "H"): 1, ("V", "V"): 1},
+    "phi-": {("H", "H"): 1, ("V", "V"): -1},
+    "psi+": {("H", "V"): 1, ("V", "H"): 1},
+    "psi-": {("H", "V"): 1, ("V", "H"): -1},
+}
+
+
+def _bell_outcomes_by_pattern(s, pid_a, pid_b):
+    """The Bell readout as four masked copies, each canonicalized and normed:
+    the reference for the one-pass bell_outcomes."""
+    for pid in (pid_a, pid_b):
+        if len(s.photon_paths_in_use(pid)) != 1:
+            raise MeasurementError(f"Bell measurement needs single-path photons; {pid!r} is split")
+    reg = s.registry.without_photon(pid_a).without_photon(pid_b)
+    pols = 2 * (_slot_digits(s, pid_a) % 2) + _slot_digits(s, pid_b) % 2  # HH, HV, VH, VV
+    rest = _recode(s.codes, s.registry, reg)
+    out = []
+    r = 1 / math.sqrt(2)
+    for name, pattern in _BELL_PATTERNS.items():
+        w = np.array([pattern.get((a, b), 0) for a in "HV" for b in "HV"], float)[pols]
+        hit = w != 0
+        part = HybridState._rows(reg, s.amps[hit] * w[hit] * r, rest[hit], s.qubus[hit])
+        part = part.canonical(0.0)
+        p = norm(part) ** 2
+        if p >= MIN_PROB:
+            out.append(detection.MeasurementRecord("bell", name, p, part.normalized()))
+    return out
+
+
+def _assert_same_bell_records(got, want):
+    assert [r.value for r in got] == [r.value for r in want]
+    for g, w in zip(got, want):
+        assert g.probability == pytest.approx(w.probability, abs=1e-15)
+        assert g.collapsed.registry == w.collapsed.registry
+        assert np.array_equal(g.collapsed.codes, w.collapsed.codes)
+        assert np.array_equal(g.collapsed.qubus, w.collapsed.qubus)
+        assert np.abs(g.collapsed.amps - w.collapsed.amps).max() <= 1e-15
+
+
+def _beam_rows_state():
+    """Rows with equal remaining labels and different beam values: the Φ
+    outcomes hold two rows on one code, whose beams overlap."""
+    reg = ModeRegistry().with_photon("a", ("pa",)).with_photon("b", ("pb",))
+    reg = reg.with_photon("w", ("pw",)).with_qubus("q")
+
+    def slots(pa, pb, pw):
+        return ("a", "pa", pa), ("b", "pb", pb), ("w", "pw", pw)
+
+    return normalize(HybridState(reg, [
+        Branch(0.5 + 0j, slots("H", "H", "H"), (1.0 + 0j,)),
+        Branch(0.4 + 0j, slots("V", "V", "H"), (2.0 + 0j,)),
+        Branch(-0.3 + 0j, slots("H", "V", "V"), (1.0 + 0j,)),
+        Branch(0.6 + 0j, slots("V", "H", "V"), (1.0 + 0j,)),
+        Branch(0.2 + 0j, slots("V", "V", "V"), (1.5 - 0.5j,)),
+    ]))
+
+
+BELL_CASES = {
+    "haar": lambda: random_polarization_state(3, 17),
+    "basis": lambda: polarization_state([0, 0, 0, 0, 0, 1, 0, 0], [("1", "t1"), ("2", "t2"), ("3", "t3")]),
+    "beams": _beam_rows_state,
+    "haar beside a beam": lambda: tensor(attach_qubus(pol_qubit("w", "pw", 0.6, 0.8j), "q", 3.0),
+                                         random_polarization_state(2, 5)),
+}
+
+
+@pytest.mark.parametrize("case", BELL_CASES)
+@pytest.mark.parametrize("swap", [False, True], ids=["a,b", "b,a"])
+def test_one_pass_bell_readout_matches_the_masked_copies(case, swap):
+    s = BELL_CASES[case]()
+    pair = [p for p in s.registry.photons if p != "w"][:2]
+    pair = pair[::-1] if swap else pair
+    _assert_same_bell_records(bell_outcomes(s, *pair), _bell_outcomes_by_pattern(s, *pair))
+
+
+def test_bell_rows_that_cancel_stay_in_their_outcome():
+    # Φ⁻ on |HH⟩|H⟩ + |VV⟩|H⟩ + |HH⟩|V⟩: the w=H row cancels, the w=V row does not
+    s = polarization_state([1, 1, 0, 0, 0, 0, 1, 0],
+                           [("a", "pa"), ("b", "pb"), ("w", "pw")])
+    got = bell_outcomes(s, "a", "b")
+    _assert_same_bell_records(got, _bell_outcomes_by_pattern(s, "a", "b"))
+    minus = next(r for r in got if r.value == "phi-").collapsed
+    assert len(minus.amps) == 2 and minus.amps.tolist().count(0) == 1
+
+
+def test_bell_parts_on_a_shared_code_take_the_norm(monkeypatch):
+    s = _beam_rows_state()
+    calls = []
+    overlap = state_mod._overlap
+    monkeypatch.setattr(state_mod, "_overlap", lambda a, b: calls.append(len(a.amps)) or overlap(a, b))
+    got = bell_outcomes(s, "a", "b")
+    # Φ± hold two rows on the code of w=H (beams 1 and 2): only they take an overlap
+    assert calls == [3, 3]
+    _assert_same_bell_records(got, _bell_outcomes_by_pattern(s, "a", "b"))
 
 
 def test_bell_lists_only_possible_outcomes():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qubusim import (
     HybridState,
@@ -144,6 +146,29 @@ def test_teleport_entangled_inputs(n):
     vec = path_pol_vector(out, rep.extras["carrier"], list(rep.extras["rails"]))
     assert np.max(np.abs(vec - coeffs)) < 1e-9
     assert rep.success_probability >= 1 - 1e-8
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=hst.integers(2, 4), seed=hst.integers(0, 2**32 - 1), basis=hst.booleans())
+def test_every_teleport_bell_stage_has_outcome_probabilities_summing_to_1(n, seed, basis):
+    ids = [str(i + 1) for i in range(n)]
+    coeffs = np.eye(2**n)[seed % 2**n] if basis else haar_vec(2**n, seed)
+    s = polarization_state(coeffs, [(pid, f"t{pid}") for pid in ids])
+    stages = []
+    readout = pl.bell_outcomes
+
+    def recorded(*args):
+        stages.append(readout(*args))
+        return stages[-1]
+
+    pl.bell_outcomes = recorded
+    try:
+        pl.to_qudit_teleport(s, ids, alpha_for(20.0), THETA)
+    finally:
+        pl.bell_outcomes = readout
+    assert len(stages) == n
+    for records in stages:
+        assert abs(sum(r.probability for r in records) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize(

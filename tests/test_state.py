@@ -701,3 +701,125 @@ def test_readouts_take_norms_and_only_scoring_and_the_pmf_take_a_gram_matrix(mon
     outcomes = [(path, 0.5, st.normalized()) for path, st in zip("ab", (s, s.scaled(1j)))]
     gates.score_outcomes("presence", outcomes)
     assert calls == [2]
+
+
+# -- carried norms of readout parts, cached ancillas ---------------------------
+
+
+@PAIRING
+@given(hst.data())
+def test_a_part_carries_the_norm_its_overlap_gives(data):
+    reg = data.draw(registries(modes=data.draw(hst.integers(0, 2))))
+    s = data.draw(pairing_states(reg))
+    rows = np.flatnonzero(data.draw(hst.lists(hst.booleans(), min_size=len(s.amps),
+                                              max_size=len(s.amps))))
+    part = state_mod._part(reg, s.amps[rows], s.codes[rows], s.qubus.take(rows, 0))
+    assert (part._norm is not None) == state_mod._increasing(part.codes)
+    want = math.sqrt(max(state_mod._overlap(part, part).real, 0.0))
+    assert abs(norm(part) - want) <= 1e-15
+
+
+def _split_beside_beams():
+    """Photon 1 split over paths a, b beside a beam that takes two values,
+    photon 2 beside it, photons 3 and 4 in a Haar state."""
+    split = el.photon_bs(HybridState(ModeRegistry().with_photon("1", ("a", "b")),
+                                     pol_qubit("1", "a", 0.6, 0.8j).branches), "1", "a", "b")
+    beam = HybridState(ModeRegistry().with_photon("2", ("c",)).with_qubus("q"), [
+        Branch(0.6, (("2", "c", "H"),), (1.5,)), Branch(0.8j, (("2", "c", "V"),), (-0.5j,))])
+    return tensor(tensor(split, beam), two_photon(41, ids=("3", "4"), paths=("d", "e")))
+
+
+def _rest_on_two_beams():
+    """Photon 1 in a product with the rest, whose one label sits on two beam
+    values, so each of photon 1's parts repeats a code."""
+    reg = ModeRegistry().with_photon("1", ("a",)).with_photon("2", ("c",)).with_qubus("q")
+    return normalize(HybridState(reg, [
+        Branch(0.6, (("1", "a", "H"), ("2", "c", "H")), (1.0,)),
+        Branch(0.3, (("1", "a", "H"), ("2", "c", "H")), (2.0,)),
+        Branch(0.48, (("1", "a", "V"), ("2", "c", "H")), (1.0,)),
+        Branch(0.24, (("1", "a", "V"), ("2", "c", "H")), (2.0,)),
+    ]))
+
+
+def _uncarried(registry, amps, codes, qubus):
+    return HybridState._derived(registry, amps, codes, qubus)
+
+
+def _same_state(got, want):
+    assert got.registry == want.registry
+    assert np.array_equal(got.codes, want.codes) and np.array_equal(got.qubus, want.qubus)
+    assert np.abs(got.amps - want.amps).max(initial=0.0) <= 1e-15
+    assert norm(got) == pytest.approx(norm(want), abs=1e-15)
+
+
+@pytest.mark.parametrize("build", [_split_beside_beams, _rest_on_two_beams])
+def test_presence_and_remove_photon_match_the_uncarried_route(build, monkeypatch):
+    s = build()
+    paths = s.registry.paths_of("1")
+    got = detection.presence_outcomes(s, "1", paths)
+    for module in (state_mod, detection):
+        monkeypatch.setattr(module, "_part", _uncarried)
+    want = detection.presence_outcomes(s, "1", paths)
+    assert [r.value for r in got] == [r.value for r in want]
+    for g, w in zip(got, want):
+        assert g.probability == pytest.approx(w.probability, abs=1e-15)
+        _same_state(g.collapsed, w.collapsed)
+    want = remove_photon(s, "1")
+    monkeypatch.undo()
+    _same_state(remove_photon(s, "1"), want)
+
+
+def test_readout_parts_carry_their_overlap_norm():
+    s = _split_beside_beams()
+    parts = [r.collapsed for r in detection.presence_outcomes(s, "1", ["a", "b"])]
+    parts += [r.collapsed for r in detection.bell_outcomes(s, "3", "4")]
+    for part in parts:
+        assert part._norm is not None
+        assert abs(part._norm - math.sqrt(state_mod._overlap(part, part).real)) <= 1e-15
+
+
+ANCILLAS = [
+    (("plus", "anc", "anc'"), lambda: plus_photon("anc", "anc'")),
+    (("phi+", "bellA", "bA", "bellB", "bB"), lambda: bell_state("phi+", ("bellA", "bA"), ("bellB", "bB"))),
+]
+
+
+@pytest.mark.parametrize("key, fresh", ANCILLAS, ids=["plus", "phi+"])
+def test_a_cached_ancilla_is_the_fresh_state_with_read_only_arrays(key, fresh):
+    cached, want = state_mod._ancilla(*key), fresh()
+    assert cached is state_mod._ancilla(*key)
+    assert cached.registry == want.registry and cached._norm == want._norm
+    for got, built in zip((cached.amps, cached.codes, cached.qubus), (want.amps, want.codes, want.qubus)):
+        assert got.dtype == built.dtype and got.shape == built.shape
+        assert got.tobytes() == built.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0
+
+
+def test_inject_plus_and_the_teleport_resource_reuse_their_ancillas(monkeypatch):
+    from qubusim import pipelines
+
+    s = two_photon(43)
+    ancilla = gates.inject_plus(s)[0], pipelines.to_qudit_teleport(s, ["1", "2"])[0]
+
+    def unbuilt(*args):
+        raise AssertionError("an ancilla was built again")
+
+    monkeypatch.setattr(state_mod, "plus_photon", unbuilt)
+    monkeypatch.setattr(state_mod, "bell_state", unbuilt)
+    again = gates.inject_plus(s)[0], pipelines.to_qudit_teleport(s, ["1", "2"])[0]
+    for got, want in zip(again, ancilla):
+        _same_state(got, want)
+
+
+def test_basis_photon_is_built_by_the_constructor(monkeypatch):
+    calls = []
+    init = HybridState.__init__
+
+    def counted(self, registry, branches):
+        calls.append(registry)
+        init(self, registry, branches)
+
+    monkeypatch.setattr(HybridState, "__init__", counted)
+    s = state_mod.basis_photon("1", "t1", "V")
+    assert len(calls) == 1 and s.codes.tolist() == [1] and norm(s) == 1.0
