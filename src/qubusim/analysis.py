@@ -14,7 +14,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -187,9 +187,13 @@ class SweepSpec:
             raise AnalysisError(f"unknown sweep quantity {self.quantity!r}")
         if not self.grid:
             raise AnalysisError("sweep grid must be non-empty")
+        reads = _SWEEPS[self.quantity].reads
         for key in (*self.grid, *self.fixed):
             if key not in _DEFAULTS:
                 raise AnalysisError(f"unknown sweep parameter {key!r}")
+            if key not in reads:
+                raise AnalysisError(f"sweep quantity {self.quantity!r} does not read {key!r} "
+                                    f"(it takes {', '.join(reads)})")
         for key, values in self.grid.items():
             if not (isinstance(values, list) and values and all(map(_finite, values))):
                 raise AnalysisError(
@@ -232,28 +236,48 @@ def _pmf(p: dict) -> list[dict]:
     return [{"n": n, "probability": poisson_pmf(b2, n)} for n in range(cutoff + 1)]
 
 
-#: each sweep quantity -> the row entries of one resolved grid point
-_SWEEP_POINT = {
-    "P_E_formula": lambda p: [{"value": error_probability_formula(*_error_args(p))}],
-    "P_E_direct": lambda p: [{"value": error_probability_direct(*_error_args(p))}],
-    "peak_overlap": lambda p: [
-        {"value": peak_overlap(p["gamma"], p["theta_probe"], int(p["k1"]), int(p["k2"]))}
-    ],
-    "gate_fidelity": lambda p: [{"value": _gate_fidelity(p)}],
-    "pmf": _pmf,
+class _Quantity(NamedTuple):
+    """A sweep quantity: the row entries of one resolved grid point, which
+    holds only the parameters in reads, the ones a spec may set."""
+
+    point: Callable[[dict], list[dict]]
+    reads: tuple[str, ...]
+
+
+_COUPLING = ("alpha", "theta", "beta2")
+_SWEEPS = {
+    "P_E_formula": _Quantity(
+        lambda p: [{"value": error_probability_formula(*_error_args(p))}],
+        (*_COUPLING, "gamma", "eta", "theta_probe"),
+    ),
+    "P_E_direct": _Quantity(
+        lambda p: [{"value": error_probability_direct(*_error_args(p))}],
+        (*_COUPLING, "gamma", "eta", "theta_probe"),
+    ),
+    "peak_overlap": _Quantity(
+        lambda p: [
+            {"value": peak_overlap(p["gamma"], p["theta_probe"], int(p["k1"]), int(p["k2"]))}
+        ],
+        ("gamma", "theta_probe", "k1", "k2"),
+    ),
+    "gate_fidelity": _Quantity(
+        lambda p: [{"value": _gate_fidelity(p)}], (*_COUPLING, "state_seed")
+    ),
+    "pmf": _Quantity(_pmf, _COUPLING),
 }
-QUANTITIES = tuple(_SWEEP_POINT)
+QUANTITIES = tuple(_SWEEPS)
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the grid; one row per point (plus one row per n for pmf)."""
     keys = list(spec.grid.keys())
+    quantity = _SWEEPS[spec.quantity]
     rows = []
     for values in itertools.product(*(spec.grid[k] for k in keys)):
         point = dict(zip(keys, values))
         params = _resolve({**spec.fixed, **point})
         try:
-            entries = _SWEEP_POINT[spec.quantity](params)
+            entries = quantity.point({key: params[key] for key in quantity.reads})
         except Exception as exc:
             raise AnalysisError(f"sweep point {point} failed: {exc}") from exc
         rows += [{**point, **entry} for entry in entries]

@@ -5,8 +5,10 @@ programs), `sweep` (parameter sweeps to CSV/JSON), `decompose` (unitary to
 Reck mesh), `fig2` (detector-model data files), `verify` (golden-state
 comparisons).  Same config and seed give byte-identical JSON output.
 
-Program and sweep-spec keys are checked against one declared schema (`_check`)
-before any state is built: a missing, mistyped or unknown key exits 2.
+Program keys and a sweep spec's top-level keys are checked against one
+declared schema (`_check`), and a sweep's grid and fixed keys against the
+parameters its quantity reads (`analysis.SweepSpec`), before any state is
+built: a missing, mistyped, unknown or unread key exits 2.
 
 Exit codes: 0 ok, 1 usage, 2 numeric/validation failure.
 """
@@ -87,27 +89,42 @@ def parse_state_spec(spec: str, n_photons: int, seed: int) -> HybridState:
     return polarization_state(vals, photons)
 
 
+#: the unitary spec grammar, N >= 1 and SEED >= 0
+_UNITARY_SPEC = re.compile(
+    r"(cnot|hadamard4|identity)|qft:(0*[1-9][0-9]*)|haar:([0-9]+)(?::(0*[1-9][0-9]*))?"
+)
+
+
 def parse_unitary_spec(spec, dim: int | None = None) -> np.ndarray:
-    """"cnot" | "identity" | "qft:N" | "hadamard4" | "haar:seed[:N]" | JSON matrix
-    text, or an already parsed JSON matrix; dim sizes the specs that leave it open."""
+    """"cnot" | "identity" | "hadamard4" | "qft:N" | "haar:SEED[:N]" | JSON matrix
+    text, or an already parsed JSON matrix; any other text is refused.  dim is
+    the size the caller needs: it sizes identity and haar:SEED (default 4), and
+    a spec of another size is refused before its matrix is built."""
     if not isinstance(spec, str):
         return _matrix_from_json(spec)
-    if spec == "cnot":
+    m = _UNITARY_SPEC.fullmatch(spec)
+    if m is None:
+        try:
+            data = json.loads(spec)
+        except json.JSONDecodeError:
+            raise StateError(f"unitary {spec!r} is not cnot, identity, hadamard4, qft:N, "
+                             "haar:SEED[:N] or a JSON matrix") from None
+        return _matrix_from_json(data)
+    name, qft, seed, size = m.groups()
+    n = 4 if name in ("cnot", "hadamard4") else int(qft or size or dim or 4)
+    if dim is not None and n != dim:
+        raise StateError(f"unitary {spec!r} is {n}x{n}, but {dim}x{dim} is needed")
+    if name == "cnot":
         return np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
         )
-    if spec == "identity":
-        return np.eye(dim or 4, dtype=complex)
-    if spec == "hadamard4":
+    if name == "hadamard4":
         return syn.HADAMARD4.copy()
-    if spec.startswith("qft:"):
-        return syn.qft_matrix(int(spec.split(":")[1]))
-    if spec.startswith("haar:"):
-        parts = spec.split(":")
-        seed = int(parts[1])
-        n = int(parts[2]) if len(parts) > 2 else (dim or 4)
-        return syn.random_haar_unitary(n, seed)
-    return _matrix_from_json(json.loads(spec))
+    if qft:
+        return syn.qft_matrix(n)
+    if seed:
+        return syn.random_haar_unitary(n, int(seed))
+    return np.eye(n, dtype=complex)
 
 
 def _entry(c) -> complex:
@@ -159,6 +176,7 @@ _TYPES = {
     "str|null": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "strs": (_list_of(str), "a list of strings"),
     "pair": (lambda v: _list_of(str)(v) and len(v) == 2, "a list of two photon ids"),
+    "rail pair": (lambda v: _list_of(str)(v) and len(v) == 2, "a list of two rails"),
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "num": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
     "str|list": (lambda v: isinstance(v, (str, list)), "a string or a list"),
@@ -209,7 +227,8 @@ def _emit(payload, fmt: str, out: str | None) -> None:
 # A step function runs one JSON program step st on state s:
 #   (s, st, alpha, theta, rails) -> (state, report or None),
 # where rails maps a photon id to the rails it was last routed onto by a
-# C-path-family gate or a qudit transform.
+# C-path-family gate or a qudit transform.  Only a coupling step passes alpha
+# and theta on, and only its step may set them.
 
 
 def _rails(st: dict, pid: str, rails: dict[str, list[str]]) -> list[str]:
@@ -257,21 +276,37 @@ class Gate:
 
     #: photon count of the demo input (0 for program-only steps)
     photons: int
-    #: the step's keys besides _STEP_KEYS -> their _TYPES name ("?": optional)
+    #: the step's keys besides _STEP_KEYS and _COUPLING_KEYS -> their _TYPES
+    #: name ("?": optional)
     keys: dict[str, str]
     #: the step function
     step: Callable
     #: (photon ids, parsed args) -> the demo's program steps, the gate itself last
     demo: Callable | None = None
+    #: the fewest photons the demo runs on
+    least: int = 2
+    #: whether the step couples photons to a qubus, and so takes _COUPLING_KEYS
+    couples: bool = True
 
 
 def _pair(gate: str, control: str, target: str) -> dict:
     return {"gate": gate, "control": control, "target": target}
 
 
+def _cn_uk_demo(p: list[str], o) -> list[dict]:
+    """The cn-uk demo: the last --targets photons are the targets, the rest controls."""
+    if not 1 <= o.targets < len(p):
+        raise GateError(f"gate 'cn-uk' needs 1 <= --targets <= --photons - 1, "
+                        f"got --targets {o.targets} with --photons {len(p)}")
+    return [{"gate": "cn-uk", "controls": p[: -o.targets], "targets": p[-o.targets :],
+             "unitary": o.unitary or f"haar:{o.seed}:{2**o.targets}"}]
+
+
 _PLUS = {"gate": "plus", "photon": "anc"}
 #: the keys of every step, besides its gate's
-_STEP_KEYS = {"gate": "str", "alpha?": "num", "theta?": "num"}
+_STEP_KEYS = {"gate": "str"}
+#: the keys of every coupling step: its own alpha and theta
+_COUPLING_KEYS = {"alpha?": "num", "theta?": "num"}
 _MERGING_KEYS = {"photon": "str", "ancilla": "str", "companions": "strs", "rails?": "strs",
                  "interference?": "str"}
 
@@ -293,15 +328,18 @@ GATES: dict[str, Gate] = {
         ),
         lambda p, o: [_pair("cpath", p[1], p[2]), _pair("disentangler", p[1], p[2]),
                       _pair("cpath2", p[0], p[2])],
+        least=3,
     ),
-    "cpath3": Gate(3, {"control": "str", "target": "str", "rails?": "strs"},
+    "cpath3": Gate(3, {"control": "str", "target": "str", "rails?": "rail pair"},
         lambda s, st, a, t, r: gates.c_path3(
             s, st["control"], _rails(st, st["control"], r), st["target"], a, t
         ),
         lambda p, o: [_pair("cpath", p[0], p[1]), _pair("cpath3", p[1], p[2])],
+        least=3,
     ),
     "disentangler": Gate(2, {"control": "str", "target": "str", "rails?": "strs"}, _disentangler,
         lambda p, o: [_pair("cpath", p[0], p[1]), _pair("disentangler", p[0], p[1])],
+        couples=False,
     ),
     "entangler1": Gate(2, {"photon": "str", "ancilla": "str", "rails?": "strs"},
         lambda s, st, a, t, r: gates.entangler4(
@@ -319,6 +357,7 @@ GATES: dict[str, Gate] = {
         _entangler3,
         lambda p, o: [{"gate": "to-qudit", "photons": p},
                       {"gate": "entangler3", "companion": p[0], "qudit": p[2]}],
+        least=3,
     ),
     "entangler4": Gate(3, {"ancilla": "str", "qudit": "str", "rails?": "strs"},
         lambda s, st, a, t, r: gates.entangler4(
@@ -326,6 +365,7 @@ GATES: dict[str, Gate] = {
         ),
         lambda p, o: [{"gate": "to-qudit", "photons": p}, _PLUS,
                       {"gate": "entangler4", "ancilla": "anc", "qudit": p[2]}],
+        least=3,
     ),
     "merging": Gate(2, _MERGING_KEYS, _merging,
         lambda p, o: [_pair("cpath", p[0], p[1]), _PLUS,
@@ -339,6 +379,7 @@ GATES: dict[str, Gate] = {
                       _PLUS,
                       {"gate": "merging-n", "photon": p[2], "ancilla": "anc",
                        "companions": p[:2], "interference": o.interference}],
+        least=3,
     ),
     "two-qubit": Gate(2, {"photons": "pair", "unitary": "str|list"},
         lambda s, st, a, t, r: pl.multi_qubit_gate(
@@ -376,9 +417,7 @@ GATES: dict[str, Gate] = {
             s, st["controls"], st["targets"],
             parse_unitary_spec(st["unitary"], 2 ** len(st["targets"])), a, t,
         ),
-        lambda p, o: [{"gate": "cn-uk", "controls": p[: -o.targets],
-                       "targets": p[-o.targets :],
-                       "unitary": o.unitary or f"haar:{o.seed}:{2**o.targets}"}],
+        _cn_uk_demo,
     ),
     "to-qudit": Gate(3, {"photons": "strs"},
         lambda s, st, a, t, r: pl.to_qudit_circuit(s, st["photons"], a, t),
@@ -399,8 +438,9 @@ GATES: dict[str, Gate] = {
         lambda p, o: [{"gate": "teleport", "photons": p}],
     ),
     # _checked_steps checks "targets" against the keys of el.ELEMENTS[kind]
-    "element": Gate(0, {"kind": "str", "targets": "obj", "parameter?": "num"}, _element),
-    "plus": Gate(0, {"photon": "str", "path?": "str"}, _plus),
+    "element": Gate(0, {"kind": "str", "targets": "obj", "parameter?": "num"}, _element,
+                    couples=False),
+    "plus": Gate(0, {"photon": "str", "path?": "str"}, _plus, couples=False),
 }
 
 #: the gates `qubusim gate` can demo
@@ -417,7 +457,8 @@ _STEP_NAMES = {_step_key(name): name for name in GATES}
 
 def _checked_steps(steps: list[dict]) -> list[tuple[Gate, dict]]:
     """The (gate, step) pairs of a program, each step checked against
-    _STEP_KEYS and its gate's keys; an unknown step name is a UsageError."""
+    _STEP_KEYS, its gate's keys and, on a coupling step, _COUPLING_KEYS; an
+    unknown step name is a UsageError."""
     checked = []
     for i, step in enumerate(steps):
         if not isinstance(step.get("gate"), str):
@@ -426,21 +467,26 @@ def _checked_steps(steps: list[dict]) -> list[tuple[Gate, dict]]:
         if name is None:
             raise UsageError(f"unknown program gate {step['gate']!r}")
         where = f"step {i} ({name})"
-        _check(where, step, {**GATES[name].keys, **_STEP_KEYS})
+        gate = GATES[name]
+        keys = {**gate.keys, **_STEP_KEYS}
+        if gate.couples:
+            keys.update(_COUPLING_KEYS)
+        _check(where, step, keys)
         if name == "element":
             if step["kind"] not in el.ELEMENTS:
                 raise StateError(f"{where}: key 'kind' must be an element kind "
                                  f"({', '.join(el.ELEMENT_KINDS)}), got {step['kind']!r}")
             targets = dict.fromkeys(el.ELEMENTS[step["kind"]][0], "str|null")
             _check(f"{where} targets", step["targets"], targets)
-        checked.append((GATES[name], step))
+        checked.append((gate, step))
     return checked
 
 
 def _run_steps(
     state: HybridState, steps: list[tuple[Gate, dict]], alpha: float, theta: float
 ) -> tuple[HybridState, list[GateReport]]:
-    """Run checked program steps in order; each step may override alpha and theta."""
+    """Run checked program steps in order; each coupling step may override
+    alpha and theta."""
     rails: dict[str, list[str]] = {}
     reports = []
     for gate, st in steps:
@@ -483,7 +529,12 @@ def cmd_gate(args) -> int:
     # of the inputs, only a bare "haar" draws on --seed
     state = parse_state_spec(args.input, photons, view.seed if args.input == "haar" else args.seed)
     alpha = args.alpha if args.beta2 is None else an.alpha_for_beta2(args.beta2, args.theta)
-    steps = _checked_steps(gate.demo(list(state.registry.photons), view))
+    try:
+        program = gate.demo(list(state.registry.photons), view)
+    except IndexError:  # the demo names a photon past the count given
+        raise GateError(f"gate {args.name!r} needs at least {gate.least} photons, "
+                        f"got {photons}") from None
+    steps = _checked_steps(program)
     unread = sorted(args.given - view.read)
     if unread:
         raise UsageError(f"gate {args.name!r} does not take --{', --'.join(unread)}")

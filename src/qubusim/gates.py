@@ -1041,6 +1041,8 @@ def c_path3(
     coupling-saving variant with an upstream witness slot ("compact"); both
     act identically.
     """
+    if len(control_rails) != 2:
+        raise GateError(f"C-path-3 needs the control's two rails, got {list(control_rails)!r}")
     first, second = control_rails
     rail1 = _require_single_path(s, target)
     s, (rail2,) = _open_rails(s, target, [rail1], "s")
@@ -1256,16 +1258,14 @@ def merging_n(
         {"carrier": (ancilla, anc_path), "recycled": photon, "arms": tuple(arms)}
     )
 
+    if not keep_recycled:
+        return scored.state, report  # the representative, its photon removed
     # the representative's row names its arm, and the photon stays there in
     # |+⟩ on a plus arm and |−⟩ on a minus arm
     rep_arm = arms[names.index(scored.value)]
-    rep_state = next(st for a, _, st in corrected if a == rep_arm)
-    if not keep_recycled:
-        rep_state = remove_photon(rep_state, photon)
-    else:
-        report.extras["recycled_arm"] = rep_arm
-        report.extras["recycled_sign"] = scored.value[-1]
-    return rep_state, report
+    report.extras["recycled_arm"] = rep_arm
+    report.extras["recycled_sign"] = scored.value[-1]
+    return next(st for a, _, st in corrected if a == rep_arm), report
 
 
 def _factorize_corrections(u, qbits: int) -> list[list[float]]:

@@ -231,3 +231,62 @@ def test_sweep_pmf_rows():
 
 def test_beta_squared_round_trip():
     assert beta_squared(alpha_for_beta2(20.0, 0.05), 0.05) == pytest.approx(20.0)
+
+
+#: the parameters each sweep quantity reads, written out here so that a key
+#: added to or dropped from analysis's table fails a test
+SWEEP_READS = {
+    "P_E_formula": ("alpha", "theta", "beta2", "gamma", "eta", "theta_probe"),
+    "P_E_direct": ("alpha", "theta", "beta2", "gamma", "eta", "theta_probe"),
+    "peak_overlap": ("gamma", "theta_probe", "k1", "k2"),
+    "gate_fidelity": ("alpha", "theta", "beta2", "state_seed"),
+    "pmf": ("alpha", "theta", "beta2"),
+}
+
+
+def test_a_sweep_takes_exactly_the_keys_its_quantity_reads():
+    assert set(SWEEP_READS) == set(an.QUANTITIES)
+    accepted = 0
+    for quantity, reads in SWEEP_READS.items():
+        for key, default in an._DEFAULTS.items():
+            value = 1.0 if default is None else default
+            refused = (f"sweep quantity {quantity!r} does not read {key!r} "
+                       f"(it takes {', '.join(reads)})")
+            # as a grid key, and as a fixed key beside a grid key it may go with
+            other = next(k for k in reads if k != key and {k, key} != {"alpha", "beta2"})
+            for grid, fixed in (({key: [value]}, {}), ({other: [1.0]}, {key: value})):
+                if key in reads:
+                    SweepSpec(quantity, grid, fixed)
+                else:
+                    with pytest.raises(AnalysisError) as err:
+                        SweepSpec(quantity, grid, fixed)
+                    assert str(err.value) == refused
+            accepted += key in reads
+    assert (accepted, len(SWEEP_READS) * len(an._DEFAULTS)) == (23, 45)
+    # a key no quantity reads keeps its own message
+    with pytest.raises(AnalysisError, match="^unknown sweep parameter 'bogus'$"):
+        SweepSpec("peak_overlap", {"bogus": [1.0]})
+
+
+#: values of each key that a sweep compares, and, per quantity, the point they
+#: are taken at: θ and the state seed at fixed α, the gate fidelity at
+#: |β|² = 4, where the disposal leak pulls it below 1
+SWEEP_VALUES = {"alpha": [28.0, 30.0], "theta": [0.05, 0.06], "beta2": [3.0, 4.0],
+                "gamma": [1.0, 2.0], "eta": [0.5, 0.9], "theta_probe": [0.05, 0.1],
+                "k1": [1, 3], "k2": [2, 4], "state_seed": list(range(8))}
+SWEEP_POINT = {"gate_fidelity": {"alpha": alpha_for_beta2(4.0, 0.05)}}
+
+
+@pytest.mark.parametrize("quantity, key", [(q, k) for q, quantity in an._SWEEPS.items()
+                                           for k in quantity.reads])
+def test_every_key_a_sweep_takes_moves_its_rows(quantity, key):
+    fixed = {} if key in ("alpha", "beta2") else SWEEP_POINT.get(quantity, {})
+    rows = run_sweep(SweepSpec(quantity, {key: SWEEP_VALUES[key]}, fixed))
+    by_value = {}
+    for row in rows:
+        by_value.setdefault(row[key], []).append(
+            tuple(v for k, v in sorted(row.items()) if k != key))
+    assert len(by_value) == len(SWEEP_VALUES[key])
+    # the parity gate's mean fidelity hardly depends on its input, so the
+    # seeds move it only by rounding: some two of them differ
+    assert len({tuple(v) for v in by_value.values()}) > 1

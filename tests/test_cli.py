@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from qubusim import StateError, cli
+from qubusim import analysis as an
 from qubusim import elements as el
 from qubusim import pipelines as pl
 from qubusim import polarization_state, state_to_dict
@@ -676,3 +677,152 @@ def test_console_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["gate"] == "parity"
+
+
+#: the program steps that couple nothing to a qubus, and so take no alpha or theta
+UNCOUPLED_STEPS = ("disentangler", "element", "plus")
+_PROGRAM_ONLY_STEPS = {
+    "element": {"gate": "element", "kind": "WavePlateX", "targets": {"photon": "1", "path": "t1"}},
+    "plus": {"gate": "plus", "photon": "anc"},
+}
+
+
+def _one_step(name: str) -> dict:
+    """A step of gate name that the schema takes: its demo's last step."""
+    if name in _PROGRAM_ONLY_STEPS:
+        return _PROGRAM_ONLY_STEPS[name]
+    args = build_parser().parse_args(["gate", name])
+    return GATES[name].demo(["1", "2", "3"], args)[-1]
+
+
+def test_alpha_and_theta_are_taken_by_exactly_the_coupling_steps(tmp_path, capsys):
+    coupling = [name for name in GATES if name not in UNCOUPLED_STEPS]
+    assert len(coupling) == 18 and set(UNCOUPLED_STEPS) <= set(GATES)
+    for name in coupling:
+        for key in ("alpha", "theta"):
+            cli._checked_steps([{**_one_step(name), key: 0.5}])
+    prog = tmp_path / "prog.json"
+    photons = [{"id": "1", "path": "t1"}, {"id": "2", "path": "t2"}]
+    takes = {"disentangler": "control, target, rails?, gate", "plus": "photon, path?, gate",
+             "element": "kind, targets, parameter?, gate"}
+    for name in UNCOUPLED_STEPS:
+        for key in ("alpha", "theta"):
+            step = {**_one_step(name), key: 1e-30}
+            prog.write_text(json.dumps({"photons": photons, "gates": [step]}))
+            capsys.readouterr()
+            assert main(["run", str(prog)]) == 2, (name, key)
+            assert capsys.readouterr().err == (
+                f"error: step 0 ({name}): unknown key {key!r} (it takes {takes[name]})\n")
+
+
+UNITARY_REFUSED = "is not cnot, identity, hadamard4, qft:N, haar:SEED[:N] or a JSON matrix"
+
+
+@pytest.mark.parametrize("spec", ["haar:1:4:9", "qft:4:3", "haar: 1", "qft:x", "haar:1:x",
+                                  "haar:-1:4", "haar:1:0", "identity:3", "qft:0", "haar:",
+                                  "QFT:4", "cnot "])
+def test_malformed_unitary_spec_is_refused(spec, capsys):
+    assert main(["gate", "two-qubit", "--unitary", spec, "--beta2", "20"]) == 2
+    assert capsys.readouterr().err == f"error: unitary {spec!r} {UNITARY_REFUSED}\n"
+    assert main(["decompose", spec]) == 2
+    assert capsys.readouterr().err == f"error: unitary {spec!r} {UNITARY_REFUSED}\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["two-qubit", "--unitary", "haar:1:8"], "unitary 'haar:1:8' is 8x8, but 4x4 is needed"),
+    (["two-qubit", "--unitary", "qft:2"], "unitary 'qft:2' is 2x2, but 4x4 is needed"),
+    (["cn-u1", "--unitary", "cnot"], "unitary 'cnot' is 4x4, but 2x2 is needed"),
+    (["cn-uk", "--targets", "3", "--unitary", "hadamard4", "--photons", "4"],
+     "unitary 'hadamard4' is 4x4, but 8x8 is needed"),
+])
+def test_a_unitary_spec_of_the_wrong_size_is_refused(argv, err, capsys):
+    assert main(["gate", *argv, "--beta2", "20"]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_a_unitary_spec_of_the_wrong_size_builds_no_matrix(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a matrix was built for a spec of the wrong size")
+
+    monkeypatch.setattr(cli.syn, "random_haar_unitary", unreachable)
+    monkeypatch.setattr(cli.syn, "qft_matrix", unreachable)
+    for spec in ("haar:1:100000", "qft:100000"):
+        with pytest.raises(StateError, match="is 100000x100000, but 4x4 is needed"):
+            parse_unitary_spec(spec, 4)
+
+
+#: the demos whose steps name their photons by index; the rest slice the photon
+#: list, and the step's own checks refuse too few photons
+POSITIONAL_DEMOS = ("cpath", "cpath2", "cpath3", "disentangler", "entangler1", "entangler2",
+                    "entangler3", "entangler4", "merging", "merging-n")
+
+
+@pytest.mark.parametrize("name", DEMO_GATES)
+@pytest.mark.parametrize("photons", [1, 2])
+def test_every_demo_on_one_or_two_photons_runs_or_is_refused(name, photons, tmp_path, capsys):
+    least = GATES[name].least
+    assert least == (3 if name in ("cpath2", "cpath3", "entangler3", "entangler4", "merging-n")
+                     else 2)
+    code = main(["gate", name, "--photons", str(photons), "--beta2", "20",
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == (0 if photons >= least else 2), err
+    assert "Traceback" not in err
+    if code and name in POSITIONAL_DEMOS:
+        # a demo whose steps name its photons by position says how many it needs
+        assert err == f"error: gate {name!r} needs at least {least} photons, got {photons}\n"
+
+
+def test_a_demo_below_its_least_count_prints_no_traceback():
+    proc = run_cli(["gate", "cpath2", "--photons", "2"])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: gate 'cpath2' needs at least 3 photons, got 2\n"
+
+
+@pytest.mark.parametrize("photons, targets", [(3, -1), (3, 0), (3, 3), (4, 4), (2, 2)])
+def test_cn_uk_targets_outside_1_to_n_minus_1_are_refused(photons, targets, capsys):
+    argv = ["gate", "cn-uk", "--photons", str(photons), "--targets", str(targets)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: gate 'cn-uk' needs 1 <= --targets <= --photons - 1, "
+        f"got --targets {targets} with --photons {photons}\n")
+
+
+@pytest.mark.parametrize("rails", [["t2"], ["t2", "t2x", "t2y"], []])
+def test_a_cpath3_step_needs_two_rails(rails, tmp_path, capsys):
+    photons = [{"id": pid, "path": f"t{pid}"} for pid in ("1", "2", "3")]
+    steps = [{"gate": "cpath", "control": "1", "target": "2"},
+             {"gate": "cpath3", "control": "2", "target": "3", "rails": rails}]
+    prog = tmp_path / "prog.json"
+    prog.write_text(json.dumps({"photons": photons, "gates": steps}))
+    assert main(["run", str(prog)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: step 1 (cpath3): key 'rails' must be a list of two rails, got {rails!r}\n")
+
+
+def test_a_cpath3_step_on_a_four_rail_control_is_refused(tmp_path, capsys):
+    # the rails a qudit transform routed its carrier onto are four, not two
+    photons = [{"id": pid, "path": f"t{pid}"} for pid in ("1", "2", "3", "4")]
+    steps = [{"gate": "to-qudit", "photons": ["1", "2", "3"]},
+             {"gate": "cpath3", "control": "3", "target": "4"}]
+    prog = tmp_path / "prog.json"
+    prog.write_text(json.dumps({"photons": photons, "gates": steps}))
+    assert main(["run", str(prog)]) == 2
+    assert "error: C-path-3 needs the control's two rails, got [" in capsys.readouterr().err
+
+
+def test_readme_marks_the_coupling_steps_and_each_sweep_quantitys_parameters():
+    text = README.read_text()
+    section = text[text.index("## Command line"):text.index("## Scope notes")]
+    steps = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
+    assert {row[1].strip(" `"): row[4].strip() == "yes" for row in steps} == {
+        name: gate.couples for name, gate in GATES.items()}
+    table = section[section.index("| parameter | default |"):].split("\n\n")[0].splitlines()
+    quantities = [cell.strip().split(", ") for cell in table[0].split("|")[3:-1]]
+    marked = {}
+    for row in table[2:]:
+        cells = [cell.strip() for cell in row.split("|")[1:-1]]
+        for names, mark in zip(quantities, cells[2:]):
+            for name in names:
+                marked.setdefault(name, set()).update({cells[0]} if mark == "yes" else set())
+    assert marked == {name: set(q.reads) for name, q in an._SWEEPS.items()}

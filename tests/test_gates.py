@@ -455,6 +455,30 @@ def test_merging_keeps_recycled_photon(alpha20):
     assert fidelity(stripped, polarization_state(z, [("1", "t1"), ("A", "pa")])) >= 1 - 1e-8
 
 
+def test_merging_without_the_recycled_photon_removes_it_once_per_outcome(alpha20, monkeypatch):
+    """The representative comes from the scored outcomes, whose states already
+    lack the detected photon, so no outcome has it removed twice."""
+    s = polarization_state(haar_vec(4, 7), [("1", "t1"), ("2", "t2")])
+    mid, rep1 = g.c_path(s, "1", "2", alpha20, THETA)
+    mid, _, _ = g.inject_plus(mid, "A", "pa")
+    args = (mid, "2", rep1.extras["rails"], "A", [("1", None)], alpha20, THETA)
+    kept, _ = g.merging_n(*args)
+    calls = []
+
+    def counted(st, pid):
+        calls.append(pid)
+        return remove_photon(st, pid)
+
+    monkeypatch.setattr(g, "remove_photon", counted)
+    out, rep = g.merging_n(*args, keep_recycled=False)
+    assert calls == ["2"] * len(rep.outcomes) and len(rep.outcomes) == 4
+    # bit for bit the recycled photon's state with the photon removed
+    want = remove_photon(kept, "2")
+    assert out.registry is want.registry
+    for got, ref in ((out.amps, want.amps), (out.codes, want.codes), (out.qubus, want.qubus)):
+        assert np.array_equal(got, ref)
+
+
 def test_merging_requires_plus_ancilla(alpha20):
     reg = ModeRegistry().with_photon("1", ("p1",)).with_photon("2", ("p2", "p3"))
     s = branch_state(reg, [(1.0, {"1": ("p1", "H"), "2": ("p2", "H")})])
