@@ -12,7 +12,6 @@ from qubusim import HybridState, pol_qubit
 from qubusim.state import Branch
 from qubusim.synthesis import (
     HADAMARD4,
-    apply_path_unitary,
     mesh_apply,
     qft_matrix,
     random_haar_unitary,
@@ -45,7 +44,6 @@ for r in rails[1:]:
 state = HybridState(reg, [Branch(v[i], (("q", rails[i], "H"),), ()) for i in range(n)])
 
 via_mesh = mesh_apply(state, "q", rails, reck_decompose(u))
-via_dense = apply_path_unitary(state, "q", rails, u)
 got = np.array(
     [sum(br.amplitude for br in via_mesh.branches if br.slot("q")[0] == r) for r in rails]
 )

@@ -99,7 +99,8 @@ def parse_unitary_spec(spec, dim: int | None = None) -> np.ndarray:
     """"cnot" | "identity" | "hadamard4" | "qft:N" | "haar:SEED[:N]" | JSON matrix
     text, or an already parsed JSON matrix; any other text is refused.  dim is
     the size the caller needs: it sizes identity and haar:SEED (default 4), and
-    a spec of another size is refused before its matrix is built."""
+    a spec of another size is refused before its matrix is built, as is one
+    larger than the 2^MAX_PHOTONS rails of the desk-scale cap."""
     if not isinstance(spec, str):
         return _matrix_from_json(spec)
     m = _UNITARY_SPEC.fullmatch(spec)
@@ -114,6 +115,9 @@ def parse_unitary_spec(spec, dim: int | None = None) -> np.ndarray:
     n = 4 if name in ("cnot", "hadamard4") else int(qft or size or dim or 4)
     if dim is not None and n != dim:
         raise StateError(f"unitary {spec!r} is {n}x{n}, but {dim}x{dim} is needed")
+    if n > 2**pl.MAX_PHOTONS:
+        raise StateError(f"unitary {spec!r} is {n}x{n}, past the desk-scale cap of "
+                         f"{2**pl.MAX_PHOTONS}x{2**pl.MAX_PHOTONS} ({pl.MAX_PHOTONS} photons)")
     if name == "cnot":
         return np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -350,13 +354,14 @@ GATES: dict[str, Gate] = {
     ),
     "entangler2": Gate(2, {"companion": "str", "qudit": "str", "rails?": "strs", "bit?": "int"},
         _entangler3,
-        lambda p, o: [{"gate": "to-qudit", "photons": p},
+        # an Entangler-2 acts on a two-rail qudit: the first two photons, as parity's
+        lambda p, o: [{"gate": "to-qudit", "photons": p[:2]},
                       {"gate": "entangler2", "companion": p[0], "qudit": p[1]}],
     ),
     "entangler3": Gate(3, {"companion": "str", "qudit": "str", "rails?": "strs", "bit?": "int"},
         _entangler3,
         lambda p, o: [{"gate": "to-qudit", "photons": p},
-                      {"gate": "entangler3", "companion": p[0], "qudit": p[2]}],
+                      {"gate": "entangler3", "companion": p[0], "qudit": p[-1]}],
         least=3,
     ),
     "entangler4": Gate(3, {"ancilla": "str", "qudit": "str", "rails?": "strs"},
@@ -364,7 +369,7 @@ GATES: dict[str, Gate] = {
             s, st["ancilla"], st["qudit"], _rails(st, st["qudit"], r), a, t
         ),
         lambda p, o: [{"gate": "to-qudit", "photons": p}, _PLUS,
-                      {"gate": "entangler4", "ancilla": "anc", "qudit": p[2]}],
+                      {"gate": "entangler4", "ancilla": "anc", "qudit": p[-1]}],
         least=3,
     ),
     "merging": Gate(2, _MERGING_KEYS, _merging,
@@ -373,12 +378,13 @@ GATES: dict[str, Gate] = {
                        "companions": [p[0]]}],
     ),
     "merging-n": Gate(3, _MERGING_KEYS, _merging,
+        # as from-qudit: one Entangler-3 per companion bit, then the merge
         lambda p, o: [{"gate": "to-qudit", "photons": p},
-                      {"gate": "entangler3", "companion": p[0], "qudit": p[2]},
-                      {"gate": "entangler3", "companion": p[1], "qudit": p[2], "bit": 1},
+                      *({"gate": "entangler3", "companion": c, "qudit": p[-1], "bit": m}
+                        for m, c in enumerate(p[:-1])),
                       _PLUS,
-                      {"gate": "merging-n", "photon": p[2], "ancilla": "anc",
-                       "companions": p[:2], "interference": o.interference}],
+                      {"gate": "merging-n", "photon": p[-1], "ancilla": "anc",
+                       "companions": p[:-1], "interference": o.interference}],
         least=3,
     ),
     "two-qubit": Gate(2, {"photons": "pair", "unitary": "str|list"},
@@ -525,15 +531,13 @@ def cmd_gate(args) -> int:
     photons = gate.photons if args.photons is None else args.photons
     if not 1 <= photons <= pl.MAX_PHOTONS:
         raise pl.PipelineError(f"--photons must be 1..{pl.MAX_PHOTONS}, got {photons}")
+    if photons < gate.least:
+        raise GateError(f"gate {args.name!r} needs at least {gate.least} photons, got {photons}")
     view = _ReadRecorder(args)
     # of the inputs, only a bare "haar" draws on --seed
     state = parse_state_spec(args.input, photons, view.seed if args.input == "haar" else args.seed)
     alpha = args.alpha if args.beta2 is None else an.alpha_for_beta2(args.beta2, args.theta)
-    try:
-        program = gate.demo(list(state.registry.photons), view)
-    except IndexError:  # the demo names a photon past the count given
-        raise GateError(f"gate {args.name!r} needs at least {gate.least} photons, "
-                        f"got {photons}") from None
+    program = gate.demo(list(state.registry.photons), view)
     steps = _checked_steps(program)
     unread = sorted(args.given - view.read)
     if unread:

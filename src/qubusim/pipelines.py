@@ -42,12 +42,9 @@ from .gates import (
 )
 from .state import (
     H,
-    V,
     HybridState,
     _ancilla,
     _put_in,
-    _runs,
-    _slot_digits,
     _stand_in,
     remove_photon,
     tensor,
@@ -329,96 +326,6 @@ def multi_qubit_gate(
 # ---------------------------------------------------------------------------
 
 
-def _multi_control(
-    s: HybridState,
-    controls: Sequence[str],
-    targets: Sequence[str],
-    u: np.ndarray,
-    alpha: float,
-    theta: float,
-    layout: str,
-) -> tuple[HybridState, GateReport]:
-    """C^n(U_k): U acts on the k targets only when all n controls are |V⟩.
-
-    The controls and the first target form a chain.  A C-path routes its
-    second photon by the first one's polarization, and a C-path-3 routes each
-    later photon onto two rails by the all-V-so-far rail of the one before;
-    layout picks the couplings of the first C-path-3.  Each further target is
-    routed off the last control.  U then acts on the targets' all-V rails:
-    wave plates for one target, the idealized block unitary of
-    _conditional_pol_unitary for k ≥ 2.  Last, one Merging gate per routed
-    photon folds everything back.  The report is "cn_u1" for one target and "cn_uk" for more; its
-    extras map each logical qubit to its carrier photon.
-    """
-    controls, targets = list(controls), list(targets)
-    n, k = len(controls), len(targets)
-    _require_photons(s, 2, controls=controls, targets=targets)
-    u = syn.check_unitary(np.asarray(u, dtype=complex))
-    if u.shape != (2**k, 2**k):
-        raise PipelineError(f"U must be {2**k}x{2**k} for {k} target(s)")
-    if layout not in ("split", "compact"):
-        raise PipelineError(f"unknown C-path-3 layout {layout!r}")
-    if layout == "compact" and n < 2:
-        raise PipelineError(
-            "the compact layout needs at least two controls: "
-            "one control leaves no C-path-3 stage for it to act on"
-        )
-    name = "cn_u1" if k == 1 else "cn_uk"
-    report = GateReport(name, gates=Counter({name: 1}))
-
-    chain = controls + targets[:1]
-    links = list(zip(chain, chain[1:])) + [(controls[-1], t) for t in targets[1:]]
-    rails: dict[str, tuple[str, str]] = {}  # each routed photon's (first, second) rails
-    out = s
-    for i, (ctrl, photon) in enumerate(links):
-        if ctrl == controls[0]:
-            out, rep = c_path(out, ctrl, photon, alpha, theta)
-        elif i == 1:  # the first C-path-3 stage takes the layout
-            witness = (controls[0], out.photon_paths_in_use(controls[0])[0], H)
-            out, rep = c_path3(
-                out, ctrl, rails[ctrl], photon, alpha, theta, layout=layout, witness=witness
-            )
-        else:
-            out, rep = c_path3(out, ctrl, rails[ctrl], photon, alpha, theta)
-        report.absorb(rep)
-        rails[photon] = rep.extras["rails"]
-
-    active = [rails[t][1] for t in targets]
-    if k == 1:
-        out = el.pol_unitary(out, targets[0], active[0], u)
-    else:
-        out = _conditional_pol_unitary(out, targets, active, u)
-        report.extras["idealized_uk"] = True
-
-    # Fold the targets (last first), then the split controls (last first)
-    # back with one Merging gate each.  Each step's companion is the V slot
-    # that marks "every control before it is V": the first control's
-    # polarization, then each split control's V on its second rail.  The
-    # first gate merges onto a fresh |+⟩ ancilla, each later one onto the
-    # photon the previous gate recycled, and the photon recycled last is
-    # dropped.
-    flags = [(controls[0], None)] + [(c, rails[c][1]) for c in controls[1:]]
-    steps = [(t, flags[-1]) for t in targets[::-1]]
-    steps += [(controls[j], flags[j - 1]) for j in range(n - 1, 0, -1)]
-    out, anc, _ = inject_plus(out)
-    report.resources.add(Resources(ancilla_photons=1))
-    sign = "+"
-    carriers = {controls[0]: controls[0]}
-    for photon, companion in steps:
-        if sign == "-":
-            out = el.wave_plate(out, anc, None, "z")
-        out, rep = merging_n(out, photon, rails[photon], anc, [companion], alpha, theta)
-        report.absorb(rep)
-        carriers[photon] = anc
-        anc, sign = photon, rep.extras["recycled_sign"]
-    if sign == "-":
-        out = el.wave_plate(out, anc, None, "z")
-
-    order = tuple(carriers[p] for p in controls + targets)
-    report.extras.update({"photon_order": order, "carriers": carriers})
-    return remove_photon(out, anc), report
-
-
 def cn_u1(
     s: HybridState,
     controls: Sequence[str],
@@ -430,12 +337,72 @@ def cn_u1(
 ) -> tuple[HybridState, GateReport]:
     """C^n(U1): U1 hits the target only when every control is |V⟩.
 
-    One C-path plus n−1 C-path-3 gates route each photon to two rails, U1
-    (wave plates) acts on the target's all-V rail alone, and n Merging gates
-    fold everything back, recycling one ancilla photon throughout.  The
-    extras map each logical qubit to its carrier photon.
+    The controls and the target form a chain.  A C-path routes its second
+    photon by the first one's polarization, and a C-path-3 routes each later
+    photon onto two rails by the all-V-so-far rail of the one before; layout
+    picks the couplings of the first C-path-3.  U1 (wave plates) then acts on
+    the target's all-V rail alone, and n Merging gates fold everything back,
+    recycling one ancilla photon throughout.  The extras map each logical
+    qubit to its carrier photon.  cn_uk on one target is this gate; on k ≥ 2
+    targets it is the multi-qubit gate instead, with no carriers extra.
     """
-    return _multi_control(s, controls, [target], u1, alpha, theta, layout)
+    controls = list(controls)
+    n = len(controls)
+    _require_photons(s, 2, controls=controls, target=[target])
+    u1 = syn.check_unitary(np.asarray(u1, dtype=complex))
+    if u1.shape != (2, 2):
+        raise PipelineError("U1 must be 2x2")
+    if layout not in ("split", "compact"):
+        raise PipelineError(f"unknown C-path-3 layout {layout!r}")
+    if layout == "compact" and n < 2:
+        raise PipelineError(
+            "the compact layout needs at least two controls: "
+            "one control leaves no C-path-3 stage for it to act on"
+        )
+    report = GateReport("cn_u1", gates=Counter({"cn_u1": 1}))
+
+    chain = controls + [target]
+    rails: dict[str, tuple[str, str]] = {}  # each routed photon's (first, second) rails
+    out = s
+    for i, (ctrl, photon) in enumerate(zip(chain, chain[1:])):
+        if i == 0:
+            out, rep = c_path(out, ctrl, photon, alpha, theta)
+        elif i == 1:  # the first C-path-3 stage takes the layout
+            witness = (controls[0], out.photon_paths_in_use(controls[0])[0], H)
+            out, rep = c_path3(
+                out, ctrl, rails[ctrl], photon, alpha, theta, layout=layout, witness=witness
+            )
+        else:
+            out, rep = c_path3(out, ctrl, rails[ctrl], photon, alpha, theta)
+        report.absorb(rep)
+        rails[photon] = rep.extras["rails"]
+
+    out = el.pol_unitary(out, target, rails[target][1], u1)
+
+    # Fold the routed photons back, last first, with one Merging gate each.
+    # Each step's companion is the V slot that marks "every control before
+    # it is V": the first control's polarization, then each split control's
+    # V on its second rail.  The first gate merges onto a fresh |+⟩ ancilla,
+    # each later one onto the photon the previous gate recycled, and the
+    # photon recycled last is dropped.
+    flags = [(controls[0], None)] + [(c, rails[c][1]) for c in controls[1:]]
+    out, anc, _ = inject_plus(out)
+    report.resources.add(Resources(ancilla_photons=1))
+    sign = "+"
+    carriers = {controls[0]: controls[0]}
+    for photon, companion in reversed(list(zip(chain[1:], flags))):
+        if sign == "-":
+            out = el.wave_plate(out, anc, None, "z")
+        out, rep = merging_n(out, photon, rails[photon], anc, [companion], alpha, theta)
+        report.absorb(rep)
+        carriers[photon] = anc
+        anc, sign = photon, rep.extras["recycled_sign"]
+    if sign == "-":
+        out = el.wave_plate(out, anc, None, "z")
+
+    order = tuple(carriers[p] for p in chain)
+    report.extras.update({"photon_order": order, "carriers": carriers})
+    return remove_photon(out, anc), report
 
 
 def toffoli(
@@ -453,41 +420,6 @@ def toffoli(
     return out, report
 
 
-def _conditional_pol_unitary(
-    s: HybridState, targets: Sequence[str], active_rails: Sequence[str], u: np.ndarray
-) -> HybridState:
-    """Apply U on the joint polarization of the targets, only in rows where
-    every target sits on its active rail.  Explicitly idealized block unitary
-    (the couplings that would realize it gate-by-gate are not constructed)."""
-    reg, k = s.registry, len(targets)
-    strides = [reg._stride[reg.slot_index(t)] for t in targets]
-    digits = [_slot_digits(s, t) for t in targets]
-    active = np.logical_and.reduce(
-        [d >> 1 == reg.paths_of(t).index(r) for d, t, r in zip(digits, targets, active_rails)]
-    )
-    # the targets' polarizations as a k-bit index (first target most significant),
-    # and each row's code with every target set to H: rows of one group share it
-    pol = sum((d & 1) << (k - 1 - i) for i, d in enumerate(digits))
-    base = s.codes - sum((d & 1) * st for d, st in zip(digits, strides))
-    on = active.nonzero()[0]
-    order, new = _runs(base[on], s.qubus[on], 0.0)
-    group = np.empty(len(on), int)
-    group[order] = new.cumsum() - 1
-    vecs = np.zeros((int(new.sum()), 2**k), complex)
-    np.add.at(vecs, (group, pol[on]), s.amps[on])
-    vecs = vecs @ u.T
-    g, idx = (abs(vecs) >= 1e-300).nonzero()
-    first = on[order[new]][g]
-    bits = sum(((idx >> (k - 1 - i)) & 1) * st for i, st in enumerate(strides))
-    off = (~active).nonzero()[0]
-    return HybridState._rows(
-        reg,
-        np.concatenate([s.amps[off], vecs[g, idx]]),
-        np.concatenate([s.codes[off], base[first] + bits]),
-        np.concatenate([s.qubus[off], s.qubus[first]]),
-    ).canonical()
-
-
 def cn_uk(
     s: HybridState,
     controls: Sequence[str],
@@ -498,9 +430,25 @@ def cn_uk(
 ) -> tuple[HybridState, GateReport]:
     """C^n(U_k): a k-qubit unitary on the targets when every control is |V⟩.
 
-    The control chain, target routing and every Merging gate use the real
-    coupling machinery; for k ≥ 2 the conditional U_k itself is applied as an
-    explicit block unitary on the routed rails.  On one target this is
-    C^n(U1), fully physical wave plates and report name included.
+    On one target this is C^n(U1), report name included.  For k ≥ 2 it is
+    the multi-qubit gate of diag(1, …, 1, U_k) on the controls then the
+    targets, built from qubus gates: qudit transform, Reck mesh, Entangler-3
+    and Merging-n.  Its report is named "cn_uk"; the last target exits on
+    the merge ancilla named in the report's photon order, and there is no
+    carriers extra.
     """
-    return _multi_control(s, controls, targets, uk, alpha, theta, "split")
+    controls, targets = list(controls), list(targets)
+    _require_photons(s, 2, controls=controls, targets=targets)
+    k = len(targets)
+    uk = syn.check_unitary(np.asarray(uk, dtype=complex))
+    if uk.shape != (2**k, 2**k):
+        raise PipelineError(f"U_k must be {2**k}x{2**k} for {k} target(s)")
+    if k == 1:
+        return cn_u1(s, controls, targets[0], uk, alpha, theta)
+    dim = 2 ** (len(controls) + k)
+    u = np.eye(dim, dtype=complex)
+    u[dim - 2**k :, dim - 2**k :] = uk
+    out, report = multi_qubit_gate(s, controls + targets, u, alpha, theta)
+    report.gate = "cn_uk"
+    report.gates.update({"cn_uk": 1})
+    return out, report

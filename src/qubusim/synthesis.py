@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import elements
-from .state import POLS, HybridState, StateError, _distinct, _slot_digits
+from .state import HybridState, StateError, _distinct, _slot_digits
 
 
 class SynthesisError(ValueError):
@@ -157,25 +157,6 @@ def mesh_apply(
 def apply_mesh_ops(s: HybridState, photon: str, paths: Sequence[str], mesh: Mesh) -> HybridState:
     """Execute mesh elements natively (no polarization restriction)."""
     return elements.apply_elements(s, mesh.element_ops(photon, paths))
-
-
-def apply_path_unitary(
-    s: HybridState, photon: str, paths: Sequence[str], u: np.ndarray
-) -> HybridState:
-    """Dense action of U on path amplitudes: |j⟩ → Σ_k U[k, j] |k⟩.
-
-    Polarization-independent, like a physical multiport; used as the oracle
-    mate of mesh_apply.
-    """
-    u = check_unitary(u)
-    if u.shape[0] != len(paths):
-        raise SynthesisError("unitary size does not match path count")
-    table = {
-        (p, pol): [(u[k, j], q, pol) for k, q in enumerate(paths)]
-        for j, p in enumerate(paths)
-        for pol in POLS
-    }
-    return elements._remap_slot(s, photon, table)
 
 
 def qft_matrix(n: int) -> np.ndarray:

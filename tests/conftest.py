@@ -1,11 +1,13 @@
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from qubusim import HybridState, StateError, polarization_state
+from qubusim import HybridState, StateError, elements, polarization_state
 from qubusim.analysis import alpha_for_beta2
-from qubusim.state import _canonical_order
+from qubusim.state import POLS, _canonical_order
+from qubusim.synthesis import SynthesisError, check_unitary
 
 THETA = 0.05
 
@@ -22,6 +24,25 @@ def two_photon(seed, ids=("1", "2"), paths=("t1", "t2")):
 
 def alpha_for(beta2, theta=THETA):
     return alpha_for_beta2(beta2, theta)
+
+
+def apply_path_unitary(
+    s: HybridState, photon: str, paths: Sequence[str], u: np.ndarray
+) -> HybridState:
+    """Dense action of U on path amplitudes: |j⟩ → Σ_k U[k, j] |k⟩.
+
+    Polarization-independent, like a physical multiport; used as the oracle
+    mate of mesh_apply.
+    """
+    u = check_unitary(u)
+    if u.shape[0] != len(paths):
+        raise SynthesisError("unitary size does not match path count")
+    table = {
+        (p, pol): [(u[k, j], q, pol) for k, q in enumerate(paths)]
+        for j, p in enumerate(paths)
+        for pol in POLS
+    }
+    return elements._remap_slot(s, photon, table)
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from qubusim.detection import fock_distribution, probe_peak_mean
 from qubusim.numerics import fock_amplitude, poisson_pmf
 from qubusim.state import Branch, _sorted_slots
 
-from conftest import alpha_for, haar_vec, THETA
+from conftest import alpha_for, apply_path_unitary, haar_vec, THETA
 
 ALPHA_20 = alpha_for(20.0)
 ALPHA_40 = alpha_for(40.0)
@@ -293,7 +293,7 @@ def test_criterion_10_reck_mesh():
         reg, [Branch(v[i], (("q", rails[i], "H"),), ()) for i in range(8)]
     )
     via_mesh = syn.mesh_apply(state, "q", rails, syn.reck_decompose(u))
-    via_dense = syn.apply_path_unitary(state, "q", rails, u)
+    via_dense = apply_path_unitary(state, "q", rails, u)
     assert fidelity(via_mesh, via_dense) >= 1 - 1e-10
     got = np.array(
         [sum(br.amplitude for br in via_mesh.branches if br.slot("q")[0] == r) for r in rails]

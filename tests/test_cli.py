@@ -394,8 +394,7 @@ def test_validation_error_exit_2(tmp_path, capsys, monkeypatch):
         assert main(["gate", *argv]) == 2, argv
         assert err in capsys.readouterr().err, argv
     for argv, err in (
-        (["--photons", "1"],
-         "step 0 (parity): key 'photons' must be a list of two photon ids, got ['1']"),
+        (["--photons", "1"], "gate 'parity' needs at least 2 photons, got 1"),
         (["--photons", "-1"], f"--photons must be 1..{pl.MAX_PHOTONS}, got -1"),
         (["--photons", "0"], f"--photons must be 1..{pl.MAX_PHOTONS}, got 0"),
         (["--photons", str(pl.MAX_PHOTONS + 1)],
@@ -751,10 +750,26 @@ def test_a_unitary_spec_of_the_wrong_size_builds_no_matrix(monkeypatch):
             parse_unitary_spec(spec, 4)
 
 
-#: the demos whose steps name their photons by index; the rest slice the photon
-#: list, and the step's own checks refuse too few photons
-POSITIONAL_DEMOS = ("cpath", "cpath2", "cpath3", "disentangler", "entangler1", "entangler2",
-                    "entangler3", "entangler4", "merging", "merging-n")
+class _Built(Exception):
+    """Raised by a stand-in matrix builder; main lets it through."""
+
+
+def test_decompose_refuses_a_spec_past_the_desk_scale_cap_before_building_it(monkeypatch, capsys):
+    def built(n, *args):
+        raise _Built(n)
+
+    monkeypatch.setattr(cli.syn, "random_haar_unitary", built)
+    monkeypatch.setattr(cli.syn, "qft_matrix", built)
+    cap = 2**pl.MAX_PHOTONS
+    for spec in (f"haar:1:{cap + 1}", f"qft:{cap + 1}", "haar:1:100000", "qft:100000"):
+        assert main(["decompose", spec]) == 2
+        n = int(spec.rsplit(":", 1)[1])
+        assert capsys.readouterr().err == (
+            f"error: unitary {spec!r} is {n}x{n}, past the desk-scale cap of {cap}x{cap} "
+            f"({pl.MAX_PHOTONS} photons)\n")
+    for spec in (f"haar:1:{cap}", f"qft:{cap}"):  # the cap itself reaches the builder
+        with pytest.raises(_Built):
+            main(["decompose", spec])
 
 
 @pytest.mark.parametrize("name", DEMO_GATES)
@@ -768,9 +783,24 @@ def test_every_demo_on_one_or_two_photons_runs_or_is_refused(name, photons, tmp_
     err = capsys.readouterr().err
     assert code == (0 if photons >= least else 2), err
     assert "Traceback" not in err
-    if code and name in POSITIONAL_DEMOS:
-        # a demo whose steps name its photons by position says how many it needs
+    if code:
         assert err == f"error: gate {name!r} needs at least {least} photons, got {photons}\n"
+
+
+#: the demos of the n-rail gate families, whose reports name the gate from the rail count
+RAIL_SHAPED = ("entangler1", "entangler2", "entangler3", "entangler4", "merging", "merging-n")
+
+
+@pytest.mark.parametrize("name", DEMO_GATES)
+@pytest.mark.parametrize("photons", range(3, pl.MAX_PHOTONS + 1))
+def test_every_demo_runs_at_every_count_up_to_the_cap(name, photons, tmp_path):
+    """With the counts the test above covers, every demo runs at every count
+    from its least to MAX_PHOTONS, and still demos its own gate."""
+    out = tmp_path / "r.json"
+    argv = ["gate", name, "--photons", str(photons), "--beta2", "20", "--input", "haar:3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    if name in RAIL_SHAPED:
+        assert json.loads(out.read_text())["report"]["gate"] == name.replace("-", "_")
 
 
 def test_a_demo_below_its_least_count_prints_no_traceback():

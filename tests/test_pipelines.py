@@ -16,6 +16,7 @@ from qubusim import (
     polarization_vector,
     random_polarization_state,
     remove_photon,
+    state_to_dict,
     tensor,
 )
 from qubusim import elements as el
@@ -438,7 +439,7 @@ def test_cn_u1_single_control_is_controlled_u():
     assert abs(np.vdot(oracle @ z, vec)) ** 2 >= 1 - 1e-8
 
 
-@pytest.mark.parametrize("n_controls,k", [(1, 1), (2, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("n_controls,k", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)])
 def test_cn_uk_against_dense_oracle(n_controls, k):
     uk = syn.random_haar_unitary(2**k, 91)
     dim = 2 ** (n_controls + k)
@@ -451,6 +452,30 @@ def test_cn_uk_against_dense_oracle(n_controls, k):
     oracle[dim - 2**k :, dim - 2**k :] = uk
     assert abs(np.vdot(oracle @ z, vec)) ** 2 >= 1 - 1e-8
     assert rep.gate == ("cn_u1" if k == 1 else "cn_uk")
+
+
+@pytest.mark.parametrize("n_controls,k", [(1, 2), (2, 2), (1, 3)])
+def test_cn_uk_on_two_or_more_targets_is_the_multi_qubit_gate(n_controls, k):
+    """k >= 2: qudit transform, mesh and fold-back of diag(1, ..., 1, U_k)."""
+    uk = syn.random_haar_unitary(2**k, 95)
+    dim = 2 ** (n_controls + k)
+    ids = [f"c{i}" for i in range(n_controls)] + [f"t{i}" for i in range(k)]
+    s = polarization_state(haar_vec(dim, 96 + k), [(pid, f"p{i}") for i, pid in enumerate(ids)])
+    out, rep = pl.cn_uk(s, ids[:n_controls], ids[n_controls:], uk, ALPHA_40, THETA)
+    block = np.eye(dim, dtype=complex)
+    block[dim - 2**k :, dim - 2**k :] = uk
+    want, mqg = pl.multi_qubit_gate(s, ids, block, ALPHA_40, THETA)
+
+    children = [c.gate for c in rep.children]
+    assert children == ["to_qudit_circuit"] + ["entangler3"] * (len(ids) - 1) + ["merging_n"]
+    assert rep.gates["lomi"] == 1 + rep.children[-1].gates["lomi"]  # the mesh, then Merging-n's
+    assert rep.resources == mqg.resources
+    assert "idealized_uk" not in rep.extras and "carriers" not in rep.extras
+    doc, mqg_doc = rep.to_dict(), mqg.to_dict()
+    assert (doc.pop("gate"), mqg_doc.pop("gate")) == ("cn_uk", "multi_qubit_gate")
+    assert doc.pop("gates") == {**mqg_doc.pop("gates"), "cn_uk": 1}
+    assert doc == mqg_doc
+    assert state_to_dict(out) == state_to_dict(want)
 
 
 def _recycled_by_overlap(out, rep):
@@ -468,8 +493,6 @@ _MULTI_CONTROL_RUNS = (
     lambda s, ids: pl.toffoli(s, ids[:3], ids[3], ALPHA_40, THETA, layout="compact"),
     lambda s, ids: pl.cn_u1(s, ids[:1], ids[1], syn.random_haar_unitary(2, 5), ALPHA_40, THETA),
     lambda s, ids: pl.cn_u1(s, ids[:2], ids[2], syn.random_haar_unitary(2, 6), ALPHA_40, THETA),
-    lambda s, ids: pl.cn_uk(s, ids[:1], ids[1:3], syn.random_haar_unitary(4, 7), ALPHA_40, THETA),
-    lambda s, ids: pl.cn_uk(s, ids[:2], ids[2:], syn.random_haar_unitary(4, 8), ALPHA_40, THETA),
 )
 
 

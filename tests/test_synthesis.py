@@ -7,7 +7,7 @@ from qubusim import HybridState, fidelity, pol_qubit
 from qubusim import synthesis as syn
 from qubusim.state import amplitude_of
 
-from conftest import haar_vec
+from conftest import apply_path_unitary, haar_vec
 
 
 def qudit_state(n, seed, pol="H"):
@@ -79,7 +79,7 @@ def test_mesh_apply_matches_dense():
         mesh = syn.reck_decompose(u)
         s, rails, v = qudit_state(n, seed + 20)
         via_mesh = syn.mesh_apply(s, "q", rails, mesh)
-        via_dense = syn.apply_path_unitary(s, "q", rails, u)
+        via_dense = apply_path_unitary(s, "q", rails, u)
         assert fidelity(via_mesh, via_dense) == pytest.approx(1.0, abs=1e-12)
         got = np.array([amplitude_of(via_mesh, {"q": (r, "H")}) for r in rails])
         assert np.max(np.abs(got - u @ v)) < 1e-10
