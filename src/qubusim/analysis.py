@@ -13,6 +13,7 @@ import io
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -169,9 +170,14 @@ def pmf_to_csv(ns: Sequence[int], probs: Sequence[float]) -> str:
 _DEFAULTS = {**DEFAULTS, "k1": 1, "k2": 2, "beta2": None, "state_seed": 0}
 
 
+#: the sweep keys that count: the probe peaks' photon numbers and the input's seed
+_COUNTS = ("k1", "k2", "state_seed")
+
+
 def _finite(x) -> bool:
-    """x is a finite real number, and not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    """x is a real number, not a bool, that a float holds finitely (an int
+    past the float range is not)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -202,6 +208,9 @@ class SweepSpec:
         for key, value in self.fixed.items():
             if not _finite(value):
                 raise AnalysisError(f"sweep fixed {key!r} must be a finite number, got {value!r}")
+        for key, value in [*((k, v) for k, vs in self.grid.items() for v in vs), *self.fixed.items()]:
+            if key in _COUNTS and not (value >= 0 and value % 1 == 0):
+                raise AnalysisError(f"sweep {key!r} must be a non-negative integer, got {value!r}")
         if {"alpha", "beta2"} <= {*self.grid, *self.fixed}:
             raise AnalysisError("set alpha or beta2, not both: beta2 sets alpha")
 

@@ -132,10 +132,10 @@ def parse_unitary_spec(spec, dim: int | None = None) -> np.ndarray:
 
 
 def _entry(c) -> complex:
-    """A JSON amplitude or matrix entry: a number or an [re, im] pair."""
+    """A JSON amplitude or matrix entry: a finite number or an [re, im] pair."""
     parts = c if isinstance(c, list) and len(c) == 2 else [c]
-    if not all(isinstance(x, (int, float)) for x in parts):
-        raise StateError(f"entry {c!r} is not a number or an [re, im] pair")
+    if not all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in parts):
+        raise StateError(f"entry {c!r} is not a finite number or an [re, im] pair")
     return complex(*parts)
 
 

@@ -192,9 +192,10 @@ class OutcomeTable(Sequence):
     """A stage's outcomes as columns: one kind, and each outcome's value,
     probability and fidelity with the representative.
 
-    Indexing, slicing and iterating build OutcomeEntry views; to_dicts
-    writes the JSON rows straight from the columns.  The default is the
-    empty table.
+    Indexing, slicing and iterating build OutcomeEntry views, each carrying
+    the table's kind; to_dicts writes the JSON rows straight from the
+    columns, without the kind, which a report writes once.  The default is
+    the empty table, of kind "".
     """
 
     __slots__ = ("kind", "values", "probabilities", "fidelities")
@@ -223,10 +224,10 @@ class OutcomeTable(Sequence):
             yield OutcomeEntry(kind, v, p, f)
 
     def to_dicts(self) -> list[dict]:
-        """Each entry's fields as a JSON row, without building the entries."""
-        kind = self.kind
+        """Each entry's value, probability and fidelity as a JSON row, without
+        building the entries."""
         return [
-            {"kind": kind, "value": v, "probability": p, "fidelity": f}
+            {"value": v, "probability": p, "fidelity": f}
             for v, p, f in zip(self.values, self.probabilities, self.fidelities)
         ]
 
@@ -253,10 +254,14 @@ class GateReport:
         self.min_fidelity = min(self.min_fidelity, child.min_fidelity)
 
     def to_dict(self) -> dict:
+        """The report as JSON: its outcome table's kind once, as outcome_kind
+        ("" for an empty table), and one {value, probability, fidelity} row
+        per outcome; children nest as their own reports."""
         return {
             "gate": self.gate,
             "success_probability": self.success_probability,
             "min_fidelity": self.min_fidelity,
+            "outcome_kind": self.outcomes.kind,
             "outcomes": self.outcomes.to_dicts(),
             "resources": self.resources.to_dict(),
             "gates": dict(self.gates),

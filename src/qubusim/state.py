@@ -410,9 +410,29 @@ def _part(registry: ModeRegistry, amps, codes, qubus) -> HybridState:
     return out
 
 
+#: norms whose square Σ|a|² is a normal float, so that it is summed without
+#: overflow and without losing digits to subnormals
+_NORM_RANGE = (2.0**-500, 2.0**500)
+
+
 def normalize(s: HybridState) -> HybridState:
+    """s/‖s‖.  A norm outside _NORM_RANGE (Σ|a|² overflowed, underflowed or
+    lost digits) is taken again after s is divided by the power of two
+    nearest its largest amplitude part, which is exact; the division is two
+    factors, as one may not be a float.  A norm in range takes the one
+    division s/‖s‖, as it always did.  A zero state raises."""
     n = norm(s)
-    if n < 1e-300:
+    if not _NORM_RANGE[0] <= n <= _NORM_RANGE[1]:
+        a = s.amps
+        peak = float(np.maximum(abs(a.real), abs(a.imag)).max(initial=0.0))
+        if not math.isfinite(peak):
+            raise StateError("cannot normalize a state with a non-finite amplitude")
+        if peak > 0.0:
+            k = -math.frexp(peak)[1]
+            s = HybridState._derived(s.registry, a * 2.0 ** (k // 2) * 2.0 ** (k - k // 2),
+                                     s.codes, s.qubus)
+            n = norm(s)
+    if not n >= 1e-300:
         raise StateError("cannot normalize a (numerically) zero state")
     return s.scaled(1.0 / n)
 

@@ -268,6 +268,26 @@ def test_a_sweep_takes_exactly_the_keys_its_quantity_reads():
         SweepSpec("peak_overlap", {"bogus": [1.0]})
 
 
+@pytest.mark.parametrize("quantity, key", [(q, k) for q in SWEEP_READS for k in an._COUNTS])
+def test_a_sweep_counts_its_peaks_and_seeds_in_non_negative_integers(quantity, key):
+    reads = SWEEP_READS[quantity]
+    other = next(k for k in reads if k != key)
+    # a peak's overlap with itself is refused, so the other peak sits at 5
+    fixed = {k: 5 for k in ("k1", "k2") if k in reads and k != key}
+    for value in (1.5, -1, -2.0, 0.5):
+        for grid, fix in (({key: [2, value]}, fixed), ({other: [1.0]}, {**fixed, key: value})):
+            with pytest.raises(AnalysisError) as err:
+                SweepSpec(quantity, grid, fix)
+            if key in reads:
+                assert str(err.value) == f"sweep {key!r} must be a non-negative integer, got {value!r}"
+            else:
+                assert str(err.value).startswith(f"sweep quantity {quantity!r} does not read {key!r}")
+    if key in reads:
+        # an integral float is that integer: 3.0 reads what 3 reads
+        (a,), (b,) = (run_sweep(SweepSpec(quantity, {key: [v]}, fixed)) for v in (3, 3.0))
+        assert a["value"] == b["value"] and a[key] == b[key] == 3
+
+
 #: values of each key that a sweep compares, and, per quantity, the point they
 #: are taken at: θ and the state seed at fixed α, the gate fidelity at
 #: |β|² = 4, where the disposal leak pulls it below 1

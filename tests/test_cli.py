@@ -17,7 +17,7 @@ from qubusim import StateError, cli
 from qubusim import analysis as an
 from qubusim import elements as el
 from qubusim import pipelines as pl
-from qubusim import polarization_state, state_to_dict
+from qubusim import polarization_state, state_from_dict, state_to_dict
 from qubusim.analysis import alpha_for_beta2
 from qubusim.cli import (
     DEMO_GATES,
@@ -243,6 +243,46 @@ def test_readme_lists_every_element_kind_with_its_targets():
     for kind, (keys, _) in el.ELEMENTS.items():
         line = next(line for line in lines if line.startswith(f"- `{kind}`:"))
         assert line.split(";")[0] == f"- `{kind}`: " + ", ".join(f"`{k}`" for k in keys)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e-170, 1e-200, 1e-320])
+def test_extreme_coefficients_read_as_their_direction(scale, tmp_path):
+    # Σ|a|² of these overflows or underflows; `gate --input` and a program's
+    # coeffs still give what [1, 1, 0, 0] gives
+    def outputs(coeffs):
+        docs = []
+        for argv in (["gate", "parity", "--input", json.dumps(coeffs), "--beta2", "20"],
+                     ["run", str(_write_program(tmp_path, ["1", "2"], coeffs,
+                                                [{"gate": "parity", "photons": ["1", "2"]}],
+                                                alpha_for_beta2(20.0, THETA)))]):
+            out = tmp_path / "out.json"
+            assert main([*argv, "--out", str(out)]) == 0, argv
+            docs.append(json.loads(out.read_text()))
+        (gate, run) = docs
+        return [(gate["report"], gate["state"]), (run["reports"][-1], run["final_state"])]
+
+    for (rep, st), (want_rep, want_st) in zip(outputs([scale, scale, 0, 0]), outputs([1, 1, 0, 0])):
+        assert abs(rep["success_probability"] - want_rep["success_probability"]) <= 1e-12
+        got, want = state_from_dict(st), state_from_dict(want_st)
+        assert np.array_equal(got.codes, want.codes) and np.array_equal(got.qubus, want.qubus)
+        assert np.abs(got.amps - want.amps).max() <= 1e-12
+
+
+def test_an_all_zero_or_non_finite_coefficient_vector_exits_2(tmp_path, capsys):
+    zero = "cannot normalize a (numerically) zero state"
+    for coeffs, err in (
+        ([0, 0, 0, 0], zero),
+        ([math.inf, 0, 0, 0], "entry inf is not a finite number"),
+        ([math.nan, 1, 0, 0], "entry nan is not a finite number"),
+        ([10**400, 0, 0, 0], f"entry {10**400} is not a finite number"),
+    ):
+        program = tmp_path / "prog.json"
+        program.write_text(json.dumps({"photons": [{"id": "1", "path": "t1"}, {"id": "2", "path": "t2"}],
+                                       "coeffs": coeffs}))
+        for argv in (["gate", "parity", "--input", json.dumps(coeffs)], ["run", str(program)]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            assert f"error: {err}" in capsys.readouterr().err, argv
 
 
 def test_validation_error_exit_2(tmp_path, capsys, monkeypatch):

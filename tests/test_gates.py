@@ -21,6 +21,7 @@ from qubusim import (
     state_to_dict,
     tensor,
 )
+from qubusim import cli
 from qubusim import elements as el
 from qubusim import gates as g
 from qubusim import pipelines as pl
@@ -574,11 +575,19 @@ def _report_tree(rep):
         yield from _report_tree(child)
 
 
-def _assert_outcome_rows(rep):
-    """Every report of the tree writes its outcome table as its entries' dicts."""
-    for r in _report_tree(rep):
-        assert isinstance(r.outcomes, g.OutcomeTable)
-        assert r.to_dict()["outcomes"] == [asdict(o) for o in r.outcomes]
+def _assert_outcome_rows(rep, doc=None):
+    """Every report of the tree (doc: its JSON, else to_dict's) writes its
+    table's kind once, as outcome_kind, and each entry's other fields as a
+    row: with the kind put back, the rows are the entries' dicts."""
+    if doc is None:
+        doc = rep.to_dict()
+    assert isinstance(rep.outcomes, g.OutcomeTable)
+    assert doc["outcome_kind"] == rep.outcomes.kind
+    assert all(set(row) == {"value", "probability", "fidelity"} for row in doc["outcomes"])
+    kind = {"kind": doc["outcome_kind"]}
+    assert [{**row, **kind} for row in doc["outcomes"]] == [asdict(o) for o in rep.outcomes]
+    for child, node in zip(rep.children, doc["children"], strict=True):
+        _assert_outcome_rows(child, node)
 
 
 def test_outcome_table_columns_read_as_entries():
@@ -601,11 +610,11 @@ def test_outcome_table_columns_read_as_entries():
     assert table[1:3] == entries[1:3] and table[::-2] == entries[::-2]
     with pytest.raises(IndexError):
         table[len(rows)]
-    assert rep.to_dict()["outcomes"][0] == {
-        "kind": "fock", "value": 0, "probability": rows[0][1], "fidelity": rows[0][2]
-    }
-    empty = g.GateReport("empty")
-    assert len(empty.outcomes) == 0 and empty.to_dict()["outcomes"] == []
+    doc = rep.to_dict()
+    assert doc["outcome_kind"] == "fock"
+    assert doc["outcomes"][0] == {"value": 0, "probability": rows[0][1], "fidelity": rows[0][2]}
+    empty = g.GateReport("empty").to_dict()
+    assert empty["outcome_kind"] == "" and empty["outcomes"] == []
 
 
 def test_outcome_tables_of_presence_readouts_and_report_trees(alpha20):
@@ -626,6 +635,23 @@ def test_outcome_tables_of_presence_readouts_and_report_trees(alpha20):
     kinds = {r.outcomes.kind for r in _report_tree(rep) if len(r.outcomes)}
     assert kinds == {"fock", "presence"}
     _assert_outcome_rows(rep)
+
+
+@pytest.mark.parametrize("name", DEMO_GATES)
+def test_report_json_writes_each_outcome_kind_once(name, monkeypatch, tmp_path):
+    # the printed report tree against the reports it was written from
+    runs = []
+    run_steps = cli._run_steps
+
+    def capture(*args):
+        runs.append(run_steps(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "_run_steps", capture)
+    out = tmp_path / "r.json"
+    assert main(["gate", *_BLOCK_RUNS[name], "--out", str(out)]) == 0
+    ((_, reports),) = runs
+    _assert_outcome_rows(reports[-1], json.loads(out.read_text())["report"])
 
 
 def test_gate_fidelity_reads_the_outcome_columns():
@@ -728,7 +754,7 @@ def test_every_measurement_stage_lists_its_feedforward_table(argv, tmp_path):
     assert stages
     for r in stages:
         labels = [row["outcome"] for row in r["feedforward"]]
-        kind = r["outcomes"][0]["kind"]
+        kind = r["outcome_kind"]
         values = [o["value"] for o in r["outcomes"]]
         if kind == "fock":
             assert labels == ["n=0", "n even", "n odd"], r["gate"]

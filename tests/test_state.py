@@ -449,8 +449,27 @@ def test_constructor_takes_another_states_rows_over_a_new_registry():
 def test_norm_zero_state_errors():
     reg = ModeRegistry().with_photon("1", ("p",))
     s = HybridState(reg, [Branch(0.0, (("1", "p", "H"),), ())])
-    with pytest.raises(StateError):
+    with pytest.raises(StateError, match="zero state"):
         normalize(s)
+    for bad in (math.inf, complex(0.0, math.nan)):
+        s = HybridState(reg, [Branch(bad, (("1", "p", "H"),), ())])
+        with np.errstate(invalid="ignore"), pytest.raises(StateError, match="non-finite amplitude"):
+            normalize(s)
+
+
+@pytest.mark.parametrize("log2_scale", [-1000, -600, -530, 600, 1000])
+def test_normalize_rescales_a_norm_whose_square_is_no_normal_float(log2_scale):
+    # Σ|a|² of the scaled rows overflows, underflows or goes subnormal; a
+    # power-of-two scale is exact, so the rows normalize bit for bit alike
+    reg = ModeRegistry().with_photon("1", ("a",)).with_qubus("q")
+    rows = [(0.6, "H", 1.0), (0.3j, "H", 2.0), (-0.48 + 0.1j, "V", 1.0)]
+
+    def state(k):
+        return HybridState(reg, [Branch(a * k, (("1", "a", pol),), (q,)) for a, pol, q in rows])
+
+    want, got = normalize(state(1.0)), normalize(state(2.0**log2_scale))
+    assert np.array_equal(got.amps, want.amps)
+    assert norm(HybridState._derived(reg, got.amps, got.codes, got.qubus)) == pytest.approx(1.0)
 
 
 def test_bell_state_norm_and_components():
