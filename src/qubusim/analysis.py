@@ -200,6 +200,10 @@ class SweepSpec:
             if key not in reads:
                 raise AnalysisError(f"sweep quantity {self.quantity!r} does not read {key!r} "
                                     f"(it takes {', '.join(reads)})")
+        for key in self.grid:
+            if key in self.fixed:
+                raise AnalysisError(f"sweep parameter {key!r} is set in both grid and fixed; "
+                                    "the grid's values would replace the fixed one")
         for key, values in self.grid.items():
             if not (isinstance(values, list) and values and all(map(_finite, values))):
                 raise AnalysisError(

@@ -58,7 +58,8 @@ from .state import (
 MIN_PROB = 1e-13
 
 #: largest Fock cutoff a beam may need; the pmf table holds K × (cutoff + 1)
-#: complex numbers, about 50 MB for K = 3 at this limit
+#: complex numbers, about 50 MB for K = 3 at this limit, and numerics keeps
+#: two such records (about 100 MB)
 MAX_FOCK_CUTOFF = 10**6
 
 

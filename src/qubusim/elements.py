@@ -7,18 +7,25 @@ coherent beam.
 
 Every photonic element is a slot table: a dict from one photon's
 (path, pol) slot to its images [(coefficient, path, pol), ...].  Slots
-missing from the table pass through unchanged.  A table becomes arrays of
-coefficients and destination digits (`_slot_images`), and `_apply_images`
-is the one routine that applies them, by arithmetic on every row's label
-code.  Path maps (beam splitter, switch) act alike on H and V; polarization
-maps (wave plates, rotations, 2×2 unitaries) act on (H, V) of one path, or
-of every registered path when the path is None; `phase` and the PBS
-routings are tables of their own.  Qubus elements are column operations on
-the beam values.  `ELEMENTS` maps each serializable kind to its function.
+missing from the table pass through unchanged.  Path maps (beam splitter,
+switch) act alike on H and V; polarization maps (wave plates, rotations,
+2×2 unitaries) act on (H, V) of one path, or of every registered path when
+the path is None; `phase` and the PBS routings are tables of their own.
+Qubus elements are column operations on the beam values.  `ELEMENTS` maps
+each serializable kind to its function.
+
+There is one compiled path for every slot table.  A table builder and its
+arguments key the table's images, compiled once per (path layout, photon,
+table) by `_images` into arrays of coefficients and destination digits over
+every digit (`_slot_images`); `_apply_images` is the one routine that
+applies them, by arithmetic on every row's label code.  An image the
+registry refuses is raised only when an occupied slot emits it, as if the
+table were built for the occupied slots alone.  An element call looks its
+images up; a repeated call on one layout compiles nothing.
 
 `apply_elements` runs a sequence of ElementOps.  Each maximal run of the
 slot-map kinds (PhotonBS, PathSwitch, PolPhase, PolRot, WavePlateX,
-WavePlateZ) is compiled once per path layout into one digit map per photon
+WavePlateZ) is composed once per path layout into one digit map per photon
 it touches, and each map is applied in one gather pass; the other kinds run
 one by one in their place.  Feed-forward rows and Reck meshes run this way.
 
@@ -94,32 +101,61 @@ def op(kind: str, parameter: float = 0.0, **targets) -> ElementOp:
 # ---------------------------------------------------------------------------
 
 
-def _slot_images(reg: ModeRegistry, pid: str, table: dict, digits) -> tuple[np.ndarray, np.ndarray]:
-    """(coef, dest), shape (width, radix) each: row k holds the k-th image of
-    each of `digits` under table[(path, pol)] -> [(coef, path, pol), ...], as
-    a coefficient and a destination digit of photon pid.
+def _slot_images(reg: ModeRegistry, pid: str, table: dict) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(coef, dest, bad): coef and dest, shape (width, radix) each, hold in
+    row k the k-th image of every digit of photon pid under
+    table[(path, pol)] -> [(coef, path, pol), ...], as a coefficient and a
+    destination digit.
 
     Slots missing from the table map to themselves.  Images with coefficient
     0 are left out, the rest packed first, so a digit with fewer images than
-    the widest has coefficient 0 in its last rows, as has every digit not in
-    `digits`.  Only the images kept are checked against the registry.
+    the widest has coefficient 0 in its last rows.  An image the registry
+    refuses is not raised here: bad maps its digit to the (error type,
+    message) of its first such image, for `_apply_images` to raise when an
+    occupied slot emits it, and the digit gets no images.
     """
     paths, radix = reg.paths_of(pid), reg._radix[reg.slot_index(pid)]
-    images = {}
-    for d in digits:
+    images, bad = [], {}
+    for d in range(radix):
         slot = (paths[d >> 1], POLS[d & 1])
-        images[d] = [(c, reg._digit(pid, p, q)) for c, p, q in table.get(slot, [(1, *slot)]) if c]
-    width = max(map(len, images.values()), default=0)
+        row = []
+        for c, p, q in table.get(slot, [(1, *slot)]):
+            if c:
+                try:
+                    row.append((c, reg._digit(pid, p, q)))
+                except (RegistryError, StateError) as exc:
+                    bad[d], row = (type(exc), str(exc)), []
+                    break
+        images.append(row)
+    width = max(map(len, images), default=0)
     coef, dest = np.zeros((width, radix), complex), np.zeros((width, radix), np.int64)
-    for d, row in images.items():
+    for d, row in enumerate(images):
         if row:
             coef[: len(row), d], dest[: len(row), d] = zip(*row)
-    return coef, dest
+    return coef, dest, bad
 
 
-def _apply_images(s: HybridState, i: int, coef: np.ndarray, dest: np.ndarray) -> HybridState:
+@functools.lru_cache(maxsize=512)
+def _images(reg: ModeRegistry, pid: str, build: Callable, args: tuple) -> tuple:
+    """The slot table build(reg, pid, *args) of photon pid compiled once per
+    (registry, photon, table): (slot index, coef, dest, bad) in
+    `_slot_images`' layout, over every digit, read-only.
+
+    Building the table runs its checks (registered paths, a known
+    polarization); a call that raises caches nothing, so it raises again.
+    """
+    coef, dest, bad = _slot_images(reg, pid, build(reg, pid, *args))
+    coef.setflags(write=False)
+    dest.setflags(write=False)
+    return reg.slot_index(pid), coef, dest, bad
+
+
+def _apply_images(
+    s: HybridState, i: int, coef: np.ndarray, dest: np.ndarray, bad: dict | None = None
+) -> HybridState:
     """Expand each row of s through the images (coef, dest) of its digit in
-    slot i, as `_slot_images` lays them out.
+    slot i, as `_slot_images` lays them out; an occupied digit in bad raises
+    its error, the first such digit first.
 
     The digit is rewritten by integer arithmetic on the label code: the k-th
     images of all rows come from row k of coef and dest, one gather each.
@@ -130,6 +166,10 @@ def _apply_images(s: HybridState, i: int, coef: np.ndarray, dest: np.ndarray) ->
     reg = s.registry
     stride, radix = reg._stride[i], reg._radix[i]
     digits = s.codes // stride % radix
+    for d in _distinct(digits) if bad else ():
+        if d in bad:
+            kind, message = bad[d]
+            raise kind(message)
     if coef.all():  # every digit has len(coef) images
         occupied, width, full = slice(None), len(coef), True
     else:
@@ -152,8 +192,13 @@ def _apply_images(s: HybridState, i: int, coef: np.ndarray, dest: np.ndarray) ->
         keep = np.concatenate(emitted).nonzero()[0]
         amps, codes, qubus = amps[keep], codes[keep], qubus.take(keep, 0)
     if width == 1:
+        # one-to-one on the occupied digits; a full map is tried on every digit first
         targets = dest[0, occupied][coef[0, occupied] != 0]
-        if len(_distinct(targets)) == len(targets):
+        one_to_one = len(_distinct(targets)) == len(targets)
+        if not one_to_one and occupied == slice(None):
+            targets = dest[0, _distinct(digits)]
+            one_to_one = len(_distinct(targets)) == len(targets)
+        if one_to_one:
             # rows that share a code after a one-to-one map shared one before it,
             # in canonical order: a stable sort by code restores canonical order
             order = codes.argsort(kind="stable")
@@ -161,15 +206,23 @@ def _apply_images(s: HybridState, i: int, coef: np.ndarray, dest: np.ndarray) ->
     return HybridState._rows(reg, amps, codes, qubus).canonical()
 
 
-def _remap_slot(s: HybridState, pid: str, table: dict) -> HybridState:
-    """Expand each row through table[(path, pol)] -> [(coef, path, pol), ...].
+def _remap(s: HybridState, pid: str, build: Callable, *args) -> HybridState:
+    """Expand each row of s through photon pid's slot table build(reg, pid,
+    *args), compiled once per layout (`_images`).  Slots missing from the
+    table pass through unchanged; an image is checked against the registry
+    when an occupied slot emits it."""
+    return _apply_images(s, *_images(s.registry, pid, build, args))
 
-    Slots missing from the table pass through unchanged.  An image is
-    checked against the registry when an occupied slot emits it.
-    """
-    i = s.registry.slot_index(pid)
-    digits = _distinct(s.codes // s.registry._stride[i] % s.registry._radix[i])
-    return _apply_images(s, i, *_slot_images(s.registry, pid, table, digits))
+
+def _remap_slot(s: HybridState, pid: str, table: dict) -> HybridState:
+    """Expand each row through table[(path, pol)] -> [(coef, path, pol), ...],
+    as `_remap` does for a table given whole."""
+    return _remap(s, pid, _given, tuple((slot, tuple(row)) for slot, row in table.items()))
+
+
+def _given(reg: ModeRegistry, pid: str, items: tuple) -> dict:
+    """The table of `_remap_slot`, from its items."""
+    return dict(items)
 
 
 def _require_paths(reg: ModeRegistry, pid: str, *paths: str) -> None:
@@ -245,32 +298,44 @@ def _with_paths(s: HybridState, pid: str, *paths: str) -> HybridState:
     return _reregistered(s, reg)
 
 
-def _pm_table(in_path: str, out_plus: str, out_minus: str) -> dict:
-    """Route |±⟩ = (H ± V)/√2 of in_path to out_plus / out_minus, in H/V form."""
-    plus = [(0.5, out_plus, H), (0.5, out_plus, V)]
-    return {
-        (in_path, H): plus + [(0.5, out_minus, H), (-0.5, out_minus, V)],
-        (in_path, V): plus + [(-0.5, out_minus, H), (0.5, out_minus, V)],
-    }
+def _route_table(reg: ModeRegistry, pid: str, routes: tuple) -> dict:
+    """Slot (path, pol) to (out, pol) for each (path, pol, out) of routes."""
+    return {(path, pol): [(1, out, pol)] for path, pol, out in routes}
+
+
+def _pm_table(reg: ModeRegistry, pid: str, in_paths: tuple, arms: tuple) -> dict:
+    """Route |±⟩ = (H ± V)/√2 of in_paths[k] to arms[2k] / arms[2k + 1], in H/V form."""
+    table = {}
+    for path, plus, minus in zip(in_paths, arms[::2], arms[1::2]):
+        both = [(0.5, plus, H), (0.5, plus, V)]
+        table[path, H] = both + [(0.5, minus, H), (-0.5, minus, V)]
+        table[path, V] = both + [(-0.5, minus, H), (0.5, minus, V)]
+    return table
+
+
+def _unitary_table(reg: ModeRegistry, pid: str, path: str | None, raw: bytes) -> dict:
+    """pol_unitary's table; the 2×2 unitary comes as its bytes, so unitaries
+    that compare equal but differ in the sign of a zero keep their own."""
+    return _pol_table(reg, pid, path, np.frombuffer(raw, complex).reshape(2, 2).tolist())
 
 
 def photon_bs(
     s: HybridState, pid: str, path_a: str, path_b: str, theta: float = math.pi / 4
 ) -> HybridState:
     """Beam splitter between two paths of one photon (default 50:50)."""
-    return _remap_slot(s, pid, _bs_table(s.registry, pid, path_a, path_b, theta))
+    return _remap(s, pid, _bs_table, path_a, path_b, theta)
 
 
 def path_switch(s: HybridState, pid: str, path_a: str, path_b: str) -> HybridState:
     """Swap two path labels of one photon."""
-    return _remap_slot(s, pid, _switch_table(s.registry, pid, path_a, path_b))
+    return _remap(s, pid, _switch_table, path_a, path_b)
 
 
 def pbs(s: HybridState, pid: str, in_path: str, out_h: str, out_v: str) -> HybridState:
     """Polarizing beam splitter: H → out_h, V → out_v."""
     _require_paths(s.registry, pid, in_path)
-    table = {(in_path, H): [(1, out_h, H)], (in_path, V): [(1, out_v, V)]}
-    return _remap_slot(_with_paths(s, pid, out_h, out_v), pid, table)
+    s = _with_paths(s, pid, out_h, out_v)
+    return _remap(s, pid, _route_table, ((in_path, H, out_h), (in_path, V, out_v)))
 
 
 def pbs_merge(s: HybridState, pid: str, h_path: str, v_path: str, out: str) -> HybridState:
@@ -281,15 +346,26 @@ def pbs_merge(s: HybridState, pid: str, h_path: str, v_path: str, out: str) -> H
     for d in _distinct(digits[np.isin(digits, wrong)]):
         path, port = (h_path, "H") if d == wrong[0] else (v_path, "V")
         raise StateError(f"{POLS[d % 2]} component present on {port} input {path!r} of PBS merge")
-    table = {(h_path, H): [(1, out, H)], (v_path, V): [(1, out, V)]}
-    return _remap_slot(_with_paths(s, pid, out), pid, table)
+    s = _with_paths(s, pid, out)
+    return _remap(s, pid, _route_table, ((h_path, H, out), (v_path, V, out)))
 
 
 def pbs_pm(s: HybridState, pid: str, in_path: str, out_plus: str, out_minus: str) -> HybridState:
     """PBS in the |±⟩ basis: |+⟩ → out_plus, |−⟩ → out_minus."""
     _require_paths(s.registry, pid, in_path)
     s = _with_paths(s, pid, out_plus, out_minus)
-    return _remap_slot(s, pid, _pm_table(in_path, out_plus, out_minus))
+    return _remap(s, pid, _pm_table, (in_path,), (out_plus, out_minus))
+
+
+def pbs_pm_fan_out(
+    s: HybridState, pid: str, in_paths: Sequence[str], arms: Sequence[str]
+) -> HybridState:
+    """pbs_pm on every path of in_paths in one pass: |+⟩ of in_paths[k]
+    exits on arms[2k] and |−⟩ on arms[2k + 1]; arms not yet registered are
+    registered in one update."""
+    _require_paths(s.registry, pid, *in_paths)
+    s = _with_paths(s, pid, *arms)
+    return _remap(s, pid, _pm_table, tuple(in_paths), tuple(arms))
 
 
 def pbs_pm_merge(
@@ -303,8 +379,7 @@ def pbs_pm_merge(
     s = _with_paths(s, pid, out)
     dark = s.registry.fresh_path("_dark")
     s = _with_paths(s, pid, dark)
-    table = _pm_table(plus_path, out, dark) | _pm_table(minus_path, dark, out)
-    mapped = _remap_slot(s, pid, table)
+    mapped = _remap(s, pid, _pm_table, (plus_path, minus_path), (out, dark, dark, out))
     dark_rows = _slot_digits(mapped, pid) >> 1 == mapped.registry.paths_of(pid).index(dark)
     leak = math.fsum((abs(mapped.amps[dark_rows]) ** 2).tolist())
     if leak > 1e-9:
@@ -318,12 +393,12 @@ def pbs_pm_merge(
 
 def wave_plate(s: HybridState, pid: str, path: str | None, kind: str) -> HybridState:
     """σx ("x": H↔V) or σz ("z": |V⟩ → −|V⟩) on one path (every path if None)."""
-    return _remap_slot(s, pid, _wave_plate_table(s.registry, pid, path, kind))
+    return _remap(s, pid, _wave_plate_table, path, kind)
 
 
 def pol_rotate(s: HybridState, pid: str, path: str | None, theta: float) -> HybridState:
     """Polarization rotation: H → cosθ H + sinθ V, V → −sinθ H + cosθ V."""
-    return _remap_slot(s, pid, _rotation_table(s.registry, pid, path, theta))
+    return _remap(s, pid, _rotation_table, path, theta)
 
 
 def pol_unitary(s: HybridState, pid: str, path: str | None, u: np.ndarray) -> HybridState:
@@ -335,14 +410,13 @@ def pol_unitary(s: HybridState, pid: str, path: str | None, u: np.ndarray) -> Hy
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
         raise ValueError("pol_unitary needs a 2x2 unitary")
-    m = [[complex(x) for x in row] for row in u]
-    return _remap_slot(s, pid, _pol_table(s.registry, pid, path, m))
+    return _remap(s, pid, _unitary_table, path, u.tobytes())
 
 
 def phase(s: HybridState, pid: str, path: str | None, pol: str | None, phi: float) -> HybridState:
     """Phase e^{iφ} on one (path, pol) slot of a photon; None selects every
     path or both polarizations (pol=None phases a whole path)."""
-    return _remap_slot(s, pid, _phase_table(s.registry, pid, path, pol, phi))
+    return _remap(s, pid, _phase_table, path, pol, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +509,17 @@ def _compiled(reg: ModeRegistry, run: tuple[ElementOp, ...]) -> tuple:
     """A run of slot-map elements as one digit map per photon it touches:
     (slot index, coef, dest) in `_slot_images`' layout, over every digit.
 
-    Each op's table is built, and so checked, as its element function builds
-    it.  Maps on different photons commute; the maps on one photon compose
-    in order, as radix × radix matrices.  A run meets the same few layouts
-    over and over, so each (registry, run) is compiled once.
+    Each op's images come from `_images`, over the table its element
+    function builds, which checks every path and polarization it names, so
+    no image is refused.  Maps on different photons commute; the maps on one photon
+    compose in order, as radix × radix matrices.  A run meets the same few
+    layouts over and over, so each (registry, run) is compiled once.
     """
     maps: dict[int, list] = {}
     for e in run:
         pid, *args = map(e.target, ELEMENTS[e.kind][0])
-        table = _SLOT_TABLES[e.kind](reg, pid, *args, e.parameter)
-        i = reg.slot_index(pid)
-        maps.setdefault(i, []).append(_slot_images(reg, pid, table, range(reg._radix[i])))
+        i, coef, dest, _ = _images(reg, pid, _SLOT_TABLES[e.kind], (*args, e.parameter))
+        maps.setdefault(i, []).append((coef, dest))
     compiled = []
     for i, images in maps.items():
         coef, dest = images[0] if len(images) == 1 else _composed(images, reg._radix[i])

@@ -283,7 +283,11 @@ class FeedForwardPlan:
 
     row_of(value) is the row an outcome value uses, correct(state, value)
     applies that row, and describe() is the table as a report lists it, one
-    row per outcome class whether or not an outcome of it was found.
+    row per outcome class whether or not an outcome of it was found.  A plan
+    is immutable, so gates build theirs once per layout and share it;
+    describe() builds new lists and dicts on every call, so each report owns
+    its table and a caller that edits one leaves the plan and the next
+    report alone.
     """
 
     def __init__(
@@ -1121,11 +1125,18 @@ def _entangler_block(
     theta: float,
     name: str,
 ) -> tuple[HybridState, GateReport]:
-    sx = el.op("WavePlateX", photon=flip_photon, path=None)
-    sz = el.op("WavePlateZ", photon=flip_photon, path=None)
-    plan = _parity_plan([sx], [sx, sz])
+    plan = _entangler_plan(flip_photon)
     block = run_qubus_block(s, couplings, alpha, theta, plan)
     return block.state, _block_report(name, block, couplings, plan)
+
+
+@functools.lru_cache(maxsize=64)
+def _entangler_plan(flip_photon: str) -> FeedForwardPlan:
+    """An Entangler's table: σx on the flipped photon for even n, σx then σz
+    for odd n; built once per photon and shared, as a plan is immutable."""
+    sx = el.op("WavePlateX", photon=flip_photon, path=None)
+    sz = el.op("WavePlateZ", photon=flip_photon, path=None)
+    return _parity_plan([sx], [sx, sz])
 
 
 def entangler3(
@@ -1199,6 +1210,13 @@ def merging_n(
     the matching companion's V slot.  companions names one (photon,
     path-or-None) V slot per bit, e.g. [("1", None)] when rail 2 of two is
     correlated with photon 1 being V.
+
+    The readout depends on the layout alone: the mesh, the arm names and the
+    feed-forward plan with its labels are built once per (registry after the
+    Entangler, photon, rails, ancilla, companions, interference) and shared
+    (_readout), and the fan-out registers every arm in one update and runs
+    as one pass (el.pbs_pm_fan_out).  Each call still gets a report of its
+    own, feed-forward table included.
     """
     rails = list(rails)
     n_rails = len(rails)
@@ -1219,37 +1237,18 @@ def merging_n(
     report = GateReport(name, gates=Counter({name: 1}))
     report.absorb(ent_report)
 
-    # interference across the rails; the two-rail QFT is the 50:50 BS
-    u = syn.HADAMARD4 if interference == "hadamard4" else syn.qft_matrix(n_rails)
+    # interference across the rails, the two-rail QFT as the 50:50 BS, then
+    # the PBS± fan-out onto a plus and a minus arm per rail in one pass
+    lay = _readout(out.registry, photon, tuple(rails), ancilla,
+                   tuple(map(tuple, companions)), interference)
     report.extras["interference"] = "bs" if n_rails == 2 else interference
     if n_rails == 2:
         out = el.photon_bs(out, photon, rails[0], rails[1])
     else:
-        out = syn.apply_mesh_ops(out, photon, rails, syn.reck_decompose(u))
+        out = el.apply_elements(out, lay.mesh)
         report.gates.update({"lomi": 1})
-
-    # PBS± fan-out onto a plus and a minus arm per rail, each arm with its
-    # feed-forward row: rail k's phases on the companions' V slots (conj(U[k,j])
-    # must factorize over the rail bits), then σ_z on the ancilla for a minus
-    # arm; no row touches the detected photon
-    phases = _factorize_corrections(u, qbits)
-    sz = el.op("WavePlateZ", photon=ancilla, path=None)
-    arms, rows = [], []
-    for k, r in enumerate(rails):
-        ap, am = out.registry.fresh_path(r + "p"), out.registry.fresh_path(r + "m")
-        out = el.pbs_pm(out, photon, r, ap, am)
-        fix = []
-        for (pid, cpath), phi in zip(companions, [bit[k] for bit in phases]):
-            if abs(abs(phi) - math.pi) < 1e-12 and cpath is None:
-                fix.append(el.op("WavePlateZ", photon=pid, path=None))
-            elif abs(phi) > 1e-12:
-                fix.append(el.op("PolPhase", phi, photon=pid, path=cpath, pol=V))
-        arms += [ap, am]
-        rows += [(f"arm {k}+", fix), (f"arm {k}-", fix + [sz])]
-    plan = FeedForwardPlan(rows, arms.index)
-
-    # an outcome's value is its row's label without "arm ": k+ or k- for rail k
-    names = [label[4:] for label in plan.labels]
+    out = el.pbs_pm_fan_out(out, photon, rails, lay.arms)
+    plan, names, arms = lay.plan, lay.names, lay.arms
     corrected = correct_outcomes(presence_outcomes(out, photon, arms), plan)
     scored = score_outcomes(
         "presence",
@@ -1259,9 +1258,7 @@ def merging_n(
     report.absorb(stage)
     report.feedforward = stage.feedforward
     report.outcomes = stage.outcomes
-    report.extras.update(
-        {"carrier": (ancilla, anc_path), "recycled": photon, "arms": tuple(arms)}
-    )
+    report.extras.update({"carrier": (ancilla, anc_path), "recycled": photon, "arms": arms})
 
     if not keep_recycled:
         return scored.state, report  # the representative, its photon removed
@@ -1271,6 +1268,53 @@ def merging_n(
     report.extras["recycled_arm"] = rep_arm
     report.extras["recycled_sign"] = scored.value[-1]
     return next(st for a, _, st in corrected if a == rep_arm), report
+
+
+class _Readout(NamedTuple):
+    """What a Merging gate's readout does on one layout (see _readout)."""
+
+    mesh: tuple[el.ElementOp, ...]  # the interference mesh; () on two rails
+    arms: tuple[str, ...]  # rail k's plus arm at 2k, its minus arm at 2k + 1
+    plan: FeedForwardPlan  # a row per arm, labelled "arm k+" / "arm k-"
+    names: tuple[str, ...]  # each row's outcome value: its label without "arm "
+
+
+@functools.lru_cache(maxsize=64)
+def _readout(
+    reg: ModeRegistry,
+    photon: str,
+    rails: tuple[str, ...],
+    ancilla: str,
+    companions: tuple[tuple[str, str | None], ...],
+    interference: str,
+) -> _Readout:
+    """merging_n's readout on the layout reg it meets after its Entangler,
+    built once per (registry, photon, rails, ancilla, companions,
+    interference): the mesh of the interference matrix U, the arms, and a
+    feed-forward row per arm.  Rail k's row puts its phases on the
+    companions' V slots (conj(U[k,j]) must factorize over the rail bits,
+    see _factorize_corrections), then σ_z on the ancilla for a minus arm; no
+    row touches the detected photon.  A layout is immutable, so it is shared.
+    """
+    u = syn.HADAMARD4 if interference == "hadamard4" else syn.qft_matrix(len(rails))
+    mesh = () if len(rails) == 2 else syn.reck_decompose(u).element_ops(photon, rails)
+    phases = _factorize_corrections(u, len(rails).bit_length() - 1)
+    sz = el.op("WavePlateZ", photon=ancilla, path=None)
+    arms, rows = [], []
+    for k, r in enumerate(rails):
+        ap, am = reg.fresh_path(r + "p"), reg.fresh_path(r + "m")
+        reg = reg.with_path(photon, ap).with_path(photon, am)
+        fix = []
+        for (pid, cpath), phi in zip(companions, [bit[k] for bit in phases]):
+            if abs(abs(phi) - math.pi) < 1e-12 and cpath is None:
+                fix.append(el.op("WavePlateZ", photon=pid, path=None))
+            elif abs(phi) > 1e-12:
+                fix.append(el.op("PolPhase", phi, photon=pid, path=cpath, pol=V))
+        arms += [ap, am]
+        rows += [(f"arm {k}+", fix), (f"arm {k}-", fix + [sz])]
+    arms = tuple(arms)
+    plan = FeedForwardPlan(rows, arms.index)
+    return _Readout(tuple(mesh), arms, plan, tuple(label[4:] for label in plan.labels))
 
 
 def _factorize_corrections(u, qbits: int) -> list[list[float]]:

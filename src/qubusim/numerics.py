@@ -46,15 +46,17 @@ def fock_table(alphas: Sequence[complex], cutoff: int) -> FockTable:
     """The FockTable of the α_k up to cutoff; table[k, n] = ⟨n|α_k⟩.
 
     The same log-domain formula as fock_amplitude, one array pass; a row
-    with α = 0 is exactly δ_n0.  The record is kept for the next call with
-    the same α_k, bit for bit, and cutoff: every block of a run at one |β|²
-    measures the same beam values.
+    with α = 0 is exactly δ_n0.  The records of the last two (α_k, cutoff)
+    asked for are kept, each for its own α_k bit for bit and in their
+    order: the blocks of a run at one |β|² measure the same beam values, but
+    in two orders, [0, −β, β] and [0, β, −β], that alternate from block to
+    block in the multi-qubit gates.
     """
     alphas = np.asarray(alphas, dtype=complex)
     return _fock_table(alphas.tobytes(), cutoff)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _fock_table(alphas_bytes: bytes, cutoff: int) -> FockTable:
     """fock_table keyed by the α_k's bytes, so that values which compare
     equal but differ in the sign of a zero keep their own tables."""

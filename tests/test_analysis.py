@@ -216,6 +216,15 @@ def test_sweep_rejects_bad_spec():
             SweepSpec("P_E_formula", grid, fixed)
 
 
+@pytest.mark.parametrize("quantity", an.QUANTITIES)
+def test_sweep_refuses_a_key_in_both_grid_and_fixed(quantity):
+    # the grid's values replace the fixed one, so nothing would read it
+    key = an._SWEEPS[quantity].reads[-1]
+    both = f"sweep parameter '{key}' is set in both grid and fixed"
+    with pytest.raises(AnalysisError, match=both):
+        SweepSpec(quantity, {key: [1]}, {key: 2})
+
+
 def test_sweep_error_carries_grid_coordinates():
     spec = SweepSpec("peak_overlap", {"k2": [2, 1]}, fixed={"k1": 1})
     with pytest.raises(AnalysisError, match=r"\{'k2': 1\}"):

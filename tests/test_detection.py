@@ -22,6 +22,7 @@ from qubusim import (
 from qubusim import elements as el
 from qubusim import state as state_mod
 from qubusim import detection, gates, numerics
+from qubusim.cli import main
 from qubusim.detection import (
     MIN_PROB,
     MeasurementError,
@@ -90,6 +91,27 @@ def test_fock_amplitude_table_is_kept_per_exact_key_and_read_only():
         got = fock_table([value], 84).table[0, 1].imag
         assert math.copysign(1, got) == math.copysign(1, fock_amplitude(1, value).imag)
     assert not fock_distribution(coherent_state(dim), "q").table.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["multi-qubit", "--photons", "3"], ["from-qudit", "--photons", "3"],
+     ["cn-uk", "--photons", "4", "--targets", "2"]],
+    ids=["multi-qubit", "from-qudit", "cn-uk"],
+)
+def test_alternating_beam_orders_build_each_fock_table_once(argv, monkeypatch, tmp_path):
+    # these gates' blocks measure [0, -beta, beta] and [0, beta, -beta] in turn
+    built, keys = numerics._fock_table, []
+
+    def recorded(*key):
+        keys.append(key)
+        return built(*key)
+
+    monkeypatch.setattr(numerics, "_fock_table", recorded)
+    built.cache_clear()
+    assert main(["gate", *argv, "--beta2", "2000", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(keys) > len(set(keys)) >= 2
+    assert built.cache_info().misses == len(set(keys))
 
 
 def test_half_log_factorials_slice_one_grown_table(monkeypatch):

@@ -359,6 +359,121 @@ def test_a_compiled_run_raises_what_its_elements_raise():
                 el.apply_elements(s, [x, bad, x])
 
 
+# -- element calls: each slot table compiled once per layout -------------------
+
+
+def _spread_pair(seed):
+    """A Haar state of photon "1" spread over paths t1, r1, s1 and photon "2"
+    over t2, r2, with a beam whose value differs between rows."""
+    s = polarization_state(haar_vec(4, seed), [("1", "t1"), ("2", "t2")])
+    s = with_extra_path(with_extra_path(with_extra_path(s, "1", "r1"), "1", "s1"), "2", "r2")
+    s = el.photon_bs(el.photon_bs(s, "1", "t1", "r1", 0.4), "1", "t1", "s1", 0.9)
+    s = el.photon_bs(attach_qubus(s, "q", 1.3 + 0.2j), "2", "t2", "r2", 0.6)
+    return el.xpm(s, "q", "1", "t1", "H", 0.7)
+
+
+def _unitary(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+def _uncached(s, pid, table):
+    """The slot table applied without the image cache, as built for this call only."""
+    coef, dest, bad = el._slot_images(s.registry, pid, table)
+    return el._apply_images(s, s.registry.slot_index(pid), coef, dest, bad)
+
+
+def _assert_same(got, want):
+    assert got.registry == want.registry
+    for a, b in ((got.amps, want.amps), (got.codes, want.codes), (got.qubus, want.qubus)):
+        assert np.array_equal(a, b)
+
+
+#: one op of each slot-map kind, on photon p's paths
+SLOT_MAP_OPS = {
+    "PhotonBS": lambda p: el.op("PhotonBS", 0.3, photon=p, path_a=f"t{p}", path_b=f"r{p}"),
+    "PathSwitch": lambda p: el.op("PathSwitch", photon=p, path_a=f"r{p}", path_b=f"t{p}"),
+    "WavePlateX": lambda p: el.op("WavePlateX", photon=p, path=None),
+    "WavePlateZ": lambda p: el.op("WavePlateZ", photon=p, path=f"t{p}"),
+    "PolPhase": lambda p: el.op("PolPhase", 0.7, photon=p, path=None, pol="V"),
+    "PolRot": lambda p: el.op("PolRot", -0.4, photon=p, path=f"r{p}"),
+}
+
+
+@pytest.mark.parametrize("kind", SLOT_MAP_OPS)
+def test_an_element_call_compiles_its_table_once_per_layout(kind):
+    for seed, pid in ((3, "1"), (4, "2"), (5, "1")):
+        s, e = _spread_pair(seed), SLOT_MAP_OPS[kind](pid)
+        el._images.cache_clear()
+        calls = [el.apply_element(s, e) for _ in range(3)]
+        info = el._images.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        want = el.apply_elements(s, [e])  # the compiled run of the one op, bit for bit
+        for got in calls:
+            _assert_same(got, want)
+
+
+def _pbs_family():
+    """name -> (input from a spread state, the call, the uncached route): each
+    call applies one slot table."""
+    merge_in = {("r1", "H"): [(1, "r1", "H")], ("h1", "V"): [(1, "r1", "V")]}
+    pm_out = ("r2", "dark", "dark", "r2")
+
+    def pm_merged(t):
+        dark = _uncached(el._with_paths(t, "2", "dark"), "2",
+                         el._pm_table(t.registry, "2", ("p2", "m2"), pm_out))
+        return el._reregistered(dark, dark.registry.without_path("2", "dark"))
+
+    split = lambda s: el.pbs(s, "1", "r1", "r1", "h1")
+    split_in = {("r1", "H"): [(1, "r1", "H")], ("r1", "V"): [(1, "h1", "V")]}
+    pm = lambda s: el.pbs_pm(s, "2", "r2", "p2", "m2")
+    pm_in = lambda s: el._pm_table(s.registry, "2", ("r2",), ("p2", "m2"))
+    fan_out = ("t1", "s1"), ("tp", "tm", "sp", "sm")
+    rotation = [el.op("PolRot", 0.3, photon="2", path=None)]
+    same = lambda s: s
+    return {
+        "pbs": (same, split, lambda s: _uncached(el._with_paths(s, "1", "h1"), "1", split_in)),
+        "pbs_merge": (split, lambda t: el.pbs_merge(t, "1", "r1", "h1", "r1"),
+                      lambda t: _uncached(t, "1", merge_in)),
+        "pbs_pm": (same, pm, lambda s: _uncached(el._with_paths(s, "2", "p2", "m2"), "2", pm_in(s))),
+        "pbs_pm_merge": (pm, lambda t: el.pbs_pm_merge(t, "2", "p2", "m2", "r2"), pm_merged),
+        "pbs_pm_fan_out": (
+            same, lambda s: el.pbs_pm_fan_out(s, "1", *fan_out),
+            lambda s: el.pbs_pm(el.pbs_pm(s, "1", "t1", "tp", "tm"), "1", "s1", "sp", "sm")),
+        "pol_unitary": (same, lambda s: el.pol_unitary(s, "2", None, _unitary(0.3)),
+                        lambda s: el.apply_elements(s, rotation)),
+    }
+
+
+@pytest.mark.parametrize("name", ["pbs", "pbs_merge", "pbs_pm", "pbs_pm_merge", "pbs_pm_fan_out",
+                                  "pol_unitary"])
+def test_the_pbs_family_compiles_its_table_once_per_layout(name):
+    prepare, call, route = _pbs_family()[name]
+    for seed in (3, 4):
+        t = prepare(_spread_pair(seed))
+        el._images.cache_clear()
+        calls = [call(t) for _ in range(3)]
+        info = el._images.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        want = route(t)  # the table built for this call only, or a route known to equal it
+        for got in calls:
+            _assert_same(got, want)
+
+
+def test_an_element_call_acts_on_its_own_photon():
+    # the same arguments on photons with three and two paths: images kept per photon
+    s, u = _spread_pair(6), _unitary(0.2)
+    calls = (
+        (el.wave_plate, (None, "x"), el._wave_plate_table, (None, "x")),
+        (el.phase, (None, "V", 0.7), el._phase_table, (None, "V", 0.7)),
+        (el.pol_rotate, (None, 0.2), el._rotation_table, (None, 0.2)),
+        (el.pol_unitary, (None, u), el._unitary_table, (None, u.astype(complex).tobytes())),
+    )
+    for call, args, build, table_args in calls:
+        for pid in ("1", "2", "1"):
+            want = _uncached(s, pid, build(s.registry, pid, *table_args))
+            _assert_same(call(s, pid, *args), want)
+
+
 # -- displayed coherent patterns -------------------------------------------
 
 

@@ -503,6 +503,28 @@ def test_merging_n_reduces_to_merging(alpha20):
     assert fidelity(out, polarization_state(z, [("1", "t1"), ("A", "pa")])) >= 1 - 1e-8
 
 
+def test_a_second_merging_call_reuses_its_readout_layout(alpha20):
+    def merged(seed, companions):
+        z = haar_vec(4, seed)
+        s = polarization_state(z, [("1", "t1"), ("2", "t2")])
+        mid, rep1 = g.c_path(s, "1", "2", alpha20, THETA)
+        mid, _, _ = g.inject_plus(mid, "A", "pa")
+        out, rep = g.merging_n(mid, "2", rep1.extras["rails"], "A", companions, alpha20, THETA,
+                               keep_recycled=False)
+        assert fidelity(out, polarization_state(z, [("1", "t1"), ("A", "pa")])) >= 1 - 1e-8
+        return [[op["kind"] for op in ops] for _, ops in rep.feedforward]
+
+    g._readout.cache_clear()
+    sigma_z = merged(11, [("1", None)])
+    assert sigma_z == [[], ["WavePlateZ"], ["WavePlateZ"], ["WavePlateZ", "WavePlateZ"]]
+    assert merged(12, [("1", None)]) == sigma_z
+    assert (g._readout.cache_info().misses, g._readout.cache_info().hits) == (1, 1)
+    # a companion named by its path takes the π on that path's V: a layout of its own
+    by_path = merged(11, [("1", "t1")])
+    assert by_path == [[], ["WavePlateZ"], ["PolPhase"], ["PolPhase", "WavePlateZ"]]
+    assert (g._readout.cache_info().misses, g._readout.cache_info().hits) == (2, 1)
+
+
 def test_merging_n_rejects_bad_rail_count(alpha20):
     z = haar_vec(4, 10)
     s = polarization_state(z, [("1", "t1"), ("2", "t2")])
