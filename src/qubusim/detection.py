@@ -23,9 +23,14 @@ is read.  The corrections that follow an outcome are the gates module's
 FeedForwardPlan tables.
 
 The Bell readout splits the state in one pass: the rows group by their
-remaining labels and beam values, a (groups × 4) matrix holds each group's
-amplitudes on the measured pair's HH, HV, VH and VV, and one product with
-the 4×4 Bell matrix gives all four outcomes' amplitudes.  Presence and Bell
+remaining labels and beam values (found on the codes with the pair's digits
+set to 0, so only the groups' first rows are recoded), a (groups × 4) matrix
+holds each group's amplitudes on the measured pair's HH, HV, VH and VV, and
+one product with the 4×4 Bell matrix gives all four outcomes' amplitudes.
+`bell_outcomes` takes the outcomes to enumerate, as `presence_outcomes`
+takes its paths, and an outcome's record does not depend on which others
+are asked for: the gates module's compiled Bell stage reads only its
+representative's, on that outcome's per-outcome route.  Presence and Bell
 parts carry their norm √Σ|a|² when their codes strictly increase, since each
 row then pairs only with itself; other parts take `norm`.
 """
@@ -297,39 +302,57 @@ _BELL = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]], com
 _BELL.flags.writeable = False
 
 
-def bell_outcomes(s: HybridState, pid_a: str, pid_b: str) -> list[MeasurementRecord]:
-    """Project two single-path photons onto the Bell basis; removes both.
-
-    One pass (see the module docstring).  Rows group by the rule of
-    canonical(0.0); an outcome's part holds, in canonical order, each group
-    with a row on the outcome's two patterns, a group that cancels to 0
-    included.
-    """
-    digits = []
+def _bell_pattern(s: HybridState, pid_a: str, pid_b: str) -> tuple[np.ndarray, np.ndarray]:
+    """The Bell pair read off s: each row's pattern 2·a + b of the pair's
+    polarizations (HH, HV, VH, VV as 0..3), and its label code with both
+    photons' digits set to 0, which orders and groups the rows as their
+    codes without the pair do.  Both photons must be single-path."""
+    reg, digits, rest = s.registry, [], s.codes
     for pid in (pid_a, pid_b):
         d = _slot_digits(s, pid)
         if not len(d) or ((d >> 1) != (d[0] >> 1)).any():
             raise MeasurementError(f"Bell measurement needs single-path photons; {pid!r} is split")
         digits.append(d % 2)
-    reg = s.registry.without_photon(pid_a).without_photon(pid_b)
-    rest = _recode(s.codes, s.registry, reg)
+        rest = rest - d * reg._stride[reg.slot_index(pid)]
+    return 2 * digits[0] + digits[1], rest
+
+
+def bell_outcomes(
+    s: HybridState, pid_a: str, pid_b: str, values: Sequence[str] = BELLS
+) -> list[MeasurementRecord]:
+    """Project two single-path photons onto the Bell basis; removes both.
+
+    One pass (see the module docstring).  Rows group by the rule of
+    canonical(0.0); an outcome's part holds, in canonical order, each group
+    with a row on the outcome's two patterns, a group that cancels to 0
+    included.  values names the outcomes to enumerate, in the order given
+    (default: all four, in BELLS order), as presence_outcomes takes its
+    paths; the record of an outcome is the same whichever others are asked
+    for.
+    """
+    pattern, rest = _bell_pattern(s, pid_a, pid_b)
+    for v in values:
+        if v not in BELLS:
+            raise MeasurementError(f"unknown Bell outcome {v!r}; expected one of {BELLS}")
     order, new = _runs(rest, s.qubus, 0.0)
     group = np.empty(len(order), np.int64)
     group[order] = new.cumsum() - 1
     first = order[new]
-    cells = 4 * group + 2 * digits[0] + digits[1]  # HH, HV, VH, VV
+    cells = 4 * group + pattern  # HH, HV, VH, VV
     size = 4 * len(first)
     amps = ((_binned(cells, s.amps, size) * (1 / math.sqrt(2))).reshape(-1, 4) @ _BELL).T
     on = np.bincount(cells, minlength=size).reshape(-1, 4) > 0
-    codes, qubus = rest[first], s.qubus.take(first, 0)
+    reached = (on[:, 0] | on[:, 3], on[:, 1] | on[:, 2])  # Φ±, Ψ±
+    reg = s.registry.without_photon(pid_a).without_photon(pid_b)
+    codes, qubus = _recode(s.codes[first], s.registry, reg), s.qubus.take(first, 0)
     out = []
-    for k, reached in enumerate((on[:, 0] | on[:, 3], on[:, 1] | on[:, 2])):  # Φ±, Ψ±
-        m = reached.nonzero()[0]
-        for j in (2 * k, 2 * k + 1):
-            part = _part(reg, amps[j, m], codes[m], qubus.take(m, 0))
-            p = norm(part) ** 2
-            if p >= MIN_PROB:
-                out.append(MeasurementRecord("bell", BELLS[j], p, part.normalized()))
+    for v in values:
+        j = BELLS.index(v)
+        m = reached[j // 2].nonzero()[0]
+        part = _part(reg, amps[j, m], codes[m], qubus.take(m, 0))
+        p = norm(part) ** 2
+        if p >= MIN_PROB:
+            out.append(MeasurementRecord("bell", v, p, part.normalized()))
     return out
 
 

@@ -343,9 +343,10 @@ def pbs_merge(s: HybridState, pid: str, h_path: str, v_path: str, out: str) -> H
     _require_paths(s.registry, pid, h_path, v_path)
     digits = _slot_digits(s, pid)
     wrong = (s.registry._digit(pid, h_path, V), s.registry._digit(pid, v_path, H))
-    for d in _distinct(digits[np.isin(digits, wrong)]):
-        path, port = (h_path, "H") if d == wrong[0] else (v_path, "V")
-        raise StateError(f"{POLS[d % 2]} component present on {port} input {path!r} of PBS merge")
+    for d in sorted(wrong):  # the lower digit is reported first
+        if (digits == d).any():
+            path, port = (h_path, "H") if d == wrong[0] else (v_path, "V")
+            raise StateError(f"{POLS[d % 2]} component present on {port} input {path!r} of PBS merge")
     s = _with_paths(s, pid, out)
     return _remap(s, pid, _route_table, ((h_path, H, out), (v_path, V, out)))
 

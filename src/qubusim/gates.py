@@ -10,32 +10,41 @@ state; the unmeasured sum port is disposed of by heralded projection onto its
 dominant coherent value, whose tiny residual which-path weight is the only
 nondeterminism left (≤ ~e^{−|β|²} in fidelity, with |β|² = 2α²sin²θ).
 
-The other measurement stages, the Disentangler's and Merging's presence
-readouts (a row per arm) and the teleport transform's Bell measurements
-(phi±, psi±), correct their outcomes by a FeedForwardPlan in correct_outcomes.
-
-A block computes its whole outcome table from one decomposition.  The
-difference port takes a few distinct values α_k (0 and ±β in every gate
-here), so outcome n is Σ_k ⟨n|α_k⟩ ψ_k over the parts ψ_k of the state at
-each value.  Feed-forward, disposal and the gate's post step are linear once
-the disposal value is fixed, and act on photons only, so each (feed-forward
-row, disposal value) group gives every outcome of it from K fixed parts.
-None of that depends on the amplitudes: for one coupled-state structure
-(its registry, label codes and beam values) with one plan, disposal beam
-and post step, the block is compiled once (_block_algebra) into each row's
-map from the coupled amplitudes to its corrected rows, each group's part
-rows as maps of the coupled amplitudes, and the overlaps of those rows.
-The beam values are part of that structure, so a new α or θ compiles
-afresh: the cache pays off only when a structure repeats.  A call still
-couples and enumerates the Fock outcomes (the MIN_PROB cut and the tail
-check), and then only does array work on its amplitudes: each outcome's
-dominant disposal value and the TIE_TOL tie rule, the parts with
-canonicalize's dust rule on their rows, one K×K Gram matrix per group for
-the norms, and the overlaps with the representative.  An outcome's state is
-built only when read.  The representative, and every outcome whose disposal
-value is not unique, take the per-outcome route (collapse, correct,
-dispose, post); the representative's batched state must match its route,
-so the compiled algebra is checked on every call.
+Every measurement stage runs through one stage algebra.  A readout splits
+the stage's input into K parts ψ_k, and outcome i is Σ_k w[k, i] ψ_k,
+corrected by its FeedForwardPlan row; a qubus block then disposes of its
+sum port and applies its post step.  The cases are:
+  * a qubus block: the parts are the rows at each distinct value α_k of the
+    difference port (0 and ±β in every gate here), and w[k, n] = ⟨n|α_k⟩;
+  * a Bell readout (the teleport transform): the parts are the pair's
+    patterns HH, HV, VH and VV, both photons dropped, and w[k, j] =
+    _BELL[k, j]/√2 (K = 4, no disposal beam, the row chosen by outcome);
+  * the Disentangler's presence readout: the parts are the control's two
+    arms, w is the identity, and the arms' PBS± recombination ends the split.
+Correction, disposal and post are linear once the disposal value is fixed,
+and act on photons only, so each (feed-forward row, disposal value) group
+gives every outcome of it from K fixed parts.  None of that depends on the
+amplitudes: for one input structure (registry, label codes and beam values)
+with one readout, plan, disposal beam and post step, the stage is compiled
+once (_stage_algebra) into each group's part rows as maps of the input
+amplitudes and the overlaps of those rows.  A readout whose weights are
+fixed (Bell, presence) folds them into the compile, so its parts are its
+outcomes, each corrected only by its own row.  The beam values are part of
+the structure, so a new α or θ compiles afresh: the cache pays off only
+when a structure repeats.  A block call still couples and enumerates the
+Fock outcomes (the MIN_PROB cut and the tail check); then every stage only
+does array work on its amplitudes: a block's dominant disposal value per
+outcome and the TIE_TOL tie rule, the parts (with canonicalize's dust rule
+after a disposal), one K×K Gram matrix per group for the norms (a readout
+without a beam reads its probabilities there and cuts them at MIN_PROB),
+and the overlaps with the representative.  An outcome's state is built only
+when read.  The representative, and every outcome whose disposal value is
+not unique, take the per-outcome route (a block's collapse, correct,
+dispose, post; a readout's detection call for that one outcome, then its
+correction); the representative's batched overlap with its route's state,
+over its Gram norm, must be 1, so the compiled algebra is checked on every
+call.  Only merging_n's readout, whose post step (remove_photon) is not
+linear, builds and scores its outcomes one by one (score_outcomes).
 
 The parity gate and the C-path family share one rail-routing block: a fresh
 rail opens beside each target rail with a 50:50 split, and even n switches
@@ -68,10 +77,14 @@ import numpy as np
 from . import elements as el
 from . import synthesis as syn
 from .detection import (
+    _BELL,
+    BELLS,
     MIN_PROB,
     FockOutcomes,
     MeasurementRecord,
+    _bell_pattern,
     _project_onto,
+    bell_outcomes,
     fock_outcomes,
     presence_outcomes,
     project_qubus_coherent,
@@ -89,6 +102,7 @@ from .state import (
     _recode,
     _reregistered,
     _runs,
+    _slot_digits,
     attach_qubus,
     coherent_overlap,
     fidelity,
@@ -125,7 +139,8 @@ ROUTE_TOL = 1e-9
 #: that it raises GateError
 SUCCESS_TOL = 1e-12
 
-#: qubus block structures whose compiled algebra is kept (_block_algebra)
+#: stage structures whose compiled algebra is kept (_stage_algebra): qubus
+#: blocks, Bell readouts and Disentangler readouts share the cache
 BLOCK_CACHE = 64
 
 
@@ -317,17 +332,6 @@ def _parity_plan(
     )
 
 
-def correct_outcomes(
-    records: Sequence[MeasurementRecord],
-    plan: FeedForwardPlan,
-    prepare: Callable[[HybridState], HybridState] = lambda st: st,
-) -> list[tuple[object, float, HybridState]]:
-    """The feed-forward of a presence or Bell stage: each outcome's (value,
-    probability, corrected state), its collapsed state run through prepare
-    and then corrected by its plan row."""
-    return [(r.value, r.probability, plan.correct(prepare(r.collapsed), r.value)) for r in records]
-
-
 # ---------------------------------------------------------------------------
 # the shared qubus block
 # ---------------------------------------------------------------------------
@@ -462,6 +466,22 @@ class FanIn:
         return pbs_fan_in(s, self.photon, self.rails, self.fresh)
 
 
+class _PmMerge(NamedTuple):
+    """A presence readout's recombination as data: pbs_pm_merge of the
+    photon's plus and minus arms onto out, then both arms dropped from the
+    registry.  The Disentangler's readout ends with it."""
+
+    photon: str
+    plus: str
+    minus: str
+    out: str
+
+    def apply(self, s: HybridState) -> HybridState:
+        s = el.pbs_pm_merge(s, self.photon, self.plus, self.minus, self.out)
+        reg = s.registry.without_path(self.photon, self.plus).without_path(self.photon, self.minus)
+        return _reregistered(s, reg)
+
+
 def _outcome_route(
     rec: MeasurementRecord, plan: FeedForwardPlan, beam: str, post: FanIn | None
 ) -> HybridState:
@@ -472,26 +492,112 @@ def _outcome_route(
     return st if post is None else post.apply(st)
 
 
-#: every coupled row's amplitude while a block compiles: a power of two, so
+# ---------------------------------------------------------------------------
+# the stage algebra: every readout stage compiled once per input structure
+# ---------------------------------------------------------------------------
+
+#: every input row's amplitude while a stage compiles: a power of two, so
 #: dividing it out is exact, and so large that no compiled row is dust
 _COMPILE_AMP = 2.0**600
 
 
-class _Algebra(NamedTuple):
-    """A qubus block's compiled algebra (see _block_algebra).
+def _measured(
+    s: HybridState, reg: ModeRegistry, src: np.ndarray, codes: np.ndarray, part: np.ndarray,
+    weight: np.ndarray | float = 1.0,
+) -> tuple[HybridState, int]:
+    """The readout of a tagged state s (the tag its last beam column) that
+    reads no beam: for each entry, row src of s times weight, over reg with
+    label code codes, and a column holding its part inserted before the
+    tag.  Returns the state and that column's index."""
+    tag = reg.qubus_modes[-1]
+    reg = reg.without_qubus(tag).with_qubus(reg.fresh_qubus("part")).with_qubus(tag)
+    q = s.qubus.take(src, 0)
+    qubus = np.column_stack((q[:, :-1], part, q[:, -1]))
+    return HybridState._sorted(reg, s.amps[src] * weight, codes, qubus), len(reg.qubus_modes) - 2
 
-    A group is one (feed-forward row, disposal value v): the coupled state
-    corrected by the row, projected onto ⟨v| on the disposal beam, post
-    applied and split by measured value into K parts.  R is the number of
-    coupled rows.  A map is (target, source, coefficient) arrays, one entry
-    per term, so it is linear in R (see _gather); every array is read-only.
+
+class _FockParts(NamedTuple):
+    """A qubus block's readout: its parts are the rows at each distinct value
+    of beam column `measured`, in row order (as FockPmf's values), and every
+    feed-forward row corrects every part (rows None)."""
+
+    measured: int
+    rows = None
+
+    def split(self, s: HybridState) -> tuple[HybridState, int, list]:
+        return s, self.measured, list(dict.fromkeys(s.qubus[:, self.measured].tolist()))
+
+
+#: a Bell readout's weights: row k of pattern k (HH, HV, VH, VV) in each
+#: outcome (columns, in BELLS order), as bell_outcomes takes them
+_BELL_WEIGHTS = _BELL * (1 / math.sqrt(2))
+_BELL_WEIGHTS.flags.writeable = False
+
+
+class _BellParts(NamedTuple):
+    """A Bell readout of (pid_a, pid_b), both photons dropped.  Its four
+    pattern parts HH, HV, VH and VV (detection._bell_pattern) enter outcome j
+    with the fixed weights _BELL_WEIGHTS[:, j], so the split folds them in:
+    its parts are the outcomes, in BELLS order, and rows[j] is the one
+    feed-forward row that corrects outcome j."""
+
+    pid_a: str
+    pid_b: str
+    rows: tuple[int, ...]
+
+    def split(self, s: HybridState) -> tuple[HybridState, int, list]:
+        pattern, _ = _bell_pattern(s, self.pid_a, self.pid_b)
+        reg = s.registry.without_photon(self.pid_a).without_photon(self.pid_b)
+        weights = _BELL_WEIGHTS[pattern]
+        src, outcome = weights.nonzero()
+        codes = _recode(s.codes[src], s.registry, reg)
+        st, measured = _measured(s, reg, src, codes, outcome, weights[src, outcome])
+        return st, measured, list(range(len(BELLS)))
+
+
+class _PresenceParts(NamedTuple):
+    """A presence readout between two PBS± (the Disentangler's): the split
+    ops run, its parts are the rows with the photon on each of paths (rows
+    elsewhere are not read), merge recombines them, and rows[k] is the one
+    feed-forward row that corrects part k.  Each part is an outcome: the
+    weights are the identity."""
+
+    photon: str
+    paths: tuple[str, ...]
+    split_ops: tuple[el.ElementOp, ...]
+    merge: _PmMerge
+    rows: tuple[int, ...]
+
+    def split(self, s: HybridState) -> tuple[HybridState, int, list]:
+        s = el.apply_elements(s, self.split_ops)
+        paths = s.registry.paths_of(self.photon)
+        lookup = np.full(len(paths), -1)
+        lookup[[paths.index(p) for p in self.paths]] = np.arange(len(self.paths))
+        part = lookup[_slot_digits(s, self.photon) >> 1]
+        src = np.flatnonzero(part >= 0)
+        s, measured = _measured(s, s.registry, src, s.codes[src], part[src])
+        return self.merge.apply(s), measured, list(range(len(self.paths)))
+
+
+class _Algebra(NamedTuple):
+    """A stage's compiled algebra (see _stage_algebra).
+
+    A group is one (feed-forward row, disposal value v): the input corrected
+    by the row, projected onto ⟨v| on the disposal beam, post applied and
+    split into its K parts; a stage without a disposal beam has one group
+    per row, and a readout with rows holds in each group only the parts
+    that row corrects.  R is the number of input rows.  A map is (target,
+    source, coefficient) arrays, one entry per term, so it is linear in R
+    (see _gather); every array is read-only.
     """
 
-    branch: tuple  # map onto (basis, rows, K) flattened: each feed-forward row's
-    #                corrected amplitudes over its merged rows (measured beam
-    #                dropped) and the K measured values
-    group: np.ndarray  # (basis, rows): the group of each basis row's disposal
-    #                    value; -1 pads a row to the largest basis
+    branch: tuple | None  # map onto (basis, rows, K) flattened: each feed-forward
+    #                       row's corrected amplitudes over its merged rows
+    #                       (measured column dropped) and the K parts; None
+    #                       without a disposal beam
+    group: np.ndarray | None  # (basis, rows): the group of each basis row's
+    #                           disposal value; -1 pads a row to the largest
+    #                           basis; None without a disposal beam
     registry: ModeRegistry  # the layout of the part rows
     codes: np.ndarray  # every group's part rows, sorted by code, then group and part
     qubus: np.ndarray  # their beam values left
@@ -504,18 +610,18 @@ class _Algebra(NamedTuple):
 
 
 def _gather(mapping: tuple, amps: np.ndarray, size: int) -> np.ndarray:
-    """A compiled map applied to the coupled amplitudes: Σ coefficient ·
+    """A compiled map applied to the input amplitudes: Σ coefficient ·
     amps[source] into each of `size` targets."""
     target, source, coef = mapping
     return _binned(target, coef * amps[source], size)
 
 
 def _compile_rows(s: HybridState, merge_on: list[int], values: list, measured: int) -> tuple:
-    """The rows of a tagged state (see _block_algebra), merged by
+    """The rows of a tagged state (see _stage_algebra), merged by
     canonicalize's rule at CANON_TOL on their code and the beam columns
     merge_on.  Returns (the first row of each merged row, in canonical order;
-    each row's merged row; each row's part, the index in values of its beam
-    value at column measured; each row's source row and coefficient)."""
+    each row's merged row; each row's part, the index in values of its value
+    at column measured; each row's source row and coefficient)."""
     order, new = _runs(s.codes, s.qubus[:, merge_on], CANON_TOL)
     merged = np.empty(len(order), int)
     merged[order] = new.cumsum() - 1
@@ -525,72 +631,89 @@ def _compile_rows(s: HybridState, merge_on: list[int], values: list, measured: i
 
 
 @functools.lru_cache(maxsize=BLOCK_CACHE)
-def _block_algebra(
+def _stage_algebra(
     reg: ModeRegistry,
     codes: bytes,
     qubus: bytes,
+    readout: _FockParts | _BellParts | _PresenceParts,
     rows: tuple[tuple[el.ElementOp, ...], ...],
-    measured: int,
-    beam: str,
+    beam: str | None,
     post: FanIn | None,
 ) -> _Algebra:
-    """What a qubus block does that does not depend on the amplitudes.
+    """What a readout stage does that does not depend on the amplitudes.
 
-    The coupled state's rows (registry reg, label codes and beam values as
-    bytes, the measured beam at column `measured`), the feed-forward rows,
-    the disposal beam and the post step fix every step of the block but the
-    amplitudes, and every step is linear in them.  So each step runs once,
-    on a tagged copy of the R coupled rows: an extra beam column holds each
-    row's index, which keeps the rows of different sources from merging, and
-    every amplitude is _COMPILE_AMP, so no row is dropped as dust.  Merging
-    the results by canonicalize's rule gives each output row as a fixed
-    combination of coupled rows.  The copies of every feed-forward row, and
-    then of every group, go through the steps side by side in one state, so
-    a compile takes one correction per row and one projection, post step
-    and merge for all groups.  The beam values are part of the key, so a
-    block at a new α or θ compiles afresh; only blocks that repeat their
-    structure (one gate on many inputs) gain from the cache.
+    The input's rows (registry reg, label codes and beam values as bytes),
+    the readout that splits them into K parts, the feed-forward rows, the
+    disposal beam (None for none) and the post step fix every step of the
+    stage but the amplitudes, and every step is linear in them.  So each
+    step runs once, on a tagged copy of the R input rows: an extra beam
+    column holds each row's index, which keeps the rows of different sources
+    from merging, and every amplitude is _COMPILE_AMP, so no row is dropped
+    as dust.  The readout marks each row's part in a measured column (a
+    qubus block's measured beam; a column of its own for a Bell or presence
+    readout, whose split drops or recombines photons).  Merging the results
+    by canonicalize's rule gives each output row as a fixed combination of
+    input rows.  The copies of every feed-forward row (of the parts it
+    corrects, where the readout names each part's row), and then of every
+    group, go through the steps side by side in one state, so a compile
+    takes one correction per row and one projection, post step and merge
+    for all groups.  The beam values are part of the key, so a block at a
+    new α or θ compiles afresh; only stages that repeat their structure (one
+    gate on many inputs) gain from the cache.
     """
     codes = np.frombuffer(codes, np.int64)
     qubus = np.frombuffer(qubus, complex).reshape(len(codes), -1)
-    n, modes, mode = len(codes), len(reg.qubus_modes), reg.qubus_modes[measured]
-    idx = reg.qubus_index(beam)
-    values = list(dict.fromkeys(qubus[:, measured].tolist()))
-    disposals = {v: c for c, v in enumerate(dict.fromkeys(qubus[:, idx].tolist()))}
-    k, c = len(values), len(disposals)
-    # every feed-forward row corrects a tagged copy, side by side, the row in
-    # beam column `key`, which keeps rows of different copies from merging
-    tag, key = reg.fresh_qubus("tag"), reg.fresh_qubus("key")
+    n = len(codes)
+    tag = reg.fresh_qubus("tag")
     tagged = HybridState._derived(reg.with_qubus(tag), np.full(n, _COMPILE_AMP, complex),
                                   codes, np.column_stack((qubus, np.arange(n))))
-    corrected = [el.apply_elements(tagged, ops) for ops in rows]
+    split, measured, values = readout.split(tagged)
+    reg = split.registry.without_qubus(tag)
+    modes, mode, k = len(reg.qubus_modes), reg.qubus_modes[measured], len(values)
+    # every feed-forward row corrects a tagged copy, side by side, the row in
+    # beam column `key`, which keeps rows of different copies from merging
+    key = reg.fresh_qubus("key")
+    copies = [split] * len(rows)
+    if readout.rows is not None:
+        row_of = np.array(readout.rows)[split.qubus[:, measured].real.astype(int)]
+        copies = [HybridState._derived(split.registry, split.amps[m], split.codes[m],
+                                       split.qubus.take(m, 0))
+                  for m in (np.flatnonzero(row_of == r) for r in range(len(rows)))]
+    corrected = [el.apply_elements(x, ops) for x, ops in zip(copies, rows)]
     beams = np.concatenate([x.qubus for x in corrected])
     copy = np.repeat(np.arange(len(rows)), [len(x.amps) for x in corrected])
     every = HybridState._rows(
         reg.with_qubus(key).with_qubus(tag), np.concatenate([x.amps for x in corrected]),
         np.concatenate([x.codes for x in corrected]),
         np.column_stack((beams[:, :-1], copy, beams[:, -1])))
-    unmeasured = [x for x in range(modes) if x != measured]
-    first, merged, part, source, coef = _compile_rows(every, [*unmeasured, modes], values, measured)
-    # basis row b of feed-forward row r is the b-th merged row of copy r
-    row = every.qubus[first, modes].real.astype(int)
-    by_row = np.argsort(row, kind="stable")
-    place = np.empty(len(row), int)
-    place[by_row] = np.arange(len(row)) - row[by_row].searchsorted(row[by_row])
-    branch = ((place[merged] * len(rows) + row[merged]) * k + part, source, coef)
-    group = np.full((place.max() + 1, len(rows)), -1)
-    group[place, row] = row * c + [disposals[v] for v in every.qubus[first, idx].tolist()]
-    # group r·c + d: row r's copy projected onto disposal value d, all at once
-    d = np.repeat(np.arange(c), len(every.amps))
-    q = np.tile(every.qubus, (c, 1))
-    q[:, modes] = q[:, modes] * c + d
-    kept = _project_onto(HybridState._rows(every.registry, np.tile(every.amps, c),
-                                           np.tile(every.codes, c), q),
-                         idx, np.array(list(disposals))[d, None])
+    branch = group = None
+    kept, groups = every, len(rows)
+    if beam is not None:
+        idx = reg.qubus_index(beam)
+        disposals = {v: c for c, v in enumerate(dict.fromkeys(split.qubus[:, idx].tolist()))}
+        c = len(disposals)
+        unmeasured = [x for x in range(modes) if x != measured]
+        first, merged, part, source, coef = _compile_rows(every, [*unmeasured, modes], values, measured)
+        # basis row b of feed-forward row r is the b-th merged row of copy r
+        row = every.qubus[first, modes].real.astype(int)
+        by_row = np.argsort(row, kind="stable")
+        place = np.empty(len(row), int)
+        place[by_row] = np.arange(len(row)) - row[by_row].searchsorted(row[by_row])
+        branch = ((place[merged] * len(rows) + row[merged]) * k + part, source, coef)
+        group = np.full((place.max() + 1, len(rows)), -1)
+        group[place, row] = row * c + [disposals[v] for v in every.qubus[first, idx].tolist()]
+        # group r·c + d: row r's copy projected onto disposal value d, all at once
+        d = np.repeat(np.arange(c), len(every.amps))
+        q = np.tile(every.qubus, (c, 1))
+        q[:, modes] = q[:, modes] * c + d
+        kept = _project_onto(HybridState._rows(every.registry, np.tile(every.amps, c),
+                                               np.tile(every.codes, c), q),
+                             idx, np.array(list(disposals))[d, None])
+        groups = len(rows) * c
     if post is not None:
         kept = post.apply(kept)
     m, at = kept.registry.qubus_index(mode), kept.registry.qubus_index(key)
-    rest = [x for x in range(modes - 1) if x != m]
+    rest = [x for x in range(at) if x != m]
     first, merged, part, source, coef = _compile_rows(kept, [*rest, m, at], values, m)
     registry = kept.registry.without_qubus(tag).without_qubus(key).without_qubus(mode)
     codes, qubus, part = kept.codes[first], kept.qubus[first][:, rest], part[first]
@@ -602,81 +725,102 @@ def _block_algebra(
     i, j = _pairs(codes, codes)
     i, j = i[owner[i] == owner[j]], j[owner[i] == owner[j]]
     gram = (i, j, coherent_overlap(qubus[i], qubus[j]), (owner[i] * k + part[i]) * k + part[j])
-    members = tuple(np.flatnonzero(owner == g) for g in range(len(rows) * c))
+    members = tuple(np.flatnonzero(owner == g) for g in range(groups))
     algebra = _Algebra(branch, group, registry, codes, qubus, owner * k + part,
                        (renumber[merged], source, coef), members, gram)
-    for x in (*branch, group, codes, qubus, algebra.cell, *algebra.parts, *members, *gram):
-        x.setflags(write=False)
+    for x in (*(branch or ()), group, codes, qubus, algebra.cell, *algebra.parts, *members, *gram):
+        if x is not None:
+            x.setflags(write=False)
     return algebra
 
 
-class _BlockOutputs(Sequence):
-    """The corrected outputs of one qubus block: (value, probability, state) each.
+def _algebra_of(
+    s: HybridState, readout, plan: FeedForwardPlan, beam: str | None = None,
+    post: FanIn | None = None,
+) -> _Algebra:
+    """The stage algebra of input s (see _stage_algebra)."""
+    return _stage_algebra(s.registry, s.codes.tobytes(), s.qubus.tobytes(), readout, plan.rows,
+                          beam, post)
 
-    Computed from the coupled state and weights of `found` (a FockOutcomes)
-    through the block's compiled algebra (_block_algebra), as the module
-    docstring describes.  The outcomes are grouped by (feed-forward row,
-    disposal value); an outcome's disposal value is the sum-port value of its
-    largest row, read from one (basis × outcomes) array.  `part_amps` holds
-    the part rows of every group, with canonicalize's dust rule applied;
-    `routed` holds the outcomes that went the per-outcome route
-    (_outcome_route): the representative, whose batched state must match
-    it, and every outcome whose disposal value ties with another within
-    TIE_TOL (group -1).
+
+class _StageOutputs(Sequence):
+    """The corrected outputs of one compiled stage: (value, probability, state) each.
+
+    Computed from the input state s through the stage's compiled algebra
+    (_stage_algebra), as the module docstring describes: outcome i is
+    Σ_k weights[k, i] ψ_k over the K parts ψ_k, corrected by its
+    feed-forward row rows[i].  With a disposal beam the outcomes are grouped
+    by (feed-forward row, disposal value); an outcome's disposal value is the
+    sum-port value of its largest row, read from one (basis × outcomes)
+    array.  Without one, an outcome's group is its row, and its norm² from
+    the group's Gram matrix is its probability: the outcomes below MIN_PROB
+    are dropped.  `part_amps` holds the part rows of every group (with
+    canonicalize's dust rule applied after a disposal); `routed` holds the
+    outcomes that went their per-outcome route, route(i, value): the
+    representative, whose batched state must match it, and every outcome
+    whose disposal value ties with another within TIE_TOL (group -1).
     """
 
-    def __init__(self, found: FockOutcomes, plan: FeedForwardPlan, beam: str, post: FanIn | None):
-        self.found, self.plan, self.beam, self.post = found, plan, beam, post
-        self.values = found.values
-        self.probs = found.probabilities
-        self.routed: dict[int, HybridState] = {}
-        st, w = found.state, found.weights
-        self.algebra = alg = _block_algebra(
-            st.registry, st.codes.tobytes(), st.qubus.tobytes(), plan.rows,
-            found.mode_index, beam, post,
-        )
-        # the post step is a one-to-one relabelling, so the dust rule of the
-        # projection's canonicalize applies to the part rows as it stands
-        z = _gather(alg.parts, st.amps, len(alg.codes))
-        z[abs(z) < CANON_TOL] = 0.0
+    def __init__(
+        self,
+        s: HybridState,
+        alg: _Algebra,
+        weights: np.ndarray,
+        values: Sequence[object],
+        rows: Sequence[int] | np.ndarray,
+        route: Callable[[int, object], HybridState],
+        probs: np.ndarray | None = None,
+    ):
+        self.algebra, self.route, self.routed = alg, route, {}
+        z = _gather(alg.parts, s.amps, len(alg.codes))
+        if alg.group is not None:
+            # the post step is a one-to-one relabelling, so the dust rule of
+            # the projection's canonicalize applies to the part rows as it stands
+            z[abs(z) < CANON_TOL] = 0.0
         self.part_amps = z
         # every group's K×K Gram matrix, and a zero one last for group -1
-        k, size = len(w), (len(alg.members) + 1) * len(w) ** 2
+        k, size = len(weights), (len(alg.members) + 1) * len(weights) ** 2
         i, j, overlap, cell = alg.gram
         grams = _binned(cell, z[i].conj() * z[j] * overlap, size)
-        # each outcome's amplitudes over the basis rows of its feed-forward row
-        # (rows[n]): its weights sit in that row's block, zeros elsewhere
-        rows, every = plan.row_of(found.ns), np.arange(len(self.values))
-        blocks = np.zeros((alg.group.shape[1], k, len(rows)), complex)
-        blocks[rows, :, every] = w.T
-        branch = _gather(alg.branch, st.amps, alg.group.size * k).reshape(len(alg.group), -1)
-        amps = np.abs(branch @ blocks.reshape(-1, len(rows)))
-        top = amps.argmax(axis=0)
-        dominant = alg.group[top, rows]
-        # a tie needs a second row within TIE_TOL of the largest: a rival
-        # group is looked for only where there is one
-        bar = (1 - TIE_TOL) * amps[top, every]
-        amps[top, every] = 0.0
-        close = np.flatnonzero(amps.max(axis=0) >= bar)
+        rows, every = np.asarray(rows), np.arange(len(values))
         tied = np.zeros(len(rows), bool)
-        if len(close):
-            rival = (amps[:, close] >= bar[close]) & (alg.group[:, rows[close]] != dominant[close])
-            tied[close] = rival.any(axis=0)
-        self.group_of = np.where(tied, -1, dominant)
-        # ‖outcome n‖² = wₙᴴ G wₙ with its group's Gram matrix G
-        pairs = (w.conj()[:, None] * w[None]).reshape(k * k, -1)
-        forms = (grams.reshape(-1, k * k) @ pairs)[self.group_of, every].real
+        if alg.group is None:
+            group_of = rows
+        else:
+            # each outcome's amplitudes over the basis rows of its feed-forward
+            # row: its weights sit in that row's block, zeros elsewhere
+            blocks = np.zeros((alg.group.shape[1], k, len(rows)), complex)
+            blocks[rows, :, every] = weights.T
+            branch = _gather(alg.branch, s.amps, alg.group.size * k).reshape(len(alg.group), -1)
+            amps = np.abs(branch @ blocks.reshape(-1, len(rows)))
+            top = amps.argmax(axis=0)
+            dominant = alg.group[top, rows]
+            # a tie needs a second row within TIE_TOL of the largest: a rival
+            # group is looked for only where there is one
+            bar = (1 - TIE_TOL) * amps[top, every]
+            amps[top, every] = 0.0
+            close = np.flatnonzero(amps.max(axis=0) >= bar)
+            if len(close):
+                rival = (amps[:, close] >= bar[close]) & (alg.group[:, rows[close]] != dominant[close])
+                tied[close] = rival.any(axis=0)
+            group_of = np.where(tied, -1, dominant)
+        # ‖outcome i‖² = wᵢᴴ G wᵢ with its group's Gram matrix G
+        pairs = (weights.conj()[:, None] * weights[None]).reshape(k * k, -1)
+        forms = (grams.reshape(-1, k * k) @ pairs)[group_of, every].real
+        if probs is None:
+            keep = np.flatnonzero(forms >= MIN_PROB)
+            values = [values[x] for x in keep.tolist()]
+            weights, group_of, tied = weights[:, keep], group_of[keep], tied[keep]
+            probs = forms = forms[keep]
+        self.values, self.probs, self.weights, self.group_of = values, probs, weights, group_of
         self.norms = np.where(tied, 1.0, np.sqrt(np.maximum(forms, 0.0)))
         for n in np.flatnonzero(tied).tolist():
-            self.routed[n] = self._route(n)
-
-    def _route(self, i: int) -> HybridState:
-        return _outcome_route(self.found[i], self.plan, self.beam, self.post)
+            self.routed[n] = route(n, values[n])
 
     def _row(self, i: int) -> HybridState:
         """Outcome i's normalized output, built from its group's part rows."""
-        alg = self.algebra
-        rows, w = alg.members[self.group_of[i]], self.found.weights
+        alg, w = self.algebra, self.weights
+        rows = alg.members[self.group_of[i]]
         scale = (w[:, i] / self.norms[i])[alg.cell[rows] % len(w)]
         z = self.part_amps[rows]
         keep = ((z != 0) & (scale != 0)).nonzero()[0]
@@ -686,15 +830,13 @@ class _BlockOutputs(Sequence):
 
     def fidelities(self, rep: int) -> np.ndarray:
         """Every outcome's fidelity with outcome rep, which goes the per-outcome
-        route; a batched representative must match that route."""
-        if rep not in self.routed:
-            self.routed[rep] = self._route(rep)
-            row = self._row(rep)
-            if abs(norm(row) - 1.0) > 1e-8 or fidelity(self.routed[rep], row) < 1 - ROUTE_TOL:
-                raise GateError(
-                    f"batched outcome n={self.values[rep]} disagrees with its per-outcome route"
-                )
-        ref, alg, w = self.routed[rep], self.algebra, self.found.weights
+        route.  A batched representative must match that route: its overlap
+        with the route's state, over its norm from the Gram matrix, must give
+        fidelity 1 within ROUTE_TOL."""
+        check = rep not in self.routed
+        if check:
+            self.routed[rep] = self.route(rep, self.values[rep])
+        ref, alg, w = self.routed[rep], self.algebra, self.weights
         # ⟨part|ref⟩ of every group's parts, paired over the part rows (sorted
         # by code); group -1 reads the zero row last
         i, j = _pairs(alg.codes, _recode(ref.codes, ref.registry, alg.registry))
@@ -702,7 +844,12 @@ class _BlockOutputs(Sequence):
             alg.qubus.take(i, 0), ref.qubus.take(j, 0))
         overlaps = _binned(alg.cell[i], t, (len(alg.members) + 1) * len(w))
         z = (overlaps.reshape(-1, len(w)) @ w.conj())[self.group_of, np.arange(len(self))]
-        fids = np.minimum(np.abs(z / self.norms) ** 2, 1.0)
+        fids = np.abs(z / self.norms) ** 2
+        if check and not abs(fids[rep] - 1.0) <= ROUTE_TOL:  # a NaN fails too
+            raise GateError(
+                f"batched outcome {self.values[rep]!r} disagrees with its per-outcome route"
+            )
+        fids = np.minimum(fids, 1.0)
         for n, st in self.routed.items():
             fids[n] = fidelity(st, ref)
         return fids
@@ -714,6 +861,22 @@ class _BlockOutputs(Sequence):
         i = range(len(self))[i]
         state = self.routed[i] if i in self.routed else self._row(i)
         return self.values[i], float(self.probs[i]), state
+
+    def scored(self, kind: str) -> Scored:
+        return _score(kind, self.values, self.probs, self.fidelities, self)
+
+
+def _block_outputs(
+    found: FockOutcomes, plan: FeedForwardPlan, beam: str, post: FanIn | None
+) -> _StageOutputs:
+    """A qubus block's outputs: the Fock outcomes of `found` through the
+    block's compiled algebra, the disposal beam projected onto each
+    outcome's dominant value; its route is _outcome_route."""
+    st = found.state
+    alg = _algebra_of(st, _FockParts(found.mode_index), plan, beam, post)
+    return _StageOutputs(st, alg, found.weights, found.values, plan.row_of(found.ns),
+                         lambda i, v: _outcome_route(found[i], plan, beam, post),
+                         found.probabilities)
 
 
 def run_qubus_block(
@@ -727,15 +890,44 @@ def run_qubus_block(
     """Couple, measure the difference port, feed forward, dispose of the sum port.
 
     Every Fock outcome above detection.MIN_PROB is enumerated, corrected and
-    scored against the highest-probability outcome (see _BlockOutputs).  The
+    scored against the highest-probability outcome (see _StageOutputs).  The
     coupling and the Fock enumeration run on every call; the rest of the
     block runs through its algebra, compiled once per coupled-state
-    structure, plan, disposal beam and post (_block_algebra), and checked
+    structure, plan, disposal beam and post (_stage_algebra), and checked
     against the representative's per-outcome route.
     """
     coupled, (b0, b1) = couple_qubus_pair(s, couplings, alpha, theta)
-    outputs = _BlockOutputs(fock_outcomes(coupled, b0), plan, b1, post)
-    return _score("fock", outputs.values, outputs.probs, outputs.fidelities, outputs)
+    return _block_outputs(fock_outcomes(coupled, b0), plan, b1, post).scored("fock")
+
+
+def _readout_stage(
+    kind: str, s: HybridState, readout, values: Sequence[object], plan: FeedForwardPlan,
+    route: Callable[[int, object], HybridState],
+) -> Scored:
+    """A readout without a beam through its compiled algebra: its parts are
+    its outcomes (values, weights the identity), each corrected by its own
+    plan row, and every outcome from MIN_PROB up is scored."""
+    alg = _algebra_of(s, readout, plan)
+    return _StageOutputs(s, alg, np.eye(len(values)), values, readout.rows, route).scored(kind)
+
+
+def run_bell_stage(s: HybridState, pid_a: str, pid_b: str, plan: FeedForwardPlan) -> Scored:
+    """Bell-measure two single-path photons, feed forward plan's row for each
+    outcome, and score every outcome against the most probable one.
+
+    Outcome j is Σ_k (_BELL[k, j]/√2) ψ_k over the four pattern parts ψ_k
+    (_BellParts), so the stage runs through its algebra, compiled once per
+    input structure and plan (_stage_algebra); the representative takes its
+    per-outcome route, detection.bell_outcomes of its value alone corrected
+    by its row, and must match.
+    """
+
+    def route(i: int, value: str) -> HybridState:
+        (rec,) = bell_outcomes(s, pid_a, pid_b, (value,))
+        return plan.correct(rec.collapsed, value)
+
+    readout = _BellParts(pid_a, pid_b, tuple(plan.row_of(v) for v in BELLS))
+    return _readout_stage("bell", s, readout, BELLS, plan, route)
 
 
 def _block_report(
@@ -759,10 +951,12 @@ def _require_single_path(s: HybridState, pid: str) -> str:
 
 
 def _require_plus(s: HybridState, pid: str) -> str:
-    """The photon must factor out as |+⟩ on a single path; returns the path."""
+    """The photon must factor out as |+⟩ on a single path: ⟨σx⟩ on it must
+    be +1 within 1e-9 (a factor |−⟩ gives −1, any other state less than 1 in
+    modulus; a global phase cancels).  Returns the path."""
     path = _require_single_path(s, pid)
     flipped = el.wave_plate(s, pid, None, "x")
-    if abs(abs(inner_product(flipped, s)) - 1.0) > 1e-9:
+    if abs(inner_product(flipped, s) - 1.0) > 1e-9:
         raise GateError(f"ancilla {pid!r} is not in |+⟩")
     return path
 
@@ -1088,28 +1282,45 @@ def disentangler(
     the |−⟩ outcome is fixed up by σ_z on the control plus a π phase on the
     target rails that the control's V component selected (v_rails).  The
     control leaves in |+⟩ exactly; the target keeps all four coefficients.
+
+    The readout is a presence stage of identity weights, the arms'
+    recombination (_PmMerge) ending its split, and runs through the stage
+    algebra (_stage_algebra) from the input rows; the representative takes
+    its per-outcome route (split, presence_outcomes on its arm, merge,
+    correct) and must match.  The readout and plan are built once per
+    layout (_mach_zehnder).
     """
     path = _require_single_path(s, control)
-    reg = s.registry
-    arm_p = reg.fresh_path(path + "p")
-    arm_m = reg.fresh_path(path + "m")
-    split = el.pbs_pm(s, control, path, arm_p, arm_m)
-    minus = [el.op("WavePlateZ", photon=control, path=path)] + [
-        el.op("PolPhase", math.pi, photon=target, path=r, pol=None) for r in sorted(v_rails)
-    ]
-    plan = FeedForwardPlan([("+", []), ("-", minus)], [arm_p, arm_m].index)
+    readout, plan = _mach_zehnder(s.registry, control, path, target, tuple(sorted(v_rails)))
 
-    def merge(st: HybridState) -> HybridState:
-        st = el.pbs_pm_merge(st, control, arm_p, arm_m, path)
-        reg = st.registry.without_path(control, arm_p).without_path(control, arm_m)
-        return _reregistered(st, reg)
+    def route(i: int, arm: str) -> HybridState:
+        (rec,) = presence_outcomes(el.apply_elements(s, readout.split_ops), control, [arm])
+        return plan.correct(readout.merge.apply(rec.collapsed), arm)
 
-    records = presence_outcomes(split, control, [arm_p, arm_m])
-    scored = score_outcomes("presence", correct_outcomes(records, plan, merge))
+    scored = _readout_stage("presence", s, readout, readout.paths, plan, route)
     report = scored.report(
         "disentangler", plan, Resources(detections=1), gates=Counter({"disentangler": 1})
     )
     return scored.state, report
+
+
+@functools.lru_cache(maxsize=64)
+def _mach_zehnder(
+    reg: ModeRegistry, control: str, path: str, target: str, v_rails: tuple[str, ...]
+) -> tuple[_PresenceParts, FeedForwardPlan]:
+    """The Disentangler's readout and plan on one layout: the PBS± split of
+    the control's path onto a plus and a minus arm, presence on the arms and
+    their recombination, and the table that leaves the plus arm alone and
+    fixes the minus arm by σ_z on the control and π on the target's v_rails.
+    Both are immutable, so they are built once and shared."""
+    arm_p, arm_m = reg.fresh_path(path + "p"), reg.fresh_path(path + "m")
+    split = el.op("PBSpm", photon=control, in_path=path, out_plus=arm_p, out_minus=arm_m)
+    minus = [el.op("WavePlateZ", photon=control, path=path)] + [
+        el.op("PolPhase", math.pi, photon=target, path=r, pol=None) for r in v_rails
+    ]
+    arms = (arm_p, arm_m)
+    readout = _PresenceParts(control, arms, (split,), _PmMerge(control, arm_p, arm_m, path), (0, 1))
+    return readout, FeedForwardPlan([("+", []), ("-", minus)], arms.index)
 
 
 # ---------------------------------------------------------------------------
@@ -1249,7 +1460,8 @@ def merging_n(
         report.gates.update({"lomi": 1})
     out = el.pbs_pm_fan_out(out, photon, rails, lay.arms)
     plan, names, arms = lay.plan, lay.names, lay.arms
-    corrected = correct_outcomes(presence_outcomes(out, photon, arms), plan)
+    corrected = [(r.value, r.probability, plan.correct(r.collapsed, r.value))
+                 for r in presence_outcomes(out, photon, arms)]
     scored = score_outcomes(
         "presence",
         [(names[plan.row_of(a)], p, remove_photon(st, photon)) for a, p, st in corrected],

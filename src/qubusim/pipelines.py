@@ -13,6 +13,7 @@ doubles per photon and nothing here tries to be clever about it.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from typing import Sequence
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import elements as el
 from . import synthesis as syn
-from .detection import BELLS, bell_outcomes
+from .detection import BELLS
 from .gates import (
     DEFAULTS,
     FeedForwardPlan,
@@ -31,14 +32,13 @@ from .gates import (
     c_path,
     c_path2,
     c_path3,
-    correct_outcomes,
     disentangler,
     entangler3,
     inject_plus,
     merging_n,
     pbs_fan_in,
     pbs_fan_out,
-    score_outcomes,
+    run_bell_stage,
 )
 from .state import (
     H,
@@ -175,26 +175,38 @@ def to_qudit_teleport(
         rails = [r for pair in zip(rails, fresh) for r in pair]
     out = _put_in(s, out)
 
-    # Bell measurements with feed-forward, enumerated pair by pair: input i
-    # with ancilla i acts on rail-index bit i of the Bell photon (σx switches
-    # the bit, σz puts π on the rails where it is set), the last input with
-    # the Bell pair's second photon on its polarization
+    # Bell measurements with feed-forward, pair by pair: input i with
+    # ancilla i acts on rail-index bit i of the Bell photon, the last input
+    # with the Bell pair's second photon on its polarization (_bell_plan)
     for i, pid_in in enumerate(photons):
         if i < n - 1:
-            pid_anc, (clear, set_) = plus_ids[i], split_rails(rails, i)
-            sx = [el.op("PathSwitch", photon=m1, path_a=a, path_b=b) for a, b in zip(clear, set_)]
-            sz = [el.op("PolPhase", math.pi, photon=m1, path=r, pol=None) for r in set_]
+            pid_anc, plan = plus_ids[i], _bell_plan(m1, *map(tuple, split_rails(rails, i)))
         else:
-            pid_anc = m2
-            sx = [el.op("WavePlateX", photon=m1, path=None)]
-            sz = [el.op("WavePlateZ", photon=m1, path=None)]
-        plan = FeedForwardPlan(list(zip(BELLS, ([], sz, sx, sx + sz))), BELLS.index)
-        scored = score_outcomes("bell", correct_outcomes(bell_outcomes(out, pid_in, pid_anc), plan))
+            pid_anc, plan = m2, _bell_plan(m1)
+        scored = run_bell_stage(out, pid_in, pid_anc, plan)
         report.absorb(scored.report(f"bell({pid_in},{pid_anc})", plan, Resources(detections=1)))
         out = scored.state
 
     report.extras.update({"rails": tuple(rails), "carrier": m1})
     return out, report
+
+
+@functools.lru_cache(maxsize=64)
+def _bell_plan(
+    carrier: str, clear: tuple[str, ...] = (), set_: tuple[str, ...] = ()
+) -> FeedForwardPlan:
+    """A teleport Bell stage's I/σx/−iσy/σz table on the carrier, by BELLS
+    outcome.  With rails, σx switches each clear rail with its set partner
+    and σz puts π on the set rails (one rail-index bit); without, both act
+    on the carrier's polarization.  A plan is immutable, so each layout's
+    is built once and shared."""
+    if clear:
+        sx = [el.op("PathSwitch", photon=carrier, path_a=a, path_b=b) for a, b in zip(clear, set_)]
+        sz = [el.op("PolPhase", math.pi, photon=carrier, path=r, pol=None) for r in set_]
+    else:
+        sx = [el.op("WavePlateX", photon=carrier, path=None)]
+        sz = [el.op("WavePlateZ", photon=carrier, path=None)]
+    return FeedForwardPlan(list(zip(BELLS, ([], sz, sx, sx + sz))), BELLS.index)
 
 
 # ---------------------------------------------------------------------------

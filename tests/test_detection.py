@@ -24,6 +24,7 @@ from qubusim import state as state_mod
 from qubusim import detection, gates, numerics
 from qubusim.cli import main
 from qubusim.detection import (
+    BELLS,
     MIN_PROB,
     MeasurementError,
     MAX_FOCK_CUTOFF,
@@ -526,3 +527,32 @@ def test_project_qubus_coherent_disposal():
     assert cleaned.registry.qubus_modes == ()
     assert p > 1.0 - 1e-6
     assert norm(cleaned) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("case", BELL_CASES)
+def test_a_bell_readout_of_some_values_keeps_their_records_bit_for_bit(case):
+    s = BELL_CASES[case]()
+    pair = [p for p in s.registry.photons if p != "w"][:2]
+    full = {r.value: r for r in bell_outcomes(s, *pair)}
+    for v in BELLS:
+        got = bell_outcomes(s, *pair, (v,))
+        if v not in full:
+            assert got == []
+            continue
+        (rec,) = got
+        want = full[v]
+        assert (rec.kind, rec.value, rec.probability) == (want.kind, want.value, want.probability)
+        assert rec.collapsed.registry == want.collapsed.registry
+        for a, b in ((rec.collapsed.amps, want.collapsed.amps),
+                     (rec.collapsed.codes, want.collapsed.codes),
+                     (rec.collapsed.qubus, want.collapsed.qubus)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # values pick the records and their order
+    picked = bell_outcomes(s, *pair, tuple(reversed(BELLS)))
+    assert [r.value for r in picked] == [v for v in reversed(BELLS) if v in full]
+
+
+def test_a_bell_readout_refuses_an_unknown_value():
+    s = polarization_state([1, 0, 0, 0], [("a", "pa"), ("b", "pb")])
+    with pytest.raises(MeasurementError, match="unknown Bell outcome 'phi'"):
+        bell_outcomes(s, "a", "b", ("phi",))

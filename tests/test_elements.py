@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from qubusim import (
+    Branch,
     HybridState,
+    ModeRegistry,
     RegistryError,
     StateError,
     amplitude_of,
@@ -89,6 +91,36 @@ def test_elements_naming_an_unregistered_path_raise():
     for call in calls:
         with pytest.raises(RegistryError, match="path 'nope' not registered for photon '1'"):
             call()
+
+
+def _merge_input(paths, slots):
+    """Photon 1 over the given paths, an equal superposition of the (path, pol) slots."""
+    reg = ModeRegistry().with_photon("1", paths)
+    r = 1 / math.sqrt(len(slots))
+    return HybridState(reg, [Branch(r, (("1", p, pol),), ()) for p, pol in slots])
+
+
+@pytest.mark.parametrize(
+    "paths, slots, message",
+    [
+        (("h", "v"), [("h", "H"), ("h", "V")], "V component present on H input 'h'"),
+        (("h", "v"), [("v", "V"), ("v", "H")], "H component present on V input 'v'"),
+        # both ports wrong: the lower digit is reported, as the path order sets it
+        (("h", "v"), [("h", "V"), ("v", "H")], "V component present on H input 'h'"),
+        (("v", "h"), [("h", "V"), ("v", "H")], "H component present on V input 'v'"),
+    ],
+    ids=["h-port", "v-port", "both-h-first", "both-v-first"],
+)
+def test_pbs_merge_refuses_a_component_on_the_wrong_port(paths, slots, message):
+    s = _merge_input(paths, slots)
+    with pytest.raises(StateError, match=re.escape(message) + " of PBS merge"):
+        el.pbs_merge(s, "1", "h", "v", "h")
+
+
+def test_pbs_merge_takes_each_port_s_own_polarization():
+    out = el.pbs_merge(_merge_input(("h", "v"), [("h", "H"), ("v", "V")]), "1", "h", "v", "h")
+    assert abs(amplitude_of(out, {"1": ("h", "H")}) - 1 / math.sqrt(2)) < 1e-15
+    assert abs(amplitude_of(out, {"1": ("h", "V")}) - 1 / math.sqrt(2)) < 1e-15
 
 
 def test_remap_slot_checks_only_the_images_it_emits(monkeypatch):

@@ -1,6 +1,7 @@
 """Composite gates: coupling-table audits, determinism, and the worked
 transformations of each gate family."""
 
+import cmath
 import json
 import math
 from dataclasses import asdict
@@ -14,9 +15,11 @@ from qubusim import (
     bell_state,
     fidelity,
     normalize,
+    path_pol_vector,
     plus_photon,
     pol_qubit,
     polarization_state,
+    polarization_vector,
     remove_photon,
     state_to_dict,
     tensor,
@@ -488,6 +491,36 @@ def test_merging_requires_plus_ancilla(alpha20):
         g.merging_n(s, "2", ("p2", "p3"), "4", [("1", None)], alpha20, THETA)
 
 
+def _haar_pair_with_ancilla(alpha, h, v):
+    """A C-path output of a Haar pair and an ancilla h|H⟩ + v|V⟩ on path pa."""
+    s = polarization_state(haar_vec(4, 9), [("1", "t1"), ("2", "t2")])
+    mid, rep = g.c_path(s, "1", "2", alpha, THETA)
+    return tensor(mid, pol_qubit("A", "pa", h, v)), rep.extras["rails"]
+
+
+@pytest.mark.parametrize("gate", ["entangler4", "merging_n"])
+def test_a_minus_ancilla_is_refused(gate, alpha20):
+    # |−⟩ has |⟨σx⟩| = 1 too, but ⟨σx⟩ = −1
+    mid, rails = _haar_pair_with_ancilla(alpha20, 1, -1)
+    with pytest.raises(g.GateError, match=r"ancilla 'A' is not in \|\+⟩"):
+        if gate == "entangler4":
+            g.entangler4(mid, "A", "2", rails, alpha20, THETA)
+        else:
+            g.merging_n(mid, "2", rails, "A", [("1", None)], alpha20, THETA, keep_recycled=False)
+
+
+def test_a_plus_ancilla_with_a_global_phase_is_accepted(alpha20):
+    phase = cmath.exp(0.7j)
+    mid, rails = _haar_pair_with_ancilla(alpha20, phase, phase)
+    _, rep = g.entangler4(mid, "A", "2", rails, alpha20, THETA)
+    assert rep.success_probability >= 1 - 1e-8
+    out, rep = g.merging_n(mid, "2", rails, "A", [("1", None)], alpha20, THETA,
+                           keep_recycled=False)
+    assert rep.success_probability >= 1 - 1e-8
+    want = polarization_state(haar_vec(4, 9), [("1", "t1"), ("A", "pa")])
+    assert fidelity(out, want) >= 1 - 1e-8
+
+
 def test_merging_n_reduces_to_merging(alpha20):
     # on two rails the QFT is the 50:50 BS of the standard Merging gate
     z = haar_vec(4, 9)
@@ -873,25 +906,28 @@ def test_batched_block_matches_outcome_route(argv, monkeypatch, tmp_path):
     # the second run, on another Haar input, finds the blocks of the first
     # compiled, and still matches the loop; a later block can meet a new
     # structure, as its rails follow an earlier stage's representative
+    # (the cache is shared with the Bell and presence stages, so each block
+    # call's own lookups are counted around it)
     calls = []
     block = g.run_qubus_block
 
     def capture(*args, **kwargs):
-        calls.append((args, kwargs, block(*args, **kwargs)))
-        return calls[-1][2]
+        before = g._stage_algebra.cache_info()
+        got = block(*args, **kwargs)
+        after = g._stage_algebra.cache_info()
+        calls.append((args, kwargs, got, after.hits - before.hits, after.misses - before.misses))
+        return got
 
     monkeypatch.setattr(g, "run_qubus_block", capture)
     for warm, run in enumerate((argv, argv + ["--input", "haar:11"])):
         calls.clear()
-        before = g._block_algebra.cache_info()
         assert main(["gate", *run, "--out", str(tmp_path / "r.json")]) == 0
-        after = g._block_algebra.cache_info()
         assert calls
-        hits, misses = after.hits - before.hits, after.misses - before.misses
-        assert hits + misses == len(calls)
+        assert all(hits + misses == 1 for *_, hits, misses in calls)
+        hits, misses = sum(c[3] for c in calls), sum(c[4] for c in calls)
         if warm:
             assert hits and misses < len(calls) / 2
-        for args, kwargs, got in calls:
+        for args, kwargs, got, *_ in calls:
             _assert_block_matches_loop(got, _outcome_loop(*args, **kwargs))
 
 
@@ -945,14 +981,14 @@ def _parity_block(coeffs, alpha=None, theta=THETA, plan=None):
 
 def _run_compiled(*args, **kwargs):
     """run_qubus_block, checked against the loop; returns the cache misses it took."""
-    before = g._block_algebra.cache_info().misses
+    before = g._stage_algebra.cache_info().misses
     got = g.run_qubus_block(*args, **kwargs)
     _assert_block_matches_loop(got, _outcome_loop(*args, **kwargs))
-    return g._block_algebra.cache_info().misses - before
+    return g._stage_algebra.cache_info().misses - before
 
 
 def test_a_block_of_another_structure_misses_the_compiled_cache():
-    g._block_algebra.cache_clear()
+    g._stage_algebra.cache_clear()
     haar = haar_vec(4, 5)
     assert _run_compiled(*_parity_block(haar)) == 1
     assert _run_compiled(*_parity_block(haar_vec(4, 6))) == 0  # same structure
@@ -969,9 +1005,9 @@ def test_a_block_of_another_structure_misses_the_compiled_cache():
     calls, block = [], g.run_qubus_block
 
     def capture(*args, **kwargs):
-        before = g._block_algebra.cache_info().misses
+        before = g._stage_algebra.cache_info().misses
         got = block(*args, **kwargs)
-        calls.append(g._block_algebra.cache_info().misses - before)
+        calls.append(g._stage_algebra.cache_info().misses - before)
         _assert_block_matches_loop(got, _outcome_loop(*args, **kwargs))
         return got
 
@@ -985,13 +1021,13 @@ def test_a_block_of_another_structure_misses_the_compiled_cache():
 
 
 def test_the_compiled_cache_is_bounded():
-    info = g._block_algebra.cache_info()
+    info = g._stage_algebra.cache_info()
     assert info.maxsize == g.BLOCK_CACHE
     s, couplings = pol_qubit("1", "t1", 0.6, 0.8), [g.Coupling(0, "1", "t1", "H")]
     plan = g._parity_plan([], [])
     for beta2 in 20.0 + np.arange(info.maxsize + 1):
         g.run_qubus_block(s, couplings, alpha_for_beta2(beta2, THETA), THETA, plan)
-    assert g._block_algebra.cache_info().currsize == info.maxsize
+    assert g._stage_algebra.cache_info().currsize == info.maxsize
 
 
 def test_a_corrupted_compiled_block_fails_the_route_check():
@@ -1002,15 +1038,15 @@ def test_a_corrupted_compiled_block_fails_the_route_check():
     coupled, (b0, b1) = g.couple_qubus_pair(*args[:4])
     found = fock_outcomes(coupled, b0)
     st = found.state
-    alg = g._block_algebra(st.registry, st.codes.tobytes(), st.qubus.tobytes(),
-                           args[4].rows, found.mode_index, b1, None)
+    alg = g._stage_algebra(st.registry, st.codes.tobytes(), st.qubus.tobytes(),
+                           g._FockParts(found.mode_index), args[4].rows, b1, None)
     try:
         alg.cell.setflags(write=True)
         alg.cell[:] += np.array([1, -1, 0])[alg.cell % len(found.beam_values)]
         with pytest.raises(g.GateError, match="disagrees with its per-outcome route"):
             g.run_qubus_block(*args)
     finally:
-        g._block_algebra.cache_clear()
+        g._stage_algebra.cache_clear()
 
 
 def _uncompiled_outputs(found, plan, beam, post=None):
@@ -1072,7 +1108,7 @@ def test_compiled_outputs_keep_the_rows_of_the_uncompiled_block(block):
     s, couplings, alpha, theta, plan = block()
     coupled, (b0, b1) = g.couple_qubus_pair(s, couplings, alpha, theta)
     found = fock_outcomes(coupled, b0)
-    outputs = g._BlockOutputs(found, plan, b1, None)
+    outputs = g._block_outputs(found, plan, b1, None)
     assert not outputs.routed
     k, cells = len(found.beam_values), outputs.algebra.gram[3]
     assert (cells // k % k != cells % k).any() == (block is _mixing_block)  # cells across parts
@@ -1083,3 +1119,127 @@ def test_compiled_outputs_keep_the_rows_of_the_uncompiled_block(block):
         assert np.array_equal(got.codes, want.codes), found.values[i]
         assert np.array_equal(got.qubus, want.qubus)
         assert np.abs(got.amps - want.amps).max() <= 1e-12
+
+
+# -- the readout stages: Bell and presence through the stage algebra ----------------
+
+
+def _readout_loop(kind, s, readout, plan):
+    """The reference readout stage: every outcome collapsed by its detection
+    call, (merged and) corrected, and scored alone."""
+    from qubusim.detection import bell_outcomes, presence_outcomes
+
+    if kind == "bell":
+        records, prepare = bell_outcomes(s, readout.pid_a, readout.pid_b), lambda st: st
+    else:
+        split = el.apply_elements(s, readout.split_ops)
+        records = presence_outcomes(split, readout.photon, list(readout.paths))
+        prepare = readout.merge.apply
+    return g.score_outcomes(kind, [(r.value, r.probability, plan.correct(prepare(r.collapsed), r.value))
+                                   for r in records])
+
+
+def _captured_stages(monkeypatch):
+    """Record every readout stage run through the stage algebra: (its
+    reference loop, its result)."""
+    stages, stage = [], g._readout_stage
+
+    def capture(kind, s, readout, values, plan, route):
+        got = stage(kind, s, readout, values, plan, route)
+        stages.append((lambda: _readout_loop(kind, s, readout, plan), got))
+        return got
+
+    monkeypatch.setattr(g, "_readout_stage", capture)
+    return stages
+
+
+def _readout_inputs(n, basis):
+    ids = [str(i + 1) for i in range(n)]
+    coeffs = np.eye(2**n)[(7 * n) % 2**n] if basis else haar_vec(2**n, 40 + n)
+    return polarization_state(coeffs, [(pid, f"t{pid}") for pid in ids]), ids
+
+
+@pytest.mark.parametrize("basis", [False, True], ids=["haar", "basis"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_bell_outcome_matches_its_per_outcome_route(n, basis, monkeypatch):
+    stages = _captured_stages(monkeypatch)
+    s, ids = _readout_inputs(n, basis)
+    out, rep = pl.to_qudit_teleport(s, ids, alpha_for_beta2(20.0, THETA), THETA)
+    assert len(stages) == n
+    for loop, got in stages:
+        _assert_block_matches_loop(got, loop())
+    vec = path_pol_vector(out, rep.extras["carrier"], list(rep.extras["rails"]))
+    assert abs(abs(np.vdot(vec, polarization_vector(s, ids))) - 1) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_disentangler_outcome_matches_its_per_outcome_route(n, monkeypatch):
+    stages = _captured_stages(monkeypatch)
+    s, ids = _readout_inputs(n, False)
+    pl.to_qudit_circuit(s, ids, alpha_for_beta2(20.0, THETA), THETA)
+    assert len(stages) == n - 1
+    for loop, got in stages:
+        _assert_block_matches_loop(got, loop())
+
+
+def test_a_repeated_readout_stage_compiles_once():
+    alpha = alpha_for_beta2(20.0, THETA)
+    for transform in (pl.to_qudit_teleport, pl.to_qudit_circuit):
+        g._stage_algebra.cache_clear()
+        s, ids = _readout_inputs(3, False)
+        transform(s, ids, alpha, THETA)
+        first = g._stage_algebra.cache_info()
+        transform(polarization_state(haar_vec(8, 77), [(p, f"t{p}") for p in ids]), ids,
+                  alpha, THETA)
+        again = g._stage_algebra.cache_info()
+        assert first.misses == first.currsize and again.misses == first.misses
+        assert again.hits == first.hits + first.misses
+
+
+def test_a_readout_stage_of_another_plan_compiles_afresh():
+    # the same input under two Bell tables on photon 3: each compiles its own algebra
+    s, _ = _readout_inputs(2, False)
+    s = tensor(s, bell_state("phi+", ("3", "t3"), ("4", "t4")))
+    sz = [el.op("WavePlateZ", photon="3", path=None)]
+    plans = [pl._bell_plan("3"), g.FeedForwardPlan(list(zip(g.BELLS, ([], sz, [], sz))),
+                                                   g.BELLS.index)]
+    g._stage_algebra.cache_clear()
+    for plan in plans * 2:
+        readout = g._BellParts("2", "4", tuple(plan.row_of(v) for v in g.BELLS))
+        _assert_block_matches_loop(g.run_bell_stage(s, "2", "4", plan),
+                                   _readout_loop("bell", s, readout, plan))
+    assert g._stage_algebra.cache_info().misses == 2
+
+
+def test_a_corrupted_readout_stage_fails_the_route_check():
+    # each part moved to the next outcome's cell on a cache hit: the batched
+    # representative no longer matches its per-outcome route
+    s, ids = _readout_inputs(3, False)
+    s = tensor(s, bell_state("phi+", ("a", "ta"), ("b", "tb")))
+    plan = pl._bell_plan("b")
+    g.run_bell_stage(s, "3", "a", plan)
+    readout = g._BellParts("3", "a", tuple(plan.row_of(v) for v in g.BELLS))
+    alg = g._algebra_of(s, readout, plan)
+    try:
+        alg.cell.setflags(write=True)
+        alg.cell[:] = alg.cell // 4 * 4 + (alg.cell + 1) % 4
+        with pytest.raises(g.GateError, match="disagrees with its per-outcome route"):
+            g.run_bell_stage(s, "3", "a", plan)
+    finally:
+        g._stage_algebra.cache_clear()
+
+
+def test_a_corrupted_presence_stage_fails_the_route_check(alpha20):
+    s = polarization_state(haar_vec(4, 5), [("1", "t1"), ("2", "t2")])
+    mid, rep = g.c_path(s, "1", "2", alpha20, THETA)
+    v_rails = rep.extras["rails"][1:]
+    g.disentangler(mid, "1", "2", v_rails)
+    readout, plan = g._mach_zehnder(mid.registry, "1", "t1", "2", tuple(v_rails))
+    alg = g._algebra_of(mid, readout, plan)
+    try:
+        alg.parts[2].setflags(write=True)
+        alg.parts[2][::2] *= -1
+        with pytest.raises(g.GateError, match="disagrees with its per-outcome route"):
+            g.disentangler(mid, "1", "2", v_rails)
+    finally:
+        g._stage_algebra.cache_clear()

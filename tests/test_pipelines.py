@@ -155,21 +155,12 @@ def test_every_teleport_bell_stage_has_outcome_probabilities_summing_to_1(n, see
     ids = [str(i + 1) for i in range(n)]
     coeffs = np.eye(2**n)[seed % 2**n] if basis else haar_vec(2**n, seed)
     s = polarization_state(coeffs, [(pid, f"t{pid}") for pid in ids])
-    stages = []
-    readout = pl.bell_outcomes
-
-    def recorded(*args):
-        stages.append(readout(*args))
-        return stages[-1]
-
-    pl.bell_outcomes = recorded
-    try:
-        pl.to_qudit_teleport(s, ids, alpha_for(20.0), THETA)
-    finally:
-        pl.bell_outcomes = readout
+    _, rep = pl.to_qudit_teleport(s, ids, alpha_for(20.0), THETA)
+    stages = [child.outcomes for child in rep.children if child.gate.startswith("bell(")]
     assert len(stages) == n
-    for records in stages:
-        assert abs(sum(r.probability for r in records) - 1.0) <= 1e-12
+    for outcomes in stages:
+        assert outcomes.kind == "bell"
+        assert abs(sum(outcomes.probabilities) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize(
