@@ -19,8 +19,9 @@ sum port and applies its post step.  The cases are:
   * a Bell readout (the teleport transform): the parts are the pair's
     patterns HH, HV, VH and VV, both photons dropped, and w[k, j] =
     _BELL[k, j]/√2 (K = 4, no disposal beam, the row chosen by outcome);
-  * the Disentangler's presence readout: the parts are the control's two
-    arms, w is the identity, and the arms' PBS± recombination ends the split.
+  * a presence readout: the parts are the photon's arms, w is the
+    identity, and the Disentangler's arms' PBS± recombination, or the
+    release of a Merging gate's detected photon, ends the split.
 Correction, disposal and post are linear once the disposal value is fixed,
 and act on photons only, so each (feed-forward row, disposal value) group
 gives every outcome of it from K fixed parts.  None of that depends on the
@@ -41,10 +42,9 @@ and the overlaps with the representative.  An outcome's state is built only
 when read.  The representative, and every outcome whose disposal value is
 not unique, take the per-outcome route (a block's collapse, correct,
 dispose, post; a readout's detection call for that one outcome, then its
-correction); the representative's batched overlap with its route's state,
-over its Gram norm, must be 1, so the compiled algebra is checked on every
-call.  Only merging_n's readout, whose post step (remove_photon) is not
-linear, builds and scores its outcomes one by one (score_outcomes).
+correction, and a Merging gate's remove_photon); the representative's
+batched overlap with its route's state, over its Gram norm, must be 1, so
+the compiled algebra is checked on every call.
 
 The parity gate and the C-path family share one rail-routing block: a fresh
 rail opens beside each target rail with a 50:50 split, and even n switches
@@ -95,9 +95,9 @@ from .state import (
     H,
     V,
     HybridState,
+    StateError,
     _ancilla,
     _binned,
-    _gram,
     _pairs,
     _recode,
     _reregistered,
@@ -140,7 +140,7 @@ ROUTE_TOL = 1e-9
 SUCCESS_TOL = 1e-12
 
 #: stage structures whose compiled algebra is kept (_stage_algebra): qubus
-#: blocks, Bell readouts and Disentangler readouts share the cache
+#: blocks, Bell readouts and presence readouts share the cache
 BLOCK_CACHE = 64
 
 
@@ -179,18 +179,11 @@ class Resources:
     ancilla_photons: int = 0
 
     def add(self, other: "Resources") -> None:
-        self.xpm_couplings += other.xpm_couplings
-        self.qubus_modes += other.qubus_modes
-        self.detections += other.detections
-        self.ancilla_photons += other.ancilla_photons
+        for name, count in vars(other).items():
+            setattr(self, name, getattr(self, name) + count)
 
     def to_dict(self) -> dict:
-        return {
-            "xpm_couplings": self.xpm_couplings,
-            "qubus_modes": self.qubus_modes,
-            "detections": self.detections,
-            "ancilla_photons": self.ancilla_photons,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -391,22 +384,6 @@ def _score(
     return Scored(values[rep], states[rep][2], outcomes, min_fidelity, success, states)
 
 
-def score_outcomes(kind: str, corrected: list[tuple[object, float, HybridState]]) -> Scored:
-    """Score a stage whose corrected states are all built: (value, prob, state) each."""
-
-    def fidelities(rep: int) -> np.ndarray:
-        # fidelity(st, ref) for every outcome, and every norm, from one Gram matrix
-        g = _gram([st for _, _, st in corrected])
-        norms = np.sqrt(np.maximum(g.diagonal().real, 0.0))
-        if (abs(norms - 1.0) > 1e-8).any():
-            raise GateError("an outcome's corrected state is not normalized")
-        return np.minimum(np.abs(g[:, rep]) ** 2, 1.0)
-
-    values = [v for v, _, _ in corrected]
-    probs = [p for _, p, _ in corrected]
-    return _score(kind, values, probs, fidelities, corrected)
-
-
 def couple_qubus_pair(
     s: HybridState, couplings: Sequence[Coupling], alpha: float, theta: float
 ) -> tuple[HybridState, tuple[str, str]]:
@@ -555,17 +532,47 @@ class _BellParts(NamedTuple):
         return st, measured, list(range(len(BELLS)))
 
 
+class _Release(NamedTuple):
+    """A Merging readout's end step as data: PBS± leaves the detected photon
+    in (H ± V)/√2 on a plus (minus) arm whatever the rest, so it drops as its
+    H rows times √2.  Each H row needs its V row (same other labels and beam
+    values) at ±1 times its amplitude, within 1e-9 of the largest amplitude,
+    else StateError, as remove_photon checks; on a compile's tagged rows
+    that holds for every amplitude of the structure."""
+
+    photon: str
+    minus: tuple[str, ...]  # the minus arms
+
+    def apply(self, s: HybridState) -> HybridState:
+        reg, pid = s.registry, self.photon
+        digits = _slot_digits(s, pid)
+        v = digits & 1
+        # each row keyed by its H row: its code with the photon's V digit cleared
+        h_codes = s.codes - v * reg._stride[reg.slot_index(pid)]
+        order, new = _runs(h_codes, s.qubus, CANON_TOL)
+        pair = (new.cumsum() - 1)[order.argsort()]
+        first = order[new]
+        h = _binned(pair, np.where(v, 0, s.amps), len(first))
+        minus = np.isin(digits[first] >> 1, [reg.paths_of(pid).index(p) for p in self.minus])
+        off = abs(_binned(pair, np.where(v, s.amps, 0), len(first)) - np.where(minus, -h, h))
+        if (off > 1e-9 * abs(s.amps).max(initial=0.0)).any():
+            raise StateError(f"photon {pid!r} is entangled with the rest; cannot remove")
+        rest = reg.without_photon(pid)
+        codes = _recode(h_codes[first], reg, rest)
+        return HybridState._rows(rest, h * math.sqrt(2), codes, s.qubus.take(first, 0)).canonical()
+
+
 class _PresenceParts(NamedTuple):
-    """A presence readout between two PBS± (the Disentangler's): the split
-    ops run, its parts are the rows with the photon on each of paths (rows
-    elsewhere are not read), merge recombines them, and rows[k] is the one
-    feed-forward row that corrects part k.  Each part is an outcome: the
-    weights are the identity."""
+    """A presence readout: the split ops run, its parts are the rows with the
+    photon on each of paths (rows elsewhere are not read), the end step
+    (the Disentangler's _PmMerge, a Merging gate's _Release) finishes the
+    split, and rows[k] is the one feed-forward row that corrects part k.
+    Each part is an outcome: the weights are the identity."""
 
     photon: str
     paths: tuple[str, ...]
     split_ops: tuple[el.ElementOp, ...]
-    merge: _PmMerge
+    end: _PmMerge | _Release
     rows: tuple[int, ...]
 
     def split(self, s: HybridState) -> tuple[HybridState, int, list]:
@@ -576,7 +583,7 @@ class _PresenceParts(NamedTuple):
         part = lookup[_slot_digits(s, self.photon) >> 1]
         src = np.flatnonzero(part >= 0)
         s, measured = _measured(s, s.registry, src, s.codes[src], part[src])
-        return self.merge.apply(s), measured, list(range(len(self.paths)))
+        return self.end.apply(s), measured, list(range(len(self.paths)))
 
 
 class _Algebra(NamedTuple):
@@ -943,6 +950,12 @@ def _block_report(
     )
 
 
+def _require_distinct(what: str, names: Sequence[str]) -> None:
+    """A gate may not name one photon in two roles, nor one rail twice."""
+    if len(set(names)) != len(names):
+        raise GateError(f"{what} must be distinct, got {list(names)!r}")
+
+
 def _require_single_path(s: HybridState, pid: str) -> str:
     used = s.photon_paths_in_use(pid)
     if len(used) != 1:
@@ -1146,6 +1159,7 @@ def parity_gate(
     component (|HH⟩, |VV⟩ weights) rides on the new rail and the odd one on
     the original rail, for every measurement outcome.
     """
+    _require_distinct("parity photons", [photon1, photon2])
     p1_path = _require_single_path(s, photon1)
     rail_a = _require_single_path(s, photon2)
     s, (rail_b,) = _open_rails(s, photon2, [rail_a], "s")
@@ -1179,6 +1193,7 @@ def _route_rails(
 ) -> tuple[HybridState, GateReport]:
     """C-path on every rail of the target: control H keeps the rails, control
     V moves the photon to the fresh rail beside each."""
+    _require_distinct("control and target", [control, target])
     c_path_ = _require_single_path(s, control)
     rails = tuple(rails)
     s, fresh = _open_rails(s, target, rails, suffix)
@@ -1246,6 +1261,7 @@ def c_path3(
     """
     if len(control_rails) != 2:
         raise GateError(f"C-path-3 needs the control's two rails, got {list(control_rails)!r}")
+    _require_distinct("control and target", [control, target])
     first, second = control_rails
     rail1 = _require_single_path(s, target)
     s, (rail2,) = _open_rails(s, target, [rail1], "s")
@@ -1295,7 +1311,7 @@ def disentangler(
 
     def route(i: int, arm: str) -> HybridState:
         (rec,) = presence_outcomes(el.apply_elements(s, readout.split_ops), control, [arm])
-        return plan.correct(readout.merge.apply(rec.collapsed), arm)
+        return plan.correct(readout.end.apply(rec.collapsed), arm)
 
     scored = _readout_stage("presence", s, readout, readout.paths, plan, route)
     report = scored.report(
@@ -1422,12 +1438,11 @@ def merging_n(
     path-or-None) V slot per bit, e.g. [("1", None)] when rail 2 of two is
     correlated with photon 1 being V.
 
-    The readout depends on the layout alone: the mesh, the arm names and the
-    feed-forward plan with its labels are built once per (registry after the
-    Entangler, photon, rails, ancilla, companions, interference) and shared
-    (_readout), and the fan-out registers every arm in one update and runs
-    as one pass (el.pbs_pm_fan_out).  Each call still gets a report of its
-    own, feed-forward table included.
+    The readout, a presence stage ended by the photon's release, runs
+    through the stage algebra, built once per layout (_readout); the
+    representative's route (the mesh, el.pbs_pm_fan_out, presence_outcomes
+    on its arm, correction, remove_photon) must match.  Each call still
+    gets a report of its own, feed-forward table included.
     """
     rails = list(rails)
     n_rails = len(rails)
@@ -1436,6 +1451,8 @@ def merging_n(
     qbits = n_rails.bit_length() - 1
     if len(companions) != qbits:
         raise GateError(f"need {qbits} companions for {n_rails} rails")
+    _require_distinct("photon, ancilla and companions", [photon, ancilla, *(c for c, _ in companions)])
+    _require_distinct("rails", rails)
     if not (isinstance(interference, str) and interference in ("qft", "hadamard4")):
         raise GateError(f"interference must be 'qft' or 'hadamard4', got {interference!r}")
     if interference == "hadamard4" and n_rails != 4:
@@ -1448,24 +1465,23 @@ def merging_n(
     report = GateReport(name, gates=Counter({name: 1}))
     report.absorb(ent_report)
 
-    # interference across the rails, the two-rail QFT as the 50:50 BS, then
-    # the PBS± fan-out onto a plus and a minus arm per rail in one pass
-    lay = _readout(out.registry, photon, tuple(rails), ancilla,
-                   tuple(map(tuple, companions)), interference)
+    readout, plan, names = _readout(out.registry, photon, tuple(rails), ancilla,
+                                    tuple(map(tuple, companions)), interference)
+    arms = readout.paths
     report.extras["interference"] = "bs" if n_rails == 2 else interference
-    if n_rails == 2:
-        out = el.photon_bs(out, photon, rails[0], rails[1])
-    else:
-        out = el.apply_elements(out, lay.mesh)
+    if n_rails != 2:
         report.gates.update({"lomi": 1})
-    out = el.pbs_pm_fan_out(out, photon, rails, lay.arms)
-    plan, names, arms = lay.plan, lay.names, lay.arms
-    corrected = [(r.value, r.probability, plan.correct(r.collapsed, r.value))
-                 for r in presence_outcomes(out, photon, arms)]
-    scored = score_outcomes(
-        "presence",
-        [(names[plan.row_of(a)], p, remove_photon(st, photon)) for a, p, st in corrected],
-    )
+    recycled = {}
+
+    def route(i: int, value: str) -> HybridState:
+        # the mesh, then the PBS± fan-out onto every arm in one pass
+        mixed = el.apply_elements(out, readout.split_ops[:-n_rails])
+        arm = arms[names.index(value)]
+        (rec,) = presence_outcomes(el.pbs_pm_fan_out(mixed, photon, rails, arms), photon, [arm])
+        recycled[value] = plan.correct(rec.collapsed, arm)
+        return remove_photon(recycled[value], photon)
+
+    scored = _readout_stage("presence", out, readout, names, plan, route)
     stage = scored.report(name + "_readout", plan, Resources(detections=1))
     report.absorb(stage)
     report.feedforward = stage.feedforward
@@ -1476,19 +1492,9 @@ def merging_n(
         return scored.state, report  # the representative, its photon removed
     # the representative's row names its arm, and the photon stays there in
     # |+⟩ on a plus arm and |−⟩ on a minus arm
-    rep_arm = arms[names.index(scored.value)]
-    report.extras["recycled_arm"] = rep_arm
+    report.extras["recycled_arm"] = arms[names.index(scored.value)]
     report.extras["recycled_sign"] = scored.value[-1]
-    return next(st for a, _, st in corrected if a == rep_arm), report
-
-
-class _Readout(NamedTuple):
-    """What a Merging gate's readout does on one layout (see _readout)."""
-
-    mesh: tuple[el.ElementOp, ...]  # the interference mesh; () on two rails
-    arms: tuple[str, ...]  # rail k's plus arm at 2k, its minus arm at 2k + 1
-    plan: FeedForwardPlan  # a row per arm, labelled "arm k+" / "arm k-"
-    names: tuple[str, ...]  # each row's outcome value: its label without "arm "
+    return recycled[scored.value], report
 
 
 @functools.lru_cache(maxsize=64)
@@ -1499,23 +1505,26 @@ def _readout(
     ancilla: str,
     companions: tuple[tuple[str, str | None], ...],
     interference: str,
-) -> _Readout:
+) -> tuple[_PresenceParts, FeedForwardPlan, tuple[str, ...]]:
     """merging_n's readout on the layout reg it meets after its Entangler,
     built once per (registry, photon, rails, ancilla, companions,
-    interference): the mesh of the interference matrix U, the arms, and a
-    feed-forward row per arm.  Rail k's row puts its phases on the
-    companions' V slots (conj(U[k,j]) must factorize over the rail bits,
-    see _factorize_corrections), then σ_z on the ancilla for a minus arm; no
-    row touches the detected photon.  A layout is immutable, so it is shared.
+    interference) and shared: (the presence stage, its plan, each plan row's
+    outcome value "k±").  The split runs the mesh of U (on two rails the
+    50:50 PhotonBS), then a PBSpm per rail k onto its plus arm (paths[2k])
+    and minus arm (paths[2k + 1]).  Rail k's rows put its phases on the
+    companions' V slots (see _factorize_corrections), then σ_z on the
+    ancilla for a minus arm; no row touches the photon the release drops.
     """
     u = syn.HADAMARD4 if interference == "hadamard4" else syn.qft_matrix(len(rails))
-    mesh = () if len(rails) == 2 else syn.reck_decompose(u).element_ops(photon, rails)
+    mesh = ([el.op("PhotonBS", photon=photon, path_a=rails[0], path_b=rails[1])] if len(rails) == 2
+            else syn.reck_decompose(u).element_ops(photon, rails))
     phases = _factorize_corrections(u, len(rails).bit_length() - 1)
     sz = el.op("WavePlateZ", photon=ancilla, path=None)
-    arms, rows = [], []
+    arms, fan, rows = [], [], []
     for k, r in enumerate(rails):
         ap, am = reg.fresh_path(r + "p"), reg.fresh_path(r + "m")
         reg = reg.with_path(photon, ap).with_path(photon, am)
+        fan.append(el.op("PBSpm", photon=photon, in_path=r, out_plus=ap, out_minus=am))
         fix = []
         for (pid, cpath), phi in zip(companions, [bit[k] for bit in phases]):
             if abs(abs(phi) - math.pi) < 1e-12 and cpath is None:
@@ -1525,8 +1534,10 @@ def _readout(
         arms += [ap, am]
         rows += [(f"arm {k}+", fix), (f"arm {k}-", fix + [sz])]
     arms = tuple(arms)
+    readout = _PresenceParts(photon, arms, (*mesh, *fan), _Release(photon, arms[1::2]),
+                             tuple(range(len(arms))))
     plan = FeedForwardPlan(rows, arms.index)
-    return _Readout(tuple(mesh), arms, plan, tuple(label[4:] for label in plan.labels))
+    return readout, plan, tuple(label[4:] for label in plan.labels)
 
 
 def _factorize_corrections(u, qbits: int) -> list[list[float]]:
@@ -1535,26 +1546,15 @@ def _factorize_corrections(u, qbits: int) -> list[list[float]]:
     bit 0 is the most significant rail-index bit (first companion).
     Raises when the interference matrix does not factorize.
     """
-    n = u.shape[0]
     mags = abs(u)
     if mags.max() - mags.min() > 1e-10:
         raise GateError("interference matrix must have uniform magnitudes")
-    phases = []
-    for m in range(qbits):
-        j = 1 << (qbits - 1 - m)
-        row = []
-        for k in range(n):
-            row.append(cmath.phase((u[k, j] / u[k, 0]).conjugate()))
-        phases.append(row)
-    for j in range(n):
-        for k in range(n):
-            acc = 0.0
-            for m in range(qbits):
-                if (j >> (qbits - 1 - m)) & 1:
-                    acc += phases[m][k]
-            want = cmath.phase((u[k, j] / u[k, 0]).conjugate())
-            if abs(cmath.exp(1j * acc) - cmath.exp(1j * want)) > 1e-10:
-                raise GateError("interference corrections do not factorize over rails")
+    ratio = (u / u[:, :1]).conj()
+    phases = [[cmath.phase(z) for z in ratio[:, 1 << (qbits - 1 - m)].tolist()] for m in range(qbits)]
+    # bits[j, m] is bit m of rail index j: column j's phases must sum to its own
+    bits = np.arange(len(u))[:, None] >> np.arange(qbits - 1, -1, -1) & 1
+    if (abs(np.exp(1j * (bits @ phases)) - np.exp(1j * np.angle(ratio.T))) > 1e-10).any():
+        raise GateError("interference corrections do not factorize over rails")
     return phases
 
 

@@ -4,7 +4,8 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from qubusim import HybridState, StateError, elements, polarization_state
+from qubusim import HybridState, StateError, elements, gates, polarization_state
+from qubusim import state as state_mod
 from qubusim.analysis import alpha_for_beta2
 from qubusim.state import POLS, _canonical_order
 from qubusim.synthesis import SynthesisError, check_unitary
@@ -43,6 +44,23 @@ def apply_path_unitary(
         for pol in POLS
     }
     return elements._remap_slot(s, photon, table)
+
+
+def score_outcomes(kind: str, corrected: list) -> "gates.Scored":
+    """The reference scoring loop: a stage whose corrected states are all
+    built, (value, probability, state) each, scored against its most
+    probable outcome (gates._score), every fidelity and norm read from one
+    Gram matrix of the states."""
+
+    def fidelities(rep: int) -> np.ndarray:
+        g = state_mod._gram([st for _, _, st in corrected])
+        norms = np.sqrt(np.maximum(g.diagonal().real, 0.0))
+        if (abs(norms - 1.0) > 1e-8).any():
+            raise gates.GateError("an outcome's corrected state is not normalized")
+        return np.minimum(np.abs(g[:, rep]) ** 2, 1.0)
+
+    values = [v for v, _, _ in corrected]
+    return gates._score(kind, values, [p for _, p, _ in corrected], fidelities, corrected)
 
 
 @pytest.fixture

@@ -285,6 +285,27 @@ def test_an_all_zero_or_non_finite_coefficient_vector_exits_2(tmp_path, capsys):
             assert f"error: {err}" in capsys.readouterr().err, argv
 
 
+_CPATH_PLUS = [{"gate": "cpath", "control": "1", "target": "2"}, {"gate": "plus", "photon": "anc"}]
+
+
+@pytest.mark.parametrize("steps, err", [
+    ([{"gate": "cpath", "control": "2", "target": "2"}],
+     "control and target must be distinct, got ['2', '2']"),
+    ([{"gate": "parity", "photons": ["1", "1"]}], "parity photons must be distinct, got ['1', '1']"),
+    (_CPATH_PLUS + [{"gate": "merging", "photon": "2", "ancilla": "anc", "companions": ["2"]}],
+     "photon, ancilla and companions must be distinct, got ['2', 'anc', '2']"),
+    (_CPATH_PLUS + [{"gate": "merging", "photon": "2", "ancilla": "anc", "companions": ["anc"]}],
+     "photon, ancilla and companions must be distinct, got ['2', 'anc', 'anc']"),
+    (_CPATH_PLUS + [{"gate": "merging", "photon": "2", "ancilla": "anc", "companions": ["1"],
+                     "rails": ["t2", "t2"]}], "rails must be distinct, got ['t2', 't2']"),
+], ids=["cpath", "parity", "merging-companion-photon", "merging-companion-ancilla",
+        "merging-rails"])
+def test_a_program_naming_one_photon_in_two_roles_exits_2(steps, err, tmp_path, capsys):
+    prog = _write_program(tmp_path, ["1", "2"], haar_vec(4, 5), steps, alpha_for_beta2(20.0, THETA))
+    assert main(["run", str(prog)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_validation_error_exit_2(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -32,9 +32,9 @@ from qubusim import synthesis as syn
 from qubusim.analysis import alpha_for_beta2
 from qubusim.cli import DEMO_GATES, main
 from qubusim.detection import fock_outcomes, project_qubus_coherent
-from qubusim.state import Branch, ModeRegistry, _sorted_slots
+from qubusim.state import Branch, ModeRegistry, StateError, _sorted_slots
 
-from conftest import haar_vec, two_photon, THETA
+from conftest import haar_vec, score_outcomes, two_photon, THETA
 
 
 def branch_state(reg, entries):
@@ -460,8 +460,9 @@ def test_merging_keeps_recycled_photon(alpha20):
 
 
 def test_merging_without_the_recycled_photon_removes_it_once_per_outcome(alpha20, monkeypatch):
-    """The representative comes from the scored outcomes, whose states already
-    lack the detected photon, so no outcome has it removed twice."""
+    """The compiled readout drops the detected photon from every outcome at
+    once (_Release), so remove_photon runs once, on the representative's
+    route, and the representative's state is that route's."""
     s = polarization_state(haar_vec(4, 7), [("1", "t1"), ("2", "t2")])
     mid, rep1 = g.c_path(s, "1", "2", alpha20, THETA)
     mid, _, _ = g.inject_plus(mid, "A", "pa")
@@ -475,7 +476,7 @@ def test_merging_without_the_recycled_photon_removes_it_once_per_outcome(alpha20
 
     monkeypatch.setattr(g, "remove_photon", counted)
     out, rep = g.merging_n(*args, keep_recycled=False)
-    assert calls == ["2"] * len(rep.outcomes) and len(rep.outcomes) == 4
+    assert calls == ["2"] and len(rep.outcomes) == 4
     # bit for bit the recycled photon's state with the photon removed
     want = remove_photon(kept, "2")
     assert out.registry is want.registry
@@ -858,10 +859,10 @@ def test_presence_stage_lists_arms_with_no_outcome(alpha20):
 
 def test_success_mass_reads_1_within_rounding_and_raises_above():
     one = pol_qubit("1", "a", 1.0, 0.0)
-    scored = g.score_outcomes("fock", [(0, 0.5, one), (1, 0.5, one), (2, 4e-16, one)])
+    scored = score_outcomes("fock", [(0, 0.5, one), (1, 0.5, one), (2, 4e-16, one)])
     assert scored.success_probability == 1.0
     with pytest.raises(g.GateError, match="fock outcomes that agree hold probability"):
-        g.score_outcomes("fock", [(0, 0.5, one), (1, 0.5, one), (2, 1e-9, one)])
+        score_outcomes("fock", [(0, 0.5, one), (1, 0.5, one), (2, 1e-9, one)])
 
 
 # -- the batched qubus block against the per-outcome loop ---------------------------
@@ -877,7 +878,7 @@ def _outcome_loop(s, couplings, alpha, theta, plan, post=None):
         if post is not None:
             st = post.apply(st)
         corrected.append((rec.value, rec.probability, st))
-    return g.score_outcomes("fock", corrected)
+    return score_outcomes("fock", corrected)
 
 
 def _assert_block_matches_loop(got, ref):
@@ -1134,19 +1135,35 @@ def _readout_loop(kind, s, readout, plan):
     else:
         split = el.apply_elements(s, readout.split_ops)
         records = presence_outcomes(split, readout.photon, list(readout.paths))
-        prepare = readout.merge.apply
-    return g.score_outcomes(kind, [(r.value, r.probability, plan.correct(prepare(r.collapsed), r.value))
-                                   for r in records])
+        prepare = readout.end.apply
+    return score_outcomes(kind, [(r.value, r.probability, plan.correct(prepare(r.collapsed), r.value))
+                                 for r in records])
+
+
+def _merging_loop(s, readout, plan, names):
+    """The reference Merging readout: the split, every arm's presence outcome
+    corrected with the photon kept, then scored alone with it removed.
+    Returns the scored stage and each outcome's corrected state, by name."""
+    from qubusim.detection import presence_outcomes
+
+    split = el.apply_elements(s, readout.split_ops)
+    kept = {names[readout.paths.index(r.value)]: (r.probability, plan.correct(r.collapsed, r.value))
+            for r in presence_outcomes(split, readout.photon, list(readout.paths))}
+    released = [(v, p, remove_photon(st, readout.photon)) for v, (p, st) in kept.items()]
+    return score_outcomes("presence", released), {v: st for v, (_, st) in kept.items()}
 
 
 def _captured_stages(monkeypatch):
     """Record every readout stage run through the stage algebra: (its
-    reference loop, its result)."""
+    reference loop, its result).  A Merging readout's loop is _merging_loop."""
     stages, stage = [], g._readout_stage
 
     def capture(kind, s, readout, values, plan, route):
         got = stage(kind, s, readout, values, plan, route)
-        stages.append((lambda: _readout_loop(kind, s, readout, plan), got))
+        if isinstance(getattr(readout, "end", None), g._Release):
+            stages.append((lambda: _merging_loop(s, readout, plan, values), got))
+        else:
+            stages.append((lambda: _readout_loop(kind, s, readout, plan), got))
         return got
 
     monkeypatch.setattr(g, "_readout_stage", capture)
@@ -1243,3 +1260,187 @@ def test_a_corrupted_presence_stage_fails_the_route_check(alpha20):
             g.disentangler(mid, "1", "2", v_rails)
     finally:
         g._stage_algebra.cache_clear()
+
+
+# -- the Merging readout through the stage algebra -------------------------------
+
+
+def _merging_input(n, basis, seed=None):
+    """A Merging gate's input on 2^{n-1} rails, as from_qudit meets it: the
+    transform of n photons, each companion re-entangled with its rail bit,
+    and a fresh |+⟩ ancilla A.  Returns (state, photon, rails, companions)."""
+    s, ids = _readout_inputs(n, basis)
+    if seed is not None:
+        s = polarization_state(haar_vec(2**n, seed), [(pid, f"t{pid}") for pid in ids])
+    alpha = alpha_for_beta2(20.0, THETA)
+    out, rep = pl.to_qudit_circuit(s, ids, alpha, THETA)
+    rails = list(rep.extras["rails"])
+    for m, comp in enumerate(ids[:-1]):
+        out, _ = g.entangler3(out, comp, ids[-1], *pl.split_rails(rails, m), alpha, THETA)
+    out, _, _ = g.inject_plus(out, "A", "pa")
+    return out, ids[-1], rails, [(c, None) for c in ids[:-1]]
+
+
+@pytest.mark.parametrize("keep", [True, False], ids=["kept", "released"])
+@pytest.mark.parametrize("basis", [False, True], ids=["haar", "basis"])
+@pytest.mark.parametrize("n, interference", [(2, "qft"), (3, "qft"), (3, "hadamard4"), (4, "qft")])
+def test_every_merging_outcome_matches_the_reference_loop(n, interference, basis, keep,
+                                                         monkeypatch):
+    s, photon, rails, companions = _merging_input(n, basis)
+    stages = _captured_stages(monkeypatch)
+    out, rep = g.merging_n(s, photon, rails, "A", companions, alpha_for_beta2(20.0, THETA), THETA,
+                           interference, keep)
+    ((loop, got),) = stages
+    ref, kept = loop()
+    _assert_block_matches_loop(got, ref)
+    if not keep:
+        assert state_to_dict(out) == state_to_dict(ref.state)
+        return
+    # the recycled photon stays on the representative's arm, in |±⟩
+    k, sign = int(ref.value[:-1]), ref.value[-1]
+    arm = rep.extras["arms"][2 * k + (sign == "-")]
+    assert (rep.extras["recycled_arm"], rep.extras["recycled_sign"]) == (arm, sign)
+    assert out.photon_paths_in_use(photon) == (arm,)
+    assert state_to_dict(out) == state_to_dict(kept[ref.value])
+
+
+def test_a_repeated_merging_call_compiles_once():
+    alpha = alpha_for_beta2(20.0, THETA)
+    s, photon, rails, companions = _merging_input(3, False)
+    other = _merging_input(3, False, seed=77)[0]
+    g._stage_algebra.cache_clear()
+    g.merging_n(s, photon, rails, "A", companions, alpha, THETA)
+    first = g._stage_algebra.cache_info()
+    g.merging_n(other, photon, rails, "A", companions, alpha, THETA)
+    again = g._stage_algebra.cache_info()
+    assert first.misses == first.currsize == 2  # the Entangler's block and the readout
+    assert again.misses == first.misses and again.hits == first.hits + 2
+
+
+def test_a_merging_stage_of_another_plan_compiles_afresh(alpha20, monkeypatch):
+    # one readout under the tables of two companion slots: each compiles its own algebra
+    mid, rails = _haar_pair_with_ancilla(alpha20, 1, 1)
+    ent, _ = g.entangler4(mid, "A", "2", rails, alpha20, THETA)
+    layouts = [g._readout(ent.registry, "2", tuple(rails), "A", (c,), "qft")
+               for c in (("1", None), ("1", "t1"))]
+    (readout, plan, _), (other, other_plan, _) = layouts
+    assert readout == other and plan.rows != other_plan.rows
+    stages = _captured_stages(monkeypatch)
+    g._stage_algebra.cache_clear()
+    for companion in [("1", None), ("1", "t1")] * 2:
+        g.merging_n(mid, "2", rails, "A", [companion], alpha20, THETA)
+    assert g._stage_algebra.cache_info().misses == 3  # the Entangler's block, two readouts
+    for loop, got in stages:
+        _assert_block_matches_loop(got, loop()[0])
+
+
+def test_a_corrupted_merging_stage_fails_the_route_check(alpha20):
+    mid, rails = _haar_pair_with_ancilla(alpha20, 1, 1)
+    args = (mid, "2", rails, "A", [("1", None)], alpha20, THETA)
+    g.merging_n(*args)
+    ent, _ = g.entangler4(mid, "A", "2", rails, alpha20, THETA)
+    readout, plan, _ = g._readout(ent.registry, "2", tuple(rails), "A", (("1", None),), "qft")
+    alg = g._algebra_of(ent, readout, plan)
+    try:
+        alg.parts[2].setflags(write=True)
+        alg.parts[2][::2] *= -1
+        with pytest.raises(g.GateError, match="disagrees with its per-outcome route"):
+            g.merging_n(*args)
+    finally:
+        g._stage_algebra.cache_clear()
+
+
+def _armed(rows):
+    """Photon 1 on a plus arm ap and a minus arm am beside photon 2 on b and
+    a beam q: rows of (amplitude, arm, pol, photon 2's pol, beam value)."""
+    reg = ModeRegistry().with_photon("1", ("ap", "am")).with_photon("2", ("b",)).with_qubus("q")
+    return HybridState(reg, [Branch(x, _sorted_slots((("1", arm, pol), ("2", "b", pol2))), (q,))
+                             for x, arm, pol, pol2, q in rows])
+
+
+def test_release_drops_the_photon_as_its_h_rows_times_root_2():
+    s = _armed([(0.3, "ap", "H", "H", 1.0), (0.3, "ap", "V", "H", 1.0),
+                (0.4j, "am", "H", "V", 2.0), (-0.4j, "am", "V", "V", 2.0),
+                (0.5, "am", "H", "H", 1.0), (-0.5 * (1 + 1e-12), "am", "V", "H", 1.0)])
+    got = g._Release("1", ("am",)).apply(s)
+    assert got.registry.photons == ("2",) and got.registry.qubus_modes == ("q",)
+    want = {(b.photons, b.qubus): b.amplitude for b in got.branches}
+    assert want.keys() == {((("2", "b", "H"),), (1.0,)), ((("2", "b", "V"),), (2.0,))}
+    assert abs(want[(("2", "b", "H"),), (1.0,)] - math.sqrt(2) * 0.8) <= 1e-15
+    assert abs(want[(("2", "b", "V"),), (2.0,)] - math.sqrt(2) * 0.4j) <= 1e-15
+
+
+@pytest.mark.parametrize("rows", [
+    [(0.6, "ap", "H", "H", 1.0)],  # no V row
+    [(0.6, "am", "V", "H", 1.0)],  # no H row
+    [(0.6, "am", "H", "H", 1.0), (0.6, "am", "V", "H", 1.0)],  # a plus pair on the minus arm
+    [(0.6, "ap", "H", "H", 1.0), (-0.6, "ap", "V", "H", 1.0)],  # a minus pair on the plus arm
+    [(0.6, "ap", "H", "H", 1.0), (0.6, "ap", "V", "V", 1.0)],  # the partner's other labels differ
+    [(0.6, "ap", "H", "H", 1.0), (0.6, "ap", "V", "H", 2.0)],  # its beam value differs
+    [(0.6, "ap", "H", "H", 1.0), (0.6 * (1 + 1e-8), "ap", "V", "H", 1.0)],  # off by 1e-8
+], ids=["no-v", "no-h", "plus-on-minus", "minus-on-plus", "labels", "beam", "off"])
+def test_release_refuses_an_h_row_without_its_matched_v_row(rows):
+    with pytest.raises(StateError, match="'1' is entangled with the rest"):
+        g._Release("1", ("am",)).apply(_armed(rows))
+
+
+# -- one photon in two roles ------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda s, a: g.parity_gate(s, "1", "1", a, THETA), "parity photons"),
+    (lambda s, a: g.c_path(s, "2", "2", a, THETA), "control and target"),
+    (lambda s, a: g.c_path2(s, "1", "1", ["t1"], a, THETA), "control and target"),
+    (lambda s, a: g.c_path3(s, "2", ("t2", "x"), "2", a, THETA), "control and target"),
+], ids=["parity", "c_path", "c_path2", "c_path3"])
+def test_a_two_photon_gate_refuses_one_photon_in_both_roles(call, what, alpha20):
+    s = polarization_state(haar_vec(4, 3), [("1", "t1"), ("2", "t2")])
+    with pytest.raises(g.GateError, match=rf"^{what} must be distinct, got \['(.)', '\1'\]$"):
+        call(s, alpha20)
+
+
+@pytest.mark.parametrize("photon, ancilla, companion, rails, what", [
+    ("2", "A", "2", None, r"photon, ancilla and companions must be distinct, got \['2', 'A', '2'\]"),
+    ("2", "A", "A", None, r"photon, ancilla and companions must be distinct, got \['2', 'A', 'A'\]"),
+    ("2", "2", "1", None, r"photon, ancilla and companions must be distinct, got \['2', '2', '1'\]"),
+    ("2", "A", "1", ("t2", "t2"), r"rails must be distinct, got \['t2', 't2'\]"),
+], ids=["companion-is-photon", "companion-is-ancilla", "ancilla-is-photon", "repeated-rails"])
+def test_merging_refuses_one_photon_in_two_roles_and_repeated_rails(
+    photon, ancilla, companion, rails, what, alpha20
+):
+    mid, routed = _haar_pair_with_ancilla(alpha20, 1, 1)
+    with pytest.raises(g.GateError, match=f"^{what}$"):
+        g.merging_n(mid, photon, rails or routed, ancilla, [(companion, None)], alpha20, THETA)
+
+
+def _factorized_by_loop(u, qbits):
+    """The per-bit correction phases entry by entry, and whether every
+    column's phases sum to its own: the reference of _factorize_corrections."""
+    n = len(u)
+    phases = [[cmath.phase((u[k, 1 << (qbits - 1 - m)] / u[k, 0]).conjugate()) for k in range(n)]
+              for m in range(qbits)]
+    for j in range(n):
+        for k in range(n):
+            acc = sum(phases[m][k] for m in range(qbits) if (j >> (qbits - 1 - m)) & 1)
+            want = cmath.phase((u[k, j] / u[k, 0]).conjugate())
+            if abs(cmath.exp(1j * acc) - cmath.exp(1j * want)) > 1e-10:
+                return phases, False
+    return phases, True
+
+
+@pytest.mark.parametrize("u, qbits", [(syn.qft_matrix(2), 1), (syn.qft_matrix(4), 2),
+                                      (syn.qft_matrix(8), 3), (syn.HADAMARD4, 2)],
+                         ids=["qft2", "qft4", "qft8", "hadamard4"])
+def test_correction_phases_match_the_loop_over_every_entry(u, qbits):
+    phases, ok = _factorized_by_loop(u, qbits)
+    assert ok and g._factorize_corrections(u, qbits) == phases
+
+
+def test_an_interference_matrix_that_does_not_factorize_is_refused():
+    u = syn.HADAMARD4.copy()
+    u[0, 3] *= -1  # column 3 of row 0 is no longer the product of columns 1 and 2
+    assert not _factorized_by_loop(u, 2)[1]
+    with pytest.raises(g.GateError, match="do not factorize over rails"):
+        g._factorize_corrections(u, 2)
+    with pytest.raises(g.GateError, match="uniform magnitudes"):
+        g._factorize_corrections(np.eye(4, dtype=complex), 2)

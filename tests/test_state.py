@@ -38,7 +38,7 @@ from qubusim import state as state_mod
 from qubusim.numerics import fock_amplitude
 from qubusim.state import CANON_TOL, _gram, _recode, coherent_overlap
 
-from conftest import haar_vec, two_photon
+from conftest import haar_vec, score_outcomes, two_photon
 
 
 def test_inner_product_normalized_self():
@@ -672,7 +672,6 @@ def test_normalized_states_keep_their_norm_and_a_stage_takes_one_gram_sum(monkey
         return overlap(a, b)
 
     monkeypatch.setattr(state_mod, "_gram", counted_gram)
-    monkeypatch.setattr(gates, "_gram", counted_gram)
     monkeypatch.setattr(state_mod, "_overlap", counted_overlap)
     reg = ModeRegistry().with_photon("1", ("a",)).with_qubus("q")
     distinct = HybridState(reg, [Branch(0.6, (("1", "a", "H"),), (1.0,)),
@@ -690,7 +689,7 @@ def test_normalized_states_keep_their_norm_and_a_stage_takes_one_gram_sum(monkey
     fresh = [HybridState._derived(reg, st.amps, st.codes, st.qubus)
              for st in (unit[0], unit[1], unit[1].scaled(-1))]
     calls.clear()
-    scored = gates.score_outcomes("fock", [(n, 1 / 3, st) for n, st in enumerate(fresh)])
+    scored = score_outcomes("fock", [(n, 1 / 3, st) for n, st in enumerate(fresh)])
     assert calls == [3]
     want = [fidelity(st, fresh[0]) for st in fresh]
     assert list(scored.outcomes.fidelities) == pytest.approx(want, abs=1e-12)
@@ -704,8 +703,9 @@ def test_readouts_take_norms_and_only_scoring_and_the_pmf_take_a_gram_matrix(mon
         calls.append(len(states))
         return gram(states)
 
-    for module in (state_mod, detection, gates):
+    for module in (state_mod, detection):
         monkeypatch.setattr(module, "_gram", counted_gram)
+    assert not hasattr(gates, "_gram")
     split = el.photon_bs(HybridState(ModeRegistry().with_photon("1", ("a", "b")),
                                      pol_qubit("1", "a", 0.6, 0.8).branches), "1", "a", "b")
     beam = attach_qubus(pol_qubit("2", "c", 0.6, 0.8), "q", 1.5)
@@ -717,8 +717,26 @@ def test_readouts_take_norms_and_only_scoring_and_the_pmf_take_a_gram_matrix(mon
     detection.fock_distribution(s, "q")
     assert calls == [1]
     calls.clear()
+    # library scoring reads its fidelities off the compiled stage: presence
+    # readouts (the Disentangler's, Merging's), a Bell readout and a qubus
+    # block take no Gram matrix, the block's Fock pmf over its three
+    # difference-port values aside
+    pair = polarization_state([0.6, 0, 0.8j, 0], [("1", "a"), ("2", "b")])
+    assert len(gates.disentangler(pair, "1", "2", ["b"])[1].outcomes) == 2
+    plan = gates.FeedForwardPlan([(b, []) for b in gates.BELLS], gates.BELLS.index)
+    assert len(gates.run_bell_stage(s, "3", "4", plan).outcomes) == 2
+    assert calls == []
+    _, rep = gates.parity_gate(pair, "1", "2")
+    assert len(rep.outcomes) > 1 and calls == [3]
+    mid, rep = gates.c_path(pair, "1", "2")
+    mid = gates.inject_plus(mid, "A", "pa")[0]
+    calls.clear()
+    assert len(gates.merging_n(mid, "2", rep.extras["rails"], "A", [("1", None)])[1].outcomes) == 4
+    assert len(calls) == 1  # its Entangler's Fock pmf
+    calls.clear()
+    # the tests' reference loop takes one
     outcomes = [(path, 0.5, st.normalized()) for path, st in zip("ab", (s, s.scaled(1j)))]
-    gates.score_outcomes("presence", outcomes)
+    score_outcomes("presence", outcomes)
     assert calls == [2]
 
 
