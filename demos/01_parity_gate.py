@@ -32,8 +32,10 @@ print(f"\nenumerated {len(report.outcomes)} Fock outcomes; "
 print(f"worst outcome fidelity vs the common output: {report.min_fidelity:.12f}")
 
 print("\nmost likely outcomes (n, probability, fidelity):")
-for o in sorted(report.outcomes, key=lambda o: -o.probability)[:6]:
-    print(f"  n={o.value:>2}  p={o.probability:.4f}  f={o.fidelity:.12f}")
+table = report.outcomes  # columns: each outcome's value, probability and fidelity
+rows = zip(table.values, table.probabilities, table.fidelities)
+for n, p, f in sorted(rows, key=lambda row: -row[1])[:6]:
+    print(f"  n={n:>2}  p={p:.4f}  f={f:.12f}")
 
 print("\noutput state branches (amplitude, photon slots):")
 for br in sorted(out.branches, key=lambda b: -abs(b.amplitude))[:4]:

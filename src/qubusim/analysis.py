@@ -48,12 +48,17 @@ def beta_squared(alpha: float, theta: float) -> float:
 
 
 def alpha_for_beta2(beta2: float, theta: float) -> float:
-    """The α that gives |β|² = beta2 at XPM angle θ; needs beta2 ≥ 0 and sin θ ≠ 0."""
+    """The α that gives |β|² = beta2 at XPM angle θ; needs beta2 ≥ 0, sin θ ≠ 0
+    and an α that a float holds."""
     if not (math.isfinite(beta2) and beta2 >= 0):
         raise AnalysisError(f"beta2 must be a finite number >= 0, got {beta2!r}")
     if not math.isfinite(theta) or math.sin(theta) ** 2 == 0:
         raise AnalysisError(f"theta must be finite with sin(theta) != 0, got {theta!r}")
-    return math.sqrt(beta2 / (2.0 * math.sin(theta) ** 2))
+    alpha = math.sqrt(beta2 / (2.0 * math.sin(theta) ** 2))
+    if not math.isfinite(alpha):
+        raise AnalysisError(f"beta2 = {beta2!r} at theta = {theta!r} needs an alpha "
+                            "past the float range")
+    return alpha
 
 
 def error_probability_formula(
@@ -231,9 +236,8 @@ def _gate_fidelity(p: dict) -> float:
     """Probability-weighted parity-gate outcome fidelity on a fixed Haar input."""
     s = random_polarization_state(2, int(p["state_seed"]))
     _, report = parity_gate(s, "1", "2", p["alpha"], p["theta"])
-    return math.fsum(o.probability * o.fidelity for o in report.outcomes) / math.fsum(
-        o.probability for o in report.outcomes
-    )
+    probs, fids = report.outcomes.probabilities, report.outcomes.fidelities
+    return math.fsum(a * b for a, b in zip(probs, fids)) / math.fsum(probs)
 
 
 def _error_args(p: dict) -> tuple:

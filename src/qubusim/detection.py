@@ -198,7 +198,7 @@ def fock_distribution(
         cutoff = default_fock_cutoff(mean)
     if cutoff > MAX_FOCK_CUTOFF:
         raise MeasurementError(
-            f"Fock cutoff {cutoff} for beam mean photon number {mean:.6g} "
+            f"Fock cutoff {cutoff:.7g} for beam mean photon number {mean:.6g} "
             f"exceeds the limit {MAX_FOCK_CUTOFF}"
         )
     fock = fock_table(values, cutoff)

@@ -299,8 +299,8 @@ def _with_paths(s: HybridState, pid: str, *paths: str) -> HybridState:
 
 
 def _route_table(reg: ModeRegistry, pid: str, routes: tuple) -> dict:
-    """Slot (path, pol) to (out, pol) for each (path, pol, out) of routes."""
-    return {(path, pol): [(1, out, pol)] for path, pol, out in routes}
+    """Slot (path, pol) to (out, out_pol) for each (path, pol, out, out_pol) of routes."""
+    return {(path, pol): [(1, out, out_pol)] for path, pol, out, out_pol in routes}
 
 
 def _pm_table(reg: ModeRegistry, pid: str, in_paths: tuple, arms: tuple) -> dict:
@@ -335,20 +335,7 @@ def pbs(s: HybridState, pid: str, in_path: str, out_h: str, out_v: str) -> Hybri
     """Polarizing beam splitter: H → out_h, V → out_v."""
     _require_paths(s.registry, pid, in_path)
     s = _with_paths(s, pid, out_h, out_v)
-    return _remap(s, pid, _route_table, ((in_path, H, out_h), (in_path, V, out_v)))
-
-
-def pbs_merge(s: HybridState, pid: str, h_path: str, v_path: str, out: str) -> HybridState:
-    """Inverse PBS: H from h_path and V from v_path recombine on one path."""
-    _require_paths(s.registry, pid, h_path, v_path)
-    digits = _slot_digits(s, pid)
-    wrong = (s.registry._digit(pid, h_path, V), s.registry._digit(pid, v_path, H))
-    for d in sorted(wrong):  # the lower digit is reported first
-        if (digits == d).any():
-            path, port = (h_path, "H") if d == wrong[0] else (v_path, "V")
-            raise StateError(f"{POLS[d % 2]} component present on {port} input {path!r} of PBS merge")
-    s = _with_paths(s, pid, out)
-    return _remap(s, pid, _route_table, ((h_path, H, out), (v_path, V, out)))
+    return _remap(s, pid, _route_table, ((in_path, H, out_h, H), (in_path, V, out_v, V)))
 
 
 def pbs_pm(s: HybridState, pid: str, in_path: str, out_plus: str, out_minus: str) -> HybridState:

@@ -38,13 +38,13 @@ does array work on its amplitudes: a block's dominant disposal value per
 outcome and the TIE_TOL tie rule, the parts (with canonicalize's dust rule
 after a disposal), one K×K Gram matrix per group for the norms (a readout
 without a beam reads its probabilities there and cuts them at MIN_PROB),
-and the overlaps with the representative.  An outcome's state is built only
-when read.  The representative, and every outcome whose disposal value is
-not unique, take the per-outcome route (a block's collapse, correct,
-dispose, post; a readout's detection call for that one outcome, then its
-correction, and a Merging gate's remove_photon); the representative's
-batched overlap with its route's state, over its Gram norm, must be 1, so
-the compiled algebra is checked on every call.
+and the overlaps with the representative.  Only the representative, and
+every outcome whose disposal value is not unique, get a state: the
+per-outcome route (a block's collapse, correct, dispose, post; a readout's
+detection call for that one outcome, then its correction, and a Merging
+gate's remove_photon); the representative's batched overlap with its
+route's state, over its Gram norm, must be 1, so the compiled algebra is
+checked on every call.
 
 The parity gate and the C-path family share one rail-routing block: a fresh
 rail opens beside each target rail with a 50:50 split, and even n switches
@@ -53,12 +53,14 @@ per layout (photon, rails, fresh rails) and shared, as both are immutable.
 C-path is C-path-2 on a one-rail target, and likewise Entangler-1,
 Entangler-2 and Merging are entangler4, entangler3 and merging_n at two
 rails, whose reports take the two-rail names.
-pbs_fan_out / pbs_fan_in move a rail's V component to a fresh rail
-as H and back; C-path-3 and the qudit unitaries use them.
+pbs_fan_out / pbs_fan_in move each rail's V component to a fresh rail as
+H and back, all rails in one slot table; C-path-3 and the qudit unitaries
+use them.
 
-Each gate returns (output state, GateReport); the report logs every outcome
-with its probability and fidelity against the representative output, the
-resource counts, and the stage's feed-forward table, a row per outcome class.
+Each gate returns (output state, GateReport); the report holds columns of
+every outcome's value, probability and fidelity against the representative
+output, the resource counts, and the stage's feed-forward table, a row per
+outcome class.
 """
 
 from __future__ import annotations
@@ -186,24 +188,12 @@ class Resources:
         return dict(vars(self))
 
 
-@dataclass(frozen=True)
-class OutcomeEntry:
-    """One row of an OutcomeTable, built when the row is read."""
-
-    kind: str
-    value: object
-    probability: float
-    fidelity: float
-
-
-class OutcomeTable(Sequence):
+class OutcomeTable:
     """A stage's outcomes as columns: one kind, and each outcome's value,
     probability and fidelity with the representative.
 
-    Indexing, slicing and iterating build OutcomeEntry views, each carrying
-    the table's kind; to_dicts writes the JSON rows straight from the
-    columns, without the kind, which a report writes once.  The default is
-    the empty table, of kind "".
+    to_dicts writes the JSON rows from the columns, without the kind, which
+    a report writes once.  The default is the empty table, of kind "".
     """
 
     __slots__ = ("kind", "values", "probabilities", "fidelities")
@@ -221,19 +211,8 @@ class OutcomeTable(Sequence):
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        return OutcomeEntry(self.kind, self.values[i], self.probabilities[i], self.fidelities[i])
-
-    def __iter__(self):
-        kind = self.kind
-        for v, p, f in zip(self.values, self.probabilities, self.fidelities):
-            yield OutcomeEntry(kind, v, p, f)
-
     def to_dicts(self) -> list[dict]:
-        """Each entry's value, probability and fidelity as a JSON row, without
-        building the entries."""
+        """Each outcome's value, probability and fidelity as a JSON row."""
         return [
             {"value": v, "probability": p, "fidelity": f}
             for v, p, f in zip(self.values, self.probabilities, self.fidelities)
@@ -339,7 +318,6 @@ class Scored:
     outcomes: OutcomeTable
     min_fidelity: float
     success_probability: float
-    states: Sequence[tuple[object, float, HybridState]]  # (value, prob, corrected state)
 
     def report(
         self, name: str, plan: FeedForwardPlan, resources: Resources, **fields
@@ -357,19 +335,20 @@ def _score(
     values: Sequence[object],
     probs: Sequence[float] | np.ndarray,
     fidelities: Callable[[int], np.ndarray],
-    states: Sequence[tuple[object, float, HybridState]],
+    state_of: Callable[[int], HybridState],
 ) -> Scored:
     """Pick the most probable outcome as representative and score all against it.
 
     Outcomes within TIE_TOL of the largest probability tie, and the first of
     them represents, so sums that round differently pick the same one.
     fidelities(rep) gives every outcome's fidelity with outcome rep's
-    corrected state, and states[i] is outcome i's (value, probability,
-    corrected state).  An outcome counts towards the success mass when its
-    fidelity with the representative is within AGREEMENT_TOL of 1; the mass
-    is summed in outcome order (a cumulative sum, not a pairwise one), and a
-    mass above 1 by no more than rounding (SUCCESS_TOL) reads 1; a larger one
-    means outcomes were counted twice and raises GateError.
+    corrected state, and state_of(rep), called after it, gives that state;
+    no other outcome's state is asked for.  An outcome counts towards the
+    success mass when its fidelity with the representative is within
+    AGREEMENT_TOL of 1; the mass is summed in outcome order (a cumulative
+    sum, not a pairwise one), and a mass above 1 by no more than rounding
+    (SUCCESS_TOL) reads 1; a larger one means outcomes were counted twice
+    and raises GateError.
     """
     p = np.asarray(probs, dtype=float)
     rep = int(np.argmax(p >= (1 - TIE_TOL) * p.max()))
@@ -381,7 +360,7 @@ def _score(
     success = min(success, 1.0)
     outcomes = OutcomeTable(kind, values, p.tolist(), fids.tolist())
     min_fidelity = min(1.0, float(fids.min()))
-    return Scored(values[rep], states[rep][2], outcomes, min_fidelity, success, states)
+    return Scored(values[rep], state_of(rep), outcomes, min_fidelity, success)
 
 
 def couple_qubus_pair(
@@ -610,7 +589,7 @@ class _Algebra(NamedTuple):
     qubus: np.ndarray  # their beam values left
     cell: np.ndarray  # group·K + part of each part row
     parts: tuple  # map onto the part rows
-    members: tuple  # each group's part rows, in table order
+    groups: int  # the number of groups
     gram: tuple  # (i, j, overlap, cell): the part-row pairs of a group that share
     #              a code, their beam overlap and their cell (group, k, l) of the
     #              groups' K×K Gram matrices
@@ -732,10 +711,9 @@ def _stage_algebra(
     i, j = _pairs(codes, codes)
     i, j = i[owner[i] == owner[j]], j[owner[i] == owner[j]]
     gram = (i, j, coherent_overlap(qubus[i], qubus[j]), (owner[i] * k + part[i]) * k + part[j])
-    members = tuple(np.flatnonzero(owner == g) for g in range(groups))
     algebra = _Algebra(branch, group, registry, codes, qubus, owner * k + part,
-                       (renumber[merged], source, coef), members, gram)
-    for x in (*(branch or ()), group, codes, qubus, algebra.cell, *algebra.parts, *members, *gram):
+                       (renumber[merged], source, coef), groups, gram)
+    for x in (*(branch or ()), group, codes, qubus, algebra.cell, *algebra.parts, *gram):
         if x is not None:
             x.setflags(write=False)
     return algebra
@@ -750,8 +728,9 @@ def _algebra_of(
                           beam, post)
 
 
-class _StageOutputs(Sequence):
-    """The corrected outputs of one compiled stage: (value, probability, state) each.
+class _StageOutputs:
+    """The outcomes of one compiled stage: each one's value, probability and
+    fidelity with the representative, and the representative's state.
 
     Computed from the input state s through the stage's compiled algebra
     (_stage_algebra), as the module docstring describes: outcome i is
@@ -763,9 +742,10 @@ class _StageOutputs(Sequence):
     the group's Gram matrix is its probability: the outcomes below MIN_PROB
     are dropped.  `part_amps` holds the part rows of every group (with
     canonicalize's dust rule applied after a disposal); `routed` holds the
-    outcomes that went their per-outcome route, route(i, value): the
-    representative, whose batched state must match it, and every outcome
-    whose disposal value ties with another within TIE_TOL (group -1).
+    states of the outcomes that went their per-outcome route, route(i,
+    value): the representative, whose batched state must match it, and every
+    outcome whose disposal value ties with another within TIE_TOL (group
+    -1).  No other outcome's state is built.
     """
 
     def __init__(
@@ -786,7 +766,7 @@ class _StageOutputs(Sequence):
             z[abs(z) < CANON_TOL] = 0.0
         self.part_amps = z
         # every group's K×K Gram matrix, and a zero one last for group -1
-        k, size = len(weights), (len(alg.members) + 1) * len(weights) ** 2
+        k, size = len(weights), (alg.groups + 1) * len(weights) ** 2
         i, j, overlap, cell = alg.gram
         grams = _binned(cell, z[i].conj() * z[j] * overlap, size)
         rows, every = np.asarray(rows), np.arange(len(values))
@@ -824,17 +804,6 @@ class _StageOutputs(Sequence):
         for n in np.flatnonzero(tied).tolist():
             self.routed[n] = route(n, values[n])
 
-    def _row(self, i: int) -> HybridState:
-        """Outcome i's normalized output, built from its group's part rows."""
-        alg, w = self.algebra, self.weights
-        rows = alg.members[self.group_of[i]]
-        scale = (w[:, i] / self.norms[i])[alg.cell[rows] % len(w)]
-        z = self.part_amps[rows]
-        keep = ((z != 0) & (scale != 0)).nonzero()[0]
-        return HybridState._rows(
-            alg.registry, z[keep] * scale[keep], alg.codes[rows[keep]], alg.qubus[rows[keep]]
-        ).canonical()
-
     def fidelities(self, rep: int) -> np.ndarray:
         """Every outcome's fidelity with outcome rep, which goes the per-outcome
         route.  A batched representative must match that route: its overlap
@@ -849,8 +818,8 @@ class _StageOutputs(Sequence):
         i, j = _pairs(alg.codes, _recode(ref.codes, ref.registry, alg.registry))
         t = self.part_amps[i].conj() * ref.amps[j] * coherent_overlap(
             alg.qubus.take(i, 0), ref.qubus.take(j, 0))
-        overlaps = _binned(alg.cell[i], t, (len(alg.members) + 1) * len(w))
-        z = (overlaps.reshape(-1, len(w)) @ w.conj())[self.group_of, np.arange(len(self))]
+        overlaps = _binned(alg.cell[i], t, (alg.groups + 1) * len(w))
+        z = (overlaps.reshape(-1, len(w)) @ w.conj())[self.group_of, np.arange(len(self.values))]
         fids = np.abs(z / self.norms) ** 2
         if check and not abs(fids[rep] - 1.0) <= ROUTE_TOL:  # a NaN fails too
             raise GateError(
@@ -861,16 +830,8 @@ class _StageOutputs(Sequence):
             fids[n] = fidelity(st, ref)
         return fids
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> tuple[object, float, HybridState]:
-        i = range(len(self))[i]
-        state = self.routed[i] if i in self.routed else self._row(i)
-        return self.values[i], float(self.probs[i]), state
-
     def scored(self, kind: str) -> Scored:
-        return _score(kind, self.values, self.probs, self.fidelities, self)
+        return _score(kind, self.values, self.probs, self.fidelities, self.routed.__getitem__)
 
 
 def _block_outputs(
@@ -1071,16 +1032,20 @@ def _open_rails(
     Rail r's fresh rail is r+suffix (made unique); returns the state and them
     in order.  The splits run as one compiled slot-map run (_splits).
     """
-    reg = s.registry
-    fresh = []
-    for r in rails:
-        f = reg.fresh_path(r + suffix)
-        fresh.append(f)
-        reg = reg.with_path(photon, f)
+    reg, fresh = _fresh_rails(s.registry, photon, rails, suffix)
     # not _reregistered: bench/workloads._CORE needs this HybridState.__init__ call
     s = HybridState(reg, s.branches)
-    fresh = tuple(fresh)
     return el.apply_elements(s, _splits(photon, tuple(rails), fresh)), fresh
+
+
+def _fresh_rails(reg: ModeRegistry, photon: str, rails: Sequence[str], suffix: str) -> tuple:
+    """reg with a fresh rail r+suffix (made unique) registered beside each of
+    the photon's rails, and those rails in order."""
+    fresh = []
+    for r in rails:
+        fresh.append(reg.fresh_path(r + suffix))
+        reg = reg.with_path(photon, fresh[-1])
+    return reg, tuple(fresh)
 
 
 @functools.lru_cache(maxsize=64)
@@ -1119,26 +1084,39 @@ def pbs_fan_out(
 ) -> tuple[HybridState, list[str]]:
     """PBS each rail: H stays, V goes to a fresh rail r+"v" and is flipped to H.
 
-    Returns the state and the fresh rails; pbs_fan_in undoes it.
+    The fresh rails are registered in one update and every rail's (r, V) →
+    (f, H) is one slot table.  Returns the state and the fresh rails;
+    pbs_fan_in undoes it.
     """
-    fresh = []
-    for r in rails:
-        f = s.registry.fresh_path(r + "v")
-        s = el.pbs(s, photon, r, r, f)
-        s = el.wave_plate(s, photon, f, "x")
-        fresh.append(f)
-    return s, fresh
+    el._require_paths(s.registry, photon, *rails)
+    reg, fresh = _fresh_rails(s.registry, photon, rails, "v")
+    routes = tuple((r, V, f, H) for r, f in zip(rails, fresh))
+    return el._remap(_reregistered(s, reg), photon, el._route_table, routes), list(fresh)
 
 
 def pbs_fan_in(
     s: HybridState, photon: str, rails: Sequence[str], fresh: Sequence[str]
 ) -> HybridState:
-    """Inverse of pbs_fan_out: flip each fresh rail back and PBS-merge it home."""
+    """Inverse of pbs_fan_out: (f, H) → (r, V) for every rail in one slot
+    table, so each fresh rail is flipped back and PBS-merged home, then the
+    fresh rails dropped in one registry update.  A merge takes H on its rail
+    and V, H before the flip, on its fresh rail; any other component is
+    refused, rail by rail, the lower slot first.
+    """
+    reg = s.registry
+    el._require_paths(reg, photon, *rails, *fresh)
+    digits = _slot_digits(s, photon)
     for r, f in zip(rails, fresh):
-        s = el.wave_plate(s, photon, f, "x")
-        s = el.pbs_merge(s, photon, r, f, r)
-        s = _reregistered(s, s.registry.without_path(photon, f))
-    return s
+        # (r, V) is V on the H input; (f, V) is H on the V input once flipped
+        for d, pol, port, path in sorted([(reg._digit(photon, r, V), V, H, r),
+                                          (reg._digit(photon, f, V), H, V, f)]):
+            if (digits == d).any():
+                raise StateError(f"{pol} component present on {port} input {path!r} of PBS merge")
+    routes = tuple((f, H, r, V) for r, f in zip(rails, fresh))
+    s = el._remap(s, photon, el._route_table, routes)
+    for f in fresh:
+        reg = reg.without_path(photon, f)
+    return _reregistered(s, reg)
 
 
 # ---------------------------------------------------------------------------

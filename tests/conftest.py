@@ -4,7 +4,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from qubusim import HybridState, StateError, elements, gates, polarization_state
+from qubusim import HybridState, StateError, detection, elements, gates, polarization_state
 from qubusim import state as state_mod
 from qubusim.analysis import alpha_for_beta2
 from qubusim.state import POLS, _canonical_order
@@ -50,7 +50,7 @@ def score_outcomes(kind: str, corrected: list) -> "gates.Scored":
     """The reference scoring loop: a stage whose corrected states are all
     built, (value, probability, state) each, scored against its most
     probable outcome (gates._score), every fidelity and norm read from one
-    Gram matrix of the states."""
+    Gram matrix of the states, and the representative's state from the list."""
 
     def fidelities(rep: int) -> np.ndarray:
         g = state_mod._gram([st for _, _, st in corrected])
@@ -60,7 +60,22 @@ def score_outcomes(kind: str, corrected: list) -> "gates.Scored":
         return np.minimum(np.abs(g[:, rep]) ** 2, 1.0)
 
     values = [v for v, _, _ in corrected]
-    return gates._score(kind, values, [p for _, p, _ in corrected], fidelities, corrected)
+    return gates._score(kind, values, [p for _, p, _ in corrected], fidelities,
+                        lambda rep: corrected[rep][2])
+
+
+def block_outcomes(s, couplings, alpha, theta, plan, post=None) -> list:
+    """The reference qubus block: each Fock outcome collapsed, corrected,
+    disposed of and post-processed alone, (value, probability, state) each."""
+    coupled, (b0, b1) = gates.couple_qubus_pair(s, couplings, alpha, theta)
+    corrected = []
+    for rec in detection.fock_outcomes(coupled, b0):
+        st = plan.correct(rec.collapsed, rec.value)
+        st, _ = detection.project_qubus_coherent(st, b1)
+        if post is not None:
+            st = post.apply(st)
+        corrected.append((rec.value, rec.probability, st))
+    return corrected
 
 
 @pytest.fixture

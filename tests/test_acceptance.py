@@ -32,7 +32,7 @@ from qubusim.detection import fock_distribution, probe_peak_mean
 from qubusim.numerics import fock_amplitude, poisson_pmf
 from qubusim.state import Branch, _sorted_slots
 
-from conftest import alpha_for, apply_path_unitary, haar_vec, THETA
+from conftest import alpha_for, apply_path_unitary, block_outcomes, haar_vec, THETA
 
 ALPHA_20 = alpha_for(20.0)
 ALPHA_40 = alpha_for(40.0)
@@ -60,8 +60,8 @@ def test_criterion_1_parity_determinism(monkeypatch):
     block = g.run_qubus_block
 
     def capture(*args, **kwargs):
-        blocks.append(block(*args, **kwargs))
-        return blocks[-1]
+        blocks.append((block(*args, **kwargs), args, kwargs))
+        return blocks[-1][0]
 
     monkeypatch.setattr(g, "run_qubus_block", capture)
     t0 = time.monotonic()
@@ -73,12 +73,19 @@ def test_criterion_1_parity_determinism(monkeypatch):
         fresh = rep.extras["even_paths"][1]
         target = parity_sorted_target(out.registry, coeffs, "t1", fresh, "t2")
         assert len(blocks) == seed + 1
-        for value, prob, state in blocks[-1].states:
+        got, args, kwargs = blocks[-1]
+        assert fidelity(out, target) >= 1 - 1e-8
+        # every outcome as the reference loop corrects it on its own, and its
+        # compiled fidelity with the representative
+        loop = block_outcomes(*args, **kwargs)
+        assert [value for value, _, _ in loop] == list(got.outcomes.values)
+        for (value, prob, state), compiled in zip(loop, got.outcomes.fidelities):
             if prob <= 1e-12:
                 continue
             f = fidelity(state, target)
             worst = min(worst, f)
             assert f >= 1 - 1e-8, f"outcome n={value} fidelity {f}"
+            assert compiled >= 1 - 1e-8, f"outcome n={value} compiled fidelity {compiled}"
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     announce(1, f"200 inputs, every outcome >= 1-1e-8 (worst {worst:.12f}, {elapsed:.1f}s)")

@@ -1,6 +1,7 @@
 """Error-probability formulas, detector-peak studies, sweeps."""
 
 import math
+import re
 
 import pytest
 
@@ -240,6 +241,17 @@ def test_sweep_pmf_rows():
 
 def test_beta_squared_round_trip():
     assert beta_squared(alpha_for_beta2(20.0, 0.05), 0.05) == pytest.approx(20.0)
+
+
+def test_a_beta2_whose_alpha_overflows_is_refused_by_name():
+    assert math.isfinite(alpha_for_beta2(1e300, 0.05))
+    for beta2, theta in ((1e308, 0.05), (1e300, 1e-160)):
+        named = re.escape(f"beta2 = {beta2!r} at theta = {theta!r}")
+        with pytest.raises(AnalysisError, match=named + ".* alpha past the float range"):
+            alpha_for_beta2(beta2, theta)
+    spec = SweepSpec("gate_fidelity", {"beta2": [1e308]})
+    with pytest.raises(AnalysisError, match="beta2 = 1e\\+308 at theta = 0.05"):
+        run_sweep(spec)
 
 
 #: the parameters each sweep quantity reads, written out here so that a key

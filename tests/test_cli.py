@@ -27,6 +27,7 @@ from qubusim.cli import (
     parse_state_spec,
     parse_unitary_spec,
 )
+from qubusim.detection import MAX_FOCK_CUTOFF
 from qubusim.synthesis import random_haar_unitary
 
 from conftest import THETA, haar_vec
@@ -159,6 +160,24 @@ def test_alpha_and_beta2_are_exclusive(capsys):
     # beta2 sets alpha, so an alpha beside it would be ignored
     assert main(["gate", "parity", "--beta2", "20", "--alpha", "5"]) == 1
     assert "argument --alpha: not allowed with argument --beta2" in capsys.readouterr().err
+
+
+def test_an_overflowing_beta2_is_refused_by_name(tmp_path, capsys):
+    # alpha = sqrt(beta2 / (2 sin^2 theta)) passes the float range: the error
+    # names the beta2 and theta given, not the alpha they would set
+    assert main(["gate", "parity", "--beta2", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert "beta2 = 1e+308 at theta = 0.05" in err and "alpha must" not in err
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"quantity": "gate_fidelity", "grid": {"beta2": [4.0, 1e308]}}))
+    assert main(["sweep", str(spec)]) == 2
+    assert "beta2 = 1e+308 at theta = 0.05" in capsys.readouterr().err
+
+
+def test_a_fock_cutoff_past_the_limit_is_refused_in_a_short_line(capsys):
+    assert main(["gate", "parity", "--beta2", "1e250"]) == 2
+    err = capsys.readouterr().err
+    assert f"exceeds the limit {MAX_FOCK_CUTOFF}" in err and len(err) < 200, err
 
 
 def test_seed_is_read_by_a_bare_haar_input(tmp_path):

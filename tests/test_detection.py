@@ -314,6 +314,9 @@ def test_fock_distribution_rejects_too_bright_beam():
     # |alpha|^2 = 1e8 needs a cutoff of about 1e8 + 1.2e5, above the limit
     with pytest.raises(MeasurementError, match=f"limit {MAX_FOCK_CUTOFF}"):
         fock_distribution(coherent_state(1e4), "q")
+    # a cutoff of hundreds of digits is written in short form
+    with pytest.raises(MeasurementError, match=f"cutoff 1e\\+250 .* limit {MAX_FOCK_CUTOFF}$"):
+        fock_distribution(coherent_state(1e125), "q")
     with pytest.raises(MeasurementError, match="not finite"):
         fock_distribution(coherent_state(1e200), "q")
 

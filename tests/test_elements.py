@@ -27,6 +27,8 @@ from qubusim.gates import (
     couple_qubus_pair,
     entangler4_couplings,
     parity_couplings,
+    pbs_fan_in,
+    pbs_fan_out,
 )
 from qubusim.synthesis import random_haar_unitary
 
@@ -83,8 +85,9 @@ def test_elements_naming_an_unregistered_path_raise():
         lambda: el.phase(s, "1", "nope", None, 0.3),
         lambda: el.pbs(s, "1", "nope", "h", "v"),
         lambda: el.pbs_pm(s, "1", "nope", "p", "m"),
-        lambda: el.pbs_merge(s, "1", "nope", "b", "out"),
-        lambda: el.pbs_merge(s, "1", "a", "nope", "out"),
+        lambda: pbs_fan_out(s, "1", ["nope"]),
+        lambda: pbs_fan_in(s, "1", ["nope"], ["b"]),
+        lambda: pbs_fan_in(s, "1", ["a"], ["nope"]),
         lambda: el.pbs_pm_merge(s, "1", "nope", "b", "out"),
         lambda: el.pbs_pm_merge(s, "1", "a", "nope", "out"),
     ]
@@ -100,25 +103,35 @@ def _merge_input(paths, slots):
     return HybridState(reg, [Branch(r, (("1", p, pol),), ()) for p, pol in slots])
 
 
+# pbs_fan_in's PBS merge of rail h and fresh rail v: the fresh rail is
+# flipped first, so its H (as fanned out) is the V the merge takes
 @pytest.mark.parametrize(
     "paths, slots, message",
     [
         (("h", "v"), [("h", "H"), ("h", "V")], "V component present on H input 'h'"),
-        (("h", "v"), [("v", "V"), ("v", "H")], "H component present on V input 'v'"),
+        (("h", "v"), [("v", "H"), ("v", "V")], "H component present on V input 'v'"),
         # both ports wrong: the lower digit is reported, as the path order sets it
-        (("h", "v"), [("h", "V"), ("v", "H")], "V component present on H input 'h'"),
-        (("v", "h"), [("h", "V"), ("v", "H")], "H component present on V input 'v'"),
+        (("h", "v"), [("h", "V"), ("v", "V")], "V component present on H input 'h'"),
+        (("v", "h"), [("h", "V"), ("v", "V")], "H component present on V input 'v'"),
     ],
     ids=["h-port", "v-port", "both-h-first", "both-v-first"],
 )
 def test_pbs_merge_refuses_a_component_on_the_wrong_port(paths, slots, message):
     s = _merge_input(paths, slots)
     with pytest.raises(StateError, match=re.escape(message) + " of PBS merge"):
-        el.pbs_merge(s, "1", "h", "v", "h")
+        pbs_fan_in(s, "1", ["h"], ["v"])
+
+
+def test_pbs_fan_in_refuses_the_first_rail_s_fault_first():
+    # rail a is checked before rail b, whatever the path order
+    s = _merge_input(("b", "bv", "a", "av"), [("b", "V"), ("av", "V")])
+    with pytest.raises(StateError, match="H component present on V input 'av' of PBS merge"):
+        pbs_fan_in(s, "1", ["a", "b"], ["av", "bv"])
 
 
 def test_pbs_merge_takes_each_port_s_own_polarization():
-    out = el.pbs_merge(_merge_input(("h", "v"), [("h", "H"), ("v", "V")]), "1", "h", "v", "h")
+    out = pbs_fan_in(_merge_input(("h", "v"), [("h", "H"), ("v", "H")]), "1", ["h"], ["v"])
+    assert out.registry.paths_of("1") == ("h",)  # the fresh rail is dropped
     assert abs(amplitude_of(out, {"1": ("h", "H")}) - 1 / math.sqrt(2)) < 1e-15
     assert abs(amplitude_of(out, {"1": ("h", "V")}) - 1 / math.sqrt(2)) < 1e-15
 
@@ -447,7 +460,13 @@ def test_an_element_call_compiles_its_table_once_per_layout(kind):
 def _pbs_family():
     """name -> (input from a spread state, the call, the uncached route): each
     call applies one slot table."""
-    merge_in = {("r1", "H"): [(1, "r1", "H")], ("h1", "V"): [(1, "r1", "V")]}
+    fan_in = {("r1v", "H"): [(1, "r1", "V")]}
+
+    def fanned_in(t):
+        merged = _uncached(t, "1", fan_in)
+        return el._reregistered(merged, merged.registry.without_path("1", "r1v"))
+
+    fanned = lambda s: pbs_fan_out(s, "1", ["r1"])[0]
     pm_out = ("r2", "dark", "dark", "r2")
 
     def pm_merged(t):
@@ -464,8 +483,11 @@ def _pbs_family():
     same = lambda s: s
     return {
         "pbs": (same, split, lambda s: _uncached(el._with_paths(s, "1", "h1"), "1", split_in)),
-        "pbs_merge": (split, lambda t: el.pbs_merge(t, "1", "r1", "h1", "r1"),
-                      lambda t: _uncached(t, "1", merge_in)),
+        "pbs_fan_out": (
+            same, lambda s: pbs_fan_out(s, "1", ["t1", "s1"])[0],
+            lambda s: _uncached(el._with_paths(s, "1", "t1v", "s1v"), "1",
+                                {("t1", "V"): [(1, "t1v", "H")], ("s1", "V"): [(1, "s1v", "H")]})),
+        "pbs_fan_in": (fanned, lambda t: pbs_fan_in(t, "1", ["r1"], ["r1v"]), fanned_in),
         "pbs_pm": (same, pm, lambda s: _uncached(el._with_paths(s, "2", "p2", "m2"), "2", pm_in(s))),
         "pbs_pm_merge": (pm, lambda t: el.pbs_pm_merge(t, "2", "p2", "m2", "r2"), pm_merged),
         "pbs_pm_fan_out": (
@@ -476,8 +498,8 @@ def _pbs_family():
     }
 
 
-@pytest.mark.parametrize("name", ["pbs", "pbs_merge", "pbs_pm", "pbs_pm_merge", "pbs_pm_fan_out",
-                                  "pol_unitary"])
+@pytest.mark.parametrize("name", ["pbs", "pbs_fan_out", "pbs_fan_in", "pbs_pm", "pbs_pm_merge",
+                                  "pbs_pm_fan_out", "pol_unitary"])
 def test_the_pbs_family_compiles_its_table_once_per_layout(name):
     prepare, call, route = _pbs_family()[name]
     for seed in (3, 4):

@@ -4,7 +4,6 @@ transformations of each gate family."""
 import cmath
 import json
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -31,10 +30,10 @@ from qubusim import pipelines as pl
 from qubusim import synthesis as syn
 from qubusim.analysis import alpha_for_beta2
 from qubusim.cli import DEMO_GATES, main
-from qubusim.detection import fock_outcomes, project_qubus_coherent
+from qubusim.detection import fock_outcomes
 from qubusim.state import Branch, ModeRegistry, StateError, _sorted_slots
 
-from conftest import haar_vec, score_outcomes, two_photon, THETA
+from conftest import block_outcomes, haar_vec, score_outcomes, two_photon, THETA
 
 
 def branch_state(reg, entries):
@@ -112,7 +111,8 @@ def test_c_path2_single_rail_reduces_to_c_path(alpha20):
     out2, rep2 = g.c_path2(s, "C", "T", ["r1"], alpha20, THETA)
     assert rep1.extras["rails"] == ("r1", "r1s") and rep2.extras["rails"] == ("r1", "r1n")
     assert json.dumps(rep1.feedforward).replace("r1s", "r1n") == json.dumps(rep2.feedforward)
-    assert [asdict(o) for o in rep1.outcomes] == [asdict(o) for o in rep2.outcomes]
+    assert rep1.outcomes.kind == rep2.outcomes.kind
+    assert rep1.outcomes.to_dicts() == rep2.outcomes.to_dicts()
     renamed = json.loads(json.dumps(state_to_dict(out1)).replace("r1s", "r1n"))
     assert renamed == state_to_dict(out2)
 
@@ -186,7 +186,8 @@ def test_parity_deterministic_over_all_outcomes(alpha20):
     target = parity_sorted_state(out.registry, a, b, c, d, "t1", fresh, "t2")
     assert fidelity(out, target) >= 1 - 1e-8
     assert rep.min_fidelity >= 1 - 1e-8
-    assert all(o.fidelity >= 1 - 1e-8 for o in rep.outcomes if o.probability > 1e-12)
+    table = rep.outcomes
+    assert all(f >= 1 - 1e-8 for p, f in zip(table.probabilities, table.fidelities) if p > 1e-12)
     assert rep.success_probability == pytest.approx(1.0, abs=1e-9)
 
 
@@ -324,6 +325,62 @@ def test_c_path3_displayed_coherent_pattern(alpha20):
             assert abs(q0) < 1e-12 * alpha20
 
 
+def _per_rail_fan_out(s, photon, rails):
+    """pbs_fan_out as two slot tables per rail: a PBS onto the fresh rail,
+    then σx on it."""
+    _per_rail_fan_out.calls += 1
+    fresh = []
+    for r in rails:
+        f = s.registry.fresh_path(r + "v")
+        s = el.wave_plate(el.pbs(s, photon, r, r, f), photon, f, "x")
+        fresh.append(f)
+    return s, fresh
+
+
+def _per_rail_fan_in(s, photon, rails, fresh):
+    """pbs_fan_in as two slot tables per rail: σx on the fresh rail, then the
+    PBS merge of (r, H) and (f, V) onto r, and the fresh rail dropped."""
+    _per_rail_fan_in.calls += 1
+    for r, f in zip(rails, fresh):
+        s = el._remap_slot(el.wave_plate(s, photon, f, "x"), photon, {(f, "V"): [(1, r, "V")]})
+        s = el._reregistered(s, s.registry.without_path(photon, f))
+    return s
+
+
+def _c_path3_split(alpha):
+    s = polarization_state(haar_vec(8, 77), [("1", "t1"), ("2", "t2"), ("3", "t3")])
+    mid, rep = g.c_path(s, "1", "2", alpha, THETA)
+    return g.c_path3(mid, "2", rep.extras["rails"], "3", alpha, THETA)
+
+
+def _multi_qubit(n):
+    def run(alpha):
+        s = polarization_state(haar_vec(2**n, 40 + n), [(str(i), f"t{i}") for i in range(1, n + 1)])
+        u = syn.random_haar_unitary(2**n, n)
+        return pl.multi_qubit_gate(s, [str(i) for i in range(1, n + 1)], u, alpha, THETA)
+    return run
+
+
+@pytest.mark.parametrize("run", [_c_path3_split, _multi_qubit(2), _multi_qubit(3), _multi_qubit(4)],
+                         ids=["c_path3-split", "multi-qubit-2", "multi-qubit-3", "multi-qubit-4"])
+def test_pbs_fans_match_the_per_rail_route_bit_for_bit(run, alpha20, monkeypatch):
+    g._stage_algebra.cache_clear()
+    want_out, want_rep = run(alpha20)
+    g._stage_algebra.cache_clear()  # a C-path-3 block's compile runs its fan-in
+    _per_rail_fan_out.calls = _per_rail_fan_in.calls = 0
+    for module in (g, pl):
+        monkeypatch.setattr(module, "pbs_fan_out", _per_rail_fan_out)
+        monkeypatch.setattr(module, "pbs_fan_in", _per_rail_fan_in)
+    out, rep = run(alpha20)
+    g._stage_algebra.cache_clear()
+    assert _per_rail_fan_out.calls and _per_rail_fan_in.calls
+    assert out.registry == want_out.registry
+    for a, b in ((out.amps, want_out.amps), (out.codes, want_out.codes),
+                 (out.qubus, want_out.qubus)):
+        assert np.array_equal(a, b)
+    assert json.dumps(rep.to_dict()) == json.dumps(want_rep.to_dict())
+
+
 # -- Disentangler ---------------------------------------------------------------
 
 
@@ -429,7 +486,7 @@ def test_merging_inverts_c_path(alpha20):
         )
         target = polarization_state(z, [("1", "t1"), ("A", "pa")])
         assert fidelity(out, target) >= 1 - 1e-8
-        probs = sorted(o.probability for o in rep2.outcomes)
+        probs = sorted(rep2.outcomes.probabilities)
         assert all(p == pytest.approx(0.25, abs=1e-4) for p in probs)
 
 
@@ -633,15 +690,16 @@ def _report_tree(rep):
 
 def _assert_outcome_rows(rep, doc=None):
     """Every report of the tree (doc: its JSON, else to_dict's) writes its
-    table's kind once, as outcome_kind, and each entry's other fields as a
-    row: with the kind put back, the rows are the entries' dicts."""
+    table's kind once, as outcome_kind, and each outcome as a row of its
+    value, probability and fidelity, read off the table's columns."""
     if doc is None:
         doc = rep.to_dict()
-    assert isinstance(rep.outcomes, g.OutcomeTable)
-    assert doc["outcome_kind"] == rep.outcomes.kind
+    table = rep.outcomes
+    assert isinstance(table, g.OutcomeTable)
+    assert doc["outcome_kind"] == table.kind
     assert all(set(row) == {"value", "probability", "fidelity"} for row in doc["outcomes"])
-    kind = {"kind": doc["outcome_kind"]}
-    assert [{**row, **kind} for row in doc["outcomes"]] == [asdict(o) for o in rep.outcomes]
+    rows = [(row["value"], row["probability"], row["fidelity"]) for row in doc["outcomes"]]
+    assert rows == list(zip(table.values, table.probabilities, table.fidelities))
     for child, node in zip(rep.children, doc["children"], strict=True):
         _assert_outcome_rows(child, node)
 
@@ -655,17 +713,11 @@ def test_outcome_table_columns_read_as_entries():
     rows = list(zip(table.values, table.probabilities, table.fidelities))
     assert len(table) == len(rows) > 500 and all(type(v) is int for v, _, _ in rows)
     success = 0.0
-    for o in table:  # the success mass is summed in outcome order
-        if o.fidelity >= 1.0 - g.AGREEMENT_TOL:
-            success += o.probability
+    for _, p, f in rows:  # the success mass is summed in outcome order
+        if f >= 1.0 - g.AGREEMENT_TOL:
+            success += p
     assert rep.success_probability == success
     assert rep.min_fidelity == min(1.0, *table.fidelities)
-    entries = [g.OutcomeEntry("fock", *row) for row in rows]
-    assert list(table) == entries
-    assert table[0] == entries[0] and table[-1] == entries[-1] and table[-2] == entries[-2]
-    assert table[1:3] == entries[1:3] and table[::-2] == entries[::-2]
-    with pytest.raises(IndexError):
-        table[len(rows)]
     doc = rep.to_dict()
     assert doc["outcome_kind"] == "fock"
     assert doc["outcomes"][0] == {"value": 0, "probability": rows[0][1], "fidelity": rows[0][2]}
@@ -683,7 +735,7 @@ def test_outcome_tables_of_presence_readouts_and_report_trees(alpha20):
     )
     assert rep.outcomes is rep.children[-1].outcomes  # the readout stage's table
     assert rep.outcomes.kind == "presence" and len(rep.outcomes) == 4
-    assert all(isinstance(o.value, str) for o in rep.outcomes)
+    assert all(isinstance(v, str) for v in rep.outcomes.values)
     _assert_outcome_rows(rep)
 
     s = polarization_state(haar_vec(8, 9), [("1", "t1"), ("2", "t2"), ("3", "t3")])
@@ -851,7 +903,7 @@ def test_presence_stage_lists_arms_with_no_outcome(alpha20):
     # a control already in |+> is only ever found on the plus arm
     s = tensor(plus_photon("1", "t1"), pol_qubit("2", "t2", 0.6, 0.8))
     out, rep = g.disentangler(s, "1", "2", v_rails=["t2"])
-    assert [o.value for o in rep.outcomes] == ["t1p"]
+    assert list(rep.outcomes.values) == ["t1p"]
     assert [label for label, _ in rep.feedforward] == ["+", "-"]
     assert len(rep.feedforward[1][1]) == 2  # sigma_z on the control, pi on t2
     assert fidelity(out, s) >= 1 - 1e-12
@@ -868,32 +920,22 @@ def test_success_mass_reads_1_within_rounding_and_raises_above():
 # -- the batched qubus block against the per-outcome loop ---------------------------
 
 
-def _outcome_loop(s, couplings, alpha, theta, plan, post=None):
+def _outcome_loop(*args, **kwargs):
     """The reference block: collapse, correct, dispose and score each outcome alone."""
-    coupled, (b0, b1) = g.couple_qubus_pair(s, couplings, alpha, theta)
-    corrected = []
-    for rec in fock_outcomes(coupled, b0):
-        st = plan.correct(rec.collapsed, rec.value)
-        st, _ = project_qubus_coherent(st, b1)
-        if post is not None:
-            st = post.apply(st)
-        corrected.append((rec.value, rec.probability, st))
-    return score_outcomes("fock", corrected)
+    return score_outcomes("fock", block_outcomes(*args, **kwargs))
 
 
 def _assert_block_matches_loop(got, ref):
-    assert [o.value for o in got.outcomes] == [o.value for o in ref.outcomes]
-    for a, b in zip(got.outcomes, ref.outcomes):
-        assert abs(a.probability - b.probability) <= 1e-12
-        assert abs(a.fidelity - b.fidelity) <= 1e-12
+    """Every outcome's value, probability and fidelity to 1e-12, and the
+    representative's state."""
+    a, b = got.outcomes, ref.outcomes
+    assert a.kind == b.kind and list(a.values) == list(b.values)
+    assert np.abs(np.subtract(a.probabilities, b.probabilities)).max(initial=0.0) <= 1e-12
+    assert np.abs(np.subtract(a.fidelities, b.fidelities)).max(initial=0.0) <= 1e-12
     assert abs(got.success_probability - ref.success_probability) <= 1e-12
     assert abs(got.min_fidelity - ref.min_fidelity) <= 1e-12
     assert got.value == ref.value
     assert state_to_dict(got.state) == state_to_dict(ref.state)
-    assert len(got.states) == len(ref.states)
-    for (v, p, st), (rv, rp, rst) in zip(got.states, ref.states):
-        assert v == rv and abs(p - rp) <= 1e-12
-        assert fidelity(st, rst) >= 1 - 1e-12
 
 
 _BLOCK_RUNS = {name: [name, "--beta2", "20", "--input", "haar:3"] for name in DEMO_GATES}
@@ -950,7 +992,7 @@ def test_block_with_tied_disposal_values_takes_the_outcome_route(monkeypatch):
     alpha = alpha_for_beta2(20.0, THETA)
     got = g.run_qubus_block(s, couplings, alpha, THETA, plan)
     assert len(got.outcomes) == 61
-    assert sorted(routed) == [o.value for o in got.outcomes]
+    assert sorted(routed) == list(got.outcomes.values)
     _assert_block_matches_loop(got, _outcome_loop(s, couplings, alpha, THETA, plan))
 
 
@@ -1050,13 +1092,12 @@ def test_a_corrupted_compiled_block_fails_the_route_check():
         g._stage_algebra.cache_clear()
 
 
-def _uncompiled_outputs(found, plan, beam, post=None):
-    """Each outcome's batched output as the block builds it without compiling:
-    the coupled state corrected by the outcome's row, projected onto the
+def _uncompiled_parts(found, plan, beam, post=None):
+    """Each outcome's group as the block builds it without compiling: the
+    coupled state corrected by the outcome's row, projected onto the
     sum-port value of its largest row (canonicalize drops the dust), post
-    applied, split by measured value and summed with the outcome's weights."""
-    from qubusim.detection import _project_onto, _quadratic_forms, _split_by_value
-    from qubusim.state import _gram
+    applied and split by measured value into its K parts."""
+    from qubusim.detection import _project_onto, _split_by_value
 
     out = []
     for i, n in enumerate(found.values):
@@ -1067,15 +1108,7 @@ def _uncompiled_outputs(found, plan, beam, post=None):
         if post is not None:
             kept = post.apply(kept)
         m = kept.registry.qubus_index(found.state.registry.qubus_modes[found.mode_index])
-        parts = _split_by_value(kept, m, found.beam_values)[1]
-        w = found.weights[:, i]
-        scale = w / np.sqrt(_quadratic_forms(_gram(parts), w[:, None])[0])
-        out.append(HybridState._rows(
-            parts[0].registry,
-            np.concatenate([part.amps * c for c, part in zip(scale, parts) if c != 0]),
-            np.concatenate([part.codes for c, part in zip(scale, parts) if c != 0]),
-            np.concatenate([part.qubus for c, part in zip(scale, parts) if c != 0]),
-        ).canonical())
+        out.append(_split_by_value(kept, m, found.beam_values)[1])
     return out
 
 
@@ -1115,11 +1148,17 @@ def test_compiled_outputs_keep_the_rows_of_the_uncompiled_block(block):
     assert (cells // k % k != cells % k).any() == (block is _mixing_block)  # cells across parts
     _assert_block_matches_loop(g.run_qubus_block(s, couplings, alpha, theta, plan),
                                _outcome_loop(s, couplings, alpha, theta, plan))
-    for i, want in enumerate(_uncompiled_outputs(found, plan, b1)):
-        got = outputs[i][2]
-        assert np.array_equal(got.codes, want.codes), found.values[i]
-        assert np.array_equal(got.qubus, want.qubus)
-        assert np.abs(got.amps - want.amps).max() <= 1e-12
+    # each outcome's group: its part rows, bit for bit in codes and beam values
+    alg, z = outputs.algebra, outputs.part_amps
+    for i, parts in enumerate(_uncompiled_parts(found, plan, b1)):
+        group = (alg.cell // k == outputs.group_of[i]) & (z != 0)
+        assert len(parts) == k
+        for part, want in enumerate(parts):
+            rows = np.flatnonzero(group & (alg.cell % k == part))
+            assert alg.registry == want.registry
+            assert np.array_equal(alg.codes[rows], want.codes), (found.values[i], part)
+            assert np.array_equal(alg.qubus[rows], want.qubus)
+            assert np.abs(z[rows] - want.amps).max(initial=0.0) <= 1e-12
 
 
 # -- the readout stages: Bell and presence through the stage algebra ----------------

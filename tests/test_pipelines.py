@@ -124,7 +124,7 @@ def test_teleport_all_16_outcomes_agree():
         if child.gate.startswith("bell"):
             assert child.min_fidelity >= 1 - 1e-8
             assert len(child.outcomes) == 4
-            assert sum(o.probability for o in child.outcomes) == pytest.approx(1.0, abs=1e-9)
+            assert sum(child.outcomes.probabilities) == pytest.approx(1.0, abs=1e-9)
     assert rep.success_probability == pytest.approx(1.0, abs=1e-8)
 
 
