@@ -37,7 +37,7 @@ def _poisson_cutoff(mean: float, name: str, cutoff: int | None = None) -> int:
         raise AnalysisError(f"{name} must be a finite number >= 0, got {mean!r}")
     cutoff = default_fock_cutoff(mean) if cutoff is None else cutoff
     if cutoff > MAX_FOCK_CUTOFF:
-        raise AnalysisError(f"the Poisson sum at {name} = {mean:.6g} needs cutoff {cutoff}, "
+        raise AnalysisError(f"the Poisson sum at {name} = {mean:.6g} needs cutoff {cutoff:.7g}, "
                             f"above the limit {MAX_FOCK_CUTOFF}")
     return cutoff
 

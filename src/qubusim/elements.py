@@ -214,17 +214,6 @@ def _remap(s: HybridState, pid: str, build: Callable, *args) -> HybridState:
     return _apply_images(s, *_images(s.registry, pid, build, args))
 
 
-def _remap_slot(s: HybridState, pid: str, table: dict) -> HybridState:
-    """Expand each row through table[(path, pol)] -> [(coef, path, pol), ...],
-    as `_remap` does for a table given whole."""
-    return _remap(s, pid, _given, tuple((slot, tuple(row)) for slot, row in table.items()))
-
-
-def _given(reg: ModeRegistry, pid: str, items: tuple) -> dict:
-    """The table of `_remap_slot`, from its items."""
-    return dict(items)
-
-
 def _require_paths(reg: ModeRegistry, pid: str, *paths: str) -> None:
     """Every path named must be registered for the photon."""
     registered = reg.paths_of(pid)

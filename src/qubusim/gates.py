@@ -13,38 +13,39 @@ nondeterminism left (≤ ~e^{−|β|²} in fidelity, with |β|² = 2α²sin²θ)
 Every measurement stage runs through one stage algebra.  A readout splits
 the stage's input into K parts ψ_k, and outcome i is Σ_k w[k, i] ψ_k,
 corrected by its FeedForwardPlan row; a qubus block then disposes of its
-sum port and applies its post step.  The cases are:
+sum port.  The cases are:
   * a qubus block: the parts are the rows at each distinct value α_k of the
     difference port (0 and ±β in every gate here), and w[k, n] = ⟨n|α_k⟩;
   * a Bell readout (the teleport transform): the parts are the pair's
     patterns HH, HV, VH and VV, both photons dropped, and w[k, j] =
-    _BELL[k, j]/√2 (K = 4, no disposal beam, the row chosen by outcome);
+    _BELL[k, j]/√2 (K = 4, no disposal beam);
   * a presence readout: the parts are the photon's arms, w is the
     identity, and the Disentangler's arms' PBS± recombination, or the
     release of a Merging gate's detected photon, ends the split.
-Correction, disposal and post are linear once the disposal value is fixed,
-and act on photons only, so each (feed-forward row, disposal value) group
-gives every outcome of it from K fixed parts.  None of that depends on the
+Correction and disposal are linear once the disposal value is fixed, and
+act on photons only, so each (feed-forward row, disposal value) group gives
+every outcome of it from K fixed parts.  None of that depends on the
 amplitudes: for one input structure (registry, label codes and beam values)
-with one readout, plan, disposal beam and post step, the stage is compiled
-once (_stage_algebra) into each group's part rows as maps of the input
-amplitudes and the overlaps of those rows.  A readout whose weights are
-fixed (Bell, presence) folds them into the compile, so its parts are its
-outcomes, each corrected only by its own row.  The beam values are part of
-the structure, so a new α or θ compiles afresh: the cache pays off only
-when a structure repeats.  A block call still couples and enumerates the
-Fock outcomes (the MIN_PROB cut and the tail check); then every stage only
-does array work on its amplitudes: a block's dominant disposal value per
-outcome and the TIE_TOL tie rule, the parts (with canonicalize's dust rule
-after a disposal), one K×K Gram matrix per group for the norms (a readout
-without a beam reads its probabilities there and cuts them at MIN_PROB),
-and the overlaps with the representative.  Only the representative, and
-every outcome whose disposal value is not unique, get a state: the
-per-outcome route (a block's collapse, correct, dispose, post; a readout's
-detection call for that one outcome, then its correction, and a Merging
-gate's remove_photon); the representative's batched overlap with its
-route's state, over its Gram norm, must be 1, so the compiled algebra is
-checked on every call.
+with one readout and plan, the stage is compiled once (_stage_algebra) into
+each group's part rows as maps of the input amplitudes and the overlaps of
+those rows.  A readout whose weights are fixed (Bell, presence) folds them
+into the compile, so its outcome k is its part k, corrected only by plan
+row k.  The beam values are part of the structure, so a new α or θ
+compiles afresh: the cache pays off only when a structure repeats.  A
+block call still couples and enumerates the Fock outcomes (the MIN_PROB cut
+and the tail check); then every stage only does array work on its
+amplitudes: a block's dominant disposal value per outcome and the TIE_TOL
+tie rule, the parts (with canonicalize's dust rule after a disposal), one
+K×K Gram matrix per group for the norms (a readout without a beam reads its
+probabilities there and cuts them at MIN_PROB), and the overlaps with the
+representative.  Only the representative, and every outcome whose disposal
+value is not unique, get a state: the per-outcome route (a block's
+collapse, correct, dispose; a readout's detection call for that one
+outcome, then its correction, and a Merging gate's remove_photon); the
+representative's batched overlap with its route's state, over its Gram
+norm, must be 1, so the compiled algebra is checked on every call.
+C-path-3's fan-in is one unitary on every outcome, so it leaves the scores
+as they are and runs once, on the gate's output.
 
 The parity gate and the C-path family share one rail-routing block: a fresh
 rail opens beside each target rail with a 50:50 split, and even n switches
@@ -408,20 +409,6 @@ def couple_qubus_pair(
     return s, beams
 
 
-@dataclass(frozen=True)
-class FanIn:
-    """A qubus block's post step as data: pbs_fan_in of the photon's fresh
-    rails back onto its rails (σx and a PBS merge per rail, then the fresh
-    rail dropped).  Being data, a block's post is hashable."""
-
-    photon: str
-    rails: tuple[str, ...]
-    fresh: tuple[str, ...]
-
-    def apply(self, s: HybridState) -> HybridState:
-        return pbs_fan_in(s, self.photon, self.rails, self.fresh)
-
-
 class _PmMerge(NamedTuple):
     """A presence readout's recombination as data: pbs_pm_merge of the
     photon's plus and minus arms onto out, then both arms dropped from the
@@ -438,14 +425,11 @@ class _PmMerge(NamedTuple):
         return _reregistered(s, reg)
 
 
-def _outcome_route(
-    rec: MeasurementRecord, plan: FeedForwardPlan, beam: str, post: FanIn | None
-) -> HybridState:
-    """One outcome on its own: feed-forward on its collapsed state, disposal of
-    the beam onto its dominant value, then post."""
+def _outcome_route(rec: MeasurementRecord, plan: FeedForwardPlan, beam: str) -> HybridState:
+    """One outcome on its own: feed-forward on its collapsed state, then
+    disposal of the beam onto its dominant value."""
     st = plan.correct(rec.collapsed, rec.value)
-    st, _ = project_qubus_coherent(st, beam)
-    return st if post is None else post.apply(st)
+    return project_qubus_coherent(st, beam)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +458,11 @@ def _measured(
 
 class _FockParts(NamedTuple):
     """A qubus block's readout: its parts are the rows at each distinct value
-    of beam column `measured`, in row order (as FockPmf's values), and every
-    feed-forward row corrects every part (rows None)."""
+    of beam column `measured`, in row order (as FockPmf's values), every
+    feed-forward row corrects every part, and `beam` is disposed of."""
 
     measured: int
-    rows = None
+    beam: str
 
     def split(self, s: HybridState) -> tuple[HybridState, int, list]:
         return s, self.measured, list(dict.fromkeys(s.qubus[:, self.measured].tolist()))
@@ -494,12 +478,10 @@ class _BellParts(NamedTuple):
     """A Bell readout of (pid_a, pid_b), both photons dropped.  Its four
     pattern parts HH, HV, VH and VV (detection._bell_pattern) enter outcome j
     with the fixed weights _BELL_WEIGHTS[:, j], so the split folds them in:
-    its parts are the outcomes, in BELLS order, and rows[j] is the one
-    feed-forward row that corrects outcome j."""
+    its parts are the outcomes, in BELLS order."""
 
     pid_a: str
     pid_b: str
-    rows: tuple[int, ...]
 
     def split(self, s: HybridState) -> tuple[HybridState, int, list]:
         pattern, _ = _bell_pattern(s, self.pid_a, self.pid_b)
@@ -543,16 +525,14 @@ class _Release(NamedTuple):
 
 class _PresenceParts(NamedTuple):
     """A presence readout: the split ops run, its parts are the rows with the
-    photon on each of paths (rows elsewhere are not read), the end step
+    photon on each of paths (rows elsewhere are not read), and the end step
     (the Disentangler's _PmMerge, a Merging gate's _Release) finishes the
-    split, and rows[k] is the one feed-forward row that corrects part k.
-    Each part is an outcome: the weights are the identity."""
+    split.  Each part is an outcome: the weights are the identity."""
 
     photon: str
     paths: tuple[str, ...]
     split_ops: tuple[el.ElementOp, ...]
     end: _PmMerge | _Release
-    rows: tuple[int, ...]
 
     def split(self, s: HybridState) -> tuple[HybridState, int, list]:
         s = el.apply_elements(s, self.split_ops)
@@ -569,12 +549,11 @@ class _Algebra(NamedTuple):
     """A stage's compiled algebra (see _stage_algebra).
 
     A group is one (feed-forward row, disposal value v): the input corrected
-    by the row, projected onto ⟨v| on the disposal beam, post applied and
-    split into its K parts; a stage without a disposal beam has one group
-    per row, and a readout with rows holds in each group only the parts
-    that row corrects.  R is the number of input rows.  A map is (target,
-    source, coefficient) arrays, one entry per term, so it is linear in R
-    (see _gather); every array is read-only.
+    by the row, projected onto ⟨v| on the disposal beam and split into its
+    K parts; a readout without a disposal beam has one group per row, which
+    holds only the part of that row's outcome.  R is the number of input
+    rows.  A map is (target, source, coefficient) arrays, one entry per
+    term, so it is linear in R (see _gather); every array is read-only.
     """
 
     branch: tuple | None  # map onto (basis, rows, K) flattened: each feed-forward
@@ -623,14 +602,12 @@ def _stage_algebra(
     qubus: bytes,
     readout: _FockParts | _BellParts | _PresenceParts,
     rows: tuple[tuple[el.ElementOp, ...], ...],
-    beam: str | None,
-    post: FanIn | None,
 ) -> _Algebra:
     """What a readout stage does that does not depend on the amplitudes.
 
     The input's rows (registry reg, label codes and beam values as bytes),
-    the readout that splits them into K parts, the feed-forward rows, the
-    disposal beam (None for none) and the post step fix every step of the
+    the readout that splits them into K parts (a qubus block's also names
+    its disposal beam) and the feed-forward rows fix every step of the
     stage but the amplitudes, and every step is linear in them.  So each
     step runs once, on a tagged copy of the R input rows: an extra beam
     column holds each row's index, which keeps the rows of different sources
@@ -639,13 +616,13 @@ def _stage_algebra(
     qubus block's measured beam; a column of its own for a Bell or presence
     readout, whose split drops or recombines photons).  Merging the results
     by canonicalize's rule gives each output row as a fixed combination of
-    input rows.  The copies of every feed-forward row (of the parts it
-    corrects, where the readout names each part's row), and then of every
-    group, go through the steps side by side in one state, so a compile
-    takes one correction per row and one projection, post step and merge
-    for all groups.  The beam values are part of the key, so a block at a
-    new α or θ compiles afresh; only stages that repeat their structure (one
-    gate on many inputs) gain from the cache.
+    input rows.  The copies of every feed-forward row (of every part for a
+    qubus block, of part k alone for plan row k of a beamless readout), and
+    then of every group, go through the steps side by side in one state, so
+    a compile takes one correction per row and one projection and merge for
+    all groups.  The beam values are part of the key, so a block at a new α
+    or θ compiles afresh; only stages that repeat their structure (one gate
+    on many inputs) gain from the cache.
     """
     codes = np.frombuffer(codes, np.int64)
     qubus = np.frombuffer(qubus, complex).reshape(len(codes), -1)
@@ -656,26 +633,23 @@ def _stage_algebra(
     split, measured, values = readout.split(tagged)
     reg = split.registry.without_qubus(tag)
     modes, mode, k = len(reg.qubus_modes), reg.qubus_modes[measured], len(values)
-    # every feed-forward row corrects a tagged copy, side by side, the row in
-    # beam column `key`, which keeps rows of different copies from merging
     key = reg.fresh_qubus("key")
-    copies = [split] * len(rows)
-    if readout.rows is not None:
-        row_of = np.array(readout.rows)[split.qubus[:, measured].real.astype(int)]
-        copies = [HybridState._derived(split.registry, split.amps[m], split.codes[m],
-                                       split.qubus.take(m, 0))
-                  for m in (np.flatnonzero(row_of == r) for r in range(len(rows)))]
-    corrected = [el.apply_elements(x, ops) for x, ops in zip(copies, rows)]
-    beams = np.concatenate([x.qubus for x in corrected])
-    copy = np.repeat(np.arange(len(rows)), [len(x.amps) for x in corrected])
-    every = HybridState._rows(
-        reg.with_qubus(key).with_qubus(tag), np.concatenate([x.amps for x in corrected]),
-        np.concatenate([x.codes for x in corrected]),
-        np.column_stack((beams[:, :-1], copy, beams[:, -1])))
-    branch = group = None
-    kept, groups = every, len(rows)
-    if beam is not None:
-        idx = reg.qubus_index(beam)
+
+    def corrected(copies: list) -> HybridState:
+        # copy r corrected by feed-forward row r, all side by side, r in beam
+        # column `key`, which keeps rows of different copies from merging
+        done = [el.apply_elements(x, ops) for x, ops in zip(copies, rows)]
+        beams = np.concatenate([x.qubus for x in done])
+        copy = np.repeat(np.arange(len(rows)), [len(x.amps) for x in done])
+        return HybridState._rows(
+            reg.with_qubus(key).with_qubus(tag), np.concatenate([x.amps for x in done]),
+            np.concatenate([x.codes for x in done]),
+            np.column_stack((beams[:, :-1], copy, beams[:, -1])))
+
+    branch, group, groups = None, None, len(rows)
+    if isinstance(readout, _FockParts):
+        every = corrected([split] * len(rows))
+        idx = reg.qubus_index(readout.beam)
         disposals = {v: c for c, v in enumerate(dict.fromkeys(split.qubus[:, idx].tolist()))}
         c = len(disposals)
         unmeasured = [x for x in range(modes) if x != measured]
@@ -695,9 +669,14 @@ def _stage_algebra(
         kept = _project_onto(HybridState._rows(every.registry, np.tile(every.amps, c),
                                                np.tile(every.codes, c), q),
                              idx, np.array(list(disposals))[d, None])
-        groups = len(rows) * c
-    if post is not None:
-        kept = post.apply(kept)
+        groups *= c
+    else:
+        # outcome r is part r, corrected by plan row r alone: every beamless
+        # plan lists its rows in outcome order
+        own = split.qubus[:, measured].real.astype(int)
+        kept = corrected([HybridState._derived(split.registry, split.amps[m], split.codes[m],
+                                               split.qubus.take(m, 0))
+                          for m in (np.flatnonzero(own == r) for r in range(len(rows)))])
     m, at = kept.registry.qubus_index(mode), kept.registry.qubus_index(key)
     rest = [x for x in range(at) if x != m]
     first, merged, part, source, coef = _compile_rows(kept, [*rest, m, at], values, m)
@@ -719,13 +698,9 @@ def _stage_algebra(
     return algebra
 
 
-def _algebra_of(
-    s: HybridState, readout, plan: FeedForwardPlan, beam: str | None = None,
-    post: FanIn | None = None,
-) -> _Algebra:
+def _algebra_of(s: HybridState, readout, plan: FeedForwardPlan) -> _Algebra:
     """The stage algebra of input s (see _stage_algebra)."""
-    return _stage_algebra(s.registry, s.codes.tobytes(), s.qubus.tobytes(), readout, plan.rows,
-                          beam, post)
+    return _stage_algebra(s.registry, s.codes.tobytes(), s.qubus.tobytes(), readout, plan.rows)
 
 
 class _StageOutputs:
@@ -761,8 +736,7 @@ class _StageOutputs:
         self.algebra, self.route, self.routed = alg, route, {}
         z = _gather(alg.parts, s.amps, len(alg.codes))
         if alg.group is not None:
-            # the post step is a one-to-one relabelling, so the dust rule of
-            # the projection's canonicalize applies to the part rows as it stands
+            # the part rows are the projection's rows: its canonicalize's dust rule
             z[abs(z) < CANON_TOL] = 0.0
         self.part_amps = z
         # every group's K×K Gram matrix, and a zero one last for group -1
@@ -834,17 +808,14 @@ class _StageOutputs:
         return _score(kind, self.values, self.probs, self.fidelities, self.routed.__getitem__)
 
 
-def _block_outputs(
-    found: FockOutcomes, plan: FeedForwardPlan, beam: str, post: FanIn | None
-) -> _StageOutputs:
+def _block_outputs(found: FockOutcomes, plan: FeedForwardPlan, beam: str) -> _StageOutputs:
     """A qubus block's outputs: the Fock outcomes of `found` through the
     block's compiled algebra, the disposal beam projected onto each
     outcome's dominant value; its route is _outcome_route."""
     st = found.state
-    alg = _algebra_of(st, _FockParts(found.mode_index), plan, beam, post)
+    alg = _algebra_of(st, _FockParts(found.mode_index, beam), plan)
     return _StageOutputs(st, alg, found.weights, found.values, plan.row_of(found.ns),
-                         lambda i, v: _outcome_route(found[i], plan, beam, post),
-                         found.probabilities)
+                         lambda i, v: _outcome_route(found[i], plan, beam), found.probabilities)
 
 
 def run_qubus_block(
@@ -853,7 +824,6 @@ def run_qubus_block(
     alpha: float,
     theta: float,
     plan: FeedForwardPlan,
-    post: FanIn | None = None,
 ) -> Scored:
     """Couple, measure the difference port, feed forward, dispose of the sum port.
 
@@ -861,11 +831,11 @@ def run_qubus_block(
     scored against the highest-probability outcome (see _StageOutputs).  The
     coupling and the Fock enumeration run on every call; the rest of the
     block runs through its algebra, compiled once per coupled-state
-    structure, plan, disposal beam and post (_stage_algebra), and checked
-    against the representative's per-outcome route.
+    structure and plan (_stage_algebra), and checked against the
+    representative's per-outcome route.
     """
     coupled, (b0, b1) = couple_qubus_pair(s, couplings, alpha, theta)
-    return _block_outputs(fock_outcomes(coupled, b0), plan, b1, post).scored("fock")
+    return _block_outputs(fock_outcomes(coupled, b0), plan, b1).scored("fock")
 
 
 def _readout_stage(
@@ -873,10 +843,11 @@ def _readout_stage(
     route: Callable[[int, object], HybridState],
 ) -> Scored:
     """A readout without a beam through its compiled algebra: its parts are
-    its outcomes (values, weights the identity), each corrected by its own
-    plan row, and every outcome from MIN_PROB up is scored."""
-    alg = _algebra_of(s, readout, plan)
-    return _StageOutputs(s, alg, np.eye(len(values)), values, readout.rows, route).scored(kind)
+    its outcomes (values, weights the identity), part k corrected by plan
+    row k, and every outcome from MIN_PROB up is scored."""
+    k = len(values)
+    return _StageOutputs(s, _algebra_of(s, readout, plan), np.eye(k), values, np.arange(k),
+                         route).scored(kind)
 
 
 def run_bell_stage(s: HybridState, pid_a: str, pid_b: str, plan: FeedForwardPlan) -> Scored:
@@ -894,8 +865,7 @@ def run_bell_stage(s: HybridState, pid_a: str, pid_b: str, plan: FeedForwardPlan
         (rec,) = bell_outcomes(s, pid_a, pid_b, (value,))
         return plan.correct(rec.collapsed, value)
 
-    readout = _BellParts(pid_a, pid_b, tuple(plan.row_of(v) for v in BELLS))
-    return _readout_stage("bell", s, readout, BELLS, plan, route)
+    return _readout_stage("bell", s, _BellParts(pid_a, pid_b), BELLS, plan, route)
 
 
 def _block_report(
@@ -1235,7 +1205,9 @@ def c_path3(
     rail with polarization V (the all-controls-V component of a multi-control
     chain).  layout picks the Table-5 coupling arrangement ("split") or the
     coupling-saving variant with an upstream witness slot ("compact"); both
-    act identically.
+    act identically.  The split layout fans the first rail's V out before
+    the block and back in after it: the fan-in is one unitary on every
+    outcome, so the block's scores stand, and it runs once, on the output.
     """
     if len(control_rails) != 2:
         raise GateError(f"C-path-3 needs the control's two rails, got {list(control_rails)!r}")
@@ -1251,12 +1223,14 @@ def c_path3(
         control, first, first_aux, second, target, rail1, rail2, layout, witness
     )
     plan = _switch_plan(target, (rail1,), (rail2,))
-    unsplit = FanIn(control, (first,), (first_aux,)) if layout == "split" else None
-    block = run_qubus_block(s, couplings, alpha, theta, plan, post=unsplit)
+    block = run_qubus_block(s, couplings, alpha, theta, plan)
     report = _block_report(
         "c_path3", block, couplings, plan, rails=(rail1, rail2), layout=layout
     )
-    return block.state, report
+    out = block.state
+    if layout == "split":
+        out = pbs_fan_in(out, control, [first], [first_aux])
+    return out, report
 
 
 # ---------------------------------------------------------------------------
@@ -1313,7 +1287,7 @@ def _mach_zehnder(
         el.op("PolPhase", math.pi, photon=target, path=r, pol=None) for r in v_rails
     ]
     arms = (arm_p, arm_m)
-    readout = _PresenceParts(control, arms, (split,), _PmMerge(control, arm_p, arm_m, path), (0, 1))
+    readout = _PresenceParts(control, arms, (split,), _PmMerge(control, arm_p, arm_m, path))
     return readout, FeedForwardPlan([("+", []), ("-", minus)], arms.index)
 
 
@@ -1512,8 +1486,7 @@ def _readout(
         arms += [ap, am]
         rows += [(f"arm {k}+", fix), (f"arm {k}-", fix + [sz])]
     arms = tuple(arms)
-    readout = _PresenceParts(photon, arms, (*mesh, *fan), _Release(photon, arms[1::2]),
-                             tuple(range(len(arms))))
+    readout = _PresenceParts(photon, arms, (*mesh, *fan), _Release(photon, arms[1::2]))
     plan = FeedForwardPlan(rows, arms.index)
     return readout, plan, tuple(label[4:] for label in plan.labels)
 

@@ -43,7 +43,18 @@ def apply_path_unitary(
         for j, p in enumerate(paths)
         for pol in POLS
     }
-    return elements._remap_slot(s, photon, table)
+    return remap_slot(s, photon, table)
+
+
+def remap_slot(s: HybridState, pid: str, table: dict) -> HybridState:
+    """Expand each row through table[(path, pol)] -> [(coef, path, pol), ...]
+    by elements._remap, the table given whole (as hashable items)."""
+    return elements._remap(s, pid, _given, tuple((slot, tuple(row)) for slot, row in table.items()))
+
+
+def _given(reg, pid: str, items: tuple) -> dict:
+    """The slot table of remap_slot, from its items."""
+    return dict(items)
 
 
 def score_outcomes(kind: str, corrected: list) -> "gates.Scored":
@@ -64,16 +75,14 @@ def score_outcomes(kind: str, corrected: list) -> "gates.Scored":
                         lambda rep: corrected[rep][2])
 
 
-def block_outcomes(s, couplings, alpha, theta, plan, post=None) -> list:
-    """The reference qubus block: each Fock outcome collapsed, corrected,
-    disposed of and post-processed alone, (value, probability, state) each."""
+def block_outcomes(s, couplings, alpha, theta, plan) -> list:
+    """The reference qubus block: each Fock outcome collapsed, corrected and
+    disposed of alone, (value, probability, state) each."""
     coupled, (b0, b1) = gates.couple_qubus_pair(s, couplings, alpha, theta)
     corrected = []
     for rec in detection.fock_outcomes(coupled, b0):
         st = plan.correct(rec.collapsed, rec.value)
         st, _ = detection.project_qubus_coherent(st, b1)
-        if post is not None:
-            st = post.apply(st)
         corrected.append((rec.value, rec.probability, st))
     return corrected
 

@@ -180,6 +180,19 @@ def test_a_fock_cutoff_past_the_limit_is_refused_in_a_short_line(capsys):
     assert f"exceeds the limit {MAX_FOCK_CUTOFF}" in err and len(err) < 200, err
 
 
+@pytest.mark.parametrize("quantity", ["pmf", "P_E_direct", None], ids=["pmf", "P_E_direct", "fig2"])
+def test_a_poisson_cutoff_past_the_limit_is_refused_in_a_short_line(quantity, tmp_path, capsys):
+    if quantity is None:
+        argv = ["fig2", "--beta2", "1e250", "--out-prefix", str(tmp_path / "f_")]
+    else:
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"quantity": quantity, "grid": {"beta2": [1e250]}}))
+        argv = ["sweep", str(spec)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"needs cutoff 1e+250, above the limit {MAX_FOCK_CUTOFF}" in err and len(err) < 200, err
+
+
 def test_seed_is_read_by_a_bare_haar_input(tmp_path):
     bare, seeded = tmp_path / "bare.json", tmp_path / "seeded.json"
     common = ["--beta2", "20", "--out"]

@@ -32,7 +32,7 @@ from qubusim.gates import (
 )
 from qubusim.synthesis import random_haar_unitary
 
-from conftest import alpha_for, haar_vec
+from conftest import alpha_for, haar_vec, remap_slot
 
 
 def with_extra_path(s, pid, path):
@@ -142,13 +142,13 @@ def test_remap_slot_checks_only_the_images_it_emits(monkeypatch):
     s = with_extra_path(pol_qubit("1", "a", 1, 0), "1", "b")
     # a zero coefficient emits nothing, and an unoccupied slot's images are never emitted
     table = {("a", "H"): [(1, "b", "H"), (0, "nope", "H")], ("b", "V"): [(1, "nope", "H")]}
-    out = el._remap_slot(s, "1", table)
+    out = remap_slot(s, "1", table)
     assert amplitude_of(out, {"1": ("b", "H")}) == pytest.approx(1.0)
     # an emitted image raises what the HybridState constructor raises for its slot
     with pytest.raises(RegistryError, match="path 'nope' not registered for '1'"):
-        el._remap_slot(s, "1", {("a", "H"): [(0.6, "a", "H"), (0.8, "nope", "H")]})
+        remap_slot(s, "1", {("a", "H"): [(0.6, "a", "H"), (0.8, "nope", "H")]})
     with pytest.raises(StateError, match="bad polarization 'D'"):
-        el._remap_slot(s, "1", {("a", "H"): [(1, "a", "D")]})
+        remap_slot(s, "1", {("a", "H"): [(1, "a", "D")]})
 
 
 def test_pbs_routes_by_polarization():

@@ -4,6 +4,7 @@ transformations of each gate family."""
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from qubusim.cli import DEMO_GATES, main
 from qubusim.detection import fock_outcomes
 from qubusim.state import Branch, ModeRegistry, StateError, _sorted_slots
 
-from conftest import block_outcomes, haar_vec, score_outcomes, two_photon, THETA
+from conftest import block_outcomes, haar_vec, remap_slot, score_outcomes, two_photon, THETA
 
 
 def branch_state(reg, entries):
@@ -342,7 +343,7 @@ def _per_rail_fan_in(s, photon, rails, fresh):
     PBS merge of (r, H) and (f, V) onto r, and the fresh rail dropped."""
     _per_rail_fan_in.calls += 1
     for r, f in zip(rails, fresh):
-        s = el._remap_slot(el.wave_plate(s, photon, f, "x"), photon, {(f, "V"): [(1, r, "V")]})
+        s = remap_slot(el.wave_plate(s, photon, f, "x"), photon, {(f, "V"): [(1, r, "V")]})
         s = el._reregistered(s, s.registry.without_path(photon, f))
     return s
 
@@ -366,7 +367,7 @@ def _multi_qubit(n):
 def test_pbs_fans_match_the_per_rail_route_bit_for_bit(run, alpha20, monkeypatch):
     g._stage_algebra.cache_clear()
     want_out, want_rep = run(alpha20)
-    g._stage_algebra.cache_clear()  # a C-path-3 block's compile runs its fan-in
+    g._stage_algebra.cache_clear()  # each run compiles its own stages
     _per_rail_fan_out.calls = _per_rail_fan_in.calls = 0
     for module in (g, pl):
         monkeypatch.setattr(module, "pbs_fan_out", _per_rail_fan_out)
@@ -379,6 +380,26 @@ def test_pbs_fans_match_the_per_rail_route_bit_for_bit(run, alpha20, monkeypatch
                  (out.qubus, want_out.qubus)):
         assert np.array_equal(a, b)
     assert json.dumps(rep.to_dict()) == json.dumps(want_rep.to_dict())
+
+
+@pytest.mark.parametrize("flip, message", [
+    (0, "V component present on H input 'a' of PBS merge"),
+    (1, "H component present on V input 'av' of PBS merge"),
+], ids=["rail", "fresh-rail"])
+def test_c_path3_refuses_a_component_on_a_merge_s_wrong_port(flip, message, alpha20, monkeypatch):
+    # a fan-out that leaves its rail (its fresh rail) flipped puts V (H) on
+    # the merge's wrong port: the block runs, and the fan-in after it refuses
+    fan_out = g.pbs_fan_out
+
+    def flipped(s, photon, rails):
+        s, fresh = fan_out(s, photon, rails)
+        return el.wave_plate(s, photon, [*rails, *fresh][flip], "x"), fresh
+
+    s = polarization_state(haar_vec(4, 7), [("1", "a"), ("2", "t2")])
+    s = el.photon_bs(HybridState(s.registry.with_path("1", "b"), s.branches), "1", "a", "b")
+    monkeypatch.setattr(g, "pbs_fan_out", flipped)
+    with pytest.raises(StateError, match=re.escape(message)):
+        g.c_path3(s, "1", ("a", "b"), "2", alpha20, THETA)
 
 
 # -- Disentangler ---------------------------------------------------------------
@@ -1041,7 +1062,7 @@ def test_a_block_of_another_structure_misses_the_compiled_cache():
     # the same couplings under the parity table of the Entangler
     sx, sz = el.op("WavePlateX", photon="1", path=None), el.op("WavePlateZ", photon="1", path=None)
     assert _run_compiled(*_parity_block(haar, plan=g._parity_plan([sx], [sx, sz]))) == 1
-    # C-path-3 in both layouts: a post step, and one coupling fewer
+    # C-path-3 in both layouts: a fanned-out control rail, and one coupling fewer
     s = polarization_state(haar_vec(4, 7), [("1", "a"), ("2", "t2")])
     s = tensor(s, pol_qubit("3", "t3", 0.6, 0.8))
     s = el.photon_bs(HybridState(s.registry.with_path("1", "b"), s.branches), "1", "a", "b")
@@ -1082,7 +1103,7 @@ def test_a_corrupted_compiled_block_fails_the_route_check():
     found = fock_outcomes(coupled, b0)
     st = found.state
     alg = g._stage_algebra(st.registry, st.codes.tobytes(), st.qubus.tobytes(),
-                           g._FockParts(found.mode_index), args[4].rows, b1, None)
+                           g._FockParts(found.mode_index, b1), args[4].rows)
     try:
         alg.cell.setflags(write=True)
         alg.cell[:] += np.array([1, -1, 0])[alg.cell % len(found.beam_values)]
@@ -1092,11 +1113,11 @@ def test_a_corrupted_compiled_block_fails_the_route_check():
         g._stage_algebra.cache_clear()
 
 
-def _uncompiled_parts(found, plan, beam, post=None):
+def _uncompiled_parts(found, plan, beam):
     """Each outcome's group as the block builds it without compiling: the
     coupled state corrected by the outcome's row, projected onto the
-    sum-port value of its largest row (canonicalize drops the dust), post
-    applied and split by measured value into its K parts."""
+    sum-port value of its largest row (canonicalize drops the dust) and
+    split by measured value into its K parts."""
     from qubusim.detection import _project_onto, _split_by_value
 
     out = []
@@ -1105,8 +1126,6 @@ def _uncompiled_parts(found, plan, beam, post=None):
         v = one.qubus[np.argmax(abs(one.amps)), one.registry.qubus_index(beam)]
         every = plan.correct(found.state, n)
         kept = _project_onto(every, every.registry.qubus_index(beam), v)
-        if post is not None:
-            kept = post.apply(kept)
         m = kept.registry.qubus_index(found.state.registry.qubus_modes[found.mode_index])
         out.append(_split_by_value(kept, m, found.beam_values)[1])
     return out
@@ -1142,7 +1161,7 @@ def test_compiled_outputs_keep_the_rows_of_the_uncompiled_block(block):
     s, couplings, alpha, theta, plan = block()
     coupled, (b0, b1) = g.couple_qubus_pair(s, couplings, alpha, theta)
     found = fock_outcomes(coupled, b0)
-    outputs = g._block_outputs(found, plan, b1, None)
+    outputs = g._block_outputs(found, plan, b1)
     assert not outputs.routed
     k, cells = len(found.beam_values), outputs.algebra.gram[3]
     assert (cells // k % k != cells % k).any() == (block is _mixing_block)  # cells across parts
@@ -1261,10 +1280,40 @@ def test_a_readout_stage_of_another_plan_compiles_afresh():
                                                    g.BELLS.index)]
     g._stage_algebra.cache_clear()
     for plan in plans * 2:
-        readout = g._BellParts("2", "4", tuple(plan.row_of(v) for v in g.BELLS))
+        readout = g._BellParts("2", "4")
         _assert_block_matches_loop(g.run_bell_stage(s, "2", "4", plan),
                                    _readout_loop("bell", s, readout, plan))
     assert g._stage_algebra.cache_info().misses == 2
+
+
+def _merging_layout(n_rails, interference="qft"):
+    reg = ModeRegistry().with_photon("p", tuple(f"r{k}" for k in range(n_rails)))
+    companions = tuple((f"c{m}", None) for m in range(n_rails.bit_length() - 1))
+    readout, plan, _ = g._readout(reg, "p", reg.paths_of("p"), "A", companions, interference)
+    return readout.paths, plan
+
+
+def _disentangler_layout():
+    reg = ModeRegistry().with_photon("1", ("t1",)).with_photon("2", ("t2", "t2s"))
+    readout, plan = g._mach_zehnder(reg, "1", "t1", "2", ("t2s",))
+    return readout.paths, plan
+
+
+@pytest.mark.parametrize("layout", [
+    lambda: (g.BELLS, pl._bell_plan("3")),
+    lambda: (g.BELLS, pl._bell_plan("3", ("a", "b"), ("c", "d"))),
+    _disentangler_layout,
+    lambda: _merging_layout(2),
+    lambda: _merging_layout(4),
+    lambda: _merging_layout(4, "hadamard4"),
+    lambda: _merging_layout(8),
+], ids=["bell", "bell-rails", "disentangler", "merging-2", "merging-4", "merging-hadamard4",
+        "merging-8"])
+def test_every_beamless_plan_lists_its_rows_in_outcome_order(layout):
+    # a beamless readout's outcome k is its part k, and the stage corrects it by plan row k
+    values, plan = layout()
+    assert len(plan.rows) == len(values)
+    assert [plan.row_of(v) for v in values] == list(range(len(values)))
 
 
 def test_a_corrupted_readout_stage_fails_the_route_check():
@@ -1274,7 +1323,7 @@ def test_a_corrupted_readout_stage_fails_the_route_check():
     s = tensor(s, bell_state("phi+", ("a", "ta"), ("b", "tb")))
     plan = pl._bell_plan("b")
     g.run_bell_stage(s, "3", "a", plan)
-    readout = g._BellParts("3", "a", tuple(plan.row_of(v) for v in g.BELLS))
+    readout = g._BellParts("3", "a")
     alg = g._algebra_of(s, readout, plan)
     try:
         alg.cell.setflags(write=True)

@@ -167,7 +167,7 @@ def test_a_compiled_run_matches_the_elements_one_by_one(run):
     s = _spread(seed, counts)
     got = el.apply_elements(s, ops)
     want = s
-    for e in ops:  # the element functions, one _remap_slot each
+    for e in ops:  # the element functions, one _remap each
         want = el.apply_element(want, e)
     assert got.registry == want.registry
     assert np.array_equal(got.codes, want.codes)

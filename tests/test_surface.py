@@ -39,3 +39,32 @@ def test_every_public_name_is_used_outside_the_tests():
         name for name, k in defs.items() if len(re.findall(rf"\b{name}\b", text)) <= k
     )
     assert unused == []
+
+
+def _names_in(node: ast.AST) -> set:
+    """Every name a node reads: its names, attributes and imported names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_private_definition_is_used_in_the_library():
+    # a private module-level function or class counts as used when some
+    # other top-level statement of src/qubusim reads its name
+    bodies = [ast.parse(p.read_text()).body for p in sorted(SRC.glob("*.py"))]
+    statements = [node for body in bodies for node in body]
+    private = [node for node in statements
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert len(private) > 100
+    reads = [(node, _names_in(node)) for node in statements]
+    unused = sorted(
+        d.name for d in private if not any(d.name in names for node, names in reads if node is not d)
+    )
+    assert unused == []
