@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .detection import MAX_FOCK_CUTOFF, poisson_overlap, probe_peak_mean
+from .detection import MAX_FOCK_CUTOFF, _checked_cutoff, _short, poisson_overlap, probe_peak_mean
 from .numerics import default_fock_cutoff, poisson_pmf
 from .state import random_polarization_state
 from .gates import DEFAULTS, parity_gate
@@ -31,14 +31,18 @@ class AnalysisError(ValueError):
 
 def _poisson_cutoff(mean: float, name: str, cutoff: int | None = None) -> int:
     """The last n of a Poisson sum over mean `name`: cutoff, or by default
-    default_fock_cutoff(mean).  A mean that is negative or not finite, or a
-    cutoff above detection.MAX_FOCK_CUTOFF, is an error before any term."""
+    default_fock_cutoff(mean).  A mean that is negative or not finite, a
+    given cutoff that is not an int (or is a bool or negative), or a cutoff
+    above detection.MAX_FOCK_CUTOFF, is an error before any term."""
     if not (math.isfinite(mean) and mean >= 0):
         raise AnalysisError(f"{name} must be a finite number >= 0, got {mean!r}")
-    cutoff = default_fock_cutoff(mean) if cutoff is None else cutoff
+    if cutoff is None:
+        cutoff = default_fock_cutoff(mean)
+    else:
+        cutoff = _checked_cutoff(cutoff, AnalysisError)
     if cutoff > MAX_FOCK_CUTOFF:
-        raise AnalysisError(f"the Poisson sum at {name} = {mean:.6g} needs cutoff {cutoff:.7g}, "
-                            f"above the limit {MAX_FOCK_CUTOFF}")
+        raise AnalysisError(f"the Poisson sum at {name} = {mean:.6g} needs cutoff "
+                            f"{_short(cutoff)}, above the limit {MAX_FOCK_CUTOFF}")
     return cutoff
 
 

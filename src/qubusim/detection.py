@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -71,6 +72,28 @@ MAX_FOCK_CUTOFF = 10**6
 class MeasurementError(ValueError):
     """Raised for a measurement that cannot be enumerated: a split Bell photon,
     a beam too bright for the Fock cutoff limit, or a cutoff too small."""
+
+
+def _checked_cutoff(cutoff, error: type[Exception]) -> int:
+    """A cutoff that a caller gives, checked before it is used or printed: an
+    int (not a bool) that is not negative, else `error` naming it.  Its
+    upper limit, MAX_FOCK_CUTOFF, each caller checks with its own message."""
+    if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Integral):
+        raise error(f"cutoff must be an int from 0 to {MAX_FOCK_CUTOFF}, got {cutoff!r}")
+    if cutoff < 0:
+        raise error(f"cutoff {_short(cutoff)} is negative")
+    return int(cutoff)
+
+
+def _short(n: int) -> str:
+    """An int cutoff in .7g form, also past the float range (10**400 reads
+    1e+400), so a refusal stays one short line."""
+    try:
+        return f"{n:.7g}"
+    except OverflowError:  # n / 10**shift is exactly rounded and near 1e300
+        shift = len(str(abs(n))) - 301
+        mantissa, exponent = f"{n / 10**shift:.7g}".split("e")
+        return f"{mantissa}e+{int(exponent) + shift}"
 
 
 @dataclass(frozen=True)
@@ -179,11 +202,11 @@ def fock_distribution(
     P(n) only when the pmf's probs are read.  The enumerated mass Σ_n P(n)
     is Σ_jk G_jk M_jk, with the table's moments M_jk = Σ_n conj(⟨n|α_j⟩)
     ⟨n|α_k⟩: one K×K sum.  The cutoff defaults to mean + 12√mean of the
-    largest value's intensity; a mean that is not finite there, or any
-    cutoff above MAX_FOCK_CUTOFF, is an error before the table is
-    allocated.  If the enumerated mass misses 1 by more than tail_tol (or is
-    not a number) the cutoff was too small and an error reports the
-    measured tail mass.
+    largest value's intensity; a mean that is not finite there, a given
+    cutoff that is not an int (or is a bool or negative), or any cutoff
+    above MAX_FOCK_CUTOFF, is an error before the table is allocated.  If
+    the enumerated mass misses 1 by more than tail_tol (or is not a number)
+    the cutoff was too small and an error reports the measured tail mass.
     """
     idx = s.registry.qubus_index(mode)
     values, parts = _split_by_value(s, idx)
@@ -196,9 +219,11 @@ def fock_distribution(
                 f"(Fock cutoff limit {MAX_FOCK_CUTOFF})"
             )
         cutoff = default_fock_cutoff(mean)
+    else:
+        cutoff = _checked_cutoff(cutoff, MeasurementError)
     if cutoff > MAX_FOCK_CUTOFF:
         raise MeasurementError(
-            f"Fock cutoff {cutoff:.7g} for beam mean photon number {mean:.6g} "
+            f"Fock cutoff {_short(cutoff)} for beam mean photon number {mean:.6g} "
             f"exceeds the limit {MAX_FOCK_CUTOFF}"
         )
     fock = fock_table(values, cutoff)

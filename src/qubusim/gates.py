@@ -43,7 +43,10 @@ value is not unique, get a state: the per-outcome route (a block's
 collapse, correct, dispose; a readout's detection call for that one
 outcome, then its correction, and a Merging gate's remove_photon); the
 representative's batched overlap with its route's state, over its Gram
-norm, must be 1, so the compiled algebra is checked on every call.
+norm, must be 1, so the compiled algebra is checked on every call.  That
+check's row pairs and beam overlaps are memoized by the row structure of
+both sides (_route_pairing, as the state module keeps its index work); the
+part amplitudes and the algebra's cells are read afresh on every call.
 C-path-3's fan-in is one unitary on every outcome, so it leaves the scores
 as they are and runs once, on the gate's output.
 
@@ -95,17 +98,21 @@ from .detection import (
 from .registry import ModeRegistry
 from .state import (
     CANON_TOL,
+    INDEX_CACHE,
     H,
     V,
     HybridState,
     StateError,
     _ancilla,
     _binned,
+    _frozen,
     _pairs,
     _recode,
     _reregistered,
     _runs,
     _slot_digits,
+    _structure,
+    _unkeyed,
     attach_qubus,
     coherent_overlap,
     fidelity,
@@ -789,9 +796,9 @@ class _StageOutputs:
         ref, alg, w = self.routed[rep], self.algebra, self.weights
         # ⟨part|ref⟩ of every group's parts, paired over the part rows (sorted
         # by code); group -1 reads the zero row last
-        i, j = _pairs(alg.codes, _recode(ref.codes, ref.registry, alg.registry))
-        t = self.part_amps[i].conj() * ref.amps[j] * coherent_overlap(
-            alg.qubus.take(i, 0), ref.qubus.take(j, 0))
+        i, j, overlap = _route_pairing(_structure(alg.codes, alg.qubus), alg.registry,
+                                       _structure(ref.codes, ref.qubus), ref.registry)
+        t = self.part_amps[i].conj() * ref.amps[j] * overlap
         overlaps = _binned(alg.cell[i], t, (alg.groups + 1) * len(w))
         z = (overlaps.reshape(-1, len(w)) @ w.conj())[self.group_of, np.arange(len(self.values))]
         fids = np.abs(z / self.norms) ** 2
@@ -806,6 +813,17 @@ class _StageOutputs:
 
     def scored(self, kind: str) -> Scored:
         return _score(kind, self.values, self.probs, self.fidelities, self.routed.__getitem__)
+
+
+@functools.lru_cache(maxsize=INDEX_CACHE)
+def _route_pairing(key: tuple, reg: ModeRegistry, ref_key: tuple, ref_reg: ModeRegistry) -> tuple:
+    """The amplitude-free half of the route check (_StageOutputs.fidelities):
+    (i, j, ⟨q_i|q_j⟩) over every pair of a part row i (row structure key,
+    registry reg) and a route state's row j (ref_key, ref_reg, its codes
+    recoded into reg's layout) that share a label."""
+    (codes, qubus), (ref_codes, ref_qubus) = _unkeyed(key), _unkeyed(ref_key)
+    i, j = _pairs(codes, _recode(ref_codes, ref_reg, reg))
+    return _frozen(i, j, coherent_overlap(qubus.take(i, 0), ref_qubus.take(j, 0)))
 
 
 def _block_outputs(found: FockOutcomes, plan: FeedForwardPlan, beam: str) -> _StageOutputs:

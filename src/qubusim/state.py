@@ -29,6 +29,21 @@ otherwise each ket row pairs with a run of bra rows.
 never recomputes it.  Codes move between layouts by `_recode`, whose digit
 tables are compiled once per pair of layouts.
 
+Index work that does not read the amplitudes is memoized by exact row
+structure, since a gate meets the same labels and beam values on every
+input and only the amplitudes change.  `_runs` (canonical order and run
+starts), `_recode`, the pairing half of `_gram` (the row pairs, their
+coherent overlaps and their cells of G) and the gates module's route
+pairing each keep up to INDEX_CACHE results.  The key is the bytes of the
+label codes and beam values (`_structure`: a beam value one bit or one zero
+sign apart misses) and what else the result reads: the beams' shape, tol,
+the two layouts, each stacked state's row count.  A miss computes what an
+unmemoized call computes, so results are bit-identical, and every cached
+array is read-only.  `_overlap` (`norm`, `inner_product`, `fidelity`) and
+detection's `_project_onto` compute on every call: a state keeps its norm
+already, and the benchmark's trace counts coherent-overlap work through
+these calls.
+
 Polarization is stored in the H/V basis; |±⟩ = (|H⟩ ± |V⟩)/√2 is a derived
 view.  Path and mode names are symbolic strings resolved through a
 ModeRegistry, so pipeline stages can mint new paths (1', 2', ...) on the fly.
@@ -51,6 +66,10 @@ from .registry import POLS, H, ModeRegistry, RegistryError, Slot, StateError, V,
 
 #: default tolerance for merging/dropping branches in canonicalize()
 CANON_TOL = 1e-12
+
+#: row structures whose index work each memo keeps (_runs, _recode, _gram's
+#: pairing and the gates' route pairing)
+INDEX_CACHE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -94,17 +113,24 @@ def _recode(codes: np.ndarray, src: ModeRegistry, dst: ModeRegistry) -> np.ndarr
     Photons that dst does not register are dropped, photons only dst
     registers read as digit 0, and a row whose slot dst does not register
     gets the code -1.  The digit tables are compiled once per pair of
-    layouts (`_recoding`); a call decodes every kept digit of every row,
+    layouts (`_recoding`); a recode decodes every kept digit of every row,
     maps them in one gather and sums them with dst's strides in one dot.
+    It is kept per (codes, the two layouts), read-only.
     """
     if src._layout == dst._layout:
         return codes
-    stride, radix, offset, table, to_stride, lossy = _recoding(src._layout, dst._layout)
-    digits = table[codes[:, None] // stride % radix + offset]
+    return _recoded(np.asarray(codes, np.int64).tobytes(), src._layout, dst._layout)
+
+
+@functools.lru_cache(maxsize=INDEX_CACHE)
+def _recoded(codes: bytes, src: tuple, dst: tuple) -> np.ndarray:
+    """_recode's result for codes (as bytes) from layout src to layout dst."""
+    stride, radix, offset, table, to_stride, lossy = _recoding(src, dst)
+    digits = table[np.frombuffer(codes, np.int64)[:, None] // stride % radix + offset]
     out = digits @ to_stride
     if lossy:
         out[(digits < 0).any(axis=1)] = -1
-    return out
+    return _frozen(out)[0]
 
 
 @functools.lru_cache(maxsize=512)
@@ -131,9 +157,26 @@ def _recoding(src: tuple, dst: tuple) -> tuple:
         np.array(table, np.int64),
         np.array([dst_stride[dst_slot[src[i][0]]] for i in kept], np.int64),
     )
-    for a in compiled:
+    return _frozen(*compiled) + (-1 in table,)
+
+
+def _structure(codes: np.ndarray, qubus: np.ndarray) -> tuple[bytes, bytes, tuple]:
+    """Rows' exact structure as a memo's key: the bytes of their label codes
+    and beam values, and the beam values' shape."""
+    return np.asarray(codes, np.int64).tobytes(), np.asarray(qubus, complex).tobytes(), qubus.shape
+
+
+def _unkeyed(key: tuple[bytes, bytes, tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The (read-only) label codes and beam values of a _structure key."""
+    codes, qubus, shape = key
+    return np.frombuffer(codes, np.int64), np.frombuffer(qubus, complex).reshape(shape)
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a memo hands the same ones to every caller."""
+    for a in arrays:
         a.setflags(write=False)
-    return compiled + (-1 in table,)
+    return arrays
 
 
 def _increasing(codes: np.ndarray) -> bool:
@@ -156,7 +199,15 @@ def _canonical_order(codes: np.ndarray, qubus: np.ndarray) -> np.ndarray:
 def _runs(codes: np.ndarray, qubus: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(canonical order, run starts): in canonical order, a row starts a new
     run unless it has the code of the row before it and every beam value
-    within tol of that row's (|x − y| ≤ tol)."""
+    within tol of that row's (|x − y| ≤ tol).  Kept per (row structure,
+    tol), read-only."""
+    return _run_index(_structure(codes, qubus), tol)
+
+
+@functools.lru_cache(maxsize=INDEX_CACHE)
+def _run_index(key: tuple, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """_runs of the rows of a _structure key."""
+    codes, qubus = _unkeyed(key)
     order = _canonical_order(codes, qubus)
     codes = codes[order]
     new = np.empty(len(codes), bool)
@@ -165,7 +216,7 @@ def _runs(codes: np.ndarray, qubus: np.ndarray, tol: float) -> tuple[np.ndarray,
     for col in qubus.T:
         col = col[order]
         new[1:] |= abs(col[1:] - col[:-1]) > tol
-    return order, new
+    return _frozen(order, new)
 
 
 def _reregistered(s: HybridState, registry: ModeRegistry) -> HybridState:
@@ -359,23 +410,36 @@ def _binned(cells: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
 def _gram(states: Sequence[HybridState]) -> np.ndarray:
     """G[k, l] = ⟨states[k]|states[l]⟩: Σ conj(a_i) a_j ⟨q_i|q_j⟩ over row pairs with equal labels.
 
-    The states share one path layout.  With every row stacked in code order,
-    `_pairs` finds every pair, and one coherent_overlap call evaluates them
-    all, with or without beams.
+    The states share one path layout.  Their rows' pairs, beam overlaps and
+    cells of G come from `_gram_pairing`; a call only weighs the pairs by
+    their amplitudes and bins them.
     """
     reg = states[0].registry
     if any(st.registry._layout != reg._layout for st in states):
         raise RegistryError("a Gram matrix's states must share one path layout")
-    codes = np.concatenate([st.codes for st in states])
-    order = codes.argsort(kind="stable")
-    codes = codes[order]
-    ids = np.repeat(np.arange(len(states)), [len(st.amps) for st in states])[order]
-    amps = np.concatenate([st.amps for st in states])[order]
-    qubus = np.concatenate([st.qubus for st in states])[order]
-    i, j = _pairs(codes, codes)
-    w = amps[i].conj() * amps[j] * coherent_overlap(qubus.take(i, 0), qubus.take(j, 0))
+    key = _structure(np.concatenate([st.codes for st in states]),
+                     np.concatenate([st.qubus for st in states]))
+    i, j, overlap, cells = _gram_pairing(key, tuple(len(st.amps) for st in states))
+    amps = np.concatenate([st.amps for st in states])
     n = len(states)
-    return _binned(ids[i] * n + ids[j], w, n * n).reshape(n, n)
+    return _binned(cells, amps[i].conj() * amps[j] * overlap, n * n).reshape(n, n)
+
+
+@functools.lru_cache(maxsize=INDEX_CACHE)
+def _gram_pairing(key: tuple, rows: tuple[int, ...]) -> tuple:
+    """The amplitude-free half of _gram, for the stacked rows (a _structure
+    key) of states with `rows` rows each: with every row stacked in code
+    order, `_pairs` finds every pair, and one coherent_overlap call
+    evaluates them all, with or without beams.  Returns (i, j, ⟨q_i|q_j⟩,
+    cell) over the pairs, i and j indexing the stacked rows, cell = k·n + l
+    for rows of states k and l."""
+    codes, qubus = _unkeyed(key)
+    order = codes.argsort(kind="stable")
+    codes, qubus = codes[order], qubus[order]
+    ids = np.repeat(np.arange(len(rows)), rows)[order]
+    i, j = _pairs(codes, codes)
+    overlap = coherent_overlap(qubus.take(i, 0), qubus.take(j, 0))
+    return _frozen(order[i], order[j], overlap, ids[i] * len(rows) + ids[j])
 
 
 def inner_product(a: HybridState, b: HybridState) -> complex:

@@ -123,3 +123,21 @@ def checked_derivations(monkeypatch):
         return st
 
     monkeypatch.setattr(HybridState, "_derived", classmethod(checked))
+
+
+#: the memos of amplitude-free index work (state's module docstring)
+INDEX_MEMOS = ((state_mod, "_run_index"), (state_mod, "_recoded"),
+               (state_mod, "_gram_pairing"), (gates, "_route_pairing"))
+
+
+def uncache(monkeypatch) -> None:
+    """Empty every index memo before each of its calls, so every call
+    computes its result afresh."""
+    for module, name in INDEX_MEMOS:
+        memo = getattr(module, name)
+
+        def cold(*args, memo=memo):
+            memo.cache_clear()
+            return memo(*args)
+
+        monkeypatch.setattr(module, name, cold)

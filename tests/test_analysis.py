@@ -114,6 +114,23 @@ def test_direct_refuses_a_bright_beam_a_nan_mean_or_a_large_cutoff(no_poisson_te
             error_probability_direct(alpha, 0.05, 100.0, 0.9, 0.05, cutoff=cutoff)
 
 
+#: explicit cutoffs refused at the boundary, each with what its refusal says
+BAD_CUTOFFS = [
+    (10**400, "needs cutoff 1e\\+400, above the limit"),
+    (2.5, "cutoff must be an int from 0 to 1000000, got 2.5$"),
+    ("7", "cutoff must be an int from 0 to 1000000, got '7'$"),
+    (-1, "cutoff -1 is negative$"),
+    (True, "cutoff must be an int from 0 to 1000000, got True$"),
+]
+
+
+@pytest.mark.parametrize("cutoff, match", BAD_CUTOFFS,
+                         ids=["huge", "float", "str", "negative", "bool"])
+def test_direct_refuses_a_bad_explicit_cutoff_by_name(cutoff, match, no_poisson_terms):
+    with pytest.raises(AnalysisError, match=match):
+        error_probability_direct(30.0, 0.05, 100.0, 0.9, 0.05, cutoff=cutoff)
+
+
 def test_sweep_pmf_refuses_a_too_bright_beam(no_poisson_terms):
     for grid in ({"beta2": [1e9]}, {"alpha": [1e6]}):
         with pytest.raises(AnalysisError, match="beta2 = .* above the limit"):

@@ -30,7 +30,7 @@ from qubusim.cli import (
 from qubusim.detection import MAX_FOCK_CUTOFF
 from qubusim.synthesis import random_haar_unitary
 
-from conftest import THETA, haar_vec
+from conftest import THETA, haar_vec, uncache
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -949,3 +949,20 @@ def test_readme_marks_the_coupling_steps_and_each_sweep_quantitys_parameters():
             for name in names:
                 marked.setdefault(name, set()).update({cells[0]} if mark == "yes" else set())
     assert marked == {name: set(q.reads) for name, q in an._SWEEPS.items()}
+
+
+@pytest.mark.parametrize("name", DEMO_GATES)
+def test_warm_index_memos_give_every_demo_the_bytes_of_a_cold_run(name, tmp_path, monkeypatch):
+    """A demo whose index memos compute every call afresh writes the same
+    report and output, byte for byte, as a run on warm memos."""
+    runs = []
+    for beta2 in ("20", "200", "2000"):
+        argv = ["gate", name, "--beta2", beta2, "--input", "haar:3"]
+        for k in range(2):  # the second run meets every structure again
+            assert main([*argv, "--out", str(tmp_path / f"warm{k}.json")]) == 0
+        runs.append((argv, (tmp_path / "warm1.json").read_bytes()))
+    with monkeypatch.context() as patch:
+        uncache(patch)
+        for argv, warm in runs:
+            assert main([*argv, "--out", str(tmp_path / "cold.json")]) == 0
+            assert (tmp_path / "cold.json").read_bytes() == warm, argv

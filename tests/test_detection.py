@@ -152,6 +152,22 @@ def test_fock_distribution_cutoff_error():
         fock_distribution(coherent_state(math.sqrt(20)), "q", cutoff=10)
 
 
+@pytest.mark.parametrize("cutoff, match", [
+    (10**400, "Fock cutoff 1e\\+400 for beam mean photon number 20 exceeds the limit"),
+    (2.5, "cutoff must be an int from 0 to 1000000, got 2.5$"),
+    ("7", "cutoff must be an int from 0 to 1000000, got '7'$"),
+    (-1, "cutoff -1 is negative$"),
+    (True, "cutoff must be an int from 0 to 1000000, got True$"),
+], ids=["huge", "float", "str", "negative", "bool"])
+def test_fock_distribution_refuses_a_bad_explicit_cutoff_by_name(cutoff, match, monkeypatch):
+    def refuse(values, cutoff):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(detection, "fock_table", refuse)
+    with pytest.raises(MeasurementError, match=match):
+        fock_distribution(coherent_state(math.sqrt(20)), "q", cutoff=cutoff)
+
+
 def _teleport_block(monkeypatch):
     """The coupled state of the C-path-2 block of a 3-photon teleport, built
     with the inputs already in: its rows couple every input row."""

@@ -38,7 +38,7 @@ from qubusim import state as state_mod
 from qubusim.numerics import fock_amplitude
 from qubusim.state import CANON_TOL, _gram, _recode, coherent_overlap
 
-from conftest import haar_vec, score_outcomes, two_photon
+from conftest import INDEX_MEMOS, alpha_for, haar_vec, score_outcomes, two_photon
 
 
 def test_inner_product_normalized_self():
@@ -860,3 +860,86 @@ def test_basis_photon_is_built_by_the_constructor(monkeypatch):
     monkeypatch.setattr(HybridState, "__init__", counted)
     s = state_mod.basis_photon("1", "t1", "V")
     assert len(calls) == 1 and s.codes.tolist() == [1] and norm(s) == 1.0
+
+
+# -- the index memo --------------------------------------------------------------
+
+
+def _memos():
+    return [getattr(module, name) for module, name in INDEX_MEMOS]
+
+
+def _on_beam(rows, reg=None):
+    """Rows (pol, amplitude, beam value) of photon 1 on path p and beam q."""
+    reg = reg or ModeRegistry().with_photon("1", ("p",)).with_qubus("q")
+    return HybridState(reg, [Branch(complex(a), (("1", "p", pol),), (complex(v),))
+                             for pol, a, v in rows])
+
+
+def test_a_repeated_row_structure_hits_every_memo():
+    args = ("1", "2", alpha_for(200.0), 0.05)
+    gates.parity_gate(two_photon(1), *args)
+    before = [memo.cache_info() for memo in _memos()]
+    gates.parity_gate(two_photon(2), *args)  # the same rows, new amplitudes
+    for memo, was in zip(_memos(), before):
+        now = memo.cache_info()
+        assert now.misses == was.misses and now.hits > was.hits, memo
+
+
+@pytest.mark.parametrize("other", [np.nextafter(1.5, 2.0), complex(-0.0, 0.0), complex(0.0, -0.0)],
+                         ids=["last-bit", "negative-zero-real", "negative-zero-imag"])
+def test_a_beam_value_one_bit_or_one_zero_sign_apart_misses(other):
+    base = 1.5 if isinstance(other, float) else 0j
+    built = [_on_beam([("H", 0.6, base), ("V", 0.8, 2.0)]),
+             _on_beam([("H", 0.6, other), ("V", 0.8, 2.0)])]
+    assert built[1].qubus.tobytes() != built[0].qubus.tobytes()
+    runs, pairing = state_mod._run_index, state_mod._gram_pairing
+    for memo in (runs, pairing):
+        memo.cache_clear()
+    for s in built:
+        canonicalize(s)
+        _gram([s])
+    assert runs.cache_info().misses == pairing.cache_info().misses == 2
+
+
+def test_runs_are_kept_per_tolerance():
+    # two rows 1e-13 apart merge at CANON_TOL and not at 0, in either order
+    s = _on_beam([("H", 0.6, 1.0), ("H", 0.8, 1.0 + 1e-13)])
+    for tols in ((0.0, CANON_TOL), (CANON_TOL, 0.0)):
+        state_mod._run_index.cache_clear()
+        assert [len(canonicalize(s, tol).amps) for tol in tols] == [
+            2 if tol == 0.0 else 1 for tol in tols]
+
+
+def test_the_gram_pairing_is_kept_per_split_of_the_stacked_rows():
+    # both lists stack the same rows, split 1 + 2 and 2 + 1: each Gram
+    # matrix is the overlaps of its own states
+    rows = [("H", 0.6, 1.0), ("H", 0.8, 2.0), ("V", 1.0, 3.0)]
+    reg = ModeRegistry().with_photon("1", ("p",)).with_qubus("q")
+    state_mod._gram_pairing.cache_clear()
+    for k in (1, 2):
+        states = [_on_beam(rows[:k], reg), _on_beam(rows[k:], reg)]
+        want = [[inner_product(a, b) for b in states] for a in states]
+        assert np.abs(_gram(states) - want).max() <= 1e-15
+    assert state_mod._gram_pairing.cache_info().misses == 2
+
+
+def test_every_memoized_array_is_read_only():
+    s = attach_qubus(two_photon(3), "q", 1.5)
+    other = s.registry.with_path("1", "x")
+    arrays = [*state_mod._runs(s.codes, s.qubus, CANON_TOL), _recode(s.codes, s.registry, other)]
+    key = state_mod._structure(s.codes, s.qubus)
+    arrays += state_mod._gram_pairing(key, (2, len(s.amps) - 2))
+    arrays += gates._route_pairing(key, s.registry, key, other)
+    assert len(arrays) == 10
+    for a in arrays:
+        assert not a.flags.writeable
+
+
+def test_a_beta2_sweep_of_the_parity_gate_keeps_every_memo_within_its_bound():
+    s = two_photon(5)
+    for beta2 in np.linspace(20.0, 2000.0, 41):
+        gates.parity_gate(s, "1", "2", alpha_for(beta2), 0.05)
+    for memo in _memos():
+        info = memo.cache_info()
+        assert info.maxsize == state_mod.INDEX_CACHE and info.currsize <= info.maxsize, memo
