@@ -9,18 +9,20 @@ Every measurement is enumerated: `*_outcomes` lists each outcome above
 MIN_PROB with its exact probability and collapsed state.  A beam's Fock pmf
 comes from its decomposition into parts, one per distinct beam value α_k:
 outcome n collapses to Σ_k ⟨n|α_k⟩ ψ_k, so P(n) = fₙᴴ G fₙ with fₙ the
-column n of a K-row ⟨n|α_k⟩ table and G the K×K Gram matrix of the parts.
-The table is numerics' FockTable, kept per (beam values, cutoff), which also
-holds each column's weight ‖fₙ‖² and the moments Σ_n conj(fₙ) fₙᵀ.  The
-tail check needs only the total Σ_n P(n), one K×K sum against the moments,
-and the array of every P(n) is built only when a caller reads it.
-`fock_outcomes` takes the quadratic form only on a window, the n whose
-weight times tr(G) can reach MIN_PROB (P(n) ≤ tr(G)‖fₙ‖²), so its work
-grows with the outcomes it keeps rather than with the cutoff.  It returns
-the kept outcomes as a sequence carrying the state, its beam values and the
-weights; a record, with its collapsed state, is built only when an outcome
-is read.  The corrections that follow an outcome are the gates module's
-FeedForwardPlan tables.
+column n of a K-row ⟨n|α_k⟩ table and G the K×K Gram matrix of the parts,
+binned straight from the state's rows: each pair of rows with equal labels
+(the state module's pairing memo) falls in the cell of its rows' parts, so
+no part is built as a state.  The table is numerics' FockTable, kept per
+(beam values, cutoff), which also holds each column's weight ‖fₙ‖² and the
+moments Σ_n conj(fₙ) fₙᵀ.  The tail check needs only the total Σ_n P(n), one
+K×K sum against the moments, and the array of every P(n) is built only when
+a caller reads it.  `fock_outcomes` takes the quadratic form only on a
+window, the n whose weight times tr(G) can reach MIN_PROB (P(n) ≤
+tr(G)‖fₙ‖²), so its work grows with the outcomes it keeps rather than with
+the cutoff.  It returns the kept outcomes as a sequence carrying the state,
+its beam values and the weights; a record, with its collapsed state, is
+built only when an outcome is read.  The corrections that follow an outcome
+are the gates module's FeedForwardPlan tables.
 
 The Bell readout splits the state in one pass: the rows group by their
 remaining labels and beam values (found on the codes with the pair's digits
@@ -46,11 +48,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import FockTable, default_fock_cutoff, fock_amplitude, fock_table, poisson_pmf
+from .registry import _require_paths
 from .state import (
     HybridState,
     _binned,
     _drop_column,
-    _gram,
+    _paired,
     _part,
     _recode,
     _runs,
@@ -129,28 +132,6 @@ def _fock_collapsed(s: HybridState, idx: int, n: int) -> HybridState:
     return HybridState._rows(reg, s.amps[hit] * w[hit], s.codes[hit], rest).canonical(0.0)
 
 
-def _split_by_value(
-    s: HybridState, idx: int, values: Sequence[complex] | None = None
-) -> tuple[list[complex], list[HybridState]]:
-    """The distinct values α_k of qubus mode idx and the parts ψ_k.
-
-    ψ_k holds the rows whose value is α_k, with the mode removed, so the
-    state is Σ_k ψ_k ⊗ |α_k⟩ and a projection ⟨n| on the mode gives
-    Σ_k ⟨n|α_k⟩ ψ_k.  values fixes the α_k and their order (default: the
-    distinct values in row order).  A part keeps its rows' canonical order:
-    they share the removed value.
-    """
-    reg = s.registry.without_qubus(s.registry.qubus_modes[idx])
-    col, rest = s.qubus[:, idx], _drop_column(s.qubus, idx)
-    if values is None:
-        values = list(dict.fromkeys(col.tolist()))
-    parts = []
-    for a in values:
-        m = (col == a).nonzero()[0]
-        parts.append(HybridState._derived(reg, s.amps[m], s.codes[m], rest.take(m, 0)))
-    return values, parts
-
-
 def _quadratic_forms(g: np.ndarray, f: np.ndarray) -> np.ndarray:
     """fₙᴴ G fₙ for every column fₙ of f."""
     return (f.conj() * (g @ f)).sum(axis=0).real
@@ -190,6 +171,21 @@ class FockPmf:
         return iter((self.ns, self.probs))
 
 
+def _parts_gram(s: HybridState, idx: int, values: list) -> np.ndarray:
+    """G[k, l] = ⟨ψ_k|ψ_l⟩ of the parts of s at the values α_k of qubus mode
+    idx (see FockPmf), binned straight from s's rows: every pair of rows with
+    equal labels (`_paired`, over the beams but idx) adds conj(a_i) a_j
+    ⟨q_i|q_j⟩ to the cell of the rows' parts."""
+    col, rest = s.qubus[:, idx], _drop_column(s.qubus, idx)
+    part = np.zeros(len(col), np.int64)
+    for k, a in enumerate(values):
+        part[col == a] = k
+    i, j, overlap = _paired(s.codes, rest, s.codes, rest)
+    k = len(values)
+    return _binned(part[i] * k + part[j], s.amps[i].conj() * s.amps[j] * overlap,
+                   k * k).reshape(k, k)
+
+
 def fock_distribution(
     s: HybridState, mode: str, cutoff: int | None = None, tail_tol: float = 1e-10
 ) -> FockPmf:
@@ -209,7 +205,7 @@ def fock_distribution(
     the cutoff was too small and an error reports the measured tail mass.
     """
     idx = s.registry.qubus_index(mode)
-    values, parts = _split_by_value(s, idx)
+    values = list(dict.fromkeys(s.qubus[:, idx].tolist()))
     # a.real² + a.imag² reaches inf where abs(a) ** 2 would raise OverflowError
     mean = max((a.real * a.real + a.imag * a.imag for a in values), default=0.0)
     if cutoff is None:
@@ -227,7 +223,7 @@ def fock_distribution(
             f"exceeds the limit {MAX_FOCK_CUTOFF}"
         )
     fock = fock_table(values, cutoff)
-    gram = _gram(parts)
+    gram = _parts_gram(s, idx, values)
     total = float((gram * fock.moments).sum().real)
     if not abs(total - 1.0) <= tail_tol:  # a NaN total fails too
         raise MeasurementError(
@@ -303,7 +299,9 @@ def fock_outcomes(s: HybridState, mode: str) -> FockOutcomes:
 
 
 def presence_outcomes(s: HybridState, pid: str, paths: Sequence[str]) -> list[MeasurementRecord]:
-    """Where the photon is found among the given paths, photon preserved."""
+    """Where the photon is found among the given paths, photon preserved.
+    Every path must be registered for the photon."""
+    _require_paths(s.registry, pid, *paths)
     on = _slot_digits(s, pid) >> 1
     out = []
     for path in paths:

@@ -64,6 +64,7 @@ from .state import (
     _reregistered,
     _slot_digits,
 )
+from .registry import _require_paths
 
 
 @dataclass(frozen=True)
@@ -214,17 +215,12 @@ def _remap(s: HybridState, pid: str, build: Callable, *args) -> HybridState:
     return _apply_images(s, *_images(s.registry, pid, build, args))
 
 
-def _require_paths(reg: ModeRegistry, pid: str, *paths: str) -> None:
-    """Every path named must be registered for the photon."""
-    registered = reg.paths_of(pid)
-    for p in paths:
-        if p not in registered:
-            raise RegistryError(f"path {p!r} not registered for photon {pid!r}")
-
-
 def _path_table(reg: ModeRegistry, pid: str, path_a: str, path_b: str, m) -> dict:
-    """2×2 map m on the amplitudes of (path_a, path_b), alike for H and V."""
+    """2×2 map m on the amplitudes of (path_a, path_b), alike for H and V;
+    the two paths must differ."""
     _require_paths(reg, pid, path_a, path_b)
+    if path_a == path_b:
+        raise RegistryError(f"path {path_a!r} named twice for photon {pid!r}")
     table = {}
     for pol in POLS:
         table[path_a, pol] = [(m[0][0], path_a, pol), (m[1][0], path_b, pol)]
@@ -409,8 +405,10 @@ def xpm(
     pol=None couples every polarization on the path (two photonic modes).
     """
     idx = s.registry.qubus_index(qubus_mode)
-    paths = s.registry.paths_of(pid)
-    k = paths.index(path) if path in paths else -1
+    _require_paths(s.registry, pid, path)
+    if pol is not None and pol not in POLS:
+        raise StateError(f"bad polarization {pol!r}")
+    k = s.registry.paths_of(pid).index(path)
     digits = _slot_digits(s, pid)
     hit = digits >> 1 == k if pol is None else digits == 2 * k + POLS.index(pol)
     qubus = s.qubus.copy()

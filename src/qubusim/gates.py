@@ -44,9 +44,9 @@ collapse, correct, dispose; a readout's detection call for that one
 outcome, then its correction, and a Merging gate's remove_photon); the
 representative's batched overlap with its route's state, over its Gram
 norm, must be 1, so the compiled algebra is checked on every call.  That
-check's row pairs and beam overlaps are memoized by the row structure of
-both sides (_route_pairing, as the state module keeps its index work); the
-part amplitudes and the algebra's cells are read afresh on every call.
+check's row pairs and beam overlaps come from the state module's pairing
+memo (state._paired), keyed by the row structure of both sides; the part
+amplitudes and the algebra's cells are read afresh on every call.
 C-path-3's fan-in is one unitary on every outcome, so it leaves the scores
 as they are and runs once, on the gate's output.
 
@@ -98,23 +98,19 @@ from .detection import (
 from .registry import ModeRegistry
 from .state import (
     CANON_TOL,
-    INDEX_CACHE,
     H,
     V,
     HybridState,
     StateError,
     _ancilla,
     _binned,
-    _frozen,
-    _pairs,
+    _pair_overlaps,
+    _paired,
     _recode,
     _reregistered,
     _runs,
     _slot_digits,
-    _structure,
-    _unkeyed,
     attach_qubus,
-    coherent_overlap,
     fidelity,
     inner_product,
     norm,
@@ -694,9 +690,11 @@ def _stage_algebra(
     codes, qubus, part, owner = codes[order], qubus[order], part[order], owner[order]
     renumber = np.empty(len(order), int)
     renumber[order] = np.arange(len(order))
-    i, j = _pairs(codes, codes)
-    i, j = i[owner[i] == owner[j]], j[owner[i] == owner[j]]
-    gram = (i, j, coherent_overlap(qubus[i], qubus[j]), (owner[i] * k + part[i]) * k + part[j])
+    # rows pair within their group: each (code, group) gets a rank, in order
+    label = ((np.diff(codes, prepend=codes[:1]) != 0)
+             | (np.diff(owner, prepend=owner[:1]) != 0)).cumsum()
+    i, j, overlap = _pair_overlaps(label, qubus, label, qubus)
+    gram = (i, j, overlap, (owner[i] * k + part[i]) * k + part[j])
     algebra = _Algebra(branch, group, registry, codes, qubus, owner * k + part,
                        (renumber[merged], source, coef), groups, gram)
     for x in (*(branch or ()), group, codes, qubus, algebra.cell, *algebra.parts, *gram):
@@ -796,8 +794,8 @@ class _StageOutputs:
         ref, alg, w = self.routed[rep], self.algebra, self.weights
         # ⟨part|ref⟩ of every group's parts, paired over the part rows (sorted
         # by code); group -1 reads the zero row last
-        i, j, overlap = _route_pairing(_structure(alg.codes, alg.qubus), alg.registry,
-                                       _structure(ref.codes, ref.qubus), ref.registry)
+        i, j, overlap = _paired(alg.codes, alg.qubus,
+                                _recode(ref.codes, ref.registry, alg.registry), ref.qubus)
         t = self.part_amps[i].conj() * ref.amps[j] * overlap
         overlaps = _binned(alg.cell[i], t, (alg.groups + 1) * len(w))
         z = (overlaps.reshape(-1, len(w)) @ w.conj())[self.group_of, np.arange(len(self.values))]
@@ -813,17 +811,6 @@ class _StageOutputs:
 
     def scored(self, kind: str) -> Scored:
         return _score(kind, self.values, self.probs, self.fidelities, self.routed.__getitem__)
-
-
-@functools.lru_cache(maxsize=INDEX_CACHE)
-def _route_pairing(key: tuple, reg: ModeRegistry, ref_key: tuple, ref_reg: ModeRegistry) -> tuple:
-    """The amplitude-free half of the route check (_StageOutputs.fidelities):
-    (i, j, ⟨q_i|q_j⟩) over every pair of a part row i (row structure key,
-    registry reg) and a route state's row j (ref_key, ref_reg, its codes
-    recoded into reg's layout) that share a label."""
-    (codes, qubus), (ref_codes, ref_qubus) = _unkeyed(key), _unkeyed(ref_key)
-    i, j = _pairs(codes, _recode(ref_codes, ref_reg, reg))
-    return _frozen(i, j, coherent_overlap(qubus.take(i, 0), ref_qubus.take(j, 0)))
 
 
 def _block_outputs(found: FockOutcomes, plan: FeedForwardPlan, beam: str) -> _StageOutputs:

@@ -208,3 +208,11 @@ def _registry(
     """The registry of one (photon_paths, qubus_modes), built once: a run's
     updates meet the same few layouts over and over."""
     return ModeRegistry(photon_paths, qubus_modes)
+
+
+def _require_paths(reg: ModeRegistry, pid: str, *paths: str) -> None:
+    """Every path named must be registered for the photon."""
+    registered = reg.paths_of(pid)
+    for p in paths:
+        if p not in registered:
+            raise RegistryError(f"path {p!r} not registered for photon {pid!r}")

@@ -16,33 +16,31 @@ Rows are kept in canonical order: by code, then by each beam's real and
 imaginary part in mode order.  `Branch` records are built only when
 `branches` is read; its len() builds none.
 
-Rows pair in overlaps when their labels are equal, and every `norm`,
-`inner_product` and `_gram` (the Gram matrix of a list of states that share
-a path layout) finds its pairs in `_pairs`.  A readout or a disposal cuts
-its parts with `_part`, which carries a part's norm √Σ|a|² where its codes
-strictly increase; other parts take `norm`.  Only outcome scoring and the
-Fock pmf need a Gram matrix.  When no two bra rows share a code (every
-photon-only canonical state, for one), a norm pairs each row with itself and
-an overlap finds each ket row's one partner in a single binary search;
-otherwise each ket row pairs with a run of bra rows.
+Rows pair in overlaps when their labels are equal, and one kernel,
+`_pair_overlaps`, pairs them (`_pairs`) and takes their coherent overlaps in
+one coherent_overlap call: `norm`, `inner_product`, the Fock pmf's Gram
+matrix and the gates module's compiled stages all read it.  A readout or a
+disposal cuts its parts with `_part`, which carries a part's norm √Σ|a|²
+where its codes strictly increase; other parts take `norm`.  When no two bra
+rows share a code (every photon-only canonical state, for one), a norm pairs
+each row with itself and an overlap finds each ket row's one partner in a
+single binary search; otherwise each ket row pairs with a run of bra rows.
 `scaled` carries a known norm over as |factor|·‖s‖, so a normalized state
-never recomputes it.  Codes move between layouts by `_recode`, whose digit
-tables are compiled once per pair of layouts.
+never recomputes it.  Codes move between layouts by `_recode`.
 
 Index work that does not read the amplitudes is memoized by exact row
 structure, since a gate meets the same labels and beam values on every
-input and only the amplitudes change.  `_runs` (canonical order and run
-starts), `_recode`, the pairing half of `_gram` (the row pairs, their
-coherent overlaps and their cells of G) and the gates module's route
-pairing each keep up to INDEX_CACHE results.  The key is the bytes of the
+input and only the amplitudes change.  Three memos each keep up to
+INDEX_CACHE results: `_runs` (canonical order and run starts), `_recode`,
+and `_paired`, the pairing kernel's result for two sides' rows, which the
+Fock pmf and the gates' route check read.  The key is the bytes of the
 label codes and beam values (`_structure`: a beam value one bit or one zero
 sign apart misses) and what else the result reads: the beams' shape, tol,
-the two layouts, each stacked state's row count.  A miss computes what an
-unmemoized call computes, so results are bit-identical, and every cached
-array is read-only.  `_overlap` (`norm`, `inner_product`, `fidelity`) and
-detection's `_project_onto` compute on every call: a state keeps its norm
-already, and the benchmark's trace counts coherent-overlap work through
-these calls.
+the two layouts.  A miss computes what an unmemoized call computes, so
+results are bit-identical, and every cached array is read-only.  `_overlap`
+(`norm`, `inner_product`, `fidelity`) and detection's `_project_onto`
+compute on every call: a state keeps its norm already, and the benchmark's
+trace counts coherent-overlap work through these calls.
 
 Polarization is stored in the H/V basis; |±⟩ = (|H⟩ ± |V⟩)/√2 is a derived
 view.  Path and mode names are symbolic strings resolved through a
@@ -67,8 +65,7 @@ from .registry import POLS, H, ModeRegistry, RegistryError, Slot, StateError, V,
 #: default tolerance for merging/dropping branches in canonicalize()
 CANON_TOL = 1e-12
 
-#: row structures whose index work each memo keeps (_runs, _recode, _gram's
-#: pairing and the gates' route pairing)
+#: row structures whose index work each memo keeps (_runs, _recode, _paired)
 INDEX_CACHE = 256
 
 
@@ -112,10 +109,7 @@ def _recode(codes: np.ndarray, src: ModeRegistry, dst: ModeRegistry) -> np.ndarr
 
     Photons that dst does not register are dropped, photons only dst
     registers read as digit 0, and a row whose slot dst does not register
-    gets the code -1.  The digit tables are compiled once per pair of
-    layouts (`_recoding`); a recode decodes every kept digit of every row,
-    maps them in one gather and sums them with dst's strides in one dot.
-    It is kept per (codes, the two layouts), read-only.
+    gets the code -1.  It is kept per (codes, the two layouts), read-only.
     """
     if src._layout == dst._layout:
         return codes
@@ -124,23 +118,13 @@ def _recode(codes: np.ndarray, src: ModeRegistry, dst: ModeRegistry) -> np.ndarr
 
 @functools.lru_cache(maxsize=INDEX_CACHE)
 def _recoded(codes: bytes, src: tuple, dst: tuple) -> np.ndarray:
-    """_recode's result for codes (as bytes) from layout src to layout dst."""
-    stride, radix, offset, table, to_stride, lossy = _recoding(src, dst)
-    digits = table[np.frombuffer(codes, np.int64)[:, None] // stride % radix + offset]
-    out = digits @ to_stride
-    if lossy:
-        out[(digits < 0).any(axis=1)] = -1
-    return _frozen(out)[0]
+    """_recode's result for codes (as bytes) from layout src to layout dst.
 
-
-@functools.lru_cache(maxsize=512)
-def _recoding(src: tuple, dst: tuple) -> tuple:
-    """_recode's tables from layout src to layout dst, over the photons both
-    register: (their strides and radices in src, the offset of each one's
-    table, the tables end to end, their strides in dst, whether any entry is
-    -1).  Entry d of a photon's table is its src digit d in dst's layout, or
-    -1 where dst lacks the path.  Recoding meets the same few pairs of
-    layouts over and over, so each pair is compiled once."""
+    Each photon both layouts register has a digit table: entry d is its src
+    digit d in dst's layout, or -1 where dst lacks the path.  Every kept
+    digit of every row is decoded, mapped in one gather over the tables end
+    to end, and summed with dst's strides in one dot.
+    """
     src_radix, src_stride = _codec(src)[2:]
     dst_slot, _, _, dst_stride = _codec(dst)
     kept = [i for i, (pid, _) in enumerate(src) if pid in dst_slot]
@@ -150,14 +134,14 @@ def _recoding(src: tuple, dst: tuple) -> tuple:
         to = dst[dst_slot[pid]][1]
         offset.append(len(table))
         table += [2 * to.index(p) + b if p in to else -1 for p in paths for b in (0, 1)]
-    compiled = (
-        np.array([src_stride[i] for i in kept], np.int64),
-        np.array([src_radix[i] for i in kept], np.int64),
-        np.array(offset, np.int64),
-        np.array(table, np.int64),
-        np.array([dst_stride[dst_slot[src[i][0]]] for i in kept], np.int64),
-    )
-    return _frozen(*compiled) + (-1 in table,)
+    stride = np.array([src_stride[i] for i in kept], np.int64)
+    radix = np.array([src_radix[i] for i in kept], np.int64)
+    digits = np.array(table, np.int64)[
+        np.frombuffer(codes, np.int64)[:, None] // stride % radix + np.array(offset, np.int64)]
+    out = digits @ np.array([dst_stride[dst_slot[src[i][0]]] for i in kept], np.int64)
+    if -1 in table:
+        out[(digits < 0).any(axis=1)] = -1
+    return _frozen(out)[0]
 
 
 def _structure(codes: np.ndarray, qubus: np.ndarray) -> tuple[bytes, bytes, tuple]:
@@ -392,13 +376,20 @@ def _pairs(a_codes: np.ndarray, b_codes: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.arange(n.sum()) - (n.cumsum() - hi).repeat(n), np.arange(len(n)).repeat(n)
 
 
+def _pair_overlaps(codes: np.ndarray, qubus: np.ndarray, other_codes: np.ndarray,
+                   other_qubus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, ⟨q_i|q'_j⟩) over every row pair with codes[i] == other_codes[j]
+    (`_pairs`, codes sorted), the beam overlaps taken in one coherent_overlap
+    call, with or without beams: the one place rows are paired."""
+    i, j = _pairs(codes, other_codes)
+    return i, j, coherent_overlap(qubus.take(i, 0), other_qubus.take(j, 0))
+
+
 def _overlap(a: HybridState, b: HybridState) -> complex:
     """⟨a|b⟩ = Σ conj(a_i) b_j ⟨q_i|q_j⟩ over row pairs with equal labels, b's
-    codes recoded into a's layout; one coherent_overlap call, with or without
-    beams."""
+    codes recoded into a's layout."""
     codes = a.codes if b is a else _recode(b.codes, b.registry, a.registry)
-    i, j = _pairs(a.codes, codes)
-    q = coherent_overlap(a.qubus.take(i, 0), b.qubus.take(j, 0))
+    i, j, q = _pair_overlaps(a.codes, a.qubus, codes, b.qubus)
     return complex(np.vdot(a.amps[i], b.amps[j] * q))
 
 
@@ -407,39 +398,23 @@ def _binned(cells: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(cells, terms.real, size) + 1j * np.bincount(cells, terms.imag, size)
 
 
-def _gram(states: Sequence[HybridState]) -> np.ndarray:
-    """G[k, l] = ⟨states[k]|states[l]⟩: Σ conj(a_i) a_j ⟨q_i|q_j⟩ over row pairs with equal labels.
-
-    The states share one path layout.  Their rows' pairs, beam overlaps and
-    cells of G come from `_gram_pairing`; a call only weighs the pairs by
-    their amplitudes and bins them.
-    """
-    reg = states[0].registry
-    if any(st.registry._layout != reg._layout for st in states):
-        raise RegistryError("a Gram matrix's states must share one path layout")
-    key = _structure(np.concatenate([st.codes for st in states]),
-                     np.concatenate([st.qubus for st in states]))
-    i, j, overlap, cells = _gram_pairing(key, tuple(len(st.amps) for st in states))
-    amps = np.concatenate([st.amps for st in states])
-    n = len(states)
-    return _binned(cells, amps[i].conj() * amps[j] * overlap, n * n).reshape(n, n)
+def _paired(codes: np.ndarray, qubus: np.ndarray, other_codes: np.ndarray,
+            other_qubus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_pair_overlaps, kept per (both sides' row structure), read-only: for
+    readouts that meet the same rows on every input.  Rows passed as both
+    sides (the same arrays) pair with themselves."""
+    key = _structure(codes, qubus)
+    if other_codes is codes and other_qubus is qubus:
+        return _pairing(key, None)
+    return _pairing(key, _structure(other_codes, other_qubus))
 
 
 @functools.lru_cache(maxsize=INDEX_CACHE)
-def _gram_pairing(key: tuple, rows: tuple[int, ...]) -> tuple:
-    """The amplitude-free half of _gram, for the stacked rows (a _structure
-    key) of states with `rows` rows each: with every row stacked in code
-    order, `_pairs` finds every pair, and one coherent_overlap call
-    evaluates them all, with or without beams.  Returns (i, j, ⟨q_i|q_j⟩,
-    cell) over the pairs, i and j indexing the stacked rows, cell = k·n + l
-    for rows of states k and l."""
+def _pairing(key: tuple, other: tuple | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_paired of the rows of _structure key `key` and `other` (None: the same rows)."""
     codes, qubus = _unkeyed(key)
-    order = codes.argsort(kind="stable")
-    codes, qubus = codes[order], qubus[order]
-    ids = np.repeat(np.arange(len(rows)), rows)[order]
-    i, j = _pairs(codes, codes)
-    overlap = coherent_overlap(qubus.take(i, 0), qubus.take(j, 0))
-    return _frozen(order[i], order[j], overlap, ids[i] * len(rows) + ids[j])
+    other_codes, other_qubus = (codes, qubus) if other is None else _unkeyed(other)
+    return _frozen(*_pair_overlaps(codes, qubus, other_codes, other_qubus))
 
 
 def inner_product(a: HybridState, b: HybridState) -> complex:
@@ -688,10 +663,14 @@ def _put_in(s: HybridState, built: HybridState) -> HybridState:
 def amplitude_of(s: HybridState, slots: Mapping[str, tuple[str, str]]) -> complex:
     """Amplitude of the branch with the given {photon: (path, pol)} labels.
 
-    Only valid for states without qubus modes.
+    Only valid for states without qubus modes, and the labels must name
+    exactly the registered photons; a path or polarization that the state
+    cannot hold reads 0.
     """
     if s.registry.qubus_modes:
         raise StateError("amplitude_of requires a photon-only state")
+    if set(slots) != set(s.registry.photons):
+        raise StateError("amplitude_of needs a label for exactly the registered photons")
     try:
         code = s.registry._code(_sorted_slots((pid, p, pol) for pid, (p, pol) in slots.items()))
     except (StateError, RegistryError):  # labels the state cannot hold

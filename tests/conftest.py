@@ -60,19 +60,38 @@ def _given(reg, pid: str, items: tuple) -> dict:
 def score_outcomes(kind: str, corrected: list) -> "gates.Scored":
     """The reference scoring loop: a stage whose corrected states are all
     built, (value, probability, state) each, scored against its most
-    probable outcome (gates._score), every fidelity and norm read from one
-    Gram matrix of the states, and the representative's state from the list."""
+    probable outcome (gates._score), each state's norm from `norm` and its
+    overlap with the representative from `inner_product`, and the
+    representative's state from the list."""
+    states = [st for _, _, st in corrected]
 
     def fidelities(rep: int) -> np.ndarray:
-        g = state_mod._gram([st for _, _, st in corrected])
-        norms = np.sqrt(np.maximum(g.diagonal().real, 0.0))
+        norms = np.array([state_mod.norm(st) for st in states])
         if (abs(norms - 1.0) > 1e-8).any():
             raise gates.GateError("an outcome's corrected state is not normalized")
-        return np.minimum(np.abs(g[:, rep]) ** 2, 1.0)
+        overlaps = np.array([state_mod.inner_product(st, states[rep]) for st in states])
+        return np.minimum(np.abs(overlaps) ** 2, 1.0)
 
     values = [v for v, _, _ in corrected]
     return gates._score(kind, values, [p for _, p, _ in corrected], fidelities,
                         lambda rep: corrected[rep][2])
+
+
+def split_by_value(s: HybridState, idx: int, values=None) -> tuple[list, list]:
+    """The distinct values α_k of qubus mode idx (default: in row order) and
+    the parts ψ_k, the rows at α_k with the mode removed, so that
+    s = Σ_k ψ_k ⊗ |α_k⟩: the decomposition a Fock pmf reads, built part by
+    part."""
+    reg = s.registry.without_qubus(s.registry.qubus_modes[idx])
+    col = s.qubus[:, idx]
+    if values is None:
+        values = list(dict.fromkeys(col.tolist()))
+    parts = []
+    for a in values:
+        m = (col == a).nonzero()[0]
+        parts.append(HybridState._derived(reg, s.amps[m], s.codes[m],
+                                          np.delete(s.qubus[m], idx, axis=1)))
+    return values, parts
 
 
 def block_outcomes(s, couplings, alpha, theta, plan) -> list:
@@ -126,8 +145,7 @@ def checked_derivations(monkeypatch):
 
 
 #: the memos of amplitude-free index work (state's module docstring)
-INDEX_MEMOS = ((state_mod, "_run_index"), (state_mod, "_recoded"),
-               (state_mod, "_gram_pairing"), (gates, "_route_pairing"))
+INDEX_MEMOS = ((state_mod, "_run_index"), (state_mod, "_recoded"), (state_mod, "_pairing"))
 
 
 def uncache(monkeypatch) -> None:

@@ -381,6 +381,14 @@ def test_validation_error_exit_2(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert main(["run", str(bad)]) == 2, program
         assert f"error: {err}" in capsys.readouterr().err, program
+    # a beam splitter or switch that names one path twice is refused by name
+    for kind in ("PhotonBS", "PathSwitch"):
+        step = {"gate": "element", "kind": kind,
+                "targets": {"photon": "1", "path_a": "a", "path_b": "a"}}
+        bad.write_text(json.dumps({"photons": [{"id": "1", "path": "a"}], "gates": [step]}))
+        capsys.readouterr()
+        assert main(["run", str(bad)]) == 2, kind
+        assert "path 'a' named twice for photon '1'" in capsys.readouterr().err, kind
     photons = [{"id": pid, "path": f"t{pid}"} for pid in ("1", "2", "3")]
     for gate in ("parity", "two-qubit"):
         step = {"gate": gate, "photons": ["1", "2", "3"], "unitary": "cnot"}

@@ -10,8 +10,10 @@ from qubusim import (
     Branch,
     HybridState,
     ModeRegistry,
+    RegistryError,
     attach_qubus,
     bell_state,
+    inner_product,
     norm,
     pol_qubit,
     normalize,
@@ -40,7 +42,7 @@ from qubusim.gates import couple_qubus_pair, parity_couplings
 from qubusim.numerics import default_fock_cutoff, fock_amplitude, fock_table, poisson_pmf
 from qubusim.state import _recode, _slot_digits
 
-from conftest import alpha_for, haar_vec, THETA
+from conftest import alpha_for, haar_vec, split_by_value, THETA
 
 
 def coherent_state(value, mode="q"):
@@ -231,6 +233,30 @@ def test_fock_distribution_rejects_nan_amplitude():
         fock_distribution(coherent_state(complex(math.nan, 0.0)), "q", cutoff=30)
 
 
+def test_the_pmf_gram_is_the_overlaps_of_parts_built_apart():
+    # each label holds rows at three values of the measured beam q and at
+    # several values of a second beam r: the Gram matrix binned from the
+    # state's rows is ⟨ψ_k|ψ_l⟩ of the parts, each built as a state of its own
+    rng = np.random.default_rng(4)
+    reg = ModeRegistry().with_photon("1", ("a", "b")).with_qubus("r")
+    labels = [(("1", p, pol),) for p in "ab" for pol in "HV"]
+    shared = complex(0.5, -0.25)  # an r value that every part holds on every label
+    parts = [HybridState(reg, [Branch(complex(*rng.standard_normal(2)), label, (r,))
+                               for label in labels
+                               for r in (shared, complex(*rng.uniform(-1.0, 1.0, 2)))])
+             for _ in range(3)]
+    values = [0j, 2.0 + 0j, -2.0 + 0.5j]
+    s = HybridState(reg.with_qubus("q"), [Branch(br.amplitude, br.photons, br.qubus + (v,))
+                                          for part, v in zip(parts, values)
+                                          for br in part.branches])
+    c = 1 / norm(s)
+    pmf = fock_distribution(s.scaled(c), "q")
+    assert sorted(pmf.values, key=values.index) == values
+    built = [parts[values.index(v)].scaled(c) for v in pmf.values]
+    want = np.array([[inner_product(x, y) for y in built] for x in built])
+    assert np.abs(pmf.gram - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def _beam_state(beta2, extra, seed):
     """Photon 1 over four labels, a measured beam q at |β|² = beta2 and
     `extra` more beams: seven rows, whose q values are 0 (the vacuum branch),
@@ -315,7 +341,7 @@ def test_bright_outcomes_take_the_quadratic_form_on_the_window_only(monkeypatch)
     monkeypatch.setattr(detection, "_quadratic_forms", counted)
     found = fock_outcomes(s, mode)
     idx = s.registry.qubus_index(mode)
-    values, parts = detection._split_by_value(s, idx)
+    values, parts = split_by_value(s, idx)
     cutoff = default_fock_cutoff(max(abs(a) ** 2 for a in values))
     assert cutoff + 1 == 2548
     # the rule's slack: tr(G) rounded up to a power of two is below 2·max(tr(G), 1)
@@ -396,6 +422,13 @@ def test_presence_keeps_photon():
     assert sum(r.probability for r in recs) == pytest.approx(1.0)
     for r in recs:
         assert "1" in r.collapsed.registry.photons
+
+
+def test_presence_refuses_an_unregistered_path_by_name():
+    # it once raised a bare "tuple.index(x): x not in tuple"
+    s = pol_qubit("1", "a", 1, 0)
+    with pytest.raises(RegistryError, match="path 'nope' not registered for photon '1'"):
+        presence_outcomes(s, "1", ["a", "nope"])
 
 
 def test_presence_deterministic_path():

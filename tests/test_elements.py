@@ -96,6 +96,33 @@ def test_elements_naming_an_unregistered_path_raise():
             call()
 
 
+def test_a_two_path_element_naming_one_path_twice_raises():
+    # the slot table of one path named twice kept only its second entry: a
+    # 50:50 splitter left no branch, and other angles one of the wrong amplitude
+    s = with_extra_path(pol_qubit("1", "a", 0.6, 0.8), "1", "b")
+    calls = [
+        lambda: el.photon_bs(s, "1", "a", "a"),
+        lambda: el.photon_bs(s, "1", "a", "a", 0.3),
+        lambda: el.path_switch(s, "1", "a", "a"),
+        lambda: el.path_switch(s, "1", "b", "b"),
+    ]
+    for call in calls:
+        with pytest.raises(RegistryError, match="path '[ab]' named twice for photon '1'"):
+            call()
+
+
+def test_xpm_refuses_an_unregistered_path_and_a_bad_polarization():
+    # an unregistered path once coupled nothing, and a bad polarization
+    # raised a bare tuple.index error
+    s = attach_qubus(with_extra_path(pol_qubit("1", "a", 0.6, 0.8), "1", "b"), "q", 2.0)
+    with pytest.raises(RegistryError, match="path 'nope' not registered for photon '1'"):
+        el.xpm(s, "q", "1", "nope", None, 0.1)
+    with pytest.raises(RegistryError, match="path 'nope' not registered for photon '1'"):
+        el.xpm(s, "q", "1", "nope", "H", 0.1)
+    with pytest.raises(StateError, match="bad polarization 'D'"):
+        el.xpm(s, "q", "1", "a", "D", 0.1)
+
+
 def _merge_input(paths, slots):
     """Photon 1 over the given paths, an equal superposition of the (path, pol) slots."""
     reg = ModeRegistry().with_photon("1", paths)

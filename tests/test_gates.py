@@ -34,7 +34,8 @@ from qubusim.cli import DEMO_GATES, main
 from qubusim.detection import fock_outcomes
 from qubusim.state import Branch, ModeRegistry, StateError, _sorted_slots
 
-from conftest import block_outcomes, haar_vec, remap_slot, score_outcomes, two_photon, THETA
+from conftest import (block_outcomes, haar_vec, remap_slot, score_outcomes, split_by_value,
+                      two_photon, THETA)
 
 
 def branch_state(reg, entries):
@@ -1118,7 +1119,7 @@ def _uncompiled_parts(found, plan, beam):
     coupled state corrected by the outcome's row, projected onto the
     sum-port value of its largest row (canonicalize drops the dust) and
     split by measured value into its K parts."""
-    from qubusim.detection import _project_onto, _split_by_value
+    from qubusim.detection import _project_onto
 
     out = []
     for i, n in enumerate(found.values):
@@ -1127,7 +1128,7 @@ def _uncompiled_parts(found, plan, beam):
         every = plan.correct(found.state, n)
         kept = _project_onto(every, every.registry.qubus_index(beam), v)
         m = kept.registry.qubus_index(found.state.registry.qubus_modes[found.mode_index])
-        out.append(_split_by_value(kept, m, found.beam_values)[1])
+        out.append(split_by_value(kept, m, found.beam_values)[1])
     return out
 
 

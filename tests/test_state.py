@@ -36,9 +36,9 @@ from qubusim import elements as el
 from qubusim import gates
 from qubusim import state as state_mod
 from qubusim.numerics import fock_amplitude
-from qubusim.state import CANON_TOL, _gram, _recode, coherent_overlap
+from qubusim.state import CANON_TOL, _recode, coherent_overlap
 
-from conftest import INDEX_MEMOS, alpha_for, haar_vec, score_outcomes, two_photon
+from conftest import INDEX_MEMOS, alpha_for, haar_vec, score_outcomes, split_by_value, two_photon
 
 
 def test_inner_product_normalized_self():
@@ -479,6 +479,17 @@ def test_bell_state_norm_and_components():
     assert amplitude_of(s, {"a": ("pa", "V"), "b": ("pb", "H")}) == pytest.approx(-1 / math.sqrt(2))
 
 
+def test_amplitude_of_needs_a_label_for_exactly_the_registered_photons():
+    # a label set missing a photon, or naming one more, once read 0j
+    s = bell_state("psi-", ("1", "pa"), ("2", "pb"))
+    for slots in ({"1": ("pa", "H")}, {"1": ("pa", "H"), "2": ("pb", "V"), "9": ("x", "H")}, {}):
+        with pytest.raises(StateError, match="exactly the registered photons"):
+            amplitude_of(s, slots)
+    # a slot the state cannot hold still reads 0
+    assert amplitude_of(s, {"1": ("nope", "H"), "2": ("pb", "V")}) == 0j
+    assert amplitude_of(s, {"1": ("pa", "D"), "2": ("pb", "V")}) == 0j
+
+
 def test_remove_photon_product_state():
     s = tensor(plus_photon("1", "p"), two_photon(11, ids=("2", "3"), paths=("r2", "r3")))
     out = remove_photon(s, "1")
@@ -588,7 +599,7 @@ def state_pairs(draw):
 def _gram_sum_by_runs(bras, kets):
     """G[k, l] with every ket row paired to the run of equal codes in the
     bra, found by two binary searches whatever the codes: the reference for
-    the one-search and self pairings of _gram and inner_product."""
+    the one-search and self pairings of the pairing kernel."""
     reg = bras[0].registry
     g = np.zeros((len(bras), len(kets)), complex)
     for k, a in enumerate(bras):
@@ -602,13 +613,39 @@ def _gram_sum_by_runs(bras, kets):
     return g
 
 
+def _on_probe(states, values):
+    """Σ_k states[k] ⊗ |values[k]⟩ on a fresh beam, and the beam's name."""
+    reg = states[0].registry
+    mode = reg.fresh_qubus("probe")
+    return HybridState(reg.with_qubus(mode), [
+        Branch(br.amplitude, br.photons, br.qubus + (complex(v),))
+        for st, v in zip(states, values) for br in st.branches]), mode
+
+
+def _paired_sum(a, b):
+    """⟨a|b⟩ summed over the pairing memo's row pairs."""
+    i, j, q = state_mod._paired(a.codes, a.qubus, _recode(b.codes, b.registry, a.registry), b.qubus)
+    return complex(np.sum(a.amps[i].conj() * b.amps[j] * q))
+
+
 @PAIRING
 @given(state_pairs())
 def test_gram_sums_match_pairing_by_runs(pair):
     a, a2, b, c = pair
     scale = max(norm(a), norm(a2), 1.0) * max(norm(b), 1.0)
     for states in ([a], [a, a2]):
-        assert np.abs(_gram(states) - _gram_sum_by_runs(states, states)).max() <= 1e-12 * scale
+        # the Fock pmf's Gram matrix of the parts at each value of a fresh beam
+        states = [st for st in states if len(st.amps)]
+        if not states or norm(_on_probe(states, (0.0, 3.0))[0]) < 1e-3:
+            continue
+        s, mode = _on_probe(states, (0.0, 3.0))
+        r = 1 / norm(s)
+        pmf = detection.fock_distribution(s.scaled(r), mode)
+        parts = [states[round(v.real / 3.0)].scaled(r) for v in pmf.values]
+        want = _gram_sum_by_runs(parts, parts)
+        assert np.abs(pmf.gram - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+    for x, y in ((a, a), (a, a2), (a, b), (b, a)):
+        assert abs(_paired_sum(x, y) - _gram_sum_by_runs([x], [y])[0, 0]) <= 1e-12 * scale
     assert abs(inner_product(a, b) - _gram_sum_by_runs([a], [b])[0, 0]) <= 1e-12 * scale
     assert abs(inner_product(b, a) - _gram_sum_by_runs([b], [a])[0, 0]) <= 1e-12 * scale
     for s in (a, b):
@@ -660,18 +697,18 @@ def test_recode_marks_a_slot_the_target_lacks():
 
 
 def test_normalized_states_keep_their_norm_and_a_stage_takes_one_gram_sum(monkeypatch):
-    calls = []  # a Gram matrix is counted by its state count, a single overlap as "overlap"
-    gram, overlap = state_mod._gram, state_mod._overlap
+    calls = []  # a Gram matrix is counted as "pairing", a single overlap as "overlap"
+    paired, overlap = detection._paired, state_mod._overlap
 
-    def counted_gram(states):
-        calls.append(len(states))
-        return gram(states)
+    def counted_paired(*args):
+        calls.append("pairing")
+        return paired(*args)
 
     def counted_overlap(a, b):
         calls.append("overlap")
         return overlap(a, b)
 
-    monkeypatch.setattr(state_mod, "_gram", counted_gram)
+    monkeypatch.setattr(detection, "_paired", counted_paired)
     monkeypatch.setattr(state_mod, "_overlap", counted_overlap)
     reg = ModeRegistry().with_photon("1", ("a",)).with_qubus("q")
     distinct = HybridState(reg, [Branch(0.6, (("1", "a", "H"),), (1.0,)),
@@ -688,24 +725,30 @@ def test_normalized_states_keep_their_norm_and_a_stage_takes_one_gram_sum(monkey
         calls.clear()
     fresh = [HybridState._derived(reg, st.amps, st.codes, st.qubus)
              for st in (unit[0], unit[1], unit[1].scaled(-1))]
+    # a Fock pmf over three parts takes their Gram matrix in one pairing
+    s, mode = _on_probe(fresh, (0.0, 3.0, 6.0))
+    s = s.scaled(1 / norm(s))
     calls.clear()
+    assert len(detection.fock_distribution(s, mode).values) == 3
+    assert calls == ["pairing"]
+    calls.clear()
+    # the tests' reference loop takes each norm and each overlap with the representative
     scored = score_outcomes("fock", [(n, 1 / 3, st) for n, st in enumerate(fresh)])
-    assert calls == [3]
+    assert calls == ["overlap"] * 6
     want = [fidelity(st, fresh[0]) for st in fresh]
     assert list(scored.outcomes.fidelities) == pytest.approx(want, abs=1e-12)
 
 
 def test_readouts_take_norms_and_only_scoring_and_the_pmf_take_a_gram_matrix(monkeypatch):
     calls = []
-    gram = state_mod._gram
+    parts_gram = detection._parts_gram
 
-    def counted_gram(states):
-        calls.append(len(states))
-        return gram(states)
+    def counted_gram(s, idx, values):
+        calls.append(len(values))
+        return parts_gram(s, idx, values)
 
-    for module in (state_mod, detection):
-        monkeypatch.setattr(module, "_gram", counted_gram)
-    assert not hasattr(gates, "_gram")
+    monkeypatch.setattr(detection, "_parts_gram", counted_gram)
+    assert not hasattr(gates, "_parts_gram")
     split = el.photon_bs(HybridState(ModeRegistry().with_photon("1", ("a", "b")),
                                      pol_qubit("1", "a", 0.6, 0.8).branches), "1", "a", "b")
     beam = attach_qubus(pol_qubit("2", "c", 0.6, 0.8), "q", 1.5)
@@ -733,11 +776,6 @@ def test_readouts_take_norms_and_only_scoring_and_the_pmf_take_a_gram_matrix(mon
     calls.clear()
     assert len(gates.merging_n(mid, "2", rep.extras["rails"], "A", [("1", None)])[1].outcomes) == 4
     assert len(calls) == 1  # its Entangler's Fock pmf
-    calls.clear()
-    # the tests' reference loop takes one
-    outcomes = [(path, 0.5, st.normalized()) for path, st in zip("ab", (s, s.scaled(1j)))]
-    score_outcomes("presence", outcomes)
-    assert calls == [2]
 
 
 # -- carried norms of readout parts, cached ancillas ---------------------------
@@ -893,12 +931,12 @@ def test_a_beam_value_one_bit_or_one_zero_sign_apart_misses(other):
     built = [_on_beam([("H", 0.6, base), ("V", 0.8, 2.0)]),
              _on_beam([("H", 0.6, other), ("V", 0.8, 2.0)])]
     assert built[1].qubus.tobytes() != built[0].qubus.tobytes()
-    runs, pairing = state_mod._run_index, state_mod._gram_pairing
+    runs, pairing = state_mod._run_index, state_mod._pairing
     for memo in (runs, pairing):
         memo.cache_clear()
     for s in built:
         canonicalize(s)
-        _gram([s])
+        state_mod._paired(s.codes, s.qubus, s.codes, s.qubus)
     assert runs.cache_info().misses == pairing.cache_info().misses == 2
 
 
@@ -911,27 +949,32 @@ def test_runs_are_kept_per_tolerance():
             2 if tol == 0.0 else 1 for tol in tols]
 
 
-def test_the_gram_pairing_is_kept_per_split_of_the_stacked_rows():
-    # both lists stack the same rows, split 1 + 2 and 2 + 1: each Gram
-    # matrix is the overlaps of its own states
+def test_one_pairing_serves_every_split_of_the_same_rows():
+    # two states hold the same labels and q values, split 1 + 2 and 2 + 1
+    # over beam b: the pmf pairs their rows once, and each Gram matrix is
+    # the overlaps of its own parts
     rows = [("H", 0.6, 1.0), ("H", 0.8, 2.0), ("V", 1.0, 3.0)]
-    reg = ModeRegistry().with_photon("1", ("p",)).with_qubus("q")
-    state_mod._gram_pairing.cache_clear()
+    reg = ModeRegistry().with_photon("1", ("p",)).with_qubus("q").with_qubus("b")
+    state_mod._pairing.cache_clear()
     for k in (1, 2):
-        states = [_on_beam(rows[:k], reg), _on_beam(rows[k:], reg)]
-        want = [[inner_product(a, b) for b in states] for a in states]
-        assert np.abs(_gram(states) - want).max() <= 1e-15
-    assert state_mod._gram_pairing.cache_info().misses == 2
+        s = normalize(HybridState(reg, [
+            Branch(complex(a), (("1", "p", pol),), (complex(v), 0j if n < k else 3 + 0j))
+            for n, (pol, a, v) in enumerate(rows)]))
+        values, parts = split_by_value(s, 1)
+        pmf = detection.fock_distribution(s, "b")
+        assert list(pmf.values) == values and len(values) == 2
+        want = [[inner_product(x, y) for y in parts] for x in parts]
+        assert np.abs(pmf.gram - want).max() <= 1e-15
+    assert state_mod._pairing.cache_info().misses == 1
 
 
 def test_every_memoized_array_is_read_only():
     s = attach_qubus(two_photon(3), "q", 1.5)
     other = s.registry.with_path("1", "x")
     arrays = [*state_mod._runs(s.codes, s.qubus, CANON_TOL), _recode(s.codes, s.registry, other)]
-    key = state_mod._structure(s.codes, s.qubus)
-    arrays += state_mod._gram_pairing(key, (2, len(s.amps) - 2))
-    arrays += gates._route_pairing(key, s.registry, key, other)
-    assert len(arrays) == 10
+    arrays += state_mod._paired(s.codes, s.qubus, s.codes, s.qubus)  # rows with themselves
+    arrays += state_mod._paired(s.codes, s.qubus, s.codes.copy(), s.qubus.copy())
+    assert len(arrays) == 9
     for a in arrays:
         assert not a.flags.writeable
 
