@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FockTable, default_fock_cutoff, fock_amplitude, fock_table, poisson_pmf
-from .registry import _require_paths
+from .numerics import FockTable, default_fock_cutoff, fock_amplitude, fock_table, frozen, poisson_pmf
+from .registry import _require_distinct, _require_paths
 from .state import (
     HybridState,
     _binned,
@@ -246,9 +246,7 @@ def _window(pmf: FockPmf) -> tuple[np.ndarray, np.ndarray]:
     windows = pmf.fock.windows
     if level not in windows:
         ns = np.flatnonzero(pmf.fock.weights * math.ldexp(1.0, level) >= MIN_PROB / 2)
-        columns = pmf.table[:, ns]
-        ns.flags.writeable = columns.flags.writeable = False
-        windows[level] = ns, columns
+        windows[level] = frozen((ns, pmf.table[:, ns]))
     return windows[level]
 
 
@@ -261,7 +259,8 @@ class FockOutcomes(Sequence):
     to the cutoff.  values (a list) and ns (the same n, an int array),
     probabilities and weights (the columns ⟨n|α_k⟩ of the pmf table) are
     those of the kept n, so outcome i is Σ_k weights[k, i] ψ_k, the parts
-    ψ_k of state at beam_values[k] on mode_index, without building a state.
+    ψ_k of state at the pmf's values[k] on mode_index, without building a
+    state.
     Indexing or iterating collapses the state into outcome i's
     MeasurementRecord, whose probability is the collapsed state's own norm².
     """
@@ -274,7 +273,6 @@ class FockOutcomes(Sequence):
         self.values = self.ns.tolist()
         self.probabilities = probs.take(keep)
         self.weights = columns.take(keep, axis=1)
-        self.beam_values = pmf.values
         self.state = s
         self.mode_index = s.registry.qubus_index(mode)
 
@@ -300,7 +298,8 @@ def fock_outcomes(s: HybridState, mode: str) -> FockOutcomes:
 
 def presence_outcomes(s: HybridState, pid: str, paths: Sequence[str]) -> list[MeasurementRecord]:
     """Where the photon is found among the given paths, photon preserved.
-    Every path must be registered for the photon."""
+    Every path must be registered for the photon, and listed once."""
+    _require_distinct("paths", paths, MeasurementError)
     _require_paths(s.registry, pid, *paths)
     on = _slot_digits(s, pid) >> 1
     out = []
@@ -348,11 +347,13 @@ def bell_outcomes(
     One pass (see the module docstring).  Rows group by the rule of
     canonical(0.0); an outcome's part holds, in canonical order, each group
     with a row on the outcome's two patterns, a group that cancels to 0
-    included.  values names the outcomes to enumerate, in the order given
-    (default: all four, in BELLS order), as presence_outcomes takes its
-    paths; the record of an outcome is the same whichever others are asked
-    for.
+    included.  values names the outcomes to enumerate, each once, in the
+    order given (default: all four, in BELLS order), as presence_outcomes
+    takes its paths; the record of an outcome is the same whichever others
+    are asked for.  The two photons must differ.
     """
+    _require_distinct("Bell photons", [pid_a, pid_b], MeasurementError)
+    _require_distinct("Bell outcomes", values, MeasurementError)
     pattern, rest = _bell_pattern(s, pid_a, pid_b)
     for v in values:
         if v not in BELLS:

@@ -18,10 +18,10 @@ There is one compiled path for every slot table.  A table builder and its
 arguments key the table's images, compiled once per (path layout, photon,
 table) by `_images` into arrays of coefficients and destination digits over
 every digit (`_slot_images`); `_apply_images` is the one routine that
-applies them, by arithmetic on every row's label code.  An image the
-registry refuses is raised only when an occupied slot emits it, as if the
-table were built for the occupied slots alone.  An element call looks its
-images up; a repeated call on one layout compiles nothing.
+applies them, by arithmetic on every row's label code.  A table with an
+image the registry refuses raises when it is compiled, whether or not a
+row occupies its slot.  An element call looks its images up; a repeated
+call on one layout compiles nothing.
 
 `apply_elements` runs a sequence of ElementOps.  Each maximal run of the
 slot-map kinds (PhotonBS, PathSwitch, PolPhase, PolRot, WavePlateX,
@@ -64,6 +64,7 @@ from .state import (
     _reregistered,
     _slot_digits,
 )
+from .numerics import frozen
 from .registry import _require_paths
 
 
@@ -102,61 +103,46 @@ def op(kind: str, parameter: float = 0.0, **targets) -> ElementOp:
 # ---------------------------------------------------------------------------
 
 
-def _slot_images(reg: ModeRegistry, pid: str, table: dict) -> tuple[np.ndarray, np.ndarray, dict]:
-    """(coef, dest, bad): coef and dest, shape (width, radix) each, hold in
-    row k the k-th image of every digit of photon pid under
+def _slot_images(reg: ModeRegistry, pid: str, table: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(coef, dest): coef and dest, shape (width, radix) each, hold in row k
+    the k-th image of every digit of photon pid under
     table[(path, pol)] -> [(coef, path, pol), ...], as a coefficient and a
     destination digit.
 
     Slots missing from the table map to themselves.  Images with coefficient
     0 are left out, the rest packed first, so a digit with fewer images than
     the widest has coefficient 0 in its last rows.  An image the registry
-    refuses is not raised here: bad maps its digit to the (error type,
-    message) of its first such image, for `_apply_images` to raise when an
-    occupied slot emits it, and the digit gets no images.
+    refuses raises what the HybridState constructor raises for its slot.
     """
     paths, radix = reg.paths_of(pid), reg._radix[reg.slot_index(pid)]
-    images, bad = [], {}
+    images = []
     for d in range(radix):
         slot = (paths[d >> 1], POLS[d & 1])
-        row = []
-        for c, p, q in table.get(slot, [(1, *slot)]):
-            if c:
-                try:
-                    row.append((c, reg._digit(pid, p, q)))
-                except (RegistryError, StateError) as exc:
-                    bad[d], row = (type(exc), str(exc)), []
-                    break
-        images.append(row)
+        images.append([(c, reg._digit(pid, p, q)) for c, p, q in table.get(slot, [(1, *slot)]) if c])
     width = max(map(len, images), default=0)
     coef, dest = np.zeros((width, radix), complex), np.zeros((width, radix), np.int64)
     for d, row in enumerate(images):
         if row:
             coef[: len(row), d], dest[: len(row), d] = zip(*row)
-    return coef, dest, bad
+    return coef, dest
 
 
 @functools.lru_cache(maxsize=512)
 def _images(reg: ModeRegistry, pid: str, build: Callable, args: tuple) -> tuple:
     """The slot table build(reg, pid, *args) of photon pid compiled once per
-    (registry, photon, table): (slot index, coef, dest, bad) in
-    `_slot_images`' layout, over every digit, read-only.
+    (registry, photon, table): (slot index, coef, dest) in `_slot_images`'
+    layout, over every digit, read-only.
 
     Building the table runs its checks (registered paths, a known
-    polarization); a call that raises caches nothing, so it raises again.
+    polarization), and so does compiling its images; a call that raises
+    caches nothing, so it raises again.
     """
-    coef, dest, bad = _slot_images(reg, pid, build(reg, pid, *args))
-    coef.setflags(write=False)
-    dest.setflags(write=False)
-    return reg.slot_index(pid), coef, dest, bad
+    return (reg.slot_index(pid), *frozen(_slot_images(reg, pid, build(reg, pid, *args))))
 
 
-def _apply_images(
-    s: HybridState, i: int, coef: np.ndarray, dest: np.ndarray, bad: dict | None = None
-) -> HybridState:
+def _apply_images(s: HybridState, i: int, coef: np.ndarray, dest: np.ndarray) -> HybridState:
     """Expand each row of s through the images (coef, dest) of its digit in
-    slot i, as `_slot_images` lays them out; an occupied digit in bad raises
-    its error, the first such digit first.
+    slot i, as `_slot_images` lays them out.
 
     The digit is rewritten by integer arithmetic on the label code: the k-th
     images of all rows come from row k of coef and dest, one gather each.
@@ -167,10 +153,6 @@ def _apply_images(
     reg = s.registry
     stride, radix = reg._stride[i], reg._radix[i]
     digits = s.codes // stride % radix
-    for d in _distinct(digits) if bad else ():
-        if d in bad:
-            kind, message = bad[d]
-            raise kind(message)
     if coef.all():  # every digit has len(coef) images
         occupied, width, full = slice(None), len(coef), True
     else:
@@ -210,8 +192,7 @@ def _apply_images(
 def _remap(s: HybridState, pid: str, build: Callable, *args) -> HybridState:
     """Expand each row of s through photon pid's slot table build(reg, pid,
     *args), compiled once per layout (`_images`).  Slots missing from the
-    table pass through unchanged; an image is checked against the registry
-    when an occupied slot emits it."""
+    table pass through unchanged."""
     return _apply_images(s, *_images(s.registry, pid, build, args))
 
 
@@ -493,15 +474,12 @@ def _compiled(reg: ModeRegistry, run: tuple[ElementOp, ...]) -> tuple:
     maps: dict[int, list] = {}
     for e in run:
         pid, *args = map(e.target, ELEMENTS[e.kind][0])
-        i, coef, dest, _ = _images(reg, pid, _SLOT_TABLES[e.kind], (*args, e.parameter))
+        i, coef, dest = _images(reg, pid, _SLOT_TABLES[e.kind], (*args, e.parameter))
         maps.setdefault(i, []).append((coef, dest))
     compiled = []
     for i, images in maps.items():
-        coef, dest = images[0] if len(images) == 1 else _composed(images, reg._radix[i])
-        coef.setflags(write=False)
-        dest.setflags(write=False)
-        compiled.append((i, coef, dest))
-    return tuple(compiled)
+        compiled.append((i, *(images[0] if len(images) == 1 else _composed(images, reg._radix[i]))))
+    return frozen(tuple(compiled))
 
 
 def _composed(images: list, radix: int) -> tuple[np.ndarray, np.ndarray]:

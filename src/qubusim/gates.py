@@ -26,13 +26,16 @@ Correction and disposal are linear once the disposal value is fixed, and
 act on photons only, so each (feed-forward row, disposal value) group gives
 every outcome of it from K fixed parts.  None of that depends on the
 amplitudes: for one input structure (registry, label codes and beam values)
-with one readout and plan, the stage is compiled once (_stage_algebra) into
-each group's part rows as maps of the input amplitudes and the overlaps of
-those rows.  A readout whose weights are fixed (Bell, presence) folds them
-into the compile, so its outcome k is its part k, corrected only by plan
-row k.  The beam values are part of the structure, so a new α or θ
-compiles afresh: the cache pays off only when a structure repeats.  A
-block call still couples and enumerates the Fock outcomes (the MIN_PROB cut
+with one readout and plan, the stage is compiled once (_stage_algebra, a
+numerics.array_memo of BLOCK_CACHE entries keyed on the exact bytes of the
+codes and beam values) into each group's part rows as maps of the input
+amplitudes and the overlaps of those rows.  The compile's own merges run
+unkept (`_runs.__wrapped__`): no later call meets its tagged rows.  A
+readout whose weights are fixed (Bell, presence) folds them into the
+compile, so its outcome k is its part k, corrected only by plan row k.
+The beam values are part of the structure, so a new α or θ compiles
+afresh: the cache pays off only when a structure repeats.  A block call
+still couples and enumerates the Fock outcomes (the MIN_PROB cut
 and the tail check); then every stage only does array work on its
 amplitudes: a block's dominant disposal value per outcome and the TIE_TOL
 tie rule, the parts (with canonicalize's dust rule after a disposal), one
@@ -95,7 +98,8 @@ from .detection import (
     presence_outcomes,
     project_qubus_coherent,
 )
-from .registry import ModeRegistry
+from .numerics import array_memo
+from .registry import ModeRegistry, _require_distinct
 from .state import (
     CANON_TOL,
     H,
@@ -513,7 +517,7 @@ class _Release(NamedTuple):
         v = digits & 1
         # each row keyed by its H row: its code with the photon's V digit cleared
         h_codes = s.codes - v * reg._stride[reg.slot_index(pid)]
-        order, new = _runs(h_codes, s.qubus, CANON_TOL)
+        order, new = _runs.__wrapped__(h_codes, s.qubus, CANON_TOL)
         pair = (new.cumsum() - 1)[order.argsort()]
         first = order[new]
         h = _binned(pair, np.where(v, 0, s.amps), len(first))
@@ -589,8 +593,9 @@ def _compile_rows(s: HybridState, merge_on: list[int], values: list, measured: i
     canonicalize's rule at CANON_TOL on their code and the beam columns
     merge_on.  Returns (the first row of each merged row, in canonical order;
     each row's merged row; each row's part, the index in values of its value
-    at column measured; each row's source row and coefficient)."""
-    order, new = _runs(s.codes, s.qubus[:, merge_on], CANON_TOL)
+    at column measured; each row's source row and coefficient).  A compile
+    meets its tagged rows once, so the merge runs unkept (`_runs.__wrapped__`)."""
+    order, new = _runs.__wrapped__(s.codes, s.qubus[:, merge_on], CANON_TOL)
     merged = np.empty(len(order), int)
     merged[order] = new.cumsum() - 1
     index = {v: k for k, v in enumerate(values)}
@@ -598,17 +603,17 @@ def _compile_rows(s: HybridState, merge_on: list[int], values: list, measured: i
     return order[new], merged, part, s.qubus[:, -1].real.astype(int), s.amps / _COMPILE_AMP
 
 
-@functools.lru_cache(maxsize=BLOCK_CACHE)
+@array_memo(BLOCK_CACHE)
 def _stage_algebra(
     reg: ModeRegistry,
-    codes: bytes,
-    qubus: bytes,
+    codes: np.ndarray,
+    qubus: np.ndarray,
     readout: _FockParts | _BellParts | _PresenceParts,
     rows: tuple[tuple[el.ElementOp, ...], ...],
 ) -> _Algebra:
     """What a readout stage does that does not depend on the amplitudes.
 
-    The input's rows (registry reg, label codes and beam values as bytes),
+    The input's rows (registry reg, label codes and beam values),
     the readout that splits them into K parts (a qubus block's also names
     its disposal beam) and the feed-forward rows fix every step of the
     stage but the amplitudes, and every step is linear in them.  So each
@@ -627,8 +632,6 @@ def _stage_algebra(
     or θ compiles afresh; only stages that repeat their structure (one gate
     on many inputs) gain from the cache.
     """
-    codes = np.frombuffer(codes, np.int64)
-    qubus = np.frombuffer(qubus, complex).reshape(len(codes), -1)
     n = len(codes)
     tag = reg.fresh_qubus("tag")
     tagged = HybridState._derived(reg.with_qubus(tag), np.full(n, _COMPILE_AMP, complex),
@@ -695,17 +698,8 @@ def _stage_algebra(
              | (np.diff(owner, prepend=owner[:1]) != 0)).cumsum()
     i, j, overlap = _pair_overlaps(label, qubus, label, qubus)
     gram = (i, j, overlap, (owner[i] * k + part[i]) * k + part[j])
-    algebra = _Algebra(branch, group, registry, codes, qubus, owner * k + part,
-                       (renumber[merged], source, coef), groups, gram)
-    for x in (*(branch or ()), group, codes, qubus, algebra.cell, *algebra.parts, *gram):
-        if x is not None:
-            x.setflags(write=False)
-    return algebra
-
-
-def _algebra_of(s: HybridState, readout, plan: FeedForwardPlan) -> _Algebra:
-    """The stage algebra of input s (see _stage_algebra)."""
-    return _stage_algebra(s.registry, s.codes.tobytes(), s.qubus.tobytes(), readout, plan.rows)
+    return _Algebra(branch, group, registry, codes, qubus, owner * k + part,
+                    (renumber[merged], source, coef), groups, gram)
 
 
 class _StageOutputs:
@@ -818,7 +812,8 @@ def _block_outputs(found: FockOutcomes, plan: FeedForwardPlan, beam: str) -> _St
     block's compiled algebra, the disposal beam projected onto each
     outcome's dominant value; its route is _outcome_route."""
     st = found.state
-    alg = _algebra_of(st, _FockParts(found.mode_index, beam), plan)
+    alg = _stage_algebra(st.registry, st.codes, st.qubus, _FockParts(found.mode_index, beam),
+                         plan.rows)
     return _StageOutputs(st, alg, found.weights, found.values, plan.row_of(found.ns),
                          lambda i, v: _outcome_route(found[i], plan, beam), found.probabilities)
 
@@ -851,8 +846,8 @@ def _readout_stage(
     its outcomes (values, weights the identity), part k corrected by plan
     row k, and every outcome from MIN_PROB up is scored."""
     k = len(values)
-    return _StageOutputs(s, _algebra_of(s, readout, plan), np.eye(k), values, np.arange(k),
-                         route).scored(kind)
+    alg = _stage_algebra(s.registry, s.codes, s.qubus, readout, plan.rows)
+    return _StageOutputs(s, alg, np.eye(k), values, np.arange(k), route).scored(kind)
 
 
 def run_bell_stage(s: HybridState, pid_a: str, pid_b: str, plan: FeedForwardPlan) -> Scored:
@@ -884,12 +879,6 @@ def _block_report(
         gates=Counter({name: 1}),
         extras=extras,
     )
-
-
-def _require_distinct(what: str, names: Sequence[str]) -> None:
-    """A gate may not name one photon in two roles, nor one rail twice."""
-    if len(set(names)) != len(names):
-        raise GateError(f"{what} must be distinct, got {list(names)!r}")
 
 
 def _require_single_path(s: HybridState, pid: str) -> str:
@@ -1112,7 +1101,7 @@ def parity_gate(
     component (|HH⟩, |VV⟩ weights) rides on the new rail and the odd one on
     the original rail, for every measurement outcome.
     """
-    _require_distinct("parity photons", [photon1, photon2])
+    _require_distinct("parity photons", [photon1, photon2], GateError)
     p1_path = _require_single_path(s, photon1)
     rail_a = _require_single_path(s, photon2)
     s, (rail_b,) = _open_rails(s, photon2, [rail_a], "s")
@@ -1146,7 +1135,7 @@ def _route_rails(
 ) -> tuple[HybridState, GateReport]:
     """C-path on every rail of the target: control H keeps the rails, control
     V moves the photon to the fresh rail beside each."""
-    _require_distinct("control and target", [control, target])
+    _require_distinct("control and target", [control, target], GateError)
     c_path_ = _require_single_path(s, control)
     rails = tuple(rails)
     s, fresh = _open_rails(s, target, rails, suffix)
@@ -1216,7 +1205,7 @@ def c_path3(
     """
     if len(control_rails) != 2:
         raise GateError(f"C-path-3 needs the control's two rails, got {list(control_rails)!r}")
-    _require_distinct("control and target", [control, target])
+    _require_distinct("control and target", [control, target], GateError)
     first, second = control_rails
     rail1 = _require_single_path(s, target)
     s, (rail2,) = _open_rails(s, target, [rail1], "s")
@@ -1408,8 +1397,9 @@ def merging_n(
     qbits = n_rails.bit_length() - 1
     if len(companions) != qbits:
         raise GateError(f"need {qbits} companions for {n_rails} rails")
-    _require_distinct("photon, ancilla and companions", [photon, ancilla, *(c for c, _ in companions)])
-    _require_distinct("rails", rails)
+    _require_distinct("photon, ancilla and companions",
+                      [photon, ancilla, *(c for c, _ in companions)], GateError)
+    _require_distinct("rails", rails, GateError)
     if not (isinstance(interference, str) and interference in ("qft", "hadamard4")):
         raise GateError(f"interference must be 'qft' or 'hadamard4', got {interference!r}")
     if interference == "hadamard4" and n_rails != 4:

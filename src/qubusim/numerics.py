@@ -1,17 +1,71 @@
-"""Small numeric helpers shared by detection and analysis.
+"""Small numeric helpers shared by the other modules; imports none of them.
 
 Fock overlaps are evaluated in the log domain with lgamma so photon numbers
 up to a few thousand never overflow.
+
+`array_memo` is the one memo for work keyed on array contents (the state
+module's index memos, the gates' compiled stages and the Fock tables here).
+It keys each array argument on its exact bytes, shape and dtype, so values
+one bit or one zero sign apart miss, and every array it hands back is
+read-only (`frozen`), since every caller shares it.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import inspect
 import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+
+def frozen(x):
+    """x, with every array in it made read-only: x itself, or the arrays in
+    a tuple (a NamedTuple too) or in its nested tuples."""
+    if isinstance(x, np.ndarray):
+        x.setflags(write=False)
+    elif isinstance(x, tuple):
+        for item in x:
+            frozen(item)
+    return x
+
+
+def array_memo(maxsize: int):
+    """A functools.lru_cache of maxsize results for a kernel of positional
+    arguments, those annotated np.ndarray keyed by content.
+
+    Each array argument keys as its bytes, shape and dtype, every other
+    argument as itself.  On a miss the kernel gets read-only arrays rebuilt
+    from the key, and its result is `frozen`.  The key is built at fixed
+    positions by one generated line: a loop over the arguments would cost
+    half as much again as key and lookup on the index memos, which run on
+    every state operation.  The memo has the lru_cache's cache_info and
+    cache_clear, and `__wrapped__` (the kernel); it calls the lru_cache by
+    the name `_lookup` in its `__globals__`.
+    """
+
+    def memo(kernel):
+        params, slots, key, args = inspect.signature(kernel).parameters, [], [], []
+        for i, (name, p) in enumerate(params.items()):
+            if p.annotation in (np.ndarray, "np.ndarray"):
+                slots.append(f"b{i}, s{i}, d{i}")
+                key.append(f"{name}.tobytes(), {name}.shape, {name}.dtype")
+                args.append(f"np.frombuffer(b{i}, d{i}).reshape(s{i})")
+            else:
+                slots.append(f"k{i}")
+                key.append(name)
+                args.append(f"k{i}")
+        scope = {"np": np, "frozen": frozen, "kernel": kernel}
+        exec(f"def miss({', '.join(slots)}):\n return frozen(kernel({', '.join(args)}))", scope)
+        scope["_lookup"] = lookup = functools.lru_cache(maxsize)(scope["miss"])
+        exec(f"def call({', '.join(params)}):\n return _lookup({', '.join(key)})", scope)
+        call = functools.update_wrapper(scope["call"], kernel)
+        call.cache_info, call.cache_clear = lookup.cache_info, lookup.cache_clear
+        return call
+
+    return memo
 
 
 def fock_amplitude(n: int, alpha: complex) -> complex:
@@ -52,15 +106,13 @@ def fock_table(alphas: Sequence[complex], cutoff: int) -> FockTable:
     in two orders, [0, −β, β] and [0, β, −β], that alternate from block to
     block in the multi-qubit gates.
     """
-    alphas = np.asarray(alphas, dtype=complex)
-    return _fock_table(alphas.tobytes(), cutoff)
+    return _fock_table(np.asarray(alphas, dtype=complex), cutoff)
 
 
-@functools.lru_cache(maxsize=2)
-def _fock_table(alphas_bytes: bytes, cutoff: int) -> FockTable:
-    """fock_table keyed by the α_k's bytes, so that values which compare
-    equal but differ in the sign of a zero keep their own tables."""
-    alphas = np.frombuffer(alphas_bytes, dtype=complex)
+@array_memo(2)
+def _fock_table(alphas: np.ndarray, cutoff: int) -> FockTable:
+    """fock_table's record; values that compare equal but differ in the
+    sign of a zero keep their own tables."""
     a2 = alphas.real**2 + alphas.imag**2
     vacuum = a2 == 0.0
     ns = np.arange(cutoff + 1)
@@ -74,8 +126,6 @@ def _fock_table(alphas_bytes: bytes, cutoff: int) -> FockTable:
     table[vacuum, 0] = 1.0
     weights = (table.real**2 + table.imag**2).sum(axis=0)
     moments = table.conj() @ table.T
-    for x in (table, weights, moments):
-        x.flags.writeable = False
     return FockTable(table, weights, moments, {})
 
 

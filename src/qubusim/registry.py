@@ -210,6 +210,12 @@ def _registry(
     return ModeRegistry(photon_paths, qubus_modes)
 
 
+def _require_distinct(what: str, names: Sequence[str], error: type[Exception]) -> None:
+    """No name may be listed twice: a photon in two roles, a rail or an outcome twice."""
+    if len(set(names)) != len(names):
+        raise error(f"{what} must be distinct, got {list(names)!r}")
+
+
 def _require_paths(reg: ModeRegistry, pid: str, *paths: str) -> None:
     """Every path named must be registered for the photon."""
     registered = reg.paths_of(pid)

@@ -30,14 +30,14 @@ never recomputes it.  Codes move between layouts by `_recode`.
 
 Index work that does not read the amplitudes is memoized by exact row
 structure, since a gate meets the same labels and beam values on every
-input and only the amplitudes change.  Three memos each keep up to
-INDEX_CACHE results: `_runs` (canonical order and run starts), `_recode`,
-and `_paired`, the pairing kernel's result for two sides' rows, which the
-Fock pmf and the gates' route check read.  The key is the bytes of the
-label codes and beam values (`_structure`: a beam value one bit or one zero
-sign apart misses) and what else the result reads: the beams' shape, tol,
-the two layouts.  A miss computes what an unmemoized call computes, so
-results are bit-identical, and every cached array is read-only.  `_overlap`
+input and only the amplitudes change.  Three memos (numerics.array_memo)
+each keep up to INDEX_CACHE results: `_runs` (canonical order and run
+starts), `_recode`'s kernel `_recoded`, and `_paired`, the pairing kernel
+memoized, which the Fock pmf and the gates' route check read.  Each keys
+on the exact bytes, shape and dtype of its arrays (a beam value one bit or
+one zero sign apart misses) and on what else its result reads: tol, the
+two layouts.  A miss computes what an unmemoized call computes, so results
+are bit-identical, and every cached array is read-only.  `_overlap`
 (`norm`, `inner_product`, `fidelity`) and detection's `_project_onto`
 compute on every call: a state keeps its norm already, and the benchmark's
 trace counts coherent-overlap work through these calls.
@@ -60,7 +60,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .registry import POLS, H, ModeRegistry, RegistryError, Slot, StateError, V, _codec
+from .numerics import array_memo, frozen
+from .registry import (POLS, H, ModeRegistry, RegistryError, Slot, StateError, V, _codec,
+                       _require_distinct)
 
 #: default tolerance for merging/dropping branches in canonicalize()
 CANON_TOL = 1e-12
@@ -113,12 +115,12 @@ def _recode(codes: np.ndarray, src: ModeRegistry, dst: ModeRegistry) -> np.ndarr
     """
     if src._layout == dst._layout:
         return codes
-    return _recoded(np.asarray(codes, np.int64).tobytes(), src._layout, dst._layout)
+    return _recoded(codes, src._layout, dst._layout)
 
 
-@functools.lru_cache(maxsize=INDEX_CACHE)
-def _recoded(codes: bytes, src: tuple, dst: tuple) -> np.ndarray:
-    """_recode's result for codes (as bytes) from layout src to layout dst.
+@array_memo(INDEX_CACHE)
+def _recoded(codes: np.ndarray, src: tuple, dst: tuple) -> np.ndarray:
+    """_recode's result for codes from layout src to layout dst.
 
     Each photon both layouts register has a digit table: entry d is its src
     digit d in dst's layout, or -1 where dst lacks the path.  Every kept
@@ -137,30 +139,11 @@ def _recoded(codes: bytes, src: tuple, dst: tuple) -> np.ndarray:
     stride = np.array([src_stride[i] for i in kept], np.int64)
     radix = np.array([src_radix[i] for i in kept], np.int64)
     digits = np.array(table, np.int64)[
-        np.frombuffer(codes, np.int64)[:, None] // stride % radix + np.array(offset, np.int64)]
+        codes[:, None] // stride % radix + np.array(offset, np.int64)]
     out = digits @ np.array([dst_stride[dst_slot[src[i][0]]] for i in kept], np.int64)
     if -1 in table:
         out[(digits < 0).any(axis=1)] = -1
-    return _frozen(out)[0]
-
-
-def _structure(codes: np.ndarray, qubus: np.ndarray) -> tuple[bytes, bytes, tuple]:
-    """Rows' exact structure as a memo's key: the bytes of their label codes
-    and beam values, and the beam values' shape."""
-    return np.asarray(codes, np.int64).tobytes(), np.asarray(qubus, complex).tobytes(), qubus.shape
-
-
-def _unkeyed(key: tuple[bytes, bytes, tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """The (read-only) label codes and beam values of a _structure key."""
-    codes, qubus, shape = key
-    return np.frombuffer(codes, np.int64), np.frombuffer(qubus, complex).reshape(shape)
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only: a memo hands the same ones to every caller."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+    return out
 
 
 def _increasing(codes: np.ndarray) -> bool:
@@ -180,18 +163,12 @@ def _canonical_order(codes: np.ndarray, qubus: np.ndarray) -> np.ndarray:
     return np.lexsort(keys[::-1])
 
 
+@array_memo(INDEX_CACHE)
 def _runs(codes: np.ndarray, qubus: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(canonical order, run starts): in canonical order, a row starts a new
     run unless it has the code of the row before it and every beam value
     within tol of that row's (|x − y| ≤ tol).  Kept per (row structure,
-    tol), read-only."""
-    return _run_index(_structure(codes, qubus), tol)
-
-
-@functools.lru_cache(maxsize=INDEX_CACHE)
-def _run_index(key: tuple, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """_runs of the rows of a _structure key."""
-    codes, qubus = _unkeyed(key)
+    tol), read-only; `_runs.__wrapped__` computes it unkept."""
     order = _canonical_order(codes, qubus)
     codes = codes[order]
     new = np.empty(len(codes), bool)
@@ -200,7 +177,7 @@ def _run_index(key: tuple, tol: float) -> tuple[np.ndarray, np.ndarray]:
     for col in qubus.T:
         col = col[order]
         new[1:] |= abs(col[1:] - col[:-1]) > tol
-    return _frozen(order, new)
+    return order, new
 
 
 def _reregistered(s: HybridState, registry: ModeRegistry) -> HybridState:
@@ -398,23 +375,9 @@ def _binned(cells: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(cells, terms.real, size) + 1j * np.bincount(cells, terms.imag, size)
 
 
-def _paired(codes: np.ndarray, qubus: np.ndarray, other_codes: np.ndarray,
-            other_qubus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_pair_overlaps, kept per (both sides' row structure), read-only: for
-    readouts that meet the same rows on every input.  Rows passed as both
-    sides (the same arrays) pair with themselves."""
-    key = _structure(codes, qubus)
-    if other_codes is codes and other_qubus is qubus:
-        return _pairing(key, None)
-    return _pairing(key, _structure(other_codes, other_qubus))
-
-
-@functools.lru_cache(maxsize=INDEX_CACHE)
-def _pairing(key: tuple, other: tuple | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_paired of the rows of _structure key `key` and `other` (None: the same rows)."""
-    codes, qubus = _unkeyed(key)
-    other_codes, other_qubus = (codes, qubus) if other is None else _unkeyed(other)
-    return _frozen(*_pair_overlaps(codes, qubus, other_codes, other_qubus))
+#: _pair_overlaps, kept per (both sides' row structure), read-only: for
+#: readouts that meet the same rows on every input
+_paired = array_memo(INDEX_CACHE)(_pair_overlaps)
 
 
 def inner_product(a: HybridState, b: HybridState) -> complex:
@@ -582,8 +545,7 @@ def _ancilla(kind: str, *names: str) -> HybridState:
     builds it, kept with read-only arrays: pipelines draw the same few
     ancilla names call after call."""
     s = plus_photon(*names) if kind == "plus" else bell_state(kind, names[:2], names[2:])
-    for a in (s.amps, s.codes, s.qubus):
-        a.flags.writeable = False
+    frozen((s.amps, s.codes, s.qubus))
     return s
 
 
@@ -682,9 +644,10 @@ def amplitude_of(s: HybridState, slots: Mapping[str, tuple[str, str]]) -> comple
 def polarization_vector(s: HybridState, order: Sequence[str]) -> np.ndarray:
     """2ⁿ coefficient vector in the lexicographic H/V basis (first id = MSB).
 
-    Every listed photon must be single-path; no other photons or qubus modes
-    may remain in the state.
+    Every listed photon must be single-path and listed once; no other
+    photons or qubus modes may remain in the state.
     """
+    _require_distinct("photon ids", order, StateError)
     if set(order) != set(s.registry.photons):
         raise StateError("order must list exactly the registered photons")
     n = len(order)
@@ -704,14 +667,19 @@ def path_pol_vector(s: HybridState, pid: str, rails: Sequence[str]) -> np.ndarra
     """Amplitudes of one photon over (rail, pol) pairs, rail-major, H before V.
 
     The photon must be the only one left in the state (strip separable
-    companions with remove_photon first) and no qubus modes may remain.
+    companions with remove_photon first) and no qubus modes may remain;
+    rails must list each path it occupies, once.
     """
     if s.registry.qubus_modes:
         raise StateError("path_pol_vector requires a photon-only state")
     if tuple(s.registry.photons) != (pid,):
         raise StateError("path_pol_vector needs the qudit photon alone; remove companions first")
+    _require_distinct("rails", rails, StateError)
     paths, digits = s.registry.paths_of(pid), _slot_digits(s, pid)
     used = _distinct(digits >> 1)
+    unlisted = [paths[k] for k in used if paths[k] not in rails]
+    if unlisted:
+        raise StateError(f"photon {pid!r} occupies rail {unlisted[0]!r}, which rails does not list")
     rail_of = np.zeros(len(paths), int)
     rail_of[used] = [rails.index(paths[k]) for k in used]
     vec = np.zeros(2 * len(rails), dtype=complex)

@@ -151,11 +151,6 @@ def mesh_apply(
     on_mesh = np.isin(digits >> 1, [registered.index(p) for p in paths if p in registered])
     if len(_distinct(digits[on_mesh] % 2)) > 1:
         raise StateError("mesh_apply: photon polarization is mixed across the mesh paths")
-    return apply_mesh_ops(s, photon, paths, mesh)
-
-
-def apply_mesh_ops(s: HybridState, photon: str, paths: Sequence[str], mesh: Mesh) -> HybridState:
-    """Execute mesh elements natively (no polarization restriction)."""
     return elements.apply_elements(s, mesh.element_ops(photon, paths))
 
 

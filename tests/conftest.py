@@ -145,17 +145,18 @@ def checked_derivations(monkeypatch):
 
 
 #: the memos of amplitude-free index work (state's module docstring)
-INDEX_MEMOS = ((state_mod, "_run_index"), (state_mod, "_recoded"), (state_mod, "_pairing"))
+INDEX_MEMOS = (state_mod._runs, state_mod._recoded, state_mod._paired)
 
 
 def uncache(monkeypatch) -> None:
-    """Empty every index memo before each of its calls, so every call
-    computes its result afresh."""
-    for module, name in INDEX_MEMOS:
-        memo = getattr(module, name)
+    """Empty every index memo before each of its lookups, so every call
+    computes its result afresh, whichever module calls it: each memo calls
+    its lru_cache as `_lookup` in its own globals (numerics.array_memo)."""
+    for memo in INDEX_MEMOS:
+        lookup = memo.__globals__["_lookup"]
 
-        def cold(*args, memo=memo):
-            memo.cache_clear()
-            return memo(*args)
+        def cold(*key, lookup=lookup):
+            lookup.cache_clear()
+            return lookup(*key)
 
-        monkeypatch.setattr(module, name, cold)
+        monkeypatch.setitem(memo.__globals__, "_lookup", cold)

@@ -106,9 +106,9 @@ def test_alternating_beam_orders_build_each_fock_table_once(argv, monkeypatch, t
     # these gates' blocks measure [0, -beta, beta] and [0, beta, -beta] in turn
     built, keys = numerics._fock_table, []
 
-    def recorded(*key):
-        keys.append(key)
-        return built(*key)
+    def recorded(alphas, cutoff):
+        keys.append((alphas.tobytes(), cutoff))
+        return built(alphas, cutoff)
 
     monkeypatch.setattr(numerics, "_fock_table", recorded)
     built.cache_clear()
@@ -431,6 +431,12 @@ def test_presence_refuses_an_unregistered_path_by_name():
         presence_outcomes(s, "1", ["a", "nope"])
 
 
+def test_presence_refuses_a_repeated_path_by_name():
+    # it once gave two records of probability 1: a total mass of 2
+    with pytest.raises(MeasurementError, match=r"paths must be distinct, got \['a', 'a'\]"):
+        presence_outcomes(pol_qubit("1", "a", 1, 0), "1", ["a", "a"])
+
+
 def test_presence_deterministic_path():
     s = pol_qubit("1", "a", 1, 0)
     recs = presence_outcomes(s, "1", ["a"])
@@ -608,3 +614,14 @@ def test_a_bell_readout_refuses_an_unknown_value():
     s = polarization_state([1, 0, 0, 0], [("a", "pa"), ("b", "pb")])
     with pytest.raises(MeasurementError, match="unknown Bell outcome 'phi'"):
         bell_outcomes(s, "a", "b", ("phi",))
+
+
+@pytest.mark.parametrize("pair, values, match", [
+    (("a", "b"), ("phi+", "phi+"), r"Bell outcomes must be distinct, got \['phi\+', 'phi\+'\]"),
+    (("a", "a"), BELLS, r"Bell photons must be distinct, got \['a', 'a'\]"),  # once "unknown photon"
+], ids=["repeated-value", "one-photon"])
+def test_a_bell_readout_refuses_a_repeated_value_or_photon_by_name(pair, values, match):
+    # a repeated value once gave its record twice
+    s = polarization_state([1, 0, 0, 0], [("a", "pa"), ("b", "pb")])
+    with pytest.raises(MeasurementError, match=match):
+        bell_outcomes(s, *pair, values)

@@ -167,10 +167,12 @@ def test_remap_slot_checks_only_the_images_it_emits(monkeypatch):
     # drop the suite's extra label check on derived states: the kernel's own check must raise
     monkeypatch.undo()
     s = with_extra_path(pol_qubit("1", "a", 1, 0), "1", "b")
-    # a zero coefficient emits nothing, and an unoccupied slot's images are never emitted
-    table = {("a", "H"): [(1, "b", "H"), (0, "nope", "H")], ("b", "V"): [(1, "nope", "H")]}
-    out = remap_slot(s, "1", table)
+    # a zero coefficient emits nothing
+    out = remap_slot(s, "1", {("a", "H"): [(1, "b", "H"), (0, "nope", "H")]})
     assert amplitude_of(out, {"1": ("b", "H")}) == pytest.approx(1.0)
+    # a refused image raises when the table is compiled, though no row occupies its slot
+    with pytest.raises(RegistryError, match="path 'nope' not registered for '1'"):
+        remap_slot(s, "1", {("a", "H"): [(1, "b", "H")], ("b", "V"): [(1, "nope", "H")]})
     # an emitted image raises what the HybridState constructor raises for its slot
     with pytest.raises(RegistryError, match="path 'nope' not registered for '1'"):
         remap_slot(s, "1", {("a", "H"): [(0.6, "a", "H"), (0.8, "nope", "H")]})
@@ -450,8 +452,8 @@ def _unitary(theta):
 
 def _uncached(s, pid, table):
     """The slot table applied without the image cache, as built for this call only."""
-    coef, dest, bad = el._slot_images(s.registry, pid, table)
-    return el._apply_images(s, s.registry.slot_index(pid), coef, dest, bad)
+    coef, dest = el._slot_images(s.registry, pid, table)
+    return el._apply_images(s, s.registry.slot_index(pid), coef, dest)
 
 
 def _assert_same(got, want):

@@ -1085,6 +1085,26 @@ def test_a_block_of_another_structure_misses_the_compiled_cache():
         assert calls == [1], layout
 
 
+def test_a_cold_compile_keeps_none_of_its_merges_in_the_runs_memo(alpha20, monkeypatch):
+    # a compile's merges (_compile_rows, _Release) run on tagged rows that no
+    # later call meets, so they take the kernel, not the _runs memo
+    memo, kept = g._runs, []
+
+    def recorded(*args):
+        kept.append(args)
+        return memo(*args)
+
+    recorded.__wrapped__ = memo.__wrapped__
+    monkeypatch.setattr(g, "_runs", recorded)
+    g._stage_algebra.cache_clear()
+    g.run_qubus_block(*_parity_block(haar_vec(4, 5)))
+    mid, rails = _haar_pair_with_ancilla(alpha20, 1, 1)
+    g.merging_n(mid, "2", rails, "A", [("1", None)], alpha20, THETA)
+    # the parity block, then the C-path's, the Entangler's and the Merging readout
+    assert g._stage_algebra.cache_info().misses == 4
+    assert kept == []
+
+
 def test_the_compiled_cache_is_bounded():
     info = g._stage_algebra.cache_info()
     assert info.maxsize == g.BLOCK_CACHE
@@ -1103,11 +1123,11 @@ def test_a_corrupted_compiled_block_fails_the_route_check():
     coupled, (b0, b1) = g.couple_qubus_pair(*args[:4])
     found = fock_outcomes(coupled, b0)
     st = found.state
-    alg = g._stage_algebra(st.registry, st.codes.tobytes(), st.qubus.tobytes(),
-                           g._FockParts(found.mode_index, b1), args[4].rows)
+    alg = g._stage_algebra(st.registry, st.codes, st.qubus, g._FockParts(found.mode_index, b1),
+                           args[4].rows)
     try:
         alg.cell.setflags(write=True)
-        alg.cell[:] += np.array([1, -1, 0])[alg.cell % len(found.beam_values)]
+        alg.cell[:] += np.array([1, -1, 0])[alg.cell % len(found.weights)]
         with pytest.raises(g.GateError, match="disagrees with its per-outcome route"):
             g.run_qubus_block(*args)
     finally:
@@ -1119,16 +1139,16 @@ def _uncompiled_parts(found, plan, beam):
     coupled state corrected by the outcome's row, projected onto the
     sum-port value of its largest row (canonicalize drops the dust) and
     split by measured value into its K parts."""
-    from qubusim.detection import _project_onto
+    from qubusim.detection import _project_onto, fock_distribution
 
-    out = []
+    mode = found.state.registry.qubus_modes[found.mode_index]
+    values, out = fock_distribution(found.state, mode).values, []
     for i, n in enumerate(found.values):
         one = plan.correct(found[i].collapsed, n)
         v = one.qubus[np.argmax(abs(one.amps)), one.registry.qubus_index(beam)]
         every = plan.correct(found.state, n)
         kept = _project_onto(every, every.registry.qubus_index(beam), v)
-        m = kept.registry.qubus_index(found.state.registry.qubus_modes[found.mode_index])
-        out.append(split_by_value(kept, m, found.beam_values)[1])
+        out.append(split_by_value(kept, kept.registry.qubus_index(mode), values)[1])
     return out
 
 
@@ -1164,7 +1184,7 @@ def test_compiled_outputs_keep_the_rows_of_the_uncompiled_block(block):
     found = fock_outcomes(coupled, b0)
     outputs = g._block_outputs(found, plan, b1)
     assert not outputs.routed
-    k, cells = len(found.beam_values), outputs.algebra.gram[3]
+    k, cells = len(found.weights), outputs.algebra.gram[3]
     assert (cells // k % k != cells % k).any() == (block is _mixing_block)  # cells across parts
     _assert_block_matches_loop(g.run_qubus_block(s, couplings, alpha, theta, plan),
                                _outcome_loop(s, couplings, alpha, theta, plan))
@@ -1325,7 +1345,7 @@ def test_a_corrupted_readout_stage_fails_the_route_check():
     plan = pl._bell_plan("b")
     g.run_bell_stage(s, "3", "a", plan)
     readout = g._BellParts("3", "a")
-    alg = g._algebra_of(s, readout, plan)
+    alg = g._stage_algebra(s.registry, s.codes, s.qubus, readout, plan.rows)
     try:
         alg.cell.setflags(write=True)
         alg.cell[:] = alg.cell // 4 * 4 + (alg.cell + 1) % 4
@@ -1341,7 +1361,7 @@ def test_a_corrupted_presence_stage_fails_the_route_check(alpha20):
     v_rails = rep.extras["rails"][1:]
     g.disentangler(mid, "1", "2", v_rails)
     readout, plan = g._mach_zehnder(mid.registry, "1", "t1", "2", tuple(v_rails))
-    alg = g._algebra_of(mid, readout, plan)
+    alg = g._stage_algebra(mid.registry, mid.codes, mid.qubus, readout, plan.rows)
     try:
         alg.parts[2].setflags(write=True)
         alg.parts[2][::2] *= -1
@@ -1429,7 +1449,7 @@ def test_a_corrupted_merging_stage_fails_the_route_check(alpha20):
     g.merging_n(*args)
     ent, _ = g.entangler4(mid, "A", "2", rails, alpha20, THETA)
     readout, plan, _ = g._readout(ent.registry, "2", tuple(rails), "A", (("1", None),), "qft")
-    alg = g._algebra_of(ent, readout, plan)
+    alg = g._stage_algebra(ent.registry, ent.codes, ent.qubus, readout, plan.rows)
     try:
         alg.parts[2].setflags(write=True)
         alg.parts[2][::2] *= -1

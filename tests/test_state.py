@@ -23,19 +23,21 @@ from qubusim import (
     inner_product,
     norm,
     normalize,
+    path_pol_vector,
     plus_photon,
     pol_qubit,
     polarization_state,
+    polarization_vector,
     remove_photon,
     state_from_dict,
     state_to_dict,
     tensor,
 )
-from qubusim import detection
+from qubusim import detection, numerics
 from qubusim import elements as el
 from qubusim import gates
 from qubusim import state as state_mod
-from qubusim.numerics import fock_amplitude
+from qubusim.numerics import array_memo, fock_amplitude
 from qubusim.state import CANON_TOL, _recode, coherent_overlap
 
 from conftest import INDEX_MEMOS, alpha_for, haar_vec, score_outcomes, split_by_value, two_photon
@@ -490,6 +492,24 @@ def test_amplitude_of_needs_a_label_for_exactly_the_registered_photons():
     assert amplitude_of(s, {"1": ("pa", "D"), "2": ("pb", "V")}) == 0j
 
 
+def test_polarization_vector_refuses_a_repeated_photon_by_name():
+    # it once read [.6, .8, .6, .8]: a set check passes a repeated id
+    with pytest.raises(StateError, match=r"photon ids must be distinct, got \['1', '1'\]"):
+        polarization_vector(pol_qubit("1", "a", 0.6, 0.8), ["1", "1"])
+
+
+@pytest.mark.parametrize("rails, match", [
+    (["b"], "photon '1' occupies rail 'a', which rails does not list"),  # once a bare ValueError
+    (["a", "a"], r"rails must be distinct, got \['a', 'a'\]"),  # once [.6, .8, 0, 0]
+], ids=["unlisted", "repeated"])
+def test_path_pol_vector_refuses_an_unlisted_or_repeated_rail_by_name(rails, match):
+    s = pol_qubit("1", "a", 0.6, 0.8)
+    s = HybridState(s.registry.with_path("1", "b"), s.branches)
+    assert path_pol_vector(s, "1", ["b", "a"]).tolist() == [0, 0, 0.6, 0.8]
+    with pytest.raises(StateError, match=match):
+        path_pol_vector(s, "1", rails)
+
+
 def test_remove_photon_product_state():
     s = tensor(plus_photon("1", "p"), two_photon(11, ids=("2", "3"), paths=("r2", "r3")))
     out = remove_photon(s, "1")
@@ -903,10 +923,6 @@ def test_basis_photon_is_built_by_the_constructor(monkeypatch):
 # -- the index memo --------------------------------------------------------------
 
 
-def _memos():
-    return [getattr(module, name) for module, name in INDEX_MEMOS]
-
-
 def _on_beam(rows, reg=None):
     """Rows (pol, amplitude, beam value) of photon 1 on path p and beam q."""
     reg = reg or ModeRegistry().with_photon("1", ("p",)).with_qubus("q")
@@ -917,34 +933,71 @@ def _on_beam(rows, reg=None):
 def test_a_repeated_row_structure_hits_every_memo():
     args = ("1", "2", alpha_for(200.0), 0.05)
     gates.parity_gate(two_photon(1), *args)
-    before = [memo.cache_info() for memo in _memos()]
+    before = [memo.cache_info() for memo in INDEX_MEMOS]
     gates.parity_gate(two_photon(2), *args)  # the same rows, new amplitudes
-    for memo, was in zip(_memos(), before):
+    for memo, was in zip(INDEX_MEMOS, before):
         now = memo.cache_info()
         assert now.misses == was.misses and now.hits > was.hits, memo
 
 
+def _block_input(value):
+    """Photon 1 in H on beam values (value, 1) and in V on (2, 1): a qubus
+    block's input, difference port q and sum port b."""
+    reg = ModeRegistry().with_photon("1", ("p",)).with_qubus("q").with_qubus("b")
+    return HybridState(reg, [Branch(0.6 + 0j, (("1", "p", "H"),), (complex(value), 1 + 0j)),
+                             Branch(0.8 + 0j, (("1", "p", "V"),), (2 + 0j, 1 + 0j))])
+
+
+#: every memo keyed on array contents (numerics.array_memo) and a call of
+#: it on a block input's rows; _recode reads no beam, so its codes are the
+#: beam values' bits
+ARRAY_MEMOS = {
+    "runs": (state_mod._runs, lambda s: state_mod._runs(s.codes, s.qubus, CANON_TOL)),
+    "recode": (state_mod._recoded, lambda s: _recode(s.qubus.view(np.int64).ravel(), s.registry,
+                                                     s.registry.with_path("1", "x"))),
+    "paired": (state_mod._paired, lambda s: state_mod._paired(s.codes, s.qubus, s.codes, s.qubus)),
+    "stage": (gates._stage_algebra, lambda s: gates._stage_algebra(
+        s.registry, s.codes, s.qubus, gates._FockParts(0, "b"), gates._parity_plan([], []).rows)),
+    "fock": (numerics._fock_table, lambda s: numerics.fock_table(s.qubus[:, 0], 4)),
+}
+
+
+def _arrays(x) -> list:
+    """The arrays in x: x itself, or those in a tuple and its nested tuples."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    return [a for item in x for a in _arrays(item)] if isinstance(x, tuple) else []
+
+
 @pytest.mark.parametrize("other", [np.nextafter(1.5, 2.0), complex(-0.0, 0.0), complex(0.0, -0.0)],
                          ids=["last-bit", "negative-zero-real", "negative-zero-imag"])
-def test_a_beam_value_one_bit_or_one_zero_sign_apart_misses(other):
+@pytest.mark.parametrize("memo, call", ARRAY_MEMOS.values(), ids=ARRAY_MEMOS)
+def test_a_beam_value_one_bit_or_one_zero_sign_apart_misses(memo, call, other):
     base = 1.5 if isinstance(other, float) else 0j
-    built = [_on_beam([("H", 0.6, base), ("V", 0.8, 2.0)]),
-             _on_beam([("H", 0.6, other), ("V", 0.8, 2.0)])]
+    built = [_block_input(base), _block_input(other)]
     assert built[1].qubus.tobytes() != built[0].qubus.tobytes()
-    runs, pairing = state_mod._run_index, state_mod._pairing
-    for memo in (runs, pairing):
-        memo.cache_clear()
-    for s in built:
-        canonicalize(s)
-        state_mod._paired(s.codes, s.qubus, s.codes, s.qubus)
-    assert runs.cache_info().misses == pairing.cache_info().misses == 2
+    memo.cache_clear()
+    for s in built * 2:
+        call(s)
+    assert memo.cache_info()[:2] == (2, 2)  # (hits, misses)
+
+
+def test_equal_bytes_under_another_shape_or_dtype_miss():
+    @array_memo(8)
+    def described(a: np.ndarray) -> tuple:
+        return a.shape, a.dtype
+
+    a = np.arange(4.0)
+    for x in (a, a.reshape(2, 2), a.view(np.int64), a.view(complex), a.copy()):
+        assert described(x) == (x.shape, x.dtype)
+    assert described.cache_info()[:2] == (1, 4)  # (hits, misses)
 
 
 def test_runs_are_kept_per_tolerance():
     # two rows 1e-13 apart merge at CANON_TOL and not at 0, in either order
     s = _on_beam([("H", 0.6, 1.0), ("H", 0.8, 1.0 + 1e-13)])
     for tols in ((0.0, CANON_TOL), (CANON_TOL, 0.0)):
-        state_mod._run_index.cache_clear()
+        state_mod._runs.cache_clear()
         assert [len(canonicalize(s, tol).amps) for tol in tols] == [
             2 if tol == 0.0 else 1 for tol in tols]
 
@@ -955,7 +1008,7 @@ def test_one_pairing_serves_every_split_of_the_same_rows():
     # the overlaps of its own parts
     rows = [("H", 0.6, 1.0), ("H", 0.8, 2.0), ("V", 1.0, 3.0)]
     reg = ModeRegistry().with_photon("1", ("p",)).with_qubus("q").with_qubus("b")
-    state_mod._pairing.cache_clear()
+    state_mod._paired.cache_clear()
     for k in (1, 2):
         s = normalize(HybridState(reg, [
             Branch(complex(a), (("1", "p", pol),), (complex(v), 0j if n < k else 3 + 0j))
@@ -965,24 +1018,22 @@ def test_one_pairing_serves_every_split_of_the_same_rows():
         assert list(pmf.values) == values and len(values) == 2
         want = [[inner_product(x, y) for y in parts] for x in parts]
         assert np.abs(pmf.gram - want).max() <= 1e-15
-    assert state_mod._pairing.cache_info().misses == 1
+    assert state_mod._paired.cache_info().misses == 1
 
 
-def test_every_memoized_array_is_read_only():
-    s = attach_qubus(two_photon(3), "q", 1.5)
-    other = s.registry.with_path("1", "x")
-    arrays = [*state_mod._runs(s.codes, s.qubus, CANON_TOL), _recode(s.codes, s.registry, other)]
-    arrays += state_mod._paired(s.codes, s.qubus, s.codes, s.qubus)  # rows with themselves
-    arrays += state_mod._paired(s.codes, s.qubus, s.codes.copy(), s.qubus.copy())
-    assert len(arrays) == 9
-    for a in arrays:
-        assert not a.flags.writeable
+@pytest.mark.parametrize("memo, call", ARRAY_MEMOS.values(), ids=ARRAY_MEMOS)
+def test_every_memoized_array_is_read_only(memo, call):
+    s = _block_input(1.5)
+    memo.cache_clear()
+    for result in (call(s), call(s)):  # a miss's result, then a hit's
+        arrays = _arrays(result)
+        assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 def test_a_beta2_sweep_of_the_parity_gate_keeps_every_memo_within_its_bound():
     s = two_photon(5)
     for beta2 in np.linspace(20.0, 2000.0, 41):
         gates.parity_gate(s, "1", "2", alpha_for(beta2), 0.05)
-    for memo in _memos():
+    for memo in INDEX_MEMOS:
         info = memo.cache_info()
         assert info.maxsize == state_mod.INDEX_CACHE and info.currsize <= info.maxsize, memo
