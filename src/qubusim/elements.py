@@ -10,24 +10,28 @@ Every photonic element is a slot table: a dict from one photon's
 missing from the table pass through unchanged.  Path maps (beam splitter,
 switch) act alike on H and V; polarization maps (wave plates, rotations,
 2×2 unitaries) act on (H, V) of one path, or of every registered path when
-the path is None; `phase` and the PBS routings are tables of their own.
+the path is None; `phase` and the PBS family are tables of their own.  The
+PBS family routes by polarization: `pbs`; `pbs_pm_fan_out`, PBS± on
+several paths in one pass (the "PBSpm" element is it on one path);
+`pbs_pm_merge`, a Mach-Zehnder's second PBS±; and `pbs_fan_out` /
+`pbs_fan_in`, which move each rail's V to a fresh rail as H and back.
 Qubus elements are column operations on the beam values.  `ELEMENTS` maps
 each serializable kind to its function.
 
-There is one compiled path for every slot table.  A table builder and its
-arguments key the table's images, compiled once per (path layout, photon,
-table) by `_images` into arrays of coefficients and destination digits over
-every digit (`_slot_images`); `_apply_images` is the one routine that
-applies them, by arithmetic on every row's label code.  A table with an
-image the registry refuses raises when it is compiled, whether or not a
-row occupies its slot.  An element call looks its images up; a repeated
-call on one layout compiles nothing.
-
-`apply_elements` runs a sequence of ElementOps.  Each maximal run of the
-slot-map kinds (PhotonBS, PathSwitch, PolPhase, PolRot, WavePlateX,
-WavePlateZ) is composed once per path layout into one digit map per photon
-it touches, and each map is applied in one gather pass; the other kinds run
-one by one in their place.  Feed-forward rows and Reck meshes run this way.
+Every slot map is compiled by one routine and kept in one cache,
+`_compiled`, keyed by (path layout, run).  A run is a sequence of slot
+tables: an element call is a run of one (photon, table builder, args)
+item, and `apply_elements` passes each maximal run of the slot-map kinds
+(PhotonBS, PathSwitch, PolPhase, PolRot, WavePlateX, WavePlateZ) whole,
+so feed-forward rows and Reck meshes run this way.  Each table becomes a
+radix × radix matrix over its photon's digits (`_slot_matrix`), the
+matrices on one photon multiply in order, and each photon's product is
+packed into arrays of coefficients and destination digits (`_packed`);
+`_apply_images` applies them in one gather pass, by arithmetic on every
+row's label code.  A table with an image the registry refuses raises when
+it is compiled, whether or not a row occupies its slot; a repeated call
+on one layout compiles nothing.  The kinds outside `_SLOT_TABLES` run one
+by one in their place.
 
 Conventions fixed here and used by every composite gate:
   * photon_bs:  |x⟩_A → (|x⟩_A + |x⟩_B)/√2,  |x⟩_B → (|x⟩_A − |x⟩_B)/√2,
@@ -103,46 +107,38 @@ def op(kind: str, parameter: float = 0.0, **targets) -> ElementOp:
 # ---------------------------------------------------------------------------
 
 
-def _slot_images(reg: ModeRegistry, pid: str, table: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(coef, dest): coef and dest, shape (width, radix) each, hold in row k
-    the k-th image of every digit of photon pid under
-    table[(path, pol)] -> [(coef, path, pol), ...], as a coefficient and a
-    destination digit.
+def _slot_matrix(reg: ModeRegistry, pid: str, table: dict) -> np.ndarray:
+    """Photon pid's slot table, table[(path, pol)] -> [(coef, path, pol),
+    ...], as a radix × radix matrix over its digits: column d holds digit d's
+    images, summed by destination.
 
-    Slots missing from the table map to themselves.  Images with coefficient
-    0 are left out, the rest packed first, so a digit with fewer images than
-    the widest has coefficient 0 in its last rows.  An image the registry
-    refuses raises what the HybridState constructor raises for its slot.
+    Slots missing from the table map to themselves.  An image with
+    coefficient 0 is skipped before its slot is checked; any other image the
+    registry refuses raises what the HybridState constructor raises for it.
     """
     paths, radix = reg.paths_of(pid), reg._radix[reg.slot_index(pid)]
-    images = []
+    m = np.zeros((radix, radix), complex)
     for d in range(radix):
         slot = (paths[d >> 1], POLS[d & 1])
-        images.append([(c, reg._digit(pid, p, q)) for c, p, q in table.get(slot, [(1, *slot)]) if c])
-    width = max(map(len, images), default=0)
-    coef, dest = np.zeros((width, radix), complex), np.zeros((width, radix), np.int64)
-    for d, row in enumerate(images):
-        if row:
-            coef[: len(row), d], dest[: len(row), d] = zip(*row)
-    return coef, dest
+        for c, p, q in table.get(slot, [(1, *slot)]):
+            if c:
+                m[reg._digit(pid, p, q), d] += c
+    return m
 
 
-@functools.lru_cache(maxsize=512)
-def _images(reg: ModeRegistry, pid: str, build: Callable, args: tuple) -> tuple:
-    """The slot table build(reg, pid, *args) of photon pid compiled once per
-    (registry, photon, table): (slot index, coef, dest) in `_slot_images`'
-    layout, over every digit, read-only.
-
-    Building the table runs its checks (registered paths, a known
-    polarization), and so does compiling its images; a call that raises
-    caches nothing, so it raises again.
-    """
-    return (reg.slot_index(pid), *frozen(_slot_images(reg, pid, build(reg, pid, *args))))
+def _packed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coef, dest): coef and dest, shape (width, radix) each, hold in row k
+    the k-th nonzero entry of every column of the digit matrix m, as a
+    coefficient and a destination digit, in destination order; a digit with
+    fewer images than the widest has coefficient 0 in its last rows."""
+    nonzero = m != 0
+    dest = np.argsort(~nonzero, axis=0, kind="stable")[: nonzero.sum(0).max()]
+    return np.take_along_axis(m, dest, 0), dest
 
 
 def _apply_images(s: HybridState, i: int, coef: np.ndarray, dest: np.ndarray) -> HybridState:
     """Expand each row of s through the images (coef, dest) of its digit in
-    slot i, as `_slot_images` lays them out.
+    slot i, as `_packed` lays them out.
 
     The digit is rewritten by integer arithmetic on the label code: the k-th
     images of all rows come from row k of coef and dest, one gather each.
@@ -191,9 +187,10 @@ def _apply_images(s: HybridState, i: int, coef: np.ndarray, dest: np.ndarray) ->
 
 def _remap(s: HybridState, pid: str, build: Callable, *args) -> HybridState:
     """Expand each row of s through photon pid's slot table build(reg, pid,
-    *args), compiled once per layout (`_images`).  Slots missing from the
-    table pass through unchanged."""
-    return _apply_images(s, *_images(s.registry, pid, build, args))
+    *args), compiled once per layout as a run of one item (`_compiled`).
+    Slots missing from the table pass through unchanged."""
+    ((i, coef, dest),) = _compiled(s.registry, ((pid, build, args),))
+    return _apply_images(s, i, coef, dest)
 
 
 def _path_table(reg: ModeRegistry, pid: str, path_a: str, path_b: str, m) -> dict:
@@ -304,22 +301,56 @@ def pbs(s: HybridState, pid: str, in_path: str, out_h: str, out_v: str) -> Hybri
     return _remap(s, pid, _route_table, ((in_path, H, out_h, H), (in_path, V, out_v, V)))
 
 
-def pbs_pm(s: HybridState, pid: str, in_path: str, out_plus: str, out_minus: str) -> HybridState:
-    """PBS in the |±⟩ basis: |+⟩ → out_plus, |−⟩ → out_minus."""
-    _require_paths(s.registry, pid, in_path)
-    s = _with_paths(s, pid, out_plus, out_minus)
-    return _remap(s, pid, _pm_table, (in_path,), (out_plus, out_minus))
-
-
 def pbs_pm_fan_out(
     s: HybridState, pid: str, in_paths: Sequence[str], arms: Sequence[str]
 ) -> HybridState:
-    """pbs_pm on every path of in_paths in one pass: |+⟩ of in_paths[k]
-    exits on arms[2k] and |−⟩ on arms[2k + 1]; arms not yet registered are
-    registered in one update."""
+    """PBS in the |±⟩ basis on every path of in_paths in one pass: |+⟩ of
+    in_paths[k] exits on arms[2k] and |−⟩ on arms[2k + 1]; arms not yet
+    registered are registered in one update.  The "PBSpm" element is this on
+    one path."""
     _require_paths(s.registry, pid, *in_paths)
     s = _with_paths(s, pid, *arms)
     return _remap(s, pid, _pm_table, tuple(in_paths), tuple(arms))
+
+
+def pbs_fan_out(
+    s: HybridState, photon: str, rails: Sequence[str]
+) -> tuple[HybridState, list[str]]:
+    """PBS each rail: H stays, V goes to a fresh rail r+"v" and is flipped to H.
+
+    The fresh rails are registered in one update and every rail's (r, V) →
+    (f, H) is one slot table.  Returns the state and the fresh rails;
+    pbs_fan_in undoes it.
+    """
+    _require_paths(s.registry, photon, *rails)
+    reg, fresh = s.registry.with_fresh_paths(photon, [r + "v" for r in rails])
+    routes = tuple((r, V, f, H) for r, f in zip(rails, fresh))
+    return _remap(_reregistered(s, reg), photon, _route_table, routes), list(fresh)
+
+
+def pbs_fan_in(
+    s: HybridState, photon: str, rails: Sequence[str], fresh: Sequence[str]
+) -> HybridState:
+    """Inverse of pbs_fan_out: (f, H) → (r, V) for every rail in one slot
+    table, so each fresh rail is flipped back and PBS-merged home, then the
+    fresh rails dropped in one registry update.  A merge takes H on its rail
+    and V, H before the flip, on its fresh rail; any other component is
+    refused, rail by rail, the lower slot first.
+    """
+    reg = s.registry
+    _require_paths(reg, photon, *rails, *fresh)
+    digits = _slot_digits(s, photon)
+    for r, f in zip(rails, fresh):
+        # (r, V) is V on the H input; (f, V) is H on the V input once flipped
+        for d, pol, port, path in sorted([(reg._digit(photon, r, V), V, H, r),
+                                          (reg._digit(photon, f, V), H, V, f)]):
+            if (digits == d).any():
+                raise StateError(f"{pol} component present on {port} input {path!r} of PBS merge")
+    routes = tuple((f, H, r, V) for r, f in zip(rails, fresh))
+    s = _remap(s, photon, _route_table, routes)
+    for f in fresh:
+        reg = reg.without_path(photon, f)
+    return _reregistered(s, reg)
 
 
 def pbs_pm_merge(
@@ -428,7 +459,7 @@ ELEMENTS: dict[str, tuple[tuple[str, ...], Callable]] = {
     "PBS": (("photon", "in_path", "out_h", "out_v"),
             lambda s, pid, i, h, v, x: pbs(s, pid, i, h, v)),
     "PBSpm": (("photon", "in_path", "out_plus", "out_minus"),
-              lambda s, pid, i, p, m, x: pbs_pm(s, pid, i, p, m)),
+              lambda s, pid, i, p, m, x: pbs_pm_fan_out(s, pid, [i], [p, m])),
     "WavePlateX": (("photon", "path"), lambda s, pid, path, x: wave_plate(s, pid, path, "x")),
     "WavePlateZ": (("photon", "path"), lambda s, pid, path, x: wave_plate(s, pid, path, "z")),
     "PolPhase": (("photon", "path", "pol"), lambda s, *a: phase(s, *a)),
@@ -461,38 +492,34 @@ _SLOT_TABLES: dict[str, Callable] = {
 
 
 @functools.lru_cache(maxsize=512)
-def _compiled(reg: ModeRegistry, run: tuple[ElementOp, ...]) -> tuple:
-    """A run of slot-map elements as one digit map per photon it touches:
-    (slot index, coef, dest) in `_slot_images`' layout, over every digit.
+def _compiled(reg: ModeRegistry, run: tuple) -> tuple:
+    """A run of slot maps as one digit map per photon it touches: (slot
+    index, coef, dest) in `_packed`'s layout, over every digit, read-only.
 
-    Each op's images come from `_images`, over the table its element
-    function builds, which checks every path and polarization it names, so
-    no image is refused.  Maps on different photons commute; the maps on one photon
-    compose in order, as radix × radix matrices.  A run meets the same few
-    layouts over and over, so each (registry, run) is compiled once.
+    An item of the run is an ElementOp of a slot-map kind, whose table
+    `_SLOT_TABLES` builds from its targets and parameter, or a (photon, table
+    builder, args) triple.  Building a table checks every path and
+    polarization it names, and `_slot_matrix` every image it emits; a call
+    that raises caches nothing, so it raises again.  Maps on different
+    photons commute; the maps on one photon compose in order, as matrices.
+    A run meets the same few layouts over and over, so each (registry, run)
+    is compiled once.
     """
     maps: dict[int, list] = {}
-    for e in run:
-        pid, *args = map(e.target, ELEMENTS[e.kind][0])
-        i, coef, dest = _images(reg, pid, _SLOT_TABLES[e.kind], (*args, e.parameter))
-        maps.setdefault(i, []).append((coef, dest))
+    for item in run:
+        if isinstance(item, ElementOp):
+            pid, *args = map(item.target, ELEMENTS[item.kind][0])
+            build, args = _SLOT_TABLES[item.kind], (*args, item.parameter)
+        else:
+            pid, build, args = item
+        matrices = maps.setdefault(reg.slot_index(pid), [])
+        matrices.append(_slot_matrix(reg, pid, build(reg, pid, *args)))
     compiled = []
-    for i, images in maps.items():
-        compiled.append((i, *(images[0] if len(images) == 1 else _composed(images, reg._radix[i]))))
+    for i, (m, *steps) in maps.items():
+        for step in steps:
+            m = step @ m
+        compiled.append((i, *_packed(m)))
     return frozen(tuple(compiled))
-
-
-def _composed(images: list, radix: int) -> tuple[np.ndarray, np.ndarray]:
-    """The images (coef, dest) of one photon's maps applied in order, as
-    `_slot_images` lays them out: their radix × radix matrices multiplied."""
-    m = np.eye(radix, dtype=complex)
-    for coef, dest in images:
-        step = np.zeros((radix, radix), complex)
-        np.add.at(step, (dest, np.broadcast_to(np.arange(radix), dest.shape)), coef)
-        m = step @ m
-    nonzero = m != 0
-    dest = np.argsort(~nonzero, axis=0, kind="stable")[: nonzero.sum(0).max()]
-    return np.take_along_axis(m, dest, 0), dest
 
 
 def apply_elements(s: HybridState, ops: Sequence[ElementOp]) -> HybridState:

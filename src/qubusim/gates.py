@@ -60,9 +60,6 @@ per layout (photon, rails, fresh rails) and shared, as both are immutable.
 C-path is C-path-2 on a one-rail target, and likewise Entangler-1,
 Entangler-2 and Merging are entangler4, entangler3 and merging_n at two
 rails, whose reports take the two-rail names.
-pbs_fan_out / pbs_fan_in move each rail's V component to a fresh rail as
-H and back, all rails in one slot table; C-path-3 and the qudit unitaries
-use them.
 
 Each gate returns (output state, GateReport); the report holds columns of
 every outcome's value, probability and fidelity against the representative
@@ -888,6 +885,15 @@ def _require_single_path(s: HybridState, pid: str) -> str:
     return used[0]
 
 
+def _require_rails(s: HybridState, pid: str, rails: Sequence[str]) -> None:
+    """A gate's rail list must name each rail once and cover every rail the
+    photon occupies."""
+    _require_distinct("rails", rails, GateError)
+    outside = [p for p in s.photon_paths_in_use(pid) if p not in rails]
+    if outside:
+        raise GateError(f"photon {pid!r} occupies {outside}, outside the given rails {list(rails)}")
+
+
 def _require_plus(s: HybridState, pid: str) -> str:
     """The photon must factor out as |+⟩ on a single path: ⟨σx⟩ on it must
     be +1 within 1e-9 (a factor |−⟩ gives −1, any other state less than 1 in
@@ -996,20 +1002,10 @@ def _open_rails(
     Rail r's fresh rail is r+suffix (made unique); returns the state and them
     in order.  The splits run as one compiled slot-map run (_splits).
     """
-    reg, fresh = _fresh_rails(s.registry, photon, rails, suffix)
+    reg, fresh = s.registry.with_fresh_paths(photon, [r + suffix for r in rails])
     # not _reregistered: bench/workloads._CORE needs this HybridState.__init__ call
     s = HybridState(reg, s.branches)
     return el.apply_elements(s, _splits(photon, tuple(rails), fresh)), fresh
-
-
-def _fresh_rails(reg: ModeRegistry, photon: str, rails: Sequence[str], suffix: str) -> tuple:
-    """reg with a fresh rail r+suffix (made unique) registered beside each of
-    the photon's rails, and those rails in order."""
-    fresh = []
-    for r in rails:
-        fresh.append(reg.fresh_path(r + suffix))
-        reg = reg.with_path(photon, fresh[-1])
-    return reg, tuple(fresh)
 
 
 @functools.lru_cache(maxsize=64)
@@ -1041,46 +1037,6 @@ def _switch_plan(
         return _parity_plan(switches, [pi] + switches)
     pis = [el.op("PolPhase", math.pi, photon=photon, path=r, pol=None) for r in rails]
     return _parity_plan(switches, switches + pis)
-
-
-def pbs_fan_out(
-    s: HybridState, photon: str, rails: Sequence[str]
-) -> tuple[HybridState, list[str]]:
-    """PBS each rail: H stays, V goes to a fresh rail r+"v" and is flipped to H.
-
-    The fresh rails are registered in one update and every rail's (r, V) →
-    (f, H) is one slot table.  Returns the state and the fresh rails;
-    pbs_fan_in undoes it.
-    """
-    el._require_paths(s.registry, photon, *rails)
-    reg, fresh = _fresh_rails(s.registry, photon, rails, "v")
-    routes = tuple((r, V, f, H) for r, f in zip(rails, fresh))
-    return el._remap(_reregistered(s, reg), photon, el._route_table, routes), list(fresh)
-
-
-def pbs_fan_in(
-    s: HybridState, photon: str, rails: Sequence[str], fresh: Sequence[str]
-) -> HybridState:
-    """Inverse of pbs_fan_out: (f, H) → (r, V) for every rail in one slot
-    table, so each fresh rail is flipped back and PBS-merged home, then the
-    fresh rails dropped in one registry update.  A merge takes H on its rail
-    and V, H before the flip, on its fresh rail; any other component is
-    refused, rail by rail, the lower slot first.
-    """
-    reg = s.registry
-    el._require_paths(reg, photon, *rails, *fresh)
-    digits = _slot_digits(s, photon)
-    for r, f in zip(rails, fresh):
-        # (r, V) is V on the H input; (f, V) is H on the V input once flipped
-        for d, pol, port, path in sorted([(reg._digit(photon, r, V), V, H, r),
-                                          (reg._digit(photon, f, V), H, V, f)]):
-            if (digits == d).any():
-                raise StateError(f"{pol} component present on {port} input {path!r} of PBS merge")
-    routes = tuple((f, H, r, V) for r, f in zip(rails, fresh))
-    s = el._remap(s, photon, el._route_table, routes)
-    for f in fresh:
-        reg = reg.without_path(photon, f)
-    return _reregistered(s, reg)
 
 
 # ---------------------------------------------------------------------------
@@ -1177,9 +1133,7 @@ def c_path2(
     the output order is originals followed by fresh rails (the new control
     bit is the most significant).
     """
-    occupied = set(s.photon_paths_in_use(target))
-    if not occupied.issubset(set(rails)):
-        raise GateError(f"target occupies {occupied}, outside the given rails")
+    _require_rails(s, target, rails)
     return _route_rails(s, control, target, rails, alpha, theta, "c_path2", "n")
 
 
@@ -1205,6 +1159,7 @@ def c_path3(
     """
     if len(control_rails) != 2:
         raise GateError(f"C-path-3 needs the control's two rails, got {list(control_rails)!r}")
+    _require_distinct("control rails", control_rails, GateError)
     _require_distinct("control and target", [control, target], GateError)
     first, second = control_rails
     rail1 = _require_single_path(s, target)
@@ -1212,7 +1167,7 @@ def c_path3(
 
     first_aux = None
     if layout == "split":
-        s, (first_aux,) = pbs_fan_out(s, control, [first])
+        s, (first_aux,) = el.pbs_fan_out(s, control, [first])
     couplings = c_path3_couplings(
         control, first, first_aux, second, target, rail1, rail2, layout, witness
     )
@@ -1223,7 +1178,7 @@ def c_path3(
     )
     out = block.state
     if layout == "split":
-        out = pbs_fan_in(out, control, [first], [first_aux])
+        out = el.pbs_fan_in(out, control, [first], [first_aux])
     return out, report
 
 
@@ -1252,6 +1207,7 @@ def disentangler(
     correct) and must match.  The readout and plan are built once per
     layout (_mach_zehnder).
     """
+    _require_distinct("rails", v_rails, GateError)
     path = _require_single_path(s, control)
     readout, plan = _mach_zehnder(s.registry, control, path, target, tuple(sorted(v_rails)))
 
@@ -1326,6 +1282,7 @@ def entangler3(
     Each rail half behaves as one spatial mode; with one rail per half this is
     the two-rail Entangler-2, and reports as "entangler2".
     """
+    _require_rails(s, qudit, [*rails_a, *rails_b])
     comp_path = _require_single_path(s, companion)
     couplings = entangler3_couplings(companion, comp_path, qudit, rails_a, rails_b)
     name = "entangler2" if len(rails_a) == 1 else "entangler3"
@@ -1344,6 +1301,7 @@ def entangler4(
 
     On a two-rail photon this is Entangler-1, and reports as "entangler1".
     """
+    _require_rails(s, qudit, rails)
     anc_path = _require_plus(s, ancilla)
     couplings = entangler4_couplings(ancilla, anc_path, qudit, rails)
     name = "entangler1" if len(rails) == 2 else "entangler4"

@@ -36,8 +36,6 @@ from .gates import (
     entangler3,
     inject_plus,
     merging_n,
-    pbs_fan_in,
-    pbs_fan_out,
     run_bell_stage,
 )
 from .state import (
@@ -322,11 +320,11 @@ def multi_qubit_gate(
     rails = list(rep.extras["rails"])
 
     # the mesh acts on 2N all-H rails in lexicographic order: r, then its V rail
-    out, fresh = pbs_fan_out(out, qudit, rails)
+    out, fresh = el.pbs_fan_out(out, qudit, rails)
     wide = [r for pair in zip(rails, fresh) for r in pair]
     out = syn.mesh_apply(out, qudit, wide, syn.reck_decompose(u))
     report.gates.update({"lomi": 1})
-    out = pbs_fan_in(out, qudit, rails, fresh)
+    out = el.pbs_fan_in(out, qudit, rails, fresh)
 
     out, anc_id = _fold_back(out, qudit, photons[:-1], rails, report, alpha, theta, interference)
     report.extras.update({"photon_order": tuple(photons[:-1]) + (anc_id,)})

@@ -186,6 +186,16 @@ class ModeRegistry:
         """A path name based on `hint` that collides with nothing registered."""
         return _fresh(hint, {p for _, paths in self.photon_paths for p in paths})
 
+    def with_fresh_paths(self, pid: str, hints: Sequence[str]) -> tuple["ModeRegistry", tuple]:
+        """This registry with a fresh path (`fresh_path`) per hint registered
+        for pid in one update, and those paths in order."""
+        taken = {p for _, paths in self.photon_paths for p in paths}
+        fresh = []
+        for hint in hints:
+            fresh.append(_fresh(hint, taken))
+            taken.add(fresh[-1])
+        return self._repathed(pid, self.paths_of(pid) + tuple(fresh)), tuple(fresh)
+
     def fresh_qubus(self, hint: str = "q") -> str:
         return _fresh(hint, self.qubus_modes)
 

@@ -338,6 +338,35 @@ def test_a_program_naming_one_photon_in_two_roles_exits_2(steps, err, tmp_path, 
     assert capsys.readouterr().err == f"error: {err}\n"
 
 
+_CPATH = {"gate": "cpath", "control": "1", "target": "2"}
+
+
+@pytest.mark.parametrize("photons, steps, err", [
+    (["1", "3"], [{"gate": "cpath2", "control": "1", "target": "3", "rails": ["t3", "t3"]}],
+     "rails must be distinct, got ['t3', 't3']"),
+    (["1", "2", "3"],
+     [_CPATH, {"gate": "cpath3", "control": "2", "target": "3", "rails": ["t2", "t2"]}],
+     "control rails must be distinct, got ['t2', 't2']"),
+    (["1", "2"], [_CPATH_PLUS[1], {"gate": "entangler1", "photon": "2", "ancilla": "anc",
+                                   "rails": ["t2", "t2"]}],
+     "rails must be distinct, got ['t2', 't2']"),
+    (["1", "2"], [{"gate": "entangler2", "companion": "1", "qudit": "2", "rails": ["t2", "t2"]}],
+     "rails must be distinct, got ['t2', 't2']"),
+    (["1", "2"], [_CPATH, {"gate": "disentangler", "control": "1", "target": "2",
+                           "rails": ["t2", "t2s", "t2s", "t2s"]}],
+     "rails must be distinct, got ['t2s', 't2s']"),
+    # the C-path spreads photon 2 over t2 and t2s
+    (["1", "2"], _CPATH_PLUS + [{"gate": "entangler1", "photon": "2", "ancilla": "anc",
+                                 "rails": ["t2"]}],
+     "photon '2' occupies ['t2s'], outside the given rails ['t2']"),
+], ids=["cpath2", "cpath3", "entangler1", "entangler2", "disentangler", "entangler1-partial"])
+def test_a_gate_refuses_a_repeated_or_partial_rail_list(photons, steps, err, tmp_path, capsys):
+    prog = _write_program(tmp_path, photons, haar_vec(2 ** len(photons), 6), steps,
+                          alpha_for_beta2(200.0, THETA))
+    assert main(["run", str(prog)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_validation_error_exit_2(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -22,13 +22,12 @@ from qubusim import (
     polarization_state,
 )
 from qubusim import elements as el
+from qubusim.elements import pbs_fan_in, pbs_fan_out
 from qubusim.gates import (
     c_path2_couplings,
     couple_qubus_pair,
     entangler4_couplings,
     parity_couplings,
-    pbs_fan_in,
-    pbs_fan_out,
 )
 from qubusim.synthesis import random_haar_unitary
 
@@ -84,7 +83,7 @@ def test_elements_naming_an_unregistered_path_raise():
         lambda: el.phase(s, "1", "nope", "V", 0.3),
         lambda: el.phase(s, "1", "nope", None, 0.3),
         lambda: el.pbs(s, "1", "nope", "h", "v"),
-        lambda: el.pbs_pm(s, "1", "nope", "p", "m"),
+        lambda: el.pbs_pm_fan_out(s, "1", ["nope"], ["p", "m"]),
         lambda: pbs_fan_out(s, "1", ["nope"]),
         lambda: pbs_fan_in(s, "1", ["nope"], ["b"]),
         lambda: pbs_fan_in(s, "1", ["a"], ["nope"]),
@@ -189,7 +188,7 @@ def test_pbs_routes_by_polarization():
 
 def test_pbs_pm_routes_plus_entirely():
     s = pol_qubit("1", "a", 1, 1)
-    out = el.pbs_pm(s, "1", "a", "p", "m")
+    out = el.pbs_pm_fan_out(s, "1", ["a"], ["p", "m"])
     r = 1 / math.sqrt(2)
     assert amplitude_of(out, {"1": ("p", "H")}) == pytest.approx(r)
     assert amplitude_of(out, {"1": ("p", "V")}) == pytest.approx(r)
@@ -198,7 +197,7 @@ def test_pbs_pm_routes_plus_entirely():
 
 def test_pbs_pm_merge_round_trip():
     s = pol_qubit("1", "a", 0.6, 0.8j)
-    out = el.pbs_pm(s, "1", "a", "p", "m")
+    out = el.pbs_pm_fan_out(s, "1", ["a"], ["p", "m"])
     back = el.pbs_pm_merge(out, "1", "p", "m", "a")
     assert fidelity(back, s) == pytest.approx(1.0)
 
@@ -340,7 +339,7 @@ DIRECT_CALLS = {
     "PBS": (0.0, dict(photon="1", in_path="p3", out_h="h", out_v="v"),
             lambda s: el.pbs(s, "1", "p3", "h", "v")),
     "PBSpm": (0.0, dict(photon="2", in_path="p2", out_plus="pp", out_minus="pm"),
-              lambda s: el.pbs_pm(s, "2", "p2", "pp", "pm")),
+              lambda s: el.pbs_pm_fan_out(s, "2", ["p2"], ["pp", "pm"])),
     "WavePlateX": (0.0, dict(photon="1", path="p1"), lambda s: el.wave_plate(s, "1", "p1", "x")),
     "WavePlateZ": (0.0, dict(photon="2", path=None), lambda s: el.wave_plate(s, "2", None, "z")),
     "PolPhase": (0.7, dict(photon="1", path="p3", pol="V"),
@@ -451,8 +450,8 @@ def _unitary(theta):
 
 
 def _uncached(s, pid, table):
-    """The slot table applied without the image cache, as built for this call only."""
-    coef, dest = el._slot_images(s.registry, pid, table)
+    """The slot table applied without the compile cache, as built for this call only."""
+    coef, dest = el._packed(el._slot_matrix(s.registry, pid, table))
     return el._apply_images(s, s.registry.slot_index(pid), coef, dest)
 
 
@@ -477,9 +476,9 @@ SLOT_MAP_OPS = {
 def test_an_element_call_compiles_its_table_once_per_layout(kind):
     for seed, pid in ((3, "1"), (4, "2"), (5, "1")):
         s, e = _spread_pair(seed), SLOT_MAP_OPS[kind](pid)
-        el._images.cache_clear()
+        el._compiled.cache_clear()
         calls = [el.apply_element(s, e) for _ in range(3)]
-        info = el._images.cache_info()
+        info = el._compiled.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         want = el.apply_elements(s, [e])  # the compiled run of the one op, bit for bit
         for got in calls:
@@ -505,7 +504,7 @@ def _pbs_family():
 
     split = lambda s: el.pbs(s, "1", "r1", "r1", "h1")
     split_in = {("r1", "H"): [(1, "r1", "H")], ("r1", "V"): [(1, "h1", "V")]}
-    pm = lambda s: el.pbs_pm(s, "2", "r2", "p2", "m2")
+    pm = lambda s: el.pbs_pm_fan_out(s, "2", ["r2"], ["p2", "m2"])
     pm_in = lambda s: el._pm_table(s.registry, "2", ("r2",), ("p2", "m2"))
     fan_out = ("t1", "s1"), ("tp", "tm", "sp", "sm")
     rotation = [el.op("PolRot", 0.3, photon="2", path=None)]
@@ -521,7 +520,8 @@ def _pbs_family():
         "pbs_pm_merge": (pm, lambda t: el.pbs_pm_merge(t, "2", "p2", "m2", "r2"), pm_merged),
         "pbs_pm_fan_out": (
             same, lambda s: el.pbs_pm_fan_out(s, "1", *fan_out),
-            lambda s: el.pbs_pm(el.pbs_pm(s, "1", "t1", "tp", "tm"), "1", "s1", "sp", "sm")),
+            lambda s: el.pbs_pm_fan_out(el.pbs_pm_fan_out(s, "1", ["t1"], ["tp", "tm"]),
+                                        "1", ["s1"], ["sp", "sm"])),
         "pol_unitary": (same, lambda s: el.pol_unitary(s, "2", None, _unitary(0.3)),
                         lambda s: el.apply_elements(s, rotation)),
     }
@@ -533,9 +533,9 @@ def test_the_pbs_family_compiles_its_table_once_per_layout(name):
     prepare, call, route = _pbs_family()[name]
     for seed in (3, 4):
         t = prepare(_spread_pair(seed))
-        el._images.cache_clear()
+        el._compiled.cache_clear()
         calls = [call(t) for _ in range(3)]
-        info = el._images.cache_info()
+        info = el._compiled.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         want = route(t)  # the table built for this call only, or a route known to equal it
         for got in calls:

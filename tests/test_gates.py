@@ -370,9 +370,8 @@ def test_pbs_fans_match_the_per_rail_route_bit_for_bit(run, alpha20, monkeypatch
     want_out, want_rep = run(alpha20)
     g._stage_algebra.cache_clear()  # each run compiles its own stages
     _per_rail_fan_out.calls = _per_rail_fan_in.calls = 0
-    for module in (g, pl):
-        monkeypatch.setattr(module, "pbs_fan_out", _per_rail_fan_out)
-        monkeypatch.setattr(module, "pbs_fan_in", _per_rail_fan_in)
+    monkeypatch.setattr(el, "pbs_fan_out", _per_rail_fan_out)
+    monkeypatch.setattr(el, "pbs_fan_in", _per_rail_fan_in)
     out, rep = run(alpha20)
     g._stage_algebra.cache_clear()
     assert _per_rail_fan_out.calls and _per_rail_fan_in.calls
@@ -390,7 +389,7 @@ def test_pbs_fans_match_the_per_rail_route_bit_for_bit(run, alpha20, monkeypatch
 def test_c_path3_refuses_a_component_on_a_merge_s_wrong_port(flip, message, alpha20, monkeypatch):
     # a fan-out that leaves its rail (its fresh rail) flipped puts V (H) on
     # the merge's wrong port: the block runs, and the fan-in after it refuses
-    fan_out = g.pbs_fan_out
+    fan_out = el.pbs_fan_out
 
     def flipped(s, photon, rails):
         s, fresh = fan_out(s, photon, rails)
@@ -398,7 +397,7 @@ def test_c_path3_refuses_a_component_on_a_merge_s_wrong_port(flip, message, alph
 
     s = polarization_state(haar_vec(4, 7), [("1", "a"), ("2", "t2")])
     s = el.photon_bs(HybridState(s.registry.with_path("1", "b"), s.branches), "1", "a", "b")
-    monkeypatch.setattr(g, "pbs_fan_out", flipped)
+    monkeypatch.setattr(el, "pbs_fan_out", flipped)
     with pytest.raises(StateError, match=re.escape(message)):
         g.c_path3(s, "1", ("a", "b"), "2", alpha20, THETA)
 

@@ -64,7 +64,9 @@ def _apply(s: HybridState, name: str, photon: int, k: int, x: float) -> HybridSt
         # both outputs fresh, so no routed amplitude lands on an occupied slot
         out1 = s.registry.fresh_path(a + "o")
         out2 = s.registry.with_path(pid, out1).fresh_path(a + "o")
-        return getattr(el, name)(s, pid, a, out1, out2)
+        if name == "pbs":
+            return el.pbs(s, pid, a, out1, out2)
+        return el.pbs_pm_fan_out(s, pid, [a], [out1, out2])
     path = None if k % 3 == 0 else a
     if name == "wave_plate":
         return el.wave_plate(s, pid, path, "xz"[k % 2])

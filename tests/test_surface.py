@@ -68,3 +68,11 @@ def test_every_private_definition_is_used_in_the_library():
         d.name for d in private if not any(d.name in names for node, names in reads if node is not d)
     )
     assert unused == []
+
+
+def test_only_elements_reads_its_slot_table_compiler():
+    # other modules apply slot tables through the element functions alone
+    private = {"_remap", "_compiled", "_route_table", "_pm_table"}
+    readers = {path.name: sorted(private & _names_in(ast.parse(path.read_text())))
+               for path in sorted(SRC.glob("*.py")) if path.name != "elements.py"}
+    assert {name: names for name, names in readers.items() if names} == {}
